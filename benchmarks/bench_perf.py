@@ -6,7 +6,9 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
 * ``table_build_s`` — materializing the shared coefficient table
   (recorded by the session ``context`` fixture),
 * ``sweep_serial_s`` / ``sweep_parallel_s`` — the heuristic-only
-  one-failure sweep, serial versus process-pool,
+  one-failure sweep, serial versus ``run_failure_sweep_parallel``, each
+  on a fresh context (the route the parallel call took lands in the
+  headline's ``routes`` section: 24 heuristic tasks stay serial),
 * ``pm_n40_s`` / ``pm_n40_stress_s`` — the PM hot loop on the n=40
   Waxman WAN from ``bench_scalability.py`` (single failure, and the
   3-of-5 controller stress case where phase 1 dominates),
@@ -68,7 +70,14 @@ import time
 
 import pytest
 
-from conftest import record_fanout, record_stage, record_store, record_sweep
+from conftest import (
+    record_fanout,
+    record_route,
+    record_stage,
+    record_store,
+    record_sweep,
+    sweep_route,
+)
 from repro.control.failures import FailureScenario
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_failure_sweep, run_failure_sweep_parallel
@@ -98,17 +107,35 @@ def assert_sweeps_identical(serial, parallel) -> None:
             assert se.total_delay_ms == pe.total_delay_ms
 
 
-def test_parallel_sweep_headline(context, capsys):
-    """Serial vs parallel heuristic sweep: identical output, timed stages."""
+def fresh_context():
+    """A new ATT context with its table built: nothing grounded yet."""
+    from repro.experiments.scenarios import default_att_context
+
+    context = default_att_context()
+    context.materialize_table()
+    return context
+
+
+def test_parallel_sweep_headline(capsys):
+    """Serial vs parallel heuristic sweep: identical output, timed stages.
+
+    Each stage runs on its own fresh context, so neither reuses the
+    instances the other grounded; the route each took is recorded.
+    """
+    context = fresh_context()
     start = time.perf_counter()
     serial = run_failure_sweep(context, 1, FAST_ALGORITHMS)
     serial_s = time.perf_counter() - start
     record_sweep("sweep_serial_s", serial_s, serial)
+    record_route("sweep_serial_s", sweep_route(serial))
 
+    context = fresh_context()
     start = time.perf_counter()
     parallel = run_failure_sweep_parallel(context, 1, FAST_ALGORITHMS, max_workers=4)
     parallel_s = time.perf_counter() - start
     record_stage("sweep_parallel_s", parallel_s)
+    route = sweep_route(parallel)
+    record_route("sweep_parallel_s", route)
 
     assert_sweeps_identical(serial, parallel)
     with capsys.disabled():
@@ -116,8 +143,11 @@ def test_parallel_sweep_headline(context, capsys):
         print("=== Parallel failure sweep (heuristics only, 1 failure) ===")
         print(
             render_table(
-                ("mode", "wall (s)"),
-                [("serial", f"{serial_s:.3f}"), ("parallel x4", f"{parallel_s:.3f}")],
+                ("mode", "wall (s)", "route"),
+                [
+                    ("serial", f"{serial_s:.3f}", "serial"),
+                    ("parallel x4", f"{parallel_s:.3f}", route),
+                ],
             )
         )
 

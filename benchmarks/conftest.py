@@ -50,6 +50,10 @@ _STORE: dict[str, object] = {}
 #: block carried a per-block certificate instead of quietly falling
 #: back to scenario-at-a-time solves.
 _BATCHED: dict[str, object] = {}
+#: The route each sweep stage took (serial, pool, warm pool, ...) —
+#: written as the headline's ``routes`` section so a stage's time can
+#: be read against what actually ran.
+_ROUTES: dict[str, str] = {}
 
 
 def record_stage(name: str, seconds: float) -> None:
@@ -116,6 +120,24 @@ def record_batched(summary: dict[str, object]) -> None:
     _BATCHED.update(summary)
 
 
+def record_route(stage: str, route: str) -> None:
+    """Record which sweep route a timed stage ran."""
+    _ROUTES[stage] = route
+
+
+def sweep_route(results) -> str:
+    """The route a sweep's results were stamped with: the reason of the
+    sweep's ``mode`` (or ``serial-fallback``) event, or ``"serial"``
+    for results of the plain serial runner, which stamps none."""
+    for result in results:
+        if result.degradation is None:
+            continue
+        for event in result.degradation.events:
+            if event.rung == "sweep" and event.action in ("mode", "serial-fallback"):
+                return event.reason
+    return "serial"
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Write BENCH_headline.json if any stage was timed this session."""
     if not _STAGES:
@@ -135,6 +157,8 @@ def pytest_sessionfinish(session, exitstatus):
         payload["store"] = dict(sorted(_STORE.items()))
     if _BATCHED:
         payload["batched"] = dict(sorted(_BATCHED.items()))
+    if _ROUTES:
+        payload["routes"] = dict(sorted(_ROUTES.items()))
     BENCH_HEADLINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 

@@ -62,18 +62,28 @@ class FailureScenario:
         if self.failed >= known:
             raise ScenarioError("at least one controller must remain active")
 
-    def active_controllers(self, plane: ControlPlane) -> tuple[ControllerId, ...]:
-        """Sorted ids of controllers that remain active."""
-        self.validate(plane)
-        return tuple(c for c in plane.controller_ids if c not in self.failed)
+    def resolve(
+        self, plane: ControlPlane
+    ) -> tuple[tuple[ControllerId, ...], tuple[NodeId, ...]]:
+        """Validate once and return ``(active controllers, offline switches)``.
 
-    def offline_switches(self, plane: ControlPlane) -> tuple[NodeId, ...]:
-        """Sorted switches whose controller failed — the paper's set S."""
+        Both are sorted; see :meth:`active_controllers` and
+        :meth:`offline_switches`.
+        """
         self.validate(plane)
+        active = tuple(c for c in plane.controller_ids if c not in self.failed)
         offline: list[NodeId] = []
         for controller_id in sorted(self.failed):
             offline.extend(plane.domain(controller_id))
-        return tuple(sorted(offline))
+        return active, tuple(sorted(offline))
+
+    def active_controllers(self, plane: ControlPlane) -> tuple[ControllerId, ...]:
+        """Sorted ids of controllers that remain active."""
+        return self.resolve(plane)[0]
+
+    def offline_switches(self, plane: ControlPlane) -> tuple[NodeId, ...]:
+        """Sorted switches whose controller failed — the paper's set S."""
+        return self.resolve(plane)[1]
 
     def __str__(self) -> str:
         return f"FailureScenario{self.name}"

@@ -22,7 +22,7 @@ from repro.control.plane import ControlPlane
 from repro.flows.demands import all_pairs_flows
 from repro.flows.flow import Flow
 from repro.geo.coordinates import GeoPoint
-from repro.fmssm.build import build_instance
+from repro.fmssm.build import GroundingIndex
 from repro.fmssm.instance import FMSSMInstance
 from repro.perf.coefficients import CoefficientTable
 from repro.routing.path_count import make_counter
@@ -55,22 +55,33 @@ class ExperimentContext:
     )
     #: Materialized coefficient table, built on demand by sweeps.
     _table: CoefficientTable | None = field(default=None, repr=False)
+    #: Per-network grounding data, built on the first :meth:`instance`.
+    _grounding: GroundingIndex | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        """Drop the grounding index when pickling (rebuilt on first use)."""
+        state = self.__dict__.copy()
+        state["_grounding"] = None
+        return state
 
     def instance(self, scenario: FailureScenario) -> FMSSMInstance:
         """Build (and cache) the FMSSM instance for a failure scenario.
 
-        Once :meth:`materialize_table` has run, grounding uses the shared
-        coefficient table (pure dictionary lookups) instead of the lazy
-        model — the values are identical by construction.
+        The first call builds the context's :class:`GroundingIndex`
+        from the shared coefficient table once :meth:`materialize_table`
+        has run, else from the lazy model — the values are identical by
+        construction — and every scenario grounds from it.
         """
         key = scenario.failed
         if key not in self._instances:
-            self._instances[key] = build_instance(
-                self.plane,
-                self.flows,
-                self._table if self._table is not None else self.programmability,
-                scenario,
-                delay_model=self.delay_model,
+            if self._grounding is None:
+                self._grounding = GroundingIndex(
+                    self.plane,
+                    self.flows,
+                    self._table if self._table is not None else self.programmability,
+                )
+            self._instances[key] = self._grounding.ground(
+                scenario, delay_model=self.delay_model
             )
         return self._instances[key]
 

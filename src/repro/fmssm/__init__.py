@@ -1,6 +1,6 @@
 """FMSSM problem: instance data, IP formulation, evaluation, Optimal solver."""
 
-from repro.fmssm.build import build_instance, default_lambda
+from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
 from repro.fmssm.evaluation import (
     RecoveryEvaluation,
     evaluate_batch,
@@ -15,6 +15,7 @@ from repro.fmssm.two_stage import solve_two_stage
 
 __all__ = [
     "FMSSMInstance",
+    "GroundingIndex",
     "build_instance",
     "default_lambda",
     "build_fmssm_model",

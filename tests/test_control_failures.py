@@ -42,6 +42,13 @@ class TestFailureScenario:
         scenario = FailureScenario(frozenset({13, 20}))
         assert scenario.active_controllers(plane) == (2, 5, 6, 22)
 
+    def test_resolve_is_both(self, plane):
+        scenario = FailureScenario(frozenset({13, 20}))
+        assert scenario.resolve(plane) == (
+            (2, 5, 6, 22),
+            (10, 11, 12, 13, 15, 19, 20),
+        )
+
     def test_unknown_controller_rejected(self, plane):
         with pytest.raises(ScenarioError, match="unknown"):
             FailureScenario(frozenset({999})).validate(plane)

@@ -1,0 +1,302 @@
+"""Differential tests for :class:`repro.fmssm.build.GroundingIndex`.
+
+The index grounds a scenario from per-network data built once; the
+reference below is the per-scenario builder it replaced, which rescans
+the whole flow population for every scenario.  Both must produce the
+same instance field for field, including dict insertion order — PM's
+tie-breaks and the plan digests depend on it.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.control.delay import DelayModel, ideal_recovery_delay
+from repro.control.failures import FailureScenario, enumerate_failure_scenarios
+from repro.exceptions import CapacityError, FlowError, ScenarioError
+from repro.experiments.scenarios import ExperimentContext, custom_context, default_att_context
+from repro.flows.demands import all_pairs_flows
+from repro.flows.paths import switch_flow_counts
+from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
+from repro.fmssm.instance import FMSSMInstance
+from repro.perf.coefficients import CoefficientArrays
+from repro.perf.sweep import ShmPlanData
+from repro.topology.generators import waxman_topology
+from repro.topology.partition import nearest_site_partition
+
+SETTINGS = settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Constructor fields, then the views ``__post_init__`` derives from them.
+FIELDS = (
+    "switches",
+    "controllers",
+    "spare",
+    "delay",
+    "flows",
+    "pbar",
+    "gamma",
+    "ideal_delay_ms",
+    "lam",
+    "nearest",
+    "pairs_at",
+    "pairs_of",
+    "_pairs",
+    "_recoverable",
+    "_total_iterations",
+)
+
+
+def reference_build(plane, flows, programmability, scenario, delay_model=None, lam=None):
+    """The per-scenario builder the index replaced: every scenario scans
+    every flow for offline nodes, recounts spare and gamma over the full
+    workload and asks ``programmability`` for each p̄."""
+    scenario.validate(plane)
+    delay_model = delay_model or DelayModel(plane.topology, mode="geodesic")
+    offline_switches = scenario.offline_switches(plane)
+    offline_set = set(offline_switches)
+    active = scenario.active_controllers(plane)
+    sites = {c: plane.controller(c).site for c in active}
+
+    all_flows = list(flows)
+    offline_flows = {}
+    for flow in all_flows:
+        if any(node in offline_set for node in flow.path):
+            offline_flows[flow.flow_id] = flow
+    spare_all = plane.spare_capacity(all_flows)
+    gamma_all = switch_flow_counts(all_flows)
+    gamma = {s: int(gamma_all.get(s, 0)) for s in offline_switches}
+    pbar = {}
+    for flow in offline_flows.values():
+        for switch in flow.transit_switches:
+            if switch not in offline_set:
+                continue
+            value = programmability.pbar(flow, switch)
+            if value:
+                pbar[(switch, flow.flow_id)] = value
+    if lam is None:
+        lam = default_lambda(sum(pbar.values()))
+    return FMSSMInstance(
+        switches=tuple(offline_switches),
+        controllers=tuple(active),
+        spare={c: spare_all[c] for c in active},
+        delay=delay_model.matrix(offline_switches, sites),
+        flows=offline_flows,
+        pbar=pbar,
+        gamma=gamma,
+        ideal_delay_ms=ideal_recovery_delay(delay_model, offline_switches, sites, gamma),
+        lam=lam,
+        nearest={s: delay_model.nearest_controller(s, sites) for s in offline_switches},
+    )
+
+
+def assert_same_instance(expected: FMSSMInstance, actual: FMSSMInstance) -> None:
+    for name in FIELDS:
+        want, got = getattr(expected, name), getattr(actual, name)
+        if isinstance(want, dict):
+            assert list(got.items()) == list(want.items()), name
+        else:
+            assert got == want, name
+
+
+def scenarios_up_to(context: ExperimentContext, k: int) -> list[FailureScenario]:
+    n = min(k, context.plane.n_controllers - 1)
+    return [s for i in range(1, n + 1) for s in enumerate_failure_scenarios(context.plane, i)]
+
+
+def model_backed(build) -> ExperimentContext:
+    """A fresh context that grounds from the lazy model."""
+    return build()
+
+
+def table_backed(build) -> ExperimentContext:
+    """A fresh context whose table is materialized before grounding."""
+    context = build()
+    context.materialize_table()
+    return context
+
+
+def shm_rebuilt(build) -> ExperimentContext:
+    """A context rebuilt from its array form, as pool workers get it."""
+    context = build()
+    data = ShmPlanData(
+        topology=context.topology,
+        plane=context.plane,
+        delay_model=context.delay_model,
+        arrays=CoefficientArrays.from_table(context.materialize_table()),
+        scenarios=(),
+    )
+    return data.rebuild_context()
+
+
+SOURCES = (model_backed, table_backed, shm_rebuilt)
+
+
+def assert_grounds_like_reference(build, k: int = 3) -> None:
+    reference = build()
+    for source in SOURCES:
+        context = source(build)
+        for scenario in scenarios_up_to(reference, k):
+            expected = reference_build(
+                reference.plane,
+                reference.flows,
+                reference.programmability,
+                scenario,
+                delay_model=reference.delay_model,
+            )
+            assert_same_instance(expected, context.instance(scenario))
+
+
+def wan72_context() -> ExperimentContext:
+    """The 72-node Waxman WAN of ``benchmarks/bench_scalability.py``."""
+    topology = waxman_topology(72, alpha=0.6, beta=0.35, seed=1)
+    sites = topology.nodes[:9]
+    gamma = switch_flow_counts(all_pairs_flows(topology, weight="hops"))
+    worst = max(
+        sum(gamma[s] for s in members)
+        for members in nearest_site_partition(topology, sites).values()
+    )
+    return custom_context(topology, controller_sites=sites, capacity=int(worst * 1.5))
+
+
+class TestMatchesReference:
+    def test_att_one_to_three_failures(self):
+        assert_grounds_like_reference(default_att_context)
+
+    def test_wan72_one_to_three_failures(self):
+        # One WAN serves all three sources: the reference and the
+        # model-backed context read its model; the table-backed and
+        # rebuilt contexts share its plane and flows.
+        context = wan72_context()
+        table = ExperimentContext(
+            topology=context.topology,
+            flows=context.flows,
+            plane=context.plane,
+            programmability=context.programmability,
+            delay_model=context.delay_model,
+            _table=context.programmability.table(),
+        )
+        rebuilt = shm_rebuilt(lambda: table)
+        for scenario in scenarios_up_to(context, 3):
+            expected = reference_build(
+                context.plane,
+                context.flows,
+                context.programmability,
+                scenario,
+                delay_model=context.delay_model,
+            )
+            for grounded in (context, table, rebuilt):
+                assert_same_instance(expected, grounded.instance(scenario))
+
+    @SETTINGS
+    @given(
+        n=st.integers(min_value=8, max_value=16),
+        seed=st.integers(min_value=0, max_value=50),
+        controllers=st.integers(min_value=2, max_value=5),
+        slack=st.sampled_from((1.0, 1.3, 2.0)),
+    )
+    def test_waxman_contexts(self, n, seed, controllers, slack):
+        topology = waxman_topology(n, alpha=0.7, beta=0.4, seed=seed)
+        sites = topology.nodes[:controllers]
+        gamma = switch_flow_counts(all_pairs_flows(topology, weight="hops"))
+        domains = nearest_site_partition(topology, sites)
+        assume(len(domains) == controllers)
+        worst = max(sum(gamma[s] for s in members) for members in domains.values())
+
+        def build():
+            return custom_context(
+                topology, controller_sites=sites, capacity=int(worst * slack)
+            )
+
+        assert_grounds_like_reference(build)
+
+    def test_explicit_delay_model_and_lambda(self, small_context):
+        routed = DelayModel(small_context.topology, mode="routed")
+        scenario = FailureScenario(frozenset({3}))
+        args = (small_context.plane, small_context.flows, small_context.programmability)
+        assert_same_instance(
+            reference_build(*args, scenario, delay_model=routed, lam=0.125),
+            build_instance(*args, scenario, delay_model=routed, lam=0.125),
+        )
+
+
+class TestErrors:
+    def mis_provisioned(self) -> ExperimentContext:
+        topology = waxman_topology(10, alpha=0.7, beta=0.4, seed=3)
+        return custom_context(topology, controller_sites=topology.nodes[:3], capacity=1)
+
+    def test_capacity_error_on_first_grounding(self):
+        context = self.mis_provisioned()
+        index = GroundingIndex(context.plane, context.flows, context.programmability)
+        scenario = FailureScenario(frozenset({context.plane.controller_ids[0]}))
+        with pytest.raises(CapacityError):
+            index.ground(scenario)
+        with pytest.raises(CapacityError):
+            context.instance(scenario)
+
+    def test_scenario_error_before_capacity_error(self):
+        context = self.mis_provisioned()
+        with pytest.raises(ScenarioError):
+            context.instance(FailureScenario(frozenset({999})))
+
+    def test_unknown_controller(self, small_context):
+        with pytest.raises(ScenarioError):
+            small_context.instance(FailureScenario(frozenset({999})))
+
+    def test_all_controllers_failed(self, small_context):
+        everyone = FailureScenario(frozenset(small_context.plane.controller_ids))
+        with pytest.raises(ScenarioError):
+            small_context.instance(everyone)
+
+    def test_validates_scenario_once(self, small_context, monkeypatch):
+        index = GroundingIndex(
+            small_context.plane, small_context.flows, small_context.programmability
+        )
+        calls = []
+        validate = FailureScenario.validate
+
+        def counting(self, plane):
+            calls.append(self)
+            validate(self, plane)
+
+        monkeypatch.setattr(FailureScenario, "validate", counting)
+        index.ground(FailureScenario(frozenset({3, 7})))
+        assert len(calls) == 1
+
+    def test_duplicate_flow_ids_rejected(self, small_context):
+        flows = [*small_context.flows, small_context.flows[0]]
+        with pytest.raises(FlowError):
+            GroundingIndex(small_context.plane, flows, small_context.programmability)
+
+
+class TestPickle:
+    def grounded(self) -> tuple[ExperimentContext, list[FailureScenario]]:
+        topology = waxman_topology(12, alpha=0.7, beta=0.4, seed=5)
+        context = custom_context(topology, controller_sites=topology.nodes[:3], capacity=400)
+        scenarios = scenarios_up_to(context, 2)
+        for scenario in scenarios:
+            context.instance(scenario)
+        return context, scenarios
+
+    def test_pickled_context_carries_no_index(self):
+        context, _ = self.grounded()
+        assert context._grounding is not None
+        payload = pickle.dumps(context)
+        assert b"GroundingIndex" not in payload
+        assert pickle.loads(payload)._grounding is None
+        assert context._grounding is not None  # the live context keeps it
+
+    def test_round_tripped_context_grounds_identically(self):
+        context, scenarios = self.grounded()
+        clone = pickle.loads(pickle.dumps(context))
+        clone._instances.clear()
+        for scenario in scenarios:
+            assert_same_instance(context.instance(scenario), clone.instance(scenario))
+        assert clone._grounding is not None
