@@ -112,12 +112,16 @@ def failure_figure_data(
             results = run_failure_sweep(
                 context, n_failures, algorithms, optimal_time_limit_s
             )
+    # What grounding puts in ``instance.spare``, summed without
+    # grounding each scenario a second time after its sweep.
+    spare = context.plane.spare_capacity(context.flows)
     return {
         "n_failures": n_failures,
         "algorithms": list(algorithms),
         "cases": [_case_record(r, algorithms) for r in results],
         "total_spare": {
-            r.name: context.instance(r.scenario).total_spare for r in results
+            r.name: sum(spare[c] for c in r.scenario.active_controllers(context.plane))
+            for r in results
         },
     }
 

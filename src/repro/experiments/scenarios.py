@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -49,9 +50,10 @@ class ExperimentContext:
     plane: ControlPlane
     programmability: ProgrammabilityModel
     delay_model: DelayModel
-    #: Per-instance cache keyed by failed-controller set.
-    _instances: dict[frozenset[ControllerId], FMSSMInstance] = field(
-        default_factory=dict, repr=False
+    #: Live instances by failed-controller set, held weakly: an instance
+    #: lives as long as the request or sweep that grounded it.
+    _instances: weakref.WeakValueDictionary[frozenset[ControllerId], FMSSMInstance] = field(
+        default_factory=weakref.WeakValueDictionary, repr=False, compare=False
     )
     #: Materialized coefficient table, built on demand by sweeps.
     _table: CoefficientTable | None = field(default=None, repr=False)
@@ -59,13 +61,27 @@ class ExperimentContext:
     _grounding: GroundingIndex | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
-        """Drop the grounding index when pickling (rebuilt on first use)."""
+        """Drop the grounding index and the live instances when pickling
+        (the index is rebuilt on first use, the instance map starts empty)."""
         state = self.__dict__.copy()
         state["_grounding"] = None
+        del state["_instances"]
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._instances = weakref.WeakValueDictionary()
+
     def instance(self, scenario: FailureScenario) -> FMSSMInstance:
-        """Build (and cache) the FMSSM instance for a failure scenario.
+        """The FMSSM instance for a failure scenario.
+
+        While any caller still holds the instance of ``scenario`` (a
+        request, a sweep plan, a store probe), this returns that same
+        object; once the last holder drops it, the context forgets it
+        too and a later call grounds it afresh — equal field for field.
+        The context never keeps an instance alive by itself, so an
+        operator loop grounding a new failure set per request does not
+        accumulate them.
 
         The first call builds the context's :class:`GroundingIndex`
         from the shared coefficient table once :meth:`materialize_table`
@@ -73,17 +89,17 @@ class ExperimentContext:
         construction — and every scenario grounds from it.
         """
         key = scenario.failed
-        if key not in self._instances:
+        instance = self._instances.get(key)
+        if instance is None:
             if self._grounding is None:
                 self._grounding = GroundingIndex(
                     self.plane,
                     self.flows,
                     self._table if self._table is not None else self.programmability,
                 )
-            self._instances[key] = self._grounding.ground(
-                scenario, delay_model=self.delay_model
-            )
-        return self._instances[key]
+            instance = self._grounding.ground(scenario, delay_model=self.delay_model)
+            self._instances[key] = instance
+        return instance
 
     def materialize_table(self) -> CoefficientTable:
         """Build (once) and return the shared coefficient table.

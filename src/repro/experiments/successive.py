@@ -73,15 +73,19 @@ def run_successive(
         for scenario in scenarios:
             instance = context.instance(scenario)
             evaluations.append(evaluate_solution(instance, solver(instance)))
+    # The stage metrics come from the evaluation and the plane, so no
+    # stage grounds its scenario a second time.
+    spare = context.plane.spare_capacity(context.flows)
     stages: list[SuccessiveStage] = []
     for scenario, evaluation in zip(scenarios, evaluations):
-        instance = context.instance(scenario)
         stages.append(
             SuccessiveStage(
                 failed=tuple(sorted(scenario.failed)),
                 evaluation=evaluation,
-                total_spare=instance.total_spare,
-                recoverable_flows=len(instance.recoverable_flows),
+                total_spare=sum(
+                    spare[c] for c in scenario.active_controllers(context.plane)
+                ),
+                recoverable_flows=evaluation.recoverable_flows,
                 fairness=jain_fairness_index(evaluation.programmability_values()),
             )
         )

@@ -390,9 +390,10 @@ def _slim_context(context: object):
 # Worker side: layered LRU caches and the warm task bodies
 # ----------------------------------------------------------------------
 #: Decoded contexts by (executor id, generation) — the heavy layer.
-#: A context entry accretes value as it is used: grounded instances,
-#: their InstanceArrays and list views all cache inside it, so a second
-#: sweep over the same generation skips instance preparation too.
+#: A context entry keeps its grounding index across sweeps; grounded
+#: instances, with their InstanceArrays and list views, are held by the
+#: plan that grounded them (:meth:`SweepPlan.instance`), so they live
+#: as long as the plan stays in :data:`_PLANS`.
 _CONTEXTS: OrderedDict[tuple[int, int], object] = OrderedDict()
 _MAX_CONTEXTS = 4
 

@@ -350,6 +350,9 @@ def _seq_prep(arrays: InstanceArrays) -> tuple:
     each flow's pair-switch adjacency (for the incremental level
     counts), the delay-ordered controller rows, the delay matrix, and
     per-switch ``(pair, flow, p̄)`` triples for PM's candidate scan.
+    The adjacency is only iterated, so each flow's entry is a tuple of
+    ints, which the collector stops tracking after its first pass; a
+    list would stay tracked for as long as a plan holds the instance.
     """
     cached = arrays.cache.get("seq_lists")
     if cached is None:
@@ -366,7 +369,7 @@ def _seq_prep(arrays: InstanceArrays) -> tuple:
             pbar_list,
             indptr,
             [
-                switches_by_flow[flow_indptr[i] : flow_indptr[i + 1]]
+                tuple(switches_by_flow[flow_indptr[i] : flow_indptr[i + 1]])
                 for i in range(len(arrays.flow_ids))
             ],
             arrays.delay_order.tolist(),

@@ -140,6 +140,23 @@ class SweepPlan:
     #: Batch size for block-diagonal LP solving of ``optimal`` tasks
     #: (:mod:`repro.perf.batch`); ``None`` keeps scenario-at-a-time.
     lp_batch: int | None = None
+    #: Instances grounded through :meth:`instance`, by scenario index.
+    _instances: dict[int, FMSSMInstance] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def instance(self, index: int) -> FMSSMInstance:
+        """The instance of scenario ``index``, held for the plan's life.
+
+        The context holds instances only weakly, and a worker runs a
+        scenario's algorithms as separate tasks; this hold keeps one
+        grounding per scenario for as long as the worker keeps the plan.
+        """
+        instance = self._instances.get(index)
+        if instance is None:
+            instance = self.context.instance(self.scenarios[index])
+            self._instances[index] = instance
+        return instance
 
 
 @dataclass
@@ -300,7 +317,7 @@ def _task_rows(plan: SweepPlan, task: tuple[int, str]) -> _TaskResult:
     """
     chaos.check("sweep.task")
     index, algorithm = task
-    instance = plan.context.instance(plan.scenarios[index])
+    instance = plan.instance(index)
     prepare_instance(instance)
     solution, report = _solve(
         instance,
@@ -343,7 +360,7 @@ def _chain_rows(
     warm_chain = WarmChain()
     out: list[_TaskResult] = []
     for index, algorithms in segment:
-        instance = plan.context.instance(plan.scenarios[index])
+        instance = plan.instance(index)
         prepare_instance(instance)
         solved = []
         for algorithm in algorithms:
@@ -414,8 +431,7 @@ def _batched_rows(
     from repro.perf.batch import solve_optimal_batch
 
     if instance_of is None:
-        def instance_of(index: int) -> FMSSMInstance:
-            return plan.context.instance(plan.scenarios[index])
+        instance_of = plan.instance
 
     by_scenario: dict[int, list[str]] = {}
     for index, algorithm in tasks:
