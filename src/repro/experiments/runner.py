@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.baselines import get_algorithm
 from repro.control.failures import FailureScenario, enumerate_failure_scenarios
@@ -15,7 +15,7 @@ from repro.fmssm.solution import RecoverySolution
 from repro.perf.kernels import prepare_instance
 
 if TYPE_CHECKING:
-    from repro.resilience.degradation import DegradationReport, LadderPolicy
+    from repro.resilience.degradation import DegradationReport
 
 __all__ = [
     "ScenarioResult",
@@ -128,51 +128,15 @@ def run_failure_sweep_parallel(
     n_failures: int,
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     optimal_time_limit_s: float = 300.0,
-    max_workers: int | None = None,
-    optimal_compile: str = "sparse",
-    min_parallel_tasks: int | None = None,
-    ladder: "LadderPolicy | None" = None,
-    validate: bool = False,
-    checkpoint_path: object = None,
-    checkpoint_every: int = 4,
-    transport: str = "auto",
-    incremental: bool = False,
-    executor: object = None,
-    supervisor: object = None,
-    store: object = None,
-    lp_batch: int | None = None,
+    **options: Any,
 ) -> list[ScenarioResult]:
     """:func:`run_failure_sweep` fanned over a process pool.
 
-    The coefficient table is materialized once in the parent and shared
-    with every worker, scenarios × algorithms run concurrently, and
-    results merge deterministically in scenario order — output is
-    identical to the serial sweep apart from ``solve_time_s`` wall
-    clocks.  ``max_workers=None`` uses all CPUs; ``max_workers=1``, an
-    unpicklable context, or a broken pool degrade gracefully to the
-    serial path.  Small heuristic-only sweeps (fewer than
-    ``min_parallel_tasks`` tasks, default 64, and no exact solver among
-    the algorithms) also run serially — pool startup cannot pay off
-    there; pass ``min_parallel_tasks=0`` to force the pool.
-
-    ``ladder``, ``validate``, ``checkpoint_path`` and
-    ``checkpoint_every`` enable the resilience layer; see
-    :func:`repro.perf.sweep.parallel_sweep` and ``docs/robustness.md``.
-    ``transport`` selects how the plan reaches workers (``"auto"`` /
-    ``"shm"`` / ``"pickle"``) and ``incremental`` chains scenarios by
-    failure-set similarity — both pure execution strategies with
-    bit-identical results; see ``docs/performance.md``.  ``executor``
-    submits to a warm :class:`~repro.perf.executor.SweepExecutor`
-    instead of spawning a fresh pool — the right choice when several
-    sweeps run back to back over one context.  ``supervisor`` threads a
-    :class:`~repro.resilience.supervisor.SweepSupervisor` through the
-    warm route (deadlines, quarantine, circuit breakers); see
-    ``docs/robustness.md``.  ``store`` memoizes solves across runs and
-    parent processes through a :class:`~repro.perf.store.SolveStore`
-    (content-addressed, bit-identical hits; see ``docs/performance.md``).
-    ``lp_batch`` stacks same-shaped exact solves into block-diagonal LP
-    relaxations solved one HiGHS call per batch (:mod:`repro.perf.batch`)
-    — another bit-identical execution strategy.
+    Runs every ``n_failures``-controller scenario through
+    :func:`repro.perf.sweep.parallel_sweep`, which documents the keyword
+    ``options`` (workers, transport, executor, store, resilience and
+    batching knobs).  Output is identical to the serial sweep apart from
+    ``solve_time_s`` wall clocks.
     """
     from repro.perf.sweep import parallel_sweep
 
@@ -180,18 +144,6 @@ def run_failure_sweep_parallel(
         context,
         enumerate_failure_scenarios(context.plane, n_failures),
         algorithms,
-        optimal_time_limit_s=optimal_time_limit_s,
-        max_workers=max_workers,
-        optimal_compile=optimal_compile,
-        min_parallel_tasks=min_parallel_tasks,
-        ladder=ladder,
-        validate=validate,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        transport=transport,
-        incremental=incremental,
-        executor=executor,
-        supervisor=supervisor,
-        store=store,
-        lp_batch=lp_batch,
+        optimal_time_limit_s,
+        **options,
     )

@@ -21,7 +21,7 @@ that cheap:
     structural caching across the scenarios of a sweep.
 
 :mod:`repro.perf.shm`
-    Zero-copy shared-memory fan-out: the sweep plan's numpy buffers are
+    Zero-copy shared-memory fan-out: the context's numpy buffers are
     parked in one segment every pool worker aliases read-only.
 
 :mod:`repro.perf.incremental`
@@ -35,9 +35,10 @@ that cheap:
     identical to the dict-route reference implementations.
 
 :mod:`repro.perf.executor`
-    Persistent warm-worker pools: a :class:`~repro.perf.executor.
-    SweepExecutor` keeps workers (and their decoded plans, contexts and
-    compiled shapes) alive across sweeps, and :func:`~repro.perf.
+    The sweep process pool: a :class:`~repro.perf.executor.
+    SweepExecutor` runs every pool sweep (one scoped to the call when
+    the caller passes none) and keeps its workers, with their decoded
+    contexts and plans, alive across sweeps; :func:`~repro.perf.
     executor.run_campaign` streams many sweeps over one warm executor.
 
 :mod:`repro.perf.store`
@@ -50,6 +51,7 @@ that cheap:
 
 from repro.perf.coefficients import CoefficientArrays, CoefficientTable
 from repro.perf.executor import (
+    ShmPlanData,
     SweepExecutor,
     close_default_executor,
     get_default_executor,
@@ -90,7 +92,6 @@ from repro.perf.store import (
     topology_fingerprint,
 )
 from repro.perf.sweep import (
-    ShmPlanData,
     SweepPlan,
     fanout_summary,
     parallel_sweep,

@@ -32,6 +32,11 @@ numbers, ``w``/``y`` column layouts, capacity-row patterns) depend only
 on the (N, M, P) shape, so an :class:`FMSSMCompiler` caches them and
 every same-shaped scenario of a sweep slices from one master template
 instead of rebuilding.
+
+The templates are built by the process that compiles, never shipped or
+stored: building all 25 templates of a 40-node sweep takes a few
+milliseconds, less than pickling them to a pool worker or reading them
+back from disk costs.
 """
 
 from __future__ import annotations
@@ -173,7 +178,7 @@ class CompiledFMSSM:
 class FMSSMCompiler:
     """Compiles instances to :class:`CompiledFMSSM`, reusing structure.
 
-    One compiler per sweep (or the module default) keeps an LRU cache of
+    A compiler (usually the process-wide default) keeps an LRU cache of
     the shape-only index arrays keyed by (N, M, P); scenarios sharing a
     shape pay only for the scenario-specific numbers (``p̄``, delays,
     spare capacities, bounds).
@@ -221,46 +226,6 @@ class FMSSMCompiler:
         if len(self._shapes) > self._max_cached_shapes:
             self._shapes.popitem(last=False)
         return arrays
-
-    def precompute(
-        self, shapes: Iterable[tuple[int, int, int]]
-    ) -> dict[tuple[int, int, int], dict[str, np.ndarray]]:
-        """Build (and cache) the index arrays for every given shape.
-
-        The parallel sweep predicts each scenario's (N, M, P) cheaply in
-        the parent, precomputes the structural blocks once, and ships
-        them to workers through the shared-memory transport — every
-        worker then aliases the same arrays instead of rebuilding them.
-        Returns the key → arrays mapping for :meth:`adopt_shapes`.
-        """
-        return {key: self._shape_arrays(*key) for key in dict.fromkeys(shapes)}
-
-    def cached_shapes(
-        self,
-    ) -> dict[tuple[int, int, int], dict[str, np.ndarray]]:
-        """A snapshot of the currently cached shape arrays.
-
-        The cross-run store (:mod:`repro.perf.store`) persists these as
-        named artifacts after a sweep, so a cold process adopts them
-        from disk instead of rebuilding the structural blocks.
-        """
-        return dict(self._shapes)
-
-    def adopt_shapes(
-        self, mapping: dict[tuple[int, int, int], dict[str, np.ndarray]]
-    ) -> None:
-        """Install precomputed shape arrays (worker-side of :meth:`precompute`).
-
-        Mispredicted or missing keys are harmless — :meth:`_shape_arrays`
-        computes on demand.  The LRU bound still applies, so adopting
-        more shapes than ``max_cached_shapes`` keeps only the most
-        recently inserted ones.
-        """
-        for key, arrays in mapping.items():
-            self._shapes[key] = arrays
-            self._shapes.move_to_end(key)
-            if len(self._shapes) > self._max_cached_shapes:
-                self._shapes.popitem(last=False)
 
     def compile(
         self,

@@ -1,12 +1,13 @@
-"""Persistent warm-worker sweep executor with cross-sweep artifact caching.
+"""The sweep process pool: one executor, cross-sweep artifact caching.
 
-Every :func:`~repro.perf.sweep.parallel_sweep` call historically paid
-the full fan-out bill — spawn a :class:`~concurrent.futures.
-ProcessPoolExecutor`, ship the plan, have every worker decode it — even
-though figure generation, successive-failure runs and the ablation
-drivers issue many sweeps over the *same* topology back to back.  On
-the bench that bill is ~1.6 s per sweep against a ~0.02 s pure-solve
-floor.  This module amortizes it:
+Every pool sweep runs on a :class:`SweepExecutor`.
+:func:`~repro.perf.sweep.parallel_sweep` opens one scoped to the call
+when the caller passes none, and closes it before returning.  A fresh
+pool pays the full fan-out bill — spawn the workers, ship the context,
+have every worker decode it — even though figure generation,
+successive-failure runs and the ablation drivers issue many sweeps over
+the *same* topology back to back.  An executor the caller keeps open
+amortizes that bill:
 
 :class:`SweepExecutor`
     A context-manager that keeps one process pool alive across sweeps
@@ -24,8 +25,8 @@ Worker-side caches
     once per *generation*, then shared by every sweep over that
     context, together with all the instances, ``InstanceArrays`` and
     hop-distance state the context caches) and the light per-sweep
-    parameters.  Compiled ``(N, M, P)`` sparse templates ride the
-    header once and land in the worker's process-wide
+    parameters.  Each worker builds the compiler's ``(N, M, P)``
+    templates itself, in its process-wide
     :func:`~repro.perf.compile.default_compiler`, which persists across
     sweeps by construction.
 
@@ -69,7 +70,7 @@ import time
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.perf.shm import (
     SegmentLease,
@@ -82,6 +83,7 @@ from repro.resilience import chaos
 
 __all__ = [
     "SweepExecutor",
+    "ShmPlanData",
     "WarmHeader",
     "get_default_executor",
     "close_default_executor",
@@ -144,7 +146,6 @@ class _SweepParams:
     ladder: object
     validate: bool
     chaos_plan: object
-    shapes: dict = field(default_factory=dict)
     lp_batch: "int | None" = None
 
 
@@ -159,13 +160,13 @@ class SweepExecutor:
 
     The second sweep reuses the warm workers, the parent-side encoded
     context, and the workers' decoded plan — its cost approaches the
-    pure solve time.  Results are bit-identical to fresh-pool and serial
-    sweeps (the equivalence tests assert it).
+    pure solve time.  Results are bit-identical to serial sweeps (the
+    equivalence tests assert it).  A sweep called without an executor
+    runs on one of these scoped to the call.
 
     A sweep that breaks the pool mid-flight keeps its completed results
-    and finishes serially, exactly like the fresh-pool route; the
-    executor marks itself broken and the *next* sweep respawns the pool
-    transparently.
+    and finishes serially; the executor marks itself broken and the
+    *next* sweep respawns the pool transparently.
     """
 
     _ids = itertools.count(1)
@@ -300,6 +301,11 @@ class SweepExecutor:
         (unpicklable contexts) — callers fall back to serial execution.
         """
         self._require_open()
+        materialize = getattr(context, "materialize_table", None)
+        if materialize is not None:
+            # Both transports ship the table, so no worker re-derives a
+            # single coefficient; duck-typed contexts may have none.
+            materialize()
         key = (id(context), bool(prefer_shm))
         table = getattr(context, "_table", None)
         entry = self._contexts.get(key)
@@ -330,7 +336,7 @@ class SweepExecutor:
                 data = _slim_context(context)
             except Exception:
                 # Duck-typed contexts without an array form take the
-                # raw-pickle route below, like the cold pickle transport.
+                # raw-pickle route below, like ``transport="pickle"``.
                 data = None
             if data is not None:
                 payload, lease = dumps_shared(data)
@@ -357,7 +363,7 @@ class SweepExecutor:
         ladder, validation flag and exact scenario contents beyond the
         names the fingerprint hashes).  Chaotic sweeps get a nonce: a
         fresh worker-side ``chaos.install`` per sweep keeps the fault
-        counters starting from zero, matching a fresh pool.
+        counters starting from zero, matching a fresh worker.
         """
         digest = hashlib.sha256(sweep_blob).hexdigest()[:16]
         key = f"x{self.id}g{entry.generation}:{fingerprint}:{digest}"
@@ -366,23 +372,52 @@ class SweepExecutor:
         return key
 
 
-def _slim_context(context: object):
-    """``context`` stripped to its array form (no programmability model).
+@dataclass
+class ShmPlanData:
+    """A context in the array form the shared-memory transport ships.
 
-    Reuses :class:`~repro.perf.sweep.ShmPlanData` with an empty scenario
-    list — its ``rebuild_context`` does exactly the reconstruction warm
-    workers need, and its numpy buffers are what the shm segment parks.
+    The programmability model (hundreds of kilobytes of path-count state
+    the workers never consult once the table is materialized) is dropped
+    entirely, and the coefficient table plus flow population travel as
+    dense :class:`~repro.perf.coefficients.CoefficientArrays` whose
+    buffers pickle protocol 5 diverts into the shared segment.
     """
-    from repro.perf.coefficients import CoefficientArrays
-    from repro.perf.sweep import ShmPlanData
 
-    table = context.materialize_table()
+    topology: object
+    plane: object
+    delay_model: object
+    arrays: object  # CoefficientArrays
+
+    def rebuild_context(self) -> "ExperimentContext":  # noqa: F821
+        """Reconstruct an :class:`ExperimentContext` around the arrays.
+
+        The rebuilt context has its coefficient table pre-materialized
+        (so instance grounding never consults the programmability model,
+        which is absent) and draws its flow population from the table —
+        the same objects, in the same order, as the parent's context.
+        """
+        from repro.experiments.scenarios import ExperimentContext
+
+        table = self.arrays.to_table()
+        return ExperimentContext(
+            topology=self.topology,
+            flows=list(table.flows),
+            plane=self.plane,
+            programmability=None,  # type: ignore[arg-type] - never consulted
+            delay_model=self.delay_model,
+            _table=table,
+        )
+
+
+def _slim_context(context: object) -> ShmPlanData:
+    """``context`` stripped to its array form (no programmability model)."""
+    from repro.perf.coefficients import CoefficientArrays
+
     return ShmPlanData(
         topology=context.topology,
         plane=context.plane,
         delay_model=context.delay_model,
-        arrays=CoefficientArrays.from_table(table),
-        scenarios=(),
+        arrays=CoefficientArrays.from_table(context.materialize_table()),
     )
 
 
@@ -412,9 +447,14 @@ _CHAOS_KEY: list[str | None] = [None]
 _EVICTIONS: dict[str, int] = {"context": 0, "plan": 0, "chaos_nonce": 0}
 
 
-def worker_cache_stats() -> dict[str, dict[str, int]]:
-    """This worker's cache telemetry (rides each warm result row)."""
-    return {"evictions": dict(_EVICTIONS)}
+def worker_cache_stats(plan_build_s: float = 0.0) -> dict[str, object]:
+    """This worker's cache telemetry (rides each warm result row).
+
+    ``plan_build_s`` is what the task's :func:`_warm_plan` spent building
+    its plan, 0.0 on a plan-cache hit; the parent folds the maximum
+    into ``FanoutStats.worker_init_s``.
+    """
+    return {"evictions": dict(_EVICTIONS), "plan_build_s": plan_build_s}
 
 
 def _sync_chaos(plan_key: str, chaos_plan) -> None:
@@ -439,11 +479,17 @@ def _sync_chaos(plan_key: str, chaos_plan) -> None:
 
 
 def _warm_plan(header: WarmHeader):
-    """The worker's plan for ``header``, decoding as little as possible."""
+    """The worker's plan for ``header``, decoding as little as possible.
+
+    Returns ``(plan, seconds spent building it)``; the time is 0.0 when
+    the plan came from the worker's cache.
+    """
     from repro.perf.sweep import SweepPlan
 
     plan = _PLANS.get(header.plan_key)
+    build_s = 0.0
     if plan is None:
+        start = time.perf_counter()
         # The light per-sweep blob decodes first so the sweep's chaos
         # plan is live before the heavy layers are touched — the decode
         # sites below must be injectable on a fresh worker.
@@ -472,39 +518,29 @@ def _warm_plan(header: WarmHeader):
             params.chaos_plan,
             lp_batch=params.lp_batch,
         )
-        if params.shapes:
-            from repro.perf.compile import default_compiler
-
-            default_compiler().adopt_shapes(params.shapes)
         _PLANS[header.plan_key] = plan
         while len(_PLANS) > _MAX_PLANS:
             _PLANS.popitem(last=False)
             _EVICTIONS["plan"] += 1
+        build_s = time.perf_counter() - start
     else:
         _PLANS.move_to_end(header.plan_key)
         _sync_chaos(header.plan_key, plan.chaos_plan)
-    return plan
-
-
-def _warm_run_task(header: WarmHeader, task: tuple[int, str]):
-    """Warm-pool twin of :func:`repro.perf.sweep._run_task`."""
-    from repro.perf.sweep import _task_rows
-
-    return _task_rows(_warm_plan(header), task) + (worker_cache_stats(),)
+    return plan, build_s
 
 
 def _warm_run_chunk(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
-    """Several tasks under one header decode (heuristic-only sweeps)."""
+    """Worker body: ``tasks`` one at a time, under one header decode."""
     from repro.perf.sweep import _task_rows
 
-    plan = _warm_plan(header)
+    plan, build_s = _warm_plan(header)
     rows = [_task_rows(plan, task) for task in tasks]
-    stats = worker_cache_stats()
+    stats = worker_cache_stats(build_s)
     return [row + (stats,) for row in rows]
 
 
 def _warm_run_batch(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
-    """Warm-pool twin of :func:`repro.perf.sweep._run_batch_chunk`.
+    """Worker body: ``tasks`` with ``optimal`` solves stacked into LPs.
 
     The worker accumulates its chunk's compiled ``optimal`` forms into
     block-diagonal LP batches (flushing at the plan's ``lp_batch`` size
@@ -512,17 +548,19 @@ def _warm_run_batch(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
     """
     from repro.perf.sweep import _batched_rows
 
-    rows = _batched_rows(_warm_plan(header), tasks)
-    stats = worker_cache_stats()
+    plan, build_s = _warm_plan(header)
+    rows = _batched_rows(plan, tasks)
+    stats = worker_cache_stats(build_s)
     return [row + (stats,) for row in rows]
 
 
 def _warm_run_chain(header: WarmHeader, segment):
-    """Warm-pool twin of :func:`repro.perf.sweep._run_chain_task`."""
+    """Worker body: one incremental-chain segment (one ``WarmChain``)."""
     from repro.perf.sweep import _chain_rows
 
-    rows = _chain_rows(_warm_plan(header), segment)
-    stats = worker_cache_stats()
+    plan, build_s = _warm_plan(header)
+    rows = list(_chain_rows(plan, segment))
+    stats = worker_cache_stats(build_s)
     return [row + (stats,) for row in rows]
 
 

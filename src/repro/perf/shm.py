@@ -1,18 +1,18 @@
 """Zero-copy shared-memory transport for sweep fan-out.
 
-The parallel sweep ships one plan to every pool worker.  The pickle
-route serializes the whole plan — several hundred kilobytes once the
-coefficient table and flow population are included — and every worker
-re-materializes its own private copy.  This module moves the bulk of
-that payload out of band: the plan is pickled with protocol 5, every
-numpy buffer it contains is diverted into a single
-:mod:`multiprocessing.shared_memory` segment, and workers reconstruct
-the plan from the small in-band remainder plus *read-only views into
-the shared segment* — no per-worker copy of the big arrays.
+The parallel sweep ships the experiment context to every pool worker.
+The pickle route serializes the whole context — several hundred
+kilobytes once the coefficient table and flow population are included
+— and every worker re-materializes its own private copy.  This module
+moves the bulk of that payload out of band: the context's array form is
+pickled with protocol 5, every numpy buffer it contains is diverted
+into a single :mod:`multiprocessing.shared_memory` segment, and workers
+reconstruct it from the small in-band remainder plus *read-only views
+into the shared segment* — no per-worker copy of the big arrays.
 
 :func:`dumps_shared` returns a :class:`SharedPayload` (small, picklable,
-suitable as a pool-initializer argument) plus a :class:`SegmentLease`
-the parent must release when the sweep ends.  :func:`loads_shared` is
+carried in every task header) plus a :class:`SegmentLease` the owner
+must release once no worker can still attach.  :func:`loads_shared` is
 its worker-side inverse.  When shared memory is unavailable — or the
 payload carries no out-of-band buffers — the payload degrades to a
 plain pickle transparently, so callers never need a platform switch.
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import atexit
 import pickle
-import time
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "SegmentLease",
     "FanoutStats",
     "dumps_shared",
-    "timed_dumps_shared",
     "loads_shared",
     "shm_available",
     "active_segments",
@@ -85,8 +83,9 @@ class SegmentLease:
     """Parent-side ownership of one shared-memory segment.
 
     The parent creates the segment, hands its name to workers, and must
-    call :meth:`release` once the sweep is over — typically from a
-    ``finally`` block so chaos kills and checkpoint aborts clean up too.
+    call :meth:`release` once no worker can still attach — a
+    :class:`~repro.perf.executor.SweepExecutor` does so after its pool
+    has shut down, on every exit path.
     """
 
     def __init__(self, shm: object) -> None:
@@ -262,12 +261,18 @@ def loads_shared(payload: SharedPayload) -> object:
 
 @dataclass
 class FanoutStats:
-    """Observable cost of shipping one sweep plan to the workers.
+    """Observable cost of shipping one sweep to the pool workers.
 
-    ``evictions`` holds the warm route's worst-worker cache-eviction
-    counts per LRU layer (``context``/``plan``/``chaos_nonce``) — like
-    ``worker_init_s``, the maximum across the pool, since any worker's
-    eviction means a future re-decode.  Empty for cold routes.
+    ``transport`` is ``"shm"`` or ``"pickle"``: how the context
+    travelled.  ``payload_bytes`` is the in-band size of one submission's
+    header (context payload plus per-sweep parameters) and
+    ``shared_bytes`` what the shared segment holds.  ``encode_s`` is the
+    parent's encode time (near zero when the executor's context cache
+    hits).  ``worker_init_s`` is the slowest worker's cache-miss plan
+    build, 0.0 when every worker hit its plan cache.  ``evictions``
+    holds the worst-worker cache-eviction counts per LRU layer
+    (``context``/``plan``/``chaos_nonce``), since any worker's eviction
+    means a future re-decode; layers that evicted nothing are omitted.
     """
 
     transport: str
@@ -289,16 +294,3 @@ class FanoutStats:
         if self.evictions:
             out["evictions"] = dict(self.evictions)
         return out
-
-
-def timed_dumps_shared(obj: object) -> tuple[SharedPayload, SegmentLease | None, FanoutStats]:
-    """:func:`dumps_shared` plus the stats the sweep summary reports."""
-    start = time.perf_counter()
-    payload, lease = dumps_shared(obj)
-    stats = FanoutStats(
-        transport="shm" if payload.segment is not None else "pickle",
-        payload_bytes=payload.inband_bytes,
-        shared_bytes=payload.shared_bytes,
-        encode_s=time.perf_counter() - start,
-    )
-    return payload, lease, stats

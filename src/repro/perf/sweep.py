@@ -3,15 +3,18 @@
 A sweep is embarrassingly parallel across scenarios × algorithms: every
 task grounds its instance from the same shared data (topology, flows,
 coefficient table) and writes to a disjoint result slot.  This module
-fans those tasks over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and merges results back in deterministic (scenario, algorithm) order, so
-the output is indistinguishable from the serial sweep apart from
+fans those tasks over a :class:`~repro.perf.executor.SweepExecutor` —
+the caller's, or one scoped to the call and closed before it returns —
+and merges results back in deterministic (scenario, algorithm) order,
+so the output is indistinguishable from the serial sweep apart from
 wall-clock time.
 
-Workers receive one pickled :class:`SweepPlan` through the pool
-initializer — the context (with its coefficient table materialized by
-the parent, so no worker re-derives a single path count) is shipped once
-per worker, not once per task.
+Every submission carries a small :class:`~repro.perf.executor.
+WarmHeader`: the context's encoded payload (with its coefficient table
+materialized by the parent, so no worker re-derives a single path
+count) plus a pickle of the per-sweep parameters.  Workers decode each
+layer once and cache it, so a pool pays for the context once per
+worker, not once per task.
 
 Resilience (all opt-in, zero overhead when unused):
 
@@ -31,14 +34,14 @@ Resilience (all opt-in, zero overhead when unused):
   ``checkpoint_every`` completions; a killed sweep resumes from the last
   checkpoint bit-identically to an uninterrupted run.
 
-Fan-out transports (``transport=``): the classic ``"pickle"`` route
-serializes the whole plan into every worker; the ``"shm"`` route strips
-the plan down to the coefficient arrays plus small scalars, parks the
+Fan-out transports (``transport=``) decide how the context travels:
+``"pickle"`` serializes the whole context into the header; ``"shm"``
+strips it down to the coefficient arrays plus small scalars, parks the
 array buffers in one :mod:`multiprocessing.shared_memory` segment
-(:mod:`repro.perf.shm`) and ships workers only a few tens of kilobytes
-in band — workers rebuild the context from read-only views aliasing the
-segment.  ``"auto"`` (default) picks shm when the platform and context
-support it and silently degrades otherwise.
+(:mod:`repro.perf.shm`) and ships only a few kilobytes in band —
+workers rebuild the context from read-only views aliasing the segment.
+``"auto"`` (default) picks shm when the platform and context support
+it and silently degrades otherwise.
 
 Incremental chaining (``incremental=True``): scenarios are ordered into
 a minimum-Hamming-distance chain (:mod:`repro.perf.incremental`) and
@@ -59,8 +62,8 @@ import itertools
 import pickle
 import time
 import warnings
-from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections.abc import Iterator, Sequence
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -77,14 +80,7 @@ from repro.fmssm.optimal import WarmChain, solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.perf.incremental import chain_segments, hamming_chain
 from repro.perf.kernels import prepare_instance
-from repro.perf.shm import (
-    FanoutStats,
-    SegmentLease,
-    SharedPayload,
-    loads_shared,
-    shm_available,
-    timed_dumps_shared,
-)
+from repro.perf.shm import FanoutStats, shm_available
 from repro.resilience import chaos
 from repro.resilience.checkpoint import (
     SweepCheckpoint,
@@ -110,7 +106,6 @@ from repro.resilience.degradation import (
 
 __all__ = [
     "SweepPlan",
-    "ShmPlanData",
     "parallel_sweep",
     "fanout_summary",
     "store_summary",
@@ -124,10 +119,11 @@ _TRANSPORTS = ("auto", "shm", "pickle")
 class SweepPlan:
     """Everything a worker needs to run any (scenario, algorithm) task.
 
-    The plan is pickled exactly once by the parent and unpickled exactly
-    once per worker; workers then index into it by task.  The active
-    chaos plan (if any) rides along so fault injection reaches worker
-    processes.
+    A worker builds the plan once per sweep from its cached context and
+    the sweep's parameters (:func:`repro.perf.executor._warm_plan`), then
+    indexes into it by task; the serial path builds one in-process for
+    LP batching.  The active chaos plan (if any) rides along so fault
+    injection reaches worker processes.
     """
 
     context: "ExperimentContext"  # noqa: F821 - imported lazily (cycle)
@@ -159,58 +155,6 @@ class SweepPlan:
         return instance
 
 
-@dataclass
-class ShmPlanData:
-    """The slim plan shipped over the shared-memory transport.
-
-    Carries everything a worker needs to rebuild a :class:`SweepPlan`
-    *except* the heavyweight pieces of the context: the programmability
-    model (hundreds of kilobytes of path-count state the workers never
-    consult once the table is materialized) is dropped entirely, and the
-    coefficient table plus flow population travel as dense
-    :class:`~repro.perf.coefficients.CoefficientArrays` whose buffers
-    pickle protocol 5 diverts into the shared segment.  ``shapes`` holds
-    the compiler's structural index arrays precomputed by the parent for
-    every predicted (N, M, P) — also shared, so no worker rebuilds them.
-    """
-
-    topology: object
-    plane: object
-    delay_model: object
-    arrays: object  # CoefficientArrays
-    scenarios: tuple[FailureScenario, ...]
-    optimal_time_limit_s: float = 300.0
-    optimal_compile: str = "sparse"
-    ladder: LadderPolicy | None = None
-    validate: bool = False
-    chaos_plan: "chaos.ChaosPlan | None" = field(default=None)
-    shapes: dict[tuple[int, int, int], dict[str, object]] = field(default_factory=dict)
-    lp_batch: int | None = None
-
-    def rebuild_context(self) -> "ExperimentContext":  # noqa: F821
-        """Reconstruct an :class:`ExperimentContext` around the arrays.
-
-        The rebuilt context has its coefficient table pre-materialized
-        (so instance grounding never consults the programmability model,
-        which is absent) and draws its flow population from the table —
-        the same objects, in the same order, as the parent's context.
-        """
-        from repro.experiments.scenarios import ExperimentContext
-
-        table = self.arrays.to_table()
-        return ExperimentContext(
-            topology=self.topology,
-            flows=list(table.flows),
-            plane=self.plane,
-            programmability=None,  # type: ignore[arg-type] - never consulted
-            delay_model=self.delay_model,
-            _table=table,
-        )
-
-
-#: Per-worker state, populated by :func:`_init_worker`.
-_WORKER: dict[str, object] = {}
-
 #: Algorithms whose per-task cost dwarfs pool overhead (exact solves).
 _HEAVY_ALGORITHMS = frozenset({"optimal", "optimal-two-stage", "retroflow-ip"})
 
@@ -220,44 +164,6 @@ _MIN_PARALLEL_TASKS = 64
 #: The warm-executor threshold is lower: there is no pool to start and
 #: (usually) no plan to decode, so fan-out pays off much earlier.
 _MIN_PARALLEL_TASKS_WARM = 16
-
-
-def _init_worker(payload: bytes) -> None:
-    """Pool initializer (pickle route): unpickle the plan once per worker."""
-    start = time.perf_counter()
-    plan = pickle.loads(payload)
-    _WORKER["plan"] = plan
-    if plan.chaos_plan is not None:
-        chaos.install(plan.chaos_plan)
-    _WORKER["init_s"] = time.perf_counter() - start
-
-
-def _init_worker_shm(payload: SharedPayload) -> None:
-    """Pool initializer (shm route): attach to the segment, rebuild the plan.
-
-    The big arrays come back as read-only views aliasing the shared
-    segment — no per-worker copy — and the compiler's structural cache
-    is pre-seeded from the parent's precomputed shapes.
-    """
-    start = time.perf_counter()
-    data: ShmPlanData = loads_shared(payload)
-    _WORKER["plan"] = SweepPlan(
-        data.rebuild_context(),
-        data.scenarios,
-        data.optimal_time_limit_s,
-        data.optimal_compile,
-        data.ladder,
-        data.validate,
-        data.chaos_plan,
-        lp_batch=data.lp_batch,
-    )
-    if data.chaos_plan is not None:
-        chaos.install(data.chaos_plan)
-    if data.shapes:
-        from repro.perf.compile import default_compiler
-
-        default_compiler().adopt_shapes(data.shapes)
-    _WORKER["init_s"] = time.perf_counter() - start
 
 
 def _solve(
@@ -300,21 +206,14 @@ def _solve(
 
 
 #: One finished task: (scenario index, algorithm, solution, evaluation,
-#: degradation dict, worker init seconds).  Warm-executor wrappers
-#: append a seventh element — the worker's cache telemetry snapshot
+#: degradation dict).  Pool workers append a sixth element — the
+#: worker's cache telemetry snapshot
 #: (:func:`repro.perf.executor.worker_cache_stats`).
-_TaskResult = tuple[
-    int, str, RecoverySolution, RecoveryEvaluation, "dict | None", "float | None"
-]
+_TaskResult = tuple[int, str, RecoverySolution, RecoveryEvaluation, "dict | None"]
 
 
 def _task_rows(plan: SweepPlan, task: tuple[int, str]) -> _TaskResult:
-    """Solve + evaluate one (scenario index, algorithm) task of ``plan``.
-
-    Shared by the classic initializer-shipped workers (which read the
-    plan from :data:`_WORKER`) and the warm-executor workers (which
-    resolve it from their header caches).
-    """
+    """Solve + evaluate one (scenario index, algorithm) task of ``plan``."""
     chaos.check("sweep.task")
     index, algorithm = task
     instance = plan.instance(index)
@@ -330,18 +229,15 @@ def _task_rows(plan: SweepPlan, task: tuple[int, str]) -> _TaskResult:
     evaluation = evaluate_solution(instance, solution)
     return index, algorithm, solution, evaluation, (
         None if report is None else report.to_dict()
-    ), _WORKER.get("init_s")
-
-
-def _run_task(task: tuple[int, str]) -> _TaskResult:
-    """Worker body: solve + evaluate one task from the shipped plan."""
-    return _task_rows(_WORKER["plan"], task)
+    )
 
 
 def _chain_rows(
-    plan: SweepPlan, segment: Sequence[tuple[int, tuple[str, ...]]]
-) -> list[_TaskResult]:
-    """Run one incremental-chain segment of ``plan``.
+    plan: SweepPlan,
+    segment: Sequence[tuple[int, tuple[str, ...]]],
+    instance_of=None,
+) -> Iterator[_TaskResult]:
+    """Run one incremental-chain segment of ``plan``, yielding its rows.
 
     Walks the scenarios in chain order, threading one
     :class:`~repro.fmssm.optimal.WarmChain` through the ``optimal``
@@ -353,14 +249,22 @@ def _chain_rows(
     :func:`_batched_rows` in chain order: the chain's warm seeds become
     per-block warm starts for the stacked solves (they only matter on
     degraded members, so batching cannot change the answers).
+
+    ``instance_of`` overrides instance grounding, as in
+    :func:`_batched_rows`.  Rows are yielded scenario by scenario, so the
+    serial path stores (and checkpoints) each one as it completes.
     """
+    if instance_of is None:
+        instance_of = plan.instance
     if _lp_batchable(plan):
         flat = [(i, a) for i, algorithms in segment for a in algorithms]
-        return _batched_rows(plan, flat, warm_chain=WarmChain())
+        yield from _batched_rows(
+            plan, flat, instance_of=instance_of, warm_chain=WarmChain()
+        )
+        return
     warm_chain = WarmChain()
-    out: list[_TaskResult] = []
     for index, algorithms in segment:
-        instance = plan.instance(index)
+        instance = instance_of(index)
         prepare_instance(instance)
         solved = []
         for algorithm in algorithms:
@@ -377,19 +281,10 @@ def _chain_rows(
             solved.append((algorithm, solution, report))
         evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
         for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-            out.append((
+            yield (
                 index, algorithm, solution, evaluation,
                 None if report is None else report.to_dict(),
-                _WORKER.get("init_s"),
-            ))
-    return out
-
-
-def _run_chain_task(
-    segment: Sequence[tuple[int, tuple[str, ...]]],
-) -> list[_TaskResult]:
-    """Worker body: run one chain segment from the shipped plan."""
-    return _chain_rows(_WORKER["plan"], segment)
+            )
 
 
 def _lp_batchable(plan: SweepPlan) -> bool:
@@ -493,14 +388,8 @@ def _batched_rows(
             out.append((
                 index, algorithm, solution, evaluation,
                 None if report is None else report.to_dict(),
-                _WORKER.get("init_s"),
             ))
     return out
-
-
-def _run_batch_chunk(tasks: Sequence[tuple[int, str]]) -> list[_TaskResult]:
-    """Worker body: run one LP-batched task chunk from the shipped plan."""
-    return _batched_rows(_WORKER["plan"], tasks)
 
 
 class _SweepRunner:
@@ -609,15 +498,16 @@ class _SweepRunner:
         solution: RecoverySolution,
         evaluation: RecoveryEvaluation,
         report_dict: dict | None,
-        init_s: float | None = None,
         worker_stats: dict | None = None,
     ) -> None:
-        if init_s is not None and self.fanout is not None:
-            self.fanout.worker_init_s = max(self.fanout.worker_init_s, init_s)
         if worker_stats is not None and self.fanout is not None:
-            # Worst-worker semantics, like worker_init_s: any worker's
-            # eviction is a future re-decode somewhere in the pool.
-            for layer, count in worker_stats.get("evictions", {}).items():
+            # Worst-worker semantics: the slowest cache-miss plan build,
+            # and any worker's eviction is a future re-decode somewhere
+            # in the pool.
+            self.fanout.worker_init_s = max(
+                self.fanout.worker_init_s, worker_stats["plan_build_s"]
+            )
+            for layer, count in worker_stats["evictions"].items():
                 if count > self.fanout.evictions.get(layer, 0):
                     self.fanout.evictions[layer] = count
         result = self.results[index]
@@ -694,11 +584,9 @@ class _SweepRunner:
     def _prime_intermediates(self) -> None:
         """Adopt stored expensive intermediates before grounding anything.
 
-        Hop-distance tables seed the per-topology BFS cache (so a cold
+        Hop-distance tables seed the per-topology BFS cache, so a cold
         process materializes its coefficient table without re-running
-        the BFS per destination), and the compiler's structural blocks
-        for every (N, M, P) this sweep will touch are adopted from disk
-        where present.
+        the BFS per destination.
         """
         from repro.routing.path_count import adopt_hop_distances
 
@@ -713,27 +601,6 @@ class _SweepRunner:
                     (tuple(item) for item in tables["tables"])
                 },
             )
-        if any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-            from repro.perf.compile import default_compiler
-
-            compiler = default_compiler()
-            table = self.context.materialize_table()
-            plane = self.context.plane
-            shapes = set()
-            for scenario in self.scenarios:
-                offline = scenario.offline_switches(plane)
-                shapes.add((
-                    len(offline),
-                    plane.n_controllers - scenario.n_failures,
-                    sum(len(table.flows_programmable_at(s)) for s in offline),
-                ))
-            adopted = {}
-            for key in sorted(shapes):
-                arrays = self.store.get_arrays("pprime-%d-%d-%d" % key)
-                if arrays is not None:
-                    adopted[key] = arrays
-            if adopted:
-                compiler.adopt_shapes(adopted)
 
     def _persist_intermediates(self) -> None:
         """Write back intermediates this sweep computed (put-if-absent)."""
@@ -750,11 +617,6 @@ class _SweepRunner:
                         for dst, distances in sorted(tables.items())
                     ],
                 })
-        if any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-            from repro.perf.compile import default_compiler
-
-            for key, arrays in default_compiler().cached_shapes().items():
-                self.store.put_arrays("pprime-%d-%d-%d" % key, arrays)
         for index, (instance, canon) in self._grounded.items():
             prep = export_instance_prep(instance)
             if prep is not None:
@@ -956,7 +818,10 @@ class _SweepRunner:
         block-diagonal LPs (:func:`_batched_rows`) — also bit-identical.
         """
         if self.incremental and tasks:
-            for row in self._serial_chain(tasks):
+            (segment,) = self.chain_plan(tasks, 1)
+            for row in _chain_rows(
+                self._as_plan(), segment, instance_of=self._instance
+            ):
                 self._store(*row)
             return
         if tasks and self._batched():
@@ -987,230 +852,16 @@ class _SweepRunner:
                     None if report is None else report.to_dict(),
                 )
 
-    def _serial_chain(self, tasks: Sequence[tuple[int, str]]):
-        """In-process incremental chain (generator of task-result rows)."""
-        if self._batched():
-            (segment,) = self.chain_plan(tasks, 1)
-            flat = [(i, a) for i, algorithms in segment for a in algorithms]
-            yield from _batched_rows(
-                self._as_plan(), flat, instance_of=self._instance,
-                warm_chain=WarmChain(),
-            )
-            return
-        warm_chain = WarmChain()
-        (segment,) = self.chain_plan(tasks, 1)
-        for index, algorithms in segment:
-            instance = self._instance(index)
-            prepare_instance(instance)
-            solved = []
-            for algorithm in algorithms:
-                chaos.check("sweep.task")
-                solution, report = _solve(
-                    instance,
-                    algorithm,
-                    self.optimal_time_limit_s,
-                    self.optimal_compile,
-                    self.ladder,
-                    self.validate,
-                    warm_chain=warm_chain if self.ladder is None else None,
-                )
-                solved.append((algorithm, solution, report))
-            evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
-            for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-                yield (
-                    index, algorithm, solution, evaluation,
-                    None if report is None else report.to_dict(), None,
-                )
-
-    # -- fan-out encoding ----------------------------------------------
-    def _predict_shapes(self) -> dict[tuple[int, int, int], dict[str, object]]:
-        """Precompute the compiler's structural arrays for every scenario.
-
-        The (N, M, P) of a scenario follows from the control plane and
-        the coefficient table without grounding the instance: N offline
-        switches from the failed domains, M surviving controllers, and P
-        programmable pairs summed over the offline switches' inverted
-        index.  Shipped to workers so none of them rebuilds the blocks.
-        """
-        from repro.perf.compile import default_compiler
-
-        table = self.context.materialize_table()
-        plane = self.context.plane
-        shapes = []
-        for scenario in self.scenarios:
-            offline = scenario.offline_switches(plane)
-            shapes.append((
-                len(offline),
-                plane.n_controllers - scenario.n_failures,
-                sum(len(table.flows_programmable_at(s)) for s in offline),
-            ))
-        return default_compiler().precompute(shapes)
-
-    def _slim_plan(self) -> ShmPlanData:
-        """The shm-route plan: context stripped to its array form."""
-        from repro.perf.coefficients import CoefficientArrays
-
-        table = self.context.materialize_table()
-        heavy = any(a in _HEAVY_ALGORITHMS for a in self.algorithms)
-        return ShmPlanData(
-            topology=self.context.topology,
-            plane=self.context.plane,
-            delay_model=self.context.delay_model,
-            arrays=CoefficientArrays.from_table(table),
-            scenarios=self.scenarios,
-            optimal_time_limit_s=self.optimal_time_limit_s,
-            optimal_compile=self.optimal_compile,
-            ladder=self.ladder,
-            validate=self.validate,
-            chaos_plan=chaos.active_plan(),
-            shapes=self._predict_shapes() if heavy else {},
-            lp_batch=self.lp_batch,
-        )
-
-    def _encode_plan(
-        self,
-    ) -> tuple[object, tuple, SegmentLease | None, FanoutStats] | None:
-        """Serialize the plan for the chosen transport.
-
-        Returns ``(initializer, initargs, lease, stats)``, or ``None``
-        when nothing can be shipped (unpicklable plan) and the caller
-        must stay serial.  ``transport="auto"`` degrades to pickle
-        silently; an explicit ``transport="shm"`` that cannot be honored
-        degrades too but says so in a :class:`DegradedResultWarning`.
-        """
-        try:
-            self.context.materialize_table()
-        except AttributeError:  # duck-typed contexts without a table cache
-            pass
-
-        if self.transport in ("auto", "shm"):
-            reason = None
-            data = None
-            if not shm_available():
-                reason = "shared memory unavailable on this platform"
-            else:
-                try:
-                    data = self._slim_plan()
-                except Exception as exc:
-                    # Non-integer node ids, duck-typed contexts, …
-                    reason = f"context cannot be array-encoded ({exc!r})"
-            if data is not None:
-                payload, lease, stats = timed_dumps_shared(data)
-                if payload.segment is not None:
-                    inband = chaos.transform("sweep.payload", payload.inband)
-                    payload = SharedPayload(
-                        inband=inband,
-                        segment=payload.segment,
-                        offsets=payload.offsets,
-                    )
-                    return _init_worker_shm, (payload,), lease, stats
-                reason = "payload carried no shareable buffers"
-            if self.transport == "shm":
-                warnings.warn(
-                    DegradedResultWarning(
-                        f"shm transport requested but {reason}; "
-                        f"falling back to the pickle route"
-                    ),
-                    stacklevel=5,
-                )
-
-        start = time.perf_counter()
-        try:
-            payload_bytes = pickle.dumps(
-                SweepPlan(
-                    self.context,
-                    self.scenarios,
-                    self.optimal_time_limit_s,
-                    self.optimal_compile,
-                    self.ladder,
-                    self.validate,
-                    chaos.active_plan(),
-                    lp_batch=self.lp_batch,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception as exc:  # unpicklable context/scenarios: stay serial
-            self._warn_fallback(f"sweep plan failed to pickle ({exc!r})")
-            return None
-        payload_bytes = chaos.transform("sweep.payload", payload_bytes)
-        stats = FanoutStats(
-            transport="pickle",
-            payload_bytes=len(payload_bytes),
-            encode_s=time.perf_counter() - start,
-        )
-        return _init_worker, (payload_bytes,), None, stats
-
-    def run_pool(self, tasks: Sequence[tuple[int, str]], workers: int) -> bool:
-        """Fan ``tasks`` over a process pool; True when all completed.
-
-        Returns False (after keeping every received result) when the
-        pool breaks or a result refuses to pickle — the caller then
-        finishes the remainder serially.  Task-level exceptions (solver
-        bugs, validation failures without a ladder) propagate unchanged,
-        exactly as the serial path would raise them.  The shared-memory
-        segment (if any) is released on every exit path, including chaos
-        kills and checkpoint aborts.
-        """
-        encoded = self._encode_plan()
-        if encoded is None:
-            return False
-        initializer, initargs, lease, stats = encoded
-        self.fanout = stats
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            ) as pool:
-                if self.incremental:
-                    chunked = True
-                    futures = {
-                        pool.submit(_run_chain_task, segment): segment
-                        for segment in self.chain_plan(tasks, workers)
-                    }
-                elif self._batched():
-                    # Contiguous scenario-major chunks so each worker
-                    # accumulates full LP batches from its own slice.
-                    chunked = True
-                    size = -(-len(tasks) // workers)
-                    futures = {
-                        pool.submit(_run_batch_chunk, chunk): tuple(chunk)
-                        for chunk in (
-                            list(tasks[k * size:(k + 1) * size])
-                            for k in range(workers)
-                        )
-                        if chunk
-                    }
-                else:
-                    chunked = False
-                    futures = {pool.submit(_run_task, task): task for task in tasks}
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        outcome = future.result()
-                        rows = outcome if chunked else [outcome]
-                        for row in rows:
-                            self._store(*row)
-        except (OSError, pickle.PicklingError, BrokenProcessPool) as exc:
-            # Sandboxes without fork/spawn, a worker killed mid-task, or
-            # results that refuse to pickle: keep what we have, finish
-            # the rest serially.
-            self._warn_fallback(f"process pool failed ({exc!r})")
-            return False
-        finally:
-            if lease is not None:
-                lease.release()
-            self._flush_checkpoint()
-        return True
-
+    # -- pool execution ------------------------------------------------
     def _warm_header(self, executor) -> tuple[object, FanoutStats]:
-        """Encode this sweep for a warm executor (header + fan-out stats).
+        """Encode this sweep for ``executor`` (header + fan-out stats).
 
         The heavy context payload comes from the executor's cache —
         near-free on every sweep after the first over a context — and
-        only the light per-sweep parameters are serialized fresh.  The
-        ``sweep.payload`` chaos site applies to that fresh blob, like it
-        does to the cold routes' payloads.
+        only the light per-sweep parameters are serialized fresh; the
+        ``sweep.payload`` chaos site applies to that fresh blob.  An
+        explicit ``transport="shm"`` that the executor could not honor
+        (pickle fallback) says so in a :class:`DegradedResultWarning`.
         """
         from repro.perf import executor as executor_mod
 
@@ -1218,7 +869,20 @@ class _SweepRunner:
         entry = executor.encode_context(
             self.context, prefer_shm=self.transport != "pickle"
         )
-        heavy = any(a in _HEAVY_ALGORITHMS for a in self.algorithms)
+        shm = entry.payload.segment is not None
+        if self.transport == "shm" and not shm:
+            reason = (
+                "the context has no shareable array form"
+                if shm_available()
+                else "shared memory is unavailable on this platform"
+            )
+            warnings.warn(
+                DegradedResultWarning(
+                    f"shm transport requested but {reason}; "
+                    f"falling back to the pickle route"
+                ),
+                stacklevel=4,
+            )
         chaos_plan = chaos.active_plan()
         blob = pickle.dumps(
             executor_mod._SweepParams(
@@ -1228,7 +892,6 @@ class _SweepRunner:
                 ladder=self.ladder,
                 validate=self.validate,
                 chaos_plan=chaos_plan,
-                shapes=self._predict_shapes() if heavy else {},
                 lp_batch=self.lp_batch,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -1249,28 +912,60 @@ class _SweepRunner:
             sweep_blob=blob,
         )
         stats = FanoutStats(
-            transport="warm-shm" if entry.payload.segment is not None else "warm-pickle",
+            transport="shm" if shm else "pickle",
             payload_bytes=entry.payload.inband_bytes + len(blob),
             shared_bytes=entry.payload.shared_bytes,
             encode_s=time.perf_counter() - start,
         )
         return header, stats
 
-    def run_warm(self, tasks: Sequence[tuple[int, str]], workers: int,
-                 executor) -> bool:
-        """Fan ``tasks`` over a warm executor; True when all completed.
+    def _submissions(
+        self, tasks: Sequence[tuple[int, str]], workers: int
+    ) -> list[tuple[object, object, tuple[tuple[int, str], ...]]]:
+        """The pool's submission units: ``(worker body, payload, tasks)``.
 
-        Same contract as :meth:`run_pool` — False keeps every received
-        result and sends the caller to the serial path — plus executor
-        bookkeeping: a broken pool is flagged for transparent respawn on
-        the executor's next sweep, and the context's segment lease stays
-        with the executor (released on eviction or close, not here).
-        Heuristic-only sweeps chunk tasks round-robin so the header is
-        decoded once per chunk; heavy sweeps keep per-task submission
-        for dynamic load balancing.
+        Incremental sweeps submit one chain segment per worker.
+        LP-batched and heuristic-only sweeps submit one contiguous
+        scenario-major chunk per worker, so each worker grounds only its
+        own slice of the instances (and stacks its own compiled forms
+        into batches).  Other heavy sweeps submit one task per unit for
+        dynamic load balancing.  Every body returns a list of rows.
         """
         from repro.perf import executor as executor_mod
 
+        if self.incremental:
+            return [
+                (
+                    executor_mod._warm_run_chain,
+                    segment,
+                    tuple((i, a) for i, algorithms in segment for a in algorithms),
+                )
+                for segment in self.chain_plan(tasks, workers)
+            ]
+        batched = self._batched()
+        if batched or not any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
+            body = (
+                executor_mod._warm_run_batch if batched
+                else executor_mod._warm_run_chunk
+            )
+            size = -(-len(tasks) // workers)
+            chunks = (tuple(tasks[k * size:(k + 1) * size]) for k in range(workers))
+            return [(body, chunk, chunk) for chunk in chunks if chunk]
+        return [(executor_mod._warm_run_chunk, (task,), (task,)) for task in tasks]
+
+    def run_warm(self, tasks: Sequence[tuple[int, str]], workers: int,
+                 executor) -> bool:
+        """Fan ``tasks`` over ``executor``'s pool; True when all completed.
+
+        False keeps every received result and sends the caller to the
+        serial path: the pool broke, or a payload or result refused to
+        (un)pickle.  A broken pool is flagged for transparent respawn on
+        the executor's next sweep, and the context's segment lease stays
+        with the executor (released on eviction or close, not here).
+        Task-level exceptions (solver bugs, validation failures without
+        a ladder, injected :class:`~repro.exceptions.ChaosError`)
+        propagate unchanged, exactly as the serial path would raise them.
+        """
         try:
             header, stats = self._warm_header(executor)
         except Exception as exc:  # unpicklable context: stay serial
@@ -1280,62 +975,21 @@ class _SweepRunner:
         executor.stats["sweeps"] += 1
         try:
             pool = executor.pool()
-            if self.incremental:
-                chunked = True
-                futures = {
-                    pool.submit(executor_mod._warm_run_chain, header, segment)
-                    for segment in self.chain_plan(tasks, workers)
-                }
-            elif self._batched():
-                # LP batching wants contiguous scenario-major chunks —
-                # each worker accumulates compiled forms from its own
-                # slice into stacked solves, flushing at the batch size
-                # and at its chunk boundary.
-                chunked = True
-                size = -(-len(tasks) // workers)
-                futures = {
-                    pool.submit(executor_mod._warm_run_batch, header, chunk)
-                    for chunk in (
-                        list(tasks[k * size:(k + 1) * size])
-                        for k in range(workers)
-                    )
-                    if chunk
-                }
-            elif any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-                chunked = False
-                futures = {
-                    pool.submit(executor_mod._warm_run_task, header, task)
-                    for task in tasks
-                }
-            else:
-                chunked = True
-                # Contiguous scenario-major chunks: tasks are grouped by
-                # scenario, so each worker grounds only its own slice of
-                # the instances instead of every worker grounding all of
-                # them (as a round-robin split would).
-                size = -(-len(tasks) // workers)
-                chunks = [
-                    list(tasks[k * size:(k + 1) * size]) for k in range(workers)
-                ]
-                futures = {
-                    pool.submit(executor_mod._warm_run_chunk, header, chunk)
-                    for chunk in chunks
-                    if chunk
-                }
-            pending = set(futures)
+            pending = {
+                pool.submit(body, header, payload)
+                for body, payload, _ in self._submissions(tasks, workers)
+            }
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    outcome = future.result()
-                    rows = outcome if chunked else [outcome]
-                    for row in rows:
+                    for row in future.result():
                         self._store(*row)
         except (OSError, pickle.PickleError, BrokenProcessPool) as exc:
             # A worker killed mid-task or a payload/result that refuses
             # (un)pickling: keep what we have, finish serially, and let
             # the executor respawn its pool lazily.
             executor.mark_broken()
-            self._warn_fallback(f"warm process pool failed ({exc!r})")
+            self._warn_fallback(f"process pool failed ({exc!r})")
             return False
         finally:
             self._flush_checkpoint()
@@ -1423,7 +1077,7 @@ class _SweepRunner:
         """Warm fan-out under a :class:`~repro.resilience.supervisor.
         SweepSupervisor`; True when all tasks completed.
 
-        Same submission shapes and result contract as :meth:`run_warm` —
+        Same submission units and result contract as :meth:`run_warm` —
         fault-free, the two are byte-for-byte identical (the supervisor's
         hooks all return their inputs unchanged) — plus four layers of
         supervision, re-submitted in *rounds* until nothing is pending:
@@ -1450,14 +1104,12 @@ class _SweepRunner:
         does on its first crash.
         """
         from repro.exceptions import ChaosError
-        from repro.perf import executor as executor_mod
 
         policy = supervisor.policy
         supervisor.stats["supervised_sweeps"] += 1
         executor.stats["sweeps"] += 1
         base_ladder = self.ladder
         base_transport = self.transport
-        heavy = any(a in _HEAVY_ALGORITHMS for a in self.algorithms)
         pool_restarts = 0
         # One header per effective (ladder, transport) route for the whole
         # sweep.  Rebuilding per requeue round would mint a fresh chaos
@@ -1519,7 +1171,7 @@ class _SweepRunner:
                 probe_quota = (
                     supervisor.transport_probe_quota()
                     if self.transport != "pickle"
-                    and stats.transport == "warm-shm"
+                    and stats.transport == "shm"
                     else None
                 )
                 fallback_header = header
@@ -1542,47 +1194,9 @@ class _SweepRunner:
                 probe_done: set = set()
                 try:
                     pool = executor.pool()
-                    if self.incremental:
-                        chunked = True
-                        submissions = [
-                            (
-                                executor_mod._warm_run_chain,
-                                segment,
-                                tuple((i, a) for i, algos in segment for a in algos),
-                            )
-                            for segment in self.chain_plan(tasks, workers)
-                        ]
-                    elif heavy and self._batched():
-                        # Supervision unit = the whole batch chunk, so a
-                        # batch failure charges only its member scenarios.
-                        chunked = True
-                        size = -(-len(tasks) // workers)
-                        submissions = [
-                            (executor_mod._warm_run_batch, chunk, tuple(chunk))
-                            for chunk in (
-                                list(tasks[k * size:(k + 1) * size])
-                                for k in range(workers)
-                            )
-                            if chunk
-                        ]
-                    elif heavy:
-                        chunked = False
-                        submissions = [
-                            (executor_mod._warm_run_task, task, (task,))
-                            for task in tasks
-                        ]
-                    else:
-                        chunked = True
-                        size = -(-len(tasks) // workers)
-                        submissions = [
-                            (executor_mod._warm_run_chunk, chunk, tuple(chunk))
-                            for chunk in (
-                                list(tasks[k * size:(k + 1) * size])
-                                for k in range(workers)
-                            )
-                            if chunk
-                        ]
-                    for n, (fn, payload, unit) in enumerate(submissions):
+                    for n, (fn, payload, unit) in enumerate(
+                        self._submissions(tasks, workers)
+                    ):
                         on_probe = probe_quota is None or n < probe_quota
                         future = pool.submit(
                             fn, header if on_probe else fallback_header, payload
@@ -1619,8 +1233,7 @@ class _SweepRunner:
                             stored_rows = True
                             if probe_futures is not None and future in probe_futures:
                                 probe_done.add(future)
-                            rows = outcome if chunked else [outcome]
-                            for row in rows:
+                            for row in outcome:
                                 self._store(*row)
                                 supervisor.observe_report(row[4])
                                 if base_ladder is None:
@@ -1690,7 +1303,7 @@ class _SweepRunner:
                         and not pending
                         and stored_rows
                         and not transport_fault
-                        and stats.transport == "warm-shm"
+                        and stats.transport == "shm"
                     ):
                         # Results actually crossed the shm route this
                         # round — that is a transport success (closes a
@@ -1868,22 +1481,23 @@ def parallel_sweep(
     heuristic solutions, and ``checkpoint_path`` enables periodic
     checkpointing with bit-identical resume.
 
-    Performance knobs: ``transport`` picks how the plan reaches workers
-    (``"auto"`` prefers the zero-copy shared-memory route and degrades
-    to pickle; ``"shm"`` degrades too but warns; ``"pickle"`` forces the
-    classic route), ``incremental`` orders scenarios into a minimum-
+    Performance knobs: ``transport`` picks how the context reaches
+    workers (``"auto"`` prefers the zero-copy shared-memory route and
+    degrades to pickle; ``"shm"`` degrades too but warns; ``"pickle"``
+    ships the pickled context), ``incremental`` orders scenarios into a minimum-
     Hamming-distance chain and warm-starts each exact solve from its
     chain neighbor.  Both are pure execution strategies: results are
     bit-identical to the defaults, and neither affects the checkpoint
     fingerprint — a sweep may resume under a different transport or
     chaining mode.
 
-    ``executor`` submits the sweep to a warm
-    :class:`~repro.perf.executor.SweepExecutor` instead of spawning a
-    fresh pool: workers persist across sweeps and cache the decoded
-    plan, so every sweep after the first over a context runs near the
-    pure-solve floor.  Results stay bit-identical; the executor's pool
-    failures degrade to the serial path exactly like fresh-pool ones.
+    Without ``executor`` the sweep runs on a
+    :class:`~repro.perf.executor.SweepExecutor` scoped to the call, whose
+    workers exit before the call returns.  Passing a warm ``executor``
+    keeps its workers across sweeps, together with their decoded
+    contexts and plans, so every sweep after the first over a context
+    runs near the pure-solve floor.  Results stay bit-identical either
+    way, and pool failures degrade to the serial path on both.
 
     ``supervisor`` wraps the warm route in a
     :class:`~repro.resilience.supervisor.SweepSupervisor`: per-unit
@@ -2009,8 +1623,15 @@ def parallel_sweep(
         if not runner.run_warm(tasks, workers, executor):
             runner.run_serial(runner.pending_tasks())
     else:
+        from repro.perf.executor import SweepExecutor
+
         runner.record_mode(f"pool: {workers} workers, {len(tasks)} tasks")
-        if not runner.run_pool(tasks, workers):
+        # A pool scoped to this call: closing it shuts the workers down
+        # before the context's segment lease is released, and before the
+        # serial path picks up whatever the pool left.
+        with SweepExecutor(max_workers=workers) as scoped:
+            pooled = runner.run_warm(tasks, workers, scoped)
+        if not pooled:
             runner.run_serial(runner.pending_tasks())
     runner.settle_store()
     return runner.finish()

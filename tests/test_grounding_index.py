@@ -23,8 +23,7 @@ from repro.flows.demands import all_pairs_flows
 from repro.flows.paths import switch_flow_counts
 from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
 from repro.fmssm.instance import FMSSMInstance
-from repro.perf.coefficients import CoefficientArrays
-from repro.perf.sweep import ShmPlanData
+from repro.perf.executor import _slim_context
 from repro.topology.generators import waxman_topology
 from repro.topology.partition import nearest_site_partition
 
@@ -125,15 +124,7 @@ def table_backed(build) -> ExperimentContext:
 
 def shm_rebuilt(build) -> ExperimentContext:
     """A context rebuilt from its array form, as pool workers get it."""
-    context = build()
-    data = ShmPlanData(
-        topology=context.topology,
-        plane=context.plane,
-        delay_model=context.delay_model,
-        arrays=CoefficientArrays.from_table(context.materialize_table()),
-        scenarios=(),
-    )
-    return data.rebuild_context()
+    return _slim_context(build()).rebuild_context()
 
 
 SOURCES = (model_backed, table_backed, shm_rebuilt)

@@ -10,6 +10,7 @@ lease it creates: tests assert the segment registry is empty after
 
 from __future__ import annotations
 
+import multiprocessing
 import warnings
 
 import pytest
@@ -136,6 +137,75 @@ class TestWarmEquivalence:
                 assert_sweeps_identical(ring_serial, warm)
             assert shm.active_segments() == ()
             assert executor.stats["encode_hits"] == 1
+
+
+class TestCallScopedPool:
+    """A sweep without a caller's executor runs on one scoped to the call."""
+
+    @pytest.mark.parametrize("scope", ["call", "caller"])
+    def test_exact_solves_ship_no_more_than_heuristics(
+        self, ring_context, ring_scenarios, scope
+    ):
+        """Exact solves add nothing to a submission's in-band payload:
+        workers build their own compiler templates."""
+
+        def payload_bytes(algorithms):
+            options = dict(
+                optimal_time_limit_s=60.0, max_workers=2, min_parallel_tasks=0,
+            )
+            if scope == "caller":
+                with SweepExecutor(max_workers=2) as executor:
+                    results = parallel_sweep(
+                        ring_context, ring_scenarios, algorithms,
+                        executor=executor, **options,
+                    )
+            else:
+                results = parallel_sweep(
+                    ring_context, ring_scenarios, algorithms, **options,
+                )
+            return results[0].meta["fanout"]["payload_bytes"]
+
+        exact, heuristic = payload_bytes(("pm", "optimal")), payload_bytes(("pm",))
+        assert abs(exact - heuristic) <= 1024, (exact, heuristic)
+
+    def test_unavailable_shm_warns_and_ships_pickle(
+        self, ring_context, ring_scenarios, ring_serial, monkeypatch
+    ):
+        monkeypatch.setattr(shm, "_AVAILABLE", False)
+        with pytest.warns(DegradedResultWarning, match="shm transport requested"):
+            results = parallel_sweep(
+                ring_context, ring_scenarios, FAST_ALGORITHMS,
+                max_workers=2, min_parallel_tasks=0, transport="shm",
+            )
+        assert results[0].meta["fanout"]["transport"] == "pickle"
+        assert_sweeps_identical(ring_serial, results)
+
+    def test_pool_and_segment_end_with_the_call(
+        self, ring_context, ring_scenarios, ring_serial
+    ):
+        results = parallel_sweep(
+            ring_context, ring_scenarios, FAST_ALGORITHMS,
+            max_workers=2, min_parallel_tasks=0,
+        )
+        assert results[0].meta["fanout"]["transport"] in ("shm", "pickle")
+        assert_sweeps_identical(ring_serial, results)
+        assert shm.active_segments() == ()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_init_is_zero_when_every_plan_is_cached(
+        self, ring_context, ring_scenarios
+    ):
+        """``worker_init_s`` times cache-miss plan builds only."""
+        with SweepExecutor(max_workers=1) as executor:
+            init_s = [
+                parallel_sweep(
+                    ring_context, ring_scenarios, FAST_ALGORITHMS,
+                    max_workers=2, min_parallel_tasks=0, executor=executor,
+                )[0].meta["fanout"]["worker_init_s"]
+                for _ in range(2)
+            ]
+        assert init_s[0] > 0.0
+        assert init_s[1] == 0.0
 
 
 @pytest.fixture

@@ -111,12 +111,12 @@ class TestDegradation:
 class TestSmallSweepHeuristic:
     def test_small_heuristic_sweep_stays_serial(self, small_context, monkeypatch):
         """Few heuristic-only tasks must not pay for a process pool."""
-        from repro.perf import sweep as sweep_module
+        from repro.perf import executor as executor_module
 
         def forbidden(*args, **kwargs):
             raise AssertionError("pool must not start for a small heuristic sweep")
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", forbidden)
         serial = run_failure_sweep(small_context, 1, FAST_ALGORITHMS)
         parallel = run_failure_sweep_parallel(
             small_context, 1, FAST_ALGORITHMS, max_workers=4
@@ -133,16 +133,16 @@ class TestSmallSweepHeuristic:
 
     def test_heavy_algorithm_disables_heuristic(self, small_context, monkeypatch):
         """An exact solver in the mix goes parallel even on small sweeps."""
-        from repro.perf import sweep as sweep_module
+        from repro.perf import executor as executor_module
 
         used = {"pool": False}
-        real_pool = sweep_module.ProcessPoolExecutor
+        real_pool = executor_module.ProcessPoolExecutor
 
         def spy(*args, **kwargs):
             used["pool"] = True
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", spy)
         run_failure_sweep_parallel(
             small_context, 1, ("optimal", "pm"), 60.0, max_workers=2
         )

@@ -16,7 +16,6 @@ from repro.perf.shm import (
     loads_shared,
     release_all,
     shm_available,
-    timed_dumps_shared,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -113,13 +112,15 @@ def test_shared_payload_is_picklable():
     lease.release()
 
 
-def test_timed_dumps_reports_stats():
-    payload, lease, stats = timed_dumps_shared({"a": np.arange(256)})
-    assert isinstance(stats, FanoutStats)
-    assert stats.transport == "shm"
-    assert stats.payload_bytes == payload.inband_bytes
-    assert stats.shared_bytes == payload.shared_bytes == 256 * 8
-    assert stats.encode_s >= 0.0
+def test_fanout_stats_report_a_shared_payload():
+    payload, lease = dumps_shared({"a": np.arange(256)})
+    stats = FanoutStats(
+        transport="shm",
+        payload_bytes=payload.inband_bytes,
+        shared_bytes=payload.shared_bytes,
+    )
+    assert stats.shared_bytes == 256 * 8
+    assert stats.encode_s == stats.worker_init_s == 0.0
     assert set(stats.to_dict()) == {
         "transport", "payload_bytes", "shared_bytes", "encode_s", "worker_init_s",
     }
