@@ -185,13 +185,14 @@ def test_pm_hot_loop_n40(waxman40_context, capsys):
 
 
 def test_vectorized_kernels(context, capsys):
-    """Array kernels vs the dict reference over the ATT failure matrix."""
+    """Array kernels vs their dict references over the ATT failure matrix."""
     from repro.baselines.nearest import solve_nearest
-    from repro.baselines.pg import solve_pg
+    from repro.baselines.pg import _solve_pg_reference, solve_pg
     from repro.baselines.retroflow import solve_retroflow
     from repro.control.failures import enumerate_failure_scenarios
     from repro.fmssm.evaluation import evaluate_batch, evaluate_solution
-    from repro.perf.kernels import dict_kernel_reference, prepare_instance
+    from repro.perf.kernels import prepare_instance
+    from repro.pm.algorithm import ProgrammabilityMedic
 
     instances = [
         context.instance(scenario)
@@ -201,11 +202,16 @@ def test_vectorized_kernels(context, capsys):
     for instance in instances:
         prepare_instance(instance)
 
+    def pm_reference(instance):
+        return ProgrammabilityMedic(instance).run()
+
     rows = []
-    for stage, solver in (("pm_kernel_s", solve_pm), ("pg_kernel_s", solve_pg)):
-        array_s, _ = _best_of(3, lambda: [solver(i, kernel="array") for i in instances])
-        with dict_kernel_reference():
-            dict_s, _ = _best_of(3, lambda: [solver(i, kernel="dict") for i in instances])
+    for stage, solver, reference in (
+        ("pm_kernel_s", solve_pm, pm_reference),
+        ("pg_kernel_s", solve_pg, _solve_pg_reference),
+    ):
+        array_s, _ = _best_of(3, lambda: [solver(i) for i in instances])
+        dict_s, _ = _best_of(3, lambda: [reference(i) for i in instances])
         record_stage(stage, array_s)
         assert array_s < dict_s
         rows.append(

@@ -20,19 +20,20 @@ from repro.types import ControllerId, NodeId
 __all__ = ["solve_nearest"]
 
 
-def solve_nearest(instance: FMSSMInstance, kernel: str | None = None) -> RecoverySolution:
+def solve_nearest(instance: FMSSMInstance) -> RecoverySolution:
     """Map each offline switch to its nearest controller if it fits whole.
 
-    ``kernel`` selects the implementation: ``"array"`` (the default,
-    :func:`repro.perf.kernels.solve_nearest_array`) or ``"dict"`` — the
-    body below, kept as the equivalence reference.
+    Runs the array kernel :func:`repro.perf.kernels.solve_nearest_array`,
+    bit-identical to :func:`_solve_nearest_reference`.
     """
-    from repro.perf.kernels import resolve_kernel
+    from repro.perf.kernels import solve_nearest_array
 
-    if resolve_kernel(kernel) == "array":
-        from repro.perf.kernels import solve_nearest_array
+    return solve_nearest_array(instance)
 
-        return solve_nearest_array(instance)
+
+def _solve_nearest_reference(instance: FMSSMInstance) -> RecoverySolution:
+    """Nearest remapping over the instance's dicts: the array kernel's
+    reference."""
     start = time.perf_counter()
     available: dict[ControllerId, int] = dict(instance.spare)
     mapping: dict[NodeId, ControllerId] = {}

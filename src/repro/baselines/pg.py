@@ -71,20 +71,20 @@ def _pairs_for_level(
     return plan
 
 
-def solve_pg(instance: FMSSMInstance, kernel: str | None = None) -> RecoverySolution:
+def solve_pg(instance: FMSSMInstance) -> RecoverySolution:
     """Run the PG flow-level recovery (see module docstring).
 
-    ``kernel`` selects the implementation: ``"array"`` (the default,
-    :func:`repro.perf.kernels.solve_pg_array`) or ``"dict"`` — the body
-    below, kept as the equivalence reference.  Both produce bit-identical
-    solutions (``tests/test_perf_kernels.py``).
+    Runs the array kernel :func:`repro.perf.kernels.solve_pg_array`,
+    bit-identical to :func:`_solve_pg_reference`
+    (``tests/test_perf_kernels.py``).
     """
-    from repro.perf.kernels import resolve_kernel
+    from repro.perf.kernels import solve_pg_array
 
-    if resolve_kernel(kernel) == "array":
-        from repro.perf.kernels import solve_pg_array
+    return solve_pg_array(instance)
 
-        return solve_pg_array(instance)
+
+def _solve_pg_reference(instance: FMSSMInstance) -> RecoverySolution:
+    """PG over the instance's dicts: the array kernel's reference."""
     start = time.perf_counter()
     budget = instance.total_spare
     recoverable = list(instance.recoverable_flows)

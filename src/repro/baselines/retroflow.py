@@ -38,8 +38,8 @@ __all__ = ["solve_retroflow", "solve_retroflow_ip"]
 def _switch_value(instance: FMSSMInstance, switch: NodeId) -> int:
     """Total programmability recovered by remapping ``switch`` whole.
 
-    Dict-route reference; the array routes read the same quantity from
-    one weighted bincount (:func:`_switch_values_array`).
+    Dict walk of the greedy reference; the array routes read the same
+    quantity from one weighted bincount (:func:`_switch_values_array`).
     """
     return sum(instance.pbar[(switch, f)] for f in instance.pairs_at[switch])
 
@@ -90,9 +90,7 @@ def _sdn_pairs_array(
     }
 
 
-def solve_retroflow(
-    instance: FMSSMInstance, kernel: str | None = None
-) -> RecoverySolution:
+def solve_retroflow(instance: FMSSMInstance) -> RecoverySolution:
     """Greedy switch-level recovery.
 
     Switches are processed in decreasing recovery value (total ``p̄`` of
@@ -101,16 +99,17 @@ def solve_retroflow(
     A switch no controller can absorb stays in legacy mode and all of its
     flows remain unprogrammable there.
 
-    ``kernel`` selects the implementation: ``"array"`` (the default,
-    :func:`repro.perf.kernels.solve_retroflow_array`) or ``"dict"`` —
-    the body below, kept as the equivalence reference.
+    Runs the array kernel :func:`repro.perf.kernels.solve_retroflow_array`,
+    bit-identical to :func:`_solve_retroflow_reference`.
     """
-    from repro.perf.kernels import resolve_kernel
+    from repro.perf.kernels import solve_retroflow_array
 
-    if resolve_kernel(kernel) == "array":
-        from repro.perf.kernels import solve_retroflow_array
+    return solve_retroflow_array(instance)
 
-        return solve_retroflow_array(instance)
+
+def _solve_retroflow_reference(instance: FMSSMInstance) -> RecoverySolution:
+    """Greedy RetroFlow over the instance's dicts: the array kernel's
+    reference."""
     start = time.perf_counter()
     available: dict[ControllerId, int] = dict(instance.spare)
     mapping: dict[NodeId, ControllerId] = {}
@@ -146,9 +145,7 @@ def solve_retroflow(
 
 def solve_retroflow_ip(
     instance: FMSSMInstance,
-    solver: str = "highs",
     time_limit_s: float | None = 120.0,
-    kernel: str | None = None,
 ) -> RecoverySolution:
     """Exact switch-level recovery (generalized assignment IP).
 
@@ -158,24 +155,12 @@ def solve_retroflow_ip(
 
     This is the ceiling of *any* whole-switch mapper; the gap between it
     and PM isolates what hybrid per-flow routing buys beyond clever
-    switch packing.
-
-    ``kernel`` selects how the objective values and the output's SDN
-    pairs are materialized: ``"array"`` (the default) reads them off the
-    cached :class:`~repro.perf.kernels.InstanceArrays` view, ``"dict"``
-    keeps the per-pair dict walks as the equivalence reference.  The IP
-    itself is identical either way — values are exact integers — so the
-    solution is bit-identical across kernels.
+    switch packing.  The objective values and the output's SDN pairs are
+    read off the cached :class:`~repro.perf.kernels.InstanceArrays`
+    view; the IP is solved with HiGHS.
     """
-    from repro.perf.kernels import resolve_kernel
-
-    use_array = resolve_kernel(kernel) == "array"
     start = time.perf_counter()
-    if use_array:
-        values = _switch_values_array(instance)
-        value_of = values.__getitem__
-    else:
-        value_of = lambda s: _switch_value(instance, s)  # noqa: E731
+    values = _switch_values_array(instance)
     model = Model("retroflow-ip")
     z: dict[tuple[NodeId, ControllerId], Var] = {}
     for switch in instance.switches:
@@ -192,12 +177,12 @@ def solve_retroflow_ip(
         )
         model.add_constraint(expr <= instance.spare[controller], name=f"cap[{controller}]")
     objective = LinExpr.total(
-        (float(value_of(s)), z[(s, c)])
+        (float(values[s]), z[(s, c)])
         for s in instance.switches
         for c in instance.controllers
     )
     model.set_objective(objective, sense="max")
-    result = solve(model, solver=solver, time_limit_s=time_limit_s)
+    result = solve(model, time_limit_s=time_limit_s)
 
     if not result.is_feasible:  # pragma: no cover - always feasible (z = 0)
         return RecoverySolution(
@@ -213,10 +198,7 @@ def solve_retroflow_ip(
         if result.values.get(var.name, 0.0) > 0.5:
             mapping[switch] = controller
             load[controller] += instance.gamma[switch]
-    if use_array:
-        sdn_pairs = _sdn_pairs_array(instance, set(mapping))
-    else:
-        sdn_pairs = _sdn_pairs_for(instance, set(mapping))
+    sdn_pairs = _sdn_pairs_array(instance, set(mapping))
     return RecoverySolution(
         algorithm="retroflow-ip",
         mapping=mapping,

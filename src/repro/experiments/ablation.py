@@ -136,15 +136,9 @@ def phase2_ablation(
     return rows
 
 
-def _pm_without_phase2(instance: FMSSMInstance, kernel: str | None = None):
-    """Run PM with phase 2 disabled (the ``phase2=False`` variant).
-
-    Routes through :func:`~repro.pm.algorithm.solve_pm`, so the default
-    kernel is the array one; ``kernel="dict"`` runs the pseudo-code
-    reference (``ProgrammabilityMedic(..., phase2=False)``) for
-    cross-validation.
-    """
-    solution = solve_pm(instance, phase2=False, kernel=kernel)
+def _pm_without_phase2(instance: FMSSMInstance):
+    """Run PM with phase 2 disabled (the ``phase2=False`` variant)."""
+    solution = solve_pm(instance, phase2=False)
     solution.algorithm = "pm-no-phase2"
     return solution
 

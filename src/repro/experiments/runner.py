@@ -71,26 +71,19 @@ def run_scenario(
     scenario: FailureScenario,
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     optimal_time_limit_s: float = 300.0,
-    optimal_compile: str = "sparse",
 ) -> ScenarioResult:
     """Run ``algorithms`` on one failure scenario.
 
     The ``"optimal"`` entry is routed through :func:`solve_optimal` with
     the time limit; an infeasible/timeout outcome is kept as an
     infeasible evaluation, mirroring the paper's missing Optimal bars.
-    ``optimal_compile`` picks its compilation route (``"sparse"`` fast
-    path or the ``"model"`` DSL route for cross-validation).
     """
     instance = context.instance(scenario)
     prepare_instance(instance)
     result = ScenarioResult(scenario=scenario)
     for name in algorithms:
         if name == "optimal":
-            solution = solve_optimal(
-                instance,
-                time_limit_s=optimal_time_limit_s,
-                compile=optimal_compile,
-            )
+            solution = solve_optimal(instance, time_limit_s=optimal_time_limit_s)
         else:
             solution = get_algorithm(name)(instance)
         result.solutions[name] = solution
@@ -108,17 +101,10 @@ def run_failure_sweep(
     n_failures: int,
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     optimal_time_limit_s: float = 300.0,
-    optimal_compile: str = "sparse",
 ) -> list[ScenarioResult]:
     """Run all C(M, n_failures) failure combinations (Figs. 4-6)."""
     return [
-        run_scenario(
-            context,
-            scenario,
-            algorithms,
-            optimal_time_limit_s,
-            optimal_compile=optimal_compile,
-        )
+        run_scenario(context, scenario, algorithms, optimal_time_limit_s)
         for scenario in enumerate_failure_scenarios(context.plane, n_failures)
     ]
 

@@ -31,8 +31,9 @@ that cheap:
 :mod:`repro.perf.kernels`
     NumPy-vectorized kernels for the four non-exact algorithms (PM, PG,
     RetroFlow, Nearest) over the :class:`~repro.perf.kernels.
-    InstanceArrays` view — the default ``kernel="array"`` route, bit-
-    identical to the dict-route reference implementations.
+    InstanceArrays` view — what every public solver entry runs, bit-
+    identical to the reference implementations kept beside each
+    algorithm.
 
 :mod:`repro.perf.executor`
     The sweep process pool: a :class:`~repro.perf.executor.
@@ -65,11 +66,9 @@ from repro.perf.compile import (
 )
 from repro.perf.incremental import chain_segments, hamming_chain, repair_solution
 from repro.perf.kernels import (
-    DEFAULT_KERNEL,
     InstanceArrays,
     instance_arrays,
     prepare_instance,
-    resolve_kernel,
     solve_nearest_array,
     solve_pg_array,
     solve_pm_array,
@@ -101,11 +100,9 @@ from repro.perf.sweep import (
 __all__ = [
     "CoefficientTable",
     "CoefficientArrays",
-    "DEFAULT_KERNEL",
     "InstanceArrays",
     "instance_arrays",
     "prepare_instance",
-    "resolve_kernel",
     "solve_pm_array",
     "solve_pg_array",
     "solve_retroflow_array",

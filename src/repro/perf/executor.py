@@ -142,7 +142,6 @@ class _SweepParams:
 
     scenarios: tuple
     optimal_time_limit_s: float
-    optimal_compile: str
     ladder: object
     validate: bool
     chaos_plan: object
@@ -512,7 +511,6 @@ def _warm_plan(header: WarmHeader):
             context,
             params.scenarios,
             params.optimal_time_limit_s,
-            params.optimal_compile,
             params.ladder,
             params.validate,
             params.chaos_plan,
@@ -671,11 +669,8 @@ def run_campaign(
         directory = Path(checkpoint_dir)
         directory.mkdir(parents=True, exist_ok=True)
         time_limit = float(sweep_kwargs.get("optimal_time_limit_s", 300.0))
-        compile_route = str(sweep_kwargs.get("optimal_compile", "sparse"))
         fingerprints = [
-            sweep_fingerprint(
-                [s.name for s in sweep], algorithms, time_limit, compile_route
-            )
+            sweep_fingerprint([s.name for s in sweep], algorithms, time_limit)
             for sweep in sweeps
         ]
         journal = CampaignJournal(

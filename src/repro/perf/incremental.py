@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.fmssm.solution import RecoverySolution
-from repro.pm.algorithm import grouped_capacity_select
+from repro.perf.kernels import grouped_capacity_select
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.failures import FailureScenario
@@ -106,7 +106,7 @@ def repair_solution(
     the rest to the nearest active controller, then re-selects SDN pairs
     under the capacity budget — neighbor-served pairs first (continuity),
     the remaining programmable pairs after, both in deterministic sorted
-    order through :func:`~repro.pm.algorithm.grouped_capacity_select`.
+    order through :func:`~repro.perf.kernels.grouped_capacity_select`.
     With ``enforce_delay`` the tail of the selection is dropped until the
     total propagation delay fits the ideal recovery delay ``G``.
 

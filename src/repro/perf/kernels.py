@@ -1,22 +1,23 @@
 """NumPy-vectorized kernels for the four non-exact recovery algorithms.
 
-The dict-route implementations (``repro.pm.algorithm``,
-``repro.baselines.*``) read the :class:`~repro.fmssm.instance.
+The reference implementations (:class:`repro.pm.algorithm.
+ProgrammabilityMedic` and the private ``_solve_*_reference`` functions
+of ``repro.baselines.*``) read the :class:`~repro.fmssm.instance.
 FMSSMInstance` through per-pair dict lookups and per-pick ``sorted()``
 calls — the right shape for auditing against the paper's pseudo-code,
-but 10–30× slower than the arithmetic they perform.  This module holds
-the production kernels: every hot loop is re-expressed over dense
-position-indexed arrays (:class:`InstanceArrays`) so the per-solve cost
-is a handful of numpy reductions plus short Python loops over switches,
-not pairs.
+but several times slower than the arithmetic they perform.  This module
+holds the production kernels, which every public solver entry
+(``solve_pm``, ``solve_pg``, ``solve_retroflow``, ``solve_nearest``)
+runs: every hot loop is re-expressed over dense position-indexed arrays
+(:class:`InstanceArrays`) so the per-solve cost is a handful of numpy
+reductions plus short Python loops over switches, not pairs.
 
 Equivalence contract
 --------------------
-Each kernel is **bit-identical** to its dict-route twin — same
-``mapping``, ``sdn_pairs``, ``pair_controller`` and per-flow
-programmability on every instance, enforced by
-``tests/test_perf_kernels.py``.  The tie-breaking rules that make this
-hold (see DESIGN §10):
+Each kernel is **bit-identical** to its reference — same ``mapping``,
+``sdn_pairs``, ``pair_controller`` and per-flow programmability on
+every instance, enforced by ``tests/test_perf_kernels.py``.  The
+tie-breaking rules that make this hold (see DESIGN §10):
 
 * ``instance.switches`` / ``instance.controllers`` /
   ``instance.recoverable_flows`` are sorted, and ``instance.pairs`` is
@@ -25,93 +26,65 @@ hold (see DESIGN §10):
   ``max()``/``min()`` with an id tie-break exactly;
 * every descending sort uses ``np.argsort(-key, kind="stable")``, which
   preserves ascending position order among ties — the same order the
-  dict routes' ``(-key, id)`` tuple sorts produce;
+  references' ``(-key, id)`` tuple sorts produce;
 * ``delay_order`` rows are stable argsorts of the delay matrix, i.e.
-  the ``(delay, controller_id)`` ascending order every dict route sorts
+  the ``(delay, controller_id)`` ascending order every reference sorts
   controllers by;
 * float accumulations that feed a comparison (the strict-PM delay
   budget) stay sequential Python loops so the rounding history matches
-  the dict route addition for addition.
-
-The dict routes are kept (``kernel="dict"``) as the cross-validation
-reference; the solver entry points default to the array route.
+  the reference addition for addition.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.solution import RecoverySolution
-from repro.pm.algorithm import grouped_capacity_select
 from repro.types import FLOWVISOR_PROCESSING_MS, ControllerId, FlowId, NodeId
 
 __all__ = [
-    "DEFAULT_KERNEL",
     "InstanceArrays",
     "adopt_instance_prep",
-    "dict_kernel_reference",
     "export_instance_prep",
+    "grouped_capacity_select",
     "instance_arrays",
     "prepare_instance",
-    "resolve_kernel",
     "solve_pm_array",
     "solve_pg_array",
     "solve_retroflow_array",
     "solve_nearest_array",
 ]
 
-#: Kernel used when a solver's ``kernel=`` argument is left ``None``.
-#: The dict route stays available as the equivalence reference.
-DEFAULT_KERNEL = "array"
 
-_KERNELS = ("array", "dict")
+def grouped_capacity_select(groups: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Scan positions of the first ``capacity[g]`` members of each group.
 
-#: Depth of nested :func:`dict_kernel_reference` blocks (>0 silences the
-#: dict-route deprecation warning — the cross-validation opt-out).
-_DICT_REFERENCE_DEPTH = [0]
-
-
-@contextmanager
-def dict_kernel_reference():
-    """Opt out of the ``kernel="dict"`` deprecation warning.
-
-    The dict routes exist as the bit-exactness reference the array
-    kernels are validated against (DESIGN §10); the cross-validation
-    tests and benchmarks wrap their dict invocations in this context
-    manager to say so explicitly.  Any *other* ``kernel="dict"`` use is
-    presumed an accident — production code wants the array route — and
-    draws a :class:`DeprecationWarning`.
+    ``groups`` lists each candidate's group id in scan order.  Because a
+    candidate only consumes its *own* group's budget, the sequential
+    scan "take while the group's budget lasts" selects, per group,
+    exactly its first ``capacity[g]`` candidates — which this computes
+    with one stable sort instead of a per-candidate loop.  The returned
+    positions index into the scan order, ascending, so downstream
+    bookkeeping sees the same activation set the loop would produce.
     """
-    _DICT_REFERENCE_DEPTH[0] += 1
-    try:
-        yield
-    finally:
-        _DICT_REFERENCE_DEPTH[0] -= 1
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Validate a ``kernel=`` argument, defaulting to :data:`DEFAULT_KERNEL`."""
-    if kernel is None:
-        return DEFAULT_KERNEL
-    if kernel not in _KERNELS:
-        raise ValueError(f"kernel must be one of {_KERNELS}: {kernel!r}")
-    if kernel == "dict" and not _DICT_REFERENCE_DEPTH[0]:
-        warnings.warn(
-            DeprecationWarning(
-                'kernel="dict" is the cross-validation reference route, '
-                "10-30x slower than the default array kernels; wrap the "
-                "call in repro.perf.kernels.dict_kernel_reference() if "
-                "the dict route is genuinely intended"
-            ),
-            stacklevel=3,
-        )
-    return kernel
+    if groups.size == 0:
+        return groups
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    new_group = np.empty(len(order), dtype=bool)
+    new_group[0] = True
+    np.not_equal(sorted_groups[1:], sorted_groups[:-1], out=new_group[1:])
+    boundaries = np.flatnonzero(new_group)
+    sizes = np.empty(len(boundaries), dtype=np.int64)
+    sizes[:-1] = boundaries[1:] - boundaries[:-1]
+    sizes[-1] = len(order) - boundaries[-1]
+    ranks = np.arange(len(order)) - np.repeat(boundaries, sizes)
+    keep = ranks < capacity[sorted_groups]
+    return np.sort(order[keep])
 
 
 @dataclass
@@ -393,19 +366,20 @@ def solve_pm_array(
     """Array kernel for ProgrammabilityMedic (Algorithm 1).
 
     Phase 1 keeps the pick loop (its picks are sequential by nature)
-    but swaps the dict route's hashed state for position-indexed lists
+    but swaps the reference's hashed state for position-indexed lists
     and replaces the per-pick level recount with an *incremental*
     count: ``counts[s]`` tracks the pairs of switch ``s`` whose flow
     sits at the current level ``sigma``, decremented along each
     activated flow's pair-switch adjacency, and rebuilt by one masked
     ``bincount`` only when ``sigma`` advances at a pass boundary (flows
     never re-enter a level — h only grows).  Phase 2 without the delay
-    bound is the same grouped capacity selection the dict route
-    vectorizes; the strict variants stay sequential loops because the
-    cumulative delay budget is order- and rounding-history-dependent.
+    bound is one grouped capacity selection
+    (:func:`grouped_capacity_select`): the reference's scan activates,
+    per controller, the first ``available`` candidates in scan order.
+    The strict variants stay sequential loops because the cumulative
+    delay budget is order- and rounding-history-dependent.
     ``phase2=False`` skips the saturation phase entirely (the ablation
-    variant), matching the dict route's ``ProgrammabilityMedic(...,
-    phase2=False)``.
+    variant), matching ``ProgrammabilityMedic(..., phase2=False)``.
     """
     if phase2_order not in ("paper", "greedy"):
         raise ValueError(f"phase2_order must be 'paper' or 'greedy': {phase2_order!r}")
@@ -442,7 +416,7 @@ def solve_pm_array(
     budget = instance.ideal_delay_ms + 1e-9
     total_delay = 0.0
     # counts[s] — pairs of switch s whose flow sits at level sigma
-    # (including already-active pairs, like the dict route's buckets).
+    # (including already-active pairs, as the reference's recount does).
     counts0 = arrays.cache.get("pm_counts0")
     if counts0 is None:
         counts0 = (

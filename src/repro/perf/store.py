@@ -231,21 +231,23 @@ def solve_key(
     fingerprint: str,
     algorithm: str,
     optimal_time_limit_s: float,
-    optimal_compile: str,
 ) -> str:
     """Record key of one (instance, algorithm, solve parameters) triple.
 
     Heuristics have no knobs that change their output, so their keys
     carry only the fingerprint and the name; exact solves additionally
-    key on the compile route and the time limit (conservative — a
-    completed solve does not depend on the limit, but sharing across
-    limits would make a hit's provenance ambiguous).
+    key on the time limit (conservative — a completed solve does not
+    depend on the limit, but sharing across limits would make a hit's
+    provenance ambiguous).
     """
     from repro.perf.sweep import _HEAVY_ALGORITHMS
 
     if algorithm in _HEAVY_ALGORITHMS:
+        # "sparse" is the compile route sweeps always take.  It stays in
+        # the hashed tuple so keys written when the route was a sweep
+        # parameter still match, and existing stores keep hitting.
         params = hashlib.sha256(repr(
-            (float(optimal_time_limit_s), str(optimal_compile))
+            (float(optimal_time_limit_s), "sparse")
         ).encode()).hexdigest()[:12]
     else:
         params = "-"

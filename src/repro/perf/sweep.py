@@ -129,7 +129,6 @@ class SweepPlan:
     context: "ExperimentContext"  # noqa: F821 - imported lazily (cycle)
     scenarios: tuple[FailureScenario, ...]
     optimal_time_limit_s: float = 300.0
-    optimal_compile: str = "sparse"
     ladder: LadderPolicy | None = None
     validate: bool = False
     chaos_plan: "chaos.ChaosPlan | None" = field(default=None)
@@ -170,7 +169,6 @@ def _solve(
     instance: FMSSMInstance,
     algorithm: str,
     time_limit_s: float,
-    optimal_compile: str = "sparse",
     ladder: LadderPolicy | None = None,
     validate: bool = False,
     warm_chain: WarmChain | None = None,
@@ -189,10 +187,7 @@ def _solve(
             return solve_with_ladder(instance, ladder)
         return (
             solve_optimal(
-                instance,
-                time_limit_s=time_limit_s,
-                compile=optimal_compile,
-                warm_chain=warm_chain,
+                instance, time_limit_s=time_limit_s, warm_chain=warm_chain
             ),
             None,
         )
@@ -222,7 +217,6 @@ def _task_rows(plan: SweepPlan, task: tuple[int, str]) -> _TaskResult:
         instance,
         algorithm,
         plan.optimal_time_limit_s,
-        plan.optimal_compile,
         plan.ladder,
         plan.validate,
     )
@@ -273,7 +267,6 @@ def _chain_rows(
                 instance,
                 algorithm,
                 plan.optimal_time_limit_s,
-                plan.optimal_compile,
                 plan.ladder,
                 plan.validate,
                 warm_chain=warm_chain if plan.ladder is None else None,
@@ -290,16 +283,10 @@ def _chain_rows(
 def _lp_batchable(plan: SweepPlan) -> bool:
     """Whether ``plan`` routes ``optimal`` solves through the LP batcher.
 
-    Batching requires the sparse compile route (the batcher stacks the
-    sparse blocks) and no ladder (rung demotions are per-scenario by
+    Batching requires no ladder (rung demotions are per-scenario by
     contract, so ladder runs stay scenario-at-a-time).
     """
-    return (
-        plan.lp_batch is not None
-        and plan.lp_batch >= 1
-        and plan.ladder is None
-        and plan.optimal_compile == "sparse"
-    )
+    return plan.lp_batch is not None and plan.lp_batch >= 1 and plan.ladder is None
 
 
 def _batched_rows(
@@ -378,7 +365,6 @@ def _batched_rows(
                 instance,
                 algorithm,
                 plan.optimal_time_limit_s,
-                plan.optimal_compile,
                 plan.ladder,
                 plan.validate,
             )
@@ -401,7 +387,6 @@ class _SweepRunner:
         scenarios: tuple[FailureScenario, ...],
         algorithms: tuple[str, ...],
         optimal_time_limit_s: float,
-        optimal_compile: str,
         ladder: LadderPolicy | None,
         validate: bool,
         checkpoint: SweepCheckpoint | None,
@@ -417,7 +402,6 @@ class _SweepRunner:
         self.scenarios = scenarios
         self.algorithms = algorithms
         self.optimal_time_limit_s = optimal_time_limit_s
-        self.optimal_compile = optimal_compile
         self.ladder = ladder
         self.validate = validate
         self.checkpoint = checkpoint
@@ -659,8 +643,7 @@ class _SweepRunner:
             missed: list[str] = []
             for algorithm in pending:
                 key = solve_key(
-                    canon.fingerprint, algorithm,
-                    self.optimal_time_limit_s, self.optimal_compile,
+                    canon.fingerprint, algorithm, self.optimal_time_limit_s
                 )
                 record = self.store.get(key)
                 if record is not None and "solution" in record:
@@ -743,8 +726,7 @@ class _SweepRunner:
                 if not self._clean_for_store(result, solution):
                     continue
                 key = solve_key(
-                    canon.fingerprint, algorithm,
-                    self.optimal_time_limit_s, self.optimal_compile,
+                    canon.fingerprint, algorithm, self.optimal_time_limit_s
                 )
                 records.append((key, {
                     "solution": canonical_solution(solution, canon),
@@ -795,7 +777,6 @@ class _SweepRunner:
             self.context,
             self.scenarios,
             self.optimal_time_limit_s,
-            self.optimal_compile,
             self.ladder,
             self.validate,
             lp_batch=self.lp_batch,
@@ -840,7 +821,6 @@ class _SweepRunner:
                     instance,
                     algorithm,
                     self.optimal_time_limit_s,
-                    self.optimal_compile,
                     self.ladder,
                     self.validate,
                 )
@@ -888,7 +868,6 @@ class _SweepRunner:
             executor_mod._SweepParams(
                 scenarios=self.scenarios,
                 optimal_time_limit_s=self.optimal_time_limit_s,
-                optimal_compile=self.optimal_compile,
                 ladder=self.ladder,
                 validate=self.validate,
                 chaos_plan=chaos_plan,
@@ -901,7 +880,6 @@ class _SweepRunner:
             [s.name for s in self.scenarios],
             self.algorithms,
             self.optimal_time_limit_s,
-            self.optimal_compile,
         )
         header = executor_mod.WarmHeader(
             plan_key=executor.plan_key(
@@ -1026,7 +1004,6 @@ class _SweepRunner:
                 instance,
                 algorithm,
                 self.optimal_time_limit_s,
-                self.optimal_compile,
                 ladder,
                 self.validate,
             )
@@ -1446,7 +1423,6 @@ def parallel_sweep(
     algorithms: Sequence[str],
     optimal_time_limit_s: float = 300.0,
     max_workers: int | None = None,
-    optimal_compile: str = "sparse",
     min_parallel_tasks: int | None = None,
     ladder: LadderPolicy | None = None,
     validate: bool = False,
@@ -1523,14 +1499,13 @@ def parallel_sweep(
     (:mod:`repro.perf.batch`), amortizing solver setup across the batch.
     Blocks whose slice fails the per-block certificate fall back to the
     scenario-at-a-time route individually, so results stay bit-identical
-    and validator-clean.  Requires ``optimal_compile="sparse"`` and no
-    ``ladder`` (silently ignored otherwise); composes with the store
-    (hits settle before fan-out, so they skip the batches), incremental
-    chaining (chain seeds become per-block warm starts), chaos (the
-    ``batch.solve`` site attributes faults per block), and the
-    supervisor (a batch failure charges only its member scenarios).
-    Like ``transport``/``incremental`` it is a pure execution strategy
-    and never enters the checkpoint fingerprint.
+    and validator-clean.  Requires no ``ladder`` (silently ignored
+    otherwise); composes with the store (hits settle before fan-out, so
+    they skip the batches), incremental chaining (chain seeds become
+    per-block warm starts), chaos (the ``batch.solve`` site attributes
+    faults per block), and the supervisor (a batch failure charges only
+    its member scenarios).  Like ``transport``/``incremental`` it is a
+    pure execution strategy and never enters the checkpoint fingerprint.
     """
     import os
 
@@ -1563,7 +1538,6 @@ def parallel_sweep(
                 [s.name for s in scenarios],
                 algorithms,
                 optimal_time_limit_s,
-                optimal_compile,
             ),
         )
 
@@ -1572,7 +1546,6 @@ def parallel_sweep(
         scenarios,
         algorithms,
         optimal_time_limit_s,
-        optimal_compile,
         ladder,
         validate,
         checkpoint,

@@ -33,46 +33,22 @@ Faithfulness notes (documented deviations from the pseudo-code):
   just 8 of 15 cases).  We therefore default to ``enforce_delay=False``;
   the strict variant (skip activations that would exceed G) is available
   for the ablation benchmark as "PM-strict".
+
+:class:`ProgrammabilityMedic` reads like the pseudo-code, line by line.
+:func:`solve_pm`, the entry everything else calls, runs the array
+kernel :func:`repro.perf.kernels.solve_pm_array` instead, which
+``tests/test_perf_kernels.py`` holds bit-identical to this class.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.solution import RecoverySolution
 from repro.types import ControllerId, FlowId, NodeId
 
-__all__ = ["ProgrammabilityMedic", "solve_pm", "grouped_capacity_select"]
-
-
-def grouped_capacity_select(groups: np.ndarray, capacity: np.ndarray) -> np.ndarray:
-    """Scan positions of the first ``capacity[g]`` members of each group.
-
-    ``groups`` lists each candidate's group id in scan order.  Because a
-    candidate only consumes its *own* group's budget, the sequential
-    scan "take while the group's budget lasts" selects, per group,
-    exactly its first ``capacity[g]`` candidates — which this computes
-    with one stable sort instead of a per-candidate loop.  The returned
-    positions index into the scan order, ascending, so downstream
-    bookkeeping sees the same activation set the loop would produce.
-    """
-    if groups.size == 0:
-        return groups
-    order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    new_group = np.empty(len(order), dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_groups[1:], sorted_groups[:-1], out=new_group[1:])
-    boundaries = np.flatnonzero(new_group)
-    sizes = np.empty(len(boundaries), dtype=np.int64)
-    sizes[:-1] = boundaries[1:] - boundaries[:-1]
-    sizes[-1] = len(order) - boundaries[-1]
-    ranks = np.arange(len(order)) - np.repeat(boundaries, sizes)
-    keep = ranks < capacity[sorted_groups]
-    return np.sort(order[keep])
+__all__ = ["ProgrammabilityMedic", "solve_pm"]
 
 
 class ProgrammabilityMedic:
@@ -110,27 +86,11 @@ class ProgrammabilityMedic:
         self._phase2_order = phase2_order
         self._enforce_delay = enforce_delay
         self._phase2_enabled = phase2
-        # Delay-ordered controller lists, hoisted out of _map_switch: the
-        # instance is immutable, so the per-switch ascending-delay order
-        # never changes between picks (or runs).
-        self._controllers_by_delay: dict[NodeId, tuple[ControllerId, ...]] = {
-            switch: tuple(
-                sorted(
-                    instance.controllers,
-                    key=lambda c: (instance.delay[(switch, c)], c),
-                )
-            )
-            for switch in instance.switches
-        }
         # Mutable run state.
         self._mapping: dict[NodeId, ControllerId] = {}
         self._sdn_pairs: set[tuple[NodeId, FlowId]] = set()
         self._available: dict[ControllerId, int] = {}
         self._h: dict[FlowId, int] = {}
-        #: Per-switch histogram of its pair-flows' current levels, kept in
-        #: sync with ``_h`` so _select_switch reads counts in O(1) per
-        #: switch instead of recounting all pairs on every pick.
-        self._level_count: dict[NodeId, dict[int, int]] = {}
         self._total_delay_ms: float = 0.0
 
     # ------------------------------------------------------------------
@@ -144,10 +104,6 @@ class ProgrammabilityMedic:
         self._sdn_pairs = set()
         self._available = dict(instance.spare)
         self._h = {flow_id: 0 for flow_id in instance.flows}
-        self._level_count = {
-            switch: {0: len(flow_ids)} if flow_ids else {}
-            for switch, flow_ids in instance.pairs_at.items()
-        }
         self._total_delay_ms = 0.0
 
         self._phase1()
@@ -178,9 +134,8 @@ class ProgrammabilityMedic:
         untested: list[NodeId] = list(instance.switches)
         sigma = 0
         test_count = 0
-        total_iterations = instance.total_iterations
 
-        while test_count < total_iterations:
+        while test_count < instance.total_iterations:
             switch = self._select_switch(untested, sigma)
             if switch is None:
                 # No untested switch helps any least-level flow: this pass
@@ -201,20 +156,20 @@ class ProgrammabilityMedic:
 
         Ties break toward the lower switch id (the pseudo-code's strict
         ``>`` keeps the first maximum in iteration order; we iterate
-        switches sorted).  Counts come from the incrementally maintained
-        per-switch level histogram — O(1) per switch versus rescanning
-        every pair on every pick.
+        switches sorted).
         """
         best_switch: NodeId | None = None
         best_count = 0
-        level_count = self._level_count
         for switch in sorted(untested):
-            count = level_count[switch].get(sigma, 0)
+            count = sum(
+                1
+                for flow_id in self._instance.pairs_at[switch]
+                if self._h[flow_id] == sigma
+            )
             if count > best_count:
                 best_count = count
                 best_switch = switch
         return best_switch
-
 
     def _map_switch(self, switch: NodeId) -> ControllerId:
         """Lines 17-28: reuse an existing mapping or pick a controller."""
@@ -222,8 +177,12 @@ class ProgrammabilityMedic:
             return self._mapping[switch]
         instance = self._instance
         gamma = instance.gamma[switch]
+        ordered = sorted(
+            instance.controllers,
+            key=lambda c: (instance.delay[(switch, c)], c),
+        )
         chosen: ControllerId | None = None
-        for controller in self._controllers_by_delay[switch]:
+        for controller in ordered:
             if self._available[controller] >= gamma:
                 chosen = controller
                 break  # nearest capable controller (see module notes)
@@ -237,195 +196,74 @@ class ProgrammabilityMedic:
         self._mapping[switch] = chosen
         return chosen
 
-    def _recover_at(self, switch: NodeId, controller: ControllerId, sigma: int) -> None:
-        """Lines 31-36: flip least-level flows to SDN mode at ``switch``.
+    def _charge_delay(self, switch: NodeId, controller: ControllerId) -> bool:
+        """Add one activation's delay; under Eq. 14 refuse past ``G``."""
+        delay = self._instance.delay[(switch, controller)]
+        if (
+            self._enforce_delay
+            and self._total_delay_ms + delay > self._instance.ideal_delay_ms + 1e-9
+        ):
+            return False
+        self._total_delay_ms += delay
+        return True
 
-        This is the per-activation hot loop, so state lives in locals and
-        the delay charge / level-bucket updates are inlined.  Every
-        recovery rebuckets the flow at each switch it pairs with, keeping
-        ``_level_count`` consistent with ``_h`` for ``_select_switch``.
-        """
+    def _recover_at(self, switch: NodeId, controller: ControllerId, sigma: int) -> None:
+        """Lines 31-36: flip least-level flows to SDN mode at ``switch``."""
         instance = self._instance
-        h = self._h
-        sdn_pairs = self._sdn_pairs
-        pbar = instance.pbar
-        pairs_of = instance.pairs_of
-        level_count = self._level_count
-        enforce = self._enforce_delay
-        delay_sc = instance.delay[(switch, controller)]
-        budget = instance.ideal_delay_ms + 1e-9
-        total_delay = self._total_delay_ms
-        avail = self._available[controller]
         for flow_id in instance.pairs_at[switch]:
-            old = h[flow_id]
-            if old > sigma:
+            if self._h[flow_id] > sigma:
                 continue
-            if (switch, flow_id) in sdn_pairs:
+            if (switch, flow_id) in self._sdn_pairs:
                 continue
-            if avail <= 0:
+            if self._available[controller] <= 0:
                 break
-            if enforce and total_delay + delay_sc > budget:
+            if not self._charge_delay(switch, controller):
                 continue
-            total_delay += delay_sc
-            avail -= 1
-            new = old + pbar[(switch, flow_id)]
-            h[flow_id] = new
-            for paired_switch in pairs_of[flow_id]:
-                buckets = level_count[paired_switch]
-                remaining = buckets[old] - 1
-                if remaining:
-                    buckets[old] = remaining
-                else:
-                    del buckets[old]
-                buckets[new] = buckets.get(new, 0) + 1
-            sdn_pairs.add((switch, flow_id))
-        self._available[controller] = avail
-        self._total_delay_ms = total_delay
+            self._available[controller] -= 1
+            self._h[flow_id] += instance.pbar[(switch, flow_id)]
+            self._sdn_pairs.add((switch, flow_id))
 
     # ------------------------------------------------------------------
     # Phase 2: resource saturation (lines 42-50)
     # ------------------------------------------------------------------
     def _phase2(self) -> None:
-        """Scan leftover pairs and spend any remaining controller budget.
-
-        ``_select_switch`` never runs after phase 1, so the level buckets
-        are not maintained here — only ``_h`` (the per-flow
-        programmability the solution reports) advances.  Without the
-        delay bound (the default) the scan is a pure capacity-grouped
-        selection and runs through the vectorized kernel; the strict
-        variant keeps the sequential loop, whose cumulative delay budget
-        is order-dependent across controllers.
-        """
-        if not self._enforce_delay and self._instance.pairs:
-            self._phase2_vectorized()
-            return
+        """Scan leftover pairs and spend any remaining controller budget."""
         instance = self._instance
         pairs = list(instance.pairs)
         if self._phase2_order == "greedy":
             pairs.sort(key=lambda p: (-instance.pbar[p], p))
-        h = self._h
-        sdn_pairs = self._sdn_pairs
-        available = self._available
-        mapping = self._mapping
-        pbar = instance.pbar
-        delay = instance.delay
-        enforce = self._enforce_delay
-        budget = instance.ideal_delay_ms + 1e-9
-        total_delay = self._total_delay_ms
-        for pair in pairs:
-            if pair in sdn_pairs:
+        for switch, flow_id in pairs:
+            if (switch, flow_id) in self._sdn_pairs:
                 continue
-            switch, flow_id = pair
-            controller = mapping.get(switch)
+            controller = self._mapping.get(switch)
             if controller is None:
                 continue
-            if available[controller] <= 0:
+            if self._available[controller] <= 0:
                 continue
-            pair_delay = delay[(switch, controller)]
-            if enforce and total_delay + pair_delay > budget:
+            if not self._charge_delay(switch, controller):
                 continue
-            total_delay += pair_delay
-            available[controller] -= 1
-            h[flow_id] += pbar[pair]
-            sdn_pairs.add(pair)
-        self._total_delay_ms = total_delay
-
-    def _phase2_vectorized(self) -> None:
-        """The saturation scan as one grouped-capacity selection.
-
-        Bit-identical to the sequential ``_phase2`` loop (asserted by
-        the oracle in ``tests/test_pm_rework_equivalence.py``): the loop
-        activates, per controller, the first ``available`` candidate
-        pairs in scan order, which is exactly what
-        :func:`grouped_capacity_select` computes — without the per-pair
-        ``pbar``/``delay``/``mapping`` dict lookups over the (mostly
-        skipped) full pair population.
-        """
-        instance = self._instance
-        arrays = instance.pair_arrays()
-        pairs = instance.pairs
-        n_pairs = len(pairs)
-        if self._phase2_order == "greedy":
-            # Stable sort on -pbar: ties keep ascending pair order, the
-            # same order the tuple sort key produces.
-            order = np.argsort(-arrays.pbar, kind="stable")
-        else:
-            order = np.arange(n_pairs)
-
-        controllers = instance.controllers
-        controller_pos = {c: i for i, c in enumerate(controllers)}
-        ctrl_of_switch = np.full(len(instance.switches), -1, dtype=np.int64)
-        for switch, controller in self._mapping.items():
-            ctrl_of_switch[arrays.switch_pos[switch]] = controller_pos[controller]
-        ctrl = ctrl_of_switch[arrays.switch_code]
-
-        already = np.zeros(n_pairs, dtype=bool)
-        pair_index = arrays.pair_index
-        for pair in self._sdn_pairs:
-            k = pair_index.get(pair)
-            if k is not None:
-                already[k] = True
-
-        scan = order[(~already[order]) & (ctrl[order] >= 0)]
-        if scan.size == 0:
-            return
-        capacity = np.fromiter(
-            (self._available[c] for c in controllers),
-            dtype=np.int64,
-            count=len(controllers),
-        )
-        chosen = scan[grouped_capacity_select(ctrl[scan], capacity)]
-        if chosen.size == 0:
-            return
-
-        h = self._h
-        sdn_pairs = self._sdn_pairs
-        available = self._available
-        mapping = self._mapping
-        delay = instance.delay
-        total_delay = self._total_delay_ms
-        gains = arrays.pbar[chosen].tolist()
-        for k, gain in zip(chosen.tolist(), gains):
-            pair = pairs[k]
-            switch, flow_id = pair
-            controller = mapping[switch]
-            total_delay += delay[(switch, controller)]
-            available[controller] -= 1
-            h[flow_id] += gain
-            sdn_pairs.add(pair)
-        self._total_delay_ms = total_delay
+            self._available[controller] -= 1
+            self._h[flow_id] += instance.pbar[(switch, flow_id)]
+            self._sdn_pairs.add((switch, flow_id))
 
 
 def solve_pm(
     instance: FMSSMInstance,
     phase2_order: str = "paper",
     enforce_delay: bool = False,
-    kernel: str | None = None,
     phase2: bool = True,
 ) -> RecoverySolution:
-    """Run the PM heuristic on ``instance`` (convenience wrapper).
+    """Run the PM heuristic on ``instance``.
 
-    ``kernel`` selects the implementation: ``"array"`` (the default, see
-    :func:`repro.perf.kernels.solve_pm_array`) or ``"dict"`` — this
-    class, kept as the pseudo-code-shaped equivalence reference.  Both
-    produce bit-identical solutions (``tests/test_perf_kernels.py``).
-    ``phase2=False`` stops after balanced recovery (the phase-2
-    ablation), on either kernel.
+    Runs the array kernel :func:`repro.perf.kernels.solve_pm_array`,
+    bit-identical to :class:`ProgrammabilityMedic`.  ``phase2=False``
+    stops after balanced recovery (the phase-2 ablation).
     """
-    from repro.perf.kernels import resolve_kernel
+    from repro.perf.kernels import solve_pm_array
 
-    if resolve_kernel(kernel) == "array":
-        from repro.perf.kernels import solve_pm_array
-
-        return solve_pm_array(
-            instance,
-            phase2_order=phase2_order,
-            enforce_delay=enforce_delay,
-            phase2=phase2,
-        )
-    return ProgrammabilityMedic(
+    return solve_pm_array(
         instance,
         phase2_order=phase2_order,
         enforce_delay=enforce_delay,
         phase2=phase2,
-    ).run()
+    )

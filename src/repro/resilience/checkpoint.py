@@ -10,10 +10,10 @@ solutions (the evaluator is deterministic), so a resumed sweep's results
 are indistinguishable from an uninterrupted run apart from wall clocks.
 
 The file carries a fingerprint of the sweep's identity (scenario names,
-algorithms, time limit, compile route) — resuming against a different
-sweep raises :class:`CheckpointError` instead of silently mixing
-results.  Writes are atomic (tmp file + ``os.replace``) so a crash
-mid-write leaves the previous checkpoint intact.
+algorithms, time limit) — resuming against a different sweep raises
+:class:`CheckpointError` instead of silently mixing results.  Writes
+are atomic (tmp file + ``os.replace``) so a crash mid-write leaves the
+previous checkpoint intact.
 
 :class:`CampaignJournal` scales the same guarantee to *campaigns* (many
 sweeps over one context, :func:`~repro.perf.executor.run_campaign`)
@@ -53,12 +53,15 @@ def sweep_fingerprint(
     scenario_names: Sequence[str],
     algorithms: Sequence[str],
     optimal_time_limit_s: float,
-    optimal_compile: str,
 ) -> str:
     """Stable identity of a sweep: same inputs ⇒ same fingerprint."""
+    # "sparse" is the compile route sweeps always take.  It stays in the
+    # hashed tuple so fingerprints written when the route was a sweep
+    # parameter still match: older checkpoints and campaign journals
+    # resume.
     blob = repr(
         (tuple(scenario_names), tuple(algorithms), float(optimal_time_limit_s),
-         str(optimal_compile))
+         "sparse")
     ).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -227,8 +230,8 @@ def campaign_fingerprint(sweep_fingerprints: Sequence[str]) -> str:
     """Stable identity of a campaign: the ordered per-sweep fingerprints.
 
     Each per-sweep fingerprint already covers its scenario names,
-    algorithms, time limit and compile route, so hashing the ordered
-    tuple pins the whole campaign without re-serializing anything.
+    algorithms and time limit, so hashing the ordered tuple pins the
+    whole campaign without re-serializing anything.
     """
     blob = repr(tuple(sweep_fingerprints)).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -453,35 +453,39 @@ class TestCampaign:
 
 
 class TestArrayKernelPorts:
-    """The satellite kernel ports: array routes equal their dict references."""
-
-    @pytest.fixture(autouse=True)
-    def _dict_route_is_the_reference_here(self):
-        from repro.perf.kernels import dict_kernel_reference
-
-        with dict_kernel_reference():
-            yield
+    """The satellite kernel ports: array routes equal their references."""
 
     def test_retroflow_ip_kernels_agree(self, small_instance):
-        from repro.baselines.retroflow import solve_retroflow_ip
+        from repro.baselines.retroflow import (
+            _sdn_pairs_for,
+            _switch_value,
+            _switch_values_array,
+            solve_retroflow_ip,
+        )
 
-        array = solve_retroflow_ip(small_instance, time_limit_s=30.0)
-        dict_ = solve_retroflow_ip(small_instance, time_limit_s=30.0, kernel="dict")
-        assert array.mapping == dict_.mapping
-        assert array.sdn_pairs == dict_.sdn_pairs
-        assert array.load_override == dict_.load_override
-        assert array.feasible and dict_.feasible
+        assert _switch_values_array(small_instance) == {
+            s: _switch_value(small_instance, s) for s in small_instance.switches
+        }
+        solution = solve_retroflow_ip(small_instance, time_limit_s=30.0)
+        assert solution.feasible
+        assert solution.sdn_pairs == _sdn_pairs_for(
+            small_instance, set(solution.mapping)
+        )
+        load = {c: 0 for c in small_instance.controllers}
+        for switch, controller in solution.mapping.items():
+            load[controller] += small_instance.gamma[switch]
+        assert solution.load_override == load
 
     def test_pm_phase1_only_kernels_agree(self, att_instance_13_20):
-        from repro.pm.algorithm import solve_pm
+        from repro.pm.algorithm import ProgrammabilityMedic, solve_pm
 
         array = solve_pm(att_instance_13_20, phase2=False)
-        dict_ = solve_pm(att_instance_13_20, phase2=False, kernel="dict")
-        assert array.mapping == dict_.mapping
-        assert array.sdn_pairs == dict_.sdn_pairs
-        assert array.pair_controller == dict_.pair_controller
+        reference = ProgrammabilityMedic(att_instance_13_20, phase2=False).run()
+        assert array.mapping == reference.mapping
+        assert array.sdn_pairs == reference.sdn_pairs
+        assert array.pair_controller == reference.pair_controller
         assert array.meta.get("phase2") is False
-        assert dict_.meta.get("phase2") is False
+        assert reference.meta.get("phase2") is False
         full = solve_pm(att_instance_13_20)
         assert "phase2" not in full.meta
         assert array.sdn_pairs <= full.sdn_pairs

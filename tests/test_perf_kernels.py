@@ -1,17 +1,22 @@
 """Equivalence tests for the vectorized heuristic kernels.
 
-The contract (DESIGN.md §10): for every non-exact algorithm,
-``kernel="array"`` must produce a solution *bit-identical* to
-``kernel="dict"`` — same ``mapping``, ``sdn_pairs``, ``pair_controller``
-and accounting, hence the same objective — on any instance.  The array
-route is not "approximately the same heuristic"; it is the same
-algorithm with the same tie-breaking, expressed over dense views.
+The contract (DESIGN.md §10): every non-exact public solver runs an
+array kernel that must produce a solution *bit-identical* to its
+reference — :class:`~repro.pm.algorithm.ProgrammabilityMedic` for PM,
+the private ``_solve_*_reference`` functions for the baselines — same
+``mapping``, ``sdn_pairs``, ``pair_controller`` and accounting, hence
+the same objective, on any instance.  The array kernel is not
+"approximately the same heuristic"; it is the same algorithm with the
+same tie-breaking, expressed over dense views.
 
-Three layers of evidence:
+Four layers of evidence:
 
 * a seeded ATT scenario matrix (every 1-failure case plus sampled 2-
-  and 3-failure cases) over all seven solver variants;
-* a synthetic Waxman matrix with a different controller placement;
+  and 3-failure cases) over every solver variant, PM's phase-1-only
+  variants included;
+* a synthetic Waxman matrix with a different controller placement
+  (every 1-failure case plus sampled 2-failure cases);
+* the hand-built ``tiny_instance``;
 * hypothesis properties over (a) random end-to-end contexts and (b)
   hand-built tie-heavy instances whose small integer delays force the
   tie-break paths, plus ``evaluate_batch`` ≡ per-solution
@@ -20,15 +25,13 @@ Three layers of evidence:
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.nearest import solve_nearest
-from repro.baselines.pg import solve_pg
-from repro.baselines.retroflow import solve_retroflow
+from repro.baselines.nearest import _solve_nearest_reference, solve_nearest
+from repro.baselines.pg import _solve_pg_reference, solve_pg
+from repro.baselines.retroflow import _solve_retroflow_reference, solve_retroflow
 from repro.control.failures import (
     FailureScenario,
     enumerate_failure_scenarios,
@@ -38,14 +41,8 @@ from repro.experiments.scenarios import custom_context
 from repro.flows.flow import Flow
 from repro.fmssm.evaluation import evaluate_batch, evaluate_solution
 from repro.fmssm.instance import FMSSMInstance
-from repro.perf.kernels import (
-    DEFAULT_KERNEL,
-    dict_kernel_reference,
-    instance_arrays,
-    prepare_instance,
-    resolve_kernel,
-)
-from repro.pm.algorithm import solve_pm
+from repro.perf.kernels import instance_arrays, prepare_instance
+from repro.pm.algorithm import ProgrammabilityMedic, solve_pm
 from repro.topology.generators import waxman_topology
 
 SETTINGS = settings(
@@ -55,37 +52,36 @@ SETTINGS = settings(
 )
 
 
-@pytest.fixture(autouse=True)
-def _dict_route_is_the_reference_here():
-    """These are the cross-validation tests: opt out of the dict-route
-    deprecation warning explicitly, as the warning's docs instruct."""
-    with dict_kernel_reference():
-        yield
+def _pm_variant(phase2_order: str, enforce_delay: bool, phase2: bool = True):
+    options = dict(
+        phase2_order=phase2_order, enforce_delay=enforce_delay, phase2=phase2
+    )
+
+    def array(instance):
+        return solve_pm(instance, **options)
+
+    def reference(instance):
+        return ProgrammabilityMedic(instance, **options).run()
+
+    return array, reference
 
 
-def _pm_variant(phase2_order: str, enforce_delay: bool):
-    def run(instance, kernel):
-        return solve_pm(
-            instance,
-            phase2_order=phase2_order,
-            enforce_delay=enforce_delay,
-            kernel=kernel,
-        )
-
-    return run
-
-
-#: Every routed solver variant: (id, callable(instance, kernel)).
+#: Every solver variant: (id, (array entry, reference)).
 SOLVERS = (
     ("pm", _pm_variant("paper", False)),
     ("pm-greedy", _pm_variant("greedy", False)),
     ("pm-strict", _pm_variant("paper", True)),
     ("pm-strict-greedy", _pm_variant("greedy", True)),
-    ("pg", lambda instance, kernel: solve_pg(instance, kernel=kernel)),
-    ("retroflow", lambda instance, kernel: solve_retroflow(instance, kernel=kernel)),
-    ("nearest", lambda instance, kernel: solve_nearest(instance, kernel=kernel)),
+    ("pm-phase1", _pm_variant("paper", False, phase2=False)),
+    ("pm-greedy-phase1", _pm_variant("greedy", False, phase2=False)),
+    ("pm-strict-phase1", _pm_variant("paper", True, phase2=False)),
+    ("pm-strict-greedy-phase1", _pm_variant("greedy", True, phase2=False)),
+    ("pg", (solve_pg, _solve_pg_reference)),
+    ("retroflow", (solve_retroflow, _solve_retroflow_reference)),
+    ("nearest", (solve_nearest, _solve_nearest_reference)),
 )
 SOLVER_IDS = tuple(name for name, _ in SOLVERS)
+ARRAY_SOLVERS = tuple(array for _, (array, _) in SOLVERS)
 
 
 def assert_same_solution(array_solution, dict_solution):
@@ -119,13 +115,15 @@ def assert_same_evaluation(a, b):
 
 
 def _assert_routes_agree(instance, solver):
-    array_solution = solver(instance, "array")
-    dict_solution = solver(instance, "dict")
-    assert_same_solution(array_solution, dict_solution)
+    array, reference = solver
+    array_solution = array(instance)
+    reference_solution = reference(instance)
+    assert_same_solution(array_solution, reference_solution)
     assert array_solution.meta.get("kernel") == "array"
+    assert array_solution.meta.get("phase2") == reference_solution.meta.get("phase2")
     assert_same_evaluation(
         evaluate_solution(instance, array_solution),
-        evaluate_solution(instance, dict_solution),
+        evaluate_solution(instance, reference_solution),
     )
 
 
@@ -137,28 +135,7 @@ def _matrix_scenarios(plane):
 
 
 class TestKernelRouting:
-    def test_default_is_array(self):
-        assert DEFAULT_KERNEL == "array"
-        assert resolve_kernel(None) == "array"
-        assert resolve_kernel("array") == "array"
-        assert resolve_kernel("dict") == "dict"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("simd")
-
-    def test_dict_route_warns_outside_reference_block(self, monkeypatch):
-        from repro.perf import kernels
-
-        # Undo this module's autouse opt-out to observe the default.
-        monkeypatch.setattr(kernels, "_DICT_REFERENCE_DEPTH", [0])
-        with pytest.warns(DeprecationWarning, match="cross-validation"):
-            assert resolve_kernel("dict") == "dict"
-        monkeypatch.undo()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_kernel("array") == "array"
-            assert resolve_kernel("dict") == "dict"  # opted out here
+    """Every kernel reads one cached array view per instance."""
 
     def test_prepare_instance_returns_cached_view(self, tiny_instance):
         arrays = prepare_instance(tiny_instance)
@@ -168,7 +145,7 @@ class TestKernelRouting:
 
 
 class TestAttMatrix:
-    """Seeded ATT failure matrix: array ≡ dict on every variant."""
+    """Seeded ATT failure matrix: array ≡ reference on every variant."""
 
     @pytest.mark.parametrize(("name", "solver"), SOLVERS, ids=SOLVER_IDS)
     def test_array_matches_dict(self, att_context, name, solver):
@@ -188,8 +165,16 @@ class TestSyntheticMatrix:
 
     @pytest.mark.parametrize(("name", "solver"), SOLVERS, ids=SOLVER_IDS)
     def test_array_matches_dict(self, synthetic_context, name, solver):
-        for scenario in enumerate_failure_scenarios(synthetic_context.plane, 1):
+        plane = synthetic_context.plane
+        scenarios = list(enumerate_failure_scenarios(plane, 1))
+        scenarios += list(sample_failure_scenarios(plane, 2, 3, seed=7))
+        for scenario in scenarios:
             _assert_routes_agree(synthetic_context.instance(scenario), solver)
+
+
+@pytest.mark.parametrize(("name", "solver"), SOLVERS, ids=SOLVER_IDS)
+def test_array_matches_reference_on_tiny_instance(tiny_instance, name, solver):
+    _assert_routes_agree(tiny_instance, solver)
 
 
 @st.composite
@@ -264,30 +249,30 @@ class TestKernelProperties:
     @SETTINGS
     @given(instance=recovery_instances())
     def test_array_matches_dict_on_random_contexts(self, instance):
-        for _, solver in SOLVERS:
-            assert_same_solution(solver(instance, "array"), solver(instance, "dict"))
+        for _, (array, reference) in SOLVERS:
+            assert_same_solution(array(instance), reference(instance))
 
     @SETTINGS
     @given(instance=tie_heavy_instances())
     def test_array_matches_dict_on_tie_heavy_instances(self, instance):
-        for _, solver in SOLVERS:
-            assert_same_solution(solver(instance, "array"), solver(instance, "dict"))
+        for _, (array, reference) in SOLVERS:
+            assert_same_solution(array(instance), reference(instance))
 
     @SETTINGS
     @given(instance=recovery_instances())
     def test_objectives_match_across_routes(self, instance):
-        array_solutions = [solver(instance, "array") for _, solver in SOLVERS]
-        dict_solutions = [solver(instance, "dict") for _, solver in SOLVERS]
+        array_solutions = [array(instance) for _, (array, _) in SOLVERS]
+        reference_solutions = [reference(instance) for _, (_, reference) in SOLVERS]
         for a, d in zip(
             evaluate_batch(instance, array_solutions),
-            evaluate_batch(instance, dict_solutions),
+            evaluate_batch(instance, reference_solutions),
         ):
             assert_same_evaluation(a, d)
 
     @SETTINGS
     @given(instance=tie_heavy_instances())
     def test_evaluate_batch_matches_per_solution(self, instance):
-        solutions = [solver(instance, "array") for _, solver in SOLVERS]
+        solutions = [array(instance) for array in ARRAY_SOLVERS]
         batch = evaluate_batch(instance, solutions)
         assert len(batch) == len(solutions)
         for solution, batched in zip(solutions, batch):
@@ -299,7 +284,7 @@ class TestEvaluateBatchAtt:
 
     def test_batch_matches_single(self, att_instance_13_20):
         instance = att_instance_13_20
-        solutions = [solver(instance, "array") for _, solver in SOLVERS]
+        solutions = [array(instance) for array in ARRAY_SOLVERS]
         for solution, batched in zip(
             solutions, evaluate_batch(instance, solutions)
         ):

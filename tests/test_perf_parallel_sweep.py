@@ -79,34 +79,6 @@ class TestDegradation:
         )
         assert_sweeps_identical(serial, parallel)
 
-    def test_optimal_compile_routes_agree(self, small_context):
-        """Sweeps solving Optimal via sparse and DSL routes agree.
-
-        Either route may return a different *tie-breaking* among alternate
-        optima, so solutions are compared on verdicts and objective values
-        (bit-identical canonical objectives), not on the chosen mapping.
-        """
-        algorithms = ("optimal", "pm")
-        sparse = run_failure_sweep(
-            small_context, 1, algorithms, 60.0, optimal_compile="sparse"
-        )
-        model = run_failure_sweep(
-            small_context, 1, algorithms, 60.0, optimal_compile="model"
-        )
-        assert [r.name for r in model] == [r.name for r in sparse]
-        for m, s in zip(model, sparse):
-            mo, so = m.solutions["optimal"], s.solutions["optimal"]
-            assert mo.feasible == so.feasible
-            if mo.feasible:
-                assert mo.meta["objective"] == so.meta["objective"]
-                me, se = m.evaluations["optimal"], s.evaluations["optimal"]
-                assert me.least_programmability == se.least_programmability
-                assert me.total_programmability == se.total_programmability
-                assert me.objective == se.objective
-            # PM is deterministic and route-independent.
-            assert m.solutions["pm"].mapping == s.solutions["pm"].mapping
-            assert m.solutions["pm"].sdn_pairs == s.solutions["pm"].sdn_pairs
-
 
 class TestSmallSweepHeuristic:
     def test_small_heuristic_sweep_stays_serial(self, small_context, monkeypatch):

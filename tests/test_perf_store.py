@@ -116,11 +116,29 @@ class TestFingerprint:
 
     def test_solve_key_separates_algorithms_and_params(self):
         fp = "ab" * 16
-        assert solve_key(fp, "pm", 300.0, "sparse") == solve_key(fp, "pm", 10.0, "model")
-        assert solve_key(fp, "pm", 300.0, "sparse") != solve_key(fp, "retroflow", 300.0, "sparse")
+        assert solve_key(fp, "pm", 300.0) == solve_key(fp, "pm", 10.0)
+        assert solve_key(fp, "pm", 300.0) != solve_key(fp, "retroflow", 300.0)
         # Heavy algorithms key on their solve parameters too.
-        assert solve_key(fp, "optimal", 300.0, "sparse") != solve_key(fp, "optimal", 10.0, "sparse")
-        assert solve_key(fp, "optimal", 300.0, "sparse") != solve_key(fp, "optimal", 300.0, "model")
+        assert solve_key(fp, "optimal", 300.0) != solve_key(fp, "optimal", 10.0)
+
+    def test_golden_keys(self):
+        """Keys already on disk must keep matching.
+
+        A solve store, a sweep checkpoint and a campaign journal written
+        by an earlier build are found again only if these hashes never
+        move; the values below were written when the compile route was
+        still a sweep parameter (always ``"sparse"``).
+        """
+        from repro.resilience.checkpoint import sweep_fingerprint
+
+        assert (
+            solve_key("ab" * 16, "optimal", 300.0)
+            == "abababababababababababababababab:optimal:38c090b6e474"
+        )
+        assert (
+            sweep_fingerprint(["(3,)", "(7,)"], ("optimal", "pm"), 300.0)
+            == "876fb37f96365e3d"
+        )
 
     def test_topology_fingerprint_stable(self, ring_context):
         assert topology_fingerprint(ring_context.topology) == topology_fingerprint(

@@ -76,8 +76,8 @@ def assert_bit_identical(expected, actual):
 
 class TestFingerprint:
     def test_deterministic(self):
-        a = sweep_fingerprint(["(3,)", "(7,)"], ("optimal", "pm"), 300.0, "sparse")
-        b = sweep_fingerprint(["(3,)", "(7,)"], ("optimal", "pm"), 300.0, "sparse")
+        a = sweep_fingerprint(["(3,)", "(7,)"], ("optimal", "pm"), 300.0)
+        b = sweep_fingerprint(["(3,)", "(7,)"], ("optimal", "pm"), 300.0)
         assert a == b
 
     @pytest.mark.parametrize(
@@ -86,7 +86,6 @@ class TestFingerprint:
             {"scenario_names": ["(3,)"]},
             {"algorithms": ("pm",)},
             {"optimal_time_limit_s": 10.0},
-            {"optimal_compile": "model"},
         ],
     )
     def test_sensitive_to_identity(self, kwargs):
@@ -94,7 +93,6 @@ class TestFingerprint:
             scenario_names=["(3,)", "(7,)"],
             algorithms=("optimal", "pm"),
             optimal_time_limit_s=300.0,
-            optimal_compile="sparse",
         )
         assert sweep_fingerprint(**base) != sweep_fingerprint(**{**base, **kwargs})
 
