@@ -518,7 +518,6 @@ def test_sweep_store_memo(waxman40_context, tmp_path_factory, capsys):
         {
             "memo_hits": summary["hits"],
             "memo_misses": summary["misses"],
-            "memo_dedup": summary["dedup"],
         }
     )
     with capsys.disabled():
@@ -583,7 +582,6 @@ def test_campaign_shared_store(context, tmp_path_factory, capsys):
         {
             "campaign_hits": summary["store_hits"],
             "campaign_misses": summary["store_misses"],
-            "campaign_dedup": summary["store_dedup"],
         }
     )
     with capsys.disabled():

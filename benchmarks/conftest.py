@@ -41,7 +41,7 @@ _DEGRADED_SOLVES: dict[str, int] = {}
 #: sweep — written as the headline's ``fanout`` section so CI can catch
 #: the shm route silently regressing to pickle-scale payloads.
 _FANOUT: dict[str, object] = {}
-#: Cross-run solve-store counters (hits/misses/dedup per memo stage) —
+#: Cross-run solve-store counters (hits/misses per memo stage) —
 #: written as the headline's ``store`` section so CI can see whether the
 #: memo-hit stage actually replayed from the store or quietly re-solved.
 _STORE: dict[str, object] = {}
@@ -99,7 +99,7 @@ def record_fanout(summary: dict[str, object]) -> None:
 
 
 def record_store(summary: dict[str, object]) -> None:
-    """Record solve-store hit/miss/dedup counters for the headline.
+    """Record solve-store hit/miss counters for the headline.
 
     Callers prefix their keys by stage (``memo_hits``,
     ``campaign_hits``, ...); the merged dict lands as the headline's

@@ -26,6 +26,7 @@ from repro.geo.coordinates import GeoPoint
 from repro.fmssm.build import GroundingIndex
 from repro.fmssm.instance import FMSSMInstance
 from repro.perf.coefficients import CoefficientTable
+from repro.perf.store import NetworkKey
 from repro.routing.path_count import make_counter
 from repro.routing.programmability import ProgrammabilityModel
 from repro.topology.att import ATT_DEFAULT_CAPACITY, ATT_DOMAINS, att_topology
@@ -59,12 +60,19 @@ class ExperimentContext:
     _table: CoefficientTable | None = field(default=None, repr=False)
     #: Per-network grounding data, built on the first :meth:`instance`.
     _grounding: GroundingIndex | None = field(default=None, repr=False, compare=False)
+    #: The solve store's digests and flow positions of this network,
+    #: built on first use by :func:`repro.perf.store.network_key`.
+    _network_key: NetworkKey | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __getstate__(self) -> dict:
-        """Drop the grounding index and the live instances when pickling
-        (the index is rebuilt on first use, the instance map starts empty)."""
+        """Drop the grounding index, the network key and the live
+        instances when pickling (the first two are rebuilt on first use,
+        the instance map starts empty)."""
         state = self.__dict__.copy()
         state["_grounding"] = None
+        state["_network_key"] = None
         del state["_instances"]
         return state
 

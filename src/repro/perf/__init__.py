@@ -43,11 +43,12 @@ that cheap:
     executor.run_campaign` streams many sweeps over one warm executor.
 
 :mod:`repro.perf.store`
-    Cross-run solve memoization: a disk-backed, content-addressed
+    Cross-run solve memoization: a disk-backed
     :class:`~repro.perf.store.SolveStore` shared by concurrent parent
-    processes and successive runs — canonical instance fingerprints
-    dedupe structurally equivalent scenarios to one solve, and store
-    hits replay bit-identically to fresh solves.
+    processes and successive runs.  Records are keyed by scenario —
+    network digest, failed-controller set and the code's identity — so
+    a hit replays bit-identically to a fresh solve without grounding
+    the scenario, and a store written by other code misses.
 """
 
 from repro.perf.coefficients import CoefficientArrays, CoefficientTable
@@ -85,8 +86,8 @@ from repro.perf.shm import (
 )
 from repro.perf.store import (
     SolveStore,
-    canonical_instance,
-    instance_fingerprint,
+    code_identity,
+    scenario_key,
     solve_key,
     topology_fingerprint,
 )
@@ -113,8 +114,8 @@ __all__ = [
     "fanout_summary",
     "store_summary",
     "SolveStore",
-    "canonical_instance",
-    "instance_fingerprint",
+    "code_identity",
+    "scenario_key",
     "solve_key",
     "topology_fingerprint",
     "SweepExecutor",

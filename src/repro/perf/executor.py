@@ -357,10 +357,11 @@ class SweepExecutor:
                  chaotic: bool = False) -> str:
         """The worker-cache key of one sweep's fully built plan.
 
-        Combines the context generation, the checkpoint fingerprint and
-        a digest of the serialized sweep parameters (which covers the
-        ladder, validation flag and exact scenario contents beyond the
-        names the fingerprint hashes).  Chaotic sweeps get a nonce: a
+        Combines the context generation, the checkpoint fingerprint
+        (scenario keys — network digest, failed sets, code identity —
+        algorithms and time limit) and a digest of the serialized sweep
+        parameters (which covers the ladder, validation flag and exact
+        scenario contents).  Chaotic sweeps get a nonce: a
         fresh worker-side ``chaos.install`` per sweep keeps the fault
         counters starting from zero, matching a fresh worker.
         """
@@ -660,6 +661,7 @@ def run_campaign(
     if checkpoint_dir is not None:
         from pathlib import Path
 
+        from repro.perf.store import scenario_key
         from repro.resilience.checkpoint import (
             CampaignJournal,
             campaign_fingerprint,
@@ -670,7 +672,9 @@ def run_campaign(
         directory.mkdir(parents=True, exist_ok=True)
         time_limit = float(sweep_kwargs.get("optimal_time_limit_s", 300.0))
         fingerprints = [
-            sweep_fingerprint([s.name for s in sweep], algorithms, time_limit)
+            sweep_fingerprint(
+                [scenario_key(context, s) for s in sweep], algorithms, time_limit
+            )
             for sweep in sweeps
         ]
         journal = CampaignJournal(
@@ -757,7 +761,6 @@ def campaign_summary(
         "restored": 0,
         "store_hits": 0,
         "store_misses": 0,
-        "store_dedup": 0,
         "evictions": {},
     }
     evictions: dict[str, int] = summary["evictions"]  # type: ignore[assignment]
@@ -769,8 +772,6 @@ def campaign_summary(
             if stamp is not None:
                 summary["store_hits"] += len(stamp.get("hits", ()))
                 summary["store_misses"] += len(stamp.get("misses", ()))
-                if stamp.get("dedup_of"):
-                    summary["store_dedup"] += 1
             degradation = getattr(result, "degradation", None)
             events = () if degradation is None else degradation.events
             if degradation is not None and degradation.degraded:

@@ -255,8 +255,8 @@ def instance_arrays(instance: FMSSMInstance) -> InstanceArrays:
 
 
 #: Derived columns of :class:`InstanceArrays` worth persisting: pure
-#: functions of canonical instance content (positions, not labels), so
-#: any instance with the same content fingerprint can adopt them.
+#: functions of the instance (positions, not labels), so a later
+#: grounding of the same scenario key can adopt them.
 _PREP_KEYS = (
     "delay", "delay_order", "flow_sorted", "flow_indptr", "flow_max_pro",
     "pbar_desc",

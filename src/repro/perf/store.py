@@ -1,23 +1,28 @@
-"""Content-addressed cross-run solve memoization (``repro.perf.store``).
+"""Cross-run solve memoization (``repro.perf.store``).
 
 :class:`~repro.perf.executor.SweepExecutor` keeps artifacts warm only
 within one parent process's lifetime — every fresh CLI invocation,
-campaign restart or *concurrent* parent re-solves identical failure
-scenarios from scratch.  This module closes that gap with a disk-backed,
-content-addressed store shared across processes and runs:
+campaign restart or *concurrent* parent re-solves the same failure
+scenarios from scratch.  This module closes that gap with a disk-backed
+store shared across processes and runs:
 
-Canonical scenario fingerprints
-    :func:`instance_fingerprint` hashes the *induced* FMSSM instance —
-    offline switches, active controllers with residual capacities, the
-    delay and coefficient slices, γ, λ, G and the nearest-controller
-    map — after **order-preserving canonical relabeling**: switches,
-    controllers and flows are renamed to dense positions in their sorted
-    order, and the flow insertion-order → sorted-rank permutation is
-    hashed too (solver tie-breaks depend on relative order, so only
-    order-*preserving* relabelings keep solves bit-identical).  Two
-    scenarios with the same fingerprint induce byte-identical solver
-    inputs up to labels, so one solve serves both — within a sweep,
-    across sweeps, and across runs.
+Scenario keys
+    :func:`scenario_key` names one failure scenario of one network as
+    solved by one build of the code: a digest of the context's network
+    digest (:func:`network_key` — every grounding input, hashed once
+    per context), the sorted failed-controller set and
+    :func:`code_identity` (every ``repro`` source file plus the numpy,
+    scipy and Python versions).  :func:`solve_key` appends the algorithm
+    and its solve parameters.  A key is computed without grounding the
+    scenario, so a hit grounds nothing; and a store written by other
+    code, or for another network, simply misses.
+
+Positional records
+    :func:`encode_result` stores a solution with its evaluation: ids as
+    they are, flows as positions in the context's flow order, packed
+    into compressed integer columns so a WAN record stays a few
+    kilobytes.  :func:`decode_result` is its exact inverse — JSON
+    round-trips every float — so a replay equals a fresh solve.
 
 Sharded, checksummed record store
     :class:`SolveStore` appends JSON records to ``shards`` JSONL files
@@ -30,212 +35,176 @@ Sharded, checksummed record store
     the store's size by atomically rewriting shards oldest-first.
 
 Expensive intermediates
-    Besides :class:`ScenarioResult` solutions, the store holds the
-    compiler's sparse P′ structural blocks (:meth:`SolveStore.
-    put_arrays` / :meth:`~SolveStore.get_arrays`, atomic ``.npz``
-    artifacts keyed by (N, M, P)) and per-topology hop-distance tables
-    (JSON records keyed by :func:`topology_fingerprint`), so a cold
-    process skips the BFS and block-assembly work too.
+    Besides solutions, the store holds per-scenario kernel prep
+    (:meth:`SolveStore.put_arrays` / :meth:`~SolveStore.get_arrays`,
+    atomic ``.npz`` artifacts keyed by scenario key) and per-topology
+    hop-distance tables (JSON records keyed by
+    :func:`topology_fingerprint`), so a cold process skips the sort and
+    BFS work too.
 
-Solutions and their evaluations are stored in *canonical label space*
-and translated back through the probing instance's labels on a hit
-(:func:`solution_from_canonical` / :func:`evaluation_from_canonical`);
-both round-trip bit-identically, so a replayed result is
-indistinguishable from a fresh solve.  Records are checksummed, and the
-sweep layer additionally re-validates hits against the probing instance
-when it runs with ``validate=True`` (mirroring how fresh solves are
-validated).  Under an active chaos plan the sweep layer bypasses the
-store entirely so fault injection still exercises real solves.
+The sweep layer re-validates hits against the grounded instance when it
+runs with ``validate=True`` (mirroring how fresh solves are validated),
+and under an active chaos plan it bypasses the store entirely so fault
+injection still exercises real solves.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import fcntl
+import functools
 import hashlib
-import operator
 import io
 import json
 import os
+import platform
 import tempfile
-from dataclasses import dataclass
+import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.fmssm.instance import FMSSMInstance
+from repro.control.failures import FailureScenario
 from repro.fmssm.solution import RecoverySolution
 
 __all__ = [
-    "CanonicalInstance",
+    "NetworkKey",
     "SolveStore",
-    "canonical_instance",
-    "instance_fingerprint",
-    "canonical_solution",
-    "canonical_evaluation",
-    "solution_from_canonical",
-    "evaluation_from_canonical",
-    "decode_record",
-    "decoded_cache_stats",
-    "set_decoded_cache_cap",
+    "code_identity",
+    "decode_result",
+    "encode_result",
+    "network_key",
+    "scenario_key",
     "solve_key",
     "topology_fingerprint",
 ]
 
 STORE_SCHEMA = 1
 
-#: Max decoded ``(algorithm, sha)`` pairs memoized per canonical
-#: instance; least-recently-used entries are evicted past the cap.
-#: Configurable via :func:`set_decoded_cache_cap`.
-DECODED_CACHE_CAP = 64
-
-#: Process-wide decoded-object cache telemetry (see
-#: :func:`decoded_cache_stats`).
-_DECODED_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def set_decoded_cache_cap(cap: int) -> int:
-    """Set the per-instance decoded-object cache cap; returns the old one.
-
-    The cap bounds how many decoded ``(algorithm, sha)`` records each
-    :class:`CanonicalInstance` memoizes (:func:`decode_record`); caps
-    below 1 are clamped to 1 so repeat hits of the *same* record still
-    avoid re-decoding.
-    """
-    global DECODED_CACHE_CAP
-    old, DECODED_CACHE_CAP = DECODED_CACHE_CAP, max(1, int(cap))
-    return old
-
-
-def decoded_cache_stats() -> dict[str, int]:
-    """Snapshot of the decoded-object cache counters (this process).
-
-    ``hits``/``misses`` count :func:`decode_record` lookups by content
-    sha; ``evictions`` counts entries dropped by the LRU cap.  Sweeps
-    stamp the per-sweep delta on ``meta["store"]["decoded"]``.
-    """
-    return dict(_DECODED_STATS)
-
-#: Version tag mixed into every fingerprint: bump to invalidate stores
-#: when the hashed content or the relabeling convention changes.
-_FP_VERSION = b"fmssm-fp-v1"
-
 
 # ----------------------------------------------------------------------
-# Canonical relabeling + fingerprint
+# Keys
 # ----------------------------------------------------------------------
+
+@functools.cache
+def code_identity() -> str:
+    """Digest of the code that produces stored answers (once per process).
+
+    Hashes the path and bytes of every ``repro/**/*.py`` file plus the
+    numpy, scipy and Python versions (scipy ships HiGHS).  Covering the
+    whole package keeps the rule free of a file list to maintain: any
+    edit to the source moves every key, so no store, checkpoint or
+    campaign journal replays an answer that other code produced.
+    """
+    import scipy
+
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for name, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        h.update(name.encode() + b"\0")
+        h.update(path.read_bytes())
+    h.update(repr(
+        (np.__version__, scipy.__version__, platform.python_version())
+    ).encode())
+    return h.hexdigest()[:32]
+
 
 @dataclass(frozen=True)
-class CanonicalInstance:
-    """An instance's canonical label maps plus its content fingerprint.
+class NetworkKey:
+    """What the store needs of one context, computed once per context.
 
-    ``switches[i]`` / ``controllers[j]`` / ``flow_ids[r]`` translate
-    canonical positions back to this instance's labels; the ``*_pos`` /
-    ``flow_rank`` dicts translate the other way.  Instances with equal
-    ``fingerprint`` have byte-identical solver-visible content once both
-    are expressed in positions, so a solution computed on one translates
-    exactly onto the other.
+    ``digest`` covers every grounding input (see :func:`network_key`);
+    ``hops`` is the topology's :func:`topology_fingerprint`;
+    ``flow_ids`` / ``flow_pos`` translate between flow ids and their
+    positions in the context's flow order, which records store.
+    ``pairs`` holds one tuple per decoded ``(switch, flow id)`` pair, so
+    every replayed solution of the network shares them — as solutions
+    grounded from one index share its pair keys — instead of holding
+    its own copies.
     """
 
-    fingerprint: str
-    switches: tuple
-    controllers: tuple
+    digest: str
+    hops: str
     flow_ids: tuple
-    switch_pos: dict
-    controller_pos: dict
-    flow_rank: dict
-    #: ``instance.pairs`` verbatim plus its frozenset and pair → index
-    #: map.  Pair order is hashed into the fingerprint, so an index into
-    #: ``pairs`` means the same pair on every equivalent instance — the
-    #: solution codec stores pair *indices* (or the ``"all"`` sentinel)
-    #: instead of thousands of explicit pair rows.
-    pairs: tuple
-    pair_set: frozenset
-    pair_pos: dict
+    flow_pos: dict
+    pairs: dict = field(default_factory=dict, compare=False)
 
 
-def canonical_instance(instance: FMSSMInstance) -> CanonicalInstance:
-    """The cached canonical form of ``instance`` (computed once).
+def network_key(context) -> NetworkKey:
+    """The context's :class:`NetworkKey`, cached beside its grounding index.
 
-    Hashes every solver-visible field of the induced instance in
-    canonical label space: counts, spare capacities (controller order),
-    the delay matrix (switch-major float64 bytes), γ, the programmable
-    pairs with their p̄ coefficients (in ``instance.pairs`` order, which
-    is label-order-stable), the flow insertion-order permutation (PM's
-    iteration order and several tie-breaks follow it), G and λ, and the
-    nearest-controller map.  ``Flow`` payloads beyond the id are *not*
-    hashed: nothing downstream of instance induction reads them.
+    The digest hashes, in sorted or insertion order and never in set
+    order: the topology's nodes with their coordinates, its edges and
+    propagation speed; every controller's id, site, capacity and domain;
+    every flow's id and path in flow order; the path counter's strategy
+    and parameters; and the delay mode.  Two contexts that ground
+    different instances for some scenario therefore never share a
+    digest, and equal contexts built in different processes always do.
     """
-    cached = instance.__dict__.get("_canonical_instance")
+    cached = context._network_key
     if cached is not None:
         return cached
-
-    switches = instance.switches
-    controllers = instance.controllers
-    flow_ids = tuple(sorted(instance.flows))
-    switch_pos = {s: i for i, s in enumerate(switches)}
-    controller_pos = {c: j for j, c in enumerate(controllers)}
-    flow_rank = {f: r for r, f in enumerate(flow_ids)}
-
-    h = hashlib.sha256(_FP_VERSION)
-    h.update(repr((
-        len(switches), len(controllers), len(flow_ids), len(instance.pairs),
-    )).encode())
-    h.update(np.asarray(
-        [instance.spare[c] for c in controllers], dtype=np.int64
-    ).tobytes())
-    h.update(np.asarray(
-        [instance.delay[(s, c)] for s in switches for c in controllers],
-        dtype=np.float64,
-    ).tobytes())
-    h.update(np.asarray(
-        [instance.gamma[s] for s in switches], dtype=np.int64
-    ).tobytes())
-    pair_rows = np.empty((len(instance.pairs), 3), dtype=np.int64)
-    for k, (s, f) in enumerate(instance.pairs):
-        pair_rows[k, 0] = switch_pos[s]
-        pair_rows[k, 1] = flow_rank[f]
-        pair_rows[k, 2] = instance.pbar[(s, f)]
-    h.update(pair_rows.tobytes())
-    h.update(np.asarray(
-        [flow_rank[f] for f in instance.flows], dtype=np.int64
-    ).tobytes())
-    h.update(np.float64(instance.ideal_delay_ms).tobytes())
-    h.update(np.float64(instance.lam).tobytes())
-    h.update(np.asarray(
-        [controller_pos[instance.nearest[s]] for s in switches], dtype=np.int64
-    ).tobytes())
-
-    canon = CanonicalInstance(
-        fingerprint=h.hexdigest()[:32],
-        switches=switches,
-        controllers=controllers,
+    topology, plane = context.topology, context.plane
+    counter = context.programmability.counter
+    blob = repr((
+        tuple(
+            (node, topology.geo(node).latitude, topology.geo(node).longitude)
+            for node in topology.nodes
+        ),
+        topology.edges(),
+        topology.propagation_speed_m_per_s,
+        tuple(
+            (c, plane.controller(c).site, plane.controller(c).capacity,
+             plane.domain(c))
+            for c in plane.controller_ids
+        ),
+        tuple((flow.flow_id, flow.path) for flow in context.flows),
+        type(counter).__name__,
+        tuple(sorted(
+            (name, value) for name, value in vars(counter).items()
+            if isinstance(value, (bool, int, float, str))
+        )),
+        context.delay_model.mode,
+    )).encode()
+    flow_ids = tuple(flow.flow_id for flow in context.flows)
+    cached = NetworkKey(
+        digest=hashlib.sha256(blob).hexdigest()[:32],
+        hops=topology_fingerprint(topology),
         flow_ids=flow_ids,
-        switch_pos=switch_pos,
-        controller_pos=controller_pos,
-        flow_rank=flow_rank,
-        pairs=instance.pairs,
-        pair_set=frozenset(instance.pairs),
-        pair_pos={pair: k for k, pair in enumerate(instance.pairs)},
+        flow_pos={flow_id: k for k, flow_id in enumerate(flow_ids)},
     )
-    instance.__dict__["_canonical_instance"] = canon
-    return canon
+    context._network_key = cached
+    return cached
 
 
-def instance_fingerprint(instance: FMSSMInstance) -> str:
-    """Content fingerprint of the induced instance (cached)."""
-    return canonical_instance(instance).fingerprint
+def scenario_key(context, scenario: FailureScenario) -> str:
+    """Key of one failure scenario of ``context``'s network, under this code.
+
+    A digest of the network digest, the sorted failed-controller set and
+    :func:`code_identity` — no grounding involved.
+    """
+    blob = repr((
+        network_key(context).digest,
+        tuple(sorted(scenario.failed)),
+        code_identity(),
+    )).encode()
+    return hashlib.sha256(blob).hexdigest()[:32]
 
 
 def solve_key(
-    fingerprint: str,
+    key: str,
     algorithm: str,
     optimal_time_limit_s: float,
 ) -> str:
-    """Record key of one (instance, algorithm, solve parameters) triple.
+    """Record key of one (scenario key, algorithm, solve parameters) triple.
 
     Heuristics have no knobs that change their output, so their keys
-    carry only the fingerprint and the name; exact solves additionally
+    carry only the scenario key and the name; exact solves additionally
     key on the time limit (conservative — a completed solve does not
     depend on the limit, but sharing across limits would make a hit's
     provenance ambiguous).
@@ -243,368 +212,12 @@ def solve_key(
     from repro.perf.sweep import _HEAVY_ALGORITHMS
 
     if algorithm in _HEAVY_ALGORITHMS:
-        # "sparse" is the compile route sweeps always take.  It stays in
-        # the hashed tuple so keys written when the route was a sweep
-        # parameter still match, and existing stores keep hitting.
-        params = hashlib.sha256(repr(
-            (float(optimal_time_limit_s), "sparse")
-        ).encode()).hexdigest()[:12]
+        params = hashlib.sha256(
+            repr(float(optimal_time_limit_s)).encode()
+        ).hexdigest()[:12]
     else:
         params = "-"
-    return f"{fingerprint}:{algorithm}:{params}"
-
-
-# ----------------------------------------------------------------------
-# Solution <-> canonical payload
-# ----------------------------------------------------------------------
-
-def canonical_solution(
-    solution: RecoverySolution, canon: CanonicalInstance
-) -> dict[str, object]:
-    """``solution`` as a JSON-safe dict in canonical label space.
-
-    The field shape mirrors :func:`repro.resilience.checkpoint.
-    solution_to_json` (sorted pairs, repr-round-trip floats) with ids
-    replaced by canonical positions/ranks.  ``meta`` is copied verbatim:
-    every solver's meta is label-free scalars by contract (asserted in
-    the store tests), so it needs no translation.
-
-    ``sdn_pairs`` collapses to the ``"all"`` sentinel when the solution
-    recovers every programmable pair — the overwhelmingly common case —
-    and to a packed vector of pair *indices* otherwise; per-pair
-    controller overrides pack the same way.  Pair order is hashed into
-    the fingerprint, so indices mean the same pairs on every equivalent
-    instance, and records stay at a few hundred bytes instead of the
-    tens of kilobytes explicit pair lists cost on WAN-sized instances
-    (the store-hit fast path parses every record it replays).
-    """
-    sp, cp, pp = canon.switch_pos, canon.controller_pos, canon.pair_pos
-    overrides = sorted(
-        (pp[pair], cp[c]) for pair, c in solution.pair_controller.items()
-    )
-    return {
-        "algorithm": solution.algorithm,
-        "mapping": sorted([sp[s], cp[c]] for s, c in solution.mapping.items()),
-        "sdn_pairs": (
-            "all"
-            if frozenset(solution.sdn_pairs) == canon.pair_set
-            else _pack_ints(sorted(pp[pair] for pair in solution.sdn_pairs))
-        ),
-        "pair_controller": (
-            None
-            if not overrides
-            else {
-                "i": _pack_ints([k for k, _ in overrides]),
-                "c": _pack_ints([c for _, c in overrides]),
-            }
-        ),
-        "extra_overhead_ms": solution.extra_overhead_ms,
-        "load_override": (
-            None
-            if solution.load_override is None
-            else sorted([cp[c], n] for c, n in solution.load_override.items())
-        ),
-        "solve_time_s": solution.solve_time_s,
-        "feasible": solution.feasible,
-        "meta": dict(solution.meta),
-    }
-
-
-def solution_from_canonical(
-    payload: dict[str, object], canon: CanonicalInstance
-) -> RecoverySolution:
-    """Translate a canonical payload onto ``canon``'s instance labels.
-
-    Inverse of :func:`canonical_solution` up to relabeling: applied with
-    the *probing* instance's canonical maps, the stored representative's
-    solution becomes this instance's solution.  ``solve_time_s`` replays
-    the stored wall clock (same policy as checkpoint resume).
-    """
-    sw, co = canon.switches, canon.controllers
-    sdn_pairs = payload["sdn_pairs"]
-    overrides = payload["pair_controller"]
-    return RecoverySolution(
-        algorithm=str(payload["algorithm"]),
-        mapping={sw[s]: co[c] for s, c in payload["mapping"]},
-        sdn_pairs=(
-            _all_pairs_set(canon)
-            if sdn_pairs == "all"
-            else set(_pick(canon.pairs, _unpack_ints(sdn_pairs)))
-        ),
-        pair_controller=(
-            {}
-            if not overrides
-            else dict(zip(
-                _pick(canon.pairs, _unpack_ints(overrides["i"])),
-                _pick(co, _unpack_ints(overrides["c"])),
-            ))
-        ),
-        extra_overhead_ms=payload["extra_overhead_ms"],
-        load_override=(
-            None
-            if payload["load_override"] is None
-            else {co[c]: n for c, n in payload["load_override"]}
-        ),
-        solve_time_s=payload["solve_time_s"],
-        feasible=bool(payload["feasible"]),
-        meta=dict(payload["meta"]),
-    )
-
-
-def _pick(seq, idx: list):
-    """``tuple(seq[k] for k in idx)``, via one C-level itemgetter call."""
-    if len(idx) > 1:
-        return operator.itemgetter(*idx)(seq)
-    return (seq[idx[0]],) if idx else ()
-
-
-def _all_pairs_set(canon: CanonicalInstance) -> set:
-    """A fresh mutable copy of ``canon``'s full pair set.
-
-    ``set.copy`` duplicates the hash table without rehashing the pair
-    tuples, so an ``"all"``-sentinel hit costs a memcpy instead of a
-    full set build; the master copy is memoized on the (frozen) canon
-    via ``object.__setattr__``.
-    """
-    master = canon.__dict__.get("_all_pairs")
-    if master is None:
-        master = set(canon.pair_set)
-        object.__setattr__(canon, "_all_pairs", master)
-    return master.copy()
-
-
-def _pack_ints(values) -> dict[str, str]:
-    """An int sequence as ``{"d": dtype, "b": base64}`` — one JSON token.
-
-    Per-flow programmability and pair-index vectors run to thousands of
-    elements; as JSON lists they would cost more to parse than the
-    solves they memoize.  A single base64 blob tokenizes in microseconds
-    and decodes with ``np.frombuffer``; the dtype is the narrowest
-    little-endian signed width that holds the range.
-    """
-    array = np.asarray(values, dtype=np.int64)
-    dtype = "<i8"
-    for narrow in ("<i1", "<i2", "<i4"):
-        info = np.iinfo(narrow)
-        if array.size == 0 or (
-            array.min() >= info.min and array.max() <= info.max
-        ):
-            dtype = narrow
-            break
-    return {
-        "d": dtype,
-        "b": base64.b64encode(array.astype(dtype).tobytes()).decode("ascii"),
-    }
-
-
-def _unpack_ints(blob: dict[str, str]) -> list[int]:
-    # binascii directly: base64.b64decode's wrapper costs more than the
-    # decode itself at this call rate.
-    return np.frombuffer(
-        binascii.a2b_base64(blob["b"]), dtype=blob["d"]
-    ).tolist()
-
-
-def canonical_evaluation(evaluation, canon: CanonicalInstance) -> dict[str, object]:
-    """A :class:`~repro.fmssm.evaluation.RecoveryEvaluation` in canonical
-    label space, JSON-safe.
-
-    Everything except ``programmability`` (flow ids → ranks) and
-    ``controller_load`` (controller ids → positions) is label-free and
-    copied verbatim; JSON round-trips Python floats exactly, so a replay
-    reproduces every metric bit for bit.  ``_recoverable_set`` is not
-    stored — it is a pure function of the instance and is re-derived on
-    load.
-    """
-    cp, fr = canon.controller_pos, canon.flow_rank
-    programmability = evaluation.programmability
-    if len(programmability) == len(canon.flow_ids):
-        # Dense: one value per flow — the evaluator fills every offline
-        # flow — so ranks are implicit in flow-rank order.
-        prog = {"dense": _pack_ints(
-            [programmability[f] for f in canon.flow_ids]
-        )}
-    else:
-        ranks = sorted(fr[f] for f in programmability)
-        prog = {
-            "ranks": _pack_ints(ranks),
-            "values": _pack_ints(
-                [programmability[canon.flow_ids[r]] for r in ranks]
-            ),
-        }
-    return {
-        "feasible": evaluation.feasible,
-        "prog": prog,
-        "least": evaluation.least_programmability,
-        "total": evaluation.total_programmability,
-        "recovered_flows": evaluation.recovered_flows,
-        "recoverable_flows": evaluation.recoverable_flows,
-        "offline_flows": evaluation.offline_flows,
-        "recovered_switches": evaluation.recovered_switches,
-        "offline_switches": evaluation.offline_switches,
-        "controller_load": sorted(
-            [cp[c], n] for c, n in evaluation.controller_load.items()
-        ),
-        "total_delay_ms": evaluation.total_delay_ms,
-        "ideal_delay_ms": evaluation.ideal_delay_ms,
-        "per_flow_overhead_ms": evaluation.per_flow_overhead_ms,
-        "objective": evaluation.objective,
-        "solve_time_s": evaluation.solve_time_s,
-    }
-
-
-def evaluation_from_canonical(
-    payload: dict[str, object],
-    canon: CanonicalInstance,
-    instance: FMSSMInstance,
-    algorithm: str,
-):
-    """Inverse of :func:`canonical_evaluation` on ``canon``'s instance.
-
-    Bit-identical to ``evaluate_solution`` on the replayed solution:
-    every stored field round-trips exactly and the recoverable-flow set
-    is re-derived from the (equivalent) instance itself.
-    """
-    from repro.fmssm.evaluation import RecoveryEvaluation, _recoverable_set
-
-    co, fl = canon.controllers, canon.flow_ids
-    prog = payload["prog"]
-    if "dense" in prog:
-        programmability = dict(zip(fl, _unpack_ints(prog["dense"])))
-    else:
-        programmability = dict(zip(
-            _pick(fl, _unpack_ints(prog["ranks"])),
-            _unpack_ints(prog["values"]),
-        ))
-    return RecoveryEvaluation(
-        algorithm=algorithm,
-        feasible=bool(payload["feasible"]),
-        programmability=programmability,
-        least_programmability=payload["least"],
-        total_programmability=payload["total"],
-        recovered_flows=payload["recovered_flows"],
-        recoverable_flows=payload["recoverable_flows"],
-        offline_flows=payload["offline_flows"],
-        recovered_switches=payload["recovered_switches"],
-        offline_switches=payload["offline_switches"],
-        controller_load={co[c]: n for c, n in payload["controller_load"]},
-        total_delay_ms=payload["total_delay_ms"],
-        ideal_delay_ms=payload["ideal_delay_ms"],
-        per_flow_overhead_ms=payload["per_flow_overhead_ms"],
-        objective=payload["objective"],
-        solve_time_s=payload["solve_time_s"],
-        _recoverable_set=_recoverable_set(instance),
-    )
-
-
-def _clone_solution(solution: RecoverySolution) -> RecoverySolution:
-    """A fresh, independently mutable twin of a decoded solution.
-
-    ``set.copy``/``dict.copy`` duplicate hash tables without rehashing
-    the (tuple) keys, so a clone costs a few memcpys where a full
-    decode hashes thousands of entries.
-    """
-    return RecoverySolution(
-        algorithm=solution.algorithm,
-        mapping=solution.mapping.copy(),
-        sdn_pairs=solution.sdn_pairs.copy(),
-        pair_controller=solution.pair_controller.copy(),
-        extra_overhead_ms=solution.extra_overhead_ms,
-        load_override=(
-            None
-            if solution.load_override is None
-            else solution.load_override.copy()
-        ),
-        solve_time_s=solution.solve_time_s,
-        feasible=solution.feasible,
-        meta=solution.meta.copy(),
-    )
-
-
-def _clone_evaluation(evaluation):
-    """A fresh twin of a decoded evaluation (same no-rehash trick).
-
-    ``_recoverable_set`` is an immutable frozenset shared by every
-    evaluation of the same instance, exactly as ``evaluate_solution``
-    shares its cached one.
-    """
-    from repro.fmssm.evaluation import RecoveryEvaluation
-
-    return RecoveryEvaluation(
-        algorithm=evaluation.algorithm,
-        feasible=evaluation.feasible,
-        programmability=evaluation.programmability.copy(),
-        least_programmability=evaluation.least_programmability,
-        total_programmability=evaluation.total_programmability,
-        recovered_flows=evaluation.recovered_flows,
-        recoverable_flows=evaluation.recoverable_flows,
-        offline_flows=evaluation.offline_flows,
-        recovered_switches=evaluation.recovered_switches,
-        offline_switches=evaluation.offline_switches,
-        controller_load=evaluation.controller_load.copy(),
-        total_delay_ms=evaluation.total_delay_ms,
-        ideal_delay_ms=evaluation.ideal_delay_ms,
-        per_flow_overhead_ms=evaluation.per_flow_overhead_ms,
-        objective=evaluation.objective,
-        solve_time_s=evaluation.solve_time_s,
-        _recoverable_set=evaluation._recoverable_set,
-    )
-
-
-def decode_record(
-    record: dict,
-    canon: CanonicalInstance,
-    instance: FMSSMInstance,
-    algorithm: str,
-    sha: str | None = None,
-):
-    """``(solution, evaluation)`` decoded from a store record.
-
-    When ``sha`` (the record's content checksum) is given, the decoded
-    pair is memoized on ``canon`` and repeat hits of the same content
-    return independent clones instead of re-decoding — replaying a
-    sweep a second time in one process costs container copies, not
-    tuple hashing.  The cache key is ``(algorithm, sha)``: the sha pins
-    the payload bytes, the canon pins the label space, so a record
-    GC'd and re-solved (fresh ``solve_time_s``) can never alias a
-    stale decode.  The cache is LRU-bounded to :data:`DECODED_CACHE_CAP`
-    entries per canon (a campaign probing many algorithms over one
-    fingerprint must not pin every decode forever); evictions are
-    counted in :func:`decoded_cache_stats`.  ``evaluation`` is ``None``
-    for records predating stored evaluations.
-    """
-    from collections import OrderedDict
-
-    cache = canon.__dict__.get("_decoded")
-    if cache is None:
-        cache = OrderedDict()
-        object.__setattr__(canon, "_decoded", cache)
-    token = (algorithm, sha)
-    cached = cache.get(token) if sha is not None else None
-    if cached is None:
-        solution = solution_from_canonical(record["solution"], canon)
-        stored_eval = record.get("evaluation")
-        evaluation = (
-            evaluation_from_canonical(stored_eval, canon, instance, algorithm)
-            if stored_eval is not None
-            else None
-        )
-        if sha is not None:
-            _DECODED_STATS["misses"] += 1
-            cache[token] = (solution, evaluation)
-            while len(cache) > max(1, DECODED_CACHE_CAP):
-                cache.popitem(last=False)
-                _DECODED_STATS["evictions"] += 1
-            return _clone_solution(solution), (
-                None if evaluation is None else _clone_evaluation(evaluation)
-            )
-        return solution, evaluation
-    _DECODED_STATS["hits"] += 1
-    cache.move_to_end(token)
-    solution, evaluation = cached
-    return _clone_solution(solution), (
-        None if evaluation is None else _clone_evaluation(evaluation)
-    )
+    return f"{key}:{algorithm}:{params}"
 
 
 def topology_fingerprint(topology) -> str:
@@ -620,11 +233,174 @@ def topology_fingerprint(topology) -> str:
 
 
 # ----------------------------------------------------------------------
+# Records: solution + evaluation, flows as positions
+# ----------------------------------------------------------------------
+
+def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
+    """``solution`` and its ``evaluation`` as a JSON-safe store record.
+
+    Flow-indexed fields — the SDN pairs, the per-pair controller
+    overrides, per-flow programmability and the recoverable-flow set —
+    are sorted by flow position and stored as packed columns; everything
+    else is ids and scalars copied verbatim.  ``meta`` is label-free
+    scalars by contract, so it needs no translation.
+    """
+    pos = network_key(context).flow_pos
+    pairs, overrides = solution.sdn_pairs, solution.pair_controller
+    programmability = evaluation.programmability
+    return {
+        "solution": {
+            "algorithm": solution.algorithm,
+            "mapping": sorted(solution.mapping.items()),
+            "sdn_pairs": _pack_sorted(
+                [pos[f] for _, f in pairs], [s for s, _ in pairs]
+            ),
+            "pair_controller": _pack_sorted(
+                [pos[f] for _, f in overrides],
+                [s for s, _ in overrides],
+                list(overrides.values()),
+            ),
+            "extra_overhead_ms": solution.extra_overhead_ms,
+            "load_override": (
+                None
+                if solution.load_override is None
+                else sorted(solution.load_override.items())
+            ),
+            "solve_time_s": solution.solve_time_s,
+            "feasible": solution.feasible,
+            "meta": dict(solution.meta),
+        },
+        "evaluation": {
+            "feasible": evaluation.feasible,
+            "programmability": _pack_sorted(
+                [pos[f] for f in programmability], list(programmability.values())
+            ),
+            "recoverable": _pack_ints(
+                np.sort([pos[f] for f in evaluation._recoverable_set])
+            ),
+            "least": evaluation.least_programmability,
+            "total": evaluation.total_programmability,
+            "recovered_flows": evaluation.recovered_flows,
+            "recoverable_flows": evaluation.recoverable_flows,
+            "offline_flows": evaluation.offline_flows,
+            "recovered_switches": evaluation.recovered_switches,
+            "offline_switches": evaluation.offline_switches,
+            "controller_load": sorted(evaluation.controller_load.items()),
+            "total_delay_ms": evaluation.total_delay_ms,
+            "ideal_delay_ms": evaluation.ideal_delay_ms,
+            "per_flow_overhead_ms": evaluation.per_flow_overhead_ms,
+            "objective": evaluation.objective,
+            "solve_time_s": evaluation.solve_time_s,
+        },
+    }
+
+
+def decode_result(context, record: dict):
+    """``(solution, evaluation)`` from an :func:`encode_result` record.
+
+    Reads only ``context``'s :class:`NetworkKey` — never its instances —
+    and returns fresh, independently mutable objects on every call.
+    ``solve_time_s`` replays the stored wall clock (same policy as
+    checkpoint resume).
+    """
+    from repro.fmssm.evaluation import RecoveryEvaluation
+
+    network = network_key(context)
+    flow = network.flow_ids.__getitem__
+
+    def pairs(flows: list[int], switches: list[int]):
+        """The ``(switch, flow id)`` pairs, as the network's shared tuples."""
+        for pair in zip(switches, map(flow, flows)):
+            yield network.pairs.setdefault(pair, pair)
+
+    sol, ev = record["solution"], record["evaluation"]
+    over_flows, over_switches, over_controllers = map(
+        _unpack_ints, sol["pair_controller"]
+    )
+    prog_flows, prog_values = map(_unpack_ints, ev["programmability"])
+    solution = RecoverySolution(
+        algorithm=str(sol["algorithm"]),
+        mapping=dict(sol["mapping"]),
+        sdn_pairs=set(pairs(*map(_unpack_ints, sol["sdn_pairs"]))),
+        pair_controller=dict(zip(
+            pairs(over_flows, over_switches), over_controllers
+        )),
+        extra_overhead_ms=sol["extra_overhead_ms"],
+        load_override=(
+            None if sol["load_override"] is None else dict(sol["load_override"])
+        ),
+        solve_time_s=sol["solve_time_s"],
+        feasible=bool(sol["feasible"]),
+        meta=dict(sol["meta"]),
+    )
+    evaluation = RecoveryEvaluation(
+        algorithm=solution.algorithm,
+        feasible=bool(ev["feasible"]),
+        programmability=dict(zip(map(flow, prog_flows), prog_values)),
+        least_programmability=ev["least"],
+        total_programmability=ev["total"],
+        recovered_flows=ev["recovered_flows"],
+        recoverable_flows=ev["recoverable_flows"],
+        offline_flows=ev["offline_flows"],
+        recovered_switches=ev["recovered_switches"],
+        offline_switches=ev["offline_switches"],
+        controller_load=dict(ev["controller_load"]),
+        total_delay_ms=ev["total_delay_ms"],
+        ideal_delay_ms=ev["ideal_delay_ms"],
+        per_flow_overhead_ms=ev["per_flow_overhead_ms"],
+        objective=ev["objective"],
+        solve_time_s=ev["solve_time_s"],
+        _recoverable_set=frozenset(map(flow, _unpack_ints(ev["recoverable"]))),
+    )
+    return solution, evaluation
+
+
+def _pack_sorted(*columns: list[int]) -> list[dict[str, str]]:
+    """Parallel int columns, rows sorted by the first column, then the
+    second, ..., each packed with :func:`_pack_ints`.  (Sorting arrays,
+    not row tuples, spares the garbage collector a tuple per flow.)
+    """
+    arrays = [np.asarray(column, dtype=np.int64) for column in columns]
+    order = np.lexsort(arrays[::-1])
+    return [_pack_ints(array[order]) for array in arrays]
+
+
+def _pack_ints(values) -> dict[str, str]:
+    """An int sequence as ``{"d": dtype, "b": base64}`` — one JSON token.
+
+    Flow-position columns run to thousands of elements; as JSON lists
+    they would cost more to parse than the solves they memoize.  The
+    column is stored as first differences (sorted positions become runs
+    of small steps) in the narrowest little-endian signed width that
+    holds them, zlib-compressed: a WAN PM record shrinks from ~27 KB of
+    plain packed columns to ~7 KB.
+    """
+    array = np.diff(np.asarray(values, dtype=np.int64), prepend=0)
+    dtype = "<i8"
+    for narrow in ("<i1", "<i2", "<i4"):
+        info = np.iinfo(narrow)
+        if array.size == 0 or (
+            array.min() >= info.min and array.max() <= info.max
+        ):
+            dtype = narrow
+            break
+    raw = zlib.compress(array.astype(dtype).tobytes())
+    return {"d": dtype, "b": base64.b64encode(raw).decode("ascii")}
+
+
+def _unpack_ints(blob: dict[str, str]) -> list[int]:
+    # binascii directly: base64.b64decode's wrapper costs more than the
+    # decode itself at this call rate.
+    raw = zlib.decompress(binascii.a2b_base64(blob["b"]))
+    return np.cumsum(np.frombuffer(raw, dtype=blob["d"]), dtype=np.int64).tolist()
+
+
+# ----------------------------------------------------------------------
 # The disk store
 # ----------------------------------------------------------------------
 
 class SolveStore:
-    """Disk-backed content-addressed record + artifact store.
+    """Disk-backed record + artifact store.
 
     Layout under ``root``::
 
@@ -663,11 +439,8 @@ class SolveStore:
             self._records_dir / f"shard-{shard:02x}.jsonl"
             for shard in range(shards)
         )
-        #: Per-shard in-memory index:
-        #: shard -> (stat signature, {key: payload}, {key: payload sha}).
-        self._index: dict[
-            int, tuple[tuple[int, int], dict[str, dict], dict[str, str]]
-        ] = {}
+        #: Per-shard in-memory index: shard -> (stat signature, {key: payload}).
+        self._index: dict[int, tuple[tuple[int, int], dict[str, dict]]] = {}
         self.stats = {
             "hits": 0,
             "misses": 0,
@@ -679,21 +452,10 @@ class SolveStore:
             "gc_dropped": 0,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"SolveStore({str(self.root)!r}, shards={self.shards})"
-
     # -- records -------------------------------------------------------
     def _shard_of(self, key: str) -> int:
         digest = hashlib.sha256(key.encode()).digest()
         return int.from_bytes(digest[:4], "big") % self.shards
-
-    def _shard_path(self, shard: int) -> Path:
-        return self._shard_paths[shard]
-
-    @staticmethod
-    def _payload_sha(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     @classmethod
     def _encode_line(cls, key: str, payload: dict) -> bytes:
@@ -714,69 +476,48 @@ class SolveStore:
     _SHA_MARK = b'","sha":"'
     _PAYLOAD_MARK = b'","payload":'
 
-    def _parse_lines(
-        self, data: bytes
-    ) -> tuple[dict[str, dict], dict[str, str]]:
-        """Verified ``(records, content shas)`` from raw shard bytes;
-        corrupt lines skipped."""
+    def _parse_lines(self, data: bytes) -> dict[str, dict]:
+        """Verified records from raw shard bytes; corrupt lines skipped.
+
+        Key, sha and payload are sliced straight out of each line (the
+        field order is fixed by :meth:`_encode_line`) and the checksum
+        is verified over the payload substring — no re-dump.
+        """
         records: dict[str, dict] = {}
-        shas: dict[str, str] = {}
         head, sha_mark, pay_mark = (
             self._LINE_HEAD, self._SHA_MARK, self._PAYLOAD_MARK
         )
         for line in data.split(b"\n"):
             if not line.strip():
                 continue
-            # Fast path: slice key/sha/payload straight out of the raw
-            # bytes (field order is fixed by _encode_line) and verify
-            # the checksum over the payload substring — no re-dump.
             cut = line.find(sha_mark, len(head))
-            if (
-                line.startswith(head)
-                and line.endswith(b"}")
-                and cut > 0
-                and b"\\" not in line[len(head):cut]
-                and line[cut + 25:cut + 25 + len(pay_mark)] == pay_mark
-            ):
-                payload_bytes = line[cut + 25 + len(pay_mark):-1]
-                sha = line[cut + len(sha_mark):cut + 25]
-                if hashlib.sha256(payload_bytes).hexdigest()[:16].encode() == sha:
-                    try:
-                        payload = json.loads(payload_bytes)
-                    except ValueError:
-                        self.stats["corrupt"] += 1
-                        continue
-                    key = line[len(head):cut].decode()
-                    records[key] = payload
-                    shas[key] = sha.decode()
-                    continue
-            # Slow path: escaped keys or legacy field order.
+            body = cut + len(sha_mark) + 16
+            payload_bytes = line[body + len(pay_mark):-1]
             try:
-                record = json.loads(line)
-                key = record["key"]
-                payload = record["payload"]
-                ok = (
-                    record.get("v") == STORE_SCHEMA
-                    and isinstance(key, str)
-                    and record.get("sha") == self._payload_sha(payload)
-                )
-            except (ValueError, KeyError, TypeError):
-                ok = False
-            if not ok:
+                if not (
+                    line.startswith(head)
+                    and line.endswith(b"}")
+                    and cut > 0
+                    and line[body:body + len(pay_mark)] == pay_mark
+                    and hashlib.sha256(payload_bytes).hexdigest()[:16].encode()
+                    == line[cut + len(sha_mark):body]
+                ):
+                    raise ValueError("malformed or corrupt record line")
+                # The key is a JSON string ending just before the sha mark.
+                key = json.loads(line[len(head) - 1:cut + 1])
+                records[key] = json.loads(payload_bytes)
+            except ValueError:
                 self.stats["corrupt"] += 1
-                continue
-            records[key] = payload
-            shas[key] = record["sha"]
-        return records, shas
+        return records
 
     def _shard_records(self, shard: int) -> dict[str, dict]:
         """The shard's verified records, re-read only when the file changed."""
-        path = self._shard_path(shard)
+        path = self._shard_paths[shard]
         try:
             stat = path.stat()
             sig = (stat.st_mtime_ns, stat.st_size)
         except OSError:
-            self._index[shard] = ((-1, -1), {}, {})
+            self._index[shard] = ((-1, -1), {})
             return self._index[shard][1]
         cached = self._index.get(shard)
         if cached is not None and cached[0] == sig:
@@ -785,97 +526,56 @@ class SolveStore:
             data = path.read_bytes()
         except OSError:
             data = b""
-        records, shas = self._parse_lines(data)
-        self._index[shard] = (sig, records, shas)
+        records = self._parse_lines(data)
+        self._index[shard] = (sig, records)
         return records
 
     def get(self, key: str) -> dict | None:
         """The payload stored under ``key``, or ``None`` (lock-free)."""
         payload = self._shard_records(self._shard_of(key)).get(key)
-        if payload is None:
-            self.stats["misses"] += 1
-            return None
-        self.stats["hits"] += 1
+        self.stats["misses" if payload is None else "hits"] += 1
         return payload
 
-    def sha_of(self, key: str) -> str | None:
-        """The stored record's content checksum, or ``None`` if absent.
-
-        The sha identifies the payload *bytes*, so it is a process-wide
-        stable token for "this exact stored result" — the decoded-object
-        cache keys on it to replay repeat hits without re-decoding.
-        """
-        self._shard_records(self._shard_of(key))
-        entry = self._index.get(self._shard_of(key))
-        return entry[2].get(key) if entry is not None else None
-
+    @contextmanager
     def _locked(self):
         """Writer lock shared by every process using this store root."""
-        import fcntl
-        from contextlib import contextmanager
-
-        @contextmanager
-        def hold():
-            fd = os.open(self._records_dir / ".lock", os.O_RDWR | os.O_CREAT, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-                os.close(fd)
-
-        return hold()
+        fd = os.open(self._records_dir / ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+            os.close(fd)
 
     def put(self, key: str, payload: dict) -> bool:
-        """Append ``payload`` under ``key``; ``False`` if already present.
-
-        Single-writer append: the shard is re-read *under the lock*
-        before writing, so two processes racing on one key produce one
-        record.  A torn tail left by a crashed writer (no trailing
-        newline) is repaired by prefixing a newline — the torn fragment
-        stays an isolated, checksum-failing line that readers skip.
-        """
-        shard = self._shard_of(key)
-        path = self._shard_path(shard)
-        # Fast path: _shard_records revalidates against the file's stat
-        # signature, so a key visible there is present on disk — skip
-        # the lock round-trip.  (A concurrent GC dropping it right now
-        # is indistinguishable from GC dropping the record just after a
-        # locked put, so put-if-absent stays honest.)
-        if key in self._shard_records(shard):
-            return False
-        with self._locked():
-            self._index.pop(shard, None)  # force a fresh read under the lock
-            if key in self._shard_records(shard):
-                return False
-            line = self._encode_line(key, payload)
-            with open(path, "a+b") as fh:
-                fh.seek(0, io.SEEK_END)
-                if fh.tell() > 0:
-                    fh.seek(-1, io.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        fh.write(b"\n")
-                fh.write(line + b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._index.pop(shard, None)
-        self.stats["writes"] += 1
-        return True
+        """Append ``payload`` under ``key``; ``False`` if already present."""
+        return self.put_many([(key, payload)]) == 1
 
     def put_many(self, items: list[tuple[str, dict]]) -> int:
-        """Append many records under one lock acquisition; returns writes.
+        """Append records that are not yet present; returns writes.
 
-        Same put-if-absent contract as :meth:`put`, amortizing the lock
-        round-trip and the per-shard fsync across a whole sweep's
-        write-back.
+        Single-writer append: each shard is re-read *under the lock*
+        before writing, so two processes racing on one key produce one
+        record, and the lock round-trip and per-shard fsync are paid
+        once per batch.  Keys already visible in the stat-validated
+        index skip the lock altogether (a concurrent GC dropping one
+        right now is indistinguishable from GC dropping it just after a
+        locked put, so put-if-absent stays honest).  A torn tail left by
+        a crashed writer (no trailing newline) is repaired by prefixing
+        a newline — the torn fragment stays an isolated, checksum-failing
+        line that readers skip.
         """
         by_shard: dict[int, list[tuple[str, dict]]] = {}
         for key, payload in items:
-            by_shard.setdefault(self._shard_of(key), []).append((key, payload))
+            shard = self._shard_of(key)
+            if key not in self._shard_records(shard):
+                by_shard.setdefault(shard, []).append((key, payload))
+        if not by_shard:
+            return 0
         written = 0
         with self._locked():
             for shard, group in sorted(by_shard.items()):
-                self._index.pop(shard, None)
+                self._index.pop(shard, None)  # force a fresh read under the lock
                 present = self._shard_records(shard)
                 lines = []
                 seen: set[str] = set()
@@ -886,7 +586,7 @@ class SolveStore:
                     lines.append(self._encode_line(key, payload))
                 if not lines:
                     continue
-                with open(self._shard_path(shard), "a+b") as fh:
+                with open(self._shard_paths[shard], "a+b") as fh:
                     fh.seek(0, io.SEEK_END)
                     if fh.tell() > 0:
                         fh.seek(-1, io.SEEK_END)
@@ -906,7 +606,7 @@ class SolveStore:
         total = 0
         for shard in range(self.shards):
             try:
-                total += self._shard_path(shard).stat().st_size
+                total += self._shard_paths[shard].stat().st_size
             except OSError:
                 pass
         return total
@@ -928,13 +628,12 @@ class SolveStore:
             for shard in range(self.shards):
                 if excess <= 0:
                     break
-                path = self._shard_path(shard)
+                path = self._shard_paths[shard]
                 try:
                     data = path.read_bytes()
                 except OSError:
                     continue
-                lines = [ln for ln in data.split(b"\n") if ln.strip()]
-                kept = list(lines)
+                kept = [ln for ln in data.split(b"\n") if ln.strip()]
                 while kept and excess > 0:
                     oldest = kept.pop(0)
                     excess -= len(oldest) + 1

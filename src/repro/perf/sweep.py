@@ -58,6 +58,7 @@ Fault-injection sites (``sweep.task``, ``sweep.payload``,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import pickle
 import time
@@ -90,13 +91,11 @@ from repro.resilience.checkpoint import (
 )
 from repro.perf.store import (
     SolveStore,
-    canonical_evaluation,
-    canonical_instance,
-    canonical_solution,
-    decode_record,
-    solution_from_canonical,
+    decode_result,
+    encode_result,
+    network_key,
+    scenario_key,
     solve_key,
-    topology_fingerprint,
 )
 from repro.resilience.degradation import (
     DegradationReport,
@@ -410,14 +409,9 @@ class _SweepRunner:
         self.incremental = incremental
         self.store = store
         self.lp_batch = lp_batch
-        #: (index, algorithm) tasks withheld from the pool because an
-        #: equivalent scenario (same instance fingerprint) solves them;
-        #: values name the representative index.  Settled after the run.
-        self.deferred: dict[tuple[int, str], int] = {}
-        #: (index, algorithm) pairs satisfied from the store (probe hits).
-        self._hits: set[tuple[int, str]] = set()
-        #: Probe-time grounding per scenario index: (instance, canonical).
-        self._grounded: dict[int, tuple] = {}
+        #: Instances the store probe grounded (misses and validated
+        #: hits), by scenario index; the solve reuses them.
+        self._grounded: dict[int, FMSSMInstance] = {}
         #: Per-scenario store provenance stamped on ``meta["store"]``.
         self._provenance: dict[int, dict] = {}
         #: Fan-out transport stats of the last pool launch, if any.
@@ -506,48 +500,53 @@ class _SweepRunner:
             self._scenario_done(index)
 
     def pending_tasks(self) -> list[tuple[int, str]]:
-        """Remaining (scenario index, algorithm) tasks, deterministic order.
-
-        Tasks deferred to an equivalence-class representative (see
-        :meth:`probe_store`) are excluded — they are settled from the
-        representative's solution after execution, not solved.
-        """
+        """Remaining (scenario index, algorithm) tasks, deterministic order."""
         return [
             (index, algorithm)
             for index in range(len(self.scenarios))
             if index not in self.completed
             for algorithm in self.algorithms
             if algorithm not in self.results[index].solutions
-            and (index, algorithm) not in self.deferred
         ]
 
     # -- cross-run store ------------------------------------------------
+    @functools.cached_property
+    def keys(self) -> list[str]:
+        """Each scenario's :func:`~repro.perf.store.scenario_key`."""
+        return [scenario_key(self.context, s) for s in self.scenarios]
+
     def _instance(self, index: int) -> FMSSMInstance:
         """Ground scenario ``index`` (reusing the store probe's instance)."""
         cached = self._grounded.get(index)
         if cached is not None:
-            return cached[0]
+            return cached
         return self.context.instance(self.scenarios[index])
 
-    def _hit_solution(self, instance, solution) -> bool:
+    def _probe_instance(self, index: int) -> FMSSMInstance:
+        """Ground scenario ``index`` and hold it for the rest of the sweep."""
+        if index not in self._grounded:
+            self._grounded[index] = self.context.instance(self.scenarios[index])
+        return self._grounded[index]
+
+    def _hit_solution(self, index: int, solution) -> bool:
         """Whether a store hit passes the independent validator.
 
         Runs only when the sweep itself runs with ``validate=True`` —
-        the exact policy :func:`_solve` applies to fresh solves (records
-        are already checksummed, so this guards against a store from an
-        incompatible build, not disk corruption).  Exact solves must
-        honor the delay bound, flow-level baselines legitimately trade
-        it off.  An invalid hit is treated as a miss.
+        the exact policy :func:`_solve` applies to fresh solves — and
+        only then grounds the scenario.  Keys already pin the network
+        and the code, and records are checksummed, so this is the
+        caller's extra assurance rather than a guard against a foreign
+        store.  Exact solves must honor the delay bound, flow-level
+        baselines legitimately trade it off.  An invalid hit is treated
+        as a miss.
         """
-        if not self.validate:
+        if not self.validate or not solution.feasible:
             return True
         from repro.resilience.validate import validate_solution
 
-        if not solution.feasible:
-            return True
         enforce_delay = solution.algorithm in ("optimal", "optimal-two-stage")
         return validate_solution(
-            instance, solution, enforce_delay=enforce_delay
+            self._probe_instance(index), solution, enforce_delay=enforce_delay
         ).ok
 
     def _clean_for_store(self, result, solution) -> bool:
@@ -555,8 +554,7 @@ class _SweepRunner:
 
         Demoted ladder solves and pm-fallback timeouts answer from a
         lower rung — storing them would replay a degraded answer as a
-        pristine one — so only undemoted solves are stored or fanned out
-        to equivalence-class duplicates.
+        pristine one — so only undemoted solves are stored.
         """
         if solution.meta.get("degraded"):
             return False
@@ -574,8 +572,7 @@ class _SweepRunner:
         """
         from repro.routing.path_count import adopt_hop_distances
 
-        topo_fp = topology_fingerprint(self.context.topology)
-        tables = self.store.get(f"hops:{topo_fp}")
+        tables = self.store.get(f"hops:{network_key(self.context).hops}")
         if tables is not None:
             adopt_hop_distances(
                 self.context.topology,
@@ -591,7 +588,7 @@ class _SweepRunner:
         from repro.perf.kernels import export_instance_prep
         from repro.routing.path_count import export_hop_distances
 
-        hops_key = f"hops:{topology_fingerprint(self.context.topology)}"
+        hops_key = f"hops:{network_key(self.context).hops}"
         if self.store.get(hops_key) is None:
             tables = export_hop_distances(self.context.topology)
             if tables:
@@ -601,29 +598,24 @@ class _SweepRunner:
                         for dst, distances in sorted(tables.items())
                     ],
                 })
-        for index, (instance, canon) in self._grounded.items():
+        for index, instance in self._grounded.items():
             prep = export_instance_prep(instance)
             if prep is not None:
-                self.store.put_arrays(f"prep-{canon.fingerprint}", prep)
+                self.store.put_arrays(f"prep-{self.keys[index]}", prep)
 
     def probe_store(self) -> None:
-        """Probe the store and dedupe equivalent scenarios before fan-out.
+        """Satisfy from the store whatever it already holds, before fan-out.
 
-        For every pending scenario: ground its instance, fingerprint it,
-        satisfy whatever the store already holds (validated, evaluated
-        fresh), and defer any remaining task whose fingerprint matches
-        an earlier scenario's to that representative — one solve per
-        equivalence class reaches the pool, :meth:`settle_store` fans it
-        back out.  Stamps per-scenario hit/miss provenance for
-        ``meta["store"]``.
+        Every pending (scenario, algorithm) task looks up its solve key.
+        A hit decodes its record without grounding the scenario — unless
+        the sweep validates (:meth:`_hit_solution`).  A scenario left
+        with misses is grounded here and adopts its stored kernel prep.
+        Stamps per-scenario hit/miss provenance for ``meta["store"]``.
         """
         from repro.perf.kernels import adopt_instance_prep
-        from repro.perf.store import decoded_cache_stats
 
-        self._decoded_stats0 = decoded_cache_stats()
         self._prime_intermediates()
-        representatives: dict[str, int] = {}
-        for index in range(len(self.scenarios)):
+        for index, key in enumerate(self.keys):
             if index in self.completed:
                 continue
             result = self.results[index]
@@ -632,119 +624,58 @@ class _SweepRunner:
             ]
             if not pending:
                 continue
-            instance = self.context.instance(self.scenarios[index])
-            canon = canonical_instance(instance)
-            self._grounded[index] = (instance, canon)
-            provenance = self._provenance.setdefault(index, {
-                "fingerprint": canon.fingerprint,
-                "hits": [],
-                "misses": [],
-            })
-            missed: list[str] = []
+            provenance = self._provenance.setdefault(
+                index, {"key": key, "hits": [], "misses": []}
+            )
             for algorithm in pending:
-                key = solve_key(
-                    canon.fingerprint, algorithm, self.optimal_time_limit_s
+                record = self.store.get(
+                    solve_key(key, algorithm, self.optimal_time_limit_s)
                 )
-                record = self.store.get(key)
-                if record is not None and "solution" in record:
-                    solution, evaluation = decode_record(
-                        record, canon, instance, algorithm,
-                        self.store.sha_of(key),
-                    )
-                    if self._hit_solution(instance, solution):
-                        if evaluation is None:
-                            evaluation = evaluate_solution(instance, solution)
-                        self._hits.add((index, algorithm))
+                if record is not None:
+                    solution, evaluation = decode_result(self.context, record)
+                    if self._hit_solution(index, solution):
                         provenance["hits"].append(algorithm)
                         self._store(index, algorithm, solution, evaluation,
                                     None)
                         continue
-                missed.append(algorithm)
-            if not missed:
-                continue
-            # Only a scenario that will actually solve needs its cached
-            # kernel prep — pure-hit scenarios replay without it.
-            prep = self.store.get_arrays(f"prep-{canon.fingerprint}")
-            if prep is not None:
-                adopt_instance_prep(instance, prep)
-            for algorithm in missed:
                 provenance["misses"].append(algorithm)
-                representative = representatives.setdefault(
-                    canon.fingerprint, index
-                )
-                if representative != index:
-                    self.deferred[(index, algorithm)] = representative
-                    provenance["dedup_of"] = (
-                        self.scenarios[representative].name
-                    )
+            if provenance["misses"]:
+                # Only a scenario that will actually solve needs its
+                # cached kernel prep — pure-hit scenarios replay without.
+                instance = self._probe_instance(index)
+                prep = self.store.get_arrays(f"prep-{key}")
+                if prep is not None:
+                    adopt_instance_prep(instance, prep)
 
     def settle_store(self) -> None:
-        """Fan representatives out to duplicates and write back results.
+        """Write back the sweep's fresh solves and stamp provenance.
 
-        Each deferred task translates its representative's solution
-        through canonical label space onto its own instance and is
-        evaluated fresh; representatives that failed to produce a clean
-        solution (demoted, quarantined mid-round) send their duplicates
-        to a genuine serial solve instead.  Finally every clean fresh
-        solve is appended to the store (put-if-absent) and the
-        provenance stamps land on ``meta["store"]``.
+        Every clean solve of a probed miss is appended to the store
+        (put-if-absent), and the provenance stamps land on
+        ``meta["store"]``.
         """
         if self.store is None:
             return
-        leftovers = []
-        for (index, algorithm), rep in sorted(self.deferred.items()):
-            result = self.results[index]
-            if algorithm in result.solutions:
-                continue
-            rep_result = self.results[rep]
-            rep_solution = rep_result.solutions.get(algorithm)
-            if rep_solution is None or not self._clean_for_store(
-                rep_result, rep_solution
-            ):
-                leftovers.append((index, algorithm))
-                continue
-            _, rep_canon = self._grounded[rep]
-            instance, canon = self._grounded[index]
-            solution = solution_from_canonical(
-                canonical_solution(rep_solution, rep_canon), canon
-            )
-            evaluation = evaluate_solution(instance, solution)
-            self._store(index, algorithm, solution, evaluation, None)
-        if leftovers:
-            dropped = {task: self.deferred.pop(task) for task in leftovers}
-            for index, _ in dropped:
-                self._provenance.get(index, {}).pop("dedup_of", None)
-            self.run_serial(sorted(dropped))
         records = []
-        for index, (instance, canon) in sorted(self._grounded.items()):
+        for index, provenance in sorted(self._provenance.items()):
             result = self.results[index]
-            for algorithm, solution in result.solutions.items():
-                if (index, algorithm) in self._hits:
+            for algorithm in provenance["misses"]:
+                solution = result.solutions.get(algorithm)
+                if solution is None or not self._clean_for_store(
+                    result, solution
+                ):
                     continue
-                if (index, algorithm) in self.deferred:
-                    continue
-                if not self._clean_for_store(result, solution):
-                    continue
-                key = solve_key(
-                    canon.fingerprint, algorithm, self.optimal_time_limit_s
-                )
-                records.append((key, {
-                    "solution": canonical_solution(solution, canon),
-                    "evaluation": canonical_evaluation(
-                        result.evaluations[algorithm], canon
+                records.append((
+                    solve_key(
+                        self.keys[index], algorithm, self.optimal_time_limit_s
                     ),
-                }))
+                    encode_result(
+                        self.context, solution, result.evaluations[algorithm]
+                    ),
+                ))
         if records:
             self.store.put_many(records)
         self._persist_intermediates()
-        base = getattr(self, "_decoded_stats0", None)
-        if base is not None:
-            from repro.perf.store import decoded_cache_stats
-
-            stats = decoded_cache_stats()
-            decoded = {k: stats[k] - base.get(k, 0) for k in stats}
-            for provenance in self._provenance.values():
-                provenance["decoded"] = dict(decoded)
         for index, provenance in self._provenance.items():
             self.results[index].meta["store"] = dict(provenance)
 
@@ -877,9 +808,7 @@ class _SweepRunner:
         )
         blob = chaos.transform("sweep.payload", blob)
         fingerprint = sweep_fingerprint(
-            [s.name for s in self.scenarios],
-            self.algorithms,
-            self.optimal_time_limit_s,
+            self.keys, self.algorithms, self.optimal_time_limit_s
         )
         header = executor_mod.WarmHeader(
             plan_key=executor.plan_key(
@@ -1385,13 +1314,12 @@ def fanout_summary(results: "Sequence[ScenarioResult]") -> dict[str, object] | N
 
 
 def store_summary(results: "Sequence[ScenarioResult]") -> dict[str, object] | None:  # noqa: F821
-    """Aggregate store hit/miss/dedup provenance of one sweep's results.
+    """Aggregate store hit/miss provenance of one sweep's results.
 
     Sums the per-scenario ``meta["store"]`` stamps; ``None`` when the
     sweep ran without a store (or the store was bypassed under chaos).
     """
-    hits = misses = dedup = stamped = 0
-    decoded: dict[str, int] | None = None
+    hits = misses = stamped = 0
     for result in results:
         stamp = result.meta.get("store")
         if stamp is None:
@@ -1399,22 +1327,9 @@ def store_summary(results: "Sequence[ScenarioResult]") -> dict[str, object] | No
         stamped += 1
         hits += len(stamp.get("hits", ()))
         misses += len(stamp.get("misses", ()))
-        if stamp.get("dedup_of"):
-            dedup += 1
-        if decoded is None and stamp.get("decoded") is not None:
-            # Sweep-level delta, stamped identically on every scenario.
-            decoded = dict(stamp["decoded"])
     if stamped == 0:
         return None
-    summary = {
-        "scenarios": stamped,
-        "hits": hits,
-        "misses": misses,
-        "dedup": dedup,
-    }
-    if decoded is not None:
-        summary["decoded"] = decoded
-    return summary
+    return {"scenarios": stamped, "hits": hits, "misses": misses}
 
 
 def parallel_sweep(
@@ -1485,12 +1400,14 @@ def parallel_sweep(
     unsupervised one.
 
     ``store`` memoizes solves across parent processes and runs through a
-    :class:`~repro.perf.store.SolveStore`: scenarios whose canonical
-    instance fingerprint is already recorded restore their solutions
-    from disk (validated, with evaluations recomputed — bit-identical to
-    a fresh solve), equivalent scenarios within the sweep solve once and
-    fan out, and fresh clean solves are written back for the next run.
-    Defaults to the executor's store when one is attached.  Under an
+    :class:`~repro.perf.store.SolveStore`, keyed by scenario: the
+    network's digest, the failed-controller set, the algorithm with its
+    parameters and the code's identity.  A recorded task replays its
+    stored solution and evaluation without grounding the scenario —
+    bit-identical to a fresh solve; with ``validate=True`` the hit is
+    also validated against the grounded instance.  Fresh clean solves
+    are written back for the next run.  Defaults to the executor's
+    store when one is attached.  Under an
     active chaos plan the store is bypassed entirely so fault injection
     still exercises real solves.
 
@@ -1535,7 +1452,7 @@ def parallel_sweep(
         checkpoint = SweepCheckpoint(
             checkpoint_path,
             sweep_fingerprint(
-                [s.name for s in scenarios],
+                [scenario_key(context, s) for s in scenarios],
                 algorithms,
                 optimal_time_limit_s,
             ),

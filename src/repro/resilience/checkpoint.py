@@ -9,8 +9,10 @@ only the remainder.  Evaluations are *recomputed* from the restored
 solutions (the evaluator is deterministic), so a resumed sweep's results
 are indistinguishable from an uninterrupted run apart from wall clocks.
 
-The file carries a fingerprint of the sweep's identity (scenario names,
-algorithms, time limit) — resuming against a different sweep raises
+The file carries a fingerprint of the sweep's identity — its scenario
+keys (:func:`~repro.perf.store.scenario_key`: network digest, failed
+set, code identity), algorithms and time limit — so resuming against a
+different sweep, a different network or different code raises
 :class:`CheckpointError` instead of silently mixing results.  Writes
 are atomic (tmp file + ``os.replace``) so a crash mid-write leaves the
 previous checkpoint intact.
@@ -50,18 +52,18 @@ JOURNAL_SCHEMA = 1
 
 
 def sweep_fingerprint(
-    scenario_names: Sequence[str],
+    scenario_keys: Sequence[str],
     algorithms: Sequence[str],
     optimal_time_limit_s: float,
 ) -> str:
-    """Stable identity of a sweep: same inputs ⇒ same fingerprint."""
-    # "sparse" is the compile route sweeps always take.  It stays in the
-    # hashed tuple so fingerprints written when the route was a sweep
-    # parameter still match: older checkpoints and campaign journals
-    # resume.
+    """Stable identity of a sweep: same inputs ⇒ same fingerprint.
+
+    ``scenario_keys`` are the sweep's :func:`~repro.perf.store.
+    scenario_key`\\ s, so the fingerprint moves with the network and
+    with the code as well as with the scenarios.
+    """
     blob = repr(
-        (tuple(scenario_names), tuple(algorithms), float(optimal_time_limit_s),
-         "sparse")
+        (tuple(scenario_keys), tuple(algorithms), float(optimal_time_limit_s))
     ).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -229,9 +231,10 @@ class SweepCheckpoint:
 def campaign_fingerprint(sweep_fingerprints: Sequence[str]) -> str:
     """Stable identity of a campaign: the ordered per-sweep fingerprints.
 
-    Each per-sweep fingerprint already covers its scenario names,
-    algorithms and time limit, so hashing the ordered tuple pins the
-    whole campaign without re-serializing anything.
+    Each per-sweep fingerprint already covers its scenario keys (and
+    through them the network and the code), algorithms and time limit,
+    so hashing the ordered tuple pins the whole campaign without
+    re-serializing anything.
     """
     blob = repr(tuple(sweep_fingerprints)).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -1,11 +1,13 @@
-"""Cross-run solve store: fingerprints, records, dedup, concurrency.
+"""Cross-run solve store: scenario keys, records, concurrency.
 
 The contract (docs/performance.md §store): a :class:`~repro.perf.store.
 SolveStore` hit must replay a solve **bit-identically** — the same
 mapping, pairs, loads and evaluation a fresh solve of that scenario
-would produce — and the store must survive hostile filesystems: torn
-writer crashes, corrupted records, concurrent parent processes and GC
-racing readers all degrade to cache misses, never to wrong answers.
+would produce — without grounding the scenario; a store written for
+another network or by other code must miss; and the store must survive
+hostile filesystems: torn writer crashes, corrupted records, concurrent
+parent processes and GC racing readers all degrade to cache misses,
+never to wrong answers.
 """
 
 from __future__ import annotations
@@ -24,21 +26,26 @@ from test_perf_parallel_sweep import assert_sweeps_identical
 
 from repro.baselines import get_algorithm
 from repro.control.failures import FailureScenario
-from repro.experiments.scenarios import custom_context
-from repro.geo import GeoPoint
+from repro.experiments.scenarios import (
+    ExperimentContext,
+    custom_context,
+    default_att_context,
+)
+from repro.fmssm.evaluation import evaluate_solution
+from repro.fmssm.solution import RecoverySolution
+from repro.perf import store as store_mod
 from repro.perf.store import (
     SolveStore,
-    canonical_instance,
-    canonical_solution,
-    instance_fingerprint,
-    solution_from_canonical,
+    decode_result,
+    encode_result,
+    network_key,
+    scenario_key,
     solve_key,
     topology_fingerprint,
 )
 from repro.perf.sweep import parallel_sweep, store_summary
 from repro.resilience import chaos
 from repro.resilience.chaos import Fault
-from repro.topology.graph import Topology
 
 FAST_ALGORITHMS = ("pm", "retroflow", "pg", "nearest")
 
@@ -47,13 +54,7 @@ CONTROLLERS = (0, 3, 7)
 
 @pytest.fixture(scope="module")
 def ring_context():
-    from repro.topology.generators import ring_topology
-
-    return custom_context(
-        ring_topology(10, chords=5, seed=7),
-        controller_sites=CONTROLLERS,
-        capacity=160,
-    )
+    return ring_with_sites(CONTROLLERS)
 
 
 @pytest.fixture(scope="module")
@@ -66,53 +67,99 @@ def ring_serial(ring_context, ring_scenarios):
     return parallel_sweep(ring_context, ring_scenarios, FAST_ALGORITHMS)
 
 
-def twin_star_context():
-    """A hub with two *identical* arms — the symmetry-dedup fixture.
+def ring_with_sites(sites):
+    from repro.topology.generators import ring_topology
 
-    Failing the arm-A controller and failing the arm-B controller induce
-    structurally equivalent FMSSM instances whose canonical relabelings
-    are order-preserving, so their fingerprints collide and the sweep
-    solves one representative.
-    """
-    point = GeoPoint(10.0, 20.0)
-    nodes = {i: (f"s{i}", point) for i in range(7)}
-    edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)]
-    topology = Topology("twinstar", nodes, edges)
-    domains = {0: (0,), 1: (1, 2, 3), 4: (4, 5, 6)}
     return custom_context(
-        topology, controller_sites=[0, 1, 4], capacity=100, domains=domains
+        ring_topology(10, chords=5, seed=7), controller_sites=sites, capacity=160,
     )
 
 
+@pytest.fixture
+def fixed_identity(monkeypatch):
+    """Pin the code identity; returns a setter that "patches the code"."""
+    monkeypatch.setattr(store_mod, "code_identity", lambda: "0" * 32)
+
+    def patch_code(identity: str) -> None:
+        monkeypatch.setattr(store_mod, "code_identity", lambda: identity)
+
+    return patch_code
+
+
+_DIGEST_CHILD = """
+import json
+from repro.experiments.scenarios import custom_context, default_att_context
+from repro.perf.store import network_key
+from repro.topology.generators import ring_topology
+
+ring = custom_context(
+    ring_topology(10, chords=5, seed=7), controller_sites=(0, 3, 7), capacity=160,
+)
+print(json.dumps([network_key(default_att_context()).digest, network_key(ring).digest]))
+"""
+
+
+def _child_env(**extra):
+    env = dict(os.environ, **extra)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 # ----------------------------------------------------------------------
-# Canonical fingerprints
+# Scenario keys
 # ----------------------------------------------------------------------
 
 class TestFingerprint:
     def test_deterministic_across_groundings(self, ring_context):
         scenario = FailureScenario(frozenset({3}))
-        a = instance_fingerprint(ring_context.instance(scenario))
-        b = instance_fingerprint(ring_context.instance(scenario))
-        assert a == b
+        rebuilt = ring_with_sites(CONTROLLERS)
+        a = scenario_key(ring_context, scenario)
+        assert a == scenario_key(ring_context, FailureScenario(frozenset({3})))
+        assert a == scenario_key(rebuilt, scenario)
         assert len(a) == 32
+        assert rebuilt._grounding is None  # keys ground nothing
 
     def test_distinguishes_scenarios(self, ring_context, ring_scenarios):
-        fingerprints = {
-            instance_fingerprint(ring_context.instance(s))
-            for s in ring_scenarios
+        keys = {scenario_key(ring_context, s) for s in ring_scenarios}
+        assert len(keys) == len(ring_scenarios)
+
+    def test_network_digest_ignores_the_hash_seed(self, ring_context):
+        digests = {
+            tuple(json.loads(subprocess.run(
+                [sys.executable, "-c", _DIGEST_CHILD],
+                capture_output=True, text=True, check=True, timeout=300,
+                env=_child_env(PYTHONHASHSEED=seed),
+            ).stdout.splitlines()[-1]))
+            for seed in ("1", "4242")
         }
-        assert len(fingerprints) == len(ring_scenarios)
+        assert digests == {(
+            network_key(default_att_context()).digest,
+            network_key(ring_context).digest,
+        )}
 
-    def test_twin_arms_collide(self):
-        context = twin_star_context()
-        a = instance_fingerprint(context.instance(FailureScenario(frozenset({1}))))
-        b = instance_fingerprint(context.instance(FailureScenario(frozenset({4}))))
-        assert a == b
+    def test_network_digest_separates_grounding_inputs(self):
+        contexts = [
+            default_att_context(),
+            default_att_context(capacity=900),
+            default_att_context(counter_strategy="bounded"),
+            default_att_context(flow_weight="delay"),
+            default_att_context(delay_mode="routed"),
+            ring_with_sites((0, 3, 7)),
+            ring_with_sites((1, 4, 8)),
+        ]
+        digests = [network_key(context).digest for context in contexts]
+        assert len(set(digests)) == len(contexts)
 
-    def test_cached_on_the_instance(self, ring_context):
-        instance = ring_context.instance(FailureScenario(frozenset({0})))
-        canon = canonical_instance(instance)
-        assert canonical_instance(instance) is canon
+    def test_network_key_is_cached_and_not_pickled(self, ring_context):
+        import pickle
+
+        key = network_key(ring_context)
+        assert network_key(ring_context) is key
+        assert key.hops == topology_fingerprint(ring_context.topology)
+        clone = pickle.loads(pickle.dumps(ring_context))
+        assert clone._network_key is None
+        assert network_key(clone) == key
 
     def test_solve_key_separates_algorithms_and_params(self):
         fp = "ab" * 16
@@ -121,23 +168,34 @@ class TestFingerprint:
         # Heavy algorithms key on their solve parameters too.
         assert solve_key(fp, "optimal", 300.0) != solve_key(fp, "optimal", 10.0)
 
-    def test_golden_keys(self):
-        """Keys already on disk must keep matching.
+    def test_golden_keys(self, fixed_identity):
+        """The key layout, pinned under a fixed code identity.
 
-        A solve store, a sweep checkpoint and a campaign journal written
-        by an earlier build are found again only if these hashes never
-        move; the values below were written when the compile route was
-        still a sweep parameter (always ``"sparse"``).
+        Real keys also move with every edit to the source (the code
+        identity), so a store, checkpoint or journal written by other
+        code never replays; these values move only when the layout of
+        the network digest, the scenario key, the solve key or the
+        sweep fingerprint changes.
         """
         from repro.resilience.checkpoint import sweep_fingerprint
 
+        context = default_att_context()
+        keys = [
+            scenario_key(context, FailureScenario(frozenset(failed)))
+            for failed in ({13}, {13, 20})
+        ]
+        assert network_key(context).digest == "b742016e4551fbb0c3d98d65c2806994"
+        assert keys == [
+            "1495f9b5bb50059304817e3de54e416f",
+            "f0643c7cd5a2df4fd40957f33aeb75c6",
+        ]
         assert (
-            solve_key("ab" * 16, "optimal", 300.0)
-            == "abababababababababababababababab:optimal:38c090b6e474"
+            solve_key(keys[1], "optimal", 300.0)
+            == f"{keys[1]}:optimal:a970559125d5"
         )
         assert (
-            sweep_fingerprint(["(3,)", "(7,)"], ("optimal", "pm"), 300.0)
-            == "876fb37f96365e3d"
+            sweep_fingerprint(keys, ("optimal", "pm"), 300.0)
+            == "caf9f6a047ac2592"
         )
 
     def test_topology_fingerprint_stable(self, ring_context):
@@ -146,35 +204,83 @@ class TestFingerprint:
         )
 
 
+class TestCodeIdentity:
+    def test_identity_is_stable_within_a_process(self):
+        identity = store_mod.code_identity()
+        assert len(identity) == 32
+        assert store_mod.code_identity() == identity
+
+    def test_patched_code_misses_the_store_and_refuses_the_journal(
+        self, fixed_identity, tmp_path, ring_context, ring_scenarios
+    ):
+        """A patched PM tie-break changes the code identity: the store
+        written before must miss and the campaign journal must refuse
+        to replay."""
+        from repro.exceptions import CheckpointError
+        from repro.perf.executor import SweepExecutor, run_campaign
+
+        sweeps = [ring_scenarios[:2], ring_scenarios[2:]]
+
+        def campaign():
+            with SweepExecutor(max_workers=1) as executor:
+                return dict(run_campaign(
+                    ring_context, sweeps, ("pm",), executor=executor,
+                    max_workers=1, store=SolveStore(tmp_path / "store"),
+                    checkpoint_dir=tmp_path / "journal",
+                ))
+
+        campaign()
+        replay = parallel_sweep(
+            ring_context, ring_scenarios, ("pm",), store=SolveStore(tmp_path / "store"),
+        )
+        assert store_summary(replay)["misses"] == 0
+        fixed_identity("1" * 32)
+        patched = parallel_sweep(
+            ring_context, ring_scenarios, ("pm",), store=SolveStore(tmp_path / "store"),
+        )
+        assert store_summary(patched)["hits"] == 0
+        assert store_summary(patched)["misses"] == len(ring_scenarios)
+        with pytest.raises(CheckpointError, match="different campaign"):
+            campaign()
+
+
 # ----------------------------------------------------------------------
-# Canonical solution round-trip
+# Record codec round-trip (flows as positions in the context's flow order)
 # ----------------------------------------------------------------------
 
 class TestCanonicalRoundTrip:
-    def _assert_round_trip(self, instance, solution):
-        canon = canonical_instance(instance)
-        payload = canonical_solution(solution, canon)
-        json.dumps(payload)  # must be JSON-safe
-        restored = solution_from_canonical(payload, canon)
-        assert restored.algorithm == solution.algorithm
-        assert restored.mapping == solution.mapping
-        assert restored.sdn_pairs == solution.sdn_pairs
-        assert restored.pair_controller == solution.pair_controller
-        assert restored.load_override == solution.load_override
-        assert restored.extra_overhead_ms == solution.extra_overhead_ms
-        assert restored.feasible == solution.feasible
-        assert restored.meta == solution.meta
+    """A record decodes to exactly the solution and evaluation encoded."""
+
+    def _assert_round_trip(self, context, instance, solution):
+        evaluation = evaluate_solution(instance, solution)
+        record = json.loads(json.dumps(encode_result(context, solution, evaluation)))
+        restored, restored_eval = decode_result(context, record)
+        assert restored == solution
+        assert restored_eval == evaluation
+        assert restored_eval._recoverable_set == evaluation._recoverable_set
+        again, _ = decode_result(context, record)
+        assert again is not restored and again.sdn_pairs is not restored.sdn_pairs
 
     @pytest.mark.parametrize("algorithm", FAST_ALGORITHMS)
-    def test_heuristics_round_trip(self, small_instance, algorithm):
-        solution = get_algorithm(algorithm)(small_instance)
-        self._assert_round_trip(small_instance, solution)
+    def test_heuristics_round_trip(self, att_context, algorithm):
+        for failed in ({13, 20}, {5, 13, 20}):
+            instance = att_context.instance(FailureScenario(frozenset(failed)))
+            solution = get_algorithm(algorithm)(instance)
+            self._assert_round_trip(att_context, instance, solution)
 
-    def test_optimal_round_trips(self, small_instance):
+    def test_optimal_round_trips(self, small_context, small_instance):
         from repro.fmssm.optimal import solve_optimal
 
         solution = solve_optimal(small_instance, time_limit_s=30.0)
-        self._assert_round_trip(small_instance, solution)
+        self._assert_round_trip(small_context, small_instance, solution)
+
+    def test_infeasible_round_trips(self, att_context):
+        instance = att_context.instance(FailureScenario(frozenset({5, 13, 20})))
+        solution = RecoverySolution(
+            algorithm="optimal", feasible=False, solve_time_s=0.25,
+            meta={"status": "infeasible"},
+        )
+        self._assert_round_trip(att_context, instance, solution)
 
     @settings(
         max_examples=8, deadline=None,
@@ -182,12 +288,34 @@ class TestCanonicalRoundTrip:
     )
     @given(
         failed=st.sets(st.sampled_from(CONTROLLERS), min_size=1, max_size=2),
-        algorithm=st.sampled_from(FAST_ALGORITHMS),
+        algorithm=st.sampled_from(FAST_ALGORITHMS + ("optimal",)),
     )
     def test_property_round_trip(self, ring_context, failed, algorithm):
+        from repro.fmssm.optimal import solve_optimal
+
         instance = ring_context.instance(FailureScenario(frozenset(failed)))
-        solution = get_algorithm(algorithm)(instance)
-        self._assert_round_trip(instance, solution)
+        solution = (
+            solve_optimal(instance, time_limit_s=30.0)
+            if algorithm == "optimal"
+            else get_algorithm(algorithm)(instance)
+        )
+        self._assert_round_trip(ring_context, instance, solution)
+
+    def test_wan_record_stays_compact(self):
+        """A WAN PM record is a few kilobytes, not the ~100 KB a plain
+        JSON listing of its flow-indexed fields would cost."""
+        from test_grounding_index import wan72_context
+
+        context = wan72_context()
+        sites = context.plane.controller_ids
+        instance = context.instance(FailureScenario(frozenset(sites[:2])))
+        solution = get_algorithm("pm")(instance)
+        evaluation = evaluate_solution(instance, solution)
+        line = SolveStore._encode_line(
+            "k" * 32, encode_result(context, solution, evaluation)
+        )
+        assert len(solution.sdn_pairs) > 1000
+        assert len(line) < 10_000
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +360,7 @@ class TestRecordStore:
     def test_corrupt_record_skipped(self, tmp_path):
         store = SolveStore(tmp_path, shards=1)
         store.put("good", {"x": 1})
-        with open(store._shard_path(0), "ab") as fh:
+        with open(store._shard_paths[0], "ab") as fh:
             fh.write(b'{"v":1,"key":"bad","sha":"0000000000000000","payload":{}}\n')
             fh.write(b"not json at all\n")
         fresh = SolveStore(tmp_path, shards=1)
@@ -243,7 +371,7 @@ class TestRecordStore:
     def test_torn_write_recovered(self, tmp_path):
         store = SolveStore(tmp_path, shards=1)
         store.put("first", {"x": 1})
-        with open(store._shard_path(0), "ab") as fh:
+        with open(store._shard_paths[0], "ab") as fh:
             fh.write(b'{"v":1,"key":"torn","sha":"dead')  # crashed writer
         fresh = SolveStore(tmp_path, shards=1)
         assert fresh.get("first") == {"x": 1}
@@ -341,7 +469,7 @@ class TestSweepIntegration:
             stamp = result.meta["store"]
             assert sorted(stamp["hits"]) == sorted(FAST_ALGORITHMS)
             assert stamp["misses"] == []
-            assert len(stamp["fingerprint"]) == 32
+            assert len(stamp["key"]) == 32
 
     def test_store_provenance_on_cold_run(
         self, tmp_path, ring_context, ring_scenarios
@@ -399,22 +527,24 @@ class TestSweepIntegration:
         assert summary["hits"] == len(ring_scenarios) * len(FAST_ALGORITHMS)
         assert summary["misses"] == 0
 
-    def test_symmetric_scenarios_dedupe_to_one_solve(self, tmp_path):
-        context = twin_star_context()
-        scenarios = tuple(
-            FailureScenario(frozenset({c})) for c in (0, 1, 4)
-        )
-        serial = parallel_sweep(context, scenarios, FAST_ALGORITHMS, max_workers=1)
-        deduped = parallel_sweep(
-            context, scenarios, FAST_ALGORITHMS,
+    def test_all_hit_replay_never_grounds(
+        self, tmp_path, ring_context, ring_scenarios, ring_serial, monkeypatch
+    ):
+        parallel_sweep(
+            ring_context, ring_scenarios, FAST_ALGORITHMS,
             max_workers=1, store=SolveStore(tmp_path),
         )
-        assert_sweeps_identical(serial, deduped)
-        summary = store_summary(deduped)
-        assert summary["dedup"] == 1
-        stamps = {r.name: r.meta["store"] for r in deduped}
-        assert stamps["(4)"]["dedup_of"] == "(1)"
-        assert "dedup_of" not in stamps["(1)"]
+
+        def refuse(self, scenario):
+            raise AssertionError(f"a store hit grounded {scenario.name}")
+
+        monkeypatch.setattr(ExperimentContext, "instance", refuse)
+        warm = parallel_sweep(
+            ring_context, ring_scenarios, FAST_ALGORITHMS,
+            max_workers=1, store=SolveStore(tmp_path),
+        )
+        assert_sweeps_identical(ring_serial, warm)
+        assert store_summary(warm)["misses"] == 0
 
     def test_chaos_bypasses_the_store(
         self, tmp_path, ring_context, ring_scenarios
@@ -513,9 +643,7 @@ print(json.dumps({
 
 
 def _spawn_child(root):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = _child_env()
     return subprocess.Popen(
         [sys.executable, "-c", _CHILD_SWEEP, str(root)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
@@ -557,9 +685,7 @@ for n in range(60):
 store.put_many([(f"batch-{n}", {"n": n}) for n in range(60)])
 print(store.stats["writes"])
 """
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env = _child_env()
         children = [
             subprocess.Popen(
                 [sys.executable, "-c", script, str(tmp_path)],
@@ -578,92 +704,3 @@ print(store.stats["writes"])
         assert sorted(keys) == sorted(
             [f"key-{n}" for n in range(60)] + [f"batch-{n}" for n in range(60)]
         )
-
-
-# ----------------------------------------------------------------------
-# Decoded-object cache: LRU bound, stats, sweep visibility
-# ----------------------------------------------------------------------
-
-class TestDecodedCache:
-    def _record(self, instance, canon):
-        solution = get_algorithm("pm")(instance)
-        return {"solution": canonical_solution(solution, canon)}
-
-    def test_lru_evicts_past_cap_and_counts(self):
-        from conftest import make_tiny_instance
-        from repro.perf.store import (
-            decode_record,
-            decoded_cache_stats,
-            set_decoded_cache_cap,
-        )
-
-        # A fresh instance: its canonical form starts with an empty
-        # decoded cache, so the counter deltas are exact.
-        instance = make_tiny_instance()
-        canon = canonical_instance(instance)
-        record = self._record(instance, canon)
-        old_cap = set_decoded_cache_cap(2)
-        before = decoded_cache_stats()
-        try:
-            for sha in ("a", "b", "c"):  # third insert evicts "a"
-                decode_record(record, canon, instance, "pm", sha=sha)
-            decode_record(record, canon, instance, "pm", sha="b")  # hit
-            decode_record(record, canon, instance, "pm", sha="a")  # miss
-        finally:
-            set_decoded_cache_cap(old_cap)
-        delta = {
-            k: decoded_cache_stats()[k] - before[k] for k in before
-        }
-        assert delta == {"hits": 1, "misses": 4, "evictions": 2}
-
-    def test_cap_clamps_to_one(self):
-        from repro.perf.store import DECODED_CACHE_CAP, set_decoded_cache_cap
-
-        old_cap = set_decoded_cache_cap(0)
-        try:
-            from repro.perf import store as store_mod
-
-            assert store_mod.DECODED_CACHE_CAP == 1
-        finally:
-            set_decoded_cache_cap(old_cap)
-
-    def test_hits_return_independent_clones(self):
-        from conftest import make_tiny_instance
-        from repro.perf.store import decode_record
-
-        instance = make_tiny_instance()
-        canon = canonical_instance(instance)
-        record = self._record(instance, canon)
-        first, _ = decode_record(record, canon, instance, "pm", sha="x")
-        second, _ = decode_record(record, canon, instance, "pm", sha="x")
-        assert first is not second
-        assert first.mapping is not second.mapping
-        first.mapping[999] = 999
-        assert 999 not in second.mapping
-
-    def test_sweep_surfaces_decoded_counters(
-        self, tmp_path, ring_context, ring_scenarios
-    ):
-        """A hot replay stamps the per-sweep decoded-cache delta (with a
-        cap of 1, forced evictions) on every scenario and in the
-        sweep-level summary."""
-        from repro.perf.store import set_decoded_cache_cap
-
-        parallel_sweep(
-            ring_context, ring_scenarios, FAST_ALGORITHMS,
-            max_workers=1, store=SolveStore(tmp_path),
-        )
-        old_cap = set_decoded_cache_cap(1)
-        try:
-            warm = parallel_sweep(
-                ring_context, ring_scenarios, FAST_ALGORITHMS,
-                max_workers=1, store=SolveStore(tmp_path),
-            )
-        finally:
-            set_decoded_cache_cap(old_cap)
-        summary = store_summary(warm)
-        decoded = summary["decoded"]
-        assert decoded["evictions"] > 0
-        assert decoded["misses"] > 0
-        for result in warm:
-            assert result.meta["store"]["decoded"] == decoded

@@ -15,7 +15,7 @@ import pytest
 
 from repro.control.failures import FailureScenario
 from repro.exceptions import ChaosError, CheckpointError
-from repro.experiments.scenarios import custom_context
+from repro.experiments.scenarios import custom_context, default_att_context
 from repro.perf.sweep import parallel_sweep
 from repro.resilience import chaos
 from repro.resilience.checkpoint import (
@@ -83,14 +83,14 @@ class TestFingerprint:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"scenario_names": ["(3,)"]},
+            {"scenario_keys": ["(3,)"]},
             {"algorithms": ("pm",)},
             {"optimal_time_limit_s": 10.0},
         ],
     )
     def test_sensitive_to_identity(self, kwargs):
         base = dict(
-            scenario_names=["(3,)", "(7,)"],
+            scenario_keys=["(3,)", "(7,)"],
             algorithms=("optimal", "pm"),
             optimal_time_limit_s=300.0,
         )
@@ -190,6 +190,31 @@ class TestResume:
             parallel_sweep(
                 sweep_context, sweep_scenarios, ("pm", "retroflow"),
                 max_workers=1, checkpoint_path=path,
+            )
+
+    @pytest.mark.parametrize("capacity", [900, 420])
+    def test_resume_on_a_different_network_raises(self, capacity, tmp_path):
+        """A checkpoint written for one network never resumes on another.
+
+        The same scenario names over a re-provisioned ATT once restored
+        the first network's PM plans (at capacity 900: plans that differ
+        from a fresh solve; at 420: a crash in the evaluator, since the
+        restored loads exceed the new spare capacity)."""
+        scenarios = tuple(FailureScenario(frozenset({c})) for c in (2, 5, 6))
+        path = tmp_path / "att-checkpoint.json"
+        with chaos.inject(
+            chaos.Fault("sweep.checkpoint", "raise-error", at_call=1)
+        ):
+            with pytest.raises(ChaosError):
+                parallel_sweep(
+                    default_att_context(), scenarios, ("pm",),
+                    max_workers=1, checkpoint_path=path, checkpoint_every=1,
+                )
+        assert json.loads(path.read_text(encoding="utf-8"))["n_completed"] == 1
+        with pytest.raises(CheckpointError, match="different sweep"):
+            parallel_sweep(
+                default_att_context(capacity=capacity), scenarios, ("pm",),
+                max_workers=1, checkpoint_path=path, checkpoint_every=1,
             )
 
     def test_fully_checkpointed_sweep_returns_without_solving(
