@@ -41,10 +41,9 @@ class PairArrays(NamedTuple):
     """Dense numpy views over an instance's programmable pairs.
 
     Built lazily by :meth:`FMSSMInstance.pair_arrays` and cached — the
-    instance is immutable, so the arrays never change.  Consumers (the
-    array kernels' :func:`~repro.perf.kernels.instance_arrays` build,
-    the incremental repair kernel) scan these instead of doing per-pair
-    dict lookups.
+    instance is immutable, so the arrays never change.  The array
+    kernels' :func:`~repro.perf.kernels.instance_arrays` build scans
+    these instead of doing per-pair dict lookups.
     """
 
     #: Index into ``instance.switches`` of each pair, aligned with ``pairs``.

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
 
 from repro.exceptions import DegradedResultWarning, RungTimeoutError, SolverError
 from repro.fmssm.formulation import FMSSMVariables, build_fmssm_model
@@ -46,50 +45,12 @@ from repro.lp.highs import solve_form_relaxation, solve_form_with_highs
 from repro.pm.algorithm import solve_pm
 from repro.resilience import chaos
 
-__all__ = ["solve_optimal", "extract_solution", "WarmChain"]
+__all__ = ["solve_optimal", "extract_solution"]
 
 _BINARY_THRESHOLD = 0.5
 #: LP objective values below this are indistinguishable from solver noise,
 #: so certificates tighter than it are not trusted.
 _LP_NOISE_FLOOR = 1e-7
-
-
-@dataclass
-class WarmChain:
-    """Cross-scenario warm-start state for incremental sweeps.
-
-    One :class:`WarmChain` is threaded through the ``optimal`` solves of
-    consecutive scenarios in a minimum-Hamming-distance chain
-    (:mod:`repro.perf.incremental`).  It carries the previous scenario's
-    solution (repaired into the next instance and used as an extra seed)
-    and the previous LP-relaxation basis (forwarded to
-    :func:`repro.lp.highs.solve_form_relaxation`, a no-op on backends
-    without a basis API).
-
-    Neither ingredient can change a non-degraded answer on the default
-    HiGHS route — scipy's MILP takes no warm start, the PM-seeded
-    certificates compare the PM point only, and the basis hint at most
-    changes which vertex path the LP walks, not its optimal value — so
-    chained results stay bit-identical to independent solves.  The seeds
-    *do* feed the B&B incumbent (``solver="bnb"``) and the no-incumbent
-    timeout fallback, where a better feasible point is strictly better.
-    """
-
-    #: Last feasible solution produced along the chain.
-    neighbor: RecoverySolution | None = None
-    #: Opaque LP-relaxation basis from the previous scenario, if any.
-    basis: object | None = None
-    #: Bookkeeping counters (chain seeds embedded, certificates, ...).
-    stats: dict[str, int] = field(default_factory=dict)
-
-    def advance(self, solution: RecoverySolution | None) -> None:
-        """Record ``solution`` as the next scenario's neighbor seed."""
-        if solution is not None and solution.feasible:
-            self.neighbor = solution
-
-    def bump(self, key: str) -> None:
-        """Increment the ``key`` bookkeeping counter in :attr:`stats`."""
-        self.stats[key] = self.stats.get(key, 0) + 1
 
 
 def extract_solution(
@@ -232,7 +193,6 @@ def _solve_optimal_sparse(
     warm_start: str | None,
     compiler: object,
     raise_on_timeout: bool,
-    warm_chain: WarmChain | None = None,
 ) -> RecoverySolution:
     # Imported lazily: repro.perf pulls in the sweep machinery, which
     # imports this module back.
@@ -251,22 +211,6 @@ def _solve_optimal_sparse(
         pm = solve_pm(instance, enforce_delay=enforce_delay)
         seed_x = compiled.embed_solution(pm)
 
-    # Extra seed from the chain neighbor (incremental sweeps).  Only the
-    # B&B incumbent and the timeout fallback consume it — it never feeds
-    # the certificates, so default-route answers stay bit-identical to
-    # independent solves.
-    chain_x = None
-    if warm_chain is not None and warm_chain.neighbor is not None:
-        from repro.perf.incremental import repair_solution
-
-        repaired = repair_solution(
-            instance, warm_chain.neighbor, enforce_delay=enforce_delay
-        )
-        if repaired is not None:
-            chain_x = compiled.embed_solution(repaired)
-            if chain_x is not None:
-                warm_chain.bump("chain_seeds")
-
     certificate = False
     result: SolveResult | None = None
     if seed_x is not None:
@@ -277,8 +221,6 @@ def _solve_optimal_sparse(
             # certificate would fire too — skip the LP solve entirely
             # and return the same PM point it would return.
             certificate = True
-            if warm_chain is not None:
-                warm_chain.bump("precertificates")
             result = SolveResult(
                 status=SolveStatus.OPTIMAL,
                 objective=seed_obj,
@@ -288,12 +230,7 @@ def _solve_optimal_sparse(
                 gap=0.0,
             )
         else:
-            relaxation = solve_form_relaxation(
-                compiled.form,
-                basis=None if warm_chain is None else warm_chain.basis,
-            )
-            if warm_chain is not None:
-                warm_chain.basis = relaxation.basis
+            relaxation = solve_form_relaxation(compiled.form)
             if relaxation.status is SolveStatus.INFEASIBLE:
                 # The LP relaxing integrality is already infeasible, so the
                 # MILP is too (cannot happen with a validated seed except
@@ -321,37 +258,29 @@ def _solve_optimal_sparse(
                 )
 
     if result is None:
-        best_seed = seed_x
-        if chain_x is not None and (
-            best_seed is None
-            or compiled.objective_value(chain_x)
-            > compiled.objective_value(best_seed)
-        ):
-            best_seed = chain_x
         if solver == "bnb":
             result = solve_form_with_bnb(
-                compiled.form, time_limit_s=time_limit_s, warm_start=best_seed
+                compiled.form, time_limit_s=time_limit_s, warm_start=seed_x
             )
         else:
             result = solve_form_with_highs(compiled.form, time_limit_s=time_limit_s)
-            if not result.is_feasible and best_seed is not None and (
+            if not result.is_feasible and seed_x is not None and (
                 result.status is SolveStatus.TIMEOUT
             ):
                 # Feasibility fallback: HiGHS ran out of time with no
-                # incumbent, but the warm-start seed is a proven
-                # feasible point.
+                # incumbent, but the PM seed is a proven feasible point.
                 warnings.warn(
                     DegradedResultWarning(
                         f"optimal (sparse route) timed out after "
                         f"{result.wall_time_s:.1f}s with no incumbent; falling "
-                        f"back to the warm-start point"
+                        f"back to the PM point"
                     ),
                     stacklevel=3,
                 )
                 result = SolveResult(
                     status=SolveStatus.FEASIBLE,
-                    objective=compiled.objective_value(best_seed),
-                    x=best_seed,
+                    objective=compiled.objective_value(seed_x),
+                    x=seed_x,
                     solver="pm-fallback",
                     wall_time_s=result.wall_time_s,
                 )
@@ -426,7 +355,6 @@ def solve_optimal(
     compiler: object = None,
     raise_on_timeout: bool = False,
     validate: bool = True,
-    warm_chain: WarmChain | None = None,
     lp_batch: int | None = None,
 ) -> RecoverySolution:
     """Solve P′ to optimality and return the recovery solution.
@@ -461,11 +389,6 @@ def solve_optimal(
         (:mod:`repro.resilience.validate`) on every feasible answer;
         a violated constraint raises
         :class:`~repro.exceptions.ValidationError`.
-    warm_chain:
-        Optional :class:`WarmChain` threading cross-scenario warm-start
-        state through an incremental sweep (sparse route only; ignored
-        by the model route).  Never changes non-degraded answers — see
-        the :class:`WarmChain` docstring.
     lp_batch:
         Any value >= 1 routes the solve through
         :func:`repro.perf.batch.solve_optimal_batch` (as a batch of
@@ -494,7 +417,6 @@ def solve_optimal(
             compiler=compiler,
             raise_on_timeout=raise_on_timeout,
             validate=validate,
-            warm_chain=warm_chain,
         )[0]
     if compile == "sparse":
         solution = _solve_optimal_sparse(
@@ -506,12 +428,9 @@ def solve_optimal(
             warm_start=warm_start,
             compiler=compiler,
             raise_on_timeout=raise_on_timeout,
-            warm_chain=warm_chain,
         )
         if validate:
             _validated(instance, solution, enforce_delay, require_full_recovery)
-        if warm_chain is not None:
-            warm_chain.advance(solution)
         return solution
     if compile != "model":
         raise ValueError(f"unknown compile route {compile!r}")

@@ -120,7 +120,6 @@ def solve_form_with_highs(
 
 def solve_form_relaxation(
     form: StandardForm,
-    basis: object | None = None,
     method: str = "highs",
     options: dict | None = None,
 ) -> SolveResult:
@@ -130,22 +129,12 @@ def solve_form_relaxation(
     solution can beat it.  An infeasible relaxation proves the MILP
     infeasible.  Used by the PM-seeded optimality certificate.
 
-    ``basis`` is an opaque warm-start hint from a previous (structurally
-    similar) relaxation, as carried by
-    :class:`repro.fmssm.optimal.WarmChain`.  scipy's ``linprog`` exposes
-    no basis API, so the default backend ignores the hint and returns
-    ``basis=None`` — results are identical with or without it, which the
-    incremental sweep's bit-identity guarantee relies on.  A backend
-    that does crossover from a basis (e.g. ``highspy``, when installed)
-    may plug in here; it must still return the same optimal objective.
-
     ``method``/``options`` pass straight through to ``linprog``; the
     batched block-diagonal path selects the dual simplex with presolve
     off (``method="highs-ds"``), which wins on its small reduced blocks
     while the default stays optimal for full-size single solves.
     """
     chaos.check("highs.relax")
-    del basis  # no basis API in scipy's linprog; accepted for interface parity
     start = time.perf_counter()
     raw = optimize.linprog(
         c=form.c,

@@ -54,11 +54,6 @@ class SolveResult:
         Branch-and-bound nodes processed when known.
     message:
         Free-form backend diagnostics.
-    basis:
-        Opaque LP basis of the optimal vertex when the backend exposes
-        one (``None`` under scipy's ``linprog``, which has no basis
-        API).  Incremental sweeps forward it to the next scenario's
-        relaxation as a warm-start hint.
     """
 
     status: SolveStatus
@@ -70,7 +65,6 @@ class SolveResult:
     gap: float | None = None
     nodes: int | None = None
     message: str = ""
-    basis: object | None = None
 
     @property
     def is_feasible(self) -> bool:

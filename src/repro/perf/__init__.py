@@ -24,10 +24,6 @@ that cheap:
     Zero-copy shared-memory fan-out: the context's numpy buffers are
     parked in one segment every pool worker aliases read-only.
 
-:mod:`repro.perf.incremental`
-    Cross-scenario delta chaining: minimum-Hamming-distance scenario
-    ordering and neighbor-solution repair for warm-started exact solves.
-
 :mod:`repro.perf.kernels`
     NumPy-vectorized kernels for the four non-exact algorithms (PM, PG,
     RetroFlow, Nearest) over the :class:`~repro.perf.kernels.
@@ -65,7 +61,6 @@ from repro.perf.compile import (
     compile_fmssm,
     default_compiler,
 )
-from repro.perf.incremental import chain_segments, hamming_chain, repair_solution
 from repro.perf.kernels import (
     InstanceArrays,
     instance_arrays,
@@ -126,9 +121,6 @@ __all__ = [
     "FMSSMCompiler",
     "compile_fmssm",
     "default_compiler",
-    "hamming_chain",
-    "chain_segments",
-    "repair_solution",
     "SharedPayload",
     "SegmentLease",
     "FanoutStats",

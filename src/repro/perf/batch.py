@@ -59,7 +59,6 @@ from scipy import sparse
 
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.optimal import (
-    WarmChain,
     _canonical_objective,
     _certificate_tolerance,
     _combinatorial_bound,
@@ -179,7 +178,6 @@ def _accept(
     member: _Member,
     solver: str,
     elapsed: float,
-    warm_chain: WarmChain | None,
 ) -> RecoverySolution:
     """Finalize a certificate-accepted member with the PM seed.
 
@@ -205,8 +203,6 @@ def _accept(
     )
     solution.meta["objective"] = _canonical_objective(member.instance, solution)
     solution.meta["batch"] = dict(member.batch_meta)
-    if warm_chain is not None and member.route == "precert":
-        warm_chain.bump("precertificates")
     return solution
 
 
@@ -219,7 +215,6 @@ def solve_optimal_batch(
     compiler: object = None,
     raise_on_timeout: bool = False,
     validate: bool = True,
-    warm_chain: WarmChain | None = None,
 ) -> list[RecoverySolution]:
     """Solve the ``optimal`` route for every instance, batching the LPs.
 
@@ -233,9 +228,7 @@ def solve_optimal_batch(
          "route": "stack" | "precert" | "fallback",
          "certificate": bool, ...}
 
-    Parameters mirror :func:`solve_optimal`; ``warm_chain`` is advanced
-    in member order (accepted members feed the chain exactly like the
-    serial route, fallback members consume it for B&B incumbents).
+    Parameters mirror :func:`solve_optimal`.
     """
     members = [_Member(index=i, instance=inst) for i, inst in enumerate(instances)]
     stacked: list[_Member] = []
@@ -287,13 +280,8 @@ def solve_optimal_batch(
             stacked_form = _stack_forms(stacked)
             method, options = _stack_lp_settings(stacked_form, len(stacked))
             relaxation = solve_form_relaxation(
-                stacked_form,
-                basis=None if warm_chain is None else warm_chain.basis,
-                method=method,
-                options=options,
+                stacked_form, method=method, options=options
             )
-            if warm_chain is not None:
-                warm_chain.basis = relaxation.basis
             batch_solver = relaxation.solver
             if relaxation.status is SolveStatus.OPTIMAL and relaxation.x is not None:
                 x = chaos.transform("batch.solve", np.asarray(relaxation.x))
@@ -339,8 +327,7 @@ def solve_optimal_batch(
                 member.fallback_reason = "certificate-miss"
 
     # ------------------------------------------------------------------
-    # Finalize in member order so the warm chain advances exactly like
-    # the serial scenario-at-a-time route.
+    # Finalize in member order.
     # ------------------------------------------------------------------
     for member in members:
         if member.route == "precert":
@@ -349,11 +336,9 @@ def solve_optimal_batch(
                 "route": "precert",
                 "certificate": True,
             }
-            solution = _accept(member, "precert", member.prep_s, warm_chain)
+            solution = _accept(member, "precert", member.prep_s)
         elif member.route == "stack":
-            solution = _accept(
-                member, batch_solver, member.prep_s + solve_share, warm_chain
-            )
+            solution = _accept(member, batch_solver, member.prep_s + solve_share)
         else:
             solution = solve_optimal(
                 member.instance,
@@ -366,7 +351,6 @@ def solve_optimal_batch(
                 compiler=compiler,
                 raise_on_timeout=raise_on_timeout,
                 validate=validate,
-                warm_chain=warm_chain,
             )
             solution.meta["batch"] = {
                 **member.batch_meta,
@@ -378,8 +362,6 @@ def solve_optimal_batch(
             continue
         if validate:
             _validated(member.instance, solution, enforce_delay, require_full_recovery)
-        if warm_chain is not None:
-            warm_chain.advance(solution)
         member.solution = solution
 
     return [member.solution for member in members]

@@ -47,9 +47,7 @@ Lifecycle
     executor (:func:`get_default_executor`) is closed by ``atexit``.
 
 :func:`run_campaign` runs many sweeps over one context on a warm
-executor, greedily ordering them by failure-set similarity so
-consecutive sweeps maximize incremental (:class:`~repro.fmssm.optimal.
-WarmChain`) and cache reuse, and streams each sweep's results as it
+executor, in the caller's order, and streams each sweep's results as it
 completes.  ``checkpoint_dir=`` adds a crash-only write-ahead journal
 (:class:`~repro.resilience.checkpoint.CampaignJournal`) for bit-exact
 resume after a hard kill, and ``supervisor=`` threads a
@@ -529,11 +527,11 @@ def _warm_plan(header: WarmHeader):
 
 
 def _warm_run_chunk(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
-    """Worker body: ``tasks`` one at a time, under one header decode."""
-    from repro.perf.sweep import _task_rows
+    """Worker body: ``tasks`` scenario by scenario, under one header decode."""
+    from repro.perf.sweep import _scenario_rows
 
     plan, build_s = _warm_plan(header)
-    rows = [_task_rows(plan, task) for task in tasks]
+    rows = list(_scenario_rows(plan, tasks))
     stats = worker_cache_stats(build_s)
     return [row + (stats,) for row in rows]
 
@@ -549,16 +547,6 @@ def _warm_run_batch(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
 
     plan, build_s = _warm_plan(header)
     rows = _batched_rows(plan, tasks)
-    stats = worker_cache_stats(build_s)
-    return [row + (stats,) for row in rows]
-
-
-def _warm_run_chain(header: WarmHeader, segment):
-    """Worker body: one incremental-chain segment (one ``WarmChain``)."""
-    from repro.perf.sweep import _chain_rows
-
-    plan, build_s = _warm_plan(header)
-    rows = list(_chain_rows(plan, segment))
     stats = worker_cache_stats(build_s)
     return [row + (stats,) for row in rows]
 
@@ -605,22 +593,16 @@ def run_campaign(
     algorithms: Sequence[str],
     *,
     executor: SweepExecutor | None = None,
-    incremental: bool = True,
-    reorder: bool = True,
     checkpoint_dir: object = None,
     supervisor: object = None,
     **sweep_kwargs: object,
 ) -> Iterator[tuple[int, list]]:
     """Run several sweeps over one context, streaming results.
 
-    Yields ``(sweep_index, results)`` pairs as each sweep completes,
-    where ``sweep_index`` is the sweep's position in the caller's
-    ``sweeps`` sequence.  Execution order is chosen greedily by
-    failure-set similarity (minimum symmetric difference between
-    consecutive sweeps' failed-controller unions) so the warm workers'
-    caches, compiled shapes and per-segment ``WarmChain`` seeds carry
-    maximal overlap from one sweep into the next; ``reorder=False``
-    keeps caller order.  Each individual sweep's results are
+    Yields ``(sweep_index, results)`` pairs in the caller's order,
+    where ``sweep_index`` is the sweep's position in ``sweeps``.  The
+    sweeps share the executor's warm workers, with their decoded
+    context and caches.  Each individual sweep's results are
     bit-identical to a standalone ``parallel_sweep`` over the same
     scenarios.
 
@@ -647,7 +629,6 @@ def run_campaign(
     to the executor) memoizes every sweep of the campaign; the store's
     size-bounded GC runs once when the campaign completes.
     """
-    from repro.perf.incremental import hamming_chain
     from repro.perf.sweep import parallel_sweep
     from repro.resilience.checkpoint import result_from_json, result_to_json
 
@@ -682,17 +663,7 @@ def run_campaign(
         )
         restored = journal.load()
 
-    if reorder:
-        signatures = [
-            frozenset().union(*(frozenset(s.failed) for s in sweep))
-            if sweep
-            else frozenset()
-            for sweep in sweeps
-        ]
-        order = hamming_chain(signatures)
-    else:
-        order = list(range(len(sweeps)))
-    for index in order:
+    for index in range(len(sweeps)):
         if journal is not None:
             entry = restored.get(index)
             if entry is not None and entry.get("fingerprint") == fingerprints[index]:
@@ -718,7 +689,6 @@ def run_campaign(
             sweeps[index],
             algorithms,
             executor=executor,
-            incremental=incremental,
             supervisor=supervisor,
             **kwargs,
         )

@@ -43,13 +43,12 @@ workers rebuild the context from read-only views aliasing the segment.
 ``"auto"`` (default) picks shm when the platform and context support
 it and silently degrades otherwise.
 
-Incremental chaining (``incremental=True``): scenarios are ordered into
-a minimum-Hamming-distance chain (:mod:`repro.perf.incremental`) and
-each worker walks one contiguous segment, threading a
-:class:`~repro.fmssm.optimal.WarmChain` through its ``optimal`` solves —
-the previous scenario's solution is repaired into the next instance and
-seeds the solver.  Results stay bit-identical to independent solves (see
-the ``WarmChain`` docstring for why).
+Every scenario is solved on its own, exactly as the paper solves
+FMSSM once per failure combination: one producer,
+:func:`_scenario_rows`, grounds and prepares each scenario once, runs
+its algorithms and evaluates their solutions in one batch — the serial
+path and every pool worker run it, so no answer depends on which
+scenario ran before it or on how many workers ran the sweep.
 
 Fault-injection sites (``sweep.task``, ``sweep.payload``,
 ``sweep.checkpoint``) are threaded through the hot paths; see
@@ -71,15 +70,10 @@ from dataclasses import dataclass, field
 from repro.baselines import get_algorithm
 from repro.control.failures import FailureScenario
 from repro.exceptions import DegradedResultWarning
-from repro.fmssm.evaluation import (
-    RecoveryEvaluation,
-    evaluate_batch,
-    evaluate_solution,
-)
+from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_batch
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.optimal import WarmChain, solve_optimal
+from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
-from repro.perf.incremental import chain_segments, hamming_chain
 from repro.perf.kernels import prepare_instance
 from repro.perf.shm import FanoutStats, shm_available
 from repro.resilience import chaos
@@ -170,26 +164,17 @@ def _solve(
     time_limit_s: float,
     ladder: LadderPolicy | None = None,
     validate: bool = False,
-    warm_chain: WarmChain | None = None,
 ) -> tuple[RecoverySolution, DegradationReport | None]:
     """Run one algorithm on one instance (same routing as the serial path).
 
     With a ladder, ``optimal`` solves walk the rung chain and return
     their degradation trail; heuristics optionally pass through the
-    independent validator.  ``warm_chain`` threads incremental-sweep
-    warm-start state through plain ``optimal`` solves (ladder runs stay
-    chainless — rung demotions would poison the chain with partial
-    answers).
+    independent validator.
     """
     if algorithm == "optimal":
         if ladder is not None:
             return solve_with_ladder(instance, ladder)
-        return (
-            solve_optimal(
-                instance, time_limit_s=time_limit_s, warm_chain=warm_chain
-            ),
-            None,
-        )
+        return solve_optimal(instance, time_limit_s=time_limit_s), None
     solution = get_algorithm(algorithm)(instance)
     if validate:
         from repro.resilience.validate import check_solution
@@ -206,61 +191,28 @@ def _solve(
 _TaskResult = tuple[int, str, RecoverySolution, RecoveryEvaluation, "dict | None"]
 
 
-def _task_rows(plan: SweepPlan, task: tuple[int, str]) -> _TaskResult:
-    """Solve + evaluate one (scenario index, algorithm) task of ``plan``."""
-    chaos.check("sweep.task")
-    index, algorithm = task
-    instance = plan.instance(index)
-    prepare_instance(instance)
-    solution, report = _solve(
-        instance,
-        algorithm,
-        plan.optimal_time_limit_s,
-        plan.ladder,
-        plan.validate,
-    )
-    evaluation = evaluate_solution(instance, solution)
-    return index, algorithm, solution, evaluation, (
-        None if report is None else report.to_dict()
-    )
-
-
-def _chain_rows(
+def _scenario_rows(
     plan: SweepPlan,
-    segment: Sequence[tuple[int, tuple[str, ...]]],
+    tasks: Sequence[tuple[int, str]],
     instance_of=None,
 ) -> Iterator[_TaskResult]:
-    """Run one incremental-chain segment of ``plan``, yielding its rows.
+    """Solve + evaluate ``tasks`` of ``plan``, yielding their rows.
 
-    Walks the scenarios in chain order, threading one
-    :class:`~repro.fmssm.optimal.WarmChain` through the ``optimal``
-    solves so each inherits the previous scenario's repaired solution
-    and LP basis.  Every (scenario, algorithm) still passes the
-    ``sweep.task`` chaos site individually, like independent tasks do.
-
-    Under an LP-batching plan the segment delegates to
-    :func:`_batched_rows` in chain order: the chain's warm seeds become
-    per-block warm starts for the stacked solves (they only matter on
-    degraded members, so batching cannot change the answers).
-
-    ``instance_of`` overrides instance grounding, as in
-    :func:`_batched_rows`.  Rows are yielded scenario by scenario, so the
-    serial path stores (and checkpoints) each one as it completes.
+    Consecutive tasks of one scenario share one grounding and kernel
+    prep, and their solutions are evaluated in one
+    :func:`~repro.fmssm.evaluation.evaluate_batch` call.  Every task
+    passes the ``sweep.task`` chaos site once.  ``instance_of``
+    overrides instance grounding (the runner passes its store-probe
+    cache).  Rows are yielded scenario by scenario, so the serial path
+    stores (and checkpoints) each one as it completes.
     """
     if instance_of is None:
         instance_of = plan.instance
-    if _lp_batchable(plan):
-        flat = [(i, a) for i, algorithms in segment for a in algorithms]
-        yield from _batched_rows(
-            plan, flat, instance_of=instance_of, warm_chain=WarmChain()
-        )
-        return
-    warm_chain = WarmChain()
-    for index, algorithms in segment:
+    for index, group in itertools.groupby(tasks, key=lambda t: t[0]):
         instance = instance_of(index)
         prepare_instance(instance)
         solved = []
-        for algorithm in algorithms:
+        for _, algorithm in group:
             chaos.check("sweep.task")
             solution, report = _solve(
                 instance,
@@ -268,7 +220,6 @@ def _chain_rows(
                 plan.optimal_time_limit_s,
                 plan.ladder,
                 plan.validate,
-                warm_chain=warm_chain if plan.ladder is None else None,
             )
             solved.append((algorithm, solution, report))
         evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
@@ -292,12 +243,11 @@ def _batched_rows(
     plan: SweepPlan,
     tasks: Sequence[tuple[int, str]],
     instance_of=None,
-    warm_chain: WarmChain | None = None,
 ) -> list[_TaskResult]:
     """Run ``tasks`` with ``optimal`` solves batched into stacked LPs.
 
-    The scenario-at-a-time equivalent of this function is the
-    ``run_serial`` task loop; results are bit-identical (see
+    The scenario-at-a-time equivalent of this function is
+    :func:`_scenario_rows`; results are bit-identical (see
     :func:`repro.perf.batch.solve_optimal_batch` for why), only the
     execution order changes: ``optimal`` tasks are grouped by structural
     (N, M, P) shape, chunked to ``plan.lp_batch``, and each chunk is
@@ -305,9 +255,8 @@ def _batched_rows(
     passes the ``sweep.task`` chaos site exactly once, and every
     scenario's solutions are evaluated in one batch in task order.
 
-    ``instance_of`` overrides instance grounding (the runner passes its
-    store-probe cache); ``warm_chain`` threads incremental-chain state
-    through the batch (chunk members become per-block warm seeds).
+    ``instance_of`` overrides instance grounding, as in
+    :func:`_scenario_rows`.
     """
     from repro.perf.batch import solve_optimal_batch
 
@@ -346,7 +295,6 @@ def _batched_rows(
             batch = solve_optimal_batch(
                 [instances[i] for i in chunk],
                 time_limit_s=plan.optimal_time_limit_s,
-                warm_chain=warm_chain,
             )
             for index, solution in zip(chunk, batch):
                 solutions[index] = solution
@@ -391,7 +339,6 @@ class _SweepRunner:
         checkpoint: SweepCheckpoint | None,
         checkpoint_every: int,
         transport: str = "auto",
-        incremental: bool = False,
         store: SolveStore | None = None,
         lp_batch: int | None = None,
     ) -> None:
@@ -406,7 +353,6 @@ class _SweepRunner:
         self.checkpoint = checkpoint
         self.checkpoint_every = max(1, checkpoint_every)
         self.transport = transport
-        self.incremental = incremental
         self.store = store
         self.lp_batch = lp_batch
         #: Instances the store probe grounded (misses and validated
@@ -679,31 +625,9 @@ class _SweepRunner:
         for index, provenance in self._provenance.items():
             self.results[index].meta["store"] = dict(provenance)
 
-    # -- incremental chaining ------------------------------------------
-    def chain_plan(
-        self, tasks: Sequence[tuple[int, str]], parts: int
-    ) -> list[list[tuple[int, tuple[str, ...]]]]:
-        """Group ``tasks`` by scenario and order them into chain segments.
-
-        Scenarios with pending work are ordered by
-        :func:`~repro.perf.incremental.hamming_chain` and split into at
-        most ``parts`` contiguous segments; each element is
-        ``(scenario index, pending algorithms in caller order)``.
-        """
-        by_scenario: dict[int, list[str]] = {}
-        for index, algorithm in tasks:
-            by_scenario.setdefault(index, []).append(algorithm)
-        indices = sorted(by_scenario)
-        order = hamming_chain([self.scenarios[i] for i in indices])
-        chain = [indices[i] for i in order]
-        return [
-            [(i, tuple(by_scenario[i])) for i in segment]
-            for segment in chain_segments(chain, parts)
-        ]
-
     # -- execution -----------------------------------------------------
     def _as_plan(self) -> SweepPlan:
-        """This runner's settings as a :class:`SweepPlan` (serial batching)."""
+        """This runner's settings as a :class:`SweepPlan` (serial path)."""
         return SweepPlan(
             self.context,
             self.scenarios,
@@ -723,45 +647,17 @@ class _SweepRunner:
     def run_serial(self, tasks: Sequence[tuple[int, str]]) -> None:
         """Solve ``tasks`` in-process, in deterministic order.
 
-        With ``incremental=True`` the scenarios run in chain order with
-        one warm chain across the whole sweep — results are identical,
-        only the visiting order and solver seeding change.  With
-        ``lp_batch`` set, ``optimal`` solves are stacked into
-        block-diagonal LPs (:func:`_batched_rows`) — also bit-identical.
+        With ``lp_batch`` set, ``optimal`` solves are stacked into
+        block-diagonal LPs (:func:`_batched_rows`) — bit-identical to
+        the scenario-at-a-time :func:`_scenario_rows`.
         """
-        if self.incremental and tasks:
-            (segment,) = self.chain_plan(tasks, 1)
-            for row in _chain_rows(
-                self._as_plan(), segment, instance_of=self._instance
-            ):
-                self._store(*row)
-            return
+        plan = self._as_plan()
         if tasks and self._batched():
-            for row in _batched_rows(
-                self._as_plan(), tasks, instance_of=self._instance
-            ):
-                self._store(*row)
-            return
-        for index, group in itertools.groupby(tasks, key=lambda t: t[0]):
-            instance = self._instance(index)
-            prepare_instance(instance)
-            solved = []
-            for _, algorithm in group:
-                chaos.check("sweep.task")
-                solution, report = _solve(
-                    instance,
-                    algorithm,
-                    self.optimal_time_limit_s,
-                    self.ladder,
-                    self.validate,
-                )
-                solved.append((algorithm, solution, report))
-            evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
-            for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-                self._store(
-                    index, algorithm, solution, evaluation,
-                    None if report is None else report.to_dict(),
-                )
+            rows = _batched_rows(plan, tasks, instance_of=self._instance)
+        else:
+            rows = _scenario_rows(plan, tasks, instance_of=self._instance)
+        for row in rows:
+            self._store(*row)
 
     # -- pool execution ------------------------------------------------
     def _warm_header(self, executor) -> tuple[object, FanoutStats]:
@@ -831,32 +727,30 @@ class _SweepRunner:
     ) -> list[tuple[object, object, tuple[tuple[int, str], ...]]]:
         """The pool's submission units: ``(worker body, payload, tasks)``.
 
-        Incremental sweeps submit one chain segment per worker.
         LP-batched and heuristic-only sweeps submit one contiguous
-        scenario-major chunk per worker, so each worker grounds only its
-        own slice of the instances (and stacks its own compiled forms
-        into batches).  Other heavy sweeps submit one task per unit for
-        dynamic load balancing.  Every body returns a list of rows.
+        scenario-major chunk per worker, cut on scenario boundaries, so
+        each worker grounds only its own slice of the instances, each
+        once (and stacks its own compiled forms into batches).  Other
+        heavy sweeps submit one task per unit for dynamic load
+        balancing.  Every body returns a list of rows.
         """
         from repro.perf import executor as executor_mod
 
-        if self.incremental:
-            return [
-                (
-                    executor_mod._warm_run_chain,
-                    segment,
-                    tuple((i, a) for i, algorithms in segment for a in algorithms),
-                )
-                for segment in self.chain_plan(tasks, workers)
-            ]
         batched = self._batched()
         if batched or not any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
             body = (
                 executor_mod._warm_run_batch if batched
                 else executor_mod._warm_run_chunk
             )
-            size = -(-len(tasks) // workers)
-            chunks = (tuple(tasks[k * size:(k + 1) * size]) for k in range(workers))
+            groups = [
+                tuple(group)
+                for _, group in itertools.groupby(tasks, key=lambda t: t[0])
+            ]
+            bounds = [len(groups) * k // workers for k in range(workers + 1)]
+            chunks = (
+                tuple(itertools.chain.from_iterable(groups[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])
+            )
             return [(body, chunk, chunk) for chunk in chunks if chunk]
         return [(executor_mod._warm_run_chunk, (task,), (task,)) for task in tasks]
 
@@ -1278,7 +1172,7 @@ class _SweepRunner:
     def finish(self) -> "list[ScenarioResult]":  # noqa: F821
         """Final checkpoint flush + cleanup, then the merged results.
 
-        Solutions/evaluations dicts are reordered into the caller's
+        Solutions/evaluations dicts are put back into the caller's
         algorithm order — pool futures complete in arbitrary order, but
         the output contract is "identical to the serial sweep".
         """
@@ -1344,7 +1238,6 @@ def parallel_sweep(
     checkpoint_path: object = None,
     checkpoint_every: int = 4,
     transport: str = "auto",
-    incremental: bool = False,
     executor: "SweepExecutor | None" = None,  # noqa: F821
     supervisor: "SweepSupervisor | None" = None,  # noqa: F821
     store: SolveStore | None = None,
@@ -1372,15 +1265,13 @@ def parallel_sweep(
     heuristic solutions, and ``checkpoint_path`` enables periodic
     checkpointing with bit-identical resume.
 
-    Performance knobs: ``transport`` picks how the context reaches
+    Performance knob: ``transport`` picks how the context reaches
     workers (``"auto"`` prefers the zero-copy shared-memory route and
     degrades to pickle; ``"shm"`` degrades too but warns; ``"pickle"``
-    ships the pickled context), ``incremental`` orders scenarios into a minimum-
-    Hamming-distance chain and warm-starts each exact solve from its
-    chain neighbor.  Both are pure execution strategies: results are
-    bit-identical to the defaults, and neither affects the checkpoint
-    fingerprint — a sweep may resume under a different transport or
-    chaining mode.
+    ships the pickled context).  It is a pure execution strategy:
+    results are bit-identical to the default, and it does not affect
+    the checkpoint fingerprint — a sweep may resume under a different
+    transport.
 
     Without ``executor`` the sweep runs on a
     :class:`~repro.perf.executor.SweepExecutor` scoped to the call, whose
@@ -1418,11 +1309,10 @@ def parallel_sweep(
     scenario-at-a-time route individually, so results stay bit-identical
     and validator-clean.  Requires no ``ladder`` (silently ignored
     otherwise); composes with the store (hits settle before fan-out, so
-    they skip the batches), incremental chaining (chain seeds become
-    per-block warm starts), chaos (the ``batch.solve`` site attributes
+    they skip the batches), chaos (the ``batch.solve`` site attributes
     faults per block), and the supervisor (a batch failure charges only
-    its member scenarios).  Like ``transport``/``incremental`` it is a
-    pure execution strategy and never enters the checkpoint fingerprint.
+    its member scenarios).  Like ``transport`` it is a pure execution
+    strategy and never enters the checkpoint fingerprint.
     """
     import os
 
@@ -1468,7 +1358,6 @@ def parallel_sweep(
         checkpoint,
         checkpoint_every,
         transport=transport,
-        incremental=incremental,
         store=store,
         lp_batch=lp_batch,
     )

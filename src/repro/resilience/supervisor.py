@@ -5,7 +5,7 @@ rung that raises, a pool that breaks, a payload that will not unpickle.
 This module supervises the faults that do not:
 
 Hung-task preemption
-    Every submission unit (a task, chunk or chain segment) carries a
+    Every submission unit (a task or a chunk of tasks) carries a
     deadline derived from the ladder's rung budgets times
     :attr:`SupervisorPolicy.deadline_multiplier`.  The supervised wait
     loop doubles as a parent-side watchdog: a unit still running past

@@ -157,7 +157,7 @@ def _run_soak_campaign(context, sweeps, ladder, directory, supervisor, plans):
         stream = run_campaign(
             context, sweeps, SOAK_ALGORITHMS,
             executor=executor, max_workers=2, min_parallel_tasks=0,
-            optimal_time_limit_s=30.0, ladder=ladder, reorder=False,
+            optimal_time_limit_s=30.0, ladder=ladder,
             checkpoint_dir=directory, supervisor=supervisor,
         )
         try:

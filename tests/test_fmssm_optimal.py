@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.control.failures import enumerate_failure_scenarios
+from repro.experiments.scenarios import custom_context
 from repro.fmssm.evaluation import evaluate_solution, verify_solution
-from repro.fmssm.optimal import solve_optimal
+from repro.fmssm.optimal import _combinatorial_bound, solve_optimal
+from repro.lp.highs import solve_form_relaxation
+from repro.perf.compile import compile_fmssm
+from repro.topology.generators import ring_topology
 from conftest import make_tiny_instance
 
 
@@ -82,3 +87,37 @@ class TestSmallNetworkOptimal:
             small_instance, solve_pm(small_instance, enforce_delay=True)
         )
         assert optimal.objective >= pm_strict.objective - 1e-9
+
+
+@pytest.fixture(scope="module")
+def chain_context():
+    return custom_context(
+        ring_topology(10, chords=5, seed=7),
+        controller_sites=(0, 3, 7),
+        capacity=160,
+    )
+
+
+class TestPrecertificate:
+    def test_bound_dominates_lp_relaxation(self, chain_context):
+        for scenario in enumerate_failure_scenarios(chain_context.plane, 1):
+            instance = chain_context.instance(scenario)
+            compiled = compile_fmssm(instance, require_full_recovery=True)
+            relaxation = solve_form_relaxation(compiled.form)
+            if relaxation.objective is None:
+                continue
+            assert _combinatorial_bound(instance) >= relaxation.objective - 1e-9
+
+    def test_precert_agrees_with_model_route(self, chain_context):
+        fired = 0
+        for scenario in enumerate_failure_scenarios(chain_context.plane, 2):
+            instance = chain_context.instance(scenario)
+            sparse = solve_optimal(instance)
+            if sparse.meta.get("solver") != "precert":
+                continue
+            fired += 1
+            model = solve_optimal(instance, compile="model")
+            assert model.feasible
+            assert sparse.meta["objective"] == model.meta["objective"]
+        if fired == 0:
+            pytest.skip("no scenario triggered the pre-certificate")

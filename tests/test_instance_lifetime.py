@@ -27,7 +27,8 @@ from repro.experiments.scenarios import default_att_context
 from repro.experiments.successive import run_successive
 from repro.fmssm.build import GroundingIndex
 from repro.perf.store import SolveStore
-from repro.perf.sweep import SweepPlan, _task_rows, parallel_sweep
+from repro.perf import sweep as sweep_mod
+from repro.perf.sweep import SweepPlan, _scenario_rows, parallel_sweep
 
 HEURISTICS = ("pm", "retroflow", "pg", "nearest")
 
@@ -191,15 +192,32 @@ class TestPlanHold:
         assert plan.instance(2) is context.instance(scenarios[2])
         assert grounded[0] == once_each([scenarios[2]])
 
-    def test_worker_tasks_ground_once_per_scenario(self, grounded):
-        # A worker runs each (scenario, algorithm) as its own task.
+    def test_worker_tasks_ground_once_per_scenario(self, grounded, monkeypatch):
+        # A worker's chunk: every heuristic on each of two scenarios.
         context = default_att_context()
         scenarios = tuple(enumerate_failure_scenarios(context.plane, 2))[:2]
         plan = SweepPlan(context, scenarios)
-        for index in range(len(scenarios)):
-            for algorithm in HEURISTICS:
-                _task_rows(plan, (index, algorithm))
+        evaluated = []
+        evaluate_batch = sweep_mod.evaluate_batch
+
+        def spy(instance, solutions, *args, **kwargs):
+            evaluated.append((instance, len(solutions)))
+            return evaluate_batch(instance, solutions, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "evaluate_batch", spy)
+        tasks = [
+            (index, algorithm)
+            for index in range(len(scenarios))
+            for algorithm in HEURISTICS
+        ]
+        rows = list(_scenario_rows(plan, tasks))
+        assert [(index, algorithm) for index, algorithm, *_ in rows] == tasks
         assert grounded[0] == once_each(scenarios)
+        # One evaluate_batch call per scenario, over all its solutions.
+        assert len(evaluated) == len(scenarios)
+        for index, (instance, count) in enumerate(evaluated):
+            assert instance is plan.instance(index)
+            assert count == len(HEURISTICS)
 
 
 class TestPickle:

@@ -293,14 +293,6 @@ class TestSweepComposition:
         )
         self.assert_identical(plain, batched)
 
-    def test_incremental_batched_identical(self, hub):
-        context, scenarios, _ = hub
-        plain = self._sweep(context, scenarios, max_workers=1)
-        batched = self._sweep(
-            context, scenarios, max_workers=1, incremental=True, lp_batch=2
-        )
-        self.assert_identical(plain, batched)
-
     def test_ladder_sweep_disables_batching(self, hub):
         """A ladder forces per-scenario supervision, so the sweep falls
         back to scenario-at-a-time solves — identical answers, just no

@@ -94,15 +94,6 @@ class TestWarmEquivalence:
             )
         assert_sweeps_identical(serial, warm)
 
-    def test_warm_incremental_route(self, ring_context, ring_scenarios, ring_serial):
-        with SweepExecutor(max_workers=2) as executor:
-            warm = parallel_sweep(
-                ring_context, ring_scenarios, FAST_ALGORITHMS,
-                max_workers=2, min_parallel_tasks=0, incremental=True,
-                executor=executor,
-            )
-        assert_sweeps_identical(ring_serial, warm)
-
     def test_warm_heavy_route(self, ring_context, ring_scenarios):
         """Exact solves go through the per-task warm route unchanged."""
         algorithms = ("optimal", "pm")
@@ -444,7 +435,7 @@ class TestCampaign:
         sweeps = [(ring_scenarios[0],), (ring_scenarios[2],)]
         indices = []
         for index, results in run_campaign(
-            ring_context, sweeps, ("pm",), reorder=False,
+            ring_context, sweeps, ("pm",),
         ):
             indices.append(index)
             assert [r.name for r in results] == [s.name for s in sweeps[index]]

@@ -292,19 +292,3 @@ class TestShmUnderChaos:
             assert any(
                 e.action == "serial-fallback" for e in result.degradation.events
             )
-
-    def test_incremental_sweep_survives_killed_worker(
-        self, sweep_context, sweep_scenarios, baseline
-    ):
-        from repro.perf import shm
-
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            with chaos.inject(chaos.Fault("sweep.task", "kill-worker", at_call=1)):
-                results = parallel_sweep(
-                    sweep_context, sweep_scenarios, ALGORITHMS,
-                    max_workers=2, optimal_time_limit_s=60.0,
-                    transport="shm", incremental=True,
-                )
-        assert_same_solutions(baseline, results)
-        assert shm.active_segments() == ()

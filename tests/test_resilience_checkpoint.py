@@ -256,10 +256,10 @@ class TestResume:
         assert not path.exists()
 
 
-class TestShmAndIncrementalResume:
-    """Transport and chaining are not part of the checkpoint identity."""
+class TestShmResume:
+    """The transport is not part of the checkpoint identity."""
 
-    def test_interrupted_shm_incremental_sweep_resumes(
+    def test_interrupted_shm_sweep_resumes(
         self, sweep_context, sweep_scenarios, uninterrupted, tmp_path
     ):
         from repro.perf import shm
@@ -273,14 +273,14 @@ class TestShmAndIncrementalResume:
                     sweep_context, sweep_scenarios, ALGORITHMS,
                     max_workers=1, optimal_time_limit_s=60.0,
                     checkpoint_path=path, checkpoint_every=1,
-                    transport="shm", incremental=True,
+                    transport="shm",
                 )
         assert shm.active_segments() == ()
         resumed = parallel_sweep(
             sweep_context, sweep_scenarios, ALGORITHMS,
             max_workers=2, optimal_time_limit_s=60.0,
             checkpoint_path=path, checkpoint_every=1,
-            transport="shm", incremental=True,
+            transport="shm",
         )
         assert_bit_identical(uninterrupted, resumed)
         assert shm.active_segments() == ()
@@ -304,7 +304,7 @@ class TestShmAndIncrementalResume:
             sweep_context, sweep_scenarios, ALGORITHMS,
             max_workers=1, optimal_time_limit_s=60.0,
             checkpoint_path=path, checkpoint_every=1,
-            transport="shm", incremental=True,
+            transport="shm",
         )
         assert_bit_identical(uninterrupted, resumed)
 
