@@ -49,7 +49,12 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
   executor,
 * ``sweep_independent_n40_s`` — the exact solver over the five n=40
   single-failure scenarios, one serial sweep (``check_headline.py``
-  normalizes the batched stage's per-scenario cost by it),
+  normalizes the batched stage's per-scenario cost by it); all five
+  pre-certify on the PM seed,
+* ``optimal_multi_n40_s`` — the exact solver over the ten n=40
+  two-failure scenarios, one serial sweep; the headline's ``exact``
+  section records how many pre-certified (all ten: PM's seed or the
+  full-fill seed reaches the combinatorial bound, so no MILP runs),
 * ``sweep_batched_lp_baseline_s`` / ``sweep_batched_lp_s`` — the exact
   solver over the 70 same-shape hub-family scenarios, scenario-at-a-time
   versus block-diagonal LP batching (``lp_batch=70``, one HiGHS call
@@ -71,6 +76,7 @@ import time
 import pytest
 
 from conftest import (
+    record_exact,
     record_fanout,
     record_route,
     record_stage,
@@ -716,6 +722,9 @@ def test_sweep_independent_n40(waxman40_context, capsys):
     independent_s = time.perf_counter() - start
     record_sweep("sweep_independent_n40_s", independent_s, results)
     assert all(r.solutions["optimal"].feasible for r in results)
+    # The batched stage's per-scenario guard divides by this stage, so
+    # its route must stay the PM pre-certificate.
+    assert [r.solutions["optimal"].meta["solver"] for r in results] == ["precert"] * 5
 
     with capsys.disabled():
         print()
@@ -724,6 +733,40 @@ def test_sweep_independent_n40(waxman40_context, capsys):
             render_table(
                 ("stage", "wall (s)"),
                 [("sweep_independent_n40_s", f"{independent_s:.3f}")],
+            )
+        )
+
+
+def test_optimal_multi_n40(waxman40_context, capsys):
+    """The exact solver over the ten n=40 two-failure scenarios, serially.
+
+    Where PM's seed misses the combinatorial bound, the full-fill seed
+    (every pair in SDN mode at low delay) reaches it, so every scenario
+    pre-certifies and no MILP runs.
+    """
+    from repro.perf.sweep import parallel_sweep
+
+    scenarios = _failure_scenarios(waxman40_context, (2,))
+    start = time.perf_counter()
+    results = parallel_sweep(
+        waxman40_context, scenarios, ("optimal",),
+        optimal_time_limit_s=120.0, max_workers=1,
+    )
+    multi_s = time.perf_counter() - start
+    record_sweep("optimal_multi_n40_s", multi_s, results)
+    solutions = [r.solutions["optimal"] for r in results]
+    precert = sum(s.meta.get("solver") == "precert" for s in solutions)
+    record_exact({"multi_n40_scenarios": len(solutions), "multi_n40_precert": precert})
+    assert all(s.feasible for s in solutions)
+    assert precert == len(scenarios) == 10
+
+    with capsys.disabled():
+        print()
+        print("=== Exact sweep (10 n=40 two-failure scenarios) ===")
+        print(
+            render_table(
+                ("stage", "wall (s)", "precert"),
+                [("optimal_multi_n40_s", f"{multi_s:.3f}", f"{precert}/{len(solutions)}")],
             )
         )
 
@@ -756,6 +799,11 @@ def test_sweep_batched_lp(capsys):
     )
     baseline_s = time.perf_counter() - start
     record_sweep("sweep_batched_lp_baseline_s", baseline_s, baseline)
+    # The family exists to exercise the LP certificate: no seed may
+    # pre-certify it, or the batch would have nothing to stack.
+    assert all(
+        r.solutions["optimal"].meta["solver"] == "highs-lp" for r in baseline
+    )
     start = time.perf_counter()
     batched = parallel_sweep(
         hub_context, scenarios, algorithms,

@@ -50,6 +50,11 @@ _STORE: dict[str, object] = {}
 #: block carried a per-block certificate instead of quietly falling
 #: back to scenario-at-a-time solves.
 _BATCHED: dict[str, object] = {}
+#: Exact-solve route counts of the multi-failure exact stage — written
+#: as the headline's ``exact`` section so a seed regression that sends
+#: scenarios back to the MILP shows as a count, not only as a slower
+#: stage.
+_EXACT: dict[str, object] = {}
 #: The route each sweep stage took (serial, pool, warm pool, ...) —
 #: written as the headline's ``routes`` section so a stage's time can
 #: be read against what actually ran.
@@ -120,6 +125,16 @@ def record_batched(summary: dict[str, object]) -> None:
     _BATCHED.update(summary)
 
 
+def record_exact(summary: dict[str, object]) -> None:
+    """Record how many of an exact stage's solves certified without a MILP.
+
+    Callers prefix their keys by stage (``multi_n40_scenarios``,
+    ``multi_n40_precert``); the merged dict lands as the headline's
+    ``exact`` section.
+    """
+    _EXACT.update(summary)
+
+
 def record_route(stage: str, route: str) -> None:
     """Record which sweep route a timed stage ran."""
     _ROUTES[stage] = route
@@ -157,6 +172,8 @@ def pytest_sessionfinish(session, exitstatus):
         payload["store"] = dict(sorted(_STORE.items()))
     if _BATCHED:
         payload["batched"] = dict(sorted(_BATCHED.items()))
+    if _EXACT:
+        payload["exact"] = dict(sorted(_EXACT.items()))
     if _ROUTES:
         payload["routes"] = dict(sorted(_ROUTES.items()))
     BENCH_HEADLINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -14,11 +14,13 @@ bit-identical by ``tests/test_perf_compile.py``):
 ``compile="sparse"`` (default)
     :mod:`repro.perf.compile` assembles the matrices directly from the
     instance and, when ``warm_start="pm"``, seeds the solve with the PM
-    heuristic's solution.  PM's point doubles as an *optimality
-    certificate*: if its objective reaches the LP-relaxation bound to
-    within less than the objective's granularity (objectives live on the
-    grid ``integer + λ · integer``), PM is provably optimal and the MILP
-    solve is skipped entirely.
+    heuristic's solution — or, when PM misses the combinatorial bound,
+    with a capacity-feasible "full fill" (every programmable pair in SDN
+    mode at locally minimal delay) if that scores higher.  The seed
+    doubles as an *optimality certificate*: if its objective reaches the
+    LP-relaxation bound to within less than the objective's granularity
+    (objectives live on the grid ``integer + λ · integer``), the seed is
+    provably optimal and the MILP solve is skipped entirely.
 ``compile="model"``
     The original readable route through the :mod:`repro.lp.model` DSL
     and :func:`to_standard_form`, kept for cross-validation.
@@ -34,6 +36,9 @@ from __future__ import annotations
 
 import time
 import warnings
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.exceptions import DegradedResultWarning, RungTimeoutError, SolverError
 from repro.fmssm.formulation import FMSSMVariables, build_fmssm_model
@@ -51,6 +56,9 @@ _BINARY_THRESHOLD = 0.5
 #: LP objective values below this are indistinguishable from solver noise,
 #: so certificates tighter than it are not trusted.
 _LP_NOISE_FLOOR = 1e-7
+#: A swap in the fill seed's local search must save more delay × pairs
+#: than this, so float rounding cannot make two swaps undo each other.
+_SWAP_GAIN_FLOOR = 1e-9
 
 
 def extract_solution(
@@ -155,6 +163,119 @@ def _combinatorial_bound(instance: FMSSMInstance) -> float:
     return r_ub + instance.lam * bonus
 
 
+def _full_fill_seed(instance: FMSSMInstance) -> RecoverySolution | None:
+    """Every programmable pair in SDN mode, placed at low total delay.
+
+    The certificate's second candidate point: all pairs active give
+    ``r = r_ub`` and the whole ``λ Σ p̄`` bonus, which is exactly
+    :func:`_combinatorial_bound` whenever the spare can hold every pair.
+    Switches are placed in decreasing regret order — (second-nearest
+    minus nearest delay) × pair count — each on the nearest controller
+    whose remaining spare holds its pairs.  Single-switch moves and
+    pairwise swaps that lower Σ delay × pairs then run until none helps.
+    Returns ``None`` when capacity cannot hold every pair (in total, or
+    in the greedy placement); delay ≤ G is left to the caller's
+    feasibility check.
+    """
+    load = {s: len(instance.pairs_at[s]) for s in instance.switches if instance.pairs_at[s]}
+    if not load or sum(load.values()) > instance.total_spare:
+        return None
+    delay = instance.delay
+    by_delay = {
+        s: sorted(instance.controllers, key=lambda c, s=s: delay[(s, c)]) for s in load
+    }
+
+    def regret(s) -> float:
+        order = by_delay[s]
+        if len(order) < 2:
+            return 0.0
+        return (delay[(s, order[1])] - delay[(s, order[0])]) * load[s]
+
+    spare = dict(instance.spare)
+    mapping = {}
+    for s in sorted(load, key=regret, reverse=True):
+        home = next((c for c in by_delay[s] if spare[c] >= load[s]), None)
+        if home is None:
+            return None
+        mapping[s] = home
+        spare[home] -= load[s]
+
+    def cost(s, c) -> float:
+        return delay[(s, c)] * load[s]
+
+    switches = list(load)
+    improved = True
+    while improved:
+        improved = False
+        for s in switches:
+            a = mapping[s]
+            for c in by_delay[s]:
+                if cost(s, c) >= cost(s, a):
+                    break
+                if spare[c] >= load[s]:
+                    spare[a] += load[s]
+                    spare[c] -= load[s]
+                    mapping[s] = a = c
+                    improved = True
+                    break
+        for i, s in enumerate(switches):
+            for t in switches[i + 1:]:
+                a, b = mapping[s], mapping[t]
+                gain = cost(s, a) + cost(t, b) - cost(s, b) - cost(t, a)
+                if (
+                    a != b
+                    and gain > _SWAP_GAIN_FLOOR
+                    and spare[a] + load[s] >= load[t]
+                    and spare[b] + load[t] >= load[s]
+                ):
+                    spare[a] += load[s] - load[t]
+                    spare[b] += load[t] - load[s]
+                    mapping[s], mapping[t] = b, a
+                    improved = True
+    return RecoverySolution(
+        algorithm="optimal", mapping=mapping, sdn_pairs=set(instance.pairs)
+    )
+
+
+class _Seed(NamedTuple):
+    """The point the optimality certificate tests, and where it came from."""
+
+    #: Embedded feasible point, or ``None`` when no seed is feasible.
+    x: np.ndarray | None
+    #: ``"pm"`` or ``"fill"``; ``None`` when ``x`` is.
+    origin: str | None
+    objective: float
+    #: :func:`_certificate_tolerance` of the instance.
+    tol: float | None
+    #: Whether the point reaches :func:`_combinatorial_bound` within ``tol``.
+    precert: bool
+
+
+def _seed(instance: FMSSMInstance, compiled, enforce_delay: bool) -> _Seed:
+    """PM-strict's embedded point, or the full fill when that is better.
+
+    The fill runs only when PM misses the combinatorial bound, and
+    replaces PM only when it embeds feasibly (capacity, delay ≤ G,
+    ``r ≥ 1`` under full recovery — ``embed_solution``'s check) with a
+    strictly higher objective.  Both the serial and the batched route
+    take their seed here, so they certify the same scenarios.
+    """
+    pm = solve_pm(instance, enforce_delay=enforce_delay)
+    x = compiled.embed_solution(pm)
+    origin = None if x is None else "pm"
+    objective = -np.inf if x is None else compiled.objective_value(x)
+    tol = _certificate_tolerance(instance)
+    if tol is None:
+        return _Seed(x, origin, objective, None, False)
+    bound = _combinatorial_bound(instance) - tol
+    if objective < bound:
+        fill = _full_fill_seed(instance)
+        fill_x = None if fill is None else compiled.embed_solution(fill)
+        if fill_x is not None and compiled.objective_value(fill_x) > objective:
+            x, origin, objective = fill_x, "fill", compiled.objective_value(fill_x)
+    return _Seed(x, origin, objective, tol, x is not None and objective >= bound)
+
+
 def _infeasible(meta: dict[str, object], elapsed: float) -> RecoverySolution:
     return RecoverySolution(
         algorithm="optimal", feasible=False, solve_time_s=elapsed, meta=meta
@@ -206,20 +327,18 @@ def _solve_optimal_sparse(
         compiler=compiler,
     )
 
-    seed_x = None
-    if warm_start == "pm":
-        pm = solve_pm(instance, enforce_delay=enforce_delay)
-        seed_x = compiled.embed_solution(pm)
+    seed = _seed(instance, compiled, enforce_delay) if warm_start == "pm" else None
+    seed_x = None if seed is None else seed.x
 
     certificate = False
     result: SolveResult | None = None
     if seed_x is not None:
-        cert_tol = _certificate_tolerance(instance)
-        seed_obj = compiled.objective_value(seed_x)
-        if cert_tol is not None and seed_obj >= _combinatorial_bound(instance) - cert_tol:
+        cert_tol = seed.tol
+        seed_obj = seed.objective
+        if seed.precert:
             # The combinatorial bound dominates the LP bound, so the LP
             # certificate would fire too — skip the LP solve entirely
-            # and return the same PM point it would return.
+            # and return the same seed point it would return.
             certificate = True
             result = SolveResult(
                 status=SolveStatus.OPTIMAL,
@@ -307,6 +426,7 @@ def _solve_optimal_sparse(
             "compile": "sparse",
             "certificate": certificate,
             "solver_objective": result.objective,
+            "seed": None if seed is None else seed.origin,
         },
     )
     solution.meta["objective"] = _canonical_objective(instance, solution)
@@ -372,8 +492,10 @@ def solve_optimal(
         ``"sparse"`` routes through :mod:`repro.perf.compile` (fast
         path); ``"model"`` through the original DSL (cross-validation).
     warm_start:
-        ``"pm"`` seeds the solve with the PM heuristic (incumbent for
-        B&B, certificate/fallback for HiGHS); ``None`` solves cold.
+        ``"pm"`` seeds the solve with the PM heuristic, or the full
+        fill when that certifies (incumbent for B&B, certificate/
+        fallback for HiGHS; ``meta["seed"]`` names the point used);
+        ``None`` solves cold.
     compiler:
         Optional :class:`~repro.perf.compile.FMSSMCompiler` to reuse
         structural caches across scenarios (sparse route only).

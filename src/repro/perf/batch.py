@@ -10,12 +10,14 @@ call.
 
 The batched route must stay **bit-identical** to the scenario-at-a-time
 route, so only the part of the pipeline that cannot change the answer is
-batched: the PM-seeded LP-bound *certificate* (see
+batched: the seeded LP-bound *certificate* (see
 :func:`repro.fmssm.optimal._solve_optimal_sparse`).  Per member:
 
 1. compile the scenario — dropping spare-zero controllers, whose
    ``x``/``w`` columns provably cannot change the LP optimum (DESIGN
-   §14) — and embed the PM seed;
+   §14) — and take the seed from :func:`repro.fmssm.optimal._seed`,
+   the same helper the individual route uses (PM, or the full fill
+   when PM misses the bound);
 2. try the closed-form combinatorial pre-certificate (identical to the
    individual route, no LP needed);
 3. otherwise stack the member's reduced block into the batch.
@@ -30,13 +32,13 @@ block cannot create cross-talk.  Each member's slice is then checked
 with its **own unscaled** objective against the member's certificate
 tolerance.
 
-A member whose certificate fires returns the PM seed — the *same* point
+A member whose certificate fires returns its seed — the *same* point
 the individual route returns, with the same ``meta`` — so accepted
-members are bit-identical by construction.  Every other member (no PM
-seed, no safe tolerance, slice fails the feasibility guard, certificate
-miss, batch-level solver error or injected fault) **falls back to**
-:func:`repro.fmssm.optimal.solve_optimal` individually, which *is* the
-scenario-at-a-time route.  Batched results therefore cannot diverge
+members are bit-identical by construction.  Every other member (no
+feasible seed, no safe tolerance, slice fails the feasibility guard,
+certificate miss, batch-level solver error or injected fault) **falls
+back to** :func:`repro.fmssm.optimal.solve_optimal` individually, which
+*is* the scenario-at-a-time route.  Batched results therefore cannot diverge
 from unbatched ones; the only thing batching changes is how many
 ``linprog`` calls a sweep pays for.
 
@@ -60,8 +62,8 @@ from scipy import sparse
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.optimal import (
     _canonical_objective,
-    _certificate_tolerance,
-    _combinatorial_bound,
+    _Seed,
+    _seed,
     _validated,
     solve_optimal,
 )
@@ -69,7 +71,6 @@ from repro.fmssm.solution import RecoverySolution
 from repro.lp.highs import solve_form_relaxation
 from repro.lp.solution import SolveStatus
 from repro.lp.standard_form import StandardForm
-from repro.pm.algorithm import solve_pm
 from repro.resilience import chaos
 
 __all__ = ["solve_optimal_batch", "BATCH_LP_OPTIONS"]
@@ -106,9 +107,7 @@ class _Member:
     index: int
     instance: FMSSMInstance
     compiled: object = None
-    seed_x: np.ndarray | None = None
-    seed_obj: float = 0.0
-    cert_tol: float | None = None
+    seed: _Seed | None = None
     reduced: bool = False
     prep_s: float = 0.0
     #: "precert" | "stack" | "fallback" once decided.
@@ -179,13 +178,13 @@ def _accept(
     solver: str,
     elapsed: float,
 ) -> RecoverySolution:
-    """Finalize a certificate-accepted member with the PM seed.
+    """Finalize a certificate-accepted member with its seed point.
 
     Mirrors the accept path of ``_solve_optimal_sparse`` field for
     field: same mapping/pairs (extracted from the seed), same ``meta``
     keys and values — plus the batch provenance under ``meta["batch"]``.
     """
-    mapping, sdn_pairs = member.compiled.extract(member.seed_x)
+    mapping, sdn_pairs = member.compiled.extract(member.seed.x)
     solution = RecoverySolution(
         algorithm="optimal",
         mapping=mapping,
@@ -198,7 +197,8 @@ def _accept(
             "gap": 0.0,
             "compile": "sparse",
             "certificate": True,
-            "solver_objective": member.seed_obj,
+            "solver_objective": member.seed.objective,
+            "seed": member.seed.origin,
         },
     )
     solution.meta["objective"] = _canonical_objective(member.instance, solution)
@@ -248,22 +248,18 @@ def solve_optimal_batch(
             compiler=compiler,
             controller_subset=subset,
         )
-        pm = solve_pm(instance, enforce_delay=enforce_delay)
-        member.seed_x = member.compiled.embed_solution(pm)
-        member.cert_tol = _certificate_tolerance(instance)
-        if member.seed_x is None:
+        seed = member.seed = _seed(instance, member.compiled, enforce_delay)
+        if seed.x is None:
             member.route = "fallback"
             member.fallback_reason = "no-seed"
-        elif member.cert_tol is None:
+        elif seed.tol is None:
             member.route = "fallback"
             member.fallback_reason = "no-certificate-tolerance"
+        elif seed.precert:
+            member.route = "precert"
         else:
-            member.seed_obj = member.compiled.objective_value(member.seed_x)
-            if member.seed_obj >= _combinatorial_bound(instance) - member.cert_tol:
-                member.route = "precert"
-            else:
-                member.route = "stack"
-                stacked.append(member)
+            member.route = "stack"
+            stacked.append(member)
         member.prep_s = time.perf_counter() - start
 
     # ------------------------------------------------------------------
@@ -319,7 +315,7 @@ def solve_optimal_batch(
             )
             member.batch_meta["block_objective"] = block_obj
             member.batch_meta["scale"] = member.scale
-            if member.seed_obj >= block_obj - member.cert_tol:
+            if member.seed.objective >= block_obj - member.seed.tol:
                 member.batch_meta["certificate"] = True
                 member.batch_meta["route"] = "stack"
             else:

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import warnings
 
-from repro.control.failures import enumerate_failure_scenarios
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.control.failures import FailureScenario, enumerate_failure_scenarios
+from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
 from repro.fmssm.evaluation import evaluate_solution, verify_solution
-from repro.fmssm.optimal import _combinatorial_bound, solve_optimal
+from repro.fmssm.optimal import _combinatorial_bound, _full_fill_seed, solve_optimal
 from repro.lp.highs import solve_form_relaxation
+from repro.perf.batch import solve_optimal_batch
 from repro.perf.compile import compile_fmssm
+from repro.resilience.validate import check_solution
 from repro.topology.generators import ring_topology
 from conftest import make_tiny_instance
+from test_property_fmssm import tiny_instances
 
 
 class TestTinyOptimal:
@@ -121,3 +130,104 @@ class TestPrecertificate:
             assert sparse.meta["objective"] == model.meta["objective"]
         if fired == 0:
             pytest.skip("no scenario triggered the pre-certificate")
+
+
+def fill_instance(ideal_delay_ms: float = 14.0):
+    """A tiny instance whose PM seed misses the bound but whose full fill fits.
+
+    PM sizes switch 1 by γ = 3 flows, not its 2 pairs, so it skips the
+    nearby controller 100 (spare 2) for controller 200 (delay 5); the
+    delay budget then blocks switch 2's second pair.  All four pairs fit
+    with 1 → 100 and 2 → 200 at 6 ms of delay.
+    """
+    return dataclasses.replace(
+        make_tiny_instance(spare={100: 2, 200: 3}, ideal_delay_ms=ideal_delay_ms),
+        gamma={1: 3, 2: 2},
+    )
+
+
+def assert_matches_cold(instance, time_limit_s=None):
+    """The seeded route's verdict and objective equal the cold MILP's."""
+    seeded = solve_optimal(instance, time_limit_s=time_limit_s)
+    cold = solve_optimal(instance, time_limit_s=time_limit_s, warm_start=None)
+    assert seeded.feasible == cold.feasible
+    if seeded.feasible:
+        assert seeded.meta["objective"] == cold.meta["objective"]
+    return seeded
+
+
+@st.composite
+def fill_prone_instances(draw):
+    """Tiny instances with spare between the pair count and the flow count,
+    where PM's γ-based fit check and the pair-based fill disagree most."""
+    instance = draw(tiny_instances())
+    floor = len(instance.pairs) // len(instance.controllers)
+    ceiling = max(floor, sum(instance.gamma.values()))
+    spare = {c: draw(st.integers(floor, ceiling)) for c in instance.controllers}
+    return dataclasses.replace(instance, spare=spare)
+
+
+class TestFullFillSeed:
+    def test_none_when_spare_below_pairs(self):
+        instance = make_tiny_instance(spare={100: 2, 200: 1})  # 4 pairs, 3 spare
+        assert _full_fill_seed(instance) is None
+
+    def test_every_pair_on_its_nearest_controller(self):
+        instance = fill_instance()
+        fill = _full_fill_seed(instance)
+        assert fill.sdn_pairs == set(instance.pairs)
+        assert fill.mapping == {1: 100, 2: 200}
+
+    @pytest.mark.parametrize("ideal_delay_ms", [10.0, 14.0])
+    def test_fill_certifies_the_cold_optimum(self, ideal_delay_ms):
+        """At G = 10 PM fails r >= 1 outright; at G = 14 it is feasible but
+        short of the bound.  The fill certifies either way."""
+        solution = assert_matches_cold(fill_instance(ideal_delay_ms))
+        assert solution.meta["solver"] == "precert"
+        assert solution.meta["seed"] == "fill"
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(fill_prone_instances())
+    @example(fill_instance())
+    def test_seeded_matches_cold_on_tiny_instances(self, instance):
+        assert_matches_cold(instance)
+
+
+class TestAttFillCertificate:
+    def test_single_failure_6_precertifies_with_fill(self, att_context):
+        """(6) is the one ATT single failure PM misses: the fill reaches
+        the bound, and the answer is the cold MILP's."""
+        instance = att_context.instance(FailureScenario(frozenset({6})))
+        solution = assert_matches_cold(instance, time_limit_s=60.0)
+        assert solution.meta["solver"] == "precert"
+        assert solution.meta["seed"] == "fill"
+        check_solution(instance, solution, enforce_delay=True, require_full_recovery=True)
+        assert len(solution.sdn_pairs) == len(instance.pairs)
+
+    @pytest.mark.parametrize("failed", [(5, 22), (6, 22)])
+    def test_two_failure_fill_matches_cold(self, att_context, failed):
+        instance = att_context.instance(FailureScenario(frozenset(failed)))
+        solution = assert_matches_cold(instance, time_limit_s=60.0)
+        assert solution.meta["seed"] == "fill"
+        assert solution.meta["certificate"] is True
+
+    def test_batch_certifies_the_serial_scenarios(self, att_context):
+        """The batched and serial routes share one seed helper, so they
+        certify the same ATT two-failure scenarios.  Certificates are
+        decided before any MILP, so a short time limit keeps the misses
+        cheap without changing which scenarios certify."""
+        instances = [
+            att_context.instance(s)
+            for s in enumerate_failure_scenarios(att_context.plane, 2)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedResultWarning)
+            serial = [solve_optimal(i, time_limit_s=0.5) for i in instances]
+            batched = solve_optimal_batch(instances, time_limit_s=0.5)
+        serial_certified = [bool(s.meta.get("certificate")) for s in serial]
+        assert serial_certified == [bool(b.meta.get("certificate")) for b in batched]
+        assert sum(serial_certified) >= 11
+        for ind, bat in zip(serial, batched):
+            if ind.meta.get("certificate"):
+                assert bat.meta["seed"] == ind.meta["seed"]
+                assert bat.meta["objective"] == ind.meta["objective"]
