@@ -48,18 +48,12 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
   through :func:`~repro.perf.executor.run_campaign` on one warm
   executor,
 * ``sweep_independent_n40_s`` — the exact solver over the five n=40
-  single-failure scenarios, one serial sweep (``check_headline.py``
-  normalizes the batched stage's per-scenario cost by it); all five
-  pre-certify on the PM seed,
+  single-failure scenarios, one serial sweep; all five pre-certify on
+  the PM seed,
 * ``optimal_multi_n40_s`` — the exact solver over the ten n=40
   two-failure scenarios, one serial sweep; the headline's ``exact``
   section records how many pre-certified (all ten: PM's seed or the
   full-fill seed reaches the combinatorial bound, so no MILP runs),
-* ``sweep_batched_lp_baseline_s`` / ``sweep_batched_lp_s`` — the exact
-  solver over the 70 same-shape hub-family scenarios, scenario-at-a-time
-  versus block-diagonal LP batching (``lp_batch=70``, one HiGHS call
-  per stack; CI guards the >=3x same-run speedup and the per-block
-  certificate provenance in the headline's ``batched`` section),
 * ``pm_kernel_s`` / ``pg_kernel_s`` — the vectorized array kernels over
   the full ATT 1+2+3-failure matrix (41 instances), with the dict
   reference timed alongside for the speedup column,
@@ -722,8 +716,7 @@ def test_sweep_independent_n40(waxman40_context, capsys):
     independent_s = time.perf_counter() - start
     record_sweep("sweep_independent_n40_s", independent_s, results)
     assert all(r.solutions["optimal"].feasible for r in results)
-    # The batched stage's per-scenario guard divides by this stage, so
-    # its route must stay the PM pre-certificate.
+    # The stage times the pre-certificate route: no MILP may run.
     assert [r.solutions["optimal"].meta["solver"] for r in results] == ["precert"] * 5
 
     with capsys.disabled():
@@ -769,86 +762,3 @@ def test_optimal_multi_n40(waxman40_context, capsys):
                 [("optimal_multi_n40_s", f"{multi_s:.3f}", f"{precert}/{len(solutions)}")],
             )
         )
-
-
-def test_sweep_batched_lp(capsys):
-    """Block-diagonal LP batching: 70 same-shape exact solves, one stack.
-
-    The hub-capacity family (:func:`~repro.experiments.scenarios.
-    hub_capacity_context`) yields 70 structurally identical scenarios
-    whose exact solves all accept through the LP-relaxation certificate
-    — the shape the batcher exists for.  ``sweep_batched_lp_baseline_s``
-    runs them scenario-at-a-time on the sparse route;
-    ``sweep_batched_lp_s`` stacks them into one block-diagonal HiGHS
-    call per batch.  ``check_headline.py`` enforces the >=3x same-run
-    speedup and the per-scenario <= ``sweep_independent_n40_s`` bound;
-    this test asserts bit-identical answers and per-block certificate
-    provenance.
-    """
-    from conftest import record_batched
-    from repro.experiments.scenarios import hub_capacity_context
-    from repro.perf.sweep import parallel_sweep
-
-    hub_context, scenarios = hub_capacity_context()
-    algorithms = ("optimal",)
-
-    start = time.perf_counter()
-    baseline = parallel_sweep(
-        hub_context, scenarios, algorithms,
-        optimal_time_limit_s=120.0, max_workers=1,
-    )
-    baseline_s = time.perf_counter() - start
-    record_sweep("sweep_batched_lp_baseline_s", baseline_s, baseline)
-    # The family exists to exercise the LP certificate: no seed may
-    # pre-certify it, or the batch would have nothing to stack.
-    assert all(
-        r.solutions["optimal"].meta["solver"] == "highs-lp" for r in baseline
-    )
-    start = time.perf_counter()
-    batched = parallel_sweep(
-        hub_context, scenarios, algorithms,
-        optimal_time_limit_s=120.0, max_workers=1, lp_batch=len(scenarios),
-    )
-    batched_s = time.perf_counter() - start
-    record_sweep("sweep_batched_lp_s", batched_s, batched)
-
-    assert_sweeps_identical(baseline, batched)
-    summary = {
-        "scenarios": len(scenarios),
-        "stacked": 0,
-        "fallback": 0,
-        "certificates": 0,
-        "speedup": round(baseline_s / batched_s, 2) if batched_s else None,
-    }
-    for base_result, result in zip(baseline, batched):
-        base_sol = base_result.solutions["optimal"]
-        solution = result.solutions["optimal"]
-        assert solution.meta.get("objective") == base_sol.meta.get("objective")
-        # CI contract: the batched route must report per-block
-        # certificate provenance, not just a bare answer.
-        provenance = solution.meta.get("batch")
-        assert provenance is not None, "batched solve missing meta['batch']"
-        assert "certificate" in provenance, provenance
-        if provenance["route"] == "stack":
-            summary["stacked"] += 1
-        else:
-            summary["fallback"] += 1
-        if provenance["certificate"]:
-            summary["certificates"] += 1
-    record_batched(summary)
-    assert summary["stacked"] == len(scenarios), summary
-    assert summary["certificates"] == len(scenarios), summary
-
-    with capsys.disabled():
-        print()
-        print("=== Batched exact sweep (70 same-shape hub scenarios) ===")
-        print(
-            render_table(
-                ("route", "wall (s)"),
-                [
-                    ("scenario-at-a-time", f"{baseline_s:.3f}"),
-                    (f"lp_batch={len(scenarios)}", f"{batched_s:.3f}"),
-                ],
-            )
-        )
-        print(f"speedup: {baseline_s / batched_s:.1f}x")

@@ -41,16 +41,6 @@ Rules
   ``degraded_solves`` entry must be non-zero: quarantined scenarios
   that vanish from the headline are the silent-degradation blindspot
   the section exists to close.
-* Block-diagonal LP batching is likewise a same-run invariant:
-  ``sweep_batched_lp_s`` (the same exact sweep with ``lp_batch`` set)
-  must beat the scenario-at-a-time ``sweep_batched_lp_baseline_s`` it
-  was timed against by ``BATCHED_LP_SPEEDUP``×, its per-scenario cost
-  must not exceed the independent sparse route's
-  (``sweep_independent_n40_s``, normalized by each stage's scenario
-  count), and the headline's ``batched`` section must show every block
-  carrying a per-block certificate (``certificates == scenarios``) — a
-  batch that quietly fell back to scenario-at-a-time solves would
-  otherwise time the old route and call it batching.
 * The ``fanout`` section (payload *bytes*, deliberately excluded from
   the seconds comparison — byte counts are deterministic, so they get
   no tolerance) fails when the shared-memory route's per-worker in-band
@@ -305,87 +295,6 @@ def compare_store_visibility(
     return failures
 
 
-#: The same-run factor the batched-LP exact sweep must beat the
-#: scenario-at-a-time route by (the acceptance bar is 3x on >=64
-#: same-shape scenarios; both stages time the same machine in the same
-#: session, so no noise tolerance applies).
-BATCHED_LP_SPEEDUP = 3.0
-
-#: How many scenarios the ``sweep_independent_n40_s`` stage solves (the
-#: n=40 Waxman context's single-failure cases, one per controller).
-#: The batched stage solves 70, so the cross-stage bound below compares
-#: *per-scenario* cost — the raw stage walls time different workloads.
-INDEPENDENT_N40_SCENARIOS = 5
-
-
-def load_batched(path: Path) -> dict[str, object]:
-    """The ``batched`` section; empty for pre-section headlines."""
-    batched = load_headline(path).get("batched", {})
-    if not isinstance(batched, dict):
-        raise SystemExit(f"{path}: batched must be a mapping")
-    return batched
-
-
-def compare_batched_lp(
-    stages: dict[str, float],
-    batched: dict[str, object],
-    speedup: float = BATCHED_LP_SPEEDUP,
-) -> list[str]:
-    """Failure messages when block-diagonal LP batching stopped paying.
-
-    Three same-run invariants, all vacuous when the batched stage never
-    ran.  First, the batched sweep must beat the scenario-at-a-time
-    baseline it was timed against in the same session by ``speedup``.
-    Second, its *per-scenario* cost must stay at or below the
-    independent sparse route's (``sweep_batched_lp_s / 70`` vs
-    ``sweep_independent_n40_s / 5`` — the stages time different
-    workloads, so the raw walls are not comparable): stacking may never
-    cost more per scenario than plain per-scenario solving.  Third, the
-    ``batched`` section must show every scenario's block carrying a
-    per-block LP-bound certificate: a batch whose members quietly fell
-    back re-times the scenario-at-a-time solver, and the speedup guard
-    would pass on a lie.
-    """
-    batched_s = stages.get("sweep_batched_lp_s")
-    if batched_s is None:
-        return []
-    failures = []
-    baseline_s = stages.get("sweep_batched_lp_baseline_s")
-    if baseline_s is not None and batched_s * speedup > baseline_s:
-        failures.append(
-            f"sweep_batched_lp_s: {batched_s:.4f}s is not {speedup:g}x faster "
-            f"than the same run's scenario-at-a-time "
-            f"sweep_batched_lp_baseline_s {baseline_s:.4f}s — block-diagonal "
-            f"batching has regressed"
-        )
-    independent_s = stages.get("sweep_independent_n40_s")
-    scenarios = batched.get("scenarios")
-    if independent_s is not None and scenarios:
-        per_batched = batched_s / int(scenarios)
-        per_independent = independent_s / INDEPENDENT_N40_SCENARIOS
-        if per_batched > per_independent:
-            failures.append(
-                f"sweep_batched_lp_s: {1000 * per_batched:.2f} ms/scenario "
-                f"exceeds the same run's independent sparse route "
-                f"({1000 * per_independent:.2f} ms/scenario from "
-                f"sweep_independent_n40_s) — stacking is costing more than "
-                f"it saves"
-            )
-    certificates = batched.get("certificates")
-    if not scenarios:
-        failures.append(
-            "sweep_batched_lp_s: the stage ran but the batched section "
-            "counts no scenarios — per-block provenance went dark"
-        )
-    elif certificates != scenarios:
-        failures.append(
-            f"sweep_batched_lp_s: only {certificates or 0} of {scenarios} "
-            f"blocks carry a per-block certificate — batch members are "
-            f"quietly falling back to scenario-at-a-time solves"
-        )
-    return failures
-
-
 def compare_executor_reuse(
     current: dict[str, float], speedup: float = REUSE_SPEEDUP
 ) -> list[str]:
@@ -450,13 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     failures += compare_supervised_overhead(current)
     cur_store = load_store(args.current)
     failures += compare_store_visibility(current, cur_store)
-    cur_batched = load_batched(args.current)
-    failures += compare_batched_lp(current, cur_batched)
-    if cur_batched:
-        print(
-            "batched: "
-            + " ".join(f"{k}={v}" for k, v in sorted(cur_batched.items()))
-        )
     if cur_store:
         print(
             "store: "

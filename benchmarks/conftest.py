@@ -45,11 +45,6 @@ _FANOUT: dict[str, object] = {}
 #: written as the headline's ``store`` section so CI can see whether the
 #: memo-hit stage actually replayed from the store or quietly re-solved.
 _STORE: dict[str, object] = {}
-#: Block-diagonal LP batching provenance of the batched exact sweep —
-#: written as the headline's ``batched`` section so CI can assert every
-#: block carried a per-block certificate instead of quietly falling
-#: back to scenario-at-a-time solves.
-_BATCHED: dict[str, object] = {}
 #: Exact-solve route counts of the multi-failure exact stage — written
 #: as the headline's ``exact`` section so a seed regression that sends
 #: scenarios back to the MILP shows as a count, not only as a slower
@@ -113,18 +108,6 @@ def record_store(summary: dict[str, object]) -> None:
     _STORE.update(summary)
 
 
-def record_batched(summary: dict[str, object]) -> None:
-    """Record the batched exact sweep's per-block provenance counters.
-
-    ``summary`` aggregates the ``meta["batch"]`` stamps of one batched
-    sweep: scenarios, how many rode the stacked route vs fell back, and
-    how many carried a per-block certificate.  Lands as the headline's
-    ``batched`` section (``check_headline.py`` asserts the certificate
-    provenance is present whenever the stage is).
-    """
-    _BATCHED.update(summary)
-
-
 def record_exact(summary: dict[str, object]) -> None:
     """Record how many of an exact stage's solves certified without a MILP.
 
@@ -170,8 +153,6 @@ def pytest_sessionfinish(session, exitstatus):
         payload["fanout"] = dict(sorted(_FANOUT.items()))
     if _STORE:
         payload["store"] = dict(sorted(_STORE.items()))
-    if _BATCHED:
-        payload["batched"] = dict(sorted(_BATCHED.items()))
     if _EXACT:
         payload["exact"] = dict(sorted(_EXACT.items()))
     if _ROUTES:

@@ -44,14 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds before Optimal gives up on a case",
     )
     parser.add_argument(
-        "--lp-batch", type=int, default=None, metavar="K",
-        help=(
-            "stack up to K same-shaped exact solves into one "
-            "block-diagonal LP per HiGHS call (fig/fig7/export sweeps; "
-            "bit-identical results, see docs/performance.md)"
-        ),
-    )
-    parser.add_argument(
         "--store", default=None, metavar="DIR",
         help=(
             "directory of a cross-run solve store: sweeps memoize their "
@@ -151,7 +143,6 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         algorithms,
         optimal_time_limit_s=args.optimal_time_limit,
         store=_store(args),
-        lp_batch=args.lp_batch,
     )
     print(render_figure(data))
     ratios = headline_ratios(data)
@@ -171,7 +162,6 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
                 _context(args),
                 optimal_time_limit_s=args.optimal_time_limit,
                 store=_store(args),
-                lp_batch=args.lp_batch,
             )
         )
     )
@@ -224,7 +214,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         algorithms,
         optimal_time_limit_s=args.optimal_time_limit,
         store=_store(args),
-        lp_batch=args.lp_batch,
     )
     if args.out.endswith(".csv"):
         write_csv(args.out, data)

@@ -80,7 +80,6 @@ def failure_figure_data(
     max_workers: int | None = None,
     executor: object = None,
     store: object = None,
-    lp_batch: int | None = None,
 ) -> dict[str, Any]:
     """All per-case series for an ``n_failures``-failure figure.
 
@@ -93,9 +92,7 @@ def failure_figure_data(
     (:class:`~repro.perf.executor.SweepExecutor`) when generating
     several figures over one context.  ``store`` memoizes solves in a
     :class:`~repro.perf.store.SolveStore`, so regenerating a figure
-    replays earlier runs' solves bit-identically.  ``lp_batch``
-    batches same-shaped exact solves into block-diagonal LPs
-    (:mod:`repro.perf.batch`) — bit-identical, one HiGHS call per batch.
+    replays earlier runs' solves bit-identically.
     """
     if results is None:
         if parallel:
@@ -107,7 +104,6 @@ def failure_figure_data(
                 max_workers=max_workers,
                 executor=executor,
                 store=store,
-                lp_batch=lp_batch,
             )
         else:
             results = run_failure_sweep(
@@ -150,7 +146,6 @@ def fig7_data(
     max_workers: int | None = None,
     executor: object = None,
     store: object = None,
-    lp_batch: int | None = None,
 ) -> dict[str, Any]:
     """Fig. 7 — PM computation time as a percentage of Optimal's.
 
@@ -179,7 +174,6 @@ def fig7_data(
                 max_workers=max_workers,
                 executor=executor,
                 store=store,
-                lp_batch=lp_batch,
             )
         else:
             results = run_failure_sweep(

@@ -120,8 +120,8 @@ def run_failure_sweep_parallel(
 
     Runs every ``n_failures``-controller scenario through
     :func:`repro.perf.sweep.parallel_sweep`, which documents the keyword
-    ``options`` (workers, transport, executor, store, resilience and
-    batching knobs).  Output is identical to the serial sweep apart from
+    ``options`` (workers, transport, executor, store and resilience
+    knobs).  Output is identical to the serial sweep apart from
     ``solve_time_s`` wall clocks.
     """
     from repro.perf.sweep import parallel_sweep

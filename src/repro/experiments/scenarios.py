@@ -11,8 +11,6 @@ switch-controller delays.
 
 from __future__ import annotations
 
-import itertools
-import math
 import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -22,7 +20,6 @@ from repro.control.failures import FailureScenario
 from repro.control.plane import ControlPlane
 from repro.flows.demands import all_pairs_flows
 from repro.flows.flow import Flow
-from repro.geo.coordinates import GeoPoint
 from repro.fmssm.build import GroundingIndex
 from repro.fmssm.instance import FMSSMInstance
 from repro.perf.coefficients import CoefficientTable
@@ -38,7 +35,6 @@ __all__ = [
     "ExperimentContext",
     "default_att_context",
     "custom_context",
-    "hub_capacity_context",
 ]
 
 
@@ -148,99 +144,6 @@ def default_att_context(
         programmability=programmability,
         delay_model=delay_model,
     )
-
-
-def hub_capacity_context(
-    n_leaves: int = 8,
-    n_fail: int = 4,
-    spare_per_leaf: int = 2,
-    inflate: int = 2,
-) -> tuple[ExperimentContext, list[FailureScenario]]:
-    """A same-shaped scenario family whose exact solves are LP-bound.
-
-    The batched-LP benchmarks need many structurally identical scenarios
-    where the PM seed is optimal but only the *LP-relaxation* certificate
-    can prove it (the closed-form combinatorial pre-certificate must
-    miss, or there is no LP to batch).  This family is built for that:
-
-    * a hub controller ``0`` (sites ``h``/``x``/``y``) with exactly
-      ``n_fail * spare_per_leaf`` spare capacity, and ``n_leaves`` leaf
-      controllers (two switches ``a_i``/``b_i`` each) with **zero**
-      spare — their capacity equals their load;
-    * per leaf, a "pure" flow ``a_i → x`` contributing one high-``p̄``
-      pair and a "rich" flow ``a_i → h`` contributing two pairs, plus
-      ``inflate`` filler flows that pad the leaf loads;
-    * failing any ``n_fail`` of the leaf controllers yields
-      ``C(n_leaves, n_fail)`` scenarios (70 at the defaults) that all
-      share one (N, M, P) shape, are all feasible, and all
-      certificate-accept through ``highs-lp`` — never through the
-      pre-certificate, because the knapsack bound over-counts what the
-      hub's capacity rows actually admit.
-
-    Because every leaf controller has zero spare, the spare-zero
-    reduction in :mod:`repro.perf.batch` shrinks each block by ~5x,
-    which is what makes stacking them pay.  Returns the context and the
-    scenario list.
-    """
-    lat0, lon0 = 40.0, -100.0
-    nodes: dict[int, tuple[str, GeoPoint]] = {
-        0: ("h", GeoPoint(lat0, lon0)),
-        1: ("x", GeoPoint(lat0 + 0.15, lon0 + 0.10)),
-        2: ("y", GeoPoint(lat0 + 0.15, lon0 - 0.10)),
-    }
-    edges: list[tuple[int, int]] = [(1, 0), (2, 0)]
-    flows: list[Flow] = []
-    for i in range(n_leaves):
-        a, b = 3 + 2 * i, 4 + 2 * i
-        theta = 2.0 * math.pi * i / n_leaves
-        nodes[a] = (
-            f"a{i}",
-            GeoPoint(lat0 + 2.0 * math.cos(theta), lon0 + 2.0 * math.sin(theta)),
-        )
-        nodes[b] = (
-            f"b{i}",
-            GeoPoint(lat0 + 2.2 * math.cos(theta), lon0 + 2.2 * math.sin(theta)),
-        )
-        edges += [(a, b), (a, 0), (b, 0), (a, 1), (b, 2)]
-        flows.append(Flow(a, 1, (a, 1)))  # pure: one high-pbar pair
-        flows.append(Flow(a, 0, (a, b, 0)))  # rich: two pairs
-        if inflate >= 1:
-            flows.append(Flow(0, a, (0, a)))
-        if inflate >= 2:
-            flows.append(Flow(0, b, (0, b)))
-        if inflate >= 3:
-            flows.append(Flow(1, a, (1, a)))
-        if inflate >= 4:
-            flows.append(Flow(2, b, (2, b)))
-    topology = Topology("hubfam", nodes, edges)
-    domains: dict[ControllerId, list[NodeId]] = {0: [0, 1, 2]}
-    sites: dict[ControllerId, NodeId] = {0: 0}
-    for i in range(n_leaves):
-        domains[i + 1] = [3 + 2 * i, 4 + 2 * i]
-        sites[i + 1] = 3 + 2 * i
-    # Capacities: every leaf controller gets exactly its load (zero
-    # spare); the hub gets the spare the failed leaves will need.
-    probe = ControlPlane(topology, domains, 10**6, sites=sites)
-    loads = probe.domain_loads(flows)
-    capacities = {
-        c: loads[c] + (n_fail * spare_per_leaf if c == 0 else 0) for c in domains
-    }
-    plane = ControlPlane(topology, domains, capacities, sites=sites)
-    counter = make_counter(topology, strategy="lfa")
-    programmability = ProgrammabilityModel(counter, flows)
-    delay_model = DelayModel(topology, mode="geodesic")
-    context = ExperimentContext(
-        topology=topology,
-        flows=flows,
-        plane=plane,
-        programmability=programmability,
-        delay_model=delay_model,
-    )
-    scenarios = [
-        FailureScenario(tuple(c + 1 for c in combo))
-        for combo in itertools.combinations(range(n_leaves), n_fail)
-    ]
-    return context, scenarios
 
 
 def custom_context(

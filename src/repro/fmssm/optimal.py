@@ -18,9 +18,12 @@ bit-identical by ``tests/test_perf_compile.py``):
     with a capacity-feasible "full fill" (every programmable pair in SDN
     mode at locally minimal delay) if that scores higher.  The seed
     doubles as an *optimality certificate*: if its objective reaches the
-    LP-relaxation bound to within less than the objective's granularity
-    (objectives live on the grid ``integer + λ · integer``), the seed is
-    provably optimal and the MILP solve is skipped entirely.
+    combinatorial dual bound (a knapsack over the total spare, never
+    below the LP relaxation) to within less than the objective's
+    granularity (objectives live on the grid ``integer + λ · integer``),
+    the seed is provably optimal and no solver runs.  A seed that misses
+    goes straight to the MILP (HiGHS, or B&B with the seed as its
+    incumbent); no LP relaxation is ever solved on this route.
 ``compile="model"``
     The original readable route through the :mod:`repro.lp.model` DSL
     and :func:`to_standard_form`, kept for cross-validation.
@@ -46,19 +49,25 @@ from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.solution import RecoverySolution
 from repro.lp import SolveResult, SolveStatus, solve
 from repro.lp.branch_and_bound import solve_form_with_bnb
-from repro.lp.highs import solve_form_relaxation, solve_form_with_highs
+from repro.lp.highs import solve_form_with_highs
 from repro.pm.algorithm import solve_pm
 from repro.resilience import chaos
 
 __all__ = ["solve_optimal", "extract_solution"]
 
 _BINARY_THRESHOLD = 0.5
-#: LP objective values below this are indistinguishable from solver noise,
-#: so certificates tighter than it are not trusted.
+#: Objective gaps below this are indistinguishable from float noise, so
+#: certificates tighter than it are not trusted.
 _LP_NOISE_FLOOR = 1e-7
 #: A swap in the fill seed's local search must save more delay × pairs
 #: than this, so float rounding cannot make two swaps undo each other.
 _SWAP_GAIN_FLOOR = 1e-9
+
+#: Accepted values of :func:`solve_optimal`'s ``solver``, ``compile`` and
+#: ``warm_start`` parameters.
+_SOLVERS = ("highs", "bnb")
+_COMPILE_ROUTES = ("sparse", "model")
+_WARM_STARTS = ("pm", None)
 
 
 def extract_solution(
@@ -123,10 +132,11 @@ def _certificate_tolerance(instance: FMSSMInstance) -> float | None:
     and ``b ∈ [0, B]`` (``B`` = total max programmability).  When
     ``λ·B < 1`` two distinct values differ by at least
     ``min(λ, 1 − λ·B)`` (either ``a`` agrees and ``λ|Δb| ≥ λ``, or
-    ``|Δa| ≥ 1`` dominates ``λ|Δb| ≤ λ·B``).  A heuristic within half
-    that spacing of the LP dual bound is therefore *exactly* optimal.
-    Returns ``None`` when the spacing is not positive or sits below the
-    LP noise floor — the certificate is skipped then.
+    ``|Δa| ≥ 1`` dominates ``λ|Δb| ≤ λ·B``).  A seed within half that
+    spacing of any dual bound — here :func:`_combinatorial_bound` — is
+    therefore *exactly* optimal.  Returns ``None`` when the spacing is
+    not positive or sits below the noise floor — the certificate is
+    skipped then and every solve runs the MILP.
     """
     lam = float(instance.lam)
     if lam == 0.0:
@@ -147,9 +157,8 @@ def _combinatorial_bound(instance: FMSSMInstance) -> float:
     ``r + λ Σ p̄_k z_k`` under those alone is a fractional knapsack with
     unit weights: fill the total spare capacity with the largest ``p̄``
     values.  Every LP-feasible point satisfies the relaxed system, so
-    this bound is never below the LP-relaxation objective — a PM seed
-    that certifies against it would also certify against the LP, and
-    the LP solve can be skipped with the *same* returned point.
+    this bound is never below the LP-relaxation objective, and hence
+    never below the MILP optimum.
     """
     recoverable = instance.recoverable_flows
     r_ub = float(
@@ -257,8 +266,9 @@ def _seed(instance: FMSSMInstance, compiled, enforce_delay: bool) -> _Seed:
     The fill runs only when PM misses the combinatorial bound, and
     replaces PM only when it embeds feasibly (capacity, delay ≤ G,
     ``r ≥ 1`` under full recovery — ``embed_solution``'s check) with a
-    strictly higher objective.  Both the serial and the batched route
-    take their seed here, so they certify the same scenarios.
+    strictly higher objective.  ``precert`` is the whole certificate: a
+    seed that misses the bound is the B&B incumbent and HiGHS's
+    timeout fallback, never tested against an LP bound.
     """
     pm = solve_pm(instance, enforce_delay=enforce_delay)
     x = compiled.embed_solution(pm)
@@ -330,79 +340,44 @@ def _solve_optimal_sparse(
     seed = _seed(instance, compiled, enforce_delay) if warm_start == "pm" else None
     seed_x = None if seed is None else seed.x
 
-    certificate = False
-    result: SolveResult | None = None
-    if seed_x is not None:
-        cert_tol = seed.tol
-        seed_obj = seed.objective
-        if seed.precert:
-            # The combinatorial bound dominates the LP bound, so the LP
-            # certificate would fire too — skip the LP solve entirely
-            # and return the same seed point it would return.
-            certificate = True
+    certificate = seed is not None and seed.precert
+    if certificate:
+        # The seed reaches the combinatorial bound, which dominates the
+        # LP bound and hence the MILP optimum: provably optimal.
+        result = SolveResult(
+            status=SolveStatus.OPTIMAL,
+            objective=seed.objective,
+            x=seed_x,
+            solver="precert",
+            wall_time_s=0.0,
+            gap=0.0,
+        )
+    elif solver == "bnb":
+        result = solve_form_with_bnb(
+            compiled.form, time_limit_s=time_limit_s, warm_start=seed_x
+        )
+    else:
+        result = solve_form_with_highs(compiled.form, time_limit_s=time_limit_s)
+        if not result.is_feasible and seed_x is not None and (
+            result.status is SolveStatus.TIMEOUT
+        ):
+            # Feasibility fallback: HiGHS ran out of time with no
+            # incumbent, but the PM seed is a proven feasible point.
+            warnings.warn(
+                DegradedResultWarning(
+                    f"optimal (sparse route) timed out after "
+                    f"{result.wall_time_s:.1f}s with no incumbent; falling "
+                    f"back to the PM point"
+                ),
+                stacklevel=3,
+            )
             result = SolveResult(
-                status=SolveStatus.OPTIMAL,
-                objective=seed_obj,
+                status=SolveStatus.FEASIBLE,
+                objective=compiled.objective_value(seed_x),
                 x=seed_x,
-                solver="precert",
-                wall_time_s=0.0,
-                gap=0.0,
+                solver="pm-fallback",
+                wall_time_s=result.wall_time_s,
             )
-        else:
-            relaxation = solve_form_relaxation(compiled.form)
-            if relaxation.status is SolveStatus.INFEASIBLE:
-                # The LP relaxing integrality is already infeasible, so the
-                # MILP is too (cannot happen with a validated seed except
-                # through numerical tolerance; trust the LP like B&B does).
-                return _infeasible(
-                    {"status": "infeasible", "solver": relaxation.solver,
-                     "compile": "sparse"},
-                    time.perf_counter() - start,
-                )
-            if (
-                relaxation.status is SolveStatus.OPTIMAL
-                and cert_tol is not None
-                and seed_obj >= relaxation.objective - cert_tol
-            ):
-                # PM reaches the dual bound within less than the objective
-                # grid spacing: provably optimal, skip the MILP.
-                certificate = True
-                result = SolveResult(
-                    status=SolveStatus.OPTIMAL,
-                    objective=seed_obj,
-                    x=seed_x,
-                    solver=relaxation.solver,
-                    wall_time_s=relaxation.wall_time_s,
-                    gap=0.0,
-                )
-
-    if result is None:
-        if solver == "bnb":
-            result = solve_form_with_bnb(
-                compiled.form, time_limit_s=time_limit_s, warm_start=seed_x
-            )
-        else:
-            result = solve_form_with_highs(compiled.form, time_limit_s=time_limit_s)
-            if not result.is_feasible and seed_x is not None and (
-                result.status is SolveStatus.TIMEOUT
-            ):
-                # Feasibility fallback: HiGHS ran out of time with no
-                # incumbent, but the PM seed is a proven feasible point.
-                warnings.warn(
-                    DegradedResultWarning(
-                        f"optimal (sparse route) timed out after "
-                        f"{result.wall_time_s:.1f}s with no incumbent; falling "
-                        f"back to the PM point"
-                    ),
-                    stacklevel=3,
-                )
-                result = SolveResult(
-                    status=SolveStatus.FEASIBLE,
-                    objective=compiled.objective_value(seed_x),
-                    x=seed_x,
-                    solver="pm-fallback",
-                    wall_time_s=result.wall_time_s,
-                )
 
     elapsed = time.perf_counter() - start
     if not result.is_feasible or result.x is None:
@@ -475,7 +450,6 @@ def solve_optimal(
     compiler: object = None,
     raise_on_timeout: bool = False,
     validate: bool = True,
-    lp_batch: int | None = None,
 ) -> RecoverySolution:
     """Solve P′ to optimality and return the recovery solution.
 
@@ -511,35 +485,24 @@ def solve_optimal(
         (:mod:`repro.resilience.validate`) on every feasible answer;
         a violated constraint raises
         :class:`~repro.exceptions.ValidationError`.
-    lp_batch:
-        Any value >= 1 routes the solve through
-        :func:`repro.perf.batch.solve_optimal_batch` (as a batch of
-        one) — same answer bit for bit, with ``meta["batch"]``
-        provenance added.  Sweeps pass ``lp_batch`` >= 2 to
-        :func:`repro.perf.sweep.parallel_sweep` instead, which groups
-        same-shaped scenarios into real multi-block batches.  Only the
-        sparse route with the PM warm start batches; other
-        configurations ignore the knob.
-    """
-    chaos.check("optimal.solve")
-    if (
-        lp_batch is not None
-        and lp_batch >= 1
-        and compile == "sparse"
-        and warm_start == "pm"
-    ):
-        from repro.perf.batch import solve_optimal_batch
 
-        return solve_optimal_batch(
-            [instance],
-            solver=solver,
-            time_limit_s=time_limit_s,
-            require_full_recovery=require_full_recovery,
-            enforce_delay=enforce_delay,
-            compiler=compiler,
-            raise_on_timeout=raise_on_timeout,
-            validate=validate,
-        )[0]
+    Raises
+    ------
+    ValueError
+        ``solver``, ``compile`` or ``warm_start`` is not one of the
+        values above — checked before any route runs.
+    """
+    if solver not in _SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {_SOLVERS}")
+    if compile not in _COMPILE_ROUTES:
+        raise ValueError(
+            f"unknown compile route {compile!r}; expected one of {_COMPILE_ROUTES}"
+        )
+    if warm_start not in _WARM_STARTS:
+        raise ValueError(
+            f"unknown warm_start {warm_start!r}; expected one of {_WARM_STARTS}"
+        )
+    chaos.check("optimal.solve")
     if compile == "sparse":
         solution = _solve_optimal_sparse(
             instance,
@@ -554,8 +517,6 @@ def solve_optimal(
         if validate:
             _validated(instance, solution, enforce_delay, require_full_recovery)
         return solution
-    if compile != "model":
-        raise ValueError(f"unknown compile route {compile!r}")
 
     start = time.perf_counter()
     model, handles = build_fmssm_model(

@@ -11,8 +11,8 @@ Two entry points are provided: :func:`solve_with_highs` takes a DSL
 :class:`~repro.lp.standard_form.StandardForm` directly — the fast path
 used by :mod:`repro.perf.compile`, which skips the modelling layer
 entirely.  :func:`solve_form_relaxation` solves the LP relaxation of a
-form, giving the dual bound the PM-seeded certificate in
-:mod:`repro.fmssm.optimal` compares against.
+form — the reference dual bound that the combinatorial bound of
+:mod:`repro.fmssm.optimal` is tested to dominate.
 """
 
 from __future__ import annotations
@@ -118,21 +118,13 @@ def solve_form_with_highs(
     )
 
 
-def solve_form_relaxation(
-    form: StandardForm,
-    method: str = "highs",
-    options: dict | None = None,
-) -> SolveResult:
+def solve_form_relaxation(form: StandardForm) -> SolveResult:
     """Solve the LP relaxation of ``form`` (integrality dropped).
 
     The relaxation's objective is a *dual bound* on the MILP: no integer
     solution can beat it.  An infeasible relaxation proves the MILP
-    infeasible.  Used by the PM-seeded optimality certificate.
-
-    ``method``/``options`` pass straight through to ``linprog``; the
-    batched block-diagonal path selects the dual simplex with presolve
-    off (``method="highs-ds"``), which wins on its small reduced blocks
-    while the default stays optimal for full-size single solves.
+    infeasible.  No solve route calls this; tests use it as the
+    reference bound.
     """
     chaos.check("highs.relax")
     start = time.perf_counter()
@@ -143,8 +135,7 @@ def solve_form_relaxation(
         A_eq=form.a_eq if form.a_eq.shape[0] else None,
         b_eq=form.b_eq if form.a_eq.shape[0] else None,
         bounds=np.column_stack([form.lb, form.ub]),
-        method=method,
-        options=options,
+        method="highs",
     )
     elapsed = time.perf_counter() - start
     if raw.status == 2:

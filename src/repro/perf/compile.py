@@ -42,7 +42,6 @@ back from disk costs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,7 +232,6 @@ class FMSSMCompiler:
         require_full_recovery: bool = False,
         enforce_delay: bool = True,
         with_names: bool = False,
-        controller_subset: Iterable[ControllerId] | None = None,
     ) -> CompiledFMSSM:
         """Compile ``instance`` to the standard form of problem P′.
 
@@ -241,25 +239,9 @@ class FMSSMCompiler:
         ``with_names`` additionally emits the DSL's variable names (used
         by equivalence tests — the hot path leaves them empty and works
         with raw column indices instead).
-
-        ``controller_subset`` restricts the compiled form's controller
-        columns to the given controllers (order preserved from
-        ``instance.controllers``).  The batched LP path uses this to drop
-        spare-zero controllers, whose ``x``/``w`` columns provably cannot
-        change the LP optimum — see DESIGN §14 for the argument.  The
-        subset must be a subset of the instance's controllers; anything
-        else raises ``ValueError``.
         """
         switches = instance.switches
-        if controller_subset is None:
-            controllers = instance.controllers
-        else:
-            keep = set(controller_subset)
-            if not keep <= set(instance.controllers):
-                raise ValueError(
-                    "controller_subset must be a subset of instance.controllers"
-                )
-            controllers = tuple(c for c in instance.controllers if c in keep)
+        controllers = instance.controllers
         pairs = instance.pairs
         n, m, p = len(switches), len(controllers), len(pairs)
         n_x = n * m
@@ -434,7 +416,6 @@ def compile_fmssm(
     enforce_delay: bool = True,
     with_names: bool = False,
     compiler: FMSSMCompiler | None = None,
-    controller_subset: Iterable[ControllerId] | None = None,
 ) -> CompiledFMSSM:
     """Compile ``instance`` with ``compiler`` (default: the shared one)."""
     return (compiler or _DEFAULT_COMPILER).compile(
@@ -442,5 +423,4 @@ def compile_fmssm(
         require_full_recovery=require_full_recovery,
         enforce_delay=enforce_delay,
         with_names=with_names,
-        controller_subset=controller_subset,
     )

@@ -143,7 +143,6 @@ class _SweepParams:
     ladder: object
     validate: bool
     chaos_plan: object
-    lp_batch: "int | None" = None
 
 
 class SweepExecutor:
@@ -513,7 +512,6 @@ def _warm_plan(header: WarmHeader):
             params.ladder,
             params.validate,
             params.chaos_plan,
-            lp_batch=params.lp_batch,
         )
         _PLANS[header.plan_key] = plan
         while len(_PLANS) > _MAX_PLANS:
@@ -532,21 +530,6 @@ def _warm_run_chunk(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
 
     plan, build_s = _warm_plan(header)
     rows = list(_scenario_rows(plan, tasks))
-    stats = worker_cache_stats(build_s)
-    return [row + (stats,) for row in rows]
-
-
-def _warm_run_batch(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
-    """Worker body: ``tasks`` with ``optimal`` solves stacked into LPs.
-
-    The worker accumulates its chunk's compiled ``optimal`` forms into
-    block-diagonal LP batches (flushing at the plan's ``lp_batch`` size
-    and at the chunk boundary) before calling HiGHS.
-    """
-    from repro.perf.sweep import _batched_rows
-
-    plan, build_s = _warm_plan(header)
-    rows = _batched_rows(plan, tasks)
     stats = worker_cache_stats(build_s)
     return [row + (stats,) for row in rows]
 
@@ -622,8 +605,7 @@ def run_campaign(
     the campaign's sweeps (see :mod:`repro.resilience.supervisor`).
 
     ``executor=None`` uses :func:`get_default_executor` (left open for
-    later campaigns); additional keyword arguments — ``lp_batch=`` for
-    block-diagonal LP batching included — pass through to
+    later campaigns); additional keyword arguments pass through to
     :func:`~repro.perf.sweep.parallel_sweep`.  A cross-run
     :class:`~repro.perf.store.SolveStore` (``store=`` here or attached
     to the executor) memoizes every sweep of the campaign; the store's

@@ -114,9 +114,9 @@ class SweepPlan:
 
     A worker builds the plan once per sweep from its cached context and
     the sweep's parameters (:func:`repro.perf.executor._warm_plan`), then
-    indexes into it by task; the serial path builds one in-process for
-    LP batching.  The active chaos plan (if any) rides along so fault
-    injection reaches worker processes.
+    indexes into it by task; the serial path builds one in-process.  The
+    active chaos plan (if any) rides along so fault injection reaches
+    worker processes.
     """
 
     context: "ExperimentContext"  # noqa: F821 - imported lazily (cycle)
@@ -125,9 +125,6 @@ class SweepPlan:
     ladder: LadderPolicy | None = None
     validate: bool = False
     chaos_plan: "chaos.ChaosPlan | None" = field(default=None)
-    #: Batch size for block-diagonal LP solving of ``optimal`` tasks
-    #: (:mod:`repro.perf.batch`); ``None`` keeps scenario-at-a-time.
-    lp_batch: int | None = None
     #: Instances grounded through :meth:`instance`, by scenario index.
     _instances: dict[int, FMSSMInstance] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -230,101 +227,6 @@ def _scenario_rows(
             )
 
 
-def _lp_batchable(plan: SweepPlan) -> bool:
-    """Whether ``plan`` routes ``optimal`` solves through the LP batcher.
-
-    Batching requires no ladder (rung demotions are per-scenario by
-    contract, so ladder runs stay scenario-at-a-time).
-    """
-    return plan.lp_batch is not None and plan.lp_batch >= 1 and plan.ladder is None
-
-
-def _batched_rows(
-    plan: SweepPlan,
-    tasks: Sequence[tuple[int, str]],
-    instance_of=None,
-) -> list[_TaskResult]:
-    """Run ``tasks`` with ``optimal`` solves batched into stacked LPs.
-
-    The scenario-at-a-time equivalent of this function is
-    :func:`_scenario_rows`; results are bit-identical (see
-    :func:`repro.perf.batch.solve_optimal_batch` for why), only the
-    execution order changes: ``optimal`` tasks are grouped by structural
-    (N, M, P) shape, chunked to ``plan.lp_batch``, and each chunk is
-    solved through one block-diagonal relaxation.  Every task still
-    passes the ``sweep.task`` chaos site exactly once, and every
-    scenario's solutions are evaluated in one batch in task order.
-
-    ``instance_of`` overrides instance grounding, as in
-    :func:`_scenario_rows`.
-    """
-    from repro.perf.batch import solve_optimal_batch
-
-    if instance_of is None:
-        instance_of = plan.instance
-
-    by_scenario: dict[int, list[str]] = {}
-    for index, algorithm in tasks:
-        by_scenario.setdefault(index, []).append(algorithm)
-    instances: dict[int, FMSSMInstance] = {}
-    for index in by_scenario:
-        instance = instance_of(index)
-        prepare_instance(instance)
-        instances[index] = instance
-
-    # Stack the optimal solves: group by shape so blocks share one
-    # (N, M, P) template, then chunk each group to the batch size.
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for index, algorithms in by_scenario.items():
-        if "optimal" in algorithms:
-            instance = instances[index]
-            shape = (
-                len(instance.switches),
-                len(instance.controllers),
-                len(instance.pairs),
-            )
-            groups.setdefault(shape, []).append(index)
-    solutions: dict[int, RecoverySolution] = {}
-    size = max(1, int(plan.lp_batch or 1))
-    for shape in groups:
-        members = groups[shape]
-        for k in range(0, len(members), size):
-            chunk = members[k:k + size]
-            for _ in chunk:
-                chaos.check("sweep.task")
-            batch = solve_optimal_batch(
-                [instances[i] for i in chunk],
-                time_limit_s=plan.optimal_time_limit_s,
-            )
-            for index, solution in zip(chunk, batch):
-                solutions[index] = solution
-
-    out: list[_TaskResult] = []
-    for index, algorithms in by_scenario.items():
-        instance = instances[index]
-        solved = []
-        for algorithm in algorithms:
-            if algorithm == "optimal" and index in solutions:
-                solved.append((algorithm, solutions[index], None))
-                continue
-            chaos.check("sweep.task")
-            solution, report = _solve(
-                instance,
-                algorithm,
-                plan.optimal_time_limit_s,
-                plan.ladder,
-                plan.validate,
-            )
-            solved.append((algorithm, solution, report))
-        evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
-        for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-            out.append((
-                index, algorithm, solution, evaluation,
-                None if report is None else report.to_dict(),
-            ))
-    return out
-
-
 class _SweepRunner:
     """One sweep execution: slots, checkpointing, and degradation audit."""
 
@@ -340,7 +242,6 @@ class _SweepRunner:
         checkpoint_every: int,
         transport: str = "auto",
         store: SolveStore | None = None,
-        lp_batch: int | None = None,
     ) -> None:
         from repro.experiments.runner import ScenarioResult
 
@@ -354,7 +255,6 @@ class _SweepRunner:
         self.checkpoint_every = max(1, checkpoint_every)
         self.transport = transport
         self.store = store
-        self.lp_batch = lp_batch
         #: Instances the store probe grounded (misses and validated
         #: hits), by scenario index; the solve reuses them.
         self._grounded: dict[int, FMSSMInstance] = {}
@@ -634,28 +534,11 @@ class _SweepRunner:
             self.optimal_time_limit_s,
             self.ladder,
             self.validate,
-            lp_batch=self.lp_batch,
-        )
-
-    def _batched(self) -> bool:
-        """Whether this sweep fans ``optimal`` tasks out in LP batches."""
-        return (
-            _lp_batchable(self._as_plan())
-            and any(a in _HEAVY_ALGORITHMS for a in self.algorithms)
         )
 
     def run_serial(self, tasks: Sequence[tuple[int, str]]) -> None:
-        """Solve ``tasks`` in-process, in deterministic order.
-
-        With ``lp_batch`` set, ``optimal`` solves are stacked into
-        block-diagonal LPs (:func:`_batched_rows`) — bit-identical to
-        the scenario-at-a-time :func:`_scenario_rows`.
-        """
-        plan = self._as_plan()
-        if tasks and self._batched():
-            rows = _batched_rows(plan, tasks, instance_of=self._instance)
-        else:
-            rows = _scenario_rows(plan, tasks, instance_of=self._instance)
+        """Solve ``tasks`` in-process, in deterministic order."""
+        rows = _scenario_rows(self._as_plan(), tasks, instance_of=self._instance)
         for row in rows:
             self._store(*row)
 
@@ -698,7 +581,6 @@ class _SweepRunner:
                 ladder=self.ladder,
                 validate=self.validate,
                 chaos_plan=chaos_plan,
-                lp_batch=self.lp_batch,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
@@ -724,24 +606,16 @@ class _SweepRunner:
 
     def _submissions(
         self, tasks: Sequence[tuple[int, str]], workers: int
-    ) -> list[tuple[object, object, tuple[tuple[int, str], ...]]]:
-        """The pool's submission units: ``(worker body, payload, tasks)``.
+    ) -> list[tuple[tuple[int, str], ...]]:
+        """The pool's submission units, each run by one
+        :func:`~repro.perf.executor._warm_run_chunk` call.
 
-        LP-batched and heuristic-only sweeps submit one contiguous
-        scenario-major chunk per worker, cut on scenario boundaries, so
-        each worker grounds only its own slice of the instances, each
-        once (and stacks its own compiled forms into batches).  Other
-        heavy sweeps submit one task per unit for dynamic load
-        balancing.  Every body returns a list of rows.
+        Heuristic-only sweeps submit one contiguous scenario-major chunk
+        per worker, cut on scenario boundaries, so each worker grounds
+        only its own slice of the instances, each once.  Heavy sweeps
+        submit one task per unit for dynamic load balancing.
         """
-        from repro.perf import executor as executor_mod
-
-        batched = self._batched()
-        if batched or not any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-            body = (
-                executor_mod._warm_run_batch if batched
-                else executor_mod._warm_run_chunk
-            )
+        if not any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
             groups = [
                 tuple(group)
                 for _, group in itertools.groupby(tasks, key=lambda t: t[0])
@@ -751,8 +625,8 @@ class _SweepRunner:
                 tuple(itertools.chain.from_iterable(groups[lo:hi]))
                 for lo, hi in zip(bounds, bounds[1:])
             )
-            return [(body, chunk, chunk) for chunk in chunks if chunk]
-        return [(executor_mod._warm_run_chunk, (task,), (task,)) for task in tasks]
+            return [chunk for chunk in chunks if chunk]
+        return [(task,) for task in tasks]
 
     def run_warm(self, tasks: Sequence[tuple[int, str]], workers: int,
                  executor) -> bool:
@@ -767,6 +641,8 @@ class _SweepRunner:
         a ladder, injected :class:`~repro.exceptions.ChaosError`)
         propagate unchanged, exactly as the serial path would raise them.
         """
+        from repro.perf.executor import _warm_run_chunk
+
         try:
             header, stats = self._warm_header(executor)
         except Exception as exc:  # unpicklable context: stay serial
@@ -777,8 +653,8 @@ class _SweepRunner:
         try:
             pool = executor.pool()
             pending = {
-                pool.submit(body, header, payload)
-                for body, payload, _ in self._submissions(tasks, workers)
+                pool.submit(_warm_run_chunk, header, unit)
+                for unit in self._submissions(tasks, workers)
             }
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -904,6 +780,7 @@ class _SweepRunner:
         does on its first crash.
         """
         from repro.exceptions import ChaosError
+        from repro.perf.executor import _warm_run_chunk
 
         policy = supervisor.policy
         supervisor.stats["supervised_sweeps"] += 1
@@ -994,12 +871,12 @@ class _SweepRunner:
                 probe_done: set = set()
                 try:
                     pool = executor.pool()
-                    for n, (fn, payload, unit) in enumerate(
-                        self._submissions(tasks, workers)
-                    ):
+                    for n, unit in enumerate(self._submissions(tasks, workers)):
                         on_probe = probe_quota is None or n < probe_quota
                         future = pool.submit(
-                            fn, header if on_probe else fallback_header, payload
+                            _warm_run_chunk,
+                            header if on_probe else fallback_header,
+                            unit,
                         )
                         units[future] = unit
                         if probe_futures is not None and on_probe:
@@ -1241,7 +1118,6 @@ def parallel_sweep(
     executor: "SweepExecutor | None" = None,  # noqa: F821
     supervisor: "SweepSupervisor | None" = None,  # noqa: F821
     store: SolveStore | None = None,
-    lp_batch: int | None = None,
 ) -> "list[ScenarioResult]":  # noqa: F821
     """Run ``scenarios`` × ``algorithms`` over a process pool.
 
@@ -1301,18 +1177,6 @@ def parallel_sweep(
     store when one is attached.  Under an
     active chaos plan the store is bypassed entirely so fault injection
     still exercises real solves.
-
-    ``lp_batch`` stacks up to that many same-shaped compiled ``optimal``
-    scenarios into one block-diagonal LP relaxation per HiGHS call
-    (:mod:`repro.perf.batch`), amortizing solver setup across the batch.
-    Blocks whose slice fails the per-block certificate fall back to the
-    scenario-at-a-time route individually, so results stay bit-identical
-    and validator-clean.  Requires no ``ladder`` (silently ignored
-    otherwise); composes with the store (hits settle before fan-out, so
-    they skip the batches), chaos (the ``batch.solve`` site attributes
-    faults per block), and the supervisor (a batch failure charges only
-    its member scenarios).  Like ``transport`` it is a pure execution
-    strategy and never enters the checkpoint fingerprint.
     """
     import os
 
@@ -1359,7 +1223,6 @@ def parallel_sweep(
         checkpoint_every,
         transport=transport,
         store=store,
-        lp_batch=lp_batch,
     )
     runner.restore()
     if store is not None:

@@ -29,14 +29,6 @@ Instrumented sites
     Entry of the corresponding solver routines; ``highs.solve.x`` is the
     transform point over the HiGHS result vector (``corrupt-solution``
     activates every pair, which the independent validator must reject).
-``batch.solve``
-    The stacked block-diagonal LP call in
-    :func:`repro.perf.batch.solve_optimal_batch` — a check before the
-    stacked solve (``raise-*`` degrades only the batch's member
-    scenarios, each falling back to the scenario-at-a-time route) and a
-    transform over the stacked solution vector (``corrupt-solution``
-    trips the per-slice feasibility guard, again degrading only the
-    corrupted members).
 ``executor.decode_context``
     Fires in a warm worker right before it decodes a cache-cold context
     payload (:mod:`repro.perf.executor`) — a fault here simulates a

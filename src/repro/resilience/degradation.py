@@ -153,26 +153,6 @@ def _solve_sparse_warm(instance: FMSSMInstance, time_limit_s: float | None) -> R
     )
 
 
-def _solve_sparse_batch(instance: FMSSMInstance, time_limit_s: float | None) -> RecoverySolution:
-    """The sparse route through the block-diagonal batch path.
-
-    A batch of one: same answer as ``sparse+warm`` bit for bit, but the
-    solve carries ``meta["batch"]`` provenance and exercises the
-    ``batch.solve`` chaos site — ladders that front a batched sweep use
-    this rung so the primary rung matches the sweep's execution route.
-    """
-    from repro.fmssm.optimal import solve_optimal
-
-    return solve_optimal(
-        instance,
-        time_limit_s=time_limit_s,
-        compile="sparse",
-        warm_start="pm",
-        raise_on_timeout=True,
-        lp_batch=1,
-    )
-
-
 def _solve_model(instance: FMSSMInstance, time_limit_s: float | None) -> RecoverySolution:
     from repro.fmssm.optimal import solve_optimal
 
@@ -212,7 +192,6 @@ def _solve_pm_rung(instance: FMSSMInstance, time_limit_s: float | None) -> Recov
 #: graceful-degradation semantics the ladder exists to provide.
 RUNG_SOLVERS = {
     "sparse+warm": _solve_sparse_warm,
-    "sparse+batch": _solve_sparse_batch,
     "model": _solve_model,
     "bnb": _solve_bnb,
     "pm": _solve_pm_rung,

@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.control.failures import FailureScenario, enumerate_failure_scenarios
-from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
 from repro.fmssm.evaluation import evaluate_solution, verify_solution
 from repro.fmssm.optimal import _combinatorial_bound, _full_fill_seed, solve_optimal
 from repro.lp.highs import solve_form_relaxation
-from repro.perf.batch import solve_optimal_batch
 from repro.perf.compile import compile_fmssm
+from repro.resilience import chaos
 from repro.resilience.validate import check_solution
-from repro.topology.generators import ring_topology
+from repro.topology.generators import ring_topology, waxman_topology
 from conftest import make_tiny_instance
 from test_property_fmssm import tiny_instances
 
@@ -77,6 +75,24 @@ class TestTinyOptimal:
         evaluation = evaluate_solution(tiny_instance, solution)
         assert evaluation.total_delay_ms <= tiny_instance.ideal_delay_ms + 1e-6
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"solver": "gurobi"},
+            {"solver": "gurobi", "compile": "model"},
+            {"warm_start": "PM"},
+            {"warm_start": "PM", "compile": "model"},
+            {"compile": "turbo"},
+        ],
+        ids=["solver", "solver-model", "warm-start", "warm-start-model", "compile"],
+    )
+    def test_bad_arguments_rejected_on_every_route(self, tiny_instance, kwargs):
+        """An unknown solver, warm start or compile route raises before
+        any route runs, instead of silently solving some other way."""
+        (name, value), *_ = kwargs.items()
+        with pytest.raises(ValueError, match=f"unknown {name}.*{value!r}"):
+            solve_optimal(tiny_instance, **kwargs)
+
 
 class TestSmallNetworkOptimal:
     def test_small_context_solves(self, small_context, small_instance):
@@ -98,13 +114,18 @@ class TestSmallNetworkOptimal:
         assert optimal.objective >= pm_strict.objective - 1e-9
 
 
-@pytest.fixture(scope="module")
-def chain_context():
+def ring_context(capacity: int):
+    """A 10-node chorded ring with controllers at 0, 3 and 7."""
     return custom_context(
         ring_topology(10, chords=5, seed=7),
         controller_sites=(0, 3, 7),
-        capacity=160,
+        capacity=capacity,
     )
+
+
+@pytest.fixture(scope="module")
+def chain_context():
+    return ring_context(160)
 
 
 class TestPrecertificate:
@@ -211,23 +232,106 @@ class TestAttFillCertificate:
         assert solution.meta["seed"] == "fill"
         assert solution.meta["certificate"] is True
 
-    def test_batch_certifies_the_serial_scenarios(self, att_context):
-        """The batched and serial routes share one seed helper, so they
-        certify the same ATT two-failure scenarios.  Certificates are
-        decided before any MILP, so a short time limit keeps the misses
-        cheap without changing which scenarios certify."""
-        instances = [
-            att_context.instance(s)
+    def test_two_failure_universe_precertifies_or_runs_the_milp(self, att_context):
+        """At least 11 of the 15 ATT two-failure solves certify from a
+        seed; every other one goes straight to the HiGHS MILP."""
+        solutions = [
+            solve_optimal(att_context.instance(s), time_limit_s=120.0)
             for s in enumerate_failure_scenarios(att_context.plane, 2)
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedResultWarning)
-            serial = [solve_optimal(i, time_limit_s=0.5) for i in instances]
-            batched = solve_optimal_batch(instances, time_limit_s=0.5)
-        serial_certified = [bool(s.meta.get("certificate")) for s in serial]
-        assert serial_certified == [bool(b.meta.get("certificate")) for b in batched]
-        assert sum(serial_certified) >= 11
-        for ind, bat in zip(serial, batched):
-            if ind.meta.get("certificate"):
-                assert bat.meta["seed"] == ind.meta["seed"]
-                assert bat.meta["objective"] == ind.meta["objective"]
+        solvers = [s.meta["solver"] for s in solutions]
+        assert solvers.count("precert") >= 11, solvers
+        assert set(solvers) == {"precert", "highs"}, solvers
+
+
+@pytest.fixture(scope="module")
+def ring135():
+    """A capacity-135 ring's one- and two-failure scenarios: the singles
+    precertify, ``(0, 3)`` misses the bound and runs the MILP, and the
+    other pairs are infeasible."""
+    context = ring_context(135)
+    scenarios = list(enumerate_failure_scenarios(context.plane, 1))
+    scenarios += list(enumerate_failure_scenarios(context.plane, 2))
+    return {
+        tuple(sorted(s.failed)): context.instance(s) for s in scenarios
+    }
+
+
+class TestRing135Routes:
+    def test_singles_precertify(self, ring135):
+        for failed in [(0,), (3,), (7,)]:
+            solution = solve_optimal(ring135[failed], time_limit_s=60.0)
+            assert solution.meta["solver"] == "precert", failed
+            assert solution.meta["certificate"] is True
+
+    def test_certificate_miss_runs_the_milp(self, ring135):
+        highs = solve_optimal(ring135[(0, 3)], time_limit_s=60.0)
+        assert highs.meta["solver"] == "highs"
+        assert highs.meta["certificate"] is False
+        bnb = solve_optimal(ring135[(0, 3)], solver="bnb", time_limit_s=60.0)
+        assert bnb.meta["solver"] == "bnb"
+        assert bnb.meta["objective"] == highs.meta["objective"]
+
+    @pytest.mark.parametrize("failed", [(0, 7), (3, 7)])
+    def test_infeasible_pairs(self, ring135, failed):
+        solution = solve_optimal(ring135[failed], time_limit_s=60.0)
+        assert not solution.feasible
+        assert solution.meta["status"] == "infeasible"
+
+    def test_no_route_solves_an_lp_relaxation(self, ring135):
+        """With every LP-relaxation solve faulted, the certificate miss
+        still returns the MILP optimum: a miss goes straight to the MILP."""
+        plain = solve_optimal(ring135[(0, 3)], time_limit_s=60.0)
+        with chaos.inject(chaos.Fault("highs.relax", "raise-error", count=None)):
+            faulted = solve_optimal(ring135[(0, 3)], time_limit_s=60.0)
+        assert faulted.meta["solver"] == "highs"
+        assert faulted.meta["objective"] == plain.meta["objective"]
+        assert faulted.sdn_pairs == plain.sdn_pairs
+
+
+# ---------------------------------------------------------------------------
+# Property: the seeded route ≡ the cold MILP on random Waxman instances,
+# salted with one infeasible instance and one certificate miss.
+# ---------------------------------------------------------------------------
+
+#: No spare anywhere: infeasible, and no seed can embed.
+INFEASIBLE_INSTANCE = make_tiny_instance(spare={100: 0, 200: 0})
+
+
+#: Feasible, but its seed misses the certificate, so the seeded route
+#: runs the MILP (``solver="highs"``, no certificate).
+BNB_INSTANCE = ring_context(135).instance(FailureScenario(frozenset({0, 3})))
+
+
+@st.composite
+def waxman_instances(draw):
+    n = draw(st.integers(min_value=10, max_value=13))
+    seed = draw(st.integers(min_value=0, max_value=20))
+    capacity = draw(st.sampled_from((200, 300, 400)))
+    topology = waxman_topology(n, alpha=0.7, beta=0.4, seed=seed)
+    try:
+        context = custom_context(
+            topology, controller_sites=topology.nodes[:3], capacity=capacity
+        )
+        context.plane.spare_capacity(context.flows)
+    except Exception:
+        assume(False)
+    return [
+        context.instance(s) for s in enumerate_failure_scenarios(context.plane, 1)
+    ]
+
+
+class TestSeededEqualsColdProperty:
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(waxman_instances())
+    def test_seeded_matches_cold_on_waxman(self, instances):
+        for instance in instances:
+            assert_matches_cold(instance, time_limit_s=60.0)
+        assert not assert_matches_cold(INFEASIBLE_INSTANCE).feasible
+        miss = assert_matches_cold(BNB_INSTANCE, time_limit_s=60.0)
+        assert miss.feasible and miss.meta["solver"] == "highs"
+        assert miss.meta["certificate"] is False
