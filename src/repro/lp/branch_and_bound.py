@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
-from scipy import optimize
 
 from repro.lp.model import Model
 from repro.lp.solution import SolveResult, SolveStatus
@@ -60,6 +59,8 @@ def _solve_relaxation(
     form: StandardForm, lb: np.ndarray, ub: np.ndarray
 ) -> tuple[float, np.ndarray, object] | None:
     """LP relaxation under the node bounds; ``None`` when infeasible."""
+    from scipy import optimize
+
     result = optimize.linprog(
         c=form.c,
         A_ub=form.a_ub if form.a_ub.shape[0] else None,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from repro.lp.model import Model
 from repro.lp.solution import SolveResult, SolveStatus
@@ -47,6 +47,8 @@ def solve_form_with_highs(
     The name-keyed ``values`` dict is only populated when the form
     carries variable names; form-level callers read ``result.x``.
     """
+    from scipy import optimize
+
     chaos.check("highs.solve")
     constraints = []
     if form.a_ub.shape[0]:
@@ -126,6 +128,8 @@ def solve_form_relaxation(form: StandardForm) -> SolveResult:
     infeasible.  No solve route calls this; tests use it as the
     reference bound.
     """
+    from scipy import optimize
+
     chaos.check("highs.relax")
     start = time.perf_counter()
     raw = optimize.linprog(

@@ -84,7 +84,6 @@ from repro.perf.store import (
     code_identity,
     scenario_key,
     solve_key,
-    topology_fingerprint,
 )
 from repro.perf.sweep import (
     SweepPlan,
@@ -112,7 +111,6 @@ __all__ = [
     "code_identity",
     "scenario_key",
     "solve_key",
-    "topology_fingerprint",
     "SweepExecutor",
     "get_default_executor",
     "close_default_executor",

@@ -34,13 +34,11 @@ Sharded, checksummed record store
     skipped and counted, never trusted.  :meth:`SolveStore.gc` bounds
     the store's size by atomically rewriting shards oldest-first.
 
-Expensive intermediates
+Kernel prep
     Besides solutions, the store holds per-scenario kernel prep
     (:meth:`SolveStore.put_arrays` / :meth:`~SolveStore.get_arrays`,
-    atomic ``.npz`` artifacts keyed by scenario key) and per-topology
-    hop-distance tables (JSON records keyed by
-    :func:`topology_fingerprint`), so a cold process skips the sort and
-    BFS work too.
+    atomic ``.npz`` artifacts keyed by scenario key), so a cold process
+    skips the sort work too.
 
 The sweep layer re-validates hits against the grounded instance when it
 runs with ``validate=True`` (mirroring how fresh solves are validated),
@@ -79,7 +77,6 @@ __all__ = [
     "network_key",
     "scenario_key",
     "solve_key",
-    "topology_fingerprint",
 ]
 
 STORE_SCHEMA = 1
@@ -119,7 +116,6 @@ class NetworkKey:
     """What the store needs of one context, computed once per context.
 
     ``digest`` covers every grounding input (see :func:`network_key`);
-    ``hops`` is the topology's :func:`topology_fingerprint`;
     ``flow_ids`` / ``flow_pos`` translate between flow ids and their
     positions in the context's flow order, which records store.
     ``pairs`` holds one tuple per decoded ``(switch, flow id)`` pair, so
@@ -129,7 +125,6 @@ class NetworkKey:
     """
 
     digest: str
-    hops: str
     flow_ids: tuple
     flow_pos: dict
     pairs: dict = field(default_factory=dict, compare=False)
@@ -174,7 +169,6 @@ def network_key(context) -> NetworkKey:
     flow_ids = tuple(flow.flow_id for flow in context.flows)
     cached = NetworkKey(
         digest=hashlib.sha256(blob).hexdigest()[:32],
-        hops=topology_fingerprint(topology),
         flow_ids=flow_ids,
         flow_pos={flow_id: k for k, flow_id in enumerate(flow_ids)},
     )
@@ -218,18 +212,6 @@ def solve_key(
     else:
         params = "-"
     return f"{key}:{algorithm}:{params}"
-
-
-def topology_fingerprint(topology) -> str:
-    """Content fingerprint of a topology's *hop structure*.
-
-    Hop-distance tables depend only on the node set and the undirected
-    edge set, so that is all that is hashed (not geography or delays).
-    """
-    h = hashlib.sha256(b"topo-hops-v1")
-    h.update(repr(tuple(topology.nodes)).encode())
-    h.update(repr(tuple(topology.edges())).encode())
-    return h.hexdigest()[:32]
 
 
 # ----------------------------------------------------------------------

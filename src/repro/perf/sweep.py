@@ -409,41 +409,10 @@ class _SweepRunner:
             e.action == "demote" for e in report.events
         )
 
-    def _prime_intermediates(self) -> None:
-        """Adopt stored expensive intermediates before grounding anything.
-
-        Hop-distance tables seed the per-topology BFS cache, so a cold
-        process materializes its coefficient table without re-running
-        the BFS per destination.
-        """
-        from repro.routing.path_count import adopt_hop_distances
-
-        tables = self.store.get(f"hops:{network_key(self.context).hops}")
-        if tables is not None:
-            adopt_hop_distances(
-                self.context.topology,
-                {
-                    dst: dict(pairs)
-                    for dst, pairs in
-                    (tuple(item) for item in tables["tables"])
-                },
-            )
-
-    def _persist_intermediates(self) -> None:
-        """Write back intermediates this sweep computed (put-if-absent)."""
+    def _persist_prep(self) -> None:
+        """Write back the kernel prep this sweep computed (put-if-absent)."""
         from repro.perf.kernels import export_instance_prep
-        from repro.routing.path_count import export_hop_distances
 
-        hops_key = f"hops:{network_key(self.context).hops}"
-        if self.store.get(hops_key) is None:
-            tables = export_hop_distances(self.context.topology)
-            if tables:
-                self.store.put(hops_key, {
-                    "tables": [
-                        [dst, sorted(distances.items())]
-                        for dst, distances in sorted(tables.items())
-                    ],
-                })
         for index, instance in self._grounded.items():
             prep = export_instance_prep(instance)
             if prep is not None:
@@ -460,7 +429,6 @@ class _SweepRunner:
         """
         from repro.perf.kernels import adopt_instance_prep
 
-        self._prime_intermediates()
         for index, key in enumerate(self.keys):
             if index in self.completed:
                 continue
@@ -521,7 +489,7 @@ class _SweepRunner:
                 ))
         if records:
             self.store.put_many(records)
-        self._persist_intermediates()
+        self._persist_prep()
         for index, provenance in self._provenance.items():
             self.results[index].meta["store"] = dict(provenance)
 

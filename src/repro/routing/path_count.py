@@ -44,8 +44,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from weakref import WeakKeyDictionary
 
-import networkx as nx
-
 from repro.exceptions import RoutingError
 from repro.routing.shortest import hop_distances_to, shortest_path_dag
 from repro.topology.graph import Topology
@@ -58,8 +56,6 @@ __all__ = [
     "LoopFreeAlternateCounter",
     "make_counter",
     "shared_hop_distances",
-    "export_hop_distances",
-    "adopt_hop_distances",
 ]
 
 #: Per-topology cache of per-destination hop-distance maps.  Counters of
@@ -86,38 +82,6 @@ def shared_hop_distances(topology: Topology, dst: NodeId) -> dict[NodeId, int]:
         distances = hop_distances_to(topology, dst)
         per_topology[dst] = distances
     return distances
-
-
-def export_hop_distances(
-    topology: Topology,
-) -> dict[NodeId, dict[NodeId, int]]:
-    """Snapshot of the topology's cached hop-distance tables.
-
-    The cross-run store (:mod:`repro.perf.store`) persists this after a
-    sweep; :func:`adopt_hop_distances` is its inverse.  Returns an empty
-    dict when nothing has been computed for ``topology`` yet.
-    """
-    per_topology = _HOP_DISTANCES.get(topology)
-    if not per_topology:
-        return {}
-    return {dst: dict(distances) for dst, distances in per_topology.items()}
-
-
-def adopt_hop_distances(
-    topology: Topology, tables: dict[NodeId, dict[NodeId, int]]
-) -> None:
-    """Seed the hop-distance cache from persisted tables.
-
-    Already-computed destinations are kept (they are authoritative for
-    this process); only missing ones are adopted, so a stale or foreign
-    table can never displace a locally computed BFS result.
-    """
-    per_topology = _HOP_DISTANCES.get(topology)
-    if per_topology is None:
-        per_topology = {}
-        _HOP_DISTANCES[topology] = per_topology
-    for dst, distances in tables.items():
-        per_topology.setdefault(dst, dict(distances))
 
 
 class PathCounter(ABC):
@@ -298,7 +262,6 @@ class LoopFreeAlternateCounter(PathCounter):
             raise ValueError(f"slack must be non-negative: {slack!r}")
         super().__init__(topology)
         self._slack = slack
-        self._dist_excluding: dict[tuple[NodeId, NodeId], dict[NodeId, int]] = {}
 
     @property
     def slack(self) -> int:
@@ -308,32 +271,53 @@ class LoopFreeAlternateCounter(PathCounter):
     def _distances(self, dst: NodeId) -> dict[NodeId, int]:
         return shared_hop_distances(self._topology, dst)
 
-    def _distances_excluding(self, dst: NodeId, excluded: NodeId) -> dict[NodeId, int]:
-        """Hop distances to ``dst`` in the graph without ``excluded``."""
-        key = (dst, excluded)
-        if key not in self._dist_excluding:
-            graph = self._topology.graph
-            subgraph = graph.subgraph(n for n in graph if n != excluded)
-            if dst in subgraph:
-                self._dist_excluding[key] = dict(
-                    nx.single_source_shortest_path_length(subgraph, dst)
-                )
-            else:  # pragma: no cover - excluded == dst is guarded by count()
-                self._dist_excluding[key] = {}
-        return self._dist_excluding[key]
-
     def _count(self, src: NodeId, dst: NodeId) -> int:
-        budget = self._distances(dst)[src] + self._slack
-        avoiding_src = self._distances_excluding(dst, src)
-        count = 0
-        for neighbor in self._topology.graph.neighbors(src):
-            if neighbor == dst:
-                count += 1
-                continue
-            detour = avoiding_src.get(neighbor)
-            if detour is not None and 1 + detour <= budget:
-                count += 1
-        return count
+        """Fill ``src``'s whole row into the cache; return its ``dst`` entry.
+
+        One BFS per neighbor ``v`` of ``src``, in the graph without
+        ``src``, gives ``v``'s detour length to every destination at once
+        (2|E| BFSes for all rows instead of one per ordered pair).
+        """
+        topology = self._topology
+        adjacency = {node: topology.neighbors(node) for node in topology.nodes}
+        budget = {
+            target: hops + self._slack
+            for target, hops in self._distances(src).items()
+            if target != src
+        }
+        counts = dict.fromkeys(budget, 0)
+        for neighbor in adjacency[src]:
+            # The neighbor itself is at detour 0, and 1 <= its budget, so
+            # ``neighbor == dst`` needs no case of its own.
+            for target, detour in _hop_distances_avoiding(
+                adjacency, neighbor, src
+            ).items():
+                if 1 + detour <= budget[target]:
+                    counts[target] += 1
+        for target, count in counts.items():
+            self._cache[(src, target)] = count
+        return self._cache[(src, dst)]
+
+
+def _hop_distances_avoiding(
+    adjacency: dict[NodeId, tuple[NodeId, ...]], start: NodeId, excluded: NodeId
+) -> dict[NodeId, int]:
+    """BFS hop distances from ``start`` in the graph without ``excluded``."""
+    # Pre-marking ``excluded`` as reached keeps the BFS from entering it.
+    distances = {excluded: -1, start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for node in frontier:
+            for neighbor in adjacency[node]:
+                if neighbor not in distances:
+                    distances[neighbor] = depth
+                    reached.append(neighbor)
+        frontier = reached
+    del distances[excluded]
+    return distances
 
 
 _STRATEGIES = ("lfa", "bounded", "dag")

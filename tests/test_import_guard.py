@@ -1,0 +1,71 @@
+"""``scipy.optimize`` loads only when an LP or a MILP actually runs.
+
+Importing it costs a cold process about half a second, and neither PM
+nor an exact solve that certifies from its seed calls it.  The check
+runs in a fresh interpreter, since this test process has long since
+imported everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+_CHILD = r"""
+import json
+import sys
+
+import repro
+from repro.control.failures import FailureScenario
+from repro.experiments.runner import run_scenario
+from repro.experiments.scenarios import custom_context, default_att_context
+from repro.fmssm.optimal import solve_optimal
+from repro.topology.generators import ring_topology
+
+att = default_att_context()
+pm = run_scenario(att, FailureScenario(frozenset({13, 20})), algorithms=("pm",))
+precert = solve_optimal(att.instance(FailureScenario(frozenset({6}))))
+report = {
+    "pm_feasible": pm.solutions["pm"].feasible,
+    "precert_solver": precert.meta["solver"],
+    "optimize_loaded": "scipy.optimize" in sys.modules,
+}
+# The certificate misses on this instance, so both solvers really run.
+ring = custom_context(
+    ring_topology(10, chords=5, seed=7), controller_sites=(0, 3, 7), capacity=135
+)
+miss = ring.instance(FailureScenario(frozenset({0, 3})))
+for solver in ("highs", "bnb"):
+    solution = solve_optimal(miss, solver=solver, time_limit_s=60.0)
+    report[solver] = [solution.meta["solver"], solution.meta["objective"]]
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def report():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        capture_output=True, text=True, check=True, timeout=300, env=env,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_pm_and_precertified_exact_solve_leave_scipy_optimize_unloaded(report):
+    assert report["pm_feasible"]
+    assert report["precert_solver"] == "precert"
+    assert report["optimize_loaded"] is False
+
+
+@pytest.mark.parametrize("solver", ["highs", "bnb"])
+def test_milp_solvers_still_reach_the_optimum(report, solver):
+    route, objective = report[solver]
+    assert route == solver
+    assert objective == pytest.approx(337 / 137)

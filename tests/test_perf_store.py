@@ -41,7 +41,6 @@ from repro.perf.store import (
     network_key,
     scenario_key,
     solve_key,
-    topology_fingerprint,
 )
 from repro.perf.sweep import parallel_sweep, store_summary
 from repro.resilience import chaos
@@ -156,7 +155,6 @@ class TestFingerprint:
 
         key = network_key(ring_context)
         assert network_key(ring_context) is key
-        assert key.hops == topology_fingerprint(ring_context.topology)
         clone = pickle.loads(pickle.dumps(ring_context))
         assert clone._network_key is None
         assert network_key(clone) == key
@@ -196,11 +194,6 @@ class TestFingerprint:
         assert (
             sweep_fingerprint(keys, ("optimal", "pm"), 300.0)
             == "caf9f6a047ac2592"
-        )
-
-    def test_topology_fingerprint_stable(self, ring_context):
-        assert topology_fingerprint(ring_context.topology) == topology_fingerprint(
-            ring_context.topology
         )
 
 

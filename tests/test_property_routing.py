@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.scenarios import default_att_context
+from repro.perf.coefficients import CoefficientTable
 from repro.routing.kpaths import k_shortest_paths, path_weight
 from repro.routing.ospf import compute_legacy_tables
 from repro.routing.path_count import (
     BoundedSimplePathCounter,
     LoopFreeAlternateCounter,
+    PathCounter,
     ShortestDagCounter,
 )
 from repro.routing.shortest import hop_distances_to
-from repro.topology.generators import ring_topology, waxman_topology
+from repro.topology.generators import grid_topology, ring_topology, waxman_topology
 
 SETTINGS = settings(
     max_examples=15,
@@ -27,6 +31,25 @@ topologies = st.builds(
     alpha=st.just(0.7),
     beta=st.just(0.4),
     seed=st.integers(min_value=0, max_value=50),
+)
+
+#: Connected shapes with varied path diversity: sparse-to-dense Waxman
+#: draws, chorded rings and grids (many equal-length detours).
+lfa_topologies = st.one_of(
+    topologies,
+    st.integers(min_value=4, max_value=14).flatmap(
+        lambda n: st.builds(
+            ring_topology,
+            n=st.just(n),
+            chords=st.integers(min_value=0, max_value=min(n, n * (n - 3) // 2)),
+            seed=st.integers(min_value=0, max_value=50),
+        )
+    ),
+    st.builds(
+        grid_topology,
+        rows=st.integers(min_value=1, max_value=4),
+        cols=st.integers(min_value=2, max_value=5),
+    ),
 )
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: p[0] != p[1])
@@ -67,6 +90,67 @@ class TestCounterProperties:
         src = data.draw(st.sampled_from(topo.nodes))
         dst = data.draw(st.sampled_from([n for n in topo.nodes if n != src]))
         assert BoundedSimplePathCounter(topo, slack=0).count(src, dst) >= 1
+
+
+class PairwiseLfaCounter(PathCounter):
+    """The loop-free-alternate count, one pair at a time (the reference).
+
+    A neighbor ``v`` of ``src`` counts toward ``dst`` when ``v == dst``
+    or ``1 + d(v, dst) <= d(src, dst) + slack``, with ``d(v, dst)``
+    measured in the graph without ``src``.
+    """
+
+    def __init__(self, topology, slack):
+        super().__init__(topology)
+        self._slack = slack
+
+    def _count(self, src, dst):
+        graph = self._topology.graph
+        budget = nx.shortest_path_length(graph, src, dst) + self._slack
+        avoiding_src = nx.single_source_shortest_path_length(
+            graph.subgraph(n for n in graph if n != src), dst
+        )
+        count = 0
+        for neighbor in graph.neighbors(src):
+            if neighbor == dst:
+                count += 1
+                continue
+            detour = avoiding_src.get(neighbor)
+            if detour is not None and 1 + detour <= budget:
+                count += 1
+        return count
+
+
+class TestLfaRowFill:
+    """The row-at-a-time LFA counter equals the per-pair definition."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lfa_topologies, st.integers(min_value=0, max_value=3), st.data())
+    def test_matches_pairwise_reference(self, topo, slack, data):
+        counter = LoopFreeAlternateCounter(topo, slack=slack)
+        reference = PairwiseLfaCounter(topo, slack)
+        # Queries start at a drawn pair, so a row is filled from an
+        # arbitrary destination, not always from the first node.
+        order = data.draw(st.permutations(topo.nodes))
+        for src in order:
+            for dst in reversed(order):
+                assert counter.count(src, dst) == reference.count(src, dst), (
+                    src, dst,
+                )
+
+    def test_att_coefficient_table_identical_in_order(self):
+        context = default_att_context()
+        counter = context.programmability.counter
+        table = context.programmability.table()
+        reference = CoefficientTable.from_counter(
+            PairwiseLfaCounter(context.topology, counter.slack),
+            context.programmability.flows,
+        )
+        for name in ("_p", "_pbar", "_programmable_at", "_max_pro"):
+            assert list(getattr(table, name).items()) == list(
+                getattr(reference, name).items()
+            ), name
 
 
 class TestKPathProperties:
