@@ -1,6 +1,5 @@
 """Control plane: controllers, domains, failures, and delays."""
 
-from repro.control.cascade import CascadeResult, simulate_cascade
 from repro.control.controller import Controller, ControllerState
 from repro.control.delay import DelayModel, ideal_recovery_delay
 from repro.control.failures import (
@@ -12,8 +11,6 @@ from repro.control.failures import (
 from repro.control.plane import ControlPlane
 
 __all__ = [
-    "CascadeResult",
-    "simulate_cascade",
     "Controller",
     "ControllerState",
     "ControlPlane",

@@ -1,0 +1,188 @@
+"""The dense, position-indexed form of an FMSSM instance.
+
+:class:`InstanceArrays` is what the array kernels
+(:mod:`repro.perf.kernels`) and the batched evaluator read.  Every
+instance carries one: :meth:`GroundingIndex.ground
+<repro.fmssm.build.GroundingIndex.ground>` produces it by slicing its
+per-network arrays, and an instance built from dicts converts its
+fields on the first read (:meth:`FMSSMInstance.arrays
+<repro.fmssm.instance.FMSSMInstance.arrays>`).  Both hand their base
+columns to :func:`build_arrays`, which derives everything else the
+kernels need, so the derived columns have one definition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.types import ControllerId, FlowId, NodeId
+
+__all__ = ["InstanceArrays", "build_arrays", "seq_lists"]
+
+
+@dataclass
+class InstanceArrays:
+    """Dense, position-indexed view of one :class:`FMSSMInstance`.
+
+    Positions: switches ``0..N-1`` in ``instance.switches`` order,
+    controllers ``0..M-1`` in ``instance.controllers`` order, flows
+    ``0..L-1`` in ``instance.flows`` insertion order, pairs ``0..P-1``
+    in ``instance.pairs`` (lexicographic) order.  All of the first two
+    and the pair order are sorted by id, which is what makes
+    first-occurrence argmax/argmin tie-breaking equal id tie-breaking.
+    """
+
+    #: Public id tuples (references into the instance).
+    switches: tuple[NodeId, ...]
+    controllers: tuple[ControllerId, ...]
+    flow_ids: tuple[FlowId, ...]
+    pairs: tuple[tuple[NodeId, FlowId], ...]
+    #: Position lookups.
+    switch_pos: dict[NodeId, int]
+    controller_pos: dict[ControllerId, int]
+    flow_pos: dict[FlowId, int]
+    pair_index: dict[tuple[NodeId, FlowId], int]
+    #: Spare capacity A_j per controller position (int64[M]).
+    spare: np.ndarray
+    #: gamma_i per switch position (int64[N]).
+    gamma: np.ndarray
+    #: Delay matrix D_ij (float64[N, M]).
+    delay: np.ndarray
+    #: Per-switch controller positions in (delay, id) ascending order
+    #: (int64[N, M]); column 0 is the nearest controller.
+    delay_order: np.ndarray
+    #: Per-pair switch / flow positions and p̄ (int64[P] each).
+    pair_switch: np.ndarray
+    pair_flow: np.ndarray
+    pair_pbar: np.ndarray
+    #: CSR over pairs grouped by switch: pairs of switch position ``s``
+    #: are ``switch_indptr[s]:switch_indptr[s+1]`` (pairs are
+    #: switch-major because ``instance.pairs`` sorts lexicographically).
+    switch_indptr: np.ndarray
+    #: Pair indices grouped by flow position, within each flow in
+    #: (-p̄, switch) order — PG's per-flow greedy order (int64[P]).
+    flow_sorted: np.ndarray
+    flow_indptr: np.ndarray
+    #: Per-flow maximum programmability (int64[L]).
+    flow_max_pro: np.ndarray
+    #: Flow positions of ``instance.recoverable_flows`` — ascending
+    #: flow-id order, *not* necessarily ascending position (int64[R]).
+    recoverable_pos: np.ndarray
+    #: All pair indices in (-p̄, pair) order — the saturation scans'
+    #: shared ordering (int64[P]).
+    pbar_desc: np.ndarray
+    #: Lazy per-kernel extras (the sequential scans' list views, PG's
+    #: padded prefix-sum matrix, ...).
+    cache: dict[str, object] = field(default_factory=dict, repr=False)
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self.pair_switch.size)
+
+
+def build_arrays(
+    switches: tuple[NodeId, ...],
+    controllers: tuple[ControllerId, ...],
+    flow_ids: tuple[FlowId, ...],
+    flow_rank: np.ndarray,
+    pairs: tuple[tuple[NodeId, FlowId], ...],
+    spare: np.ndarray,
+    gamma: np.ndarray,
+    delay: np.ndarray,
+    pair_switch: np.ndarray,
+    pair_flow: np.ndarray,
+    pair_pbar: np.ndarray,
+) -> InstanceArrays:
+    """Derive the full :class:`InstanceArrays` from an instance's base columns.
+
+    ``flow_rank`` orders the flow positions by flow id (any array whose
+    ascending order is the flow-id order).  The list views of the
+    sequential kernels (:func:`seq_lists`) are built here too, so a
+    grounded instance arrives with its kernel prep done.
+    """
+    n = len(switches)
+    n_flows = len(flow_ids)
+    n_pairs = len(pairs)
+    # Flow-major pair grouping, within a flow by (-p̄, switch): the
+    # trailing np.arange key keeps ascending pair index (= ascending
+    # switch id, pairs being lexicographic) among equal p̄.
+    flow_sorted = np.lexsort((np.arange(n_pairs), -pair_pbar, pair_flow))
+    flow_indptr = np.searchsorted(pair_flow[flow_sorted], np.arange(n_flows + 1))
+    flow_max_pro = (
+        np.bincount(pair_flow, weights=pair_pbar, minlength=n_flows).astype(np.int64)
+        if n_pairs
+        else np.zeros(n_flows, dtype=np.int64)
+    )
+    has_pairs = np.flatnonzero(np.diff(flow_indptr))
+    arrays = InstanceArrays(
+        switches=switches,
+        controllers=controllers,
+        flow_ids=flow_ids,
+        pairs=pairs,
+        switch_pos=dict(zip(switches, range(n))),
+        controller_pos=dict(zip(controllers, range(len(controllers)))),
+        flow_pos=dict(zip(flow_ids, range(n_flows))),
+        pair_index=dict(zip(pairs, range(n_pairs))),
+        spare=spare,
+        gamma=gamma,
+        delay=delay,
+        delay_order=np.argsort(delay, axis=1, kind="stable"),
+        pair_switch=pair_switch,
+        pair_flow=pair_flow,
+        pair_pbar=pair_pbar,
+        switch_indptr=np.searchsorted(pair_switch, np.arange(n + 1)),
+        flow_sorted=flow_sorted,
+        flow_indptr=flow_indptr,
+        flow_max_pro=flow_max_pro,
+        recoverable_pos=has_pairs[np.argsort(flow_rank[has_pairs], kind="stable")],
+        pbar_desc=np.argsort(-pair_pbar, kind="stable"),
+    )
+    seq_lists(arrays)
+    return arrays
+
+
+def seq_lists(arrays: InstanceArrays) -> tuple:
+    """Plain-list views for the sequential scan kernels (cached).
+
+    PM's phase-1 picks (and the switch-level greedies) are inherently
+    sequential over WAN-small populations, where per-call numpy
+    dispatch costs more than the arithmetic — so their inner loops run
+    on position-indexed Python lists, materialized here once per
+    instance: per-pair switch/flow/p̄ columns, the switch CSR bounds,
+    each flow's pair-switch adjacency (for the incremental level
+    counts), the delay-ordered controller rows, the delay matrix, and
+    per-switch ``(pair, flow, p̄)`` triples for PM's candidate scan.
+    The adjacency is only iterated, so each flow's entry is a tuple of
+    ints, which the collector stops tracking after its first pass; a
+    list would stay tracked for as long as a plan holds the instance.
+    """
+    cached = arrays.cache.get("seq_lists")
+    if cached is None:
+        flow_indptr = arrays.flow_indptr.tolist()
+        switches_by_flow = arrays.pair_switch[arrays.flow_sorted].tolist()
+        ps_list = arrays.pair_switch.tolist()
+        pf_list = arrays.pair_flow.tolist()
+        pbar_list = arrays.pair_pbar.tolist()
+        indptr = arrays.switch_indptr.tolist()
+        triples = list(zip(range(arrays.n_pairs), pf_list, pbar_list))
+        cached = (
+            ps_list,
+            pf_list,
+            pbar_list,
+            indptr,
+            [
+                tuple(switches_by_flow[flow_indptr[i] : flow_indptr[i + 1]])
+                for i in range(len(arrays.flow_ids))
+            ],
+            arrays.delay_order.tolist(),
+            arrays.gamma.tolist(),
+            arrays.delay.tolist(),
+            [
+                triples[indptr[s] : indptr[s + 1]]
+                for s in range(len(arrays.switches))
+            ],
+        )
+        arrays.cache["seq_lists"] = cached
+    return cached

@@ -8,27 +8,27 @@ algorithms are compared on identical ground data.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable
+from itertools import chain
 from typing import TYPE_CHECKING
 
-from repro.control.delay import DelayModel, ideal_recovery_delay
+import numpy as np
+
+from repro.control.delay import DelayModel
 from repro.control.failures import FailureScenario
 from repro.control.plane import ControlPlane
 from repro.exceptions import FlowError
 from repro.flows.flow import Flow
 from repro.flows.paths import switch_flow_counts
+from repro.fmssm.arrays import build_arrays
 from repro.fmssm.instance import FMSSMInstance
 from repro.routing.programmability import ProgrammabilityModel
-from repro.types import ControllerId, FlowId, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.coefficients import CoefficientTable
 
 __all__ = ["GroundingIndex", "build_instance", "default_lambda"]
-
-#: One flow's ``(switch, (switch, flow id), p̄)`` for each transit switch
-#: with p̄ != 0, in path order; the key tuple is shared by every instance.
-_FlowPairs = tuple[tuple[NodeId, tuple[NodeId, FlowId], int], ...]
 
 
 def default_lambda(total_max_programmability: int) -> float:
@@ -48,23 +48,32 @@ class GroundingIndex:
 
     A sweep, a store probe or an operator's request loop grounds many
     failure scenarios against one plane and one flow population.  The
-    index does the per-workload work once:
+    index holds that data as arrays over node codes (one per node),
+    flow positions (the population's order) and controller positions
+    (``plane.controller_ids`` order), built once:
 
-    * ``gamma`` of every switch over the full workload;
-    * the spare capacity of every controller under the full workload
+    * each node's ``gamma`` over the full workload;
+    * each controller's spare capacity under the full workload
       (computed on the first :meth:`ground`, so a mis-provisioned plane
       raises :class:`~repro.exceptions.CapacityError` there, after the
       scenario itself was validated);
-    * a node → flow-position incidence, so a scenario's offline flows
-      are one union over its offline switches instead of a scan of
-      every path;
-    * each flow's non-zero ``(transit switch, p̄)`` pairs in path order,
-      read once from ``programmability``, the first time the flow is
-      offline.
+    * a node → flow-position incidence in CSR form, and each flow's
+      rank in flow-id order;
+    * per switch, its programmable entries ``(flow position, position
+      on the path, p̄)`` sorted by flow id, with their ``(switch, flow
+      id)`` key tuples, which every instance shares.  A switch's entries
+      are read from ``programmability`` the first time it is offline,
+      so a one-scenario run on a lazy model only counts the paths it
+      needs;
+    * per delay model, each node's delay row over all controllers,
+      filled from :meth:`DelayModel.delay_ms
+      <repro.control.delay.DelayModel.delay_ms>` the first time the node
+      is offline.
 
-    :meth:`ground` then builds each instance from the index alone, with
-    the same fields and the same dict insertion order as a scan of the
-    flows in order would give.
+    :meth:`ground` then produces an instance's
+    :class:`~repro.fmssm.arrays.InstanceArrays` as slices and gathers
+    of these arrays, with the same contents — and dict views in the
+    same insertion order — as a scan of the flows in order would give.
 
     Parameters
     ----------
@@ -86,33 +95,86 @@ class GroundingIndex:
     ) -> None:
         self._plane = plane
         self._flows = tuple(flows)
-        self._spare: dict[ControllerId, int] | None = None
-        self._sites = {c: plane.controller(c).site for c in plane.controller_ids}
-        self._gamma = {s: int(n) for s, n in switch_flow_counts(self._flows).items()}
-
         self._ids = tuple(flow.flow_id for flow in self._flows)
         if len(set(self._ids)) != len(self._ids):
             raise FlowError("duplicate flow id in the flow population")
-        incidence: dict[NodeId, list[int]] = {}
-        for position, flow in enumerate(self._flows):
-            for node in flow.path:
-                incidence.setdefault(node, []).append(position)
-        self._incidence = {node: tuple(v) for node, v in incidence.items()}
         self._programmability = programmability
-        #: Per flow position, filled the first time the flow is offline,
-        #: so a one-scenario run on a lazy model only counts paths for
-        #: the flows it needs.
-        self._pairs: list[_FlowPairs | None] = [None] * len(self._flows)
+        self._spare: np.ndarray | None = None
+        self._controllers = plane.controller_ids
+        self._controller_pos = dict(zip(self._controllers, range(len(self._controllers))))
+        self._sites = tuple(plane.controller(c).site for c in self._controllers)
 
-    def _flow_pairs(self, position: int) -> _FlowPairs:
-        """Read the p̄ pairs of the flow at ``position``."""
-        flow, flow_id = self._flows[position], self._ids[position]
-        pairs = []
-        for switch in flow.transit_switches:
-            value = self._programmability.pbar(flow, switch)
-            if value:
-                pairs.append((switch, (switch, flow_id), value))
-        return tuple(pairs)
+        paths = [flow.path for flow in self._flows]
+        self._nodes = tuple(
+            dict.fromkeys(chain(plane.topology.nodes, chain.from_iterable(paths)))
+        )
+        self._codes = dict(zip(self._nodes, range(len(self._nodes))))
+        counts = switch_flow_counts(self._flows)
+        self._gamma = np.array([counts.get(node, 0) for node in self._nodes], dtype=np.int64)
+
+        # Node → flow-position incidence (CSR over node codes); a flow
+        # appears once per node, paths being simple.
+        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+        visited = np.fromiter(
+            map(self._codes.__getitem__, chain.from_iterable(paths)),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        order = np.argsort(visited, kind="stable")
+        self._incidence = np.repeat(np.arange(len(paths)), lengths)[order]
+        self._incidence_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(visited, minlength=len(self._nodes))))
+        ).tolist()
+        self._rank = np.empty(len(self._ids), dtype=np.int64)
+        self._rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = np.arange(
+            len(self._ids)
+        )
+        #: Per node code, ``(int64[3, k] rows of flow position, path
+        #: position and p̄, (switch, flow id) keys)``; filled on first use.
+        self._entries: list[tuple[np.ndarray, tuple] | None] = [None] * len(self._nodes)
+        self._geodesic = DelayModel(plane.topology, mode="geodesic")
+        #: Per delay model: (delay rows over all controllers, filled codes).
+        self._delays: weakref.WeakKeyDictionary[DelayModel, tuple[np.ndarray, set[int]]] = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def _switch_entries(self, code: int) -> tuple[np.ndarray, tuple]:
+        """The programmable entries of the switch with node code ``code``."""
+        entries = self._entries[code]
+        if entries is None:
+            switch = self._nodes[code]
+            flows, ids, pbar = self._flows, self._ids, self._programmability.pbar
+            found = []
+            start, stop = self._incidence_ptr[code], self._incidence_ptr[code + 1]
+            for position in self._incidence[start:stop].tolist():
+                flow = flows[position]
+                path = flow.path
+                if path[-1] == switch:
+                    continue  # the destination is no transit switch
+                value = pbar(flow, switch)
+                if value:
+                    found.append((ids[position], position, path.index(switch), value))
+            found.sort()  # by flow id, which is unique
+            table = np.array([row[1:] for row in found], dtype=np.int64).reshape(-1, 3).T.copy()
+            keys = tuple((switch, row[0]) for row in found)
+            entries = self._entries[code] = (table, keys)
+        return entries
+
+    def _delay_rows(self, model: DelayModel, codes: list[int]) -> np.ndarray:
+        """``model``'s delay rows, filled for every node in ``codes``."""
+        rows = self._delays.get(model)
+        if rows is None:
+            rows = self._delays[model] = (
+                np.zeros((len(self._nodes), len(self._sites))),
+                set(),
+            )
+        matrix, filled = rows
+        for code in codes:
+            if code not in filled:
+                node = self._nodes[code]
+                matrix[code] = [model.delay_ms(node, site) for site in self._sites]
+                filled.add(code)
+        return matrix
 
     def ground(
         self,
@@ -133,58 +195,63 @@ class GroundingIndex:
             Objective weight; defaults to :func:`default_lambda` of the
             instance's obj2 upper bound.
         """
-        plane = self._plane
-        active, offline_switches = scenario.resolve(plane)
+        active, offline = scenario.resolve(self._plane)
         if self._spare is None:
             # Spare capacity of every controller given the *full*
             # workload — active controllers keep serving their own
             # domains (the paper's "without interrupting their normal
             # operations").
-            self._spare = plane.spare_capacity(self._flows)
-        delay_model = delay_model or DelayModel(plane.topology, mode="geodesic")
-        offline_set = set(offline_switches)
-        sites = {c: self._sites[c] for c in active}
+            spare = self._plane.spare_capacity(self._flows)
+            self._spare = np.array([spare[c] for c in self._controllers], dtype=np.int64)
+        codes = list(map(self._codes.__getitem__, offline))
+        columns = list(map(self._controller_pos.__getitem__, active))
 
         # Offline flows: every flow visiting an offline switch (its
-        # destination included), in flow order; p̄ on their offline
-        # transit switches, flow-major and in path order.
-        incidence = self._incidence
-        positions = set().union(*(incidence.get(s, ()) for s in offline_switches))
-        flows, ids, pairs = self._flows, self._ids, self._pairs
-        offline_flows: dict[FlowId, Flow] = {}
-        pbar: dict[tuple[NodeId, FlowId], int] = {}
-        for position in sorted(positions):
-            offline_flows[ids[position]] = flows[position]
-            flow_pairs = pairs[position]
-            if flow_pairs is None:
-                flow_pairs = pairs[position] = self._flow_pairs(position)
-            for switch, key, value in flow_pairs:
-                if switch in offline_set:
-                    pbar[key] = value
+        # destination included), in flow order.
+        offline_mask = np.zeros(len(self._flows), dtype=bool)
+        incidence, ptr = self._incidence, self._incidence_ptr
+        for code in codes:
+            offline_mask[incidence[ptr[code] : ptr[code + 1]]] = True
+        positions = np.flatnonzero(offline_mask)
+        local = np.cumsum(offline_mask) - 1
 
-        # gamma over offline switches, counting every flow in the switch
-        # (Table III convention: destination included).
-        gamma = {s: self._gamma.get(s, 0) for s in offline_switches}
-        delay = delay_model.matrix(offline_switches, sites)
-        nearest: dict[NodeId, ControllerId] = {
-            s: delay_model.nearest_controller(s, sites) for s in offline_switches
-        }
-        ideal = ideal_recovery_delay(delay_model, offline_switches, sites, gamma)
+        # Pairs: the offline switches' entries, each sorted by flow id,
+        # concatenated in switch order — the lexicographic pair order.
+        entries = list(map(self._switch_entries, codes))
+        flow_pos, path_pos, pair_pbar = np.concatenate(
+            [table for table, _ in entries], axis=1
+        )
+        pairs = tuple(chain.from_iterable(keys for _, keys in entries))
 
-        if lam is None:
-            lam = default_lambda(sum(pbar.values()))
-
-        return FMSSMInstance(
-            switches=offline_switches,
-            controllers=active,
-            spare={c: self._spare[c] for c in active},
+        delay = self._delay_rows(delay_model or self._geodesic, codes)[np.ix_(codes, columns)]
+        arrays = build_arrays(
+            offline,
+            active,
+            tuple(map(self._ids.__getitem__, positions.tolist())),
+            self._rank[positions],
+            pairs,
+            spare=self._spare[columns],
+            gamma=self._gamma[codes],
             delay=delay,
-            flows=offline_flows,
-            pbar=pbar,
-            gamma=gamma,
+            pair_switch=np.repeat(
+                np.arange(len(codes)), [len(keys) for _, keys in entries]
+            ),
+            pair_flow=local[flow_pos],
+            pair_pbar=pair_pbar,
+        )
+        # G (Eq. 6): every switch's gamma flows at its nearest
+        # controller, summed left to right as the scalar definition does.
+        nearest_delay = delay[np.arange(len(codes)), arrays.delay_order[:, 0]]
+        ideal = float((arrays.gamma * nearest_delay).cumsum()[-1])
+        if lam is None:
+            lam = default_lambda(int(pair_pbar.sum()))
+        return FMSSMInstance.from_arrays(
+            arrays,
             ideal_delay_ms=ideal,
             lam=lam,
-            nearest=nearest,
+            flows=self._flows,
+            flow_positions=positions,
+            pair_path_pos=path_pos,
         )
 
 

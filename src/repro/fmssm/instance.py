@@ -20,40 +20,28 @@ recoverable flow
     single path onward) cannot be recovered by *any* algorithm — the
     paper's ``r`` constraint is applied over recoverable flows only,
     otherwise ``r = 0`` degenerately for every algorithm.
+
+An instance has two constructors.  The dataclass constructor takes the
+fields as dicts and checks them entry by entry; hand-built instances
+(tests, ablations) use it.  :meth:`FMSSMInstance.from_arrays` takes the
+dense :class:`~repro.fmssm.arrays.InstanceArrays` that grounding
+produces, checks them vectorized, and builds the dict fields only when
+something reads them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro.exceptions import ModelError
 from repro.flows.flow import Flow
+from repro.fmssm.arrays import InstanceArrays, build_arrays
 from repro.types import ControllerId, FlowId, Milliseconds, NodeId
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-__all__ = ["FMSSMInstance", "PairArrays"]
-
-
-class PairArrays(NamedTuple):
-    """Dense numpy views over an instance's programmable pairs.
-
-    Built lazily by :meth:`FMSSMInstance.pair_arrays` and cached — the
-    instance is immutable, so the arrays never change.  The array
-    kernels' :func:`~repro.perf.kernels.instance_arrays` build scans
-    these instead of doing per-pair dict lookups.
-    """
-
-    #: Index into ``instance.switches`` of each pair, aligned with ``pairs``.
-    switch_code: "np.ndarray"
-    #: ``p̄`` of each pair, aligned with ``pairs`` (int64).
-    pbar: "np.ndarray"
-    #: Switch id → position in ``instance.switches``.
-    switch_pos: dict[NodeId, int]
-    #: Pair tuple → position in ``instance.pairs``.
-    pair_index: dict[tuple[NodeId, FlowId], int]
+__all__ = ["FMSSMInstance"]
 
 
 @dataclass
@@ -64,10 +52,15 @@ class FMSSMInstance:
     keyed by public ids (node ids, controller ids, flow ids) rather than
     dense indices, since N, M and L are WAN-scale small.
 
-    Instances are treated as immutable once constructed: the derived
-    views (``pairs_at``, ``pairs_of``, ``pairs``, ``recoverable_flows``,
-    ``total_iterations``) are precomputed in ``__post_init__`` because
-    the heuristics read them in hot loops.
+    Instances are treated as immutable once constructed.  ``pairs``,
+    ``recoverable_flows`` and ``total_iterations`` are precomputed by
+    both constructors, because the heuristics read them in hot loops.
+    On an instance from :meth:`from_arrays`, ``flows``, ``pbar``,
+    ``delay``, ``gamma``, ``nearest``, ``pairs_at`` and ``pairs_of``
+    are views built from the arrays on first read, with the same
+    contents and dict order as the dataclass constructor would hold;
+    only the reference solvers, the LP compiler and the exact solver's
+    bounds read them.
     """
 
     #: Offline switches S, sorted.
@@ -119,6 +112,9 @@ class FMSSMInstance:
                 raise ModelError(f"spare entry for unknown controller {controller!r}")
             if value < 0:
                 raise ModelError(f"negative spare for controller {controller!r}: {value!r}")
+        for controller in self.controllers:
+            if controller not in self.spare:
+                raise ModelError(f"missing spare for controller {controller!r}")
         for (switch, flow_id), value in self.pbar.items():
             if switch not in switch_set:
                 raise ModelError(f"pbar entry for non-offline switch {switch!r}")
@@ -131,6 +127,22 @@ class FMSSMInstance:
                 )
         if self.lam < 0:
             raise ModelError(f"lambda must be >= 0: {self.lam!r}")
+        for switch in self.switches:
+            if switch not in self.gamma:
+                raise ModelError(f"missing gamma for switch {switch!r}")
+            if self.gamma[switch] < 0:
+                raise ModelError(
+                    f"negative gamma for switch {switch!r}: {self.gamma[switch]!r}"
+                )
+        for switch in self.switches:
+            if switch not in self.nearest:
+                raise ModelError(f"missing nearest controller for switch {switch!r}")
+            if self.nearest[switch] not in controller_set:
+                raise ModelError(
+                    f"nearest controller {self.nearest[switch]!r} of switch "
+                    f"{switch!r} is not active"
+                )
+        _check_ideal_delay(self.ideal_delay_ms)
 
         pairs_at: dict[NodeId, list[FlowId]] = {s: [] for s in self.switches}
         pairs_of: dict[FlowId, list[NodeId]] = {f: [] for f in self.flows}
@@ -145,6 +157,154 @@ class FMSSMInstance:
         )
         self._total_iterations = (
             max(len(switches) for switches in self.pairs_of.values()) if self.pbar else 0
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        arrays: InstanceArrays,
+        *,
+        ideal_delay_ms: Milliseconds,
+        lam: float,
+        flows: Sequence[Flow],
+        flow_positions: np.ndarray,
+        pair_path_pos: np.ndarray,
+    ) -> FMSSMInstance:
+        """An instance over grounded arrays, its dict fields left as views.
+
+        ``flows`` is the network's flow population and
+        ``flow_positions`` the ascending positions in it of the offline
+        flows, so ``arrays.flow_ids`` are their ids.  ``pair_path_pos``
+        gives each pair's position on its flow's path: ``pbar`` lists
+        the pairs flow-major in path order, as grounding met them.
+
+        Runs the dataclass constructor's value checks vectorized (S and
+        C non-empty, D >= 0, A >= 0, p̄ >= 2, lambda >= 0, gamma >= 0,
+        G >= 0), raising the same :class:`ModelError` for the first
+        failing entry in the same order.  Coverage (every switch has a
+        delay row, a gamma and a nearest controller, every controller a
+        spare) is checked as the columns' shapes.
+        """
+        switches, controllers = arrays.switches, arrays.controllers
+        if not switches:
+            raise ModelError("instance has no offline switches")
+        if not controllers:
+            raise ModelError("instance has no active controllers")
+        n, m = len(switches), len(controllers)
+        _check_shape("delay", arrays.delay, (n, m))
+        bad = np.flatnonzero(arrays.delay.ravel() < 0)
+        if bad.size:
+            i, j = divmod(int(bad[0]), m)
+            pair = (switches[i], controllers[j])
+            raise ModelError(f"negative delay for {pair!r}: {arrays.delay[i, j].item()!r}")
+        _check_shape("spare", arrays.spare, (m,))
+        bad = np.flatnonzero(arrays.spare < 0)
+        if bad.size:
+            j = int(bad[0])
+            raise ModelError(
+                f"negative spare for controller {controllers[j]!r}: "
+                f"{arrays.spare[j].item()!r}"
+            )
+        bad = np.flatnonzero(arrays.pair_pbar < 2)
+        if bad.size:
+            # The dict constructor meets pairs flow-major in path order.
+            k = int(bad[np.lexsort((pair_path_pos[bad], arrays.pair_flow[bad]))[0]])
+            raise ModelError(
+                f"pbar must be >= 2 on programmable pairs, got "
+                f"{arrays.pair_pbar[k].item()!r} for {arrays.pairs[k]!r}"
+            )
+        if lam < 0:
+            raise ModelError(f"lambda must be >= 0: {lam!r}")
+        _check_shape("gamma", arrays.gamma, (n,))
+        bad = np.flatnonzero(arrays.gamma < 0)
+        if bad.size:
+            i = int(bad[0])
+            raise ModelError(
+                f"negative gamma for switch {switches[i]!r}: {arrays.gamma[i].item()!r}"
+            )
+        _check_shape("delay_order", arrays.delay_order, (n, m))
+        _check_ideal_delay(ideal_delay_ms)
+
+        instance = cls.__new__(cls)
+        instance.__dict__.update(
+            switches=switches,
+            controllers=controllers,
+            spare=dict(zip(controllers, arrays.spare.tolist())),
+            ideal_delay_ms=ideal_delay_ms,
+            lam=lam,
+            _pairs=arrays.pairs,
+            _recoverable=tuple(
+                map(arrays.flow_ids.__getitem__, arrays.recoverable_pos.tolist())
+            ),
+            _total_iterations=(
+                int(np.diff(arrays.flow_indptr).max()) if arrays.n_pairs else 0
+            ),
+            _instance_arrays=arrays,
+            _flow_source=(flows, flow_positions),
+            _pair_path_pos=pair_path_pos,
+        )
+        return instance
+
+    def __getattr__(self, name: str):
+        """Build a dict field of a :meth:`from_arrays` instance on first read."""
+        view = _VIEWS.get(name)
+        if view is None or "_flow_source" not in self.__dict__:
+            raise AttributeError(name)
+        value = self.__dict__[name] = view(self, self.__dict__["_instance_arrays"])
+        return value
+
+    def __getstate__(self) -> dict:
+        """Pickle every dict field, not the network's flow population."""
+        state = self.__dict__.copy()
+        if state.pop("_flow_source", None) is not None:
+            del state["_pair_path_pos"]
+            for name in _VIEWS:
+                state[name] = getattr(self, name)
+        return state
+
+    def arrays(self) -> InstanceArrays:
+        """The instance's dense :class:`InstanceArrays` (cached).
+
+        Grounding hands them over ready; an instance built from dicts
+        converts its fields on the first call.
+        """
+        cached = self.__dict__.get("_instance_arrays")
+        if cached is None:
+            cached = self.__dict__["_instance_arrays"] = self._field_arrays()
+        return cached
+
+    def _field_arrays(self) -> InstanceArrays:
+        """Convert the dict fields into the base columns of the arrays."""
+        switches, controllers, pairs = self.switches, self.controllers, self._pairs
+        flow_ids = tuple(self.flows)
+        n, m, n_flows, n_pairs = len(switches), len(controllers), len(flow_ids), len(pairs)
+        switch_pos = dict(zip(switches, range(n)))
+        flow_pos = dict(zip(flow_ids, range(n_flows)))
+        flow_rank = np.empty(n_flows, dtype=np.int64)
+        flow_rank[sorted(range(n_flows), key=flow_ids.__getitem__)] = np.arange(n_flows)
+        delay = self.delay
+        return build_arrays(
+            switches,
+            controllers,
+            flow_ids,
+            flow_rank,
+            pairs,
+            spare=np.fromiter((self.spare[c] for c in controllers), dtype=np.int64, count=m),
+            gamma=np.fromiter((self.gamma[s] for s in switches), dtype=np.int64, count=n),
+            delay=np.fromiter(
+                (delay[(s, c)] for s in switches for c in controllers),
+                dtype=np.float64,
+                count=n * m,
+            ).reshape(n, m),
+            pair_switch=np.fromiter(
+                (switch_pos[s] for s, _ in pairs), dtype=np.int64, count=n_pairs
+            ),
+            pair_flow=np.fromiter(
+                (flow_pos[f] for _, f in pairs), dtype=np.int64, count=n_pairs
+            ),
+            pair_pbar=np.fromiter(
+                (self.pbar[pair] for pair in pairs), dtype=np.int64, count=n_pairs
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -163,7 +323,8 @@ class FMSSMInstance:
     @property
     def n_flows(self) -> int:
         """L — number of offline flows."""
-        return len(self.flows)
+        flows = self.__dict__.get("flows")
+        return len(flows) if flows is not None else len(self.arrays().flow_ids)
 
     @property
     def pairs(self) -> tuple[tuple[NodeId, FlowId], ...]:
@@ -187,49 +348,24 @@ class FMSSMInstance:
 
     def max_programmability(self, flow_id: FlowId) -> int:
         """Upper bound on ``pro^l``: all programmable pairs in SDN mode."""
+        arrays = self.__dict__.get("_instance_arrays")
+        if arrays is not None:
+            return int(arrays.flow_max_pro[arrays.flow_pos[flow_id]])
         return sum(self.pbar[(s, flow_id)] for s in self.pairs_of[flow_id])
 
     def total_max_programmability(self) -> int:
         """Upper bound on obj2: every programmable pair active."""
+        arrays = self.__dict__.get("_instance_arrays")
+        if arrays is not None:
+            return int(arrays.pair_pbar.sum())
         return sum(self.pbar.values())
-
-    def pair_arrays(self) -> PairArrays:
-        """Dense array views over the programmable pairs (cached).
-
-        The first call builds them in ``pairs`` order; subsequent calls
-        return the same object.  Kept out of ``__post_init__`` so
-        instances that never touch the vectorized kernels do not pay for
-        the numpy import or the array build.
-        """
-        cached = self.__dict__.get("_pair_arrays")
-        if cached is None:
-            import numpy as np
-
-            switch_pos = {s: i for i, s in enumerate(self.switches)}
-            count = len(self._pairs)
-            cached = PairArrays(
-                switch_code=np.fromiter(
-                    (switch_pos[s] for s, _ in self._pairs),
-                    dtype=np.int64,
-                    count=count,
-                ),
-                pbar=np.fromiter(
-                    (self.pbar[pair] for pair in self._pairs),
-                    dtype=np.int64,
-                    count=count,
-                ),
-                switch_pos=switch_pos,
-                pair_index={pair: k for k, pair in enumerate(self._pairs)},
-            )
-            self.__dict__["_pair_arrays"] = cached
-        return cached
 
     @property
     def total_iterations(self) -> int:
         """The paper's TOTAL_ITERATIONS: max offline switches on any flow path.
 
         Counted over programmable pairs, since only those can raise a
-        flow's programmability.  Precomputed in ``__post_init__`` — PM's
+        flow's programmability.  Precomputed by the constructors — PM's
         phase-1 loop reads this every pick.
         """
         return self._total_iterations
@@ -238,7 +374,77 @@ class FMSSMInstance:
         """One-line human summary."""
         return (
             f"FMSSM(N={self.n_switches}, M={self.n_controllers}, L={self.n_flows}, "
-            f"pairs={len(self.pbar)}, recoverable={len(self.recoverable_flows)}, "
+            f"pairs={len(self._pairs)}, recoverable={len(self.recoverable_flows)}, "
             f"spare={self.total_spare}, G={self.ideal_delay_ms:.2f}ms, "
             f"lambda={self.lam:.3g})"
         )
+
+
+def _check_shape(name: str, column: np.ndarray, shape: tuple[int, ...]) -> None:
+    if column.shape != shape:
+        raise ModelError(f"{name} has shape {column.shape}, expected {shape}")
+
+
+def _check_ideal_delay(value: Milliseconds) -> None:
+    if value < 0:
+        raise ModelError(f"ideal_delay_ms must be >= 0: {value!r}")
+
+
+# ----------------------------------------------------------------------
+# Dict views of a from_arrays instance, in the dataclass constructor's
+# insertion order.
+# ----------------------------------------------------------------------
+def _flows_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
+    flows, positions = instance.__dict__["_flow_source"]
+    return dict(zip(arrays.flow_ids, map(flows.__getitem__, positions.tolist())))
+
+
+def _pbar_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
+    pairs, values = arrays.pairs, arrays.pair_pbar.tolist()
+    order = np.lexsort((instance.__dict__["_pair_path_pos"], arrays.pair_flow))
+    return {pairs[k]: values[k] for k in order.tolist()}
+
+
+def _delay_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
+    keys = [(s, c) for s in arrays.switches for c in arrays.controllers]
+    return dict(zip(keys, arrays.delay.ravel().tolist()))
+
+
+def _gamma_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
+    return dict(zip(arrays.switches, arrays.gamma.tolist()))
+
+
+def _nearest_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
+    nearest = arrays.delay_order[:, 0].tolist()
+    return dict(zip(arrays.switches, map(arrays.controllers.__getitem__, nearest)))
+
+
+def _pairs_at_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
+    pairs, indptr = arrays.pairs, arrays.switch_indptr.tolist()
+    return {
+        switch: tuple(flow_id for _, flow_id in pairs[indptr[i] : indptr[i + 1]])
+        for i, switch in enumerate(arrays.switches)
+    }
+
+
+def _pairs_of_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
+    # Grouped by flow, ascending pair index (= ascending switch) within.
+    order = np.argsort(arrays.pair_flow, kind="stable")
+    switches = list(map(arrays.switches.__getitem__, arrays.pair_switch[order].tolist()))
+    counts = np.bincount(arrays.pair_flow, minlength=len(arrays.flow_ids)).tolist()
+    view, start = {}, 0
+    for flow_id, count in zip(arrays.flow_ids, counts):
+        view[flow_id] = tuple(switches[start : start + count])
+        start += count
+    return view
+
+
+_VIEWS = {
+    "flows": _flows_view,
+    "pbar": _pbar_view,
+    "delay": _delay_view,
+    "gamma": _gamma_view,
+    "nearest": _nearest_view,
+    "pairs_at": _pairs_at_view,
+    "pairs_of": _pairs_of_view,
+}

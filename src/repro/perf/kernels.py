@@ -38,18 +38,16 @@ tie-breaking rules that make this hold (see DESIGN §10):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fmssm.arrays import InstanceArrays, seq_lists
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.solution import RecoverySolution
 from repro.types import FLOWVISOR_PROCESSING_MS, ControllerId, FlowId, NodeId
 
 __all__ = [
     "InstanceArrays",
-    "adopt_instance_prep",
-    "export_instance_prep",
     "grouped_capacity_select",
     "instance_arrays",
     "prepare_instance",
@@ -87,276 +85,35 @@ def grouped_capacity_select(groups: np.ndarray, capacity: np.ndarray) -> np.ndar
     return np.sort(order[keep])
 
 
-@dataclass
-class InstanceArrays:
-    """Dense, position-indexed view of one :class:`FMSSMInstance`.
-
-    Conceptually this is the per-scenario slice of the sweep-wide
-    :class:`~repro.perf.coefficients.CoefficientArrays`: the ``pbar``
-    column restricted to the scenario's offline pairs, joined with the
-    scenario's delay matrix and spare-capacity vector.  It is built once
-    per instance by :func:`instance_arrays` and cached on the instance,
-    so all four kernels *and* the batched evaluator share one build.
-
-    Positions: switches ``0..N-1`` in ``instance.switches`` order,
-    controllers ``0..M-1`` in ``instance.controllers`` order, flows
-    ``0..L-1`` in ``instance.flows`` insertion order, pairs ``0..P-1``
-    in ``instance.pairs`` (lexicographic) order.  All of the first two
-    and the pair order are sorted by id, which is what makes
-    first-occurrence argmax/argmin tie-breaking equal id tie-breaking.
-    """
-
-    #: Public id tuples (references into the instance).
-    switches: tuple[NodeId, ...]
-    controllers: tuple[ControllerId, ...]
-    flow_ids: tuple[FlowId, ...]
-    #: Position lookups (switch_pos/pair_index shared with PairArrays).
-    switch_pos: dict[NodeId, int]
-    controller_pos: dict[ControllerId, int]
-    flow_pos: dict[FlowId, int]
-    pair_index: dict[tuple[NodeId, FlowId], int]
-    #: Spare capacity A_j per controller position (int64[M]).
-    spare: np.ndarray
-    #: gamma_i per switch position (int64[N]).
-    gamma: np.ndarray
-    #: Delay matrix D_ij (float64[N, M]).
-    delay: np.ndarray
-    #: Per-switch controller positions in (delay, id) ascending order
-    #: (int64[N, M]); column 0 is the nearest controller.
-    delay_order: np.ndarray
-    #: Per-pair switch / flow positions and p̄ (int64[P] each).
-    pair_switch: np.ndarray
-    pair_flow: np.ndarray
-    pair_pbar: np.ndarray
-    #: CSR over pairs grouped by switch: pairs of switch position ``s``
-    #: are ``switch_indptr[s]:switch_indptr[s+1]`` (pairs are
-    #: switch-major because ``instance.pairs`` sorts lexicographically).
-    switch_indptr: np.ndarray
-    #: Pair indices grouped by flow position, within each flow in
-    #: (-p̄, switch) order — PG's per-flow greedy order (int64[P]).
-    flow_sorted: np.ndarray
-    flow_indptr: np.ndarray
-    #: Per-flow maximum programmability (int64[L]).
-    flow_max_pro: np.ndarray
-    #: Flow positions of ``instance.recoverable_flows`` — ascending
-    #: flow-id order, *not* necessarily ascending position (int64[R]).
-    recoverable_pos: np.ndarray
-    #: All pair indices in (-p̄, pair) order — the saturation scans'
-    #: shared ordering (int64[P]).
-    pbar_desc: np.ndarray
-    #: Lazy per-kernel extras (PG's padded prefix-sum matrix).
-    cache: dict[str, object] = field(default_factory=dict, repr=False)
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.pair_switch.size)
-
-
 def instance_arrays(instance: FMSSMInstance) -> InstanceArrays:
     """The cached :class:`InstanceArrays` view of ``instance``.
 
-    First call builds the arrays (reusing the instance's
-    ``pair_arrays()`` columns); later calls — from other kernels, the
-    evaluator, or repeat solves on the same instance — return the same
-    object.  Mirrors the ``pair_arrays`` caching pattern: the instance
-    is immutable, so the view never goes stale.
+    Grounding hands every instance its arrays ready; an instance built
+    from dicts converts its fields on the first call
+    (:meth:`FMSSMInstance.arrays`).  Later calls — from other kernels,
+    the evaluator, or repeat solves on the same instance — return the
+    same object: the instance is immutable, so the view never goes stale.
     """
-    cached = instance.__dict__.get("_instance_arrays")
-    if cached is None:
-        pa = instance.pair_arrays()
-        switches = instance.switches
-        controllers = instance.controllers
-        flow_ids = tuple(instance.flows)
-        n = len(switches)
-        m = len(controllers)
-        n_pairs = len(instance.pairs)
-        flow_pos = {f: i for i, f in enumerate(flow_ids)}
-        controller_pos = {c: j for j, c in enumerate(controllers)}
-
-        prep = instance.__dict__.pop("_instance_prep", None)
-        if prep is not None and (
-            prep["delay"].shape != (n, m)
-            or len(prep["flow_sorted"]) != n_pairs
-            or len(prep["flow_indptr"]) != len(flow_ids) + 1
-        ):
-            prep = None  # foreign/stale seed: rebuild from scratch
-
-        if prep is not None:
-            delay = prep["delay"]
-        else:
-            delay = np.fromiter(
-                (instance.delay[(s, c)] for s in switches for c in controllers),
-                dtype=np.float64,
-                count=n * m,
-            ).reshape(n, m)
-        pair_flow = np.fromiter(
-            (flow_pos[f] for _, f in instance.pairs), dtype=np.int64, count=n_pairs
-        )
-        pair_pbar = pa.pbar
-        pair_switch = pa.switch_code
-        if prep is not None:
-            flow_sorted = prep["flow_sorted"]
-            flow_indptr = prep["flow_indptr"]
-            flow_max_pro = prep["flow_max_pro"]
-        else:
-            # Flow-major pair grouping, within a flow by (-p̄, switch): the
-            # trailing np.arange key keeps ascending pair index (= ascending
-            # switch id, pairs being lexicographic) among equal p̄.
-            flow_sorted = np.lexsort((np.arange(n_pairs), -pair_pbar, pair_flow))
-            flow_indptr = np.searchsorted(
-                pair_flow[flow_sorted], np.arange(len(flow_ids) + 1)
-            )
-            flow_max_pro = (
-                np.bincount(pair_flow, weights=pair_pbar, minlength=len(flow_ids))
-                .astype(np.int64)
-                if n_pairs
-                else np.zeros(len(flow_ids), dtype=np.int64)
-            )
-        cached = InstanceArrays(
-            switches=switches,
-            controllers=controllers,
-            flow_ids=flow_ids,
-            switch_pos=pa.switch_pos,
-            controller_pos=controller_pos,
-            flow_pos=flow_pos,
-            pair_index=pa.pair_index,
-            spare=np.fromiter(
-                (instance.spare[c] for c in controllers), dtype=np.int64, count=m
-            ),
-            gamma=np.fromiter(
-                (instance.gamma[s] for s in switches), dtype=np.int64, count=n
-            ),
-            delay=delay,
-            delay_order=(
-                prep["delay_order"]
-                if prep is not None
-                else np.argsort(delay, axis=1, kind="stable")
-            ),
-            pair_switch=pair_switch,
-            pair_flow=pair_flow,
-            pair_pbar=pair_pbar,
-            switch_indptr=np.searchsorted(pair_switch, np.arange(n + 1)),
-            flow_sorted=flow_sorted,
-            flow_indptr=flow_indptr,
-            flow_max_pro=flow_max_pro,
-            recoverable_pos=np.fromiter(
-                (flow_pos[f] for f in instance.recoverable_flows),
-                dtype=np.int64,
-                count=len(instance.recoverable_flows),
-            ),
-            pbar_desc=(
-                prep["pbar_desc"]
-                if prep is not None
-                else np.argsort(-pair_pbar, kind="stable")
-            ),
-        )
-        instance.__dict__["_instance_arrays"] = cached
-    return cached
-
-
-#: Derived columns of :class:`InstanceArrays` worth persisting: pure
-#: functions of the instance (positions, not labels), so a later
-#: grounding of the same scenario key can adopt them.
-_PREP_KEYS = (
-    "delay", "delay_order", "flow_sorted", "flow_indptr", "flow_max_pro",
-    "pbar_desc",
-)
-
-
-def export_instance_prep(instance: FMSSMInstance) -> dict[str, np.ndarray] | None:
-    """The persistable derived arrays of a built instance view.
-
-    Returns ``None`` when the view was never built (nothing to save).
-    Used by the cross-run store (:mod:`repro.perf.store`) to skip the
-    sort/argsort work on later processes via :func:`adopt_instance_prep`.
-    """
-    arrays = instance.__dict__.get("_instance_arrays")
-    if arrays is None:
-        return None
-    return {key: np.asarray(getattr(arrays, key)) for key in _PREP_KEYS}
-
-
-def adopt_instance_prep(
-    instance: FMSSMInstance, prep: dict[str, np.ndarray]
-) -> None:
-    """Seed a not-yet-built instance view with persisted derived arrays.
-
-    A no-op once the view exists; shape-inconsistent seeds are discarded
-    at build time, so adopting a foreign artifact can never corrupt the
-    arrays — worst case the sorts are recomputed.
-    """
-    if "_instance_arrays" in instance.__dict__:
-        return
-    if not all(key in prep for key in _PREP_KEYS):
-        return
-    instance.__dict__["_instance_prep"] = {
-        key: np.asarray(prep[key]) for key in _PREP_KEYS
-    }
+    return instance.arrays()
 
 
 def prepare_instance(instance: FMSSMInstance) -> InstanceArrays:
-    """Build the array view and the sequential-scan caches eagerly.
+    """The instance's array view, with the sequential-scan list views.
 
     The view is *scenario data*, not algorithm work: sweeps and
     ``run_scenario`` call this right after grounding an instance so the
-    one-time materialization (delay matrix, CSR indexes, list views) is
-    charged to instance preparation, shared by all four kernels and the
-    batched evaluator — instead of landing in whichever solver happens
-    to run first in a worker process.
+    one-time materialization is charged to instance preparation, shared
+    by all four kernels and the batched evaluator — instead of landing
+    in whichever solver happens to run first.  :func:`~repro.fmssm.
+    arrays.build_arrays` builds the list views with the arrays, and a
+    grounded instance arrives with both, so this only looks them up.
     """
-    arrays = instance_arrays(instance)
-    _seq_prep(arrays)
-    return arrays
+    return instance_arrays(instance)
 
 
 # ----------------------------------------------------------------------
 # PM — Algorithm 1 over arrays
 # ----------------------------------------------------------------------
-def _seq_prep(arrays: InstanceArrays) -> tuple:
-    """Plain-list views for the sequential scan kernels (cached).
-
-    PM's phase-1 picks (and the switch-level greedies) are inherently
-    sequential over WAN-small populations, where per-call numpy
-    dispatch costs more than the arithmetic — so their inner loops run
-    on position-indexed Python lists, materialized here once per
-    instance: per-pair switch/flow/p̄ columns, the switch CSR bounds,
-    each flow's pair-switch adjacency (for the incremental level
-    counts), the delay-ordered controller rows, the delay matrix, and
-    per-switch ``(pair, flow, p̄)`` triples for PM's candidate scan.
-    The adjacency is only iterated, so each flow's entry is a tuple of
-    ints, which the collector stops tracking after its first pass; a
-    list would stay tracked for as long as a plan holds the instance.
-    """
-    cached = arrays.cache.get("seq_lists")
-    if cached is None:
-        flow_indptr = arrays.flow_indptr.tolist()
-        switches_by_flow = arrays.pair_switch[arrays.flow_sorted].tolist()
-        ps_list = arrays.pair_switch.tolist()
-        pf_list = arrays.pair_flow.tolist()
-        pbar_list = arrays.pair_pbar.tolist()
-        indptr = arrays.switch_indptr.tolist()
-        triples = list(zip(range(arrays.n_pairs), pf_list, pbar_list))
-        cached = (
-            ps_list,
-            pf_list,
-            pbar_list,
-            indptr,
-            [
-                tuple(switches_by_flow[flow_indptr[i] : flow_indptr[i + 1]])
-                for i in range(len(arrays.flow_ids))
-            ],
-            arrays.delay_order.tolist(),
-            arrays.gamma.tolist(),
-            arrays.delay.tolist(),
-            [
-                triples[indptr[s] : indptr[s + 1]]
-                for s in range(len(arrays.switches))
-            ],
-        )
-        arrays.cache["seq_lists"] = cached
-    return cached
-
-
 def solve_pm_array(
     instance: FMSSMInstance,
     phase2_order: str = "paper",
@@ -401,7 +158,7 @@ def solve_pm_array(
         gamma,
         delay_list,
         sw_triples,
-    ) = _seq_prep(arrays)
+    ) = seq_lists(arrays)
 
     h = [0] * len(arrays.flow_ids)
     active = [False] * n_pairs
@@ -714,7 +471,7 @@ def solve_retroflow_array(instance: FMSSMInstance) -> RecoverySolution:
     start = time.perf_counter()
     arrays = instance_arrays(instance)
     n = len(arrays.switches)
-    _, _, _, indptr, _, rows, gamma, _, _ = _seq_prep(arrays)
+    _, _, _, indptr, _, rows, gamma, _, _ = seq_lists(arrays)
     value = (
         np.bincount(arrays.pair_switch, weights=arrays.pair_pbar, minlength=n)
         .astype(np.int64)
@@ -764,7 +521,7 @@ def solve_nearest_array(instance: FMSSMInstance) -> RecoverySolution:
     """
     start = time.perf_counter()
     arrays = instance_arrays(instance)
-    _, _, _, indptr, _, rows, gamma, _, _ = _seq_prep(arrays)
+    _, _, _, indptr, _, rows, gamma, _, _ = seq_lists(arrays)
     nearest = arrays.cache.get("nearest_col")
     if nearest is None:
         nearest = arrays.delay_order[:, 0].tolist()

@@ -34,12 +34,6 @@ Sharded, checksummed record store
     skipped and counted, never trusted.  :meth:`SolveStore.gc` bounds
     the store's size by atomically rewriting shards oldest-first.
 
-Kernel prep
-    Besides solutions, the store holds per-scenario kernel prep
-    (:meth:`SolveStore.put_arrays` / :meth:`~SolveStore.get_arrays`,
-    atomic ``.npz`` artifacts keyed by scenario key), so a cold process
-    skips the sort work too.
-
 The sweep layer re-validates hits against the grounded instance when it
 runs with ``validate=True`` (mirroring how fresh solves are validated),
 and under an active chaos plan it bypasses the store entirely so fault
@@ -382,13 +376,12 @@ def _unpack_ints(blob: dict[str, str]) -> list[int]:
 # ----------------------------------------------------------------------
 
 class SolveStore:
-    """Disk-backed record + artifact store.
+    """Disk-backed record store.
 
     Layout under ``root``::
 
         records/shard-XX.jsonl   # one JSON record per line, checksummed
         records/.lock            # writer lock (fcntl.flock)
-        artifacts/<name>.npz     # named numpy-dict artifacts (atomic)
 
     Concurrency contract: any number of processes may read and write one
     store directory concurrently.  Writers serialize on the lock file
@@ -414,9 +407,7 @@ class SolveStore:
         self.shards = shards
         self.max_bytes = max_bytes
         self._records_dir = self.root / "records"
-        self._artifacts_dir = self.root / "artifacts"
         self._records_dir.mkdir(parents=True, exist_ok=True)
-        self._artifacts_dir.mkdir(parents=True, exist_ok=True)
         self._shard_paths = tuple(
             self._records_dir / f"shard-{shard:02x}.jsonl"
             for shard in range(shards)
@@ -428,9 +419,6 @@ class SolveStore:
             "misses": 0,
             "writes": 0,
             "corrupt": 0,
-            "artifact_hits": 0,
-            "artifact_misses": 0,
-            "artifact_writes": 0,
             "gc_dropped": 0,
         }
 
@@ -633,44 +621,6 @@ class SolveStore:
                 self._index.pop(shard, None)
         self.stats["gc_dropped"] += dropped
         return dropped
-
-    # -- artifacts (numpy dicts) ---------------------------------------
-    def _artifact_path(self, name: str) -> Path:
-        safe = "".join(c if c.isalnum() or c in "-._" else "_" for c in name)
-        return self._artifacts_dir / f"{safe}.npz"
-
-    def put_arrays(self, name: str, arrays: dict[str, np.ndarray]) -> bool:
-        """Atomically persist a named dict of arrays; ``False`` if present."""
-        path = self._artifact_path(name)
-        if path.exists():
-            return False
-        fd, tmp = tempfile.mkstemp(dir=self._artifacts_dir, prefix=".art-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        self.stats["artifact_writes"] += 1
-        return True
-
-    def get_arrays(self, name: str) -> dict[str, np.ndarray] | None:
-        """The named artifact as an eager dict, or ``None`` (missing/corrupt)."""
-        path = self._artifact_path(name)
-        try:
-            with np.load(path) as bundle:
-                arrays = {key: bundle[key] for key in bundle.files}
-        except (OSError, ValueError, KeyError, EOFError):
-            if path.exists():
-                self.stats["corrupt"] += 1
-            self.stats["artifact_misses"] += 1
-            return None
-        self.stats["artifact_hits"] += 1
-        return arrays
 
     # -- reporting -----------------------------------------------------
     def summary(self) -> dict[str, object]:

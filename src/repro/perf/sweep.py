@@ -255,8 +255,8 @@ class _SweepRunner:
         self.checkpoint_every = max(1, checkpoint_every)
         self.transport = transport
         self.store = store
-        #: Instances the store probe grounded (misses and validated
-        #: hits), by scenario index; the solve reuses them.
+        #: Instances the store probe grounded to validate hits, by
+        #: scenario index; the solve reuses them.
         self._grounded: dict[int, FMSSMInstance] = {}
         #: Per-scenario store provenance stamped on ``meta["store"]``.
         self._provenance: dict[int, dict] = {}
@@ -409,26 +409,14 @@ class _SweepRunner:
             e.action == "demote" for e in report.events
         )
 
-    def _persist_prep(self) -> None:
-        """Write back the kernel prep this sweep computed (put-if-absent)."""
-        from repro.perf.kernels import export_instance_prep
-
-        for index, instance in self._grounded.items():
-            prep = export_instance_prep(instance)
-            if prep is not None:
-                self.store.put_arrays(f"prep-{self.keys[index]}", prep)
-
     def probe_store(self) -> None:
         """Satisfy from the store whatever it already holds, before fan-out.
 
         Every pending (scenario, algorithm) task looks up its solve key.
         A hit decodes its record without grounding the scenario — unless
-        the sweep validates (:meth:`_hit_solution`).  A scenario left
-        with misses is grounded here and adopts its stored kernel prep.
-        Stamps per-scenario hit/miss provenance for ``meta["store"]``.
+        the sweep validates (:meth:`_hit_solution`).  Stamps per-scenario
+        hit/miss provenance for ``meta["store"]``.
         """
-        from repro.perf.kernels import adopt_instance_prep
-
         for index, key in enumerate(self.keys):
             if index in self.completed:
                 continue
@@ -453,13 +441,6 @@ class _SweepRunner:
                                     None)
                         continue
                 provenance["misses"].append(algorithm)
-            if provenance["misses"]:
-                # Only a scenario that will actually solve needs its
-                # cached kernel prep — pure-hit scenarios replay without.
-                instance = self._probe_instance(index)
-                prep = self.store.get_arrays(f"prep-{key}")
-                if prep is not None:
-                    adopt_instance_prep(instance, prep)
 
     def settle_store(self) -> None:
         """Write back the sweep's fresh solves and stamp provenance.
@@ -489,7 +470,6 @@ class _SweepRunner:
                 ))
         if records:
             self.store.put_many(records)
-        self._persist_prep()
         for index, provenance in self._provenance.items():
             self.results[index].meta["store"] = dict(provenance)
 

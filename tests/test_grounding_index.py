@@ -1,23 +1,27 @@
 """Differential tests for :class:`repro.fmssm.build.GroundingIndex`.
 
-The index grounds a scenario from per-network data built once; the
-reference below is the per-scenario builder it replaced, which rescans
-the whole flow population for every scenario.  Both must produce the
-same instance field for field, including dict insertion order — PM's
-tie-breaks and the plan digests depend on it.
+The index grounds a scenario from per-network arrays built once; the
+references below are the per-scenario builder it replaced, which
+rescans the whole flow population for every scenario and fills dicts,
+and the dict → array conversion the kernels' arrays were once read back
+through.  The grounded instance must match both: its dict views field
+for field, including dict insertion order (PM's tie-breaks and the plan
+digests depend on it), and its arrays column for column.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.control.delay import DelayModel, ideal_recovery_delay
 from repro.control.failures import FailureScenario, enumerate_failure_scenarios
-from repro.exceptions import CapacityError, FlowError, ScenarioError
+from repro.exceptions import CapacityError, FlowError, ModelError, ScenarioError
+from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import ExperimentContext, custom_context, default_att_context
 from repro.flows.demands import all_pairs_flows
 from repro.flows.paths import switch_flow_counts
@@ -96,7 +100,93 @@ def reference_build(plane, flows, programmability, scenario, delay_model=None, l
     )
 
 
+#: The dict fields a grounded instance builds only when read.
+VIEWS = ("flows", "pbar", "delay", "gamma", "nearest", "pairs_at", "pairs_of")
+
+
+def reference_arrays(instance: FMSSMInstance) -> dict[str, object]:
+    """The kernels' arrays read back from the instance's dict fields,
+    entry by entry, with the list views of the sequential kernels."""
+    switches, controllers = instance.switches, instance.controllers
+    pairs = tuple(sorted(instance.pbar))
+    flow_ids = tuple(instance.flows)
+    n, m, n_flows, n_pairs = len(switches), len(controllers), len(flow_ids), len(pairs)
+    switch_pos = {s: i for i, s in enumerate(switches)}
+    flow_pos = {f: i for i, f in enumerate(flow_ids)}
+    delay = np.fromiter(
+        (instance.delay[(s, c)] for s in switches for c in controllers),
+        dtype=np.float64,
+        count=n * m,
+    ).reshape(n, m)
+    pair_switch = np.fromiter((switch_pos[s] for s, _ in pairs), dtype=np.int64, count=n_pairs)
+    pair_flow = np.fromiter((flow_pos[f] for _, f in pairs), dtype=np.int64, count=n_pairs)
+    pair_pbar = np.fromiter((instance.pbar[p] for p in pairs), dtype=np.int64, count=n_pairs)
+    flow_sorted = np.lexsort((np.arange(n_pairs), -pair_pbar, pair_flow))
+    flow_indptr = np.searchsorted(pair_flow[flow_sorted], np.arange(n_flows + 1))
+    delay_order = np.argsort(delay, axis=1, kind="stable")
+    switch_indptr = np.searchsorted(pair_switch, np.arange(n + 1))
+    columns: dict[str, object] = {
+        "switches": switches,
+        "controllers": controllers,
+        "flow_ids": flow_ids,
+        "pairs": pairs,
+        "switch_pos": switch_pos,
+        "controller_pos": {c: j for j, c in enumerate(controllers)},
+        "flow_pos": flow_pos,
+        "pair_index": {pair: k for k, pair in enumerate(pairs)},
+        "spare": np.fromiter((instance.spare[c] for c in controllers), dtype=np.int64, count=m),
+        "gamma": np.fromiter((instance.gamma[s] for s in switches), dtype=np.int64, count=n),
+        "delay": delay,
+        "delay_order": delay_order,
+        "pair_switch": pair_switch,
+        "pair_flow": pair_flow,
+        "pair_pbar": pair_pbar,
+        "switch_indptr": switch_indptr,
+        "flow_sorted": flow_sorted,
+        "flow_indptr": flow_indptr,
+        "flow_max_pro": np.bincount(pair_flow, weights=pair_pbar, minlength=n_flows).astype(
+            np.int64
+        ),
+        "recoverable_pos": np.fromiter(
+            (flow_pos[f] for f in instance.recoverable_flows), dtype=np.int64
+        ),
+        "pbar_desc": np.argsort(-pair_pbar, kind="stable"),
+    }
+    by_flow = pair_switch[flow_sorted].tolist()
+    indptr, flow_ptr = switch_indptr.tolist(), flow_indptr.tolist()
+    triples = list(zip(range(n_pairs), pair_flow.tolist(), pair_pbar.tolist()))
+    columns["seq_lists"] = (
+        pair_switch.tolist(),
+        pair_flow.tolist(),
+        pair_pbar.tolist(),
+        indptr,
+        [tuple(by_flow[flow_ptr[i] : flow_ptr[i + 1]]) for i in range(n_flows)],
+        delay_order.tolist(),
+        columns["gamma"].tolist(),
+        delay.tolist(),
+        [triples[indptr[s] : indptr[s + 1]] for s in range(n)],
+    )
+    return columns
+
+
+def assert_same_arrays(expected: FMSSMInstance, actual: FMSSMInstance) -> None:
+    """``actual`` arrived from grounding with the arrays and list views
+    the dict conversion of ``expected`` gives."""
+    arrays = actual.__dict__["_instance_arrays"]
+    assert "seq_lists" in arrays.cache
+    for name, want in reference_arrays(expected).items():
+        got = arrays.cache["seq_lists"] if name == "seq_lists" else getattr(arrays, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        elif isinstance(want, dict):
+            assert list(got.items()) == list(want.items()), name
+        else:
+            assert got == want, name
+    assert actual.total_iterations == expected.total_iterations
+
+
 def assert_same_instance(expected: FMSSMInstance, actual: FMSSMInstance) -> None:
+    assert_same_arrays(expected, actual)
     for name in FIELDS:
         want, got = getattr(expected, name), getattr(actual, name)
         if isinstance(want, dict):
@@ -217,6 +307,52 @@ class TestMatchesReference:
             build_instance(*args, scenario, delay_model=routed, lam=0.125),
         )
 
+    def test_routed_delay_model_on_one_index(self):
+        # One index serves both delay models: each keeps its own rows.
+        context = default_att_context()
+        routed = DelayModel(context.topology, mode="routed")
+        index = GroundingIndex(context.plane, context.flows, context.programmability)
+        args = (context.plane, context.flows, context.programmability)
+        for scenario in scenarios_up_to(context, 2):
+            for model in (routed, context.delay_model):
+                assert_same_instance(
+                    reference_build(*args, scenario, delay_model=model),
+                    index.ground(scenario, delay_model=model),
+                )
+
+
+class TestLazyViews:
+    def test_a_request_builds_no_dict_view(self):
+        """PM, the three baselines and the evaluator read the arrays only."""
+        context = default_att_context()
+        scenario = FailureScenario(frozenset({13, 20}))
+        instance = context.instance(scenario)
+        assert not any(name in instance.__dict__ for name in VIEWS)
+        run_scenario(context, scenario, ("pm", "retroflow", "pg", "nearest"))
+        assert context.instance(scenario) is instance
+        assert not any(name in instance.__dict__ for name in VIEWS)
+        assert instance.n_flows == len(instance.arrays().flow_ids)
+        for name in VIEWS:
+            assert getattr(instance, name) is getattr(instance, name)  # built once
+
+    def test_pickled_instance_carries_views_not_the_population(self, small_context):
+        instance = small_context.instance(FailureScenario(frozenset({0, 7})))
+        clone = pickle.loads(pickle.dumps(instance))
+        assert "_flow_source" not in clone.__dict__
+        assert clone == instance
+        assert_same_arrays(instance, clone)
+
+
+class OneAtEveryPair:
+    """A programmability source that reports p̄ = 1 wherever the model
+    has a programmable pair — a value no instance may hold."""
+
+    def __init__(self, model) -> None:
+        self._model = model
+
+    def pbar(self, flow, switch) -> int:
+        return 1 if self._model.pbar(flow, switch) else 0
+
 
 class TestErrors:
     def mis_provisioned(self) -> ExperimentContext:
@@ -260,6 +396,19 @@ class TestErrors:
         monkeypatch.setattr(FailureScenario, "validate", counting)
         index.ground(FailureScenario(frozenset({3, 7})))
         assert len(calls) == 1
+
+    def test_pbar_below_two_raises_like_the_dict_route(self):
+        # Every pair is bad, so the message also pins which pair each
+        # route reports first: the first in flow-major path order.
+        context = default_att_context()
+        source = OneAtEveryPair(context.programmability)
+        scenario = FailureScenario(frozenset({13, 20}))
+        with pytest.raises(ModelError, match="pbar must be >= 2") as dict_route:
+            reference_build(context.plane, context.flows, source, scenario)
+        index = GroundingIndex(context.plane, context.flows, source)
+        with pytest.raises(ModelError) as array_route:
+            index.ground(scenario)
+        assert str(array_route.value) == str(dict_route.value)
 
     def test_duplicate_flow_ids_rejected(self, small_context):
         flows = [*small_context.flows, small_context.flows[0]]

@@ -401,30 +401,6 @@ class TestRecordStore:
         assert reader.get("k0") is None
         assert reader.get("k11") == {"n": 11, "pad": "x" * 64}
 
-    def test_artifact_round_trip(self, tmp_path):
-        import numpy as np
-
-        store = SolveStore(tmp_path)
-        arrays = {"a": np.arange(6, dtype=np.int64).reshape(2, 3),
-                  "b": np.array([1.5, 2.5])}
-        assert store.put_arrays("prep-test", arrays)
-        assert not store.put_arrays("prep-test", arrays)  # already there
-        out = SolveStore(tmp_path).get_arrays("prep-test")
-        assert out is not None
-        assert np.array_equal(out["a"], arrays["a"])
-        assert np.array_equal(out["b"], arrays["b"])
-
-    def test_corrupt_artifact_is_a_miss(self, tmp_path):
-        import numpy as np
-
-        store = SolveStore(tmp_path)
-        store.put_arrays("prep-bad", {"a": np.arange(3)})
-        path = store._artifact_path("prep-bad")
-        path.write_bytes(b"\x00" * 16)
-        fresh = SolveStore(tmp_path)
-        assert fresh.get_arrays("prep-bad") is None
-        assert fresh.stats["corrupt"] >= 1
-
     def test_summary_is_json_safe(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put("k", {"x": 1})
