@@ -3,8 +3,9 @@
 This file runs in seconds — CI uses it as the quick-bench smoke job that
 keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
 
-* ``table_build_s`` — materializing the shared coefficient table
-  (recorded by the session ``context`` fixture),
+* ``table_build_s`` — filling the context's grounding index with every
+  switch's p̄ entries, ``materialize_table()`` (recorded by the session
+  ``context`` fixture),
 * ``sweep_serial_s`` / ``sweep_parallel_s`` — the heuristic-only
   one-failure sweep, serial versus ``run_failure_sweep_parallel``, each
   on a fresh context (the route the parallel call took lands in the
@@ -108,7 +109,7 @@ def assert_sweeps_identical(serial, parallel) -> None:
 
 
 def fresh_context():
-    """A new ATT context with its table built: nothing grounded yet."""
+    """A new ATT context with its grounding index filled: nothing grounded yet."""
     from repro.experiments.scenarios import default_att_context
 
     context = default_att_context()

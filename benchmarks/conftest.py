@@ -4,8 +4,8 @@ The Optimal solver is the expensive part, so each failure sweep (with all
 four paper algorithms, Optimal included) runs exactly once per pytest
 session and is shared by every figure benchmark.
 
-The harness also tracks wall-clock per stage — context build, coefficient
-table build, each sweep, and per-algorithm solve totals — and writes the
+The harness also tracks wall-clock per stage — context build, grounding
+index fill, each sweep, and per-algorithm solve totals — and writes the
 machine-readable ``BENCH_headline.json`` at the repo root when the
 session ends, so the perf trajectory is recorded by every benchmark run
 (and checked in CI).  See ``docs/performance.md`` for the format.
@@ -169,7 +169,7 @@ def _timed(stage: str, thunk):
 
 @pytest.fixture(scope="session")
 def context():
-    """The paper's default evaluation context, with the table prebuilt."""
+    """The paper's default evaluation context, with its grounding index filled."""
     ctx = _timed("context_build_s", default_att_context)
     _timed("table_build_s", ctx.materialize_table)
     return ctx

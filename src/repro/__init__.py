@@ -51,10 +51,10 @@ from repro.experiments import (
     run_scenario,
     table3_data,
 )
-from repro.perf import CoefficientTable
 from repro.flows import Flow, all_pairs_flows, gravity_demands, switch_flow_counts
 from repro.fmssm import (
     FMSSMInstance,
+    GroundingIndex,
     RecoveryEvaluation,
     RecoverySolution,
     build_fmssm_model,
@@ -133,6 +133,7 @@ __all__ = [
     # FMSSM & algorithms
     "FMSSMInstance",
     "build_instance",
+    "GroundingIndex",
     "build_fmssm_model",
     "RecoverySolution",
     "RecoveryEvaluation",
@@ -169,7 +170,6 @@ __all__ = [
     "run_scenario",
     "run_failure_sweep",
     "run_failure_sweep_parallel",
-    "CoefficientTable",
     "fig4_data",
     "fig5_data",
     "fig6_data",

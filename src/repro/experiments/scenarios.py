@@ -22,7 +22,6 @@ from repro.flows.demands import all_pairs_flows
 from repro.flows.flow import Flow
 from repro.fmssm.build import GroundingIndex
 from repro.fmssm.instance import FMSSMInstance
-from repro.perf.coefficients import CoefficientTable
 from repro.perf.store import NetworkKey
 from repro.routing.path_count import make_counter
 from repro.routing.programmability import ProgrammabilityModel
@@ -52,9 +51,8 @@ class ExperimentContext:
     _instances: weakref.WeakValueDictionary[frozenset[ControllerId], FMSSMInstance] = field(
         default_factory=weakref.WeakValueDictionary, repr=False, compare=False
     )
-    #: Materialized coefficient table, built on demand by sweeps.
-    _table: CoefficientTable | None = field(default=None, repr=False)
-    #: Per-network grounding data, built on the first :meth:`instance`.
+    #: Per-network grounding data — the one materialized form of p̄ —
+    #: built on the first :meth:`instance` or :meth:`materialize_table`.
     _grounding: GroundingIndex | None = field(default=None, repr=False, compare=False)
     #: The solve store's digests and flow positions of this network,
     #: built on first use by :func:`repro.perf.store.network_key`.
@@ -88,33 +86,29 @@ class ExperimentContext:
         accumulate them.
 
         The first call builds the context's :class:`GroundingIndex`
-        from the shared coefficient table once :meth:`materialize_table`
-        has run, else from the lazy model — the values are identical by
-        construction — and every scenario grounds from it.
+        from the programmability model, and every scenario grounds from
+        it.
         """
         key = scenario.failed
         instance = self._instances.get(key)
         if instance is None:
-            if self._grounding is None:
-                self._grounding = GroundingIndex(
-                    self.plane,
-                    self.flows,
-                    self._table if self._table is not None else self.programmability,
-                )
-            instance = self._grounding.ground(scenario, delay_model=self.delay_model)
+            instance = self._index().ground(scenario, delay_model=self.delay_model)
             self._instances[key] = instance
         return instance
 
-    def materialize_table(self) -> CoefficientTable:
-        """Build (once) and return the shared coefficient table.
+    def _index(self) -> GroundingIndex:
+        if self._grounding is None:
+            self._grounding = GroundingIndex(self.plane, self.flows, self.programmability)
+        return self._grounding
 
-        Sweeps call this before fanning scenarios out so every scenario —
-        and every worker process — reuses one materialization of the
-        ``beta`` / ``p̄`` coefficients and the inverted switch index.
+    def materialize_table(self) -> GroundingIndex:
+        """Build (once) and return the context's filled grounding index.
+
+        Sweeps call this before fanning scenarios out, so every switch's
+        ``p̄`` entries are read from the model exactly once and every
+        worker receives them.  Spare capacity is not computed here.
         """
-        if self._table is None:
-            self._table = self.programmability.table()
-        return self._table
+        return self._index().fill()
 
 
 def default_att_context(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import weakref
 from collections.abc import Iterable
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +23,6 @@ from repro.flows.paths import switch_flow_counts
 from repro.fmssm.arrays import build_arrays
 from repro.fmssm.instance import FMSSMInstance
 from repro.routing.programmability import ProgrammabilityModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.coefficients import CoefficientTable
 
 __all__ = ["GroundingIndex", "build_instance", "default_lambda"]
 
@@ -62,9 +58,9 @@ class GroundingIndex:
     * per switch, its programmable entries ``(flow position, position
       on the path, p̄)`` sorted by flow id, with their ``(switch, flow
       id)`` key tuples, which every instance shares.  A switch's entries
-      are read from ``programmability`` the first time it is offline,
-      so a one-scenario run on a lazy model only counts the paths it
-      needs;
+      are read from ``programmability`` the first time it is offline
+      (or by :meth:`fill`), so a one-scenario run only counts the paths
+      it needs;
     * per delay model, each node's delay row over all controllers,
       filled from :meth:`DelayModel.delay_ms
       <repro.control.delay.DelayModel.delay_ms>` the first time the node
@@ -82,16 +78,14 @@ class GroundingIndex:
     flows:
         The full flow population, with unique flow ids.
     programmability:
-        Source of ``p̄`` — the lazy :class:`ProgrammabilityModel` or a
-        materialized :class:`~repro.perf.coefficients.CoefficientTable`;
-        the values are identical by construction.
+        Source of ``p̄``; only its ``pbar(flow, switch)`` is read.
     """
 
     def __init__(
         self,
         plane: ControlPlane,
         flows: Iterable[Flow],
-        programmability: ProgrammabilityModel | CoefficientTable,
+        programmability: ProgrammabilityModel,
     ) -> None:
         self._plane = plane
         self._flows = tuple(flows)
@@ -159,6 +153,42 @@ class GroundingIndex:
             keys = tuple((switch, row[0]) for row in found)
             entries = self._entries[code] = (table, keys)
         return entries
+
+    def fill(self) -> GroundingIndex:
+        """Read every switch's entries now, so ``programmability`` is
+        never consulted again.  Spare capacity stays unread until the
+        first :meth:`ground`."""
+        for code in range(len(self._nodes)):
+            self._switch_entries(code)
+        return self
+
+    def packed_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every switch's entries as one CSR over node codes: ``(indptr,
+        int64[3, total] rows of flow position, path position and p̄)``."""
+        tables = [self._switch_entries(code)[0] for code in range(len(self._nodes))]
+        indptr = np.zeros(len(tables) + 1, dtype=np.int64)
+        np.cumsum([table.shape[1] for table in tables], out=indptr[1:])
+        return indptr, np.concatenate(tables, axis=1)
+
+    @classmethod
+    def from_packed(
+        cls,
+        plane: ControlPlane,
+        flows: Iterable[Flow],
+        indptr: np.ndarray,
+        entries: np.ndarray,
+    ) -> GroundingIndex:
+        """A filled index from :meth:`packed_entries` of an index over the
+        same ``plane`` and ``flows``; it has no ``programmability``."""
+        index = cls(plane, flows, None)  # type: ignore[arg-type] - filled below
+        bounds, positions, ids = indptr.tolist(), entries[0].tolist(), index._ids
+        for code, switch in enumerate(index._nodes):
+            start, stop = bounds[code], bounds[code + 1]
+            index._entries[code] = (
+                entries[:, start:stop],
+                tuple((switch, ids[p]) for p in positions[start:stop]),
+            )
+        return index
 
     def _delay_rows(self, model: DelayModel, codes: list[int]) -> np.ndarray:
         """``model``'s delay rows, filled for every node in ``codes``."""
@@ -258,7 +288,7 @@ class GroundingIndex:
 def build_instance(
     plane: ControlPlane,
     flows: Iterable[Flow],
-    programmability: ProgrammabilityModel | CoefficientTable,
+    programmability: ProgrammabilityModel,
     scenario: FailureScenario,
     delay_model: DelayModel | None = None,
     lam: float | None = None,

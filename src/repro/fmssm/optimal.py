@@ -117,12 +117,14 @@ def _canonical_objective(instance: FMSSMInstance, solution: RecoverySolution) ->
     solutions with the same (least, total) programmability produce the
     *same float* regardless of which solver or compile route found them.
     """
-    programmability: dict[object, int] = {f: 0 for f in instance.flows}
-    for switch, flow_id in solution.active_pairs():
-        programmability[flow_id] += instance.pbar[(switch, flow_id)]
-    recoverable = instance.recoverable_flows
-    least = min((programmability[f] for f in recoverable), default=0)
-    return least + instance.lam * sum(programmability.values())
+    arrays = instance.arrays()
+    pair_flow, pair_pbar = arrays.pair_flow.tolist(), arrays.pair_pbar.tolist()
+    programmability = [0] * len(arrays.flow_ids)
+    for pair in solution.active_pairs():
+        k = arrays.pair_index[pair]
+        programmability[pair_flow[k]] += pair_pbar[k]
+    least = min(map(programmability.__getitem__, arrays.recoverable_pos.tolist()), default=0)
+    return least + instance.lam * sum(programmability)
 
 
 def _certificate_tolerance(instance: FMSSMInstance) -> float | None:
@@ -160,15 +162,14 @@ def _combinatorial_bound(instance: FMSSMInstance) -> float:
     this bound is never below the LP-relaxation objective, and hence
     never below the MILP optimum.
     """
-    recoverable = instance.recoverable_flows
-    r_ub = float(
-        min((instance.max_programmability(f) for f in recoverable), default=0)
-    )
+    arrays = instance.arrays()
+    recoverable = arrays.flow_max_pro[arrays.recoverable_pos]
+    r_ub = float(recoverable.min()) if recoverable.size else 0.0
     capacity = instance.total_spare
-    if capacity <= 0 or not instance.pbar:
+    if capacity <= 0 or not arrays.n_pairs:
         return r_ub
-    values = sorted(instance.pbar.values(), reverse=True)
-    bonus = float(sum(values[: min(len(values), capacity)]))
+    values = np.sort(arrays.pair_pbar)[::-1]
+    bonus = float(values[: min(len(values), capacity)].sum())
     return r_ub + instance.lam * bonus
 
 
@@ -186,21 +187,23 @@ def _full_fill_seed(instance: FMSSMInstance) -> RecoverySolution | None:
     in the greedy placement); delay ≤ G is left to the caller's
     feasibility check.
     """
-    load = {s: len(instance.pairs_at[s]) for s in instance.switches if instance.pairs_at[s]}
+    # Switches and controllers by position; ``delay_order`` lists each
+    # switch's controllers by (delay, id), as a stable sort would.
+    arrays = instance.arrays()
+    load = {s: n for s, n in enumerate(np.diff(arrays.switch_indptr).tolist()) if n}
     if not load or sum(load.values()) > instance.total_spare:
         return None
-    delay = instance.delay
-    by_delay = {
-        s: sorted(instance.controllers, key=lambda c, s=s: delay[(s, c)]) for s in load
-    }
+    delay = arrays.delay.tolist()
+    delay_order = arrays.delay_order.tolist()
+    by_delay = {s: delay_order[s] for s in load}
 
     def regret(s) -> float:
         order = by_delay[s]
         if len(order) < 2:
             return 0.0
-        return (delay[(s, order[1])] - delay[(s, order[0])]) * load[s]
+        return (delay[s][order[1]] - delay[s][order[0]]) * load[s]
 
-    spare = dict(instance.spare)
+    spare = arrays.spare.tolist()
     mapping = {}
     for s in sorted(load, key=regret, reverse=True):
         home = next((c for c in by_delay[s] if spare[c] >= load[s]), None)
@@ -210,7 +213,7 @@ def _full_fill_seed(instance: FMSSMInstance) -> RecoverySolution | None:
         spare[home] -= load[s]
 
     def cost(s, c) -> float:
-        return delay[(s, c)] * load[s]
+        return delay[s][c] * load[s]
 
     switches = list(load)
     improved = True
@@ -242,7 +245,9 @@ def _full_fill_seed(instance: FMSSMInstance) -> RecoverySolution | None:
                     mapping[s], mapping[t] = b, a
                     improved = True
     return RecoverySolution(
-        algorithm="optimal", mapping=mapping, sdn_pairs=set(instance.pairs)
+        algorithm="optimal",
+        mapping={arrays.switches[s]: arrays.controllers[c] for s, c in mapping.items()},
+        sdn_pairs=set(instance.pairs),
     )
 
 

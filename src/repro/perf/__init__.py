@@ -1,15 +1,12 @@
-"""Performance layer: shared coefficient tables and the parallel sweep.
+"""Performance layer: the parallel sweep and what makes it cheap.
 
 Failure sweeps are embarrassingly parallel across scenarios × algorithms,
 and every scenario of a sweep shares the same (topology, counter, flow
-population) — so the programmability coefficients can be materialized
-once and reused everywhere.  This package holds the two pieces that make
-that cheap:
-
-:class:`~repro.perf.coefficients.CoefficientTable`
-    A picklable, fully materialized table of ``p`` / ``beta`` / ``p̄``
-    with an inverted switch → programmable-flows index, built once per
-    (topology, counter, flows) and shared by all scenarios of a sweep.
+population) — so ``p̄`` is materialized once, in the context's
+:class:`~repro.fmssm.build.GroundingIndex` (filled by
+:meth:`~repro.experiments.scenarios.ExperimentContext.materialize_table`),
+and every scenario and pool worker grounds from it.  This package holds
+the machinery around that index:
 
 :mod:`repro.perf.sweep`
     The process-pool machinery behind
@@ -47,7 +44,6 @@ that cheap:
     the scenario, and a store written by other code misses.
 """
 
-from repro.perf.coefficients import CoefficientArrays, CoefficientTable
 from repro.perf.executor import (
     ShmPlanData,
     SweepExecutor,
@@ -93,8 +89,6 @@ from repro.perf.sweep import (
 )
 
 __all__ = [
-    "CoefficientTable",
-    "CoefficientArrays",
     "InstanceArrays",
     "instance_arrays",
     "prepare_instance",

@@ -250,14 +250,9 @@ class FMSSMCompiler:
         r_col = n_vars - 1
         shape = self._shape_arrays(n, m, p)
 
-        switch_index = {s: i for i, s in enumerate(switches)}
-        controller_index = {c: i for i, c in enumerate(controllers)}
-        pair_switch_idx = np.fromiter(
-            (switch_index[s] for s, _ in pairs), dtype=np.int64, count=p
-        )
-        pbar_values = np.fromiter(
-            (float(instance.pbar[pair]) for pair in pairs), dtype=np.float64, count=p
-        )
+        arrays = instance.arrays()
+        pair_switch_idx = arrays.pair_switch
+        pbar_values = arrays.pair_pbar.astype(np.float64)
 
         recoverable = instance.recoverable_flows
         if recoverable:
@@ -329,13 +324,10 @@ class FMSSMCompiler:
 
         # Eq. (14): total switch-controller delay bounded by G.
         if enforce_delay and q:
-            delay_matrix = np.array(
-                [[float(instance.delay[(s, c)]) for c in controllers] for s in switches]
-            )
             block(
                 np.full(q, n_rows, dtype=np.int64),
                 w_cols,
-                delay_matrix[pair_switch_idx].ravel(),
+                arrays.delay[pair_switch_idx].ravel(),
             )
             b_blocks.append(np.array([float(instance.ideal_delay_ms)]))
             n_rows += 1
@@ -392,8 +384,8 @@ class FMSSMCompiler:
             controllers=controllers,
             pairs=pairs,
             recoverable=recoverable,
-            switch_index=switch_index,
-            controller_index=controller_index,
+            switch_index=arrays.switch_pos,
+            controller_index=arrays.controller_pos,
             pair_switch_idx=pair_switch_idx,
             pbar_values=pbar_values,
             r_col=r_col,

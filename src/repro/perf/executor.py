@@ -31,12 +31,11 @@ Worker-side caches
     sweeps by construction.
 
 Invalidation
-    Generations are assigned per (executor, context object, coefficient
-    table): passing a *new* context — or re-materializing a context's
-    table — yields a fresh generation, so stale worker caches can never
-    serve it.  In-place mutation of a context that leaves its ``_table``
-    object untouched is not detected; build a new context (they are
-    cheap) or a fresh executor for that.
+    Generations are assigned per (executor, context object): passing a
+    *new* context yields a fresh generation, so stale worker caches can
+    never serve it.  A context builds its grounding index once and never
+    replaces it; in-place mutation of a context is not detected, so
+    build a new context (they are cheap) or a fresh executor for that.
 
 Lifecycle
     :meth:`SweepExecutor.close` shuts the pool down **before** releasing
@@ -69,6 +68,9 @@ from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.perf.shm import (
     SegmentLease,
@@ -98,13 +100,11 @@ class _ContextEntry:
     """One encoded context, cached for the executor's lifetime.
 
     Pins a strong reference to the context (so its ``id()`` can never be
-    recycled while the entry lives) and to the coefficient table it was
-    encoded from — the staleness guard.  Owns the shared-memory lease
-    until the entry is evicted or the executor closes.
+    recycled while the entry lives).  Owns the shared-memory lease until
+    the entry is evicted or the executor closes.
     """
 
     context: object
-    table: object
     generation: int
     prefer_shm: bool
     payload: SharedPayload
@@ -286,10 +286,8 @@ class SweepExecutor:
     def encode_context(self, context: object, prefer_shm: bool = True) -> _ContextEntry:
         """The cached encoded payload of ``context`` (encode on miss).
 
-        A hit requires the same context object with the same
-        materialized table, encoded for the same transport preference;
-        a changed table re-encodes under a fresh generation, releasing
-        the stale entry's lease.  The two transport preferences cache
+        A hit requires the same context object, encoded for the same
+        transport preference.  The two transport preferences cache
         *separately* — a supervisor probing the shm route holds shm and
         pickle headers for one context at once, so encoding the pickle
         fallback must not release the shm entry's segment out from
@@ -297,25 +295,17 @@ class SweepExecutor:
         (unpicklable contexts) — callers fall back to serial execution.
         """
         self._require_open()
-        materialize = getattr(context, "materialize_table", None)
-        if materialize is not None:
-            # Both transports ship the table, so no worker re-derives a
-            # single coefficient; duck-typed contexts may have none.
-            materialize()
         key = (id(context), bool(prefer_shm))
-        table = getattr(context, "_table", None)
         entry = self._contexts.get(key)
-        if (
-            entry is not None
-            and entry.context is context
-            and entry.table is table
-            and entry.prefer_shm == prefer_shm
-        ):
+        if entry is not None:
             self._contexts.move_to_end(key)
             self.stats["encode_hits"] += 1
             return entry
-        if entry is not None:
-            self._contexts.pop(key).release()
+        materialize = getattr(context, "materialize_table", None)
+        if materialize is not None:
+            # The shm route ships the filled index, so no worker
+            # re-derives a single p̄; duck-typed contexts may have none.
+            materialize()
         entry = self._encode(context, prefer_shm)
         self.stats["encode_misses"] += 1
         self._contexts[key] = entry
@@ -342,7 +332,6 @@ class SweepExecutor:
             )
         return _ContextEntry(
             context=context,
-            table=getattr(context, "_table", None),
             generation=next(self._generations),
             prefer_shm=prefer_shm,
             payload=payload,
@@ -369,52 +358,83 @@ class SweepExecutor:
         return key
 
 
-@dataclass
-class ShmPlanData:
+class ShmPlanData(NamedTuple):
     """A context in the array form the shared-memory transport ships.
 
     The programmability model (hundreds of kilobytes of path-count state
-    the workers never consult once the table is materialized) is dropped
-    entirely, and the coefficient table plus flow population travel as
-    dense :class:`~repro.perf.coefficients.CoefficientArrays` whose
-    buffers pickle protocol 5 diverts into the shared segment.
+    the workers never consult once the index is filled) is dropped.  The
+    flow population travels as its paths, concatenated in ``path_data``
+    and delimited by ``path_indptr`` (a path's first and last nodes are
+    the flow's src and dst), with ``demand`` per flow; the filled
+    grounding index travels as its
+    :meth:`~repro.fmssm.build.GroundingIndex.packed_entries` CSR.  Those
+    five are numpy arrays, which pickle protocol 5 diverts into the
+    shared segment; flow ids, ``Flow`` objects and key tuples are
+    rebuilt on load.  A named tuple pickles without field names, which
+    keeps the in-band remainder small.  Only integer node ids are
+    representable (:func:`_slim_context` raises ``TypeError``
+    otherwise, and the caller falls back to the pickle route).
     """
 
     topology: object
     plane: object
     delay_model: object
-    arrays: object  # CoefficientArrays
+    demand: np.ndarray
+    path_data: np.ndarray
+    path_indptr: np.ndarray
+    entry_indptr: np.ndarray
+    entries: np.ndarray
 
     def rebuild_context(self) -> "ExperimentContext":  # noqa: F821
         """Reconstruct an :class:`ExperimentContext` around the arrays.
 
-        The rebuilt context has its coefficient table pre-materialized
-        (so instance grounding never consults the programmability model,
-        which is absent) and draws its flow population from the table —
-        the same objects, in the same order, as the parent's context.
+        The rebuilt context's grounding index is installed filled, so
+        instance grounding never consults the programmability model,
+        which is absent; its flows equal the parent's, in the same order.
         """
         from repro.experiments.scenarios import ExperimentContext
+        from repro.flows.flow import Flow
+        from repro.fmssm.build import GroundingIndex
 
-        table = self.arrays.to_table()
+        nodes, bounds = self.path_data.tolist(), self.path_indptr.tolist()
+        flows = []
+        for i, demand in enumerate(self.demand.tolist()):
+            path = tuple(nodes[bounds[i] : bounds[i + 1]])
+            flows.append(Flow(src=path[0], dst=path[-1], path=path, demand=demand))
         return ExperimentContext(
             topology=self.topology,
-            flows=list(table.flows),
+            flows=flows,
             plane=self.plane,
             programmability=None,  # type: ignore[arg-type] - never consulted
             delay_model=self.delay_model,
-            _table=table,
+            _grounding=GroundingIndex.from_packed(
+                self.plane, flows, self.entry_indptr, self.entries
+            ),
         )
 
 
 def _slim_context(context: object) -> ShmPlanData:
     """``context`` stripped to its array form (no programmability model)."""
-    from repro.perf.coefficients import CoefficientArrays
-
+    flows = context.flows
+    for node in set(itertools.chain.from_iterable(flow.path for flow in flows)):
+        if not isinstance(node, int) or isinstance(node, bool):
+            raise TypeError(f"the shm transport needs integer node ids, got {node!r}")
+    entry_indptr, entries = context.materialize_table().packed_entries()
+    path_indptr = np.zeros(len(flows) + 1, dtype=np.int64)
+    np.cumsum([len(flow.path) for flow in flows], out=path_indptr[1:])
     return ShmPlanData(
         topology=context.topology,
         plane=context.plane,
         delay_model=context.delay_model,
-        arrays=CoefficientArrays.from_table(context.materialize_table()),
+        demand=np.array([flow.demand for flow in flows], dtype=np.float64),
+        path_data=np.fromiter(
+            itertools.chain.from_iterable(flow.path for flow in flows),
+            dtype=np.int64,
+            count=int(path_indptr[-1]),
+        ),
+        path_indptr=path_indptr,
+        entry_indptr=entry_indptr,
+        entries=entries,
     )
 
 

@@ -1,10 +1,12 @@
 """Zero-copy shared-memory transport for sweep fan-out.
 
 The parallel sweep ships the experiment context to every pool worker.
-The pickle route serializes the whole context — several hundred
-kilobytes once the coefficient table and flow population are included
-— and every worker re-materializes its own private copy.  This module
-moves the bulk of that payload out of band: the context's array form is
+The pickle route serializes the whole context — over a hundred
+kilobytes with the flow population and the programmability model — and
+every worker re-derives its own grounding index from it.  This module
+moves the bulk of that payload out of band: the context's array form
+(flows and the filled grounding index, see
+:class:`~repro.perf.executor.ShmPlanData`) is
 pickled with protocol 5, every numpy buffer it contains is diverted
 into a single :mod:`multiprocessing.shared_memory` segment, and workers
 reconstruct it from the small in-band remainder plus *read-only views
@@ -132,12 +134,17 @@ atexit.register(release_all)
 
 
 def _close_attachments() -> None:  # pragma: no cover - interpreter exit
+    open_views = []
     for shm in _ATTACHED:
         try:
             shm.close()
+        except BufferError:
+            # Arrays still alias the mapping (a decoded grounding index
+            # lives as long as the process); the OS unmaps it at exit.
+            open_views.append(shm)
         except OSError:
             pass
-    _ATTACHED.clear()
+    _ATTACHED[:] = open_views
 
 
 atexit.register(_close_attachments)

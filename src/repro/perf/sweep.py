@@ -2,7 +2,7 @@
 
 A sweep is embarrassingly parallel across scenarios × algorithms: every
 task grounds its instance from the same shared data (topology, flows,
-coefficient table) and writes to a disjoint result slot.  This module
+the context's grounding index) and writes to a disjoint result slot.  This module
 fans those tasks over a :class:`~repro.perf.executor.SweepExecutor` —
 the caller's, or one scoped to the call and closed before it returns —
 and merges results back in deterministic (scenario, algorithm) order,
@@ -10,9 +10,9 @@ so the output is indistinguishable from the serial sweep apart from
 wall-clock time.
 
 Every submission carries a small :class:`~repro.perf.executor.
-WarmHeader`: the context's encoded payload (with its coefficient table
-materialized by the parent, so no worker re-derives a single path
-count) plus a pickle of the per-sweep parameters.  Workers decode each
+WarmHeader`: the context's encoded payload (on the shm route, with the
+grounding index the parent filled, so no worker re-derives a single
+p̄) plus a pickle of the per-sweep parameters.  Workers decode each
 layer once and cache it, so a pool pays for the context once per
 worker, not once per task.
 
@@ -35,8 +35,9 @@ Resilience (all opt-in, zero overhead when unused):
   checkpoint bit-identically to an uninterrupted run.
 
 Fan-out transports (``transport=``) decide how the context travels:
-``"pickle"`` serializes the whole context into the header; ``"shm"``
-strips it down to the coefficient arrays plus small scalars, parks the
+``"pickle"`` serializes the whole context into the header (workers
+rebuild its grounding index from the model); ``"shm"`` strips it down
+to the flows and the filled grounding index as arrays, parks the
 array buffers in one :mod:`multiprocessing.shared_memory` segment
 (:mod:`repro.perf.shm`) and ships only a few kilobytes in band —
 workers rebuild the context from read-only views aliasing the segment.

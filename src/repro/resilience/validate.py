@@ -109,6 +109,10 @@ def validate_solution(
             )
         return report
 
+    # The instance's positional arrays, not its dict views, so a
+    # validated solve builds no per-pair dict.
+    arrays = instance.arrays()
+    pair_index = arrays.pair_index
     switch_set = set(instance.switches)
     controller_set = set(instance.controllers)
 
@@ -131,14 +135,14 @@ def validate_solution(
 
     # Eq. 1 — served pairs must be programmable pairs of this instance.
     for pair in solution.sdn_pairs:
-        if pair not in instance.pbar:
+        if pair not in pair_index:
             report.add("eq1-pairs", f"SDN pair {pair!r} is not a programmable pair")
 
     # Active pairs drive capacity, delay and programmability; a pair whose
     # serving controller cannot be resolved is itself a violation.
     served: list[tuple[object, FlowId, ControllerId]] = []
     for switch, flow_id in solution.active_pairs():
-        if (switch, flow_id) not in instance.pbar:
+        if (switch, flow_id) not in pair_index:
             continue  # already reported under eq1-pairs
         try:
             controller = solution.controller_for_pair(switch, flow_id)
@@ -169,14 +173,17 @@ def validate_solution(
             )
 
     # Eq. 4 / 13 — least programmability over recoverable flows.
-    programmability: dict[FlowId, int] = {f: 0 for f in instance.flows}
+    # Per flow position; every served pair is a programmable pair.
+    pair_flow, pair_pbar = arrays.pair_flow.tolist(), arrays.pair_pbar.tolist()
+    programmability = [0] * len(arrays.flow_ids)
     for switch, flow_id, controller in served:
-        if controller in controller_set and (switch, flow_id) in instance.pbar:
-            programmability[flow_id] += instance.pbar[(switch, flow_id)]
-    recoverable = instance.recoverable_flows
-    least = min((programmability[f] for f in recoverable), default=0)
+        if controller in controller_set:
+            k = pair_index[(switch, flow_id)]
+            programmability[pair_flow[k]] += pair_pbar[k]
+    recoverable = arrays.recoverable_pos.tolist()
+    least = min((programmability[i] for i in recoverable), default=0)
     if require_full_recovery and recoverable and least < 1:
-        worst = [f for f in recoverable if programmability[f] < 1]
+        worst = [arrays.flow_ids[i] for i in recoverable if programmability[i] < 1]
         report.add(
             "eq4-least",
             f"full recovery requires r >= 1 but {len(worst)} recoverable "
@@ -184,7 +191,7 @@ def validate_solution(
         )
     claimed = solution.meta.get("objective")
     if isinstance(claimed, (int, float)):
-        canonical = least + instance.lam * sum(programmability.values())
+        canonical = least + instance.lam * sum(programmability)
         if abs(float(claimed) - canonical) > _OBJECTIVE_TOL:
             report.add(
                 "eq4-least",
@@ -195,15 +202,16 @@ def validate_solution(
     # Eq. 5 / 6 / 14 — total propagation delay within G.
     if enforce_delay:
         total = 0.0
+        delay = arrays.delay.tolist()
         for switch, flow_id, controller in served:
-            delay = instance.delay.get((switch, controller))
-            if delay is None:
+            column = arrays.controller_pos.get(controller)
+            if column is None:
                 report.add(
                     "eq5-delay",
                     f"no delay entry for served pair {(switch, controller)!r}",
                 )
                 continue
-            total += delay
+            total += delay[arrays.switch_pos[switch]][column]
         bound = instance.ideal_delay_ms * (1 + _DELAY_TOL) + _DELAY_TOL
         if total > bound:
             report.add(

@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 #: Per-topology cache of per-destination hop-distance maps.  Counters of
-#: different strategies (and several counters on one topology, as a
-#: coefficient-table build creates) share one BFS per destination instead
+#: different strategies (and several counters on one topology, as the
+#: counting-strategy ablation creates) share one BFS per destination instead
 #: of each recomputing it.  Keyed weakly so dropping the topology drops
 #: its distances.
 _HOP_DISTANCES: "WeakKeyDictionary[Topology, dict[NodeId, dict[NodeId, int]]]" = (

@@ -2,23 +2,21 @@
 
 Binds a :class:`~repro.routing.path_count.PathCounter` to a set of flows
 and exposes the paper's per-(flow, switch) coefficients.  This object is
-the single source of truth consumed by the FMSSM formulation, the PM
-heuristic, and all baselines — so every algorithm is scored on identical
-coefficients.
+the single source of ``p̄``: the per-network
+:class:`~repro.fmssm.build.GroundingIndex` reads it once per (switch,
+flow) pair, and every FMSSM instance — hence PM, the baselines and the
+exact solver — is sliced from that index, so every algorithm is scored
+on identical coefficients.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 from repro.exceptions import FlowError
 from repro.flows.flow import Flow
 from repro.routing.path_count import PathCounter
 from repro.types import FlowId, NodeId
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.coefficients import CoefficientTable
 
 __all__ = ["ProgrammabilityModel"]
 
@@ -44,7 +42,6 @@ class ProgrammabilityModel:
                 raise FlowError(f"duplicate flow id {flow.flow_id!r}")
             self._flows[flow.flow_id] = flow
         self._max_pro: dict[FlowId, int] = {}
-        self._table: CoefficientTable | None = None
 
     @property
     def counter(self) -> PathCounter:
@@ -102,27 +99,3 @@ class ProgrammabilityModel:
             cached = sum(self.pbar(flow, s) for s in flow.transit_switches)
             self._max_pro[flow.flow_id] = cached
         return cached
-
-    def flows_programmable_at(self, switch: NodeId) -> tuple[Flow, ...]:
-        """Flows with ``beta == 1`` at ``switch`` (the paper's line-7 set).
-
-        Served from the materialized table's inverted index — O(answer)
-        instead of an O(|flows|) scan per call.
-        """
-        return self.table().flows_programmable_at(switch)
-
-    # ------------------------------------------------------------------
-    # Materialization
-    # ------------------------------------------------------------------
-    def table(self) -> CoefficientTable:
-        """The fully materialized (and cached) coefficient table.
-
-        Building it evaluates every (transit switch, flow) coefficient
-        once; afterwards aggregate queries are dictionary lookups and the
-        table can be pickled to worker processes for parallel sweeps.
-        """
-        if self._table is None:
-            from repro.perf.coefficients import CoefficientTable
-
-            self._table = CoefficientTable.from_model(self)
-        return self._table

@@ -24,11 +24,12 @@ from repro.exceptions import CapacityError, FlowError, ModelError, ScenarioError
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import ExperimentContext, custom_context, default_att_context
 from repro.flows.demands import all_pairs_flows
+from repro.flows.flow import Flow
 from repro.flows.paths import switch_flow_counts
 from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
 from repro.fmssm.instance import FMSSMInstance
 from repro.perf.executor import _slim_context
-from repro.topology.generators import waxman_topology
+from repro.topology.generators import grid_topology, waxman_topology
 from repro.topology.partition import nearest_site_partition
 
 SETTINGS = settings(
@@ -205,8 +206,8 @@ def model_backed(build) -> ExperimentContext:
     return build()
 
 
-def table_backed(build) -> ExperimentContext:
-    """A fresh context whose table is materialized before grounding."""
+def materialized(build) -> ExperimentContext:
+    """A fresh context whose index is filled before grounding."""
     context = build()
     context.materialize_table()
     return context
@@ -217,7 +218,7 @@ def shm_rebuilt(build) -> ExperimentContext:
     return _slim_context(build()).rebuild_context()
 
 
-SOURCES = (model_backed, table_backed, shm_rebuilt)
+SOURCES = (model_backed, materialized, shm_rebuilt)
 
 
 def assert_grounds_like_reference(build, k: int = 3) -> None:
@@ -233,6 +234,12 @@ def assert_grounds_like_reference(build, k: int = 3) -> None:
                 delay_model=reference.delay_model,
             )
             assert_same_instance(expected, context.instance(scenario))
+
+
+def mis_provisioned() -> ExperimentContext:
+    """A network whose controllers cannot serve their own domains."""
+    topology = waxman_topology(10, alpha=0.7, beta=0.4, seed=3)
+    return custom_context(topology, controller_sites=topology.nodes[:3], capacity=1)
 
 
 def wan72_context() -> ExperimentContext:
@@ -253,18 +260,18 @@ class TestMatchesReference:
 
     def test_wan72_one_to_three_failures(self):
         # One WAN serves all three sources: the reference and the
-        # model-backed context read its model; the table-backed and
-        # rebuilt contexts share its plane and flows.
+        # model-backed context read its model; the materialized and
+        # rebuilt contexts share its plane, flows and counter.
         context = wan72_context()
-        table = ExperimentContext(
+        materialized = ExperimentContext(
             topology=context.topology,
             flows=context.flows,
             plane=context.plane,
             programmability=context.programmability,
             delay_model=context.delay_model,
-            _table=context.programmability.table(),
         )
-        rebuilt = shm_rebuilt(lambda: table)
+        materialized.materialize_table()
+        rebuilt = shm_rebuilt(lambda: materialized)
         for scenario in scenarios_up_to(context, 3):
             expected = reference_build(
                 context.plane,
@@ -273,8 +280,23 @@ class TestMatchesReference:
                 scenario,
                 delay_model=context.delay_model,
             )
-            for grounded in (context, table, rebuilt):
+            for grounded in (context, materialized, rebuilt):
                 assert_same_instance(expected, grounded.instance(scenario))
+
+    def test_att_filled_index_grounds_like_the_model(self):
+        context = default_att_context()
+        scenario = FailureScenario(frozenset({2, 22}))
+        from_model = build_instance(
+            context.plane,
+            context.flows,
+            context.programmability,
+            scenario,
+            delay_model=context.delay_model,
+        )
+        from_index = context.materialize_table().ground(
+            scenario, delay_model=context.delay_model
+        )
+        assert_same_instance(from_model, from_index)
 
     @SETTINGS
     @given(
@@ -323,17 +345,22 @@ class TestMatchesReference:
 
 class TestLazyViews:
     def test_a_request_builds_no_dict_view(self):
-        """PM, the three baselines and the evaluator read the arrays only."""
+        """PM, the three baselines, the evaluator and the exact solve —
+        seed, bound, compile and validation — read the arrays only; (6)
+        certifies without the MILP."""
         context = default_att_context()
-        scenario = FailureScenario(frozenset({13, 20}))
-        instance = context.instance(scenario)
-        assert not any(name in instance.__dict__ for name in VIEWS)
-        run_scenario(context, scenario, ("pm", "retroflow", "pg", "nearest"))
-        assert context.instance(scenario) is instance
-        assert not any(name in instance.__dict__ for name in VIEWS)
-        assert instance.n_flows == len(instance.arrays().flow_ids)
-        for name in VIEWS:
-            assert getattr(instance, name) is getattr(instance, name)  # built once
+        heuristics = ("pm", "retroflow", "pg", "nearest")
+        for failed, algorithms in (({13, 20}, heuristics), ({6}, (*heuristics, "optimal"))):
+            scenario = FailureScenario(frozenset(failed))
+            instance = context.instance(scenario)
+            assert not any(name in instance.__dict__ for name in VIEWS)
+            result = run_scenario(context, scenario, algorithms)
+            assert context.instance(scenario) is instance
+            assert not any(name in instance.__dict__ for name in VIEWS)
+            assert instance.n_flows == len(instance.arrays().flow_ids)
+            for name in VIEWS:
+                assert getattr(instance, name) is getattr(instance, name)  # built once
+        assert result.solutions["optimal"].meta["solver"] == "precert"
 
     def test_pickled_instance_carries_views_not_the_population(self, small_context):
         instance = small_context.instance(FailureScenario(frozenset({0, 7})))
@@ -341,6 +368,74 @@ class TestLazyViews:
         assert "_flow_source" not in clone.__dict__
         assert clone == instance
         assert_same_arrays(instance, clone)
+
+
+class CountingSource:
+    """The model's p̄, counting every read."""
+
+    def __init__(self, model) -> None:
+        self._model = model
+        self.reads = 0
+
+    def pbar(self, flow, switch) -> int:
+        self.reads += 1
+        return self._model.pbar(flow, switch)
+
+
+class TestFill:
+    def test_entries_match_a_scan_of_the_model(self):
+        # Per switch: exactly the flows with beta = 1 there (the paper's
+        # line-7 set), in flow-id order, with their path position and p̄.
+        grid = grid_topology(3, 3)
+        context = custom_context(grid, controller_sites=(0, 8), capacity=200)
+        model = context.programmability
+        index = context.materialize_table()
+        by_id = sorted(range(len(context.flows)), key=lambda i: context.flows[i].flow_id)
+        for switch in grid.nodes:
+            table, keys = index._switch_entries(index._codes[switch])
+            expected = [
+                (i, context.flows[i].path.index(switch), model.pbar(context.flows[i], switch))
+                for i in by_id
+                if model.beta(context.flows[i], switch)
+            ]
+            assert table.T.tolist() == [list(row) for row in expected], switch
+            assert keys == tuple((switch, context.flows[i].flow_id) for i, _, _ in expected)
+
+    def test_pbar_entries_match_the_model(self):
+        # Every switch on every path: the index's p̄ for the flow there,
+        # or 0 where the switch holds no entry for it, is the model's p̄.
+        grid = grid_topology(3, 3)
+        context = custom_context(grid, controller_sites=(0, 8), capacity=200)
+        model = context.programmability
+        index = context.materialize_table()
+        held = {}
+        for switch in grid.nodes:
+            table, _ = index._switch_entries(index._codes[switch])
+            held[switch] = {i: pbar for i, _, pbar in table.T.tolist()}
+        for i, flow in enumerate(context.flows):
+            for switch in flow.path:
+                assert held[switch].get(i, 0) == model.pbar(flow, switch), (flow, switch)
+
+    def test_materialize_table_returns_the_filled_index(self):
+        # Filling reads no spare capacity: a mis-provisioned plane still
+        # materializes, and raises only when a scenario is grounded.
+        context = mis_provisioned()
+        index = context.materialize_table()
+        assert index is context.materialize_table() is context._grounding
+        assert all(entries is not None for entries in index._entries)
+        assert index._spare is None
+        with pytest.raises(CapacityError):
+            context.instance(FailureScenario(frozenset({context.plane.controller_ids[0]})))
+
+    def test_a_filled_index_reads_no_more_pbar(self):
+        context = default_att_context()
+        source = CountingSource(context.programmability)
+        index = GroundingIndex(context.plane, context.flows, source).fill()
+        reads = source.reads
+        assert reads > 0
+        for scenario in scenarios_up_to(context, 2):
+            assert_same_instance(context.instance(scenario), index.ground(scenario))
+        assert source.reads == reads
 
 
 class OneAtEveryPair:
@@ -355,12 +450,8 @@ class OneAtEveryPair:
 
 
 class TestErrors:
-    def mis_provisioned(self) -> ExperimentContext:
-        topology = waxman_topology(10, alpha=0.7, beta=0.4, seed=3)
-        return custom_context(topology, controller_sites=topology.nodes[:3], capacity=1)
-
     def test_capacity_error_on_first_grounding(self):
-        context = self.mis_provisioned()
+        context = mis_provisioned()
         index = GroundingIndex(context.plane, context.flows, context.programmability)
         scenario = FailureScenario(frozenset({context.plane.controller_ids[0]}))
         with pytest.raises(CapacityError):
@@ -369,7 +460,7 @@ class TestErrors:
             context.instance(scenario)
 
     def test_scenario_error_before_capacity_error(self):
-        context = self.mis_provisioned()
+        context = mis_provisioned()
         with pytest.raises(ScenarioError):
             context.instance(FailureScenario(frozenset({999})))
 
@@ -414,6 +505,13 @@ class TestErrors:
         flows = [*small_context.flows, small_context.flows[0]]
         with pytest.raises(FlowError):
             GroundingIndex(small_context.plane, flows, small_context.programmability)
+
+    def test_equal_flows_rejected_as_duplicates(self):
+        # Two distinct but equal Flow objects share one id.
+        context = custom_context(grid_topology(2, 2), controller_sites=(0,), capacity=50)
+        flows = [Flow(0, 1, (0, 1)), Flow(0, 1, (0, 1))]
+        with pytest.raises(FlowError, match="duplicate"):
+            GroundingIndex(context.plane, flows, context.programmability)
 
 
 class TestPickle:

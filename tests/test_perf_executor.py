@@ -264,32 +264,6 @@ class TestInvalidation:
             assert executor.stats["encode_misses"] == 2
             assert executor.stats["encode_hits"] == 1
 
-    def test_table_swap_invalidates_encoded_context(self):
-        """Swapping a context's table object forces a fresh generation.
-
-        The staleness guard is table *identity*: re-materializing returns
-        the model's cached table (a hit), but any new table object — as a
-        re-grounded or mutated context would carry — must re-encode.
-        """
-        import copy
-
-        context = custom_context(
-            ring_topology(8, chords=3, seed=3),
-            controller_sites=(0, 4),
-            capacity=120,
-        )
-        with SweepExecutor(max_workers=1) as executor:
-            first = executor.encode_context(context)
-            again = executor.encode_context(context)
-            assert again is first
-            context._table = copy.copy(context.materialize_table())
-            fresh = executor.encode_context(context)
-            assert fresh is not first
-            assert fresh.generation > first.generation
-            assert first.lease is None  # released on invalidation
-            assert executor.stats["encode_misses"] == 2
-            assert executor.stats["encode_hits"] == 1
-
 
 class TestCheckpointResume:
     def test_resume_through_warm_executor(

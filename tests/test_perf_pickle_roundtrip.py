@@ -14,7 +14,7 @@ import pytest
 
 from repro.control.failures import FailureScenario
 from repro.fmssm.evaluation import evaluate_solution
-from repro.perf.coefficients import CoefficientTable
+from repro.perf.executor import _slim_context
 from repro.perf.sweep import SweepPlan
 from repro.pm.algorithm import solve_pm
 
@@ -72,18 +72,16 @@ class TestSolutionRoundTrip:
 
 
 class TestSweepPayloadRoundTrip:
-    def test_coefficient_table(self, att_context):
-        table = att_context.materialize_table()
-        clone = roundtrip(table)
-        assert clone.n_pairs == table.n_pairs
-        flow = table.flows[0]
-        for switch in table.programmable_switches(flow):
-            assert clone.pbar(flow, switch) == table.pbar(flow, switch)
-        switches = {s for f in table.flows for s in f.transit_switches}
-        for switch in sorted(switches):
-            assert [f.flow_id for f in clone.flows_programmable_at(switch)] == [
-                f.flow_id for f in table.flows_programmable_at(switch)
-            ]
+    def test_grounding_index(self, att_context, scenario):
+        """The filled index in its array form grounds identical instances."""
+        att_context.materialize_table()
+        clone = roundtrip(_slim_context(att_context)).rebuild_context()
+        assert clone.programmability is None  # never consulted
+        expected = att_context.instance(scenario)
+        instance = clone.instance(scenario)
+        assert instance == expected
+        assert list(instance.pbar.items()) == list(expected.pbar.items())
+        assert instance.delay == expected.delay
 
     def test_sweep_plan(self, att_context):
         from repro.control.failures import enumerate_failure_scenarios

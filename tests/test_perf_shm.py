@@ -7,7 +7,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.perf.coefficients import CoefficientArrays, CoefficientTable
 from repro.perf.shm import (
     FanoutStats,
     SharedPayload,
@@ -134,26 +133,80 @@ def test_plain_payload_round_trip_equality():
     assert loads_shared(payload) == [1, 2, 3]
 
 
-def _tiny_table() -> CoefficientTable:
-    from repro.flows.demands import all_pairs_flows
-    from repro.routing.path_count import make_counter
+def _tiny_context():
+    from repro.experiments.scenarios import custom_context
     from repro.topology.generators import grid_topology
 
-    topology = grid_topology(3, 3)
-    counter = make_counter(topology)
-    flows = all_pairs_flows(topology)
-    return CoefficientTable.from_counter(counter, flows)
+    return custom_context(grid_topology(3, 3), controller_sites=(0, 8), capacity=200)
 
 
-def test_coefficient_arrays_round_trip_via_shm():
-    table = _tiny_table()
-    arrays = CoefficientArrays.from_table(table)
-    payload, lease = dumps_shared(arrays)
+def _shm_round_trip(context):
+    """``context`` rebuilt from its array form sent through shared memory,
+    and the lease on the segment its arrays view."""
+    from repro.perf.executor import _slim_context
+
+    payload, lease = dumps_shared(_slim_context(context))
     assert payload.segment is not None
-    rebuilt = loads_shared(payload).to_table()
-    assert rebuilt._flows == table._flows
-    assert rebuilt._p == table._p
-    assert rebuilt._pbar == table._pbar
-    assert rebuilt._programmable_at == table._programmable_at
-    assert rebuilt._max_pro == table._max_pro
+    return loads_shared(payload).rebuild_context(), lease
+
+
+def test_grounding_index_round_trip_via_shm():
+    from repro.control.failures import enumerate_failure_scenarios
+
+    context = _tiny_context()
+    rebuilt, lease = _shm_round_trip(context)
+    assert rebuilt._grounding is not None
+    assert rebuilt.flows == context.flows
+    for scenario in enumerate_failure_scenarios(context.plane, 1):
+        assert rebuilt.instance(scenario) == context.instance(scenario)
     lease.release()
+
+
+def test_rebuilt_index_entries_equal():
+    context = _tiny_context()
+    rebuilt, lease = _shm_round_trip(context)
+    assert [f.flow_id for f in rebuilt.flows] == [f.flow_id for f in context.flows]  # same order
+    indptr, entries = rebuilt._grounding.packed_entries()
+    expected_indptr, expected_entries = context.materialize_table().packed_entries()
+    assert np.array_equal(indptr, expected_indptr)
+    assert np.array_equal(entries, expected_entries)
+    lease.release()
+
+
+def test_rebuilt_index_yields_python_ints():
+    from repro.control.failures import enumerate_failure_scenarios
+
+    context = _tiny_context()
+    rebuilt, lease = _shm_round_trip(context)
+    assert all(type(node) is int for flow in rebuilt.flows for node in flow.path)
+    for scenario in enumerate_failure_scenarios(context.plane, 1):
+        pbar = rebuilt.instance(scenario).pbar
+        assert all(type(s) is int and type(v) is int for (s, _), v in pbar.items())
+    lease.release()
+
+
+def test_grounding_from_rebuilt_index_identical():
+    from repro.control.failures import FailureScenario
+    from repro.experiments.scenarios import default_att_context
+
+    context = default_att_context()
+    rebuilt, lease = _shm_round_trip(context)
+    scenario = FailureScenario(frozenset({2, 22}))
+    want, got = context.instance(scenario), rebuilt.instance(scenario)
+    assert got == want
+    assert list(got.pbar.items()) == list(want.pbar.items())
+    assert got.flows == want.flows
+    assert got.gamma == want.gamma
+    assert got.ideal_delay_ms == want.ideal_delay_ms
+    lease.release()
+
+
+def test_slim_context_rejects_non_integer_node_ids():
+    # The executor then ships the context by pickle instead.
+    from repro.flows.flow import Flow
+    from repro.perf.executor import _slim_context
+
+    context = _tiny_context()
+    context.flows = [Flow("a", "b", ("a", "m", "b")), *context.flows]
+    with pytest.raises(TypeError, match="integer node ids"):
+        _slim_context(context)

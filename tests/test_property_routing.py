@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scenarios import default_att_context
-from repro.perf.coefficients import CoefficientTable
+from repro.fmssm.build import GroundingIndex
 from repro.routing.kpaths import k_shortest_paths, path_weight
 from repro.routing.ospf import compute_legacy_tables
 from repro.routing.path_count import (
@@ -16,6 +16,7 @@ from repro.routing.path_count import (
     PathCounter,
     ShortestDagCounter,
 )
+from repro.routing.programmability import ProgrammabilityModel
 from repro.routing.shortest import hop_distances_to
 from repro.topology.generators import grid_topology, ring_topology, waxman_topology
 
@@ -140,17 +141,22 @@ class TestLfaRowFill:
                 )
 
     def test_att_coefficient_table_identical_in_order(self):
+        # The filled grounding index holds every p̄ of the network: each
+        # switch's (flow, path position, p̄) entries and key tuples.
         context = default_att_context()
         counter = context.programmability.counter
-        table = context.programmability.table()
-        reference = CoefficientTable.from_counter(
-            PairwiseLfaCounter(context.topology, counter.slack),
-            context.programmability.flows,
-        )
-        for name in ("_p", "_pbar", "_programmable_at", "_max_pro"):
-            assert list(getattr(table, name).items()) == list(
-                getattr(reference, name).items()
-            ), name
+        index = context.materialize_table()
+        reference = GroundingIndex(
+            context.plane,
+            context.flows,
+            ProgrammabilityModel(
+                PairwiseLfaCounter(context.topology, counter.slack), context.flows
+            ),
+        ).fill()
+        for code, (table, keys) in enumerate(index._entries):
+            expected, expected_keys = reference._entries[code]
+            assert table.tolist() == expected.tolist(), code
+            assert keys == expected_keys, code
 
 
 class TestKPathProperties:

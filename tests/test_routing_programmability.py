@@ -63,14 +63,25 @@ class TestAggregates:
         total = sum(grid_model.pbar(flow, s) for s in flow.transit_switches)
         assert grid_model.max_programmability(flow) == total
 
-    def test_flows_programmable_at(self, grid_model):
-        flows = grid_model.flows_programmable_at(0)
-        assert all(grid_model.beta(f, 0) == 1 for f in flows)
-        # Flows not in the list must have beta 0 at the switch.
-        listed = {f.flow_id for f in flows}
-        for f in grid_model.flows:
-            if f.flow_id not in listed:
-                assert grid_model.beta(f, 0) == 0
+    def test_max_programmability_cache_consistent(self, grid_model):
+        flow = grid_model.flows[0]
+        first = grid_model.max_programmability(flow)
+        assert grid_model.max_programmability(flow) == first  # served from cache
+
+    def test_programmable_switches_are_the_beta_one_switches(self, grid_model):
+        # Per flow, in path order: beta = 1 at every listed switch and 0
+        # at every other switch of the path.
+        for flow in grid_model.flows:
+            listed = grid_model.programmable_switches(flow)
+            assert all(grid_model.beta(flow, s) == 1 for s in listed)
+            for s in flow.path:
+                if s not in listed:
+                    assert grid_model.beta(flow, s) == 0
+
+    def test_flow_lookup(self, grid_model):
+        flow = grid_model.flow((0, 8))
+        assert flow.flow_id == (0, 8)
+        assert any(flow is f for f in grid_model.flows)
 
     def test_flow_lookup_unknown(self, grid_model):
         with pytest.raises(FlowError):
