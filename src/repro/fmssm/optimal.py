@@ -21,9 +21,12 @@ bit-identical by ``tests/test_perf_compile.py``):
     combinatorial dual bound (a knapsack over the total spare, never
     below the LP relaxation) to within less than the objective's
     granularity (objectives live on the grid ``integer + λ · integer``),
-    the seed is provably optimal and no solver runs.  A seed that misses
-    goes straight to the MILP (HiGHS, or B&B with the seed as its
-    incumbent); no LP relaxation is ever solved on this route.
+    the seed is provably optimal and no solver runs.  The seed is checked
+    by position (:mod:`repro.fmssm.point`) before anything is compiled,
+    so a certified seed is the answer and the form is never built.  A
+    seed that misses goes straight to the MILP (HiGHS, or B&B with the
+    seed as its incumbent); no LP relaxation is ever solved on this
+    route.
 ``compile="model"``
     The original readable route through the :mod:`repro.lp.model` DSL
     and :func:`to_standard_form`, kept for cross-validation.
@@ -46,6 +49,7 @@ import numpy as np
 from repro.exceptions import DegradedResultWarning, RungTimeoutError, SolverError
 from repro.fmssm.formulation import FMSSMVariables, build_fmssm_model
 from repro.fmssm.instance import FMSSMInstance
+from repro.fmssm.point import Point, feasible_point
 from repro.fmssm.solution import RecoverySolution
 from repro.lp import SolveResult, SolveStatus, solve
 from repro.lp.branch_and_bound import solve_form_with_bnb
@@ -254,41 +258,46 @@ def _full_fill_seed(instance: FMSSMInstance) -> RecoverySolution | None:
 class _Seed(NamedTuple):
     """The point the optimality certificate tests, and where it came from."""
 
-    #: Embedded feasible point, or ``None`` when no seed is feasible.
-    x: np.ndarray | None
-    #: ``"pm"`` or ``"fill"``; ``None`` when ``x`` is.
+    #: The seed's feasible point, or ``None`` when no seed is feasible.
+    point: Point | None
+    #: ``"pm"`` or ``"fill"``; ``None`` when ``point`` is.
     origin: str | None
-    objective: float
     #: :func:`_certificate_tolerance` of the instance.
     tol: float | None
     #: Whether the point reaches :func:`_combinatorial_bound` within ``tol``.
     precert: bool
 
 
-def _seed(instance: FMSSMInstance, compiled, enforce_delay: bool) -> _Seed:
-    """PM-strict's embedded point, or the full fill when that is better.
+def _seed(
+    instance: FMSSMInstance, require_full_recovery: bool, enforce_delay: bool
+) -> _Seed:
+    """PM-strict's point, or the full fill's when that is better.
 
     The fill runs only when PM misses the combinatorial bound, and
-    replaces PM only when it embeds feasibly (capacity, delay ≤ G,
-    ``r ≥ 1`` under full recovery — ``embed_solution``'s check) with a
-    strictly higher objective.  ``precert`` is the whole certificate: a
-    seed that misses the bound is the B&B incumbent and HiGHS's
-    timeout fallback, never tested against an LP bound.
+    replaces PM only when it is feasible (capacity, delay ≤ G, ``r ≥ 1``
+    under full recovery — :func:`~repro.fmssm.point.feasible_point`'s
+    check) with a strictly higher objective.  ``precert`` is the whole
+    certificate: a seed that misses the bound is the B&B incumbent and
+    HiGHS's timeout fallback, never tested against an LP bound.
     """
     pm = solve_pm(instance, enforce_delay=enforce_delay)
-    x = compiled.embed_solution(pm)
-    origin = None if x is None else "pm"
-    objective = -np.inf if x is None else compiled.objective_value(x)
+    point = feasible_point(instance, pm, require_full_recovery, enforce_delay)
+    origin = None if point is None else "pm"
     tol = _certificate_tolerance(instance)
     if tol is None:
-        return _Seed(x, origin, objective, None, False)
+        return _Seed(point, origin, None, False)
     bound = _combinatorial_bound(instance) - tol
+    objective = -np.inf if point is None else point.objective
     if objective < bound:
         fill = _full_fill_seed(instance)
-        fill_x = None if fill is None else compiled.embed_solution(fill)
-        if fill_x is not None and compiled.objective_value(fill_x) > objective:
-            x, origin, objective = fill_x, "fill", compiled.objective_value(fill_x)
-    return _Seed(x, origin, objective, tol, x is not None and objective >= bound)
+        fill_point = (
+            None
+            if fill is None
+            else feasible_point(instance, fill, require_full_recovery, enforce_delay)
+        )
+        if fill_point is not None and fill_point.objective > objective:
+            point, origin = fill_point, "fill"
+    return _Seed(point, origin, tol, point is not None and point.objective >= bound)
 
 
 def _infeasible(meta: dict[str, object], elapsed: float) -> RecoverySolution:
@@ -320,6 +329,39 @@ def _timeout_disposition(
     return _infeasible(meta, elapsed)
 
 
+def _solve_compiled(
+    compiled, solver: str, time_limit_s: float | None, seed_x: np.ndarray | None
+) -> SolveResult:
+    """The MILP on the compiled form: B&B with the seed as its incumbent,
+    or HiGHS with the seed as its timeout fallback."""
+    if solver == "bnb":
+        return solve_form_with_bnb(
+            compiled.form, time_limit_s=time_limit_s, warm_start=seed_x
+        )
+    result = solve_form_with_highs(compiled.form, time_limit_s=time_limit_s)
+    if not result.is_feasible and seed_x is not None and (
+        result.status is SolveStatus.TIMEOUT
+    ):
+        # Feasibility fallback: HiGHS ran out of time with no
+        # incumbent, but the PM seed is a proven feasible point.
+        warnings.warn(
+            DegradedResultWarning(
+                f"optimal (sparse route) timed out after "
+                f"{result.wall_time_s:.1f}s with no incumbent; falling "
+                f"back to the PM point"
+            ),
+            stacklevel=4,
+        )
+        result = SolveResult(
+            status=SolveStatus.FEASIBLE,
+            objective=compiled.objective_value(seed_x),
+            x=seed_x,
+            solver="pm-fallback",
+            wall_time_s=result.wall_time_s,
+        )
+    return result
+
+
 def _solve_optimal_sparse(
     instance: FMSSMInstance,
     solver: str,
@@ -330,69 +372,53 @@ def _solve_optimal_sparse(
     compiler: object,
     raise_on_timeout: bool,
 ) -> RecoverySolution:
-    # Imported lazily: repro.perf pulls in the sweep machinery, which
-    # imports this module back.
-    from repro.perf.compile import compile_fmssm
-
     start = time.perf_counter()
-    compiled = compile_fmssm(
-        instance,
-        require_full_recovery=require_full_recovery,
-        enforce_delay=enforce_delay,
-        compiler=compiler,
+    seed = (
+        _seed(instance, require_full_recovery, enforce_delay)
+        if warm_start == "pm"
+        else None
     )
-
-    seed = _seed(instance, compiled, enforce_delay) if warm_start == "pm" else None
-    seed_x = None if seed is None else seed.x
-
     certificate = seed is not None and seed.precert
     if certificate:
         # The seed reaches the combinatorial bound, which dominates the
-        # LP bound and hence the MILP optimum: provably optimal.
+        # LP bound and hence the MILP optimum: provably optimal.  The
+        # answer is read off the seed's positions; no form is compiled.
+        point = seed.point
         result = SolveResult(
             status=SolveStatus.OPTIMAL,
-            objective=seed.objective,
-            x=seed_x,
+            objective=point.objective,
             solver="precert",
             wall_time_s=0.0,
             gap=0.0,
         )
-    elif solver == "bnb":
-        result = solve_form_with_bnb(
-            compiled.form, time_limit_s=time_limit_s, warm_start=seed_x
-        )
+        elapsed = time.perf_counter() - start
+        mapping, sdn_pairs = point.mapping(), point.sdn_pairs()
     else:
-        result = solve_form_with_highs(compiled.form, time_limit_s=time_limit_s)
-        if not result.is_feasible and seed_x is not None and (
-            result.status is SolveStatus.TIMEOUT
-        ):
-            # Feasibility fallback: HiGHS ran out of time with no
-            # incumbent, but the PM seed is a proven feasible point.
-            warnings.warn(
-                DegradedResultWarning(
-                    f"optimal (sparse route) timed out after "
-                    f"{result.wall_time_s:.1f}s with no incumbent; falling "
-                    f"back to the PM point"
-                ),
-                stacklevel=3,
-            )
-            result = SolveResult(
-                status=SolveStatus.FEASIBLE,
-                objective=compiled.objective_value(seed_x),
-                x=seed_x,
-                solver="pm-fallback",
-                wall_time_s=result.wall_time_s,
-            )
+        # Imported lazily: repro.perf pulls in the sweep machinery, which
+        # imports this module back.
+        from repro.perf.compile import compile_fmssm
 
-    elapsed = time.perf_counter() - start
-    if not result.is_feasible or result.x is None:
-        meta = {"status": result.status.value, "solver": result.solver,
-                "compile": "sparse"}
-        if result.status is SolveStatus.TIMEOUT:
-            return _timeout_disposition("sparse", elapsed, raise_on_timeout, meta)
-        return _infeasible(meta, elapsed)
+        compiled = compile_fmssm(
+            instance,
+            require_full_recovery=require_full_recovery,
+            enforce_delay=enforce_delay,
+            compiler=compiler,
+        )
+        seed_x = (
+            None
+            if seed is None or seed.point is None
+            else compiled.scatter(seed.point)
+        )
+        result = _solve_compiled(compiled, solver, time_limit_s, seed_x)
+        elapsed = time.perf_counter() - start
+        if not result.is_feasible or result.x is None:
+            meta = {"status": result.status.value, "solver": result.solver,
+                    "compile": "sparse"}
+            if result.status is SolveStatus.TIMEOUT:
+                return _timeout_disposition("sparse", elapsed, raise_on_timeout, meta)
+            return _infeasible(meta, elapsed)
+        mapping, sdn_pairs = compiled.extract(result.x)
 
-    mapping, sdn_pairs = compiled.extract(result.x)
     solution = RecoverySolution(
         algorithm="optimal",
         mapping=mapping,
@@ -409,7 +435,9 @@ def _solve_optimal_sparse(
             "seed": None if seed is None else seed.origin,
         },
     )
-    solution.meta["objective"] = _canonical_objective(instance, solution)
+    solution.meta["objective"] = (
+        point.objective if certificate else _canonical_objective(instance, solution)
+    )
     if result.solver == "pm-fallback":
         solution.meta["degraded"] = True
         solution.meta["fallback_rung"] = "pm-fallback"

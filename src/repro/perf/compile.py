@@ -48,24 +48,26 @@ import numpy as np
 from scipy import sparse
 
 from repro.fmssm.instance import FMSSMInstance
+from repro.fmssm.point import FEASIBILITY_TOL, Point, feasible_point
 from repro.fmssm.solution import RecoverySolution
 from repro.lp.standard_form import StandardForm
 from repro.types import ControllerId, FlowId, NodeId
 
 __all__ = ["CompiledFMSSM", "FMSSMCompiler", "compile_fmssm", "default_compiler"]
 
-#: Feasibility slack used when embedding heuristic solutions.
-_EMBED_TOL = 1e-6
 _BINARY_THRESHOLD = 0.5
 
 
 @dataclass
 class CompiledFMSSM:
-    """P′ in matrix standard form plus the index maps to read answers back.
+    """P′ in matrix standard form plus what it takes to read answers back.
 
     The ``form`` is exactly what the DSL route produces; the remaining
     fields let callers convert between :class:`RecoverySolution` objects
-    and raw solver vectors without any name-keyed dictionaries.
+    and raw solver vectors without any name-keyed dictionaries.  Column
+    of ``x[s,c]`` is ``s * M + c`` and pair ``k``'s ``y`` is column
+    ``n_x + k * (M + 1)``, its ``w`` the ``M`` columns after it, by
+    position in the instance's :class:`~repro.fmssm.arrays.InstanceArrays`.
     """
 
     form: StandardForm
@@ -73,13 +75,10 @@ class CompiledFMSSM:
     controllers: tuple[ControllerId, ...]
     pairs: tuple[tuple[NodeId, FlowId], ...]
     recoverable: tuple[FlowId, ...]
-    #: Column of ``x[s,c]`` is ``switch_index[s] * M + controller_index[c]``.
-    switch_index: dict[NodeId, int] = field(repr=False)
-    controller_index: dict[ControllerId, int] = field(repr=False)
-    #: Switch index of each pair, aligned with ``pairs``.
-    pair_switch_idx: np.ndarray = field(repr=False)
-    #: ``p̄`` of each pair, aligned with ``pairs``.
-    pbar_values: np.ndarray = field(repr=False)
+    #: The compiled instance and flags: what ``embed_solution`` checks against.
+    instance: FMSSMInstance = field(repr=False)
+    require_full_recovery: bool
+    enforce_delay: bool
     r_col: int = 0
 
     @property
@@ -87,59 +86,43 @@ class CompiledFMSSM:
         """Number of ``x`` columns (N * M); also the first ``y`` column."""
         return len(self.switches) * len(self.controllers)
 
-    def y_col(self, k: int) -> int:
-        """Column of ``y`` for pair ``k``."""
-        return self.n_x + k * (len(self.controllers) + 1)
-
-    def w_col(self, k: int, ci: int) -> int:
-        """Column of ``w`` for pair ``k`` under controller index ``ci``."""
-        return self.y_col(k) + 1 + ci
-
     # ------------------------------------------------------------------
     # Solution <-> vector conversion
     # ------------------------------------------------------------------
     def embed_solution(self, solution: RecoverySolution) -> np.ndarray | None:
         """A feasible point of the compiled form from a heuristic solution.
 
-        The switch mapping fills ``x``, served SDN pairs fill ``y``/``w``
-        (a pair served by a controller other than its switch's mapping
-        cannot be expressed in P′ and fails the feasibility check), and
-        ``r`` takes the largest value Eq. (13) permits.  Returns ``None``
-        when the embedded point violates the form — e.g. the solution is
+        :func:`~repro.fmssm.point.feasible_point` checks the solution
+        against the constraints this form was compiled with, and its
+        point is scattered into a solver vector (:meth:`scatter`).
+        Returns ``None`` when the check rejects it — e.g. the solution is
         infeasible under ``r >= 1`` full recovery, breaks the delay
-        bound, or is not a switch-level solution.
+        bound, serves a pair from a controller other than its switch's
+        mapping, or is not a switch-level solution.
         """
-        if not solution.feasible:
-            return None
+        point = feasible_point(
+            self.instance, solution, self.require_full_recovery, self.enforce_delay
+        )
+        return None if point is None else self.scatter(point)
+
+    def scatter(self, point: Point) -> np.ndarray:
+        """The solver vector of a checked point of this form's instance.
+
+        The mapping fills ``x``, served pairs fill ``y``/``w``, and ``r``
+        takes the largest value Eq. (13) permits.
+        """
         m = len(self.controllers)
         x = np.zeros(self.form.n_vars)
-        for switch, controller in solution.mapping.items():
-            si = self.switch_index.get(switch)
-            ci = self.controller_index.get(controller)
-            if si is None or ci is None:
-                return None
-            x[si * m + ci] = 1.0
-        pair_index = {pair: k for k, pair in enumerate(self.pairs)}
-        pro: dict[FlowId, float] = {flow: 0.0 for flow in self.recoverable}
-        for switch, flow_id in solution.active_pairs():
-            k = pair_index.get((switch, flow_id))
-            if k is None:
-                return None
-            controller = solution.controller_for_pair(switch, flow_id)
-            ci = self.controller_index.get(controller)
-            if ci is None:
-                return None
-            x[self.y_col(k)] = 1.0
-            x[self.w_col(k, ci)] = 1.0
-            if flow_id in pro:
-                pro[flow_id] += self.pbar_values[k]
+        mapped = np.flatnonzero(point.switch_ctrl >= 0)
+        x[mapped * m + point.switch_ctrl[mapped]] = 1.0
+        y_cols = self.n_x + point.pairs * (m + 1)
+        x[y_cols] = 1.0
+        x[y_cols + 1 + point.pair_ctrl] = 1.0
         if self.recoverable:
-            x[self.r_col] = min(float(self.form.ub[self.r_col]), min(pro.values()))
-        if not self.is_feasible_point(x):
-            return None
+            x[self.r_col] = float(point.least)
         return x
 
-    def is_feasible_point(self, x: np.ndarray, tol: float = _EMBED_TOL) -> bool:
+    def is_feasible_point(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
         """Whether ``x`` satisfies the form's rows and bounds within ``tol``."""
         if np.any(x < self.form.lb - tol) or np.any(x > self.form.ub + tol):
             return False
@@ -384,10 +367,9 @@ class FMSSMCompiler:
             controllers=controllers,
             pairs=pairs,
             recoverable=recoverable,
-            switch_index=arrays.switch_pos,
-            controller_index=arrays.controller_pos,
-            pair_switch_idx=pair_switch_idx,
-            pbar_values=pbar_values,
+            instance=instance,
+            require_full_recovery=require_full_recovery,
+            enforce_delay=enforce_delay,
             r_col=r_col,
         )
 

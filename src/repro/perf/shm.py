@@ -34,7 +34,9 @@ Worker attachments opt out of ``multiprocessing.resource_tracker``
 tracking (``track=False`` on Python >= 3.13; a start-method-aware
 unregister before that, see :func:`_untrack_attachment`): the creating
 parent owns the segment's lifetime, and a worker-side tracker must
-neither warn about nor unlink segments the parent manages.
+neither warn about nor unlink segments the parent manages.  An
+attachment in the creating process itself keeps the registration: the
+lease's unlink consumes it.
 """
 
 from __future__ import annotations
@@ -256,7 +258,12 @@ def loads_shared(payload: SharedPayload) -> object:
         shm = shared_memory.SharedMemory(name=payload.segment, track=False)
     except TypeError:
         shm = shared_memory.SharedMemory(name=payload.segment)
-        _untrack_attachment(shm)
+        if payload.segment not in _LEASES:
+            # Only a foreign segment is untracked: this process's own
+            # lease still needs its registration for the unlink on
+            # release, which would otherwise make the tracker print a
+            # KeyError.
+            _untrack_attachment(shm)
     _ATTACHED.append(shm)
     base = memoryview(shm.buf)
     views = [

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,3 +213,29 @@ def test_slim_context_rejects_non_integer_node_ids():
     context.flows = [Flow("a", "b", ("a", "m", "b")), *context.flows]
     with pytest.raises(TypeError, match="integer node ids"):
         _slim_context(context)
+
+
+_OWN_SEGMENT_CHILD = r"""
+import numpy as np
+
+from repro.perf.shm import dumps_shared, loads_shared
+
+payload, lease = dumps_shared({"a": np.arange(100)})
+assert loads_shared(payload)["a"].sum() == 4950
+lease.release()
+"""
+
+
+def test_loading_own_segment_leaves_tracker_quiet():
+    """Loading a payload in the process that created its segment keeps the
+    segment's tracker registration, so the unlink on release does not
+    make the resource tracker print a ``KeyError``.  Runs in a fresh
+    interpreter: the tracker writes to that process's stderr."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _OWN_SEGMENT_CHILD],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    assert "KeyError" not in out.stderr, out.stderr
