@@ -13,13 +13,35 @@ kernels need, so the derived columns have one definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from repro.types import ControllerId, FlowId, NodeId
 
-__all__ = ["InstanceArrays", "build_arrays", "seq_lists"]
+__all__ = ["Frame", "InstanceArrays", "build_arrays", "seq_lists"]
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The ids that name one instance's positions, and nothing else.
+
+    A solution or evaluation held as positions keeps its instance's
+    frame rather than its :class:`InstanceArrays`, so a kept result does
+    not keep the kernels' list views and caches alive.  The members are
+    the arrays' own (see there); ``a.frame is b.frame`` means the
+    positions agree.
+    """
+
+    switches: tuple[NodeId, ...]
+    controllers: tuple[ControllerId, ...]
+    flow_ids: tuple[FlowId, ...]
+    pairs: tuple[tuple[NodeId, FlowId], ...]
+    pair_switch: np.ndarray
+    pair_flow: np.ndarray
+    recoverable_pos: np.ndarray
+    network_pos: np.ndarray | None
 
 
 @dataclass
@@ -39,11 +61,10 @@ class InstanceArrays:
     controllers: tuple[ControllerId, ...]
     flow_ids: tuple[FlowId, ...]
     pairs: tuple[tuple[NodeId, FlowId], ...]
-    #: Position lookups.
+    #: Position lookups (``flow_pos`` and ``pair_index`` below are
+    #: built on first read: only dict-built solutions need them).
     switch_pos: dict[NodeId, int]
     controller_pos: dict[ControllerId, int]
-    flow_pos: dict[FlowId, int]
-    pair_index: dict[tuple[NodeId, FlowId], int]
     #: Spare capacity A_j per controller position (int64[M]).
     spare: np.ndarray
     #: gamma_i per switch position (int64[N]).
@@ -73,6 +94,9 @@ class InstanceArrays:
     #: All pair indices in (-p̄, pair) order — the saturation scans'
     #: shared ordering (int64[P]).
     pbar_desc: np.ndarray
+    #: Positions of the flows in the network's flow population, when the
+    #: instance was grounded from one (``None`` for a hand-built one).
+    network_pos: np.ndarray | None
     #: Lazy per-kernel extras (the sequential scans' list views, PG's
     #: padded prefix-sum matrix, ...).
     cache: dict[str, object] = field(default_factory=dict, repr=False)
@@ -80,6 +104,18 @@ class InstanceArrays:
     @property
     def n_pairs(self) -> int:
         return int(self.pair_switch.size)
+
+    @cached_property
+    def flow_pos(self) -> dict[FlowId, int]:
+        return dict(zip(self.flow_ids, range(len(self.flow_ids))))
+
+    @cached_property
+    def pair_index(self) -> dict[tuple[NodeId, FlowId], int]:
+        return dict(zip(self.pairs, range(len(self.pairs))))
+
+    @cached_property
+    def frame(self) -> Frame:
+        return Frame(*(getattr(self, f.name) for f in fields(Frame)))
 
 
 def build_arrays(
@@ -94,13 +130,15 @@ def build_arrays(
     pair_switch: np.ndarray,
     pair_flow: np.ndarray,
     pair_pbar: np.ndarray,
+    network_pos: np.ndarray | None,
 ) -> InstanceArrays:
     """Derive the full :class:`InstanceArrays` from an instance's base columns.
 
     ``flow_rank`` orders the flow positions by flow id (any array whose
-    ascending order is the flow-id order).  The list views of the
-    sequential kernels (:func:`seq_lists`) are built here too, so a
-    grounded instance arrives with its kernel prep done.
+    ascending order is the flow-id order); ``network_pos`` places the
+    flows in the network's population, or is ``None``.  The list views
+    of the sequential kernels (:func:`seq_lists`) are built here too, so
+    a grounded instance arrives with its kernel prep done.
     """
     n = len(switches)
     n_flows = len(flow_ids)
@@ -123,8 +161,6 @@ def build_arrays(
         pairs=pairs,
         switch_pos=dict(zip(switches, range(n))),
         controller_pos=dict(zip(controllers, range(len(controllers)))),
-        flow_pos=dict(zip(flow_ids, range(n_flows))),
-        pair_index=dict(zip(pairs, range(n_pairs))),
         spare=spare,
         gamma=gamma,
         delay=delay,
@@ -138,6 +174,7 @@ def build_arrays(
         flow_max_pro=flow_max_pro,
         recoverable_pos=has_pairs[np.argsort(flow_rank[has_pairs], kind="stable")],
         pbar_desc=np.argsort(-pair_pbar, kind="stable"),
+        network_pos=network_pos,
     )
     seq_lists(arrays)
     return arrays

@@ -268,6 +268,7 @@ class GroundingIndex:
             ),
             pair_flow=local[flow_pos],
             pair_pbar=pair_pbar,
+            network_pos=positions,
         )
         # G (Eq. 6): every switch's gamma flows at its nearest
         # controller, summed left to right as the scalar definition does.

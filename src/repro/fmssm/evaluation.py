@@ -5,28 +5,33 @@ reported metrics (least/total programmability, recovery percentages,
 per-flow communication overhead) are computed identically — exactly the
 quantities plotted in Figs. 4–6 of the paper.
 
-Both the verifier and the evaluator run on the instance's cached
-:class:`~repro.perf.kernels.InstanceArrays` view: the served pairs are
-resolved to dense pair indices once (``_active_view``) and every
-aggregate — per-flow programmability, per-controller load, total delay —
-is one ``bincount``/gather instead of a per-pair dict walk.  The one
-deliberately sequential piece is the delay total, accumulated via
-``cumsum`` so its float rounding history matches the historical
-left-to-right Python sum bit for bit.  :func:`evaluate_batch` amortizes
-the per-instance setup across many solutions of the same scenario (the
-sweep's shape: four algorithms per instance).
+Both the verifier and the evaluator read positions only: the solution
+is resolved onto the instance's arrays once (:func:`repro.fmssm.point.
+resolve` — a kernel's solution arrives as positions and is taken as it
+is), and every aggregate — per-flow programmability, per-controller
+load, total delay — is one ``bincount``/gather of its :func:`~repro.
+fmssm.point.tally`.  The evaluation keeps the per-flow array; its
+``programmability`` dict and recoverable-flow set are views built on
+first read.  :func:`evaluate_batch` evaluates many solutions of one
+scenario (the sweep's shape: four algorithms per instance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import ClassVar
 
 from repro.exceptions import SolutionError
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.solution import RecoverySolution
-from repro.types import ControllerId, FlowId, Milliseconds, NodeId
+from repro.fmssm.point import (
+    Tally,
+    capacity_violations,
+    delay_violations,
+    resolve,
+    tally,
+)
+from repro.fmssm.solution import Placement, PositionalViews, RecoverySolution
+from repro.types import ControllerId, FlowId, Milliseconds
 
 __all__ = [
     "RecoveryEvaluation",
@@ -35,11 +40,9 @@ __all__ = [
     "verify_solution",
 ]
 
-_DELAY_TOL = 1e-6
-
 
 @dataclass
-class RecoveryEvaluation:
+class RecoveryEvaluation(PositionalViews):
     """All metrics of one solution on one instance.
 
     ``per_flow_overhead_ms`` is the paper's Fig. 4(d)/5(f)/6(f) metric:
@@ -103,123 +106,19 @@ class RecoveryEvaluation:
             if f in self._recoverable_set
         ]
 
-    _recoverable_set: frozenset[FlowId] = frozenset()
+    _recoverable_set: frozenset[FlowId] = field(default_factory=frozenset)
 
+    _VIEWS: ClassVar[tuple[str, ...]] = ("programmability", "_recoverable_set")
 
-def _recoverable_set(instance: FMSSMInstance) -> frozenset[FlowId]:
-    """The instance's recoverable flows as a cached frozenset."""
-    cached = instance.__dict__.get("_recoverable_set")
-    if cached is None:
-        cached = frozenset(instance.recoverable_flows)
-        instance.__dict__["_recoverable_set"] = cached
-    return cached
-
-
-def _verify_sets(instance: FMSSMInstance) -> tuple[set, set]:
-    """The instance's (controller, switch) membership sets, cached.
-
-    The verifier consults them for every solution; building them once
-    per instance amortizes the setup across a batch (and across repeat
-    evaluations of the same scenario).
-    """
-    cached = instance.__dict__.get("_verify_sets")
-    if cached is None:
-        cached = (set(instance.controllers), set(instance.switches))
-        instance.__dict__["_verify_sets"] = cached
-    return cached
-
-
-#: Resolved served pairs of one solution: ``(arrays, served, ctrl)``
-#: where ``served`` holds ascending pair indices of SDN pairs actually
-#: served by a controller and ``ctrl`` their controller positions.
-_ActiveView = tuple  # (InstanceArrays, np.ndarray, np.ndarray)
-
-
-def _active_view(
-    instance: FMSSMInstance,
-    solution: RecoverySolution,
-    resolved: "np.ndarray | None" = None,
-) -> _ActiveView:
-    """Resolve ``solution.active_pairs()`` to dense index arrays.
-
-    ``served`` ascends, so downstream delay accumulation walks pairs in
-    the same sorted order ``active_pairs()`` yields.  Mirrors its
-    semantics exactly: a pair is served iff it has a per-pair controller
-    or its switch is mapped, and per-pair assignments win.
-
-    ``resolved`` lets the verifier hand over the already-resolved pair
-    indices of ``solution.sdn_pairs`` (all non-negative — Eq. 1 checked
-    them first), skipping the second resolution pass.  The unverified
-    path keeps the historical KeyError semantics for non-programmable
-    pairs.
-    """
-    from repro.perf.kernels import instance_arrays
-
-    arrays = instance_arrays(instance)
-    empty = np.empty(0, dtype=np.int64)
-    if not solution.feasible or not solution.sdn_pairs:
-        return arrays, empty, empty
-
-    pair_index = arrays.pair_index
-    sdn_pairs = solution.sdn_pairs
-    if resolved is not None:
-        served = resolved.copy()
-    else:
-        served = np.fromiter(
-            (pair_index.get(pair, -1) for pair in sdn_pairs),
-            dtype=np.int64,
-            count=len(sdn_pairs),
-        )
-        if served.min() < 0:
-            # Non-programmable SDN pairs: an error only when served (the
-            # historical dict walk indexed instance.pbar on active pairs).
-            for pair in sdn_pairs:
-                if pair not in pair_index and (
-                    pair in solution.pair_controller or pair[0] in solution.mapping
-                ):
-                    raise KeyError(pair)
-            served = served[served >= 0]
-    served.sort()
-
-    ctrl_of = np.full(len(arrays.switches), -1, dtype=np.int64)
-    switch_pos = arrays.switch_pos
-    controller_pos = arrays.controller_pos
-    for switch, controller in solution.mapping.items():
-        pos = switch_pos.get(switch)
-        if pos is None:
-            continue  # no programmable pair can reference this switch
-        # -2 marks "mapped to an unknown controller": an error only if a
-        # served pair actually lands on it (resolved below).
-        ctrl_of[pos] = controller_pos.get(controller, -2)
-    ctrl = ctrl_of[arrays.pair_switch[served]]
-
-    overrides = solution.pair_controller
-    if overrides:
-        keys = np.fromiter(
-            (pair_index.get(pair, -1) for pair in overrides),
-            dtype=np.int64,
-            count=len(overrides),
-        )
-        values = np.fromiter(
-            (controller_pos.get(c, -2) for c in overrides.values()),
-            dtype=np.int64,
-            count=len(overrides),
-        )
-        keep = keys >= 0
-        keys, values = keys[keep], values[keep]
-        locs = np.searchsorted(served, keys)
-        hit = locs < served.size
-        hit[hit] = served[locs[hit]] == keys[hit]
-        ctrl[locs[hit]] = values[hit]
-
-    if served.size and ctrl.min() == -2:
-        for switch, flow_id in solution.active_pairs():
-            controller = solution.controller_for_pair(switch, flow_id)
-            if controller not in controller_pos:
-                raise KeyError(controller)
-
-    mask = ctrl >= 0
-    return arrays, served[mask], ctrl[mask]
+    def _views(self, source) -> dict[str, object]:
+        frame, pro = source
+        flow_ids = frame.flow_ids
+        return {
+            "programmability": dict(zip(flow_ids, pro.tolist())),
+            "_recoverable_set": frozenset(
+                map(flow_ids.__getitem__, frame.recoverable_pos.tolist())
+            ),
+        }
 
 
 def verify_solution(
@@ -232,98 +131,31 @@ def verify_solution(
     Checks: mapping targets are active controllers (Eq. 2 is structural —
     the dict maps each switch at most once); SDN pairs are programmable
     pairs of the instance (Eq. 1); per-controller load within spare
-    capacity (Eq. 12); total delay within G (Eq. 14, optional since
-    flow-level baselines are allowed to trade it off).
+    capacity, a ``load_override`` naming only active controllers
+    (Eq. 12); total delay within G (Eq. 14, optional since flow-level
+    baselines are allowed to trade it off).  The message is the first
+    violation :func:`~repro.resilience.validate.validate_solution`
+    reports for the same checks.
     """
-    _verified_view(instance, solution, enforce_delay)
+    _resolved(instance, solution, True, enforce_delay)
 
 
-def _verified_view(
-    instance: FMSSMInstance,
-    solution: RecoverySolution,
-    enforce_delay: bool,
-) -> _ActiveView | None:
-    """Body of :func:`verify_solution`, returning the resolved view.
-
-    The mapping checks stay plain dict/set loops (they must name the
-    offending entity); the Eq. 1 membership check (SDN pairs are
-    programmable pairs) is one batched ``pair_index`` resolution whose
-    result feeds straight into :func:`_active_view`, so the pairs are
-    resolved once per verified evaluation, not twice.  The membership
-    sets themselves are cached per instance (:func:`_verify_sets`), so
-    a batch of solutions shares all setup.
-    """
-    if not solution.feasible:
-        if solution.mapping or solution.sdn_pairs:
-            raise SolutionError("infeasible solutions must be empty")
-        return None
-    controller_set, switch_set = _verify_sets(instance)
-    for switch, controller in solution.mapping.items():
-        if switch not in switch_set:
-            raise SolutionError(f"mapped switch {switch!r} is not offline")
-        if controller not in controller_set:
-            raise SolutionError(
-                f"switch {switch!r} mapped to non-active controller {controller!r}"
-            )
-    resolved = None
-    if solution.sdn_pairs:
-        from repro.perf.kernels import instance_arrays
-
-        pair_index = instance_arrays(instance).pair_index
-        sdn_list = list(solution.sdn_pairs)
-        resolved = np.fromiter(
-            (pair_index.get(pair, -1) for pair in sdn_list),
-            dtype=np.int64,
-            count=len(sdn_list),
-        )
-        if resolved.min() < 0:
-            pair = sdn_list[int(np.flatnonzero(resolved < 0)[0])]
-            raise SolutionError(f"SDN pair {pair!r} is not a programmable pair")
-    for pair, controller in solution.pair_controller.items():
-        if controller not in controller_set:
-            raise SolutionError(
-                f"pair {pair!r} served by non-active controller {controller!r}"
-            )
-
-    view = _active_view(instance, solution, resolved=resolved)
-    arrays, served, ctrl = view
-    if solution.load_override is not None:
-        load = {c: solution.load_override.get(c, 0) for c in instance.controllers}
-        for controller, used in load.items():
-            if used > instance.spare[controller]:
-                raise SolutionError(
-                    f"controller {controller!r} load {used} exceeds spare "
-                    f"{instance.spare[controller]}"
-                )
-    else:
-        counts = np.bincount(ctrl, minlength=len(arrays.controllers))
-        if np.any(counts > arrays.spare):
-            position = int(np.flatnonzero(counts > arrays.spare)[0])
-            controller = arrays.controllers[position]
-            raise SolutionError(
-                f"controller {controller!r} load {int(counts[position])} exceeds "
-                f"spare {instance.spare[controller]}"
-            )
-
-    if enforce_delay:
-        total = _total_delay(arrays, served, ctrl)
-        if total > instance.ideal_delay_ms * (1 + _DELAY_TOL) + _DELAY_TOL:
-            raise SolutionError(
-                f"total delay {total:.3f}ms exceeds G={instance.ideal_delay_ms:.3f}ms"
-            )
-    return view
-
-
-def _total_delay(arrays, served: np.ndarray, ctrl: np.ndarray) -> float:
-    """Delay total of the served pairs, summed left-to-right.
-
-    ``cumsum`` adds strictly in index order, so the result is
-    bit-identical to the historical sequential Python accumulation over
-    sorted active pairs (``np.sum`` is not — it pairs terms).
-    """
-    if not served.size:
-        return 0.0
-    return float(arrays.delay[arrays.pair_switch[served], ctrl].cumsum()[-1])
+def _resolved(
+    instance: FMSSMInstance, solution: RecoverySolution, verify: bool, enforce_delay: bool
+) -> tuple[Placement, Tally]:
+    """``solution``'s placement and tally; with ``verify``, raise the
+    first violation :func:`verify_solution` checks for."""
+    if verify and not solution.feasible and (solution.mapping or solution.sdn_pairs):
+        raise SolutionError("infeasible solutions must be empty")
+    placement, problems = resolve(instance, solution)
+    counts = tally(instance.arrays(), placement)
+    if verify and solution.feasible:
+        problems = problems + capacity_violations(instance, solution, counts)
+        if enforce_delay:
+            problems += delay_violations(instance, counts)
+        if problems:
+            raise SolutionError(problems[0][1])
+    return placement, counts
 
 
 def evaluate_solution(
@@ -332,12 +164,12 @@ def evaluate_solution(
     verify: bool = True,
     enforce_delay: bool = False,
 ) -> RecoveryEvaluation:
-    """Compute all paper metrics for ``solution`` on ``instance``."""
-    if verify:
-        view = _verified_view(instance, solution, enforce_delay)
-    else:
-        view = None
-    return _evaluate(instance, solution, view)
+    """Compute all paper metrics for ``solution`` on ``instance``.
+
+    ``verify=False`` skips the checks and measures the part of the
+    solution that resolves on the instance.
+    """
+    return evaluate_batch(instance, (solution,), verify, enforce_delay)[0]
 
 
 def evaluate_batch(
@@ -348,81 +180,53 @@ def evaluate_batch(
 ) -> list[RecoveryEvaluation]:
     """Evaluate many solutions of the *same* instance.
 
-    Semantically ``[evaluate_solution(instance, s, ...) for s in
-    solutions]`` (asserted by the equivalence tests), but the
-    per-instance setup — the array view, the recoverable frozenset —
-    is shared across the batch.  This is the sweep's shape: every
-    scenario evaluates all algorithms against one instance.
+    ``[evaluate_solution(instance, s, ...) for s in solutions]``: the
+    sweep's shape, where every scenario evaluates all algorithms against
+    one instance.
     """
-    out = []
-    for solution in solutions:
-        view = _verified_view(instance, solution, enforce_delay) if verify else None
-        out.append(_evaluate(instance, solution, view))
-    return out
+    return [
+        _evaluate(instance, solution, *_resolved(instance, solution, verify, enforce_delay))
+        for solution in solutions
+    ]
 
 
 def _evaluate(
     instance: FMSSMInstance,
     solution: RecoverySolution,
-    view: _ActiveView | None,
+    placement: Placement,
+    counts: Tally,
 ) -> RecoveryEvaluation:
-    """Metric extraction over a resolved active view (array reductions)."""
-    if view is None:
-        view = _active_view(instance, solution)
-    arrays, served, ctrl = view
-    recoverable = _recoverable_set(instance)
-    n_flows = len(arrays.flow_ids)
-    n_controllers = len(arrays.controllers)
-
-    if served.size:
-        switch_codes = arrays.pair_switch[served]
-        pro = np.bincount(
-            arrays.pair_flow[served],
-            weights=arrays.pair_pbar[served],
-            minlength=n_flows,
-        ).astype(np.int64)
-        load_vec = np.bincount(ctrl, minlength=n_controllers)
-        total_delay = _total_delay(arrays, served, ctrl)
-        recovered = int((pro > 0).sum())
-        recovered_switches = int(np.unique(switch_codes).size)
-    else:
-        pro = np.zeros(n_flows, dtype=np.int64)
-        load_vec = np.zeros(n_controllers, dtype=np.int64)
-        total_delay = 0.0
-        recovered = 0
-        recovered_switches = 0
-
-    programmability = dict(zip(arrays.flow_ids, pro.tolist()))
+    """The metrics of a resolved solution, from its tally."""
+    arrays = instance.arrays()
+    feasible = solution.feasible
+    pro = counts.pro
+    recovered = int((pro > 0).sum())
+    switches = arrays.pair_switch[placement.pairs[placement.pair_ctrl >= 0]]
     if solution.load_override is not None:
-        load = {c: solution.load_override.get(c, 0) for c in instance.controllers}
+        load = {c: solution.load_override.get(c, 0) for c in arrays.controllers}
     else:
-        load = dict(zip(arrays.controllers, load_vec.tolist()))
-
-    least = 0
-    if recoverable and solution.feasible:
-        least = int(pro[arrays.recoverable_pos].min())
-    total_pro = int(pro.sum())
+        load = dict(zip(arrays.controllers, counts.load.tolist()))
     per_flow = 0.0
     if recovered:
-        per_flow = total_delay / recovered + solution.extra_overhead_ms
-
-    evaluation = RecoveryEvaluation(
+        per_flow = counts.delay / recovered + solution.extra_overhead_ms
+    return RecoveryEvaluation._from_positions(
+        (arrays.frame, pro),
         algorithm=solution.algorithm,
-        feasible=solution.feasible,
-        programmability=programmability,
-        least_programmability=least,
-        total_programmability=total_pro,
+        feasible=feasible,
+        least_programmability=counts.least if feasible else 0,
+        total_programmability=counts.total,
         recovered_flows=recovered,
-        recoverable_flows=len(recoverable),
-        offline_flows=instance.n_flows,
-        recovered_switches=recovered_switches if solution.feasible else 0,
-        offline_switches=instance.n_switches,
+        recoverable_flows=int(arrays.recoverable_pos.size),
+        offline_flows=len(arrays.flow_ids),
+        # Pairs ascend, so their switches do: count the distinct runs.
+        recovered_switches=(
+            int((switches[1:] != switches[:-1]).sum()) + 1 if switches.size else 0
+        ),
+        offline_switches=len(arrays.switches),
         controller_load=load,
-        total_delay_ms=total_delay,
+        total_delay_ms=counts.delay,
         ideal_delay_ms=instance.ideal_delay_ms,
         per_flow_overhead_ms=per_flow,
-        objective=least + instance.lam * total_pro if solution.feasible else 0.0,
+        objective=counts.least + instance.lam * counts.total if feasible else 0.0,
         solve_time_s=solution.solve_time_s,
     )
-    evaluation._recoverable_set = recoverable
-    return evaluation

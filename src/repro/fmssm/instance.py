@@ -305,6 +305,7 @@ class FMSSMInstance:
             pair_pbar=np.fromiter(
                 (self.pbar[pair] for pair in pairs), dtype=np.int64, count=n_pairs
             ),
+            network_pos=None,
         )
 
     # ------------------------------------------------------------------

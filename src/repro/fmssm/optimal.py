@@ -49,8 +49,8 @@ import numpy as np
 from repro.exceptions import DegradedResultWarning, RungTimeoutError, SolverError
 from repro.fmssm.formulation import FMSSMVariables, build_fmssm_model
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.point import Point, feasible_point
-from repro.fmssm.solution import RecoverySolution
+from repro.fmssm.point import Point, feasible_point, resolve, tally
+from repro.fmssm.solution import Placement, RecoverySolution
 from repro.lp import SolveResult, SolveStatus, solve
 from repro.lp.branch_and_bound import solve_form_with_bnb
 from repro.lp.highs import solve_form_with_highs
@@ -117,18 +117,13 @@ def extract_solution(
 def _canonical_objective(instance: FMSSMInstance, solution: RecoverySolution) -> float:
     """``r + λ · obj2`` of ``solution``, exactly as the evaluator computes it.
 
-    Both integer terms are recomputed from the extracted pairs, so two
-    solutions with the same (least, total) programmability produce the
-    *same float* regardless of which solver or compile route found them.
+    Both integer terms are recomputed from the solution's positions, so
+    two solutions with the same (least, total) programmability produce
+    the *same float* regardless of which solver or compile route found
+    them.
     """
-    arrays = instance.arrays()
-    pair_flow, pair_pbar = arrays.pair_flow.tolist(), arrays.pair_pbar.tolist()
-    programmability = [0] * len(arrays.flow_ids)
-    for pair in solution.active_pairs():
-        k = arrays.pair_index[pair]
-        programmability[pair_flow[k]] += pair_pbar[k]
-    least = min(map(programmability.__getitem__, arrays.recoverable_pos.tolist()), default=0)
-    return least + instance.lam * sum(programmability)
+    counts = tally(instance.arrays(), resolve(instance, solution).placement)
+    return counts.least + instance.lam * counts.total
 
 
 def _certificate_tolerance(instance: FMSSMInstance) -> float | None:
@@ -248,11 +243,10 @@ def _full_fill_seed(instance: FMSSMInstance) -> RecoverySolution | None:
                     spare[b] += load[t] - load[s]
                     mapping[s], mapping[t] = b, a
                     improved = True
-    return RecoverySolution(
-        algorithm="optimal",
-        mapping={arrays.switches[s]: arrays.controllers[c] for s, c in mapping.items()},
-        sdn_pairs=set(instance.pairs),
-    )
+    switch_ctrl = np.full(len(arrays.switches), -1, dtype=np.int64)
+    switch_ctrl[list(mapping)] = list(mapping.values())
+    placement = Placement.switch_level(arrays.frame, switch_ctrl, np.arange(arrays.n_pairs))
+    return RecoverySolution.positional(placement, algorithm="optimal")
 
 
 class _Seed(NamedTuple):
@@ -392,7 +386,7 @@ def _solve_optimal_sparse(
             gap=0.0,
         )
         elapsed = time.perf_counter() - start
-        mapping, sdn_pairs = point.mapping(), point.sdn_pairs()
+        solution = RecoverySolution.positional(point, algorithm="optimal")
     else:
         # Imported lazily: repro.perf pulls in the sweep machinery, which
         # imports this module back.
@@ -418,23 +412,18 @@ def _solve_optimal_sparse(
                 return _timeout_disposition("sparse", elapsed, raise_on_timeout, meta)
             return _infeasible(meta, elapsed)
         mapping, sdn_pairs = compiled.extract(result.x)
+        solution = RecoverySolution(algorithm="optimal", mapping=mapping, sdn_pairs=sdn_pairs)
 
-    solution = RecoverySolution(
-        algorithm="optimal",
-        mapping=mapping,
-        sdn_pairs=sdn_pairs,
-        solve_time_s=elapsed,
-        feasible=True,
-        meta={
-            "status": result.status.value,
-            "solver": result.solver,
-            "gap": result.gap,
-            "compile": "sparse",
-            "certificate": certificate,
-            "solver_objective": result.objective,
-            "seed": None if seed is None else seed.origin,
-        },
-    )
+    solution.solve_time_s = elapsed
+    solution.meta = {
+        "status": result.status.value,
+        "solver": result.solver,
+        "gap": result.gap,
+        "compile": "sparse",
+        "certificate": certificate,
+        "solver_objective": result.objective,
+        "seed": None if seed is None else seed.origin,
+    }
     solution.meta["objective"] = (
         point.objective if certificate else _canonical_objective(instance, solution)
     )

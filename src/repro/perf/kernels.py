@@ -16,7 +16,9 @@ Equivalence contract
 --------------------
 Each kernel is **bit-identical** to its reference — same ``mapping``,
 ``sdn_pairs``, ``pair_controller`` and per-flow programmability on
-every instance, enforced by ``tests/test_perf_kernels.py``.  The
+every instance, enforced by ``tests/test_perf_kernels.py``.  A kernel
+returns its answer as positions (:meth:`RecoverySolution.positional`);
+those dicts are views of them.  The
 tie-breaking rules that make this hold (see DESIGN §10):
 
 * ``instance.switches`` / ``instance.controllers`` /
@@ -43,8 +45,8 @@ import numpy as np
 
 from repro.fmssm.arrays import InstanceArrays, seq_lists
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.solution import RecoverySolution
-from repro.types import FLOWVISOR_PROCESSING_MS, ControllerId, FlowId, NodeId
+from repro.fmssm.solution import Placement, RecoverySolution
+from repro.types import FLOWVISOR_PROCESSING_MS
 
 __all__ = [
     "InstanceArrays",
@@ -305,13 +307,6 @@ def solve_pm_array(
                 chosen = scan[grouped_capacity_select(ctrl[scan], capacity)]
                 activated.extend(chosen.tolist())
 
-    pairs = instance.pairs
-    mapping = {
-        arrays.switches[i]: arrays.controllers[c]
-        for i, c in enumerate(ctrl_of)
-        if c >= 0
-    }
-    sdn_pairs = {pairs[k] for k in activated}
     meta: dict[str, object] = {
         "phase2_order": phase2_order,
         "total_iterations": total_iterations,
@@ -319,12 +314,12 @@ def solve_pm_array(
     }
     if not phase2:
         meta["phase2"] = False
-    return RecoverySolution(
+    switch_ctrl = np.array(ctrl_of, dtype=np.int64)
+    pairs = np.sort(np.array(activated, dtype=np.int64))
+    return RecoverySolution.positional(
+        Placement.switch_level(arrays.frame, switch_ctrl, pairs),
         algorithm="pm",
-        mapping=mapping,
-        sdn_pairs=sdn_pairs,
         solve_time_s=time.perf_counter() - start,
-        feasible=True,
         meta=meta,
     )
 
@@ -412,47 +407,32 @@ def solve_pg_array(instance: FMSSMInstance) -> RecoverySolution:
         remaining = desc[~chosen[desc]]
         chosen[remaining[:leftover]] = True
 
-    # Regret-ordered nearest-capacity assignment.
-    pair_controller: dict[tuple[NodeId, FlowId], ControllerId] = {}
+    # Regret-ordered nearest-capacity assignment.  When every pair fits
+    # on its nearest controller the scan assigns exactly that, in any
+    # order; otherwise it runs by regret, the stable sort keeping
+    # ascending pair order among equal spreads (the (-regret, pair) key).
     picked = np.flatnonzero(chosen)
-    if picked.size:
+    pair_ctrl = arrays.delay_order[arrays.pair_switch[picked], 0]
+    if np.any(np.bincount(pair_ctrl, minlength=len(arrays.controllers)) > arrays.spare):
         spread = arrays.delay.max(axis=1) - arrays.delay.min(axis=1)
-        # picked ascends in pair order; the stable sort keeps that order
-        # among equal spreads — the (-regret, pair) tuple key.
-        order = picked[np.argsort(-spread[arrays.pair_switch[picked]], kind="stable")]
-        nearest = arrays.delay_order[:, 0]
-        want = nearest[arrays.pair_switch[order]]
-        load = np.bincount(want, minlength=len(arrays.controllers))
-        pairs = instance.pairs
-        controllers = arrays.controllers
-        if bool(np.all(load <= arrays.spare)):
-            # Every pair fits on its nearest controller, so the greedy
-            # scan would assign exactly that — order-independently.
-            pair_controller = {
-                pairs[k]: controllers[c]
-                for k, c in zip(order.tolist(), want.tolist())
-            }
-        else:
-            available = arrays.spare.tolist()
-            rows = arrays.delay_order.tolist()
-            switch_of = arrays.pair_switch[order].tolist()
-            for k, s in zip(order.tolist(), switch_of):
-                for c in rows[s]:
-                    if available[c] > 0:
-                        available[c] -= 1
-                        pair_controller[pairs[k]] = controllers[c]
-                        break
-                else:  # pragma: no cover - chosen is capped at the budget
-                    raise AssertionError("PG budget accounting violated")
-
-    return RecoverySolution(
+        switch_of = arrays.pair_switch[picked]
+        order = np.argsort(-spread[switch_of], kind="stable")
+        available = arrays.spare.tolist()
+        rows = arrays.delay_order.tolist()
+        for i, s in zip(order.tolist(), switch_of[order].tolist()):
+            for c in rows[s]:
+                if available[c] > 0:
+                    available[c] -= 1
+                    pair_ctrl[i] = c
+                    break
+            else:  # pragma: no cover - chosen is capped at the budget
+                raise AssertionError("PG budget accounting violated")
+    unmapped = np.full(len(arrays.switches), -1, dtype=np.int64)
+    return RecoverySolution.positional(
+        Placement(arrays.frame, unmapped, picked, pair_ctrl),
         algorithm="pg",
-        mapping={},
-        sdn_pairs=set(pair_controller),
-        pair_controller=pair_controller,
         extra_overhead_ms=FLOWVISOR_PROCESSING_MS,
         solve_time_s=time.perf_counter() - start,
-        feasible=True,
         meta={"budget": budget, "middle_layer": "flowvisor", "kernel": "array"},
     )
 
@@ -471,7 +451,7 @@ def solve_retroflow_array(instance: FMSSMInstance) -> RecoverySolution:
     start = time.perf_counter()
     arrays = instance_arrays(instance)
     n = len(arrays.switches)
-    _, _, _, indptr, _, rows, gamma, _, _ = seq_lists(arrays)
+    _, _, _, _, _, rows, gamma, _, _ = seq_lists(arrays)
     value = (
         np.bincount(arrays.pair_switch, weights=arrays.pair_pbar, minlength=n)
         .astype(np.int64)
@@ -482,33 +462,36 @@ def solve_retroflow_array(instance: FMSSMInstance) -> RecoverySolution:
 
     available = arrays.spare.tolist()
     load = [0] * len(arrays.controllers)
-    mapped: list[tuple[int, int]] = []
+    switch_ctrl = [-1] * n
     for s in order.tolist():
         g = gamma[s]
         for c in rows[s]:
             if available[c] >= g:
                 available[c] -= g
                 load[c] += g
-                mapped.append((s, c))
+                switch_ctrl[s] = c
                 break
-
-    switches = arrays.switches
-    controllers = arrays.controllers
-    mapping = {switches[s]: controllers[c] for s, c in sorted(mapped)}
-    pairs = instance.pairs
-    sdn_pairs = {
-        pairs[k]
-        for s, _ in mapped
-        for k in range(indptr[s], indptr[s + 1])
-    }
-    return RecoverySolution(
+    return _whole_switches(
+        arrays,
+        switch_ctrl,
+        load,
         algorithm="retroflow",
-        mapping=mapping,
-        sdn_pairs=sdn_pairs,
-        load_override={controllers[c]: load[c] for c in range(len(controllers))},
         solve_time_s=time.perf_counter() - start,
-        feasible=True,
         meta={"variant": "greedy", "kernel": "array"},
+    )
+
+
+def _whole_switches(
+    arrays: InstanceArrays, switch_ctrl: list[int], load: list[int], **values
+) -> RecoverySolution:
+    """A whole-switch solution: every pair of each mapped switch served,
+    at the per-controller ``load`` (``values`` are its other fields)."""
+    switch_ctrl = np.array(switch_ctrl, dtype=np.int64)
+    pairs = np.flatnonzero(switch_ctrl[arrays.pair_switch] >= 0)
+    return RecoverySolution.positional(
+        Placement.switch_level(arrays.frame, switch_ctrl, pairs),
+        load_override=dict(zip(arrays.controllers, load)),
+        **values,
     )
 
 
@@ -521,34 +504,25 @@ def solve_nearest_array(instance: FMSSMInstance) -> RecoverySolution:
     """
     start = time.perf_counter()
     arrays = instance_arrays(instance)
-    _, _, _, indptr, _, rows, gamma, _, _ = seq_lists(arrays)
+    _, _, _, _, _, rows, gamma, _, _ = seq_lists(arrays)
     nearest = arrays.cache.get("nearest_col")
     if nearest is None:
         nearest = arrays.delay_order[:, 0].tolist()
         arrays.cache["nearest_col"] = nearest
     available = arrays.spare.tolist()
     load = [0] * len(arrays.controllers)
-    mapped: list[tuple[int, int]] = []
+    switch_ctrl = [-1] * len(nearest)
     for s, c in enumerate(nearest):
         g = gamma[s]
         if available[c] >= g:
             available[c] -= g
             load[c] += g
-            mapped.append((s, c))
-
-    switches = arrays.switches
-    controllers = arrays.controllers
-    pairs = instance.pairs
-    return RecoverySolution(
+            switch_ctrl[s] = c
+    return _whole_switches(
+        arrays,
+        switch_ctrl,
+        load,
         algorithm="nearest",
-        mapping={switches[s]: controllers[c] for s, c in mapped},
-        sdn_pairs={
-            pairs[k]
-            for s, _ in mapped
-            for k in range(indptr[s], indptr[s + 1])
-        },
-        load_override={controllers[c]: load[c] for c in range(len(controllers))},
         solve_time_s=time.perf_counter() - start,
-        feasible=True,
         meta={"kernel": "array"},
     )

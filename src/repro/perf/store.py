@@ -219,23 +219,38 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
     overrides, per-flow programmability and the recoverable-flow set —
     are sorted by flow position and stored as packed columns; everything
     else is ids and scalars copied verbatim.  ``meta`` is label-free
-    scalars by contract, so it needs no translation.
+    scalars by contract, so it needs no translation.  A solution and
+    evaluation held as positions over a grounded instance are packed from
+    them (their flows' network positions), building none of their dicts.
     """
-    pos = network_key(context).flow_pos
-    pairs, overrides = solution.sdn_pairs, solution.pair_controller
-    programmability = evaluation.programmability
+    network = network_key(context)
+    placement, flow_values = solution.positions(), evaluation.positions()
+    if placement is None or placement.frame.network_pos is None:
+        pos = network.flow_pos
+        mapping, pairs, over = solution.mapping, solution.sdn_pairs, solution.pair_controller
+        sdn = ([pos[f] for _, f in pairs], [s for s, _ in pairs])
+        moved = ([pos[f] for _, f in over], [s for s, _ in over], list(over.values()))
+    else:
+        frame, served, mask = placement.frame, placement.pairs, placement.moved()
+        flows = frame.network_pos[frame.pair_flow[served]]
+        switches = np.asarray(frame.switches)[frame.pair_switch[served]]
+        controllers = np.asarray(frame.controllers)[placement.pair_ctrl[mask]]
+        mapping, sdn = placement.mapping(), (flows, switches)
+        moved = (flows[mask], switches[mask], controllers)
+    if flow_values is None or flow_values[0].network_pos is None:
+        pos, values = network.flow_pos, evaluation.programmability
+        pro = ([pos[f] for f in values], list(values.values()))
+        recoverable = [pos[f] for f in evaluation._recoverable_set]
+    else:
+        frame, values = flow_values
+        flows = frame.network_pos
+        pro, recoverable = (flows, values), flows[frame.recoverable_pos]
     return {
         "solution": {
             "algorithm": solution.algorithm,
-            "mapping": sorted(solution.mapping.items()),
-            "sdn_pairs": _pack_sorted(
-                [pos[f] for _, f in pairs], [s for s, _ in pairs]
-            ),
-            "pair_controller": _pack_sorted(
-                [pos[f] for _, f in overrides],
-                [s for s, _ in overrides],
-                list(overrides.values()),
-            ),
+            "mapping": sorted(mapping.items()),
+            "sdn_pairs": _pack_sorted(*sdn),
+            "pair_controller": _pack_sorted(*moved),
             "extra_overhead_ms": solution.extra_overhead_ms,
             "load_override": (
                 None
@@ -248,12 +263,8 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
         },
         "evaluation": {
             "feasible": evaluation.feasible,
-            "programmability": _pack_sorted(
-                [pos[f] for f in programmability], list(programmability.values())
-            ),
-            "recoverable": _pack_ints(
-                np.sort([pos[f] for f in evaluation._recoverable_set])
-            ),
+            "programmability": _pack_sorted(*pro),
+            "recoverable": _pack_ints(np.sort(recoverable)),
             "least": evaluation.least_programmability,
             "total": evaluation.total_programmability,
             "recovered_flows": evaluation.recovered_flows,

@@ -2,8 +2,10 @@
 
 :func:`repro.fmssm.evaluation.verify_solution` raises on the first
 violation and is wired into the evaluator; this module is the
-*resilience-layer* validator: it re-derives every constraint of the
-instance from scratch, collects **all** violations into a structured
+*resilience-layer* validator: it re-derives every constraint from the
+solution's positions on the instance (:func:`repro.fmssm.point.resolve`;
+Eqs. 1, 2, 12 and 14 are the verifier's own checks), collects **all**
+violations into a structured
 :class:`ValidationReport`, and is invoked on every solver route's output
 (see :func:`repro.fmssm.optimal.solve_optimal`) so a subtly infeasible
 vector — whether from solver numerics or from the fault-injection
@@ -36,13 +38,11 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import ValidationError
 from repro.fmssm.instance import FMSSMInstance
+from repro.fmssm.point import capacity_violations, delay_violations, resolve, tally
 from repro.fmssm.solution import RecoverySolution
-from repro.types import ControllerId, FlowId
 
 __all__ = ["Violation", "ValidationReport", "validate_solution", "check_solution"]
 
-#: Relative + absolute tolerance on the delay bound (solver numerics).
-_DELAY_TOL = 1e-6
 #: Tolerance when cross-checking a solver-reported canonical objective.
 _OBJECTIVE_TOL = 1e-9
 
@@ -109,116 +109,43 @@ def validate_solution(
             )
         return report
 
-    # The instance's positional arrays, not its dict views, so a
-    # validated solve builds no per-pair dict.
+    # The solution's positions on the instance (the one resolver); the
+    # entries that do not resolve are the Eq. 2 and Eq. 1 violations.
     arrays = instance.arrays()
-    pair_index = arrays.pair_index
-    switch_set = set(instance.switches)
-    controller_set = set(instance.controllers)
-
-    # Eq. 2 — one active controller per mapped switch.  The dict is
-    # structurally "at most one"; what can go wrong is the *target*.
-    for switch, controller in solution.mapping.items():
-        if switch not in switch_set:
-            report.add("eq2-mapping", f"mapped switch {switch!r} is not offline")
-        if controller not in controller_set:
-            report.add(
-                "eq2-mapping",
-                f"switch {switch!r} mapped to inactive controller {controller!r}",
-            )
-    for pair, controller in solution.pair_controller.items():
-        if controller not in controller_set:
-            report.add(
-                "eq2-mapping",
-                f"pair {pair!r} served by inactive controller {controller!r}",
-            )
-
-    # Eq. 1 — served pairs must be programmable pairs of this instance.
-    for pair in solution.sdn_pairs:
-        if pair not in pair_index:
-            report.add("eq1-pairs", f"SDN pair {pair!r} is not a programmable pair")
-
-    # Active pairs drive capacity, delay and programmability; a pair whose
-    # serving controller cannot be resolved is itself a violation.
-    served: list[tuple[object, FlowId, ControllerId]] = []
-    for switch, flow_id in solution.active_pairs():
-        if (switch, flow_id) not in pair_index:
-            continue  # already reported under eq1-pairs
-        try:
-            controller = solution.controller_for_pair(switch, flow_id)
-        except Exception as exc:  # SolutionError: unmapped served pair
-            report.add("eq2-mapping", str(exc))
-            continue
-        served.append((switch, flow_id, controller))
-
-    # Eq. 3 / 12 — control-resource capacity.
-    load: dict[ControllerId, int] = {c: 0 for c in instance.controllers}
-    for _, _, controller in served:
-        if controller in load:
-            load[controller] += 1
-    if solution.load_override is not None:
-        for controller, used in solution.load_override.items():
-            if controller not in controller_set:
-                report.add(
-                    "eq3-capacity",
-                    f"load override names inactive controller {controller!r}",
-                )
-        load = {c: solution.load_override.get(c, 0) for c in instance.controllers}
-    for controller, used in load.items():
-        if used > instance.spare[controller]:
-            report.add(
-                "eq3-capacity",
-                f"controller {controller!r} load {used} exceeds spare "
-                f"{instance.spare[controller]}",
-            )
+    placement, problems = resolve(instance, solution)
+    counts = tally(arrays, placement)
+    problems = problems + capacity_violations(instance, solution, counts)
 
     # Eq. 4 / 13 — least programmability over recoverable flows.
-    # Per flow position; every served pair is a programmable pair.
-    pair_flow, pair_pbar = arrays.pair_flow.tolist(), arrays.pair_pbar.tolist()
-    programmability = [0] * len(arrays.flow_ids)
-    for switch, flow_id, controller in served:
-        if controller in controller_set:
-            k = pair_index[(switch, flow_id)]
-            programmability[pair_flow[k]] += pair_pbar[k]
-    recoverable = arrays.recoverable_pos.tolist()
-    least = min((programmability[i] for i in recoverable), default=0)
-    if require_full_recovery and recoverable and least < 1:
-        worst = [arrays.flow_ids[i] for i in recoverable if programmability[i] < 1]
-        report.add(
+    recoverable = arrays.recoverable_pos
+    if require_full_recovery and recoverable.size and counts.least < 1:
+        worst = recoverable[counts.pro[recoverable] < 1]
+        problems.append((
             "eq4-least",
-            f"full recovery requires r >= 1 but {len(worst)} recoverable "
-            f"flow(s) have zero programmability (e.g. {worst[0]!r})",
-        )
+            f"full recovery requires r >= 1 but {worst.size} recoverable "
+            f"flow(s) have zero programmability (e.g. {arrays.flow_ids[worst[0]]!r})",
+        ))
     claimed = solution.meta.get("objective")
     if isinstance(claimed, (int, float)):
-        canonical = least + instance.lam * sum(programmability)
+        canonical = counts.least + instance.lam * counts.total
         if abs(float(claimed) - canonical) > _OBJECTIVE_TOL:
-            report.add(
+            problems.append((
                 "eq4-least",
                 f"reported objective {claimed!r} != recomputed canonical "
                 f"objective {canonical!r}",
-            )
+            ))
 
-    # Eq. 5 / 6 / 14 — total propagation delay within G.
+    # Eq. 5 / 6 / 14 — total propagation delay within G; a served pair
+    # whose controller is not active has no delay entry.
     if enforce_delay:
-        total = 0.0
-        delay = arrays.delay.tolist()
-        for switch, flow_id, controller in served:
-            column = arrays.controller_pos.get(controller)
-            if column is None:
-                report.add(
-                    "eq5-delay",
-                    f"no delay entry for served pair {(switch, controller)!r}",
-                )
-                continue
-            total += delay[arrays.switch_pos[switch]][column]
-        bound = instance.ideal_delay_ms * (1 + _DELAY_TOL) + _DELAY_TOL
-        if total > bound:
-            report.add(
-                "eq5-delay",
-                f"total delay {total:.6f}ms exceeds G={instance.ideal_delay_ms:.6f}ms",
-            )
+        strays = placement.pairs[placement.pair_ctrl < 0].tolist()
+        for switch, flow_id in map(arrays.pairs.__getitem__, strays):
+            served_by = (switch, solution.controller_for_pair(switch, flow_id))
+            problems.append(("eq5-delay", f"no delay entry for served pair {served_by!r}"))
+        problems += delay_violations(instance, counts)
 
+    for constraint, message in problems:
+        report.add(constraint, message)
     return report
 
 
