@@ -54,8 +54,8 @@ class ExperimentContext:
     #: Per-network grounding data — the one materialized form of p̄ —
     #: built on the first :meth:`instance` or :meth:`materialize_table`.
     _grounding: GroundingIndex | None = field(default=None, repr=False, compare=False)
-    #: The solve store's digests and flow positions of this network,
-    #: built on first use by :func:`repro.perf.store.network_key`.
+    #: The solve store's digest of this network, built on first use by
+    #: :func:`repro.perf.store.network_key`.
     _network_key: NetworkKey | None = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -25,23 +25,75 @@ __all__ = ["Frame", "InstanceArrays", "build_arrays", "seq_lists"]
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """The ids that name one instance's positions, and nothing else.
+    """The ids that name a set of positions, and their lookups.
 
     A solution or evaluation held as positions keeps its instance's
     frame rather than its :class:`InstanceArrays`, so a kept result does
-    not keep the kernels' list views and caches alive.  The members are
-    the arrays' own (see there); ``a.frame is b.frame`` means the
-    positions agree.
+    not keep the kernels' list views and caches alive.  An instance's
+    frame shares the arrays' own members (see there); ``a.frame is
+    b.frame`` means the positions agree.
+
+    The grounding index also has one frame for its whole network
+    (:meth:`GroundingIndex.network_frame
+    <repro.fmssm.build.GroundingIndex.network_frame>`): every node, every
+    controller, the flow population, and every programmable entry as a
+    pair, switch-major.  Store records are positions of it.
     """
 
     switches: tuple[NodeId, ...]
     controllers: tuple[ControllerId, ...]
     flow_ids: tuple[FlowId, ...]
     pairs: tuple[tuple[NodeId, FlowId], ...]
+    switch_pos: dict[NodeId, int]
+    controller_pos: dict[ControllerId, int]
     pair_switch: np.ndarray
     pair_flow: np.ndarray
-    recoverable_pos: np.ndarray
+    #: CSR bounds of each switch position's pairs (pairs are switch-major).
+    switch_indptr: np.ndarray
+    #: Positions of the flows in the network's flow population, when
+    #: the frame's instance was grounded from one (``None`` otherwise).
     network_pos: np.ndarray | None
+    #: Rank of each pair in the order the dict views list them; ``None``
+    #: lists them by position.  The network frame lists them flow-major,
+    #: ``(flow position, switch)``, the order store records have always
+    #: replayed in.
+    view_rank: np.ndarray | None = None
+
+    @cached_property
+    def flow_pos(self) -> dict[FlowId, int]:
+        return dict(zip(self.flow_ids, range(len(self.flow_ids))))
+
+    @cached_property
+    def pair_index(self) -> dict[tuple[NodeId, FlowId], int]:
+        return dict(zip(self.pairs, range(len(self.pairs))))
+
+    def in_view_order(self, pairs: np.ndarray) -> np.ndarray | slice:
+        """The index into ``pairs`` (ascending positions) that lists them
+        in view order."""
+        if self.view_rank is None:
+            return slice(None)
+        return np.argsort(self.view_rank[pairs])
+
+    def entries(self, network: Frame) -> np.ndarray:
+        """Each pair's position in ``network``, the frame of the index
+        this frame's instance was grounded from (built on first call).
+
+        An instance's pairs of switch ``s`` are all of that switch's
+        entries, in the index's order, so pair ``k`` is entry
+        ``network.switch_indptr[code[s]] + (k - switch_indptr[s])``,
+        ``code[s]`` being the switch's position in ``network``.  Switch
+        positions and node codes both ascend with the switch id, so the
+        map ascends too.
+        """
+        cached = self.__dict__.get("_entries")
+        if cached is None:
+            codes = list(map(network.switch_pos.__getitem__, self.switches))
+            base = network.switch_indptr[codes] - self.switch_indptr[:-1]
+            cached = np.repeat(base, np.diff(self.switch_indptr)) + np.arange(
+                self.pair_switch.size
+            )
+            self.__dict__["_entries"] = cached  # frozen: cache as cached_property does
+        return cached
 
 
 @dataclass
@@ -61,8 +113,8 @@ class InstanceArrays:
     controllers: tuple[ControllerId, ...]
     flow_ids: tuple[FlowId, ...]
     pairs: tuple[tuple[NodeId, FlowId], ...]
-    #: Position lookups (``flow_pos`` and ``pair_index`` below are
-    #: built on first read: only dict-built solutions need them).
+    #: Position lookups (``flow_pos`` and ``pair_index`` below are the
+    #: frame's, built on first read: only dict-built solutions need them).
     switch_pos: dict[NodeId, int]
     controller_pos: dict[ControllerId, int]
     #: Spare capacity A_j per controller position (int64[M]).
@@ -105,17 +157,17 @@ class InstanceArrays:
     def n_pairs(self) -> int:
         return int(self.pair_switch.size)
 
-    @cached_property
+    @property
     def flow_pos(self) -> dict[FlowId, int]:
-        return dict(zip(self.flow_ids, range(len(self.flow_ids))))
+        return self.frame.flow_pos
 
-    @cached_property
+    @property
     def pair_index(self) -> dict[tuple[NodeId, FlowId], int]:
-        return dict(zip(self.pairs, range(len(self.pairs))))
+        return self.frame.pair_index
 
     @cached_property
     def frame(self) -> Frame:
-        return Frame(*(getattr(self, f.name) for f in fields(Frame)))
+        return Frame(*(getattr(self, f.name) for f in fields(Frame) if f.name != "view_rank"))
 
 
 def build_arrays(

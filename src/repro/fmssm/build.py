@@ -20,7 +20,7 @@ from repro.control.plane import ControlPlane
 from repro.exceptions import FlowError
 from repro.flows.flow import Flow
 from repro.flows.paths import switch_flow_counts
-from repro.fmssm.arrays import build_arrays
+from repro.fmssm.arrays import Frame, build_arrays
 from repro.fmssm.instance import FMSSMInstance
 from repro.routing.programmability import ProgrammabilityModel
 
@@ -70,6 +70,9 @@ class GroundingIndex:
     :class:`~repro.fmssm.arrays.InstanceArrays` as slices and gathers
     of these arrays, with the same contents — and dict views in the
     same insertion order — as a scan of the flows in order would give.
+    :meth:`network_frame` names every entry of the filled index as one
+    position, for records that outlive their instances (the solve
+    store's).
 
     Parameters
     ----------
@@ -126,6 +129,8 @@ class GroundingIndex:
         #: Per node code, ``(int64[3, k] rows of flow position, path
         #: position and p̄, (switch, flow id) keys)``; filled on first use.
         self._entries: list[tuple[np.ndarray, tuple] | None] = [None] * len(self._nodes)
+        self._filled = False
+        self._frame: Frame | None = None
         self._geodesic = DelayModel(plane.topology, mode="geodesic")
         #: Per delay model: (delay rows over all controllers, filled codes).
         self._delays: weakref.WeakKeyDictionary[DelayModel, tuple[np.ndarray, set[int]]] = (
@@ -158,9 +163,42 @@ class GroundingIndex:
         """Read every switch's entries now, so ``programmability`` is
         never consulted again.  Spare capacity stays unread until the
         first :meth:`ground`."""
-        for code in range(len(self._nodes)):
-            self._switch_entries(code)
+        if not self._filled:
+            for code in range(len(self._nodes)):
+                self._switch_entries(code)
+            self._filled = True
         return self
+
+    def network_frame(self) -> Frame:
+        """The :class:`~repro.fmssm.arrays.Frame` of the whole network
+        (fills the index, built once).
+
+        Switches are the node codes, controllers the plane's, flows the
+        population in order; the pairs are every switch's entries in
+        the index's CSR order, with the key tuples the index holds.  An
+        instance grounded from this index maps its pairs into it with
+        :meth:`Frame.entries <repro.fmssm.arrays.Frame.entries>`.
+        """
+        if self._frame is None:
+            indptr, table = self.fill().packed_entries()
+            pair_switch = np.repeat(np.arange(len(self._nodes)), np.diff(indptr))
+            pair_flow = table[0]
+            rank = np.empty(pair_flow.size, dtype=np.int64)
+            rank[np.lexsort((pair_switch, pair_flow))] = np.arange(pair_flow.size)
+            self._frame = Frame(
+                switches=self._nodes,
+                controllers=self._controllers,
+                flow_ids=self._ids,
+                pairs=tuple(chain.from_iterable(keys for _, keys in self._entries)),
+                switch_pos=self._codes,
+                controller_pos=self._controller_pos,
+                pair_switch=pair_switch,
+                pair_flow=pair_flow,
+                switch_indptr=indptr,
+                network_pos=np.arange(len(self._ids)),
+                view_rank=rank,
+            )
+        return self._frame
 
     def packed_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Every switch's entries as one CSR over node codes: ``(indptr,
@@ -188,6 +226,7 @@ class GroundingIndex:
                 entries[:, start:stop],
                 tuple((switch, ids[p]) for p in positions[start:stop]),
             )
+        index._filled = True
         return index
 
     def _delay_rows(self, model: DelayModel, codes: list[int]) -> np.ndarray:

@@ -10,18 +10,22 @@ is resolved onto the instance's arrays once (:func:`repro.fmssm.point.
 resolve` — a kernel's solution arrives as positions and is taken as it
 is), and every aggregate — per-flow programmability, per-controller
 load, total delay — is one ``bincount``/gather of its :func:`~repro.
-fmssm.point.tally`.  The evaluation keeps the per-flow array; its
-``programmability`` dict and recoverable-flow set are views built on
-first read.  :func:`evaluate_batch` evaluates many solutions of one
-scenario (the sweep's shape: four algorithms per instance).
+fmssm.point.tally`.  The evaluation keeps the per-flow array
+(:class:`FlowValues`); its ``programmability`` dict and recoverable-flow
+set are views built on first read.  :func:`evaluate_batch` evaluates
+many solutions of one scenario (the sweep's shape: four algorithms per
+instance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
+
+import numpy as np
 
 from repro.exceptions import SolutionError
+from repro.fmssm.arrays import Frame
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.point import (
     Tally,
@@ -34,11 +38,26 @@ from repro.fmssm.solution import Placement, PositionalViews, RecoverySolution
 from repro.types import ControllerId, FlowId, Milliseconds
 
 __all__ = [
+    "FlowValues",
     "RecoveryEvaluation",
     "evaluate_solution",
     "evaluate_batch",
     "verify_solution",
 ]
+
+
+class FlowValues(NamedTuple):
+    """An evaluation's per-flow values as flow positions of ``frame``."""
+
+    frame: Frame
+    #: ``pro^l`` of each listed flow.
+    pro: np.ndarray
+    #: The listed flows, ascending; ``None`` lists every flow of the
+    #: frame (an instance's frame holds just its offline flows, the
+    #: network's frame the whole population).
+    flows: np.ndarray | None
+    #: The recoverable flows.
+    recoverable: np.ndarray
 
 
 @dataclass
@@ -110,13 +129,24 @@ class RecoveryEvaluation(PositionalViews):
 
     _VIEWS: ClassVar[tuple[str, ...]] = ("programmability", "_recoverable_set")
 
-    def _views(self, source) -> dict[str, object]:
-        frame, pro = source
-        flow_ids = frame.flow_ids
+    @classmethod
+    def positional(cls, flow_values: FlowValues, **values) -> RecoveryEvaluation:
+        """An evaluation held as ``flow_values``; ``values`` are its other
+        fields.
+
+        ``programmability`` (the listed flows, in order) and the
+        recoverable-flow set are views of ``flow_values``, built on first
+        read.
+        """
+        return cls._from_positions(flow_values, **values)
+
+    def _views(self, values: FlowValues) -> dict[str, object]:
+        flow_ids, flows = values.frame.flow_ids, values.flows
+        listed = flow_ids if flows is None else map(flow_ids.__getitem__, flows.tolist())
         return {
-            "programmability": dict(zip(flow_ids, pro.tolist())),
+            "programmability": dict(zip(listed, values.pro.tolist())),
             "_recoverable_set": frozenset(
-                map(flow_ids.__getitem__, frame.recoverable_pos.tolist())
+                map(flow_ids.__getitem__, values.recoverable.tolist())
             ),
         }
 
@@ -209,8 +239,8 @@ def _evaluate(
     per_flow = 0.0
     if recovered:
         per_flow = counts.delay / recovered + solution.extra_overhead_ms
-    return RecoveryEvaluation._from_positions(
-        (arrays.frame, pro),
+    return RecoveryEvaluation.positional(
+        FlowValues(arrays.frame, pro, None, arrays.recoverable_pos),
         algorithm=solution.algorithm,
         feasible=feasible,
         least_programmability=counts.least if feasible else 0,

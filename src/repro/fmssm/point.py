@@ -4,7 +4,9 @@
 RecoverySolution` meets its instance: a positional solution over the
 instance's frame is taken as it is, after range and uniqueness checks
 (Eqs. 1 and 2 by position); a dict-built one, or one whose dicts were
-read, is walked once and every entry that does not resolve is named.
+read, is walked once (:func:`resolve_ids`, which the solve store uses
+over the network's frame too) and every entry that does not resolve is
+named.
 Everything downstream reads int arrays: :func:`tally` (programmability
 per flow, load per controller, the delay total, ``r`` and ``obj2``),
 the Eq. 12 and Eq. 14 checks the verifier and the validator share, and
@@ -33,11 +35,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.fmssm.arrays import InstanceArrays
+from repro.fmssm.arrays import Frame, InstanceArrays
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.solution import Placement, RecoverySolution
 
-__all__ = ["FEASIBILITY_TOL", "Point", "Resolved", "Tally", "feasible_point", "resolve", "tally"]
+__all__ = [
+    "FEASIBILITY_TOL",
+    "Point",
+    "Resolved",
+    "Tally",
+    "empty_placement",
+    "feasible_point",
+    "resolve",
+    "resolve_ids",
+    "tally",
+]
 
 #: Slack of every row check, as the compiled form's ``is_feasible_point``.
 FEASIBILITY_TOL = 1e-6
@@ -63,18 +75,29 @@ def resolve(instance: FMSSMInstance, solution: RecoverySolution) -> Resolved:
     """
     arrays = instance.arrays()
     frame = arrays.frame
-    switch_ctrl = np.full(len(arrays.switches), -1, dtype=np.int64)
     if not solution.feasible:
-        empty = np.empty(0, dtype=np.int64)
-        return Resolved(Placement(frame, switch_ctrl, empty, empty), [])
+        return Resolved(empty_placement(frame), [])
     own = solution.positions()
     if own is not None and own.frame is frame:
         return _checked_positions(arrays, own)
-    # Dicts, or positions over another instance: by their ids.
+    # Dicts, or positions over another frame: by their ids.
+    return resolve_ids(frame, solution)
+
+
+def empty_placement(frame: Frame) -> Placement:
+    """Nothing mapped, nothing served."""
+    empty = np.empty(0, dtype=np.int64)
+    return Placement(frame, np.full(len(frame.switches), -1, dtype=np.int64), empty, empty)
+
+
+def resolve_ids(frame: Frame, solution: RecoverySolution) -> Resolved:
+    """The served pairs of a feasible ``solution``'s dicts, by their ids
+    in ``frame``; every entry the frame lacks is named."""
     mapping, sdn_pairs = solution.mapping, solution.sdn_pairs
     overrides = solution.pair_controller
     problems = []
-    switch_pos, controller_pos = arrays.switch_pos, arrays.controller_pos
+    switch_pos, controller_pos = frame.switch_pos, frame.controller_pos
+    switch_ctrl = np.full(len(frame.switches), -1, dtype=np.int64)
     for switch, controller in mapping.items():
         s, c = switch_pos.get(switch), controller_pos.get(controller, -2)
         if s is None:
@@ -91,7 +114,7 @@ def resolve(instance: FMSSMInstance, solution: RecoverySolution) -> Resolved:
             problems.append((
                 "eq2-mapping", f"pair {pair!r} served by non-active controller {controller!r}"
             ))
-    pair_index = arrays.pair_index
+    pair_index = frame.pair_index
     served = []
     for pair in sdn_pairs:
         k = pair_index.get(pair)
@@ -100,9 +123,9 @@ def resolve(instance: FMSSMInstance, solution: RecoverySolution) -> Resolved:
         elif pair in overrides or pair[0] in mapping:
             served.append(k)
     pairs = np.sort(np.array(served, dtype=np.int64))
-    pair_ctrl = switch_ctrl[arrays.pair_switch[pairs]]
+    pair_ctrl = switch_ctrl[frame.pair_switch[pairs]]
     if overrides:
-        keys = arrays.pairs
+        keys = frame.pairs
         for i, k in enumerate(pairs.tolist()):
             if keys[k] in overrides:
                 pair_ctrl[i] = controller_pos.get(overrides[keys[k]], -2)

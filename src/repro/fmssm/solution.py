@@ -60,16 +60,19 @@ class Placement:
         }
 
     def sdn_pairs(self) -> set[tuple[NodeId, FlowId]]:
-        """The served pairs, inserted in pair-position order."""
-        return set(map(self.frame.pairs.__getitem__, self.pairs.tolist()))
+        """The served pairs, inserted in the frame's view order."""
+        listed = self.pairs[self.frame.in_view_order(self.pairs)]
+        return set(map(self.frame.pairs.__getitem__, listed.tolist()))
 
     def pair_controller(self) -> dict[tuple[NodeId, FlowId], ControllerId]:
-        """The :meth:`moved` pairs → their controller, in pair order."""
+        """The :meth:`moved` pairs → their controller, in view order."""
         moved = self.moved()
-        pairs, controllers = self.frame.pairs, self.frame.controllers
+        pairs, ctrl = self.pairs[moved], self.pair_ctrl[moved]
+        order = self.frame.in_view_order(pairs)
+        keys, controllers = self.frame.pairs, self.frame.controllers
         return {
-            pairs[k]: controllers[c]
-            for k, c in zip(self.pairs[moved].tolist(), self.pair_ctrl[moved].tolist())
+            keys[k]: controllers[c]
+            for k, c in zip(pairs[order].tolist(), ctrl[order].tolist())
         }
 
 

@@ -18,7 +18,7 @@ import time
 
 from repro.fmssm.formulation import build_fmssm_model
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.optimal import extract_solution
+from repro.fmssm.optimal import _canonical_objective, extract_solution
 from repro.fmssm.solution import RecoverySolution
 from repro.lp import LinExpr, solve
 
@@ -85,4 +85,8 @@ def solve_two_stage(
     solution = extract_solution(instance, handles2, stage2, algorithm="two-stage")
     solution.solve_time_s = time.perf_counter() - start
     solution.meta["stage1_r"] = round(best_r)
+    # The stage-2 objective is Σ p̄ alone; report the canonical r + λ·obj2
+    # (as the weighted route does) and keep the solver's value beside it.
+    solution.meta["solver_objective"] = stage2.objective
+    solution.meta["objective"] = _canonical_objective(instance, solution)
     return solution

@@ -18,11 +18,25 @@ Scenario keys
     code, or for another network, simply misses.
 
 Positional records
-    :func:`encode_result` stores a solution with its evaluation: ids as
-    they are, flows as positions in the context's flow order, packed
-    into compressed integer columns so a WAN record stays a few
-    kilobytes.  :func:`decode_result` is its exact inverse — JSON
-    round-trips every float — so a replay equals a fresh solve.
+    A record is a set of positions over the context's network frame
+    (:meth:`GroundingIndex.network_frame
+    <repro.fmssm.build.GroundingIndex.network_frame>`: every node, every
+    controller, the flow population and every programmable entry of the
+    filled grounding index).  :func:`encode_result` stores the plan as
+    three int columns — each node's controller position (``-1``
+    unmapped), the served pairs' entry positions ascending, and each
+    served pair's controller position — and the evaluation as the
+    offline flows' population positions, their programmability and the
+    recoverable flows' positions, plus the scalars verbatim.  Columns
+    take the narrowest signed width (ascending positions as their first
+    differences), zlib-compressed and base64'd, so a WAN PM record is
+    ~5 KB.  A hit (:func:`decode_result`) only unpacks the columns and
+    wraps them: the solution and evaluation it returns are positional,
+    and their ``mapping``/``sdn_pairs``/``pair_controller``/
+    ``programmability`` dicts are built the first time a caller reads
+    one — listing pairs flow-major and flows in population order, as
+    replays always have.
+    JSON round-trips every float, so a replay equals a fresh solve.
 
 Sharded, checksummed record store
     :class:`SolveStore` appends JSON records to ``shards`` JSONL files
@@ -54,13 +68,16 @@ import platform
 import tempfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.control.failures import FailureScenario
-from repro.fmssm.solution import RecoverySolution
+from repro.exceptions import SolutionError
+from repro.fmssm.arrays import Frame
+from repro.fmssm.point import empty_placement, resolve_ids
+from repro.fmssm.solution import Placement, RecoverySolution
 
 __all__ = [
     "NetworkKey",
@@ -107,21 +124,13 @@ def code_identity() -> str:
 
 @dataclass(frozen=True)
 class NetworkKey:
-    """What the store needs of one context, computed once per context.
-
-    ``digest`` covers every grounding input (see :func:`network_key`);
-    ``flow_ids`` / ``flow_pos`` translate between flow ids and their
-    positions in the context's flow order, which records store.
-    ``pairs`` holds one tuple per decoded ``(switch, flow id)`` pair, so
-    every replayed solution of the network shares them — as solutions
-    grounded from one index share its pair keys — instead of holding
-    its own copies.
-    """
+    """What the store keys one context's network by, computed once per
+    context: ``digest`` covers every grounding input (see
+    :func:`network_key`).  Records are positions of the context's
+    network frame (:func:`encode_result`), which the grounding index
+    builds."""
 
     digest: str
-    flow_ids: tuple
-    flow_pos: dict
-    pairs: dict = field(default_factory=dict, compare=False)
 
 
 def network_key(context) -> NetworkKey:
@@ -160,12 +169,7 @@ def network_key(context) -> NetworkKey:
         )),
         context.delay_model.mode,
     )).encode()
-    flow_ids = tuple(flow.flow_id for flow in context.flows)
-    cached = NetworkKey(
-        digest=hashlib.sha256(blob).hexdigest()[:32],
-        flow_ids=flow_ids,
-        flow_pos={flow_id: k for k, flow_id in enumerate(flow_ids)},
-    )
+    cached = NetworkKey(digest=hashlib.sha256(blob).hexdigest()[:32])
     context._network_key = cached
     return cached
 
@@ -209,48 +213,39 @@ def solve_key(
 
 
 # ----------------------------------------------------------------------
-# Records: solution + evaluation, flows as positions
+# Records: solution + evaluation as positions of the network frame
 # ----------------------------------------------------------------------
 
 def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
     """``solution`` and its ``evaluation`` as a JSON-safe store record.
 
-    Flow-indexed fields — the SDN pairs, the per-pair controller
-    overrides, per-flow programmability and the recoverable-flow set —
-    are sorted by flow position and stored as packed columns; everything
-    else is ids and scalars copied verbatim.  ``meta`` is label-free
-    scalars by contract, so it needs no translation.  A solution and
-    evaluation held as positions over a grounded instance are packed from
-    them (their flows' network positions), building none of their dicts.
+    The plan is stored as its :class:`~repro.fmssm.solution.Placement`
+    over the context's network frame — the controller position of every
+    node, the served pairs' entry positions and their controllers — and
+    the evaluation as the offline flows' network positions, their
+    programmability and the recoverable flows' positions, each an int
+    column (:func:`_pack_ints`; ascending positions as their steps,
+    :func:`_pack_positions`); everything else is ids and scalars copied
+    verbatim.  ``meta`` is label-free scalars by contract, so it
+    needs no translation.
+
+    A solution held as positions over a grounded instance is gathered
+    through the instance's entry map, and a decoded one is stored as it
+    is; a dict-built one (pool results, the MILP's extract, a caller's
+    own) is resolved by id with :func:`~repro.fmssm.point.resolve_ids`
+    onto the same columns.  Only served pairs are recorded: an SDN pair
+    no controller serves, or a per-pair controller equal to its
+    switch's mapping, is not part of the plan.
     """
-    network = network_key(context)
-    placement, flow_values = solution.positions(), evaluation.positions()
-    if placement is None or placement.frame.network_pos is None:
-        pos = network.flow_pos
-        mapping, pairs, over = solution.mapping, solution.sdn_pairs, solution.pair_controller
-        sdn = ([pos[f] for _, f in pairs], [s for s, _ in pairs])
-        moved = ([pos[f] for _, f in over], [s for s, _ in over], list(over.values()))
-    else:
-        frame, served, mask = placement.frame, placement.pairs, placement.moved()
-        flows = frame.network_pos[frame.pair_flow[served]]
-        switches = np.asarray(frame.switches)[frame.pair_switch[served]]
-        controllers = np.asarray(frame.controllers)[placement.pair_ctrl[mask]]
-        mapping, sdn = placement.mapping(), (flows, switches)
-        moved = (flows[mask], switches[mask], controllers)
-    if flow_values is None or flow_values[0].network_pos is None:
-        pos, values = network.flow_pos, evaluation.programmability
-        pro = ([pos[f] for f in values], list(values.values()))
-        recoverable = [pos[f] for f in evaluation._recoverable_set]
-    else:
-        frame, values = flow_values
-        flows = frame.network_pos
-        pro, recoverable = (flows, values), flows[frame.recoverable_pos]
+    network = _network_frame(context)
+    placement = _network_placement(network, solution)
+    flows, pro, recoverable = _network_values(network, evaluation)
     return {
         "solution": {
             "algorithm": solution.algorithm,
-            "mapping": sorted(mapping.items()),
-            "sdn_pairs": _pack_sorted(*sdn),
-            "pair_controller": _pack_sorted(*moved),
+            "switch_ctrl": _pack_ints(placement.switch_ctrl),
+            "pairs": _pack_positions(placement.pairs),
+            "pair_ctrl": _pack_ints(placement.pair_ctrl),
             "extra_overhead_ms": solution.extra_overhead_ms,
             "load_override": (
                 None
@@ -263,8 +258,9 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
         },
         "evaluation": {
             "feasible": evaluation.feasible,
-            "programmability": _pack_sorted(*pro),
-            "recoverable": _pack_ints(np.sort(recoverable)),
+            "flows": _pack_positions(flows),
+            "programmability": _pack_ints(pro),
+            "recoverable": _pack_positions(recoverable),
             "least": evaluation.least_programmability,
             "total": evaluation.total_programmability,
             "recovered_flows": evaluation.recovered_flows,
@@ -285,33 +281,26 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
 def decode_result(context, record: dict):
     """``(solution, evaluation)`` from an :func:`encode_result` record.
 
-    Reads only ``context``'s :class:`NetworkKey` — never its instances —
-    and returns fresh, independently mutable objects on every call.
-    ``solve_time_s`` replays the stored wall clock (same policy as
-    checkpoint resume).
+    Unpacks the record's int columns and wraps them as positions of the
+    context's network frame — no instance is read and no per-pair or
+    per-flow object is built until a caller reads a dict view, which
+    lists pairs flow-major and flows in population order.  Every call
+    returns fresh, independently mutable objects.  ``solve_time_s``
+    replays the stored wall clock (same policy as checkpoint resume).
     """
-    from repro.fmssm.evaluation import RecoveryEvaluation
+    from repro.fmssm.evaluation import FlowValues, RecoveryEvaluation
 
-    network = network_key(context)
-    flow = network.flow_ids.__getitem__
-
-    def pairs(flows: list[int], switches: list[int]):
-        """The ``(switch, flow id)`` pairs, as the network's shared tuples."""
-        for pair in zip(switches, map(flow, flows)):
-            yield network.pairs.setdefault(pair, pair)
-
+    network = _network_frame(context)
     sol, ev = record["solution"], record["evaluation"]
-    over_flows, over_switches, over_controllers = map(
-        _unpack_ints, sol["pair_controller"]
+    placement = Placement(
+        network,
+        _unpack_ints(sol["switch_ctrl"]),
+        _unpack_positions(sol["pairs"]),
+        _unpack_ints(sol["pair_ctrl"]),
     )
-    prog_flows, prog_values = map(_unpack_ints, ev["programmability"])
-    solution = RecoverySolution(
+    solution = RecoverySolution.positional(
+        placement,
         algorithm=str(sol["algorithm"]),
-        mapping=dict(sol["mapping"]),
-        sdn_pairs=set(pairs(*map(_unpack_ints, sol["sdn_pairs"]))),
-        pair_controller=dict(zip(
-            pairs(over_flows, over_switches), over_controllers
-        )),
         extra_overhead_ms=sol["extra_overhead_ms"],
         load_override=(
             None if sol["load_override"] is None else dict(sol["load_override"])
@@ -320,10 +309,15 @@ def decode_result(context, record: dict):
         feasible=bool(sol["feasible"]),
         meta=dict(sol["meta"]),
     )
-    evaluation = RecoveryEvaluation(
+    evaluation = RecoveryEvaluation.positional(
+        FlowValues(
+            network,
+            _unpack_ints(ev["programmability"]),
+            _unpack_positions(ev["flows"]),
+            _unpack_positions(ev["recoverable"]),
+        ),
         algorithm=solution.algorithm,
         feasible=bool(ev["feasible"]),
-        programmability=dict(zip(map(flow, prog_flows), prog_values)),
         least_programmability=ev["least"],
         total_programmability=ev["total"],
         recovered_flows=ev["recovered_flows"],
@@ -337,49 +331,104 @@ def decode_result(context, record: dict):
         per_flow_overhead_ms=ev["per_flow_overhead_ms"],
         objective=ev["objective"],
         solve_time_s=ev["solve_time_s"],
-        _recoverable_set=frozenset(map(flow, _unpack_ints(ev["recoverable"]))),
     )
     return solution, evaluation
 
 
-def _pack_sorted(*columns: list[int]) -> list[dict[str, str]]:
-    """Parallel int columns, rows sorted by the first column, then the
-    second, ..., each packed with :func:`_pack_ints`.  (Sorting arrays,
-    not row tuples, spares the garbage collector a tuple per flow.)
+def _network_frame(context) -> Frame:
+    """The frame records are positions of: the context's filled index's."""
+    return context.materialize_table().network_frame()
+
+
+def _network_placement(network: Frame, solution: RecoverySolution) -> Placement:
+    """``solution``'s served plan as positions of ``network``."""
+    if not solution.feasible:
+        return empty_placement(network)
+    own = solution.positions()
+    if own is not None and own.frame is network:
+        return own
+    if own is not None and own.frame.network_pos is not None:
+        frame = own.frame
+        # Instance controller position -> network position; -1 stays -1.
+        ctrl = np.array(
+            [network.controller_pos[c] for c in frame.controllers] + [-1], dtype=np.int64
+        )
+        switch_ctrl = np.full(len(network.switches), -1, dtype=np.int64)
+        switch_ctrl[list(map(network.switch_pos.__getitem__, frame.switches))] = ctrl[
+            own.switch_ctrl
+        ]
+        return Placement(
+            network, switch_ctrl, frame.entries(network)[own.pairs], ctrl[own.pair_ctrl]
+        )
+    placement, problems = resolve_ids(network, solution)
+    if problems:
+        raise SolutionError(f"cannot store {solution.algorithm!r}: {problems[0][1]}")
+    return placement
+
+
+def _network_values(network: Frame, evaluation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``evaluation``'s listed flows (ascending network positions), their
+    programmability and the recoverable flows' network positions."""
+    own = evaluation.positions()
+    if own is not None and own.frame.network_pos is not None:
+        positions = own.frame.network_pos
+        flows = positions if own.flows is None else positions[own.flows]
+        return flows, own.pro, np.sort(positions[own.recoverable])
+    flow_pos = network.flow_pos.__getitem__
+    values = evaluation.programmability
+    flows = np.fromiter(map(flow_pos, values), dtype=np.int64, count=len(values))
+    order = np.argsort(flows, kind="stable")
+    pro = np.fromiter(values.values(), dtype=np.int64, count=len(values))
+    recoverable = np.fromiter(map(flow_pos, evaluation._recoverable_set), dtype=np.int64)
+    return flows[order], pro[order], np.sort(recoverable)
+
+
+def _pack_positions(positions: np.ndarray) -> dict[str, str]:
+    """Ascending positions as :func:`_pack_ints` of their first
+    differences: runs of small steps, which pack narrow and compress well."""
+    positions = np.asarray(positions, dtype=np.int64)
+    steps = np.empty_like(positions)
+    steps[:1] = positions[:1]
+    np.subtract(positions[1:], positions[:-1], out=steps[1:])
+    return _pack_ints(steps)
+
+
+def _pack_ints(values: np.ndarray) -> dict[str, str]:
+    """An int column as ``{"d": dtype, "b": base64}`` — one JSON token.
+
+    Columns run to thousands of elements; as JSON lists they would cost
+    more to parse than the solves they memoize.  The column is stored in
+    the narrowest little-endian signed width that holds it,
+    zlib-compressed at level 1 (higher levels save little on these
+    columns and cost several times the time).
     """
-    arrays = [np.asarray(column, dtype=np.int64) for column in columns]
-    order = np.lexsort(arrays[::-1])
-    return [_pack_ints(array[order]) for array in arrays]
-
-
-def _pack_ints(values) -> dict[str, str]:
-    """An int sequence as ``{"d": dtype, "b": base64}`` — one JSON token.
-
-    Flow-position columns run to thousands of elements; as JSON lists
-    they would cost more to parse than the solves they memoize.  The
-    column is stored as first differences (sorted positions become runs
-    of small steps) in the narrowest little-endian signed width that
-    holds them, zlib-compressed: a WAN PM record shrinks from ~27 KB of
-    plain packed columns to ~7 KB.
-    """
-    array = np.diff(np.asarray(values, dtype=np.int64), prepend=0)
-    dtype = "<i8"
-    for narrow in ("<i1", "<i2", "<i4"):
-        info = np.iinfo(narrow)
-        if array.size == 0 or (
-            array.min() >= info.min and array.max() <= info.max
-        ):
-            dtype = narrow
-            break
-    raw = zlib.compress(array.astype(dtype).tobytes())
+    values = np.asarray(values, dtype=np.int64)
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    dtype = next(name for name, lo, hi in _WIDTHS if lo <= low and high <= hi)
+    raw = zlib.compress(values.astype(dtype).tobytes(), 1)
     return {"d": dtype, "b": base64.b64encode(raw).decode("ascii")}
 
 
-def _unpack_ints(blob: dict[str, str]) -> list[int]:
+#: The little-endian signed widths a column may take, narrowest first.
+_WIDTHS = tuple(
+    (name, int(np.iinfo(name).min), int(np.iinfo(name).max))
+    for name in ("<i1", "<i2", "<i4", "<i8")
+)
+
+
+def _unpack_positions(blob: dict[str, str]) -> np.ndarray:
+    return np.cumsum(_column(blob), dtype=np.int64)
+
+
+def _unpack_ints(blob: dict[str, str]) -> np.ndarray:
+    return _column(blob).astype(np.int64)
+
+
+def _column(blob: dict[str, str]) -> np.ndarray:
     # binascii directly: base64.b64decode's wrapper costs more than the
     # decode itself at this call rate.
     raw = zlib.decompress(binascii.a2b_base64(blob["b"]))
-    return np.cumsum(np.frombuffer(raw, dtype=blob["d"]), dtype=np.int64).tolist()
+    return np.frombuffer(raw, dtype=blob["d"])
 
 
 # ----------------------------------------------------------------------

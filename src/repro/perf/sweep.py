@@ -145,8 +145,13 @@ class SweepPlan:
         return instance
 
 
+#: Exact solves of P′: their answers must honor the delay bound (Eq. 14),
+#: which flow-level heuristics legitimately trade off.  Decided from the
+#: requested algorithm (a two-stage answer is named ``"two-stage"``).
+_EXACT_ALGORITHMS = frozenset({"optimal", "optimal-two-stage"})
+
 #: Algorithms whose per-task cost dwarfs pool overhead (exact solves).
-_HEAVY_ALGORITHMS = frozenset({"optimal", "optimal-two-stage", "retroflow-ip"})
+_HEAVY_ALGORITHMS = _EXACT_ALGORITHMS | {"retroflow-ip"}
 
 #: Below this many heuristic-only tasks, pool startup cannot pay off.
 _MIN_PARALLEL_TASKS = 64
@@ -177,8 +182,7 @@ def _solve(
     if validate:
         from repro.resilience.validate import check_solution
 
-        # Flow-level baselines legitimately trade the delay bound off.
-        check_solution(instance, solution, enforce_delay=False)
+        check_solution(instance, solution, enforce_delay=algorithm in _EXACT_ALGORITHMS)
     return solution, None
 
 
@@ -375,7 +379,7 @@ class _SweepRunner:
             self._grounded[index] = self.context.instance(self.scenarios[index])
         return self._grounded[index]
 
-    def _hit_solution(self, index: int, solution) -> bool:
+    def _hit_solution(self, index: int, algorithm: str, solution) -> bool:
         """Whether a store hit passes the independent validator.
 
         Runs only when the sweep itself runs with ``validate=True`` —
@@ -383,17 +387,18 @@ class _SweepRunner:
         only then grounds the scenario.  Keys already pin the network
         and the code, and records are checksummed, so this is the
         caller's extra assurance rather than a guard against a foreign
-        store.  Exact solves must honor the delay bound, flow-level
-        baselines legitimately trade it off.  An invalid hit is treated
-        as a miss.
+        store.  Answers of the requested ``algorithm`` are held to the
+        delay bound exactly when fresh ones are (:data:`_EXACT_ALGORITHMS`).
+        An invalid hit is treated as a miss.
         """
         if not self.validate or not solution.feasible:
             return True
         from repro.resilience.validate import validate_solution
 
-        enforce_delay = solution.algorithm in ("optimal", "optimal-two-stage")
         return validate_solution(
-            self._probe_instance(index), solution, enforce_delay=enforce_delay
+            self._probe_instance(index),
+            solution,
+            enforce_delay=algorithm in _EXACT_ALGORITHMS,
         ).ok
 
     def _clean_for_store(self, result, solution) -> bool:
@@ -436,7 +441,7 @@ class _SweepRunner:
                 )
                 if record is not None:
                     solution, evaluation = decode_result(self.context, record)
-                    if self._hit_solution(index, solution):
+                    if self._hit_solution(index, algorithm, solution):
                         provenance["hits"].append(algorithm)
                         self._store(index, algorithm, solution, evaluation,
                                     None)

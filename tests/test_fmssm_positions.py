@@ -253,16 +253,18 @@ class TestRequestsStayPositional:
         context = wan72_context()
         scenario = next(iter(enumerate_failure_scenarios(context.plane, 2)))
         result = run_scenario(context, scenario, ("pm",))
-        arrays = context.instance(scenario).arrays()
-        assert "pair_index" not in arrays.__dict__ and "flow_pos" not in arrays.__dict__
+        frame = context.instance(scenario).arrays().frame
+        assert "pair_index" not in frame.__dict__ and "flow_pos" not in frame.__dict__
+        # Nor the store's network frame or the instance's entry map.
+        assert context._grounding._frame is None and "_entries" not in frame.__dict__
         assert result.solutions["pm"].positions() is not None
         assert result.evaluations["pm"].positions() is not None
 
     def test_att_paper_algorithms(self, att_context):
         scenario = FailureScenario(frozenset({6}))
         result = run_scenario(att_context, scenario, ("optimal", "retroflow", "pg", "pm", "nearest"))
-        arrays = att_context.instance(scenario).arrays()
-        assert "pair_index" not in arrays.__dict__ and "flow_pos" not in arrays.__dict__
+        frame = att_context.instance(scenario).arrays().frame
+        assert "pair_index" not in frame.__dict__ and "flow_pos" not in frame.__dict__
         assert all(s.positions() is not None for s in result.solutions.values())
 
     def test_store_record_from_positions(self, att_context):

@@ -12,6 +12,7 @@ never to wrong answers.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -238,8 +239,83 @@ class TestCodeIdentity:
 
 
 # ----------------------------------------------------------------------
-# Record codec round-trip (flows as positions in the context's flow order)
+# Record codec round-trip (positions of the context's network frame)
 # ----------------------------------------------------------------------
+
+#: The codec's record set: (context name, failures, algorithms).  Exact
+#: solves that need the MILP are dict-built answers; of the four on ATT
+#: two-failure scenarios only the quickest, (5, 20) at ~2 s, is kept
+#: (the other three take ~33 s together).
+CODEC_CASES = (
+    ("att", 1, FAST_ALGORITHMS + ("optimal",)),
+    ("att", 2, FAST_ALGORITHMS + ("optimal",)),
+    ("wan", 1, FAST_ALGORITHMS),
+    ("wan", 2, FAST_ALGORITHMS),
+)
+
+
+@pytest.fixture(scope="module")
+def codec_records(att_context):
+    """``(context, solution, evaluation, record)`` for every case of
+    :data:`CODEC_CASES`; the solutions and evaluations are the fresh,
+    positional ones (tests read their views only through copies)."""
+    from test_grounding_index import wan72_context
+
+    from repro.control.failures import enumerate_failure_scenarios
+
+    from repro.fmssm.optimal import _seed
+
+    contexts = {"att": att_context, "wan": wan72_context()}
+    out = []
+    for name, failures, algorithms in CODEC_CASES:
+        context = contexts[name]
+        for scenario in enumerate_failure_scenarios(context.plane, failures):
+            instance = context.instance(scenario)
+            for algorithm in algorithms:
+                if algorithm == "optimal" and not (
+                    _seed(instance, True, True).precert or scenario.failed == {5, 20}
+                ):
+                    continue
+                solution = get_algorithm(algorithm)(instance)
+                evaluation = evaluate_solution(instance, solution)
+                record = json.loads(json.dumps(encode_result(context, solution, evaluation)))
+                out.append((context, solution, evaluation, record))
+    return out
+
+
+def replay_views(context, solution, evaluation) -> tuple:
+    """The dict views a replay lists, in their iteration order.
+
+    The view-order rule, stated independently of the codec: switches
+    and controllers by id; pairs flow-major, by (flow position in the
+    context's population, switch); flows by population position.
+    Read through copies, so positional arguments stay positional.
+    """
+    solution, evaluation = copy.copy(solution), copy.copy(evaluation)
+    flow_pos = {flow.flow_id: k for k, flow in enumerate(context.flows)}
+
+    def pair_key(pair):
+        return flow_pos[pair[1]], pair[0]
+
+    return (
+        sorted(solution.mapping.items()),
+        list(set(sorted(solution.sdn_pairs, key=pair_key))),
+        sorted(solution.pair_controller.items(), key=lambda item: pair_key(item[0])),
+        sorted(evaluation.programmability.items(), key=lambda item: flow_pos[item[0]]),
+        list(frozenset(sorted(evaluation._recoverable_set, key=flow_pos.__getitem__))),
+    )
+
+
+def views_of(solution, evaluation) -> tuple:
+    """``solution``'s and ``evaluation``'s dict views as iterated."""
+    return (
+        list(solution.mapping.items()),
+        list(solution.sdn_pairs),
+        list(solution.pair_controller.items()),
+        list(evaluation.programmability.items()),
+        list(evaluation._recoverable_set),
+    )
+
 
 class TestCanonicalRoundTrip:
     """A record decodes to exactly the solution and evaluation encoded."""
@@ -309,6 +385,65 @@ class TestCanonicalRoundTrip:
         )
         assert len(solution.sdn_pairs) > 1000
         assert len(line) < 10_000
+
+    def test_decoded_stays_positional_until_read(self, codec_records):
+        for context, solution, evaluation, record in codec_records:
+            restored, restored_eval = decode_result(context, record)
+            assert restored.positions() is not None
+            assert restored_eval.positions() is not None
+            assert restored == copy.copy(solution)  # equality reads every view
+            assert restored.positions() is None
+            assert restored_eval.positions() is not None
+            assert views_of(restored, restored_eval) == replay_views(
+                context, solution, evaluation
+            ), solution.algorithm
+            assert restored_eval == copy.copy(evaluation)
+            assert restored_eval.positions() is None
+
+    def test_reencoding_a_replay_is_the_identity(self, codec_records):
+        for context, _, _, record in codec_records:
+            restored, restored_eval = decode_result(context, record)
+            again = json.loads(json.dumps(encode_result(context, restored, restored_eval)))
+            assert again == record
+            # Reading the views does not change what is stored either.
+            assert views_of(restored, restored_eval) == replay_views(
+                context, restored, restored_eval
+            )
+            again = json.loads(json.dumps(encode_result(context, restored, restored_eval)))
+            assert again == record
+
+    def test_dict_twin_encodes_alike(self, codec_records):
+        from test_fmssm_positions import dict_copy
+
+        for context, solution, evaluation, record in codec_records:
+            positions = solution.positions()  # None for a MILP answer
+            twin, twin_eval = dict_copy(solution), copy.copy(evaluation)
+            assert twin.positions() is None and twin_eval.positions() is None
+            assert json.loads(json.dumps(encode_result(context, twin, twin_eval))) == record
+            assert solution.positions() is positions
+            restored = decode_result(context, record)
+            assert views_of(*restored) == replay_views(context, twin, twin_eval)
+
+    def test_mutated_view_is_stored_not_stale_positions(self, codec_records):
+        mutated_any = False
+        for context, solution, evaluation, record in codec_records:
+            restored, restored_eval = decode_result(context, record)
+            if not restored.sdn_pairs:
+                continue
+            # The read dropped the positions; drop one served pair.
+            pair = min(restored.sdn_pairs)
+            restored.sdn_pairs.discard(pair)
+            restored.pair_controller.pop(pair, None)
+            if not any(s == pair[0] for s, _ in restored.sdn_pairs):
+                restored.mapping.pop(pair[0], None)
+            stored = json.loads(json.dumps(encode_result(context, restored, restored_eval)))
+            assert stored["solution"] != record["solution"]
+            assert stored["evaluation"] == record["evaluation"]
+            replayed = decode_result(context, stored)
+            assert views_of(*replayed) == replay_views(context, restored, restored_eval)
+            assert replayed[0] == restored
+            mutated_any = True
+        assert mutated_any
 
 
 # ----------------------------------------------------------------------
@@ -495,6 +630,42 @@ class TestSweepIntegration:
         summary = store_summary(warm)
         assert summary["hits"] == len(ring_scenarios) * len(FAST_ALGORITHMS)
         assert summary["misses"] == 0
+
+    def test_two_stage_replays_under_validation(
+        self, tmp_path, small_context, monkeypatch
+    ):
+        """A validated two-stage solve is stored, and replays as a hit
+        that is held to the delay bound as the fresh solve was."""
+        from repro.resilience import validate as validate_mod
+
+        delay_flags = []
+        validate = validate_mod.validate_solution
+
+        def spy(instance, solution, enforce_delay=True, **kwargs):
+            delay_flags.append(enforce_delay)
+            return validate(instance, solution, enforce_delay=enforce_delay, **kwargs)
+
+        monkeypatch.setattr(validate_mod, "validate_solution", spy)
+        scenarios = (FailureScenario(frozenset({3})),)
+
+        def sweep():
+            return parallel_sweep(
+                small_context, scenarios, ("optimal-two-stage",),
+                max_workers=1, store=SolveStore(tmp_path), validate=True,
+            )
+
+        cold = sweep()
+        assert store_summary(cold) == {"scenarios": 1, "hits": 0, "misses": 1}
+        solution = cold[0].solutions["optimal-two-stage"]
+        evaluation = cold[0].evaluations["optimal-two-stage"]
+        assert solution.algorithm == "two-stage"
+        assert solution.meta["objective"] == evaluation.objective
+        assert solution.meta["solver_objective"] == evaluation.total_programmability
+        warm = sweep()
+        assert store_summary(warm) == {"scenarios": 1, "hits": 1, "misses": 0}
+        assert_sweeps_identical(cold, warm)
+        assert warm[0].solutions["optimal-two-stage"].meta == solution.meta
+        assert delay_flags == [True, True]  # the fresh solve, then the hit
 
     def test_all_hit_replay_never_grounds(
         self, tmp_path, ring_context, ring_scenarios, ring_serial, monkeypatch
