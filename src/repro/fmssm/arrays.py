@@ -42,7 +42,9 @@ class Frame:
 
     switches: tuple[NodeId, ...]
     controllers: tuple[ControllerId, ...]
-    flow_ids: tuple[FlowId, ...]
+    #: The ids ``network_pos`` indexes (the frame's own flows when it is
+    #: ``None``); ``flow_ids`` below is built from them on first read.
+    population_ids: tuple[FlowId, ...]
     pairs: tuple[tuple[NodeId, FlowId], ...]
     switch_pos: dict[NodeId, int]
     controller_pos: dict[ControllerId, int]
@@ -58,6 +60,13 @@ class Frame:
     #: ``(flow position, switch)``, the order store records have always
     #: replayed in.
     view_rank: np.ndarray | None = None
+
+    @cached_property
+    def flow_ids(self) -> tuple[FlowId, ...]:
+        """The id of each flow position."""
+        if self.network_pos is None:
+            return self.population_ids
+        return tuple(map(self.population_ids.__getitem__, self.network_pos.tolist()))
 
     @cached_property
     def flow_pos(self) -> dict[FlowId, int]:
@@ -106,12 +115,24 @@ class InstanceArrays:
     in ``instance.pairs`` (lexicographic) order.  All of the first two
     and the pair order are sorted by id, which is what makes
     first-occurrence argmax/argmin tie-breaking equal id tie-breaking.
+
+    What grounding builds eagerly, and what on first read:
+    :func:`build_arrays` builds what PM, the evaluator and the exact
+    solver's certificate read on every request — the fields below
+    (``flow_pairs``, one ``bincount`` of ``pair_flow``, gives
+    ``recoverable_pos`` and the instance's ``total_iterations``) and the
+    sequential kernels' list views (:func:`seq_lists`), but no per-flow
+    or per-pair Python object.  ``flow_ids`` (the frame's) is gathered
+    from the network's ids through ``network_pos`` on first read;
+    ``flow_sorted``, ``flow_indptr`` and ``pbar_desc``, which only PG
+    and PM's greedy phase 2 read, are sorted on first read.  Hand-built
+    and grounded instances take the same route.
     """
 
-    #: Public id tuples (references into the instance).
+    #: Public id tuples (references into the instance and the network).
     switches: tuple[NodeId, ...]
     controllers: tuple[ControllerId, ...]
-    flow_ids: tuple[FlowId, ...]
+    population_ids: tuple[FlowId, ...]
     pairs: tuple[tuple[NodeId, FlowId], ...]
     #: Position lookups (``flow_pos`` and ``pair_index`` below are the
     #: frame's, built on first read: only dict-built solutions need them).
@@ -134,18 +155,13 @@ class InstanceArrays:
     #: are ``switch_indptr[s]:switch_indptr[s+1]`` (pairs are
     #: switch-major because ``instance.pairs`` sorts lexicographically).
     switch_indptr: np.ndarray
-    #: Pair indices grouped by flow position, within each flow in
-    #: (-p̄, switch) order — PG's per-flow greedy order (int64[P]).
-    flow_sorted: np.ndarray
-    flow_indptr: np.ndarray
+    #: Programmable pairs per flow position (int64[L]).
+    flow_pairs: np.ndarray
     #: Per-flow maximum programmability (int64[L]).
     flow_max_pro: np.ndarray
     #: Flow positions of ``instance.recoverable_flows`` — ascending
     #: flow-id order, *not* necessarily ascending position (int64[R]).
     recoverable_pos: np.ndarray
-    #: All pair indices in (-p̄, pair) order — the saturation scans'
-    #: shared ordering (int64[P]).
-    pbar_desc: np.ndarray
     #: Positions of the flows in the network's flow population, when the
     #: instance was grounded from one (``None`` for a hand-built one).
     network_pos: np.ndarray | None
@@ -158,12 +174,37 @@ class InstanceArrays:
         return int(self.pair_switch.size)
 
     @property
+    def n_flows(self) -> int:
+        return int(self.flow_pairs.size)
+
+    @property
+    def flow_ids(self) -> tuple[FlowId, ...]:
+        return self.frame.flow_ids
+
+    @property
     def flow_pos(self) -> dict[FlowId, int]:
         return self.frame.flow_pos
 
     @property
     def pair_index(self) -> dict[tuple[NodeId, FlowId], int]:
         return self.frame.pair_index
+
+    @cached_property
+    def flow_sorted(self) -> np.ndarray:
+        """Pair indices grouped by flow position, within each flow in
+        (-p̄, switch) order — PG's per-flow greedy order (int64[P])."""
+        # The np.arange key keeps ascending pair index (= switch) among equal p̄.
+        return np.lexsort((np.arange(self.n_pairs), -self.pair_pbar, self.pair_flow))
+
+    @cached_property
+    def flow_indptr(self) -> np.ndarray:
+        """CSR bounds of each flow position's run in ``flow_sorted``."""
+        return np.concatenate(([0], np.cumsum(self.flow_pairs)))
+
+    @cached_property
+    def pbar_desc(self) -> np.ndarray:
+        """All pair indices in (-p̄, pair) order — the saturation scans'."""
+        return np.argsort(-self.pair_pbar, kind="stable")
 
     @cached_property
     def frame(self) -> Frame:
@@ -173,7 +214,7 @@ class InstanceArrays:
 def build_arrays(
     switches: tuple[NodeId, ...],
     controllers: tuple[ControllerId, ...],
-    flow_ids: tuple[FlowId, ...],
+    population_ids: tuple[FlowId, ...],
     flow_rank: np.ndarray,
     pairs: tuple[tuple[NodeId, FlowId], ...],
     spare: np.ndarray,
@@ -188,28 +229,20 @@ def build_arrays(
 
     ``flow_rank`` orders the flow positions by flow id (any array whose
     ascending order is the flow-id order); ``network_pos`` places the
-    flows in the network's population, or is ``None``.  The list views
-    of the sequential kernels (:func:`seq_lists`) are built here too, so
-    a grounded instance arrives with its kernel prep done.
+    flows in the network's population of ids ``population_ids``, or is
+    ``None`` (the ids are then the flows' own).  The list views of the
+    sequential kernels (:func:`seq_lists`) are built here too, so a
+    grounded instance arrives with its kernel prep done.
     """
     n = len(switches)
-    n_flows = len(flow_ids)
-    n_pairs = len(pairs)
-    # Flow-major pair grouping, within a flow by (-p̄, switch): the
-    # trailing np.arange key keeps ascending pair index (= ascending
-    # switch id, pairs being lexicographic) among equal p̄.
-    flow_sorted = np.lexsort((np.arange(n_pairs), -pair_pbar, pair_flow))
-    flow_indptr = np.searchsorted(pair_flow[flow_sorted], np.arange(n_flows + 1))
-    flow_max_pro = (
-        np.bincount(pair_flow, weights=pair_pbar, minlength=n_flows).astype(np.int64)
-        if n_pairs
-        else np.zeros(n_flows, dtype=np.int64)
-    )
-    has_pairs = np.flatnonzero(np.diff(flow_indptr))
+    n_flows = flow_rank.size
+    flow_pairs = np.bincount(pair_flow, minlength=n_flows)
+    flow_max_pro = np.bincount(pair_flow, weights=pair_pbar, minlength=n_flows).astype(np.int64)
+    has_pairs = np.flatnonzero(flow_pairs)
     arrays = InstanceArrays(
         switches=switches,
         controllers=controllers,
-        flow_ids=flow_ids,
+        population_ids=population_ids,
         pairs=pairs,
         switch_pos=dict(zip(switches, range(n))),
         controller_pos=dict(zip(controllers, range(len(controllers)))),
@@ -221,11 +254,9 @@ def build_arrays(
         pair_flow=pair_flow,
         pair_pbar=pair_pbar,
         switch_indptr=np.searchsorted(pair_switch, np.arange(n + 1)),
-        flow_sorted=flow_sorted,
-        flow_indptr=flow_indptr,
+        flow_pairs=flow_pairs,
         flow_max_pro=flow_max_pro,
         recoverable_pos=has_pairs[np.argsort(flow_rank[has_pairs], kind="stable")],
-        pbar_desc=np.argsort(-pair_pbar, kind="stable"),
         network_pos=network_pos,
     )
     seq_lists(arrays)
@@ -239,39 +270,37 @@ def seq_lists(arrays: InstanceArrays) -> tuple:
     sequential over WAN-small populations, where per-call numpy
     dispatch costs more than the arithmetic — so their inner loops run
     on position-indexed Python lists, materialized here once per
-    instance: per-pair switch/flow/p̄ columns, the switch CSR bounds,
-    each flow's pair-switch adjacency (for the incremental level
-    counts), the delay-ordered controller rows, the delay matrix, and
-    per-switch ``(pair, flow, p̄)`` triples for PM's candidate scan.
-    The adjacency is only iterated, so each flow's entry is a tuple of
-    ints, which the collector stops tracking after its first pass; a
-    list would stay tracked for as long as a plan holds the instance.
+    instance: per-pair switch/flow/p̄ columns (PM scans a switch's
+    slice of them), the switch CSR bounds, each flow's pair-switch
+    adjacency (for the incremental level counts), the delay-ordered
+    controller rows, gamma and the delay matrix.  The adjacency is
+    ``None`` for a flow with fewer than two pairs: one pair pairs only
+    with the switch being scanned, which PM decrements directly.  Each
+    other entry is a tuple of ints, which the collector stops tracking
+    after its first pass; a list would stay tracked for as long as a
+    plan holds the instance.
     """
     cached = arrays.cache.get("seq_lists")
     if cached is None:
-        flow_indptr = arrays.flow_indptr.tolist()
-        switches_by_flow = arrays.pair_switch[arrays.flow_sorted].tolist()
-        ps_list = arrays.pair_switch.tolist()
-        pf_list = arrays.pair_flow.tolist()
-        pbar_list = arrays.pair_pbar.tolist()
-        indptr = arrays.switch_indptr.tolist()
-        triples = list(zip(range(arrays.n_pairs), pf_list, pbar_list))
+        flow_pairs, pair_flow = arrays.flow_pairs, arrays.pair_flow
+        adjacency: list[tuple[int, ...] | None] = [None] * arrays.n_flows
+        # Multi-pair flows' pairs, grouped by flow, ascending switch within.
+        shared = np.flatnonzero(flow_pairs[pair_flow] >= 2)
+        shared = shared[np.argsort(pair_flow[shared], kind="stable")]
+        switches, start = arrays.pair_switch[shared].tolist(), 0
+        flows = np.flatnonzero(flow_pairs >= 2)
+        for flow, stop in zip(flows.tolist(), np.cumsum(flow_pairs[flows]).tolist()):
+            adjacency[flow] = tuple(switches[start:stop])
+            start = stop
         cached = (
-            ps_list,
-            pf_list,
-            pbar_list,
-            indptr,
-            [
-                tuple(switches_by_flow[flow_indptr[i] : flow_indptr[i + 1]])
-                for i in range(len(arrays.flow_ids))
-            ],
+            arrays.pair_switch.tolist(),
+            pair_flow.tolist(),
+            arrays.pair_pbar.tolist(),
+            arrays.switch_indptr.tolist(),
+            adjacency,
             arrays.delay_order.tolist(),
             arrays.gamma.tolist(),
             arrays.delay.tolist(),
-            [
-                triples[indptr[s] : indptr[s + 1]]
-                for s in range(len(arrays.switches))
-            ],
         )
         arrays.cache["seq_lists"] = cached
     return cached

@@ -188,7 +188,7 @@ class GroundingIndex:
             self._frame = Frame(
                 switches=self._nodes,
                 controllers=self._controllers,
-                flow_ids=self._ids,
+                population_ids=self._ids,
                 pairs=tuple(chain.from_iterable(keys for _, keys in self._entries)),
                 switch_pos=self._codes,
                 controller_pos=self._controller_pos,
@@ -296,7 +296,7 @@ class GroundingIndex:
         arrays = build_arrays(
             offline,
             active,
-            tuple(map(self._ids.__getitem__, positions.tolist())),
+            self._ids,
             self._rank[positions],
             pairs,
             spare=self._spare[columns],

@@ -247,7 +247,7 @@ def _evaluate(
         total_programmability=counts.total,
         recovered_flows=recovered,
         recoverable_flows=int(arrays.recoverable_pos.size),
-        offline_flows=len(arrays.flow_ids),
+        offline_flows=arrays.n_flows,
         # Pairs ascend, so their switches do: count the distinct runs.
         recovered_switches=(
             int((switches[1:] != switches[:-1]).sum()) + 1 if switches.size else 0

@@ -52,15 +52,15 @@ class FMSSMInstance:
     keyed by public ids (node ids, controller ids, flow ids) rather than
     dense indices, since N, M and L are WAN-scale small.
 
-    Instances are treated as immutable once constructed.  ``pairs``,
-    ``recoverable_flows`` and ``total_iterations`` are precomputed by
-    both constructors, because the heuristics read them in hot loops.
-    On an instance from :meth:`from_arrays`, ``flows``, ``pbar``,
-    ``delay``, ``gamma``, ``nearest``, ``pairs_at`` and ``pairs_of``
-    are views built from the arrays on first read, with the same
-    contents and dict order as the dataclass constructor would hold;
-    only the reference solvers, the LP compiler and the exact solver's
-    bounds read them.
+    Instances are treated as immutable once constructed.  ``pairs``
+    and ``total_iterations`` are set by both constructors (PM reads
+    them on every solve); the dataclass constructor also derives
+    ``pairs_at``, ``pairs_of`` and ``recoverable_flows``.  On an
+    instance from :meth:`from_arrays`, those three and ``flows``,
+    ``pbar``, ``delay``, ``gamma`` and ``nearest`` are views built from
+    the arrays on first read, with the same contents and dict order as
+    the dataclass constructor would hold; only the reference solvers,
+    the LP compiler and the exact solver's bounds read them.
     """
 
     #: Offline switches S, sorted.
@@ -87,8 +87,9 @@ class FMSSMInstance:
     # Derived indexes, built in __post_init__.
     pairs_at: dict[NodeId, tuple[FlowId, ...]] = field(init=False, repr=False)
     pairs_of: dict[FlowId, tuple[NodeId, ...]] = field(init=False, repr=False)
+    #: Offline flows with at least one programmable pair, sorted.
+    recoverable_flows: tuple[FlowId, ...] = field(init=False, repr=False)
     _pairs: tuple[tuple[NodeId, FlowId], ...] = field(init=False, repr=False)
-    _recoverable: tuple[FlowId, ...] = field(init=False, repr=False)
     _total_iterations: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -152,7 +153,7 @@ class FMSSMInstance:
             pairs_of[flow_id].append(switch)
         self.pairs_at = {s: tuple(v) for s, v in pairs_at.items()}
         self.pairs_of = {f: tuple(v) for f, v in pairs_of.items()}
-        self._recoverable = tuple(
+        self.recoverable_flows = tuple(
             sorted(f for f, switches in self.pairs_of.items() if switches)
         )
         self._total_iterations = (
@@ -233,12 +234,7 @@ class FMSSMInstance:
             ideal_delay_ms=ideal_delay_ms,
             lam=lam,
             _pairs=arrays.pairs,
-            _recoverable=tuple(
-                map(arrays.flow_ids.__getitem__, arrays.recoverable_pos.tolist())
-            ),
-            _total_iterations=(
-                int(np.diff(arrays.flow_indptr).max()) if arrays.n_pairs else 0
-            ),
+            _total_iterations=int(arrays.flow_pairs.max()) if arrays.n_pairs else 0,
             _instance_arrays=arrays,
             _flow_source=(flows, flow_positions),
             _pair_path_pos=pair_path_pos,
@@ -324,18 +320,12 @@ class FMSSMInstance:
     @property
     def n_flows(self) -> int:
         """L — number of offline flows."""
-        flows = self.__dict__.get("flows")
-        return len(flows) if flows is not None else len(self.arrays().flow_ids)
+        return self.arrays().n_flows
 
     @property
     def pairs(self) -> tuple[tuple[NodeId, FlowId], ...]:
         """All programmable pairs, sorted (precomputed)."""
         return self._pairs
-
-    @property
-    def recoverable_flows(self) -> tuple[FlowId, ...]:
-        """Offline flows with at least one programmable pair, sorted (precomputed)."""
-        return self._recoverable
 
     @property
     def unrecoverable_flows(self) -> tuple[FlowId, ...]:
@@ -349,25 +339,20 @@ class FMSSMInstance:
 
     def max_programmability(self, flow_id: FlowId) -> int:
         """Upper bound on ``pro^l``: all programmable pairs in SDN mode."""
-        arrays = self.__dict__.get("_instance_arrays")
-        if arrays is not None:
-            return int(arrays.flow_max_pro[arrays.flow_pos[flow_id]])
-        return sum(self.pbar[(s, flow_id)] for s in self.pairs_of[flow_id])
+        arrays = self.arrays()
+        return int(arrays.flow_max_pro[arrays.flow_pos[flow_id]])
 
     def total_max_programmability(self) -> int:
         """Upper bound on obj2: every programmable pair active."""
-        arrays = self.__dict__.get("_instance_arrays")
-        if arrays is not None:
-            return int(arrays.pair_pbar.sum())
-        return sum(self.pbar.values())
+        return int(self.arrays().pair_pbar.sum())
 
     @property
     def total_iterations(self) -> int:
         """The paper's TOTAL_ITERATIONS: max offline switches on any flow path.
 
         Counted over programmable pairs, since only those can raise a
-        flow's programmability.  Precomputed by the constructors — PM's
-        phase-1 loop reads this every pick.
+        flow's programmability.  Set by the constructors — PM's phase-1
+        loop reads this every pass.
         """
         return self._total_iterations
 
@@ -420,6 +405,10 @@ def _nearest_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
     return dict(zip(arrays.switches, map(arrays.controllers.__getitem__, nearest)))
 
 
+def _recoverable_view(instance: FMSSMInstance, arrays: InstanceArrays) -> tuple:
+    return tuple(map(arrays.flow_ids.__getitem__, arrays.recoverable_pos.tolist()))
+
+
 def _pairs_at_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
     pairs, indptr = arrays.pairs, arrays.switch_indptr.tolist()
     return {
@@ -432,9 +421,8 @@ def _pairs_of_view(instance: FMSSMInstance, arrays: InstanceArrays) -> dict:
     # Grouped by flow, ascending pair index (= ascending switch) within.
     order = np.argsort(arrays.pair_flow, kind="stable")
     switches = list(map(arrays.switches.__getitem__, arrays.pair_switch[order].tolist()))
-    counts = np.bincount(arrays.pair_flow, minlength=len(arrays.flow_ids)).tolist()
     view, start = {}, 0
-    for flow_id, count in zip(arrays.flow_ids, counts):
+    for flow_id, count in zip(arrays.flow_ids, arrays.flow_pairs.tolist()):
         view[flow_id] = tuple(switches[start : start + count])
         start += count
     return view
@@ -448,4 +436,5 @@ _VIEWS = {
     "nearest": _nearest_view,
     "pairs_at": _pairs_at_view,
     "pairs_of": _pairs_of_view,
+    "recoverable_flows": _recoverable_view,
 }

@@ -188,7 +188,7 @@ def tally(arrays: InstanceArrays, placement: Placement) -> Tally:
     pro = np.bincount(
         arrays.pair_flow[pairs],
         weights=arrays.pair_pbar[pairs],
-        minlength=len(arrays.flow_ids),
+        minlength=arrays.n_flows,
     ).astype(np.int64)
     recoverable = arrays.recoverable_pos
     return Tally(

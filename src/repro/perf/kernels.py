@@ -129,10 +129,11 @@ def solve_pm_array(
     and replaces the per-pick level recount with an *incremental*
     count: ``counts[s]`` tracks the pairs of switch ``s`` whose flow
     sits at the current level ``sigma``, decremented along each
-    activated flow's pair-switch adjacency, and rebuilt by one masked
-    ``bincount`` only when ``sigma`` advances at a pass boundary (flows
-    never re-enter a level — h only grows).  Phase 2 without the delay
-    bound is one grouped capacity selection
+    activated flow's pair-switch adjacency.  Only flows at ``sigma``
+    flip, so when no recoverable flow is left there at a pass boundary,
+    ``sigma`` advances: ``h`` becomes an array once and one masked
+    ``bincount`` rebuilds the counts (h only grows).  Phase 2 without
+    the delay bound is one grouped capacity selection
     (:func:`grouped_capacity_select`): the reference's scan activates,
     per controller, the first ``available`` candidates in scan order.
     The strict variants stay sequential loops because the cumulative
@@ -148,21 +149,10 @@ def solve_pm_array(
     m = len(arrays.controllers)
     n_pairs = arrays.n_pairs
     pair_switch = arrays.pair_switch
-    pair_flow = arrays.pair_flow
     recoverable = arrays.recoverable_pos
-    (
-        ps_list,
-        _pf_list,
-        _pbar_list,
-        indptr,
-        flow_adj,
-        rows,
-        gamma,
-        delay_list,
-        sw_triples,
-    ) = seq_lists(arrays)
+    ps_list, pf_list, pbar_list, indptr, flow_adj, rows, gamma, delays = seq_lists(arrays)
 
-    h = [0] * len(arrays.flow_ids)
+    h = [0] * arrays.n_flows
     active = [False] * n_pairs
     activated: list[int] = []
     avail = arrays.spare.tolist()
@@ -170,19 +160,15 @@ def solve_pm_array(
     untested = [True] * n
     remaining = n
     sigma = 0
+    # Recoverable flows at level sigma; every flip takes one away.
+    at_sigma = recoverable.size
     test_count = 0
     total_iterations = instance.total_iterations
     budget = instance.ideal_delay_ms + 1e-9
     total_delay = 0.0
     # counts[s] — pairs of switch s whose flow sits at level sigma
     # (including already-active pairs, as the reference's recount does).
-    counts0 = arrays.cache.get("pm_counts0")
-    if counts0 is None:
-        counts0 = (
-            np.bincount(pair_switch, minlength=n).tolist() if n_pairs else [0] * n
-        )
-        arrays.cache["pm_counts0"] = counts0
-    counts = list(counts0)
+    counts = np.diff(arrays.switch_indptr).tolist()
 
     while test_count < total_iterations:
         # Lines 5-15: the untested switch with the most level-sigma
@@ -219,57 +205,49 @@ def solve_pm_array(
             # h only grows within a pass and sigma is the pass-start
             # minimum, so h == sigma ⟺ h <= sigma here.
             budget_left = avail[c]
-            if enforce_delay:
-                delay_sc = delay_list[s][c]
-                for k, flow, pbar in sw_triples[s]:
-                    level = h[flow]
-                    if level > sigma:
-                        continue
-                    if active[k]:
-                        continue
-                    if budget_left <= 0:
-                        break
+            delay_sc = delays[s][c]
+            for k in range(indptr[s], indptr[s + 1]):
+                flow = pf_list[k]
+                level = h[flow]
+                if level > sigma:
+                    continue
+                if active[k]:
+                    continue
+                if budget_left <= 0:
+                    break
+                if enforce_delay:
                     if total_delay + delay_sc > budget:
                         continue
                     total_delay += delay_sc
-                    budget_left -= 1
-                    h[flow] = level + pbar
-                    active[k] = True
-                    activated.append(k)
-                    # The flow leaves level sigma: every switch pairing
-                    # with it loses one level-sigma pair.
-                    for paired in flow_adj[flow]:
-                        counts[paired] -= 1
-            else:
-                for k, flow, pbar in sw_triples[s]:
-                    level = h[flow]
-                    if level > sigma:
-                        continue
-                    if active[k]:
-                        continue
-                    if budget_left <= 0:
-                        break
-                    budget_left -= 1
-                    h[flow] = level + pbar
-                    active[k] = True
-                    activated.append(k)
-                    for paired in flow_adj[flow]:
+                budget_left -= 1
+                h[flow] = level + pbar_list[k]
+                active[k] = True
+                activated.append(k)
+                at_sigma -= 1
+                # The flow leaves level sigma: every switch pairing with
+                # it loses one level-sigma pair.
+                adjacent = flow_adj[flow]
+                if adjacent is None:
+                    counts[s] -= 1
+                else:
+                    for paired in adjacent:
                         counts[paired] -= 1
             avail[c] = budget_left
         if remaining == 0:
             untested = [True] * n
             remaining = n
             test_count += 1
-            if recoverable.size:
+            if at_sigma == 0 and test_count < total_iterations:
+                # Every recoverable flow left sigma: rebuild the level
+                # counts at the new water line — the only O(P) step,
+                # once per sigma advance.
                 h_np = np.array(h, dtype=np.int64)
-                new_sigma = int(h_np[recoverable].min())
-                if new_sigma != sigma:
-                    # Rebuild the level counts at the new water line —
-                    # the only O(P) step, once per sigma advance.
-                    sigma = new_sigma
-                    counts = np.bincount(
-                        pair_switch[h_np[pair_flow] == sigma], minlength=n
-                    ).tolist()
+                levels = h_np[recoverable]
+                sigma = int(levels.min())
+                at_sigma = int(np.count_nonzero(levels == sigma))
+                counts = np.bincount(
+                    pair_switch[h_np[arrays.pair_flow] == sigma], minlength=n
+                ).tolist()
 
     # Phase 2 (lines 42-50): saturate leftover capacity on mapped switches.
     if phase2 and n_pairs:
@@ -286,7 +264,7 @@ def solve_pm_array(
                     continue
                 if avail[c] <= 0:
                     continue
-                pair_delay = delay_list[ps_list[k]][c]
+                pair_delay = delays[ps_list[k]][c]
                 if total_delay + pair_delay > budget:
                     continue
                 total_delay += pair_delay
@@ -451,7 +429,7 @@ def solve_retroflow_array(instance: FMSSMInstance) -> RecoverySolution:
     start = time.perf_counter()
     arrays = instance_arrays(instance)
     n = len(arrays.switches)
-    _, _, _, _, _, rows, gamma, _, _ = seq_lists(arrays)
+    _, _, _, _, _, rows, gamma, _ = seq_lists(arrays)
     value = (
         np.bincount(arrays.pair_switch, weights=arrays.pair_pbar, minlength=n)
         .astype(np.int64)
@@ -504,7 +482,7 @@ def solve_nearest_array(instance: FMSSMInstance) -> RecoverySolution:
     """
     start = time.perf_counter()
     arrays = instance_arrays(instance)
-    _, _, _, _, _, rows, gamma, _, _ = seq_lists(arrays)
+    _, _, _, _, _, rows, gamma, _ = seq_lists(arrays)
     nearest = arrays.cache.get("nearest_col")
     if nearest is None:
         nearest = arrays.delay_order[:, 0].tolist()

@@ -587,10 +587,13 @@ class SolveStore:
         Single-writer append: each shard is re-read *under the lock*
         before writing, so two processes racing on one key produce one
         record, and the lock round-trip and per-shard fsync are paid
-        once per batch.  Keys already visible in the stat-validated
-        index skip the lock altogether (a concurrent GC dropping one
-        right now is indistinguishable from GC dropping it just after a
-        locked put, so put-if-absent stays honest).  A torn tail left by
+        once per batch.  As every writer and GC holds the lock, the shard
+        is then the records read under it plus the lines written: the
+        index keeps those, keyed by the stat after the fsync, so the next
+        :meth:`get` parses nothing.  Keys already visible in the
+        stat-validated index skip the lock altogether (a concurrent GC
+        dropping one right now is indistinguishable from GC dropping it
+        just after a locked put, so put-if-absent stays honest).  A torn tail left by
         a crashed writer (no trailing newline) is repaired by prefixing
         a newline — the torn fragment stays an isolated, checksum-failing
         line that readers skip.
@@ -607,13 +610,10 @@ class SolveStore:
             for shard, group in sorted(by_shard.items()):
                 self._index.pop(shard, None)  # force a fresh read under the lock
                 present = self._shard_records(shard)
-                lines = []
-                seen: set[str] = set()
+                lines = {}
                 for key, payload in group:
-                    if key in present or key in seen:
-                        continue
-                    seen.add(key)
-                    lines.append(self._encode_line(key, payload))
+                    if key not in present and key not in lines:
+                        lines[key] = self._encode_line(key, payload)
                 if not lines:
                     continue
                 with open(self._shard_paths[shard], "a+b") as fh:
@@ -622,10 +622,14 @@ class SolveStore:
                         fh.seek(-1, io.SEEK_END)
                         if fh.read(1) != b"\n":
                             fh.write(b"\n")
-                    fh.write(b"".join(line + b"\n" for line in lines))
+                    fh.write(b"".join(line + b"\n" for line in lines.values()))
                     fh.flush()
                     os.fsync(fh.fileno())
-                self._index.pop(shard, None)
+                    stat = os.fstat(fh.fileno())
+                mark = self._PAYLOAD_MARK
+                for key, line in lines.items():
+                    present[key] = json.loads(line[line.index(mark) + len(mark) : -1])
+                self._index[shard] = ((stat.st_mtime_ns, stat.st_size), present)
                 written += len(lines)
         self.stats["writes"] += written
         return written

@@ -27,7 +27,9 @@ from repro.flows.demands import all_pairs_flows
 from repro.flows.flow import Flow
 from repro.flows.paths import switch_flow_counts
 from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
+from repro.fmssm.evaluation import evaluate_batch
 from repro.fmssm.instance import FMSSMInstance
+from repro.pm.algorithm import solve_pm
 from repro.perf.executor import _slim_context
 from repro.topology.generators import grid_topology, waxman_topology
 from repro.topology.partition import nearest_site_partition
@@ -52,8 +54,8 @@ FIELDS = (
     "nearest",
     "pairs_at",
     "pairs_of",
+    "recoverable_flows",
     "_pairs",
-    "_recoverable",
     "_total_iterations",
 )
 
@@ -102,12 +104,20 @@ def reference_build(plane, flows, programmability, scenario, delay_model=None, l
 
 
 #: The dict fields a grounded instance builds only when read.
-VIEWS = ("flows", "pbar", "delay", "gamma", "nearest", "pairs_at", "pairs_of")
+VIEWS = (
+    "flows", "pbar", "delay", "gamma", "nearest", "pairs_at", "pairs_of", "recoverable_flows"
+)
+#: The columns grounding leaves to their first read (instance, arrays or frame).
+LAZY = ("flow_ids", "flow_sorted", "flow_indptr", "pbar_desc", "recoverable_flows")
 
 
 def reference_arrays(instance: FMSSMInstance) -> dict[str, object]:
     """The kernels' arrays read back from the instance's dict fields,
-    entry by entry, with the list views of the sequential kernels."""
+    entry by entry, with the list views of the sequential kernels.
+
+    The columns the arrays build on first read (``flow_ids``,
+    ``flow_sorted``, ``flow_indptr``, ``pbar_desc``) are compared too:
+    reading them builds them."""
     switches, controllers = instance.switches, instance.controllers
     pairs = tuple(sorted(instance.pbar))
     flow_ids = tuple(instance.flows)
@@ -122,6 +132,9 @@ def reference_arrays(instance: FMSSMInstance) -> dict[str, object]:
     pair_switch = np.fromiter((switch_pos[s] for s, _ in pairs), dtype=np.int64, count=n_pairs)
     pair_flow = np.fromiter((flow_pos[f] for _, f in pairs), dtype=np.int64, count=n_pairs)
     pair_pbar = np.fromiter((instance.pbar[p] for p in pairs), dtype=np.int64, count=n_pairs)
+    flow_pairs = np.fromiter(
+        (len(instance.pairs_of[f]) for f in flow_ids), dtype=np.int64, count=n_flows
+    )
     flow_sorted = np.lexsort((np.arange(n_pairs), -pair_pbar, pair_flow))
     flow_indptr = np.searchsorted(pair_flow[flow_sorted], np.arange(n_flows + 1))
     delay_order = np.argsort(delay, axis=1, kind="stable")
@@ -143,6 +156,8 @@ def reference_arrays(instance: FMSSMInstance) -> dict[str, object]:
         "pair_flow": pair_flow,
         "pair_pbar": pair_pbar,
         "switch_indptr": switch_indptr,
+        "n_flows": n_flows,
+        "flow_pairs": flow_pairs,
         "flow_sorted": flow_sorted,
         "flow_indptr": flow_indptr,
         "flow_max_pro": np.bincount(pair_flow, weights=pair_pbar, minlength=n_flows).astype(
@@ -153,19 +168,19 @@ def reference_arrays(instance: FMSSMInstance) -> dict[str, object]:
         ),
         "pbar_desc": np.argsort(-pair_pbar, kind="stable"),
     }
-    by_flow = pair_switch[flow_sorted].tolist()
-    indptr, flow_ptr = switch_indptr.tolist(), flow_indptr.tolist()
-    triples = list(zip(range(n_pairs), pair_flow.tolist(), pair_pbar.tolist()))
+    # Each flow's pair switches, ascending, for flows with two or more.
+    by_flow: list[list[int]] = [[] for _ in range(n_flows)]
+    for switch, flow_id in pairs:
+        by_flow[flow_pos[flow_id]].append(switch_pos[switch])
     columns["seq_lists"] = (
         pair_switch.tolist(),
         pair_flow.tolist(),
         pair_pbar.tolist(),
-        indptr,
-        [tuple(by_flow[flow_ptr[i] : flow_ptr[i + 1]]) for i in range(n_flows)],
+        switch_indptr.tolist(),
+        [tuple(switches) if len(switches) >= 2 else None for switches in by_flow],
         delay_order.tolist(),
         columns["gamma"].tolist(),
         delay.tolist(),
-        [triples[indptr[s] : indptr[s + 1]] for s in range(n)],
     )
     return columns
 
@@ -361,6 +376,54 @@ class TestLazyViews:
             for name in VIEWS:
                 assert getattr(instance, name) is getattr(instance, name)  # built once
         assert result.solutions["optimal"].meta["solver"] == "precert"
+
+    def test_a_wan_request_builds_no_lazy_column(self):
+        # Grounding, PM and the evaluator read neither the flow ids nor
+        # the flow-major and p̄-descending orders.
+        context = wan72_context()
+        scenario = next(iter(enumerate_failure_scenarios(context.plane, 2)))
+        instance = context.instance(scenario)
+        evaluate_batch(instance, [solve_pm(instance)])
+        arrays = instance.arrays()
+        for name in LAZY:
+            assert name not in instance.__dict__, name
+            assert name not in arrays.__dict__, name
+            assert name not in arrays.frame.__dict__, name
+
+    @pytest.mark.parametrize("source", ("att", "wan", "hand-built"))
+    def test_lazy_columns_equal_their_eager_definitions(self, source, tiny_instance):
+        if source == "hand-built":
+            instance, flow_ids = tiny_instance, tuple(tiny_instance.flows)
+        else:
+            context = default_att_context() if source == "att" else wan72_context()
+            scenario = FailureScenario(frozenset(context.plane.controller_ids[:2]))
+            instance = context.instance(scenario)
+            offline = set(scenario.offline_switches(context.plane))
+            flow_ids = tuple(
+                flow.flow_id for flow in context.flows if offline.intersection(flow.path)
+            )
+        arrays = instance.arrays()
+        pair_flow, pair_pbar, n_pairs = arrays.pair_flow, arrays.pair_pbar, arrays.n_pairs
+        flow_sorted = np.lexsort((np.arange(n_pairs), -pair_pbar, pair_flow))
+        eager = {
+            "flow_sorted": flow_sorted,
+            "flow_indptr": np.searchsorted(
+                pair_flow[flow_sorted], np.arange(len(flow_ids) + 1)
+            ),
+            "pbar_desc": np.argsort(-pair_pbar, kind="stable"),
+        }
+        for name, want in eager.items():
+            got = getattr(arrays, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert getattr(arrays, name) is got, name  # built once
+        assert arrays.flow_ids == flow_ids and arrays.n_flows == len(flow_ids)
+        assert arrays.flow_ids is arrays.frame.flow_ids
+        assert instance.recoverable_flows == tuple(
+            sorted(f for f, switches in instance.pairs_of.items() if switches)
+        )
+        assert instance.recoverable_flows == tuple(
+            map(flow_ids.__getitem__, arrays.recoverable_pos.tolist())
+        )
 
     def test_pickled_instance_carries_views_not_the_population(self, small_context):
         instance = small_context.instance(FailureScenario(frozenset({0, 7})))

@@ -478,6 +478,27 @@ class TestRecordStore:
         assert store.get("b") == {"v": 1}
         assert store.get("c") == {"v": 3}
 
+    def test_put_many_keeps_the_shard_index(self, tmp_path, monkeypatch):
+        # After an append the shard is the records read under the lock
+        # plus the lines written, so a get on it parses nothing more.
+        store = SolveStore(tmp_path, shards=1)
+        store.put("a", {"v": 0})
+        parsed = []
+        parse = SolveStore._parse_lines
+
+        def counting(self, data):
+            parsed.append(data)
+            return parse(self, data)
+
+        monkeypatch.setattr(SolveStore, "_parse_lines", counting)
+        assert store.put_many([("b", {"v": [1, 2]}), ("c", {"v": (3,)})]) == 2
+        assert store.get("a") == {"v": 0}
+        assert store.get("b") == {"v": [1, 2]}
+        assert store.get("c") == {"v": [3]}  # as the line reads back
+        assert len(parsed) == 1  # the fresh read under the lock
+        fresh = SolveStore(tmp_path, shards=1)
+        assert {key: fresh.get(key) for key in "abc"} == {key: store.get(key) for key in "abc"}
+
     def test_second_handle_sees_writes(self, tmp_path):
         writer = SolveStore(tmp_path)
         reader = SolveStore(tmp_path)
