@@ -270,8 +270,8 @@ def seq_lists(arrays: InstanceArrays) -> tuple:
     sequential over WAN-small populations, where per-call numpy
     dispatch costs more than the arithmetic — so their inner loops run
     on position-indexed Python lists, materialized here once per
-    instance: per-pair switch/flow/p̄ columns (PM scans a switch's
-    slice of them), the switch CSR bounds, each flow's pair-switch
+    instance: per-pair flow and p̄ columns (PM reads them at the
+    pairs a pick scans), the switch CSR bounds, each flow's pair-switch
     adjacency (for the incremental level counts), the delay-ordered
     controller rows, gamma and the delay matrix.  The adjacency is
     ``None`` for a flow with fewer than two pairs: one pair pairs only
@@ -293,7 +293,6 @@ def seq_lists(arrays: InstanceArrays) -> tuple:
             adjacency[flow] = tuple(switches[start:stop])
             start = stop
         cached = (
-            arrays.pair_switch.tolist(),
             pair_flow.tolist(),
             arrays.pair_pbar.tolist(),
             arrays.switch_indptr.tolist(),

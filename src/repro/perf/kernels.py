@@ -125,21 +125,45 @@ def solve_pm_array(
     """Array kernel for ProgrammabilityMedic (Algorithm 1).
 
     Phase 1 keeps the pick loop (its picks are sequential by nature)
-    but swaps the reference's hashed state for position-indexed lists
-    and replaces the per-pick level recount with an *incremental*
-    count: ``counts[s]`` tracks the pairs of switch ``s`` whose flow
-    sits at the current level ``sigma``, decremented along each
-    activated flow's pair-switch adjacency.  Only flows at ``sigma``
-    flip, so when no recoverable flow is left there at a pass boundary,
-    ``sigma`` advances: ``h`` becomes an array once and one masked
-    ``bincount`` rebuilds the counts (h only grows).  Phase 2 without
-    the delay bound is one grouped capacity selection
+    but swaps the reference's hashed state for position-indexed lists,
+    and a pick walks only the pairs that can flip:
+
+    * *Incremental level counts.*  ``counts[s]`` tracks the pairs of
+      switch ``s`` whose flow sits at the current level ``sigma``,
+      decremented along each flipped flow's pair-switch adjacency,
+      instead of the reference's recount per pick.
+    * *Candidate lists.*  A pair flips only while its flow sits at
+      ``sigma`` and it is inactive.  ``h`` only grows and no pair is
+      ever deactivated, so while ``sigma`` holds, the pairs that can
+      flip are among those whose flow sat at ``sigma`` and that were
+      inactive when ``sigma`` was last set: the *candidates*.  The first
+      pass scans every pair (every flow at 0, none active).  A pick
+      scans its switch's candidates in pair (flow-id) order, the
+      reference's order with the pairs that cannot flip left out.  Only
+      flows at ``sigma`` flip, so ``sigma`` advances when no recoverable
+      flow is left there at a pass boundary; each advance rebuilds the
+      list with one ``flatnonzero`` over the new level mask, split per
+      switch by ``searchsorted`` on the switch CSR bounds.
+    * *One byte of state per pair.*  A ``bytearray`` marks the activated
+      pairs and numpy reads it in place (``np.frombuffer``): a sigma
+      advance takes the flow levels as a p̄-weighted ``bincount`` over
+      active pairs, phase 2 its open mask, and the answer its pair
+      array — ascending as read, so nothing is converted or sorted.
+
+    The reference also skips active pairs in its scan; the kernel needs
+    no such test.  A candidate is inactive when listed, and flipping it
+    raises its flow by p̄ ≥ 2 (``FMSSMInstance`` rejects smaller p̄ on
+    both construction routes), so a candidate flipped earlier at this
+    ``sigma`` fails the level test first.
+
+    Phase 2 without the delay bound is one grouped capacity selection
     (:func:`grouped_capacity_select`): the reference's scan activates,
     per controller, the first ``available`` candidates in scan order.
-    The strict variants stay sequential loops because the cumulative
-    delay budget is order- and rounding-history-dependent.
-    ``phase2=False`` skips the saturation phase entirely (the ablation
-    variant), matching ``ProgrammabilityMedic(..., phase2=False)``.
+    The strict variants stay a sequential loop over the open pairs
+    because the cumulative delay budget is order- and rounding-history-
+    dependent.  ``phase2=False`` skips the saturation phase entirely
+    (the ablation variant), matching ``ProgrammabilityMedic(...,
+    phase2=False)``.
     """
     if phase2_order not in ("paper", "greedy"):
         raise ValueError(f"phase2_order must be 'paper' or 'greedy': {phase2_order!r}")
@@ -148,13 +172,18 @@ def solve_pm_array(
     n = len(arrays.switches)
     m = len(arrays.controllers)
     n_pairs = arrays.n_pairs
-    pair_switch = arrays.pair_switch
+    pair_switch, pair_flow = arrays.pair_switch, arrays.pair_flow
     recoverable = arrays.recoverable_pos
-    ps_list, pf_list, pbar_list, indptr, flow_adj, rows, gamma, delays = seq_lists(arrays)
+    pf_list, pbar_list, indptr, flow_adj, rows, gamma, delays = seq_lists(arrays)
 
     h = [0] * arrays.n_flows
-    active = [False] * n_pairs
-    activated: list[int] = []
+    # state[k] is 1 once pair k is activated; ``active`` reads it in place.
+    state = bytearray(n_pairs)
+    active = np.frombuffer(state, dtype=np.uint8)
+    # The candidates at sigma in pair order, switch s's run of them at
+    # cand[bounds[s]:bounds[s + 1]]: on the first pass, every pair.
+    cand = range(n_pairs)
+    bounds = indptr
     avail = arrays.spare.tolist()
     ctrl_of = [-1] * n
     untested = [True] * n
@@ -203,15 +232,15 @@ def solve_pm_array(
             remaining -= 1
             # Lines 31-36: flip candidate pairs at s in flow-id order.
             # h only grows within a pass and sigma is the pass-start
-            # minimum, so h == sigma ⟺ h <= sigma here.
+            # minimum, so h == sigma ⟺ h <= sigma here.  The reference's
+            # active-pair test is implied: a candidate flipped at this
+            # sigma has risen by its p̄ ≥ 2 and fails the level test.
             budget_left = avail[c]
             delay_sc = delays[s][c]
-            for k in range(indptr[s], indptr[s + 1]):
+            for k in cand[bounds[s] : bounds[s + 1]]:
                 flow = pf_list[k]
                 level = h[flow]
                 if level > sigma:
-                    continue
-                if active[k]:
                     continue
                 if budget_left <= 0:
                     break
@@ -221,8 +250,7 @@ def solve_pm_array(
                     total_delay += delay_sc
                 budget_left -= 1
                 h[flow] = level + pbar_list[k]
-                active[k] = True
-                activated.append(k)
+                state[k] = 1
                 at_sigma -= 1
                 # The flow leaves level sigma: every switch pairing with
                 # it loses one level-sigma pair.
@@ -238,52 +266,48 @@ def solve_pm_array(
             remaining = n
             test_count += 1
             if at_sigma == 0 and test_count < total_iterations:
-                # Every recoverable flow left sigma: rebuild the level
-                # counts at the new water line — the only O(P) step,
-                # once per sigma advance.
-                h_np = np.array(h, dtype=np.int64)
-                levels = h_np[recoverable]
-                sigma = int(levels.min())
-                at_sigma = int(np.count_nonzero(levels == sigma))
-                counts = np.bincount(
-                    pair_switch[h_np[arrays.pair_flow] == sigma], minlength=n
-                ).tolist()
+                # Every recoverable flow left sigma: a flow's level is
+                # the p̄ of its active pairs, summed.  Rebuild the level
+                # counts and the candidates at the new water line — the
+                # only O(P) step, once per sigma advance.
+                levels = np.bincount(
+                    pair_flow, weights=arrays.pair_pbar * active, minlength=arrays.n_flows
+                )
+                lowest = levels[recoverable]
+                sigma = int(lowest.min())
+                at_sigma = int(np.count_nonzero(lowest == sigma))
+                at_level = levels[pair_flow] == sigma
+                counts = np.bincount(pair_switch[at_level], minlength=n).tolist()
+                listed = np.flatnonzero(at_level & (active == 0))
+                cand = listed.tolist()
+                bounds = np.searchsorted(listed, arrays.switch_indptr).tolist()
 
     # Phase 2 (lines 42-50): saturate leftover capacity on mapped switches.
+    switch_ctrl = np.array(ctrl_of, dtype=np.int64)
     if phase2 and n_pairs:
+        ctrl = switch_ctrl[pair_switch]
+        open_mask = (active == 0) & (ctrl >= 0)
+        if phase2_order == "greedy":
+            order = arrays.pbar_desc
+            scan = order[open_mask[order]]
+        else:
+            scan = np.flatnonzero(open_mask)
+        scan_ctrl = ctrl[scan]
         if enforce_delay:
-            if phase2_order == "greedy":
-                order = arrays.pbar_desc.tolist()
-            else:
-                order = range(n_pairs)
-            for k in order:
-                if active[k]:
-                    continue
-                c = ctrl_of[ps_list[k]]
-                if c < 0:
-                    continue
+            # The reference's float additions, in its order, over the
+            # pairs it does not skip outright.
+            pair_delay = arrays.delay[pair_switch[scan], scan_ctrl].tolist()
+            for k, c, d in zip(scan.tolist(), scan_ctrl.tolist(), pair_delay):
                 if avail[c] <= 0:
                     continue
-                pair_delay = delays[ps_list[k]][c]
-                if total_delay + pair_delay > budget:
+                if total_delay + d > budget:
                     continue
-                total_delay += pair_delay
+                total_delay += d
                 avail[c] -= 1
-                active[k] = True
-                activated.append(k)
-        else:
-            active_np = np.array(active, dtype=bool)
-            ctrl = np.array(ctrl_of, dtype=np.int64)[pair_switch]
-            open_mask = (~active_np) & (ctrl >= 0)
-            if phase2_order == "greedy":
-                order = arrays.pbar_desc
-                scan = order[open_mask[order]]
-            else:
-                scan = np.flatnonzero(open_mask)
-            if scan.size:
-                capacity = np.array(avail, dtype=np.int64)
-                chosen = scan[grouped_capacity_select(ctrl[scan], capacity)]
-                activated.extend(chosen.tolist())
+                state[k] = 1
+        elif scan.size:
+            capacity = np.array(avail, dtype=np.int64)
+            active[scan[grouped_capacity_select(scan_ctrl, capacity)]] = 1
 
     meta: dict[str, object] = {
         "phase2_order": phase2_order,
@@ -292,10 +316,8 @@ def solve_pm_array(
     }
     if not phase2:
         meta["phase2"] = False
-    switch_ctrl = np.array(ctrl_of, dtype=np.int64)
-    pairs = np.sort(np.array(activated, dtype=np.int64))
     return RecoverySolution.positional(
-        Placement.switch_level(arrays.frame, switch_ctrl, pairs),
+        Placement.switch_level(arrays.frame, switch_ctrl, np.flatnonzero(active)),
         algorithm="pm",
         solve_time_s=time.perf_counter() - start,
         meta=meta,
@@ -429,7 +451,7 @@ def solve_retroflow_array(instance: FMSSMInstance) -> RecoverySolution:
     start = time.perf_counter()
     arrays = instance_arrays(instance)
     n = len(arrays.switches)
-    _, _, _, _, _, rows, gamma, _ = seq_lists(arrays)
+    _, _, _, _, rows, gamma, _ = seq_lists(arrays)
     value = (
         np.bincount(arrays.pair_switch, weights=arrays.pair_pbar, minlength=n)
         .astype(np.int64)
@@ -482,7 +504,7 @@ def solve_nearest_array(instance: FMSSMInstance) -> RecoverySolution:
     """
     start = time.perf_counter()
     arrays = instance_arrays(instance)
-    _, _, _, _, _, rows, gamma, _ = seq_lists(arrays)
+    _, _, _, _, rows, gamma, _ = seq_lists(arrays)
     nearest = arrays.cache.get("nearest_col")
     if nearest is None:
         nearest = arrays.delay_order[:, 0].tolist()

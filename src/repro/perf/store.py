@@ -473,7 +473,7 @@ class SolveStore:
             for shard in range(shards)
         )
         #: Per-shard in-memory index: shard -> (stat signature, {key: payload}).
-        self._index: dict[int, tuple[tuple[int, int], dict[str, dict]]] = {}
+        self._index: dict[int, tuple[tuple[int, int, int], dict[str, dict]]] = {}
         self.stats = {
             "hits": 0,
             "misses": 0,
@@ -540,14 +540,19 @@ class SolveStore:
                 self.stats["corrupt"] += 1
         return records
 
+    @staticmethod
+    def _signature(stat: os.stat_result) -> tuple[int, int, int]:
+        """A shard file's identity: the inode tells a GC's ``os.replace``
+        from the file it replaced, mtime and size an append."""
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
     def _shard_records(self, shard: int) -> dict[str, dict]:
         """The shard's verified records, re-read only when the file changed."""
         path = self._shard_paths[shard]
         try:
-            stat = path.stat()
-            sig = (stat.st_mtime_ns, stat.st_size)
+            sig = self._signature(path.stat())
         except OSError:
-            self._index[shard] = ((-1, -1), {})
+            self._index[shard] = ((-1, -1, -1), {})
             return self._index[shard][1]
         cached = self._index.get(shard)
         if cached is not None and cached[0] == sig:
@@ -584,19 +589,21 @@ class SolveStore:
     def put_many(self, items: list[tuple[str, dict]]) -> int:
         """Append records that are not yet present; returns writes.
 
-        Single-writer append: each shard is re-read *under the lock*
-        before writing, so two processes racing on one key produce one
-        record, and the lock round-trip and per-shard fsync are paid
-        once per batch.  As every writer and GC holds the lock, the shard
-        is then the records read under it plus the lines written: the
-        index keeps those, keyed by the stat after the fsync, so the next
-        :meth:`get` parses nothing.  Keys already visible in the
-        stat-validated index skip the lock altogether (a concurrent GC
-        dropping one right now is indistinguishable from GC dropping it
-        just after a locked put, so put-if-absent stays honest).  A torn tail left by
-        a crashed writer (no trailing newline) is repaired by prefixing
-        a newline — the torn fragment stays an isolated, checksum-failing
-        line that readers skip.
+        Each shard is checked *under the lock* before writing — re-read
+        only if its stat signature moved since this handle's index was
+        taken, i.e. another writer or a GC touched it — so two processes
+        racing on one key produce one record, and the lock round-trip
+        and per-shard fsync are paid once per batch.  As every writer
+        and GC holds the lock, the shard is then the records checked
+        under it plus the lines written: the index keeps those, keyed by
+        the stat after the fsync, so neither the next :meth:`get` nor a
+        single writer's next batch parses anything.  Keys already visible
+        in the stat-validated index skip the lock altogether (a
+        concurrent GC dropping one right now is indistinguishable from GC
+        dropping it just after a locked put, so put-if-absent stays
+        honest).  A torn tail left by a crashed writer (no trailing
+        newline) is repaired by prefixing a newline — the torn fragment
+        stays an isolated, checksum-failing line that readers skip.
         """
         by_shard: dict[int, list[tuple[str, dict]]] = {}
         for key, payload in items:
@@ -608,7 +615,6 @@ class SolveStore:
         written = 0
         with self._locked():
             for shard, group in sorted(by_shard.items()):
-                self._index.pop(shard, None)  # force a fresh read under the lock
                 present = self._shard_records(shard)
                 lines = {}
                 for key, payload in group:
@@ -629,7 +635,7 @@ class SolveStore:
                 mark = self._PAYLOAD_MARK
                 for key, line in lines.items():
                     present[key] = json.loads(line[line.index(mark) + len(mark) : -1])
-                self._index[shard] = ((stat.st_mtime_ns, stat.st_size), present)
+                self._index[shard] = (self._signature(stat), present)
                 written += len(lines)
         self.stats["writes"] += written
         return written

@@ -173,7 +173,6 @@ def reference_arrays(instance: FMSSMInstance) -> dict[str, object]:
     for switch, flow_id in pairs:
         by_flow[flow_pos[flow_id]].append(switch_pos[switch])
     columns["seq_lists"] = (
-        pair_switch.tolist(),
         pair_flow.tolist(),
         pair_pbar.tolist(),
         switch_indptr.tolist(),

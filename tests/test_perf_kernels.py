@@ -177,6 +177,95 @@ def test_array_matches_reference_on_tiny_instance(tiny_instance, name, solver):
     _assert_routes_agree(tiny_instance, solver)
 
 
+class TracedMedic(ProgrammabilityMedic):
+    """The reference PM, recording each phase-1 pass's ``sigma`` and the
+    phase-1 activations it refuses on the delay budget."""
+
+    def run(self):
+        self.pass_sigmas, self.delay_skips, self._in_phase1 = [], 0, False
+        return super().run()
+
+    def _select_switch(self, untested, sigma):
+        if len(untested) == len(self._instance.switches):
+            self.pass_sigmas.append(sigma)
+        return super()._select_switch(untested, sigma)
+
+    def _recover_at(self, switch, controller, sigma):
+        self._in_phase1 = True
+        super()._recover_at(switch, controller, sigma)
+        self._in_phase1 = False
+
+    def _charge_delay(self, switch, controller):
+        charged = super()._charge_delay(switch, controller)
+        if self._in_phase1 and not charged:
+            self.delay_skips += 1
+        return charged
+
+
+def candidate_instance() -> FMSSMInstance:
+    """Four switches, two controllers, two flows: PM's phase 1 advances
+    sigma twice (0 → 3 → 5), then ends a pass with a flow still at
+    sigma (a controller's budget is spent), and under the delay bound
+    refuses candidates on the delay budget."""
+    f, g = (200, 300), (201, 301)
+    switches, controllers = (0, 1, 2, 3), (100, 101)
+    delay = {
+        (0, 100): 3.0, (0, 101): 3.0, (1, 100): 2.0, (1, 101): 1.0,
+        (2, 100): 1.0, (2, 101): 3.0, (3, 100): 3.0, (3, 101): 2.0,
+    }
+    return FMSSMInstance(
+        switches=switches,
+        controllers=controllers,
+        spare={100: 6, 101: 2},
+        delay=delay,
+        flows={flow: Flow(src=flow[0], dst=flow[1], path=flow) for flow in (f, g)},
+        pbar={(0, g): 2, (1, g): 3, (2, f): 3, (2, g): 3, (3, f): 2, (3, g): 2},
+        gamma={0: 1, 1: 2, 2: 2, 3: 2},
+        ideal_delay_ms=7.0,
+        lam=0.001,
+        nearest={s: min(controllers, key=lambda c: (delay[(s, c)], c)) for s in switches},
+    )
+
+
+class TestCandidateLists:
+    """PM's phase 1 scans only the pairs that can flip at sigma."""
+
+    def test_instance_drives_every_candidate_path(self):
+        instance = candidate_instance()
+        plain = TracedMedic(instance, phase2=False)
+        plain.run()
+        assert plain.pass_sigmas == [0, 3, 5, 5]
+        assert min(plain._available.values()) == 0
+        strict = TracedMedic(instance, enforce_delay=True)
+        strict.run()
+        assert len(set(strict.pass_sigmas)) >= 2
+        assert strict.delay_skips > 0
+
+    @pytest.mark.parametrize(("name", "solver"), SOLVERS[:8], ids=SOLVER_IDS[:8])
+    def test_array_matches_reference(self, name, solver):
+        _assert_routes_agree(candidate_instance(), solver)
+
+    def test_visits_stay_near_one_per_pair(self):
+        # Before candidate lists, the passes after the first re-walked
+        # every pair of each picked switch: ~2.6 pair-flow reads per pair
+        # on this solve, against ~1.03 with them.
+        from test_grounding_index import wan72_context
+
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                CountingList.reads += 1
+                return list.__getitem__(self, index)
+
+        instance = wan72_context().instance(FailureScenario(frozenset({2, 3, 6})))
+        arrays = prepare_instance(instance)
+        pair_flow, *rest = arrays.cache["seq_lists"]
+        arrays.cache["seq_lists"] = (CountingList(pair_flow), *rest)
+        solve_pm(instance)
+        assert 0 < CountingList.reads < 1.3 * arrays.n_pairs
+
+
 @st.composite
 def recovery_instances(draw):
     """Random end-to-end SD-WAN instances (topology → plane → failure)."""

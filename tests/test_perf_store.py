@@ -495,9 +495,35 @@ class TestRecordStore:
         assert store.get("a") == {"v": 0}
         assert store.get("b") == {"v": [1, 2]}
         assert store.get("c") == {"v": [3]}  # as the line reads back
-        assert len(parsed) == 1  # the fresh read under the lock
+        assert parsed == []  # the index was current under the lock too
         fresh = SolveStore(tmp_path, shards=1)
         assert {key: fresh.get(key) for key in "abc"} == {key: store.get(key) for key in "abc"}
+
+    def test_single_writer_parses_each_shard_once(self, tmp_path, monkeypatch):
+        # A shard is re-read under the lock only when its stat moved, so
+        # a lone writer's batches parse each shard once: on first sight.
+        SolveStore(tmp_path, shards=4).put_many([(f"old{n}", {"n": n}) for n in range(8)])
+        store = SolveStore(tmp_path, shards=4)
+        parsed = []
+        parse = SolveStore._parse_lines
+
+        def counting(self, data):
+            parsed.append(data)
+            return parse(self, data)
+
+        monkeypatch.setattr(SolveStore, "_parse_lines", counting)
+        keys = [f"new{batch}-{n}" for batch in range(5) for n in range(6)]
+        for batch in range(5):
+            assert store.put_many([(key, {"n": 0}) for key in keys[6 * batch : 6 * batch + 6]]) == 6
+        on_disk = {store._shard_of(f"old{n}") for n in range(8)}
+        assert len(parsed) == len(on_disk & {store._shard_of(key) for key in keys})
+        fresh = SolveStore(tmp_path, shards=4)
+        assert all(fresh.get(key) == {"n": 0} for key in keys)
+        # Another handle's write moves the stat: the kept index notices.
+        SolveStore(tmp_path, shards=4).put("other", {"n": 1})
+        parsed.clear()
+        assert not store.put("other", {"n": 2})
+        assert len(parsed) == 1
 
     def test_second_handle_sees_writes(self, tmp_path):
         writer = SolveStore(tmp_path)
