@@ -30,6 +30,7 @@ import numpy as np
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.solution import RecoverySolution
 from repro.lp import LinExpr, Model, SolveStatus, Var, solve
+from repro.lp.highs import grid_rel_gap
 from repro.types import ControllerId, FlowId, NodeId
 
 __all__ = ["solve_retroflow", "solve_retroflow_ip"]
@@ -182,7 +183,11 @@ def solve_retroflow_ip(
         for c in instance.controllers
     )
     model.set_objective(objective, sense="max")
-    result = solve(model, time_limit_s=time_limit_s)
+    # Integer values: within half a unit of their sum's bound is optimal.
+    result = solve(
+        model, time_limit_s=time_limit_s,
+        mip_rel_gap=grid_rel_gap(0.5, sum(values.values())),
+    )
 
     if not result.is_feasible:  # pragma: no cover - always feasible (z = 0)
         return RecoverySolution(

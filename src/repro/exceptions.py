@@ -28,7 +28,6 @@ __all__ = [
     "SolutionError",
     "ValidationError",
     "ChaosError",
-    "CheckpointError",
     "DegradedResultWarning",
 ]
 
@@ -137,10 +136,6 @@ class ValidationError(SolutionError):
 
 class ChaosError(ReproError):
     """An error injected on purpose by the fault-injection harness."""
-
-
-class CheckpointError(ReproError):
-    """A sweep checkpoint is unreadable or belongs to a different sweep."""
 
 
 class DegradedResultWarning(UserWarning, ReproError):

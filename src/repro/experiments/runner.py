@@ -36,7 +36,7 @@ class ScenarioResult:
     scenario: FailureScenario
     evaluations: dict[str, RecoveryEvaluation] = field(default_factory=dict)
     solutions: dict[str, RecoverySolution] = field(default_factory=dict)
-    #: Execution audit trail (mode, ladder demotions, checkpoint restores).
+    #: Execution audit trail (mode, ladder demotions, supervisor charges).
     #: ``None`` for results from the plain serial runner, which has no
     #: degradation machinery to report on.
     degradation: "DegradationReport | None" = None

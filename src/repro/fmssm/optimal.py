@@ -53,7 +53,7 @@ from repro.fmssm.point import Point, feasible_point, resolve, tally
 from repro.fmssm.solution import Placement, RecoverySolution
 from repro.lp import SolveResult, SolveStatus, solve
 from repro.lp.branch_and_bound import solve_form_with_bnb
-from repro.lp.highs import solve_form_with_highs
+from repro.lp.highs import grid_rel_gap, solve_form_with_highs
 from repro.pm.algorithm import solve_pm
 from repro.resilience import chaos
 
@@ -148,6 +148,21 @@ def _certificate_tolerance(instance: FMSSMInstance) -> float | None:
     return 0.5 * spacing
 
 
+def _r_upper_bound(instance: FMSSMInstance) -> int:
+    """``r``'s upper bound: the least max programmability of a
+    recoverable flow (0 when no flow is recoverable)."""
+    arrays = instance.arrays()
+    recoverable = arrays.flow_max_pro[arrays.recoverable_pos]
+    return int(recoverable.min()) if recoverable.size else 0
+
+
+def _mip_rel_gap(instance: FMSSMInstance) -> float:
+    """HiGHS's stopping gap on P′, exact on its objective grid: within
+    :func:`_certificate_tolerance` of :func:`_combinatorial_bound`."""
+    tol = _certificate_tolerance(instance)
+    return grid_rel_gap(tol, 0.0 if tol is None else _combinatorial_bound(instance))
+
+
 def _combinatorial_bound(instance: FMSSMInstance) -> float:
     """A dual bound on P′ from pure combinatorics — no LP solve.
 
@@ -162,8 +177,7 @@ def _combinatorial_bound(instance: FMSSMInstance) -> float:
     never below the MILP optimum.
     """
     arrays = instance.arrays()
-    recoverable = arrays.flow_max_pro[arrays.recoverable_pos]
-    r_ub = float(recoverable.min()) if recoverable.size else 0.0
+    r_ub = float(_r_upper_bound(instance))
     capacity = instance.total_spare
     if capacity <= 0 or not arrays.n_pairs:
         return r_ub
@@ -324,7 +338,11 @@ def _timeout_disposition(
 
 
 def _solve_compiled(
-    compiled, solver: str, time_limit_s: float | None, seed_x: np.ndarray | None
+    instance: FMSSMInstance,
+    compiled,
+    solver: str,
+    time_limit_s: float | None,
+    seed_x: np.ndarray | None,
 ) -> SolveResult:
     """The MILP on the compiled form: B&B with the seed as its incumbent,
     or HiGHS with the seed as its timeout fallback."""
@@ -332,7 +350,10 @@ def _solve_compiled(
         return solve_form_with_bnb(
             compiled.form, time_limit_s=time_limit_s, warm_start=seed_x
         )
-    result = solve_form_with_highs(compiled.form, time_limit_s=time_limit_s)
+    result = solve_form_with_highs(
+        compiled.form, time_limit_s=time_limit_s,
+        mip_rel_gap=_mip_rel_gap(instance),
+    )
     if not result.is_feasible and seed_x is not None and (
         result.status is SolveStatus.TIMEOUT
     ):
@@ -403,7 +424,7 @@ def _solve_optimal_sparse(
             if seed is None or seed.point is None
             else compiled.scatter(seed.point)
         )
-        result = _solve_compiled(compiled, solver, time_limit_s, seed_x)
+        result = _solve_compiled(instance, compiled, solver, time_limit_s, seed_x)
         elapsed = time.perf_counter() - start
         if not result.is_feasible or result.x is None:
             meta = {"status": result.status.value, "solver": result.solver,
@@ -546,7 +567,8 @@ def solve_optimal(
         require_full_recovery=require_full_recovery,
         enforce_delay=enforce_delay,
     )
-    result = solve(model, solver=solver, time_limit_s=time_limit_s)
+    gap = {"mip_rel_gap": _mip_rel_gap(instance)} if solver == "highs" else {}
+    result = solve(model, solver=solver, time_limit_s=time_limit_s, **gap)
     elapsed = time.perf_counter() - start
 
     if not result.is_feasible:

@@ -18,9 +18,10 @@ import time
 
 from repro.fmssm.formulation import build_fmssm_model
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.optimal import _canonical_objective, extract_solution
+from repro.fmssm.optimal import _canonical_objective, _r_upper_bound, extract_solution
 from repro.fmssm.solution import RecoverySolution
 from repro.lp import LinExpr, solve
+from repro.lp.highs import grid_rel_gap
 
 __all__ = ["solve_two_stage"]
 
@@ -35,9 +36,14 @@ def solve_two_stage(
     """Solve FMSSM lexicographically: max ``r`` first, then max total.
 
     Returns an infeasible :class:`RecoverySolution` when stage 1 already
-    has no solution (same condition as the weighted Optimal).
+    has no solution (same condition as the weighted Optimal).  Both
+    stages' objectives are integers (``r`` and ``Σ p̄``), so HiGHS may
+    stop once its gap is under half a unit (:func:`grid_rel_gap`).
     """
     start = time.perf_counter()
+
+    def gap(bound: float) -> dict[str, float]:
+        return {"mip_rel_gap": grid_rel_gap(0.5, bound)} if solver == "highs" else {}
 
     # ----- stage 1: maximize the least programmability ----------------
     model, handles = build_fmssm_model(
@@ -47,7 +53,10 @@ def solve_two_stage(
     )
     assert handles.r is not None
     model.set_objective(LinExpr.from_term(handles.r), sense="max")
-    stage1 = solve(model, solver=solver, time_limit_s=time_limit_s)
+    stage1 = solve(
+        model, solver=solver, time_limit_s=time_limit_s,
+        **gap(_r_upper_bound(instance)),
+    )
     if not stage1.is_feasible:
         return RecoverySolution(
             algorithm="two-stage",
@@ -74,7 +83,10 @@ def solve_two_stage(
         for (switch, _controller, flow_id), w_var in handles2.w.items()
     )
     model2.set_objective(total, sense="max")
-    stage2 = solve(model2, solver=solver, time_limit_s=time_limit_s)
+    stage2 = solve(
+        model2, solver=solver, time_limit_s=time_limit_s,
+        **gap(instance.total_max_programmability()),
+    )
     if not stage2.is_feasible:  # pragma: no cover - stage 1 point remains feasible
         return RecoverySolution(
             algorithm="two-stage",

@@ -27,7 +27,12 @@ from repro.lp.solution import SolveResult, SolveStatus
 from repro.lp.standard_form import StandardForm, to_standard_form
 from repro.resilience import chaos
 
-__all__ = ["solve_with_highs", "solve_form_with_highs", "solve_form_relaxation"]
+__all__ = [
+    "grid_rel_gap",
+    "solve_with_highs",
+    "solve_form_with_highs",
+    "solve_form_relaxation",
+]
 
 # scipy.optimize.milp status codes (documented in scipy):
 _MILP_OPTIMAL = 0
@@ -37,6 +42,19 @@ _MILP_UNBOUNDED = 3
 _MILP_NUMERICAL = 4
 
 
+def grid_rel_gap(tol: float | None, bound: float) -> float:
+    """The ``mip_rel_gap`` at which a stopped MILP is still exact.
+
+    When every feasible objective lies on a grid whose points are more
+    than ``2·tol`` apart, an incumbent within ``tol`` of the dual bound
+    is the optimum.  HiGHS measures its gap relative to the incumbent's
+    magnitude, which ``|bound|`` caps, so ``tol / max(1, |bound|)``
+    never admits an absolute gap above ``tol``.  ``tol=None`` (no safe
+    grid) asks for a proof of optimality: gap 0.
+    """
+    return 0.0 if tol is None else tol / max(1.0, abs(bound))
+
+
 def solve_form_with_highs(
     form: StandardForm,
     time_limit_s: float | None = None,
@@ -44,8 +62,11 @@ def solve_form_with_highs(
 ) -> SolveResult:
     """Solve a compiled :class:`StandardForm` with HiGHS.
 
-    The name-keyed ``values`` dict is only populated when the form
-    carries variable names; form-level callers read ``result.x``.
+    ``mip_rel_gap`` is always passed, 0 included: HiGHS's own default
+    (1e-4) may stop a grid step short of the optimum and still report
+    it optimal (see :func:`grid_rel_gap`).  The name-keyed ``values``
+    dict is only populated when the form carries variable names;
+    form-level callers read ``result.x``.
     """
     from scipy import optimize
 
@@ -67,11 +88,9 @@ def solve_form_with_highs(
                 sparse.csr_matrix((1, form.n_vars)), -np.inf, np.inf
             )
         )
-    options: dict[str, float] = {}
+    options = {"mip_rel_gap": float(mip_rel_gap)}
     if time_limit_s is not None:
         options["time_limit"] = float(time_limit_s)
-    if mip_rel_gap:
-        options["mip_rel_gap"] = float(mip_rel_gap)
 
     start = time.perf_counter()
     raw = optimize.milp(
@@ -79,7 +98,7 @@ def solve_form_with_highs(
         constraints=constraints,
         integrality=form.integrality,
         bounds=optimize.Bounds(form.lb, form.ub),
-        options=options or None,
+        options=options,
     )
     elapsed = time.perf_counter() - start
 
@@ -182,7 +201,8 @@ def solve_with_highs(
         status is :attr:`SolveStatus.FEASIBLE`; without one,
         :attr:`SolveStatus.TIMEOUT`.
     mip_rel_gap:
-        Relative optimality gap at which HiGHS may stop early.
+        Relative optimality gap at which HiGHS may stop early; 0 (the
+        default) proves optimality.
     """
     return solve_form_with_highs(
         to_standard_form(model), time_limit_s=time_limit_s, mip_rel_gap=mip_rel_gap

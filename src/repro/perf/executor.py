@@ -19,7 +19,8 @@ amortizes that bill:
 
 Worker-side caches
     Warm tasks carry a :class:`WarmHeader` naming the sweep's plan key
-    (checkpoint fingerprint + executor generation).  A worker that has
+    (executor id, context generation and a digest of the sweep's
+    parameters, :meth:`SweepExecutor.plan_key`).  A worker that has
     seen the key before skips decoding entirely; otherwise it rebuilds
     the plan from two LRU-cached layers — the heavy context (decoded
     once per *generation*, then shared by every sweep over that
@@ -47,9 +48,10 @@ Lifecycle
 
 :func:`run_campaign` runs many sweeps over one context on a warm
 executor, in the caller's order, and streams each sweep's results as it
-completes.  ``checkpoint_dir=`` adds a crash-only write-ahead journal
-(:class:`~repro.resilience.checkpoint.CampaignJournal`) for bit-exact
-resume after a hard kill, and ``supervisor=`` threads a
+completes.  A campaign resumes after a hard kill the way a sweep does:
+run it again on the same :class:`~repro.perf.store.SolveStore`, and
+every sweep it completed replays without solving.  ``supervisor=``
+threads a
 :class:`~repro.resilience.supervisor.SweepSupervisor` (hung-task
 preemption via :meth:`SweepExecutor.preempt`, poison-scenario
 quarantine, circuit breakers) through every sweep.
@@ -339,20 +341,21 @@ class SweepExecutor:
             encode_s=time.perf_counter() - start,
         )
 
-    def plan_key(self, entry: _ContextEntry, fingerprint: str, sweep_blob: bytes,
+    def plan_key(self, entry: _ContextEntry, sweep_blob: bytes,
                  chaotic: bool = False) -> str:
         """The worker-cache key of one sweep's fully built plan.
 
-        Combines the context generation, the checkpoint fingerprint
-        (scenario keys — network digest, failed sets, code identity —
-        algorithms and time limit) and a digest of the serialized sweep
-        parameters (which covers the ladder, validation flag and exact
-        scenario contents).  Chaotic sweeps get a nonce: a
-        fresh worker-side ``chaos.install`` per sweep keeps the fault
-        counters starting from zero, matching a fresh worker.
+        Combines this executor's id, the context generation (a new
+        context object gets a new one) and a digest of the serialized
+        sweep parameters, which pickle the scenarios, the time limit,
+        the ladder and the validation flag; the plan does not depend on
+        the algorithms, and the code is fixed within one process.
+        Chaotic sweeps get a nonce: a fresh worker-side
+        ``chaos.install`` per sweep keeps the fault counters starting
+        from zero, matching a fresh worker.
         """
         digest = hashlib.sha256(sweep_blob).hexdigest()[:16]
-        key = f"x{self.id}g{entry.generation}:{fingerprint}:{digest}"
+        key = f"x{self.id}g{entry.generation}:{digest}"
         if chaotic:
             key += f":c{next(self._chaos_nonces)}"
         return key
@@ -596,7 +599,6 @@ def run_campaign(
     algorithms: Sequence[str],
     *,
     executor: SweepExecutor | None = None,
-    checkpoint_dir: object = None,
     supervisor: object = None,
     **sweep_kwargs: object,
 ) -> Iterator[tuple[int, list]]:
@@ -609,16 +611,6 @@ def run_campaign(
     bit-identical to a standalone ``parallel_sweep`` over the same
     scenarios.
 
-    ``checkpoint_dir`` makes the campaign crash-only restartable: a
-    :class:`~repro.resilience.checkpoint.CampaignJournal` at
-    ``<dir>/campaign.jsonl`` commits one fsynced line per completed
-    sweep, and each in-flight sweep checkpoints to
-    ``<dir>/sweep-<index>.json``.  Rerunning after a hard kill replays
-    committed sweeps from the journal bit-identically (no re-solving;
-    evaluations are recomputed deterministically), resumes the
-    interrupted sweep from its own checkpoint, and compacts the journal
-    when the campaign completes.
-
     ``supervisor`` threads a :class:`~repro.resilience.supervisor.
     SweepSupervisor` through every sweep — hung-task preemption,
     poison-scenario quarantine and circuit breakers all persist across
@@ -629,83 +621,26 @@ def run_campaign(
     :func:`~repro.perf.sweep.parallel_sweep`.  A cross-run
     :class:`~repro.perf.store.SolveStore` (``store=`` here or attached
     to the executor) memoizes every sweep of the campaign; the store's
-    size-bounded GC runs once when the campaign completes.
+    size-bounded GC runs once when the campaign completes.  The store
+    is also how a killed campaign resumes: re-run it on the same store
+    and each sweep replays whatever its scenarios settled there,
+    bit-identically, solving only the rest (degraded solves, and every
+    sweep under an active chaos plan, are never stored).
     """
     from repro.perf.sweep import parallel_sweep
-    from repro.resilience.checkpoint import result_from_json, result_to_json
 
-    sweeps = [tuple(s) for s in sweeps]
     if executor is None:
         executor = get_default_executor()
-
-    journal = None
-    restored: dict[int, dict] = {}
-    fingerprints: list[str] = []
-    if checkpoint_dir is not None:
-        from pathlib import Path
-
-        from repro.perf.store import scenario_key
-        from repro.resilience.checkpoint import (
-            CampaignJournal,
-            campaign_fingerprint,
-            sweep_fingerprint,
-        )
-
-        directory = Path(checkpoint_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        time_limit = float(sweep_kwargs.get("optimal_time_limit_s", 300.0))
-        fingerprints = [
-            sweep_fingerprint(
-                [scenario_key(context, s) for s in sweep], algorithms, time_limit
-            )
-            for sweep in sweeps
-        ]
-        journal = CampaignJournal(
-            directory / "campaign.jsonl", campaign_fingerprint(fingerprints)
-        )
-        restored = journal.load()
-
-    for index in range(len(sweeps)):
-        if journal is not None:
-            entry = restored.get(index)
-            if entry is not None and entry.get("fingerprint") == fingerprints[index]:
-                results = [
-                    result_from_json(context, scenario, payload)
-                    for scenario, payload in zip(sweeps[index], entry["results"])
-                ]
-                for result in results:
-                    if result.degradation is None:
-                        from repro.resilience.degradation import DegradationReport
-
-                        result.degradation = DegradationReport()
-                    result.degradation.record(
-                        "campaign", "restore", f"restored from {journal.path}"
-                    )
-                yield index, results
-                continue
-        kwargs = dict(sweep_kwargs)
-        if journal is not None:
-            kwargs.setdefault("checkpoint_path", directory / f"sweep-{index}.json")
-        results = parallel_sweep(
+    for index, sweep in enumerate(sweeps):
+        yield index, parallel_sweep(
             context,
-            sweeps[index],
+            tuple(sweep),
             algorithms,
             executor=executor,
             supervisor=supervisor,
-            **kwargs,
+            **sweep_kwargs,
         )
-        if journal is not None:
-            journal.append(
-                index, fingerprints[index], [result_to_json(r) for r in results]
-            )
-        yield index, results
-    if journal is not None:
-        # Kept (compacted) rather than deleted: rerunning the finished
-        # campaign replays every sweep from the journal for free.
-        journal.compact()
-    store = sweep_kwargs.get("store") or (
-        executor.store if executor is not None else None
-    )
+    store = sweep_kwargs.get("store") or executor.store
     if store is not None:
         store.gc()
 
@@ -730,7 +665,6 @@ def campaign_summary(
         "degraded": 0,
         "preempted": 0,
         "quarantined": 0,
-        "restored": 0,
         "store_hits": 0,
         "store_misses": 0,
         "evictions": {},
@@ -750,8 +684,6 @@ def campaign_summary(
                 summary["degraded"] += 1
             if any(e.action == "preempted" for e in events):
                 summary["preempted"] += 1
-            if any(e.action == "restore" for e in events):
-                summary["restored"] += 1
             meta = getattr(result, "meta", {})
             if meta.get("supervisor", {}).get("quarantined"):
                 summary["quarantined"] += 1

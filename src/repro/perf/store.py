@@ -104,8 +104,8 @@ def code_identity() -> str:
     Hashes the path and bytes of every ``repro/**/*.py`` file plus the
     numpy, scipy and Python versions (scipy ships HiGHS).  Covering the
     whole package keeps the rule free of a file list to maintain: any
-    edit to the source moves every key, so no store, checkpoint or
-    campaign journal replays an answer that other code produced.
+    edit to the source moves every key, so no store replays an answer
+    that other code produced.
     """
     import scipy
 
@@ -286,7 +286,7 @@ def decode_result(context, record: dict):
     per-flow object is built until a caller reads a dict view, which
     lists pairs flow-major and flows in population order.  Every call
     returns fresh, independently mutable objects.  ``solve_time_s``
-    replays the stored wall clock (same policy as checkpoint resume).
+    replays the stored wall clock.
     """
     from repro.fmssm.evaluation import FlowValues, RecoveryEvaluation
 

@@ -30,9 +30,10 @@ Resilience (all opt-in, zero overhead when unused):
   lying solver rung demotes instead of crashing the sweep.
 * ``validate=True`` re-checks every heuristic solution against the
   instance's constraints (:mod:`repro.resilience.validate`).
-* ``checkpoint_path=`` persists completed scenarios as JSON every
-  ``checkpoint_every`` completions; a killed sweep resumes from the last
-  checkpoint bit-identically to an uninterrupted run.
+* ``store=`` is the sweep's only persistent state: clean solves are
+  written to the :class:`~repro.perf.store.SolveStore` as scenarios
+  complete, so a killed sweep resumes by running again on the same
+  store — bit-identically to an uninterrupted run.
 
 Fan-out transports (``transport=``) decide how the context travels:
 ``"pickle"`` serializes the whole context into the header (workers
@@ -51,15 +52,15 @@ its algorithms and evaluates their solutions in one batch — the serial
 path and every pool worker run it, so no answer depends on which
 scenario ran before it or on how many workers ran the sweep.
 
-Fault-injection sites (``sweep.task``, ``sweep.payload``,
-``sweep.checkpoint``) are threaded through the hot paths; see
-:mod:`repro.resilience.chaos`.
+Fault-injection sites (``sweep.task``, ``sweep.payload``) are threaded
+through the hot paths; see :mod:`repro.resilience.chaos`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 import pickle
 import time
 import warnings
@@ -78,12 +79,6 @@ from repro.fmssm.solution import RecoverySolution
 from repro.perf.kernels import prepare_instance
 from repro.perf.shm import FanoutStats, shm_available
 from repro.resilience import chaos
-from repro.resilience.checkpoint import (
-    SweepCheckpoint,
-    result_from_json,
-    result_to_json,
-    sweep_fingerprint,
-)
 from repro.perf.store import (
     SolveStore,
     decode_result,
@@ -160,6 +155,14 @@ _MIN_PARALLEL_TASKS = 64
 #: (usually) no plan to decode, so fan-out pays off much earlier.
 _MIN_PARALLEL_TASKS_WARM = 16
 
+#: Shortest time between two of a sweep's writes to its store.  A
+#: scenario that completes this long after the previous write (or the
+#: sweep's start) is written at once, with whatever earlier completions
+#: are still buffered: one ``put_many`` (one fsync per shard written)
+#: per batch rather than per scenario.  A hard kill loses only what is
+#: buffered, which a re-run on the same store solves again.
+_SETTLE_INTERVAL_S = 1.0
+
 
 def _solve(
     instance: FMSSMInstance,
@@ -206,7 +209,7 @@ def _scenario_rows(
     passes the ``sweep.task`` chaos site once.  ``instance_of``
     overrides instance grounding (the runner passes its store-probe
     cache).  Rows are yielded scenario by scenario, so the serial path
-    stores (and checkpoints) each one as it completes.
+    settles each one in the store as it completes.
     """
     if instance_of is None:
         instance_of = plan.instance
@@ -233,7 +236,7 @@ def _scenario_rows(
 
 
 class _SweepRunner:
-    """One sweep execution: slots, checkpointing, and degradation audit."""
+    """One sweep execution: slots, store settling, and degradation audit."""
 
     def __init__(
         self,
@@ -243,8 +246,6 @@ class _SweepRunner:
         optimal_time_limit_s: float,
         ladder: LadderPolicy | None,
         validate: bool,
-        checkpoint: SweepCheckpoint | None,
-        checkpoint_every: int,
         transport: str = "auto",
         store: SolveStore | None = None,
     ) -> None:
@@ -256,8 +257,6 @@ class _SweepRunner:
         self.optimal_time_limit_s = optimal_time_limit_s
         self.ladder = ladder
         self.validate = validate
-        self.checkpoint = checkpoint
-        self.checkpoint_every = max(1, checkpoint_every)
         self.transport = transport
         self.store = store
         #: Instances the store probe grounded to validate hits, by
@@ -265,6 +264,10 @@ class _SweepRunner:
         self._grounded: dict[int, FMSSMInstance] = {}
         #: Per-scenario store provenance stamped on ``meta["store"]``.
         self._provenance: dict[int, dict] = {}
+        #: Clean records of completed scenarios not yet written, and
+        #: when the sweep last wrote (:meth:`_settle`).
+        self._unsettled: list[tuple[str, dict]] = []
+        self._written_at = time.monotonic()
         #: Fan-out transport stats of the last pool launch, if any.
         self.fanout: FanoutStats | None = None
         self.results = [
@@ -273,44 +276,17 @@ class _SweepRunner:
         ]
         #: Scenario indices fully solved (all algorithms present).
         self.completed: set[int] = set()
-        #: Serialized payloads of completed scenarios (for checkpointing).
-        self._payloads: dict[int, dict] = {}
-        self._since_checkpoint = 0
-
-    # -- checkpoint ----------------------------------------------------
-    def restore(self) -> None:
-        """Load previously completed scenarios from the checkpoint."""
-        if self.checkpoint is None:
-            return
-        for index, payload in self.checkpoint.load().items():
-            if not 0 <= index < len(self.scenarios):
-                continue
-            result = result_from_json(self.context, self.scenarios[index], payload)
-            if result.degradation is None:
-                result.degradation = DegradationReport()
-            result.degradation.record(
-                "checkpoint", "restore", f"restored from {self.checkpoint.path}"
-            )
-            self.results[index] = result
-            self.completed.add(index)
-            self._payloads[index] = payload
 
     def _scenario_done(self, index: int) -> None:
-        """Mark a scenario complete; checkpoint every N completions."""
-        self.completed.add(index)
-        if self.checkpoint is None:
-            return
-        self._payloads[index] = result_to_json(self.results[index])
-        self._since_checkpoint += 1
-        if self._since_checkpoint >= self.checkpoint_every:
-            self._flush_checkpoint()
+        """Mark a scenario complete and settle its fresh solves.
 
-    def _flush_checkpoint(self) -> None:
-        if self.checkpoint is None or self._since_checkpoint == 0:
-            return
-        self.checkpoint.save(self._payloads)
-        self._since_checkpoint = 0
-        chaos.check("sweep.checkpoint")
+        Every route — serial, fresh pool, warm and supervised — stores
+        its rows in the parent through :meth:`_store`, which lands here
+        once a scenario holds all its algorithms.
+        """
+        self.completed.add(index)
+        if self.store is not None:
+            self._settle(index)
 
     # -- bookkeeping ---------------------------------------------------
     def record_mode(self, reason: str, degraded: bool = False) -> None:
@@ -448,36 +424,31 @@ class _SweepRunner:
                         continue
                 provenance["misses"].append(algorithm)
 
-    def settle_store(self) -> None:
-        """Write back the sweep's fresh solves and stamp provenance.
+    def _settle(self, index: int) -> None:
+        """Buffer completed scenario ``index``'s clean solves of probed
+        misses; write the buffer once :data:`_SETTLE_INTERVAL_S` has
+        passed since the last write."""
+        result = self.results[index]
+        self._unsettled.extend(
+            (
+                solve_key(self.keys[index], algorithm, self.optimal_time_limit_s),
+                encode_result(
+                    self.context, result.solutions[algorithm],
+                    result.evaluations[algorithm],
+                ),
+            )
+            for algorithm in self._provenance[index]["misses"]
+            if self._clean_for_store(result, result.solutions[algorithm])
+        )
+        if time.monotonic() - self._written_at >= _SETTLE_INTERVAL_S:
+            self.flush_store()
 
-        Every clean solve of a probed miss is appended to the store
-        (put-if-absent), and the provenance stamps land on
-        ``meta["store"]``.
-        """
-        if self.store is None:
-            return
-        records = []
-        for index, provenance in sorted(self._provenance.items()):
-            result = self.results[index]
-            for algorithm in provenance["misses"]:
-                solution = result.solutions.get(algorithm)
-                if solution is None or not self._clean_for_store(
-                    result, solution
-                ):
-                    continue
-                records.append((
-                    solve_key(
-                        self.keys[index], algorithm, self.optimal_time_limit_s
-                    ),
-                    encode_result(
-                        self.context, solution, result.evaluations[algorithm]
-                    ),
-                ))
-        if records:
+    def flush_store(self) -> None:
+        """Write every buffered record with one put-if-absent ``put_many``."""
+        if self._unsettled:
+            records, self._unsettled = self._unsettled, []
             self.store.put_many(records)
-        for index, provenance in self._provenance.items():
-            self.results[index].meta["store"] = dict(provenance)
+            self._written_at = time.monotonic()
 
     # -- execution -----------------------------------------------------
     def _as_plan(self) -> SweepPlan:
@@ -539,13 +510,8 @@ class _SweepRunner:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         blob = chaos.transform("sweep.payload", blob)
-        fingerprint = sweep_fingerprint(
-            self.keys, self.algorithms, self.optimal_time_limit_s
-        )
         header = executor_mod.WarmHeader(
-            plan_key=executor.plan_key(
-                entry, fingerprint, blob, chaotic=chaos_plan is not None
-            ),
+            plan_key=executor.plan_key(entry, blob, chaotic=chaos_plan is not None),
             context_key=(executor.id, entry.generation),
             context_payload=entry.payload,
             sweep_blob=blob,
@@ -622,8 +588,6 @@ class _SweepRunner:
             executor.mark_broken()
             self._warn_fallback(f"process pool failed ({exc!r})")
             return False
-        finally:
-            self._flush_checkpoint()
         return True
 
     # -- supervised execution ------------------------------------------
@@ -964,8 +928,6 @@ class _SweepRunner:
                             f"{policy.max_pool_restarts} ({exc!r})"
                         )
                         return False
-                finally:
-                    self._flush_checkpoint()
         finally:
             self.ladder = base_ladder
             self.transport = base_transport
@@ -1001,15 +963,15 @@ class _SweepRunner:
                       stacklevel=4)
 
     def finish(self) -> "list[ScenarioResult]":  # noqa: F821
-        """Final checkpoint flush + cleanup, then the merged results.
+        """The merged results, with their store provenance stamped on
+        ``meta["store"]``.
 
         Solutions/evaluations dicts are put back into the caller's
         algorithm order — pool futures complete in arbitrary order, but
         the output contract is "identical to the serial sweep".
         """
-        self._flush_checkpoint()
-        if self.checkpoint is not None and len(self.completed) == len(self.scenarios):
-            self.checkpoint.clear()
+        for index, provenance in self._provenance.items():
+            self.results[index].meta["store"] = dict(provenance)
         fanout = None if self.fanout is None else self.fanout.to_dict()
         for result in self.results:
             result.solutions = {
@@ -1066,8 +1028,6 @@ def parallel_sweep(
     min_parallel_tasks: int | None = None,
     ladder: LadderPolicy | None = None,
     validate: bool = False,
-    checkpoint_path: object = None,
-    checkpoint_every: int = 4,
     transport: str = "auto",
     executor: "SweepExecutor | None" = None,  # noqa: F821
     supervisor: "SweepSupervisor | None" = None,  # noqa: F821
@@ -1091,17 +1051,15 @@ def parallel_sweep(
     does ``min_parallel_tasks=0``.
 
     Resilience knobs (see :mod:`repro.resilience`): ``ladder`` walks
-    ``optimal`` solves down a degradation ladder, ``validate`` re-checks
-    heuristic solutions, and ``checkpoint_path`` enables periodic
-    checkpointing with bit-identical resume.
+    ``optimal`` solves down a degradation ladder and ``validate``
+    re-checks heuristic solutions.
 
     Performance knob: ``transport`` picks how the context reaches
     workers (``"auto"`` prefers the zero-copy shared-memory route and
     degrades to pickle; ``"shm"`` degrades too but warns; ``"pickle"``
     ships the pickled context).  It is a pure execution strategy:
-    results are bit-identical to the default, and it does not affect
-    the checkpoint fingerprint — a sweep may resume under a different
-    transport.
+    results are bit-identical to the default, and store keys do not
+    depend on it — a sweep may resume under a different transport.
 
     Without ``executor`` the sweep runs on a
     :class:`~repro.perf.executor.SweepExecutor` scoped to the call, whose
@@ -1127,13 +1085,16 @@ def parallel_sweep(
     stored solution and evaluation without grounding the scenario —
     bit-identical to a fresh solve; with ``validate=True`` the hit is
     also validated against the grounded instance.  Fresh clean solves
-    are written back for the next run.  Defaults to the executor's
-    store when one is attached.  Under an
-    active chaos plan the store is bypassed entirely so fault injection
-    still exercises real solves.
+    are written back as their scenarios complete, at most one batch per
+    :data:`_SETTLE_INTERVAL_S`, and flushed when the sweep returns or
+    raises, so the store is also how a killed sweep resumes: run it
+    again on the same store and only the unwritten scenarios are
+    solved.  Degraded and demoted solves are never stored, so a resumed
+    sweep solves them again.  Defaults to the executor's store when one
+    is attached.  Under an active chaos plan the store is bypassed
+    entirely so fault injection still exercises real solves; a chaotic
+    sweep is never resumed.
     """
-    import os
-
     if transport not in _TRANSPORTS:
         raise ValueError(
             f"unknown transport {transport!r}; expected one of {_TRANSPORTS}"
@@ -1155,17 +1116,6 @@ def parallel_sweep(
     scenarios = tuple(scenarios)
     algorithms = tuple(algorithms)
 
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            sweep_fingerprint(
-                [scenario_key(context, s) for s in scenarios],
-                algorithms,
-                optimal_time_limit_s,
-            ),
-        )
-
     runner = _SweepRunner(
         context,
         scenarios,
@@ -1173,61 +1123,60 @@ def parallel_sweep(
         optimal_time_limit_s,
         ladder,
         validate,
-        checkpoint,
-        checkpoint_every,
         transport=transport,
         store=store,
     )
-    runner.restore()
-    if store is not None:
-        runner.probe_store()
-    tasks = runner.pending_tasks()
-    if not tasks:
-        runner.settle_store()
-        return runner.finish()
+    try:
+        if store is not None:
+            runner.probe_store()
+        tasks = runner.pending_tasks()
+        if not tasks:
+            return runner.finish()
+        if min_parallel_tasks is None:
+            min_parallel_tasks = (
+                _MIN_PARALLEL_TASKS_WARM if executor is not None else _MIN_PARALLEL_TASKS
+            )
+        heuristics_only = not any(a in _HEAVY_ALGORITHMS for a in algorithms)
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
+        workers = min(max_workers, len(tasks))
 
-    if min_parallel_tasks is None:
-        min_parallel_tasks = (
-            _MIN_PARALLEL_TASKS_WARM if executor is not None else _MIN_PARALLEL_TASKS
-        )
-    heuristics_only = not any(a in _HEAVY_ALGORITHMS for a in algorithms)
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    workers = min(max_workers, len(tasks))
+        if heuristics_only and len(tasks) < min_parallel_tasks:
+            runner.record_mode(
+                f"serial: {len(tasks)} heuristic-only tasks < "
+                f"min_parallel_tasks={min_parallel_tasks}"
+            )
+            runner.run_serial(tasks)
+        elif workers <= 1:
+            runner.record_mode(f"serial: max_workers={max_workers} resolves to <= 1 worker")
+            runner.run_serial(tasks)
+        elif executor is not None and supervisor is not None:
+            runner.record_mode(
+                f"supervised-warm-pool: executor {executor.id}, {workers} workers, "
+                f"{len(tasks)} tasks"
+            )
+            if not runner.run_supervised(tasks, workers, executor, supervisor):
+                runner.run_serial(runner.pending_tasks())
+        elif executor is not None:
+            runner.record_mode(
+                f"warm-pool: executor {executor.id}, {workers} workers, "
+                f"{len(tasks)} tasks"
+            )
+            if not runner.run_warm(tasks, workers, executor):
+                runner.run_serial(runner.pending_tasks())
+        else:
+            from repro.perf.executor import SweepExecutor
 
-    if heuristics_only and len(tasks) < min_parallel_tasks:
-        runner.record_mode(
-            f"serial: {len(tasks)} heuristic-only tasks < "
-            f"min_parallel_tasks={min_parallel_tasks}"
-        )
-        runner.run_serial(tasks)
-    elif workers <= 1:
-        runner.record_mode(f"serial: max_workers={max_workers} resolves to <= 1 worker")
-        runner.run_serial(tasks)
-    elif executor is not None and supervisor is not None:
-        runner.record_mode(
-            f"supervised-warm-pool: executor {executor.id}, {workers} workers, "
-            f"{len(tasks)} tasks"
-        )
-        if not runner.run_supervised(tasks, workers, executor, supervisor):
-            runner.run_serial(runner.pending_tasks())
-    elif executor is not None:
-        runner.record_mode(
-            f"warm-pool: executor {executor.id}, {workers} workers, "
-            f"{len(tasks)} tasks"
-        )
-        if not runner.run_warm(tasks, workers, executor):
-            runner.run_serial(runner.pending_tasks())
-    else:
-        from repro.perf.executor import SweepExecutor
-
-        runner.record_mode(f"pool: {workers} workers, {len(tasks)} tasks")
-        # A pool scoped to this call: closing it shuts the workers down
-        # before the context's segment lease is released, and before the
-        # serial path picks up whatever the pool left.
-        with SweepExecutor(max_workers=workers) as scoped:
-            pooled = runner.run_warm(tasks, workers, scoped)
-        if not pooled:
-            runner.run_serial(runner.pending_tasks())
-    runner.settle_store()
+            runner.record_mode(f"pool: {workers} workers, {len(tasks)} tasks")
+            # A pool scoped to this call: closing it shuts the workers down
+            # before the context's segment lease is released, and before the
+            # serial path picks up whatever the pool left.
+            with SweepExecutor(max_workers=workers) as scoped:
+                pooled = runner.run_warm(tasks, workers, scoped)
+            if not pooled:
+                runner.run_serial(runner.pending_tasks())
+    finally:
+        # Scenarios completed before an exception are written on the
+        # way out, so a re-run on the same store resumes after them.
+        runner.flush_store()
     return runner.finish()

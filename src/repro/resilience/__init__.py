@@ -2,7 +2,7 @@
 
 The paper's premise is graceful degradation under failure; this package
 applies the same philosophy to the reproduction's own execution
-pipeline.  Five pieces:
+pipeline.  Four pieces:
 
 :mod:`repro.resilience.degradation`
     A configurable **degradation ladder** for exact solves
@@ -13,11 +13,6 @@ pipeline.  Five pieces:
     A **fault-injection harness** with sites threaded through the sweep
     engine and every solver route, so the failure paths are first-class
     tested code.
-:mod:`repro.resilience.checkpoint`
-    **Checkpoint/resume** for failure sweeps: completed scenarios
-    persist as JSON and a killed sweep resumes bit-identically.  The
-    :class:`CampaignJournal` write-ahead log scales the guarantee to
-    whole campaigns (crash-only: append, fsync, replay, compact).
 :mod:`repro.resilience.supervisor`
     A **sweep supervisor** around the warm executor: per-unit deadlines
     with hung-worker preemption, retry budgets with poison-scenario
@@ -29,16 +24,12 @@ pipeline.  Five pieces:
     instance's constraints (Eqs. 2-6 / 12-14), invoked on every solver
     route's output.
 
-See ``docs/robustness.md`` for the full design.
+A killed sweep or campaign resumes by running again on the same
+:class:`~repro.perf.store.SolveStore`, which is the only persistent
+state.  See ``docs/robustness.md`` for the full design.
 """
 
 from repro.resilience import chaos
-from repro.resilience.checkpoint import (
-    CampaignJournal,
-    SweepCheckpoint,
-    campaign_fingerprint,
-    sweep_fingerprint,
-)
 from repro.resilience.degradation import (
     DegradationEvent,
     DegradationReport,
@@ -68,10 +59,6 @@ __all__ = [
     "Rung",
     "default_ladder",
     "solve_with_ladder",
-    "SweepCheckpoint",
-    "sweep_fingerprint",
-    "CampaignJournal",
-    "campaign_fingerprint",
     "CircuitBreaker",
     "QuarantineReport",
     "SupervisorPolicy",

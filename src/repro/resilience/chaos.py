@@ -20,9 +20,6 @@ Instrumented sites
 ``sweep.payload``
     Transform point over the pickled :class:`SweepPlan` bytes
     (``corrupt-payload`` flips a byte, so workers die unpickling it).
-``sweep.checkpoint``
-    Fires after each checkpoint write — ``raise-error`` here simulates a
-    sweep killed mid-flight for resume tests.
 ``optimal.solve``
     Entry of :func:`repro.fmssm.optimal.solve_optimal`.
 ``highs.solve`` / ``highs.relax`` / ``bnb.solve``

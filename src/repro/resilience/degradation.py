@@ -57,7 +57,7 @@ class DegradationEvent:
     elapsed_s: float = 0.0
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-safe representation (checkpoints, headline payloads)."""
+        """JSON-safe representation (headline payloads)."""
         return {
             "rung": self.rung,
             "action": self.action,
@@ -122,7 +122,7 @@ class DegradationReport:
         return f"rung_used={used}" + (f" [{path}]" if path else "")
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-safe representation (checkpoints, worker transport)."""
+        """JSON-safe representation (worker transport, headline payloads)."""
         return {
             "rung_used": self.rung_used,
             "events": [e.to_dict() for e in self.events],

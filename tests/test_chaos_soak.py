@@ -4,8 +4,10 @@ The acceptance bar for the supervision layer (docs/robustness.md): a
 ``kill-worker`` + ``hang`` + ``corrupt-solution`` chaos schedule over a
 multi-sweep campaign must complete with results *bit-identical* to the
 fault-free run, every fault that fired accounted for in
-``ScenarioResult.meta`` / the supervisor summary, and the campaign's
-write-ahead journal must resume bit-identically after a hard kill.
+``ScenarioResult.meta`` / the supervisor summary, and nothing written to
+the campaign's solve store.  A chaotic run bypasses the store, so it is
+never resumed; the fault-free campaign and a supervised ladder sweep,
+cut short, resume bit-identically on their store.
 
 The schedule is seeded per sweep rather than one flat plan: chaos call
 counters are per *process*, and both ``kill-worker`` and a preempted
@@ -43,9 +45,10 @@ import warnings
 import pytest
 
 from test_perf_parallel_sweep import assert_sweeps_identical
+from test_store_resume import Interrupted, interrupt_after
 
 from repro.control.failures import FailureScenario
-from repro.exceptions import ChaosError, DegradedResultWarning
+from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
 from repro.perf import shm
 from repro.perf.executor import (
@@ -54,7 +57,8 @@ from repro.perf.executor import (
     close_default_executor,
     run_campaign,
 )
-from repro.perf.sweep import parallel_sweep
+from repro.perf.store import SolveStore
+from repro.perf.sweep import parallel_sweep, store_summary
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan, Fault
 from repro.resilience.degradation import default_ladder
@@ -150,23 +154,27 @@ def _soak_policy() -> SupervisorPolicy:
     )
 
 
-def _run_soak_campaign(context, sweeps, ladder, directory, supervisor, plans):
+def _soak_campaign(context, sweeps, ladder, store, supervisor, executor):
+    return run_campaign(
+        context, sweeps, SOAK_ALGORITHMS,
+        executor=executor, max_workers=2, min_parallel_tasks=0,
+        optimal_time_limit_s=30.0, ladder=ladder,
+        store=store, supervisor=supervisor,
+    )
+
+
+def _run_soak_campaign(context, sweeps, ladder, store, supervisor, plans):
     """Drive the campaign sweep by sweep, installing that sweep's plan."""
     collected = {}
     with SweepExecutor(max_workers=2) as executor:
-        stream = run_campaign(
-            context, sweeps, SOAK_ALGORITHMS,
-            executor=executor, max_workers=2, min_parallel_tasks=0,
-            optimal_time_limit_s=30.0, ladder=ladder,
-            checkpoint_dir=directory, supervisor=supervisor,
-        )
+        stream = _soak_campaign(context, sweeps, ladder, store, supervisor, executor)
         try:
             for plan in plans:
                 chaos.install(plan)
                 index, results = next(stream)
                 collected[index] = results
             chaos.uninstall()
-            for index, results in stream:  # drain (compacts the journal)
+            for index, results in stream:  # drain the fault-free rest
                 collected[index] = results
         finally:
             chaos.uninstall()
@@ -178,10 +186,11 @@ class TestChaosSoak:
         self, soak_context, soak_sweeps, soak_ladder, soak_reference, tmp_path
     ):
         supervisor = SweepSupervisor(_soak_policy())
+        store = SolveStore(tmp_path / "store")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResultWarning)
             collected = _run_soak_campaign(
-                soak_context, soak_sweeps, soak_ladder, tmp_path / "chaos",
+                soak_context, soak_sweeps, soak_ladder, store,
                 supervisor, soak_schedule(),
             )
 
@@ -224,42 +233,38 @@ class TestChaosSoak:
         assert summary["supervisor"]["stats"]["pool_crashes"] >= 1
         assert json.dumps(summary)
 
+        # 4. Chaos bypasses the store: a faulted run records nothing.
+        assert store.record_bytes() == 0
+        assert summary["store_hits"] == summary["store_misses"] == 0
+
     def test_soaked_campaign_resumes_bit_identically_after_hard_kill(
         self, soak_context, soak_sweeps, soak_ladder, soak_reference, tmp_path
     ):
-        directory = tmp_path / "chaos-resume"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedResultWarning)
-            first = _run_soak_campaign(
-                soak_context, soak_sweeps, soak_ladder, directory,
-                SweepSupervisor(_soak_policy()), soak_schedule(),
+        """The soak campaign, fault-free on a store, is cut after two
+        sweeps — a hard kill there leaves the same store, since each
+        sweep settles before it returns.  The re-run on that store is
+        bit-identical, and the two completed sweeps replay without a
+        solve.  (Under chaos the store is bypassed, so only a fault-free
+        campaign resumes.)"""
+        root = tmp_path / "store"
+        with SweepExecutor(max_workers=2) as executor:
+            stream = _soak_campaign(
+                soak_context, soak_sweeps, soak_ladder, SolveStore(root),
+                SweepSupervisor(_soak_policy()), executor,
             )
-        # Hard kill after two committed sweeps: drop the final journal line.
-        journal = directory / "campaign.jsonl"
-        lines = journal.read_text().splitlines(keepends=True)
-        journal.write_text("".join(lines[:3]))
-        # The rerun faces the same chaos schedule (fresh counters, as a
-        # fresh process would); committed sweeps replay, the lost one
-        # re-runs under its sweep's plan.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedResultWarning)
-            resumed = _run_soak_campaign(
-                soak_context, soak_sweeps, soak_ladder, directory,
-                SweepSupervisor(_soak_policy()), soak_schedule(),
-            )
+            first = dict([next(stream), next(stream)])
+            stream.close()
+        resumed = _run_soak_campaign(
+            soak_context, soak_sweeps, soak_ladder, SolveStore(root),
+            SweepSupervisor(_soak_policy()), plans=(),
+        )
+        assert sorted(first) == [0, 1]
         for index, reference in enumerate(soak_reference):
-            assert_sweeps_identical(reference, first[index])
+            if index in first:
+                assert_sweeps_identical(reference, first[index])
             assert_sweeps_identical(reference, resumed[index])
-        restored = [
-            index
-            for index, results in resumed.items()
-            if any(
-                e.action == "restore"
-                for r in results
-                for e in r.degradation.events
-            )
-        ]
-        assert len(restored) == 2
+        for index in first:
+            assert store_summary(resumed[index])["misses"] == 0
 
 
 class TestLadderInsideWarmExecutor:
@@ -333,11 +338,13 @@ class TestLadderInsideWarmExecutor:
                 result.meta["supervisor"]["quarantined"] for result in rerun
             )
 
-    def test_interrupted_chaotic_sweep_resumes_bit_identically(
-        self, soak_context, soak_ladder, tmp_path
+    def test_interrupted_supervised_sweep_resumes_bit_identically(
+        self, soak_context, soak_ladder, tmp_path, monkeypatch
     ):
-        """A supervised chaotic sweep killed mid-run (checkpoint chaos)
-        resumes from its checkpoint and completes fault-free."""
+        """A supervised ladder sweep that raises in the parent after its
+        first scenario completes resumes on its store: the completed
+        scenario replays, the other is solved, and the answers are the
+        fault-free ones."""
         scenarios = (
             FailureScenario(frozenset({0})),
             FailureScenario(frozenset({3})),
@@ -346,37 +353,27 @@ class TestLadderInsideWarmExecutor:
             soak_context, scenarios, SOAK_ALGORITHMS,
             optimal_time_limit_s=30.0, ladder=soak_ladder,
         )
-        path = tmp_path / "ladder-chaos.json"
+        root = tmp_path / "store"
         supervisor = SweepSupervisor(_soak_policy())
         with SweepExecutor(max_workers=2) as executor:
-            with chaos.inject(
-                Fault("sweep.task", "kill-worker", at_call=1, count=1),
-                Fault("sweep.checkpoint", "raise-error", at_call=2),
-            ), warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradedResultWarning)
-                with pytest.raises(ChaosError):
-                    parallel_sweep(
-                        soak_context, scenarios, SOAK_ALGORITHMS,
-                        optimal_time_limit_s=30.0, ladder=soak_ladder,
-                        max_workers=2, min_parallel_tasks=0,
-                        executor=executor, supervisor=supervisor,
-                        checkpoint_path=path, checkpoint_every=1,
-                    )
-            assert path.exists()
-            resumed = parallel_sweep(
-                soak_context, scenarios, SOAK_ALGORITHMS,
+            options = dict(
                 optimal_time_limit_s=30.0, ladder=soak_ladder,
                 max_workers=2, min_parallel_tasks=0,
                 executor=executor, supervisor=supervisor,
-                checkpoint_path=path, checkpoint_every=1,
+            )
+            interrupt_after(monkeypatch, 1)
+            with pytest.raises(Interrupted):
+                parallel_sweep(
+                    soak_context, scenarios, SOAK_ALGORITHMS,
+                    store=SolveStore(root), **options,
+                )
+            monkeypatch.undo()
+            resumed = parallel_sweep(
+                soak_context, scenarios, SOAK_ALGORITHMS,
+                store=SolveStore(root), **options,
             )
         assert_sweeps_identical(reference, resumed)
-        assert any(
-            event.action == "restore"
-            for result in resumed
-            for event in result.degradation.events
-        )
-        assert not path.exists()
+        assert store_summary(resumed)["hits"] == len(SOAK_ALGORITHMS)
 
 
 class TestEvictionTelemetry:

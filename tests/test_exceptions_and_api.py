@@ -28,7 +28,6 @@ class TestHierarchy:
             (exceptions.RungTimeoutError, exceptions.SolverTimeoutError),
             (exceptions.ValidationError, exceptions.SolutionError),
             (exceptions.ChaosError, exceptions.ReproError),
-            (exceptions.CheckpointError, exceptions.ReproError),
             (exceptions.DegradedResultWarning, exceptions.ReproError),
         ],
     )

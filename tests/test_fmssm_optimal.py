@@ -12,7 +12,7 @@ from repro.control.failures import FailureScenario, enumerate_failure_scenarios
 from repro.experiments.scenarios import custom_context
 from repro.fmssm.evaluation import evaluate_solution, verify_solution
 from repro.fmssm.optimal import _combinatorial_bound, _full_fill_seed, solve_optimal
-from repro.lp.highs import solve_form_relaxation
+from repro.lp.highs import grid_rel_gap, solve_form_relaxation
 from repro.perf.compile import compile_fmssm
 from repro.resilience import chaos
 from repro.resilience.validate import check_solution
@@ -242,6 +242,25 @@ class TestAttFillCertificate:
         solvers = [s.meta["solver"] for s in solutions]
         assert solvers.count("precert") >= 11, solvers
         assert set(solvers) == {"precert", "highs"}, solvers
+
+
+class TestMilpGap:
+    def test_grid_rel_gap(self):
+        assert grid_rel_gap(None, 2.5) == 0.0
+        assert grid_rel_gap(0.5, 0.25) == 0.5
+        assert grid_rel_gap(1e-4, 2.5) == pytest.approx(4e-5)
+
+    def test_three_failure_milp_reaches_the_lp_bound(self, att_context):
+        """On ATT (6, 13, 22) one grid step (λ ≈ 2.3e-4) is below HiGHS's
+        default relative gap of 1e-4 × 2.4: at that gap the MILP stopped
+        at 2.396028 and reported it optimal.  At the grid-derived gap it
+        reaches the LP relaxation's bound, 2.396262."""
+        instance = att_context.instance(FailureScenario(frozenset({6, 13, 22})))
+        solution = solve_optimal(instance, time_limit_s=120.0)
+        assert solution.meta["solver"] == "highs"
+        assert solution.meta["objective"] == pytest.approx(2.396262, abs=1e-6)
+        bound = solve_form_relaxation(compile_fmssm(instance).form).objective
+        assert bound - solution.meta["objective"] < instance.lam / 2
 
 
 @pytest.fixture(scope="module")

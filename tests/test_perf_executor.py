@@ -1,8 +1,8 @@
 """Warm-executor tests: persistent pools must change nothing but speed.
 
 Every sweep through a :class:`~repro.perf.executor.SweepExecutor` —
-first (cold workers), repeated (warm workers, cached plan), resumed from
-a checkpoint, or degraded by chaos — must produce results bit-identical
+first (cold workers), repeated (warm workers, cached plan), or degraded
+by chaos — must produce results bit-identical
 to the serial sweep.  The executor additionally owns every shared-memory
 lease it creates: tests assert the segment registry is empty after
 ``close()``, whatever happened in between.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from test_perf_parallel_sweep import assert_sweeps_identical
 
 from repro.control.failures import FailureScenario
-from repro.exceptions import ChaosError, DegradedResultWarning
+from repro.exceptions import DegradedResultWarning
 from repro.experiments.runner import run_failure_sweep, run_failure_sweep_parallel
 from repro.experiments.scenarios import custom_context
 from repro.perf import shm
@@ -263,37 +263,6 @@ class TestInvalidation:
             # Both contexts cached; the third sweep hit the first entry.
             assert executor.stats["encode_misses"] == 2
             assert executor.stats["encode_hits"] == 1
-
-
-class TestCheckpointResume:
-    def test_resume_through_warm_executor(
-        self, ring_context, ring_scenarios, ring_serial, tmp_path
-    ):
-        """An interrupted warm sweep resumes on the same executor."""
-        path = tmp_path / "warm-checkpoint.json"
-        with SweepExecutor(max_workers=1) as executor:
-            with chaos.inject(
-                chaos.Fault("sweep.checkpoint", "raise-error", at_call=2)
-            ):
-                with pytest.raises(ChaosError):
-                    parallel_sweep(
-                        ring_context, ring_scenarios, FAST_ALGORITHMS,
-                        max_workers=1, min_parallel_tasks=0, executor=executor,
-                        checkpoint_path=path, checkpoint_every=1,
-                    )
-            assert path.exists()
-            resumed = parallel_sweep(
-                ring_context, ring_scenarios, FAST_ALGORITHMS,
-                max_workers=1, min_parallel_tasks=0, executor=executor,
-                checkpoint_path=path, checkpoint_every=1,
-            )
-        assert_sweeps_identical(ring_serial, resumed)
-        restored = [
-            r for r in resumed
-            if any(e.action == "restore" for e in r.degradation.events)
-        ]
-        assert restored, "resume must restore the checkpointed scenarios"
-        assert not path.exists()
 
 
 class TestLeaseLifecycle:

@@ -1,4 +1,4 @@
-"""Sweep-supervisor tests: deadlines, quarantine, breakers, campaign WAL.
+"""Sweep-supervisor tests: deadlines, quarantine, breakers, campaigns.
 
 The contract (docs/robustness.md): a :class:`SweepSupervisor` wrapped
 around the warm fan-out changes *nothing* when no fault fires — the
@@ -11,7 +11,7 @@ Unit layers (fake clock) cover the breaker state machine, the deadline
 derivation and the retry ledger; integration layers drive real pools
 (``max_workers=2`` — this container exposes one CPU, so pool routes must
 be requested explicitly) through injected chaos; the campaign layer
-kills a write-ahead journal mid-flight and resumes it bit-identically.
+checks that one supervisor's state spans every sweep of a campaign.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from test_perf_parallel_sweep import assert_sweeps_identical
 
 from repro.control.failures import FailureScenario
-from repro.exceptions import CheckpointError, DegradedResultWarning
+from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
 from repro.perf import shm
 from repro.perf.executor import (
@@ -490,108 +490,21 @@ class TestSupervisedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Campaign write-ahead journal: crash-only resume
+# Campaigns: one supervisor across every sweep
 # ----------------------------------------------------------------------
 
-def _run_journaled_campaign(context, sweeps, directory, supervisor=None):
-    with SweepExecutor(max_workers=2) as executor:
-        return dict(run_campaign(
-            context, sweeps, FAST_ALGORITHMS,
-            executor=executor, max_workers=2, min_parallel_tasks=0,
-            checkpoint_dir=directory, supervisor=supervisor,
-        ))
-
-
-class TestCampaignJournal:
-    @pytest.fixture()
-    def sweeps(self, ring_scenarios):
-        return [
-            ring_scenarios[:2],
-            ring_scenarios[1:],
-            (ring_scenarios[0],),
-        ]
-
-    def test_journal_commits_one_line_per_sweep(
-        self, ring_context, sweeps, tmp_path
-    ):
-        collected = _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        assert sorted(collected) == [0, 1, 2]
-        lines = (tmp_path / "campaign.jsonl").read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["kind"] == "campaign"
-        assert [json.loads(line)["sweep"] for line in lines[1:]] == [0, 1, 2]
-
-    def test_resume_after_hard_kill_is_bit_identical(
-        self, ring_context, sweeps, tmp_path
-    ):
-        first = _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        # Simulate a kill after two committed sweeps: drop the last line.
-        journal = tmp_path / "campaign.jsonl"
-        lines = journal.read_text().splitlines(keepends=True)
-        journal.write_text("".join(lines[:3]))
-        resumed = _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        for index in range(3):
-            assert_sweeps_identical(first[index], resumed[index])
-        restored = {
-            index
-            for index, results in resumed.items()
-            if any(
-                e.action == "restore"
-                for r in results
-                for e in r.degradation.events
-            )
-        }
-        assert len(restored) == 2  # the two committed sweeps replayed
-        summary = campaign_summary(resumed)
-        assert summary["sweeps"] == 3
-        assert summary["restored"] == sum(len(sweeps[i]) for i in restored)
-
-    def test_torn_final_line_is_discarded_not_fatal(
-        self, ring_context, sweeps, tmp_path
-    ):
-        _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        journal = tmp_path / "campaign.jsonl"
-        with open(journal, "a", encoding="utf-8") as handle:
-            handle.write('{"sweep": 1, "resul')  # torn mid-append
-        resumed = _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        assert sorted(resumed) == [0, 1, 2]
-        # Compaction on completion repaired the file.
-        lines = journal.read_text().splitlines()
-        assert [json.loads(line)["sweep"] for line in lines[1:]] == [0, 1, 2]
-
-    def test_foreign_campaign_journal_is_rejected(
-        self, ring_context, sweeps, tmp_path
-    ):
-        _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        with pytest.raises(CheckpointError, match="different campaign"):
-            # Different sweep set => different campaign fingerprint.
-            _run_journaled_campaign(ring_context, sweeps[:2], tmp_path)
-
-    def test_changed_sweep_fingerprint_reruns_instead_of_restoring(
-        self, ring_context, sweeps, tmp_path
-    ):
-        _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        journal = tmp_path / "campaign.jsonl"
-        lines = journal.read_text().splitlines(keepends=True)
-        entry = json.loads(lines[2])
-        entry["fingerprint"] = "0" * 16
-        lines[2] = json.dumps(entry, separators=(",", ":")) + "\n"
-        journal.write_text("".join(lines))
-        resumed = _run_journaled_campaign(ring_context, sweeps, tmp_path)
-        tampered = int(entry["sweep"])
-        assert not any(
-            e.action == "restore"
-            for r in resumed[tampered]
-            for e in r.degradation.events
-        )
-
+class TestCampaignSupervision:
     def test_supervisor_state_spans_the_campaign(
-        self, ring_context, sweeps, tmp_path
+        self, ring_context, ring_scenarios
     ):
+        sweeps = [ring_scenarios[:2], ring_scenarios[1:], (ring_scenarios[0],)]
         supervisor = SweepSupervisor()
-        collected = _run_journaled_campaign(
-            ring_context, sweeps, tmp_path, supervisor=supervisor
-        )
+        with SweepExecutor(max_workers=2) as executor:
+            collected = dict(run_campaign(
+                ring_context, sweeps, FAST_ALGORITHMS,
+                executor=executor, max_workers=2, min_parallel_tasks=0,
+                supervisor=supervisor,
+            ))
         assert supervisor.stats["supervised_sweeps"] == len(sweeps)
         summary = campaign_summary(collected, supervisor=supervisor)
         assert summary["sweeps"] == len(sweeps)
