@@ -13,11 +13,10 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
 * ``pm_n40_s`` / ``pm_n40_stress_s`` — the PM hot loop on the n=40
   Waxman WAN from ``bench_scalability.py`` (single failure, and the
   3-of-5 controller stress case where phase 1 dominates),
-* ``optimal_n40_model_s`` / ``optimal_n40_sparse_s`` — one exact solve
-  of P′ on the n=40 Waxman single-failure case via the DSL route versus
-  the sparse compile + PM-certificate route (``repro.perf.compile``),
-  with ``optimal_n40_compile_model_s`` / ``optimal_n40_compile_sparse_s``
-  isolating the model-assembly share,
+* ``optimal_n40_sparse_s`` — one seeded exact solve of P′ on the n=40
+  Waxman single-failure case (``repro.fmssm.optimal``), with
+  ``optimal_n40_compile_sparse_s`` the time to compile P′
+  (``repro.perf.compile``) on its own,
 * ``sweep_fanout_pickle_s`` / ``sweep_shm_s`` — the 25-scenario n=40
   heuristic sweep over a pool, classic pickle fan-out versus the
   zero-copy shared-memory transport (the payload sizes land in the
@@ -274,54 +273,38 @@ def _best_of(n, thunk):
 
 
 def test_optimal_fast_path_n40(waxman40_context, capsys):
-    """Sparse-compiled Optimal is ≥ 3× faster than the DSL route, same answer."""
-    from repro.fmssm.formulation import build_fmssm_model
+    """Compiling P′ and the seeded exact solve on n=40; same answer as
+    the cold MILP."""
     from repro.fmssm.optimal import solve_optimal
-    from repro.lp.standard_form import to_standard_form
     from repro.perf.compile import compile_fmssm
 
     ids = waxman40_context.plane.controller_ids
     instance = waxman40_context.instance(FailureScenario(frozenset({ids[0]})))
 
-    compile_model_s, _ = _best_of(
-        3,
-        lambda: to_standard_form(
-            build_fmssm_model(instance, require_full_recovery=True)[0]
-        ),
-    )
-    record_stage("optimal_n40_compile_model_s", compile_model_s)
     compile_sparse_s, _ = _best_of(
         3, lambda: compile_fmssm(instance, require_full_recovery=True)
     )
     record_stage("optimal_n40_compile_sparse_s", compile_sparse_s)
-
-    model_s, via_model = _best_of(
-        3, lambda: solve_optimal(instance, time_limit_s=120, compile="model")
-    )
-    record_stage("optimal_n40_model_s", model_s)
     sparse_s, via_sparse = _best_of(
-        3, lambda: solve_optimal(instance, time_limit_s=120, compile="sparse")
+        3, lambda: solve_optimal(instance, time_limit_s=120)
     )
     record_stage("optimal_n40_sparse_s", sparse_s)
 
-    # Bit-identical verdict and canonical objective across routes.
-    assert via_model.feasible and via_sparse.feasible
-    assert via_model.meta["objective"] == via_sparse.meta["objective"]
-    assert model_s >= 3.0 * sparse_s
+    # Same verdict and canonical objective as the cold MILP.
+    cold = solve_optimal(instance, time_limit_s=120, warm_start=None)
+    assert cold.feasible and via_sparse.feasible
+    assert cold.meta["objective"] == via_sparse.meta["objective"]
 
     with capsys.disabled():
         print()
         print("=== Optimal exact solve on n=40 Waxman (1 failure) ===")
         print(
             render_table(
-                ("route", "compile (ms)", "end-to-end (ms)"),
-                [
-                    ("model (DSL)", f"{1000 * compile_model_s:.2f}", f"{1000 * model_s:.1f}"),
-                    ("sparse", f"{1000 * compile_sparse_s:.2f}", f"{1000 * sparse_s:.1f}"),
-                ],
+                ("stage", "compile (ms)", "end-to-end (ms)"),
+                [("seeded", f"{1000 * compile_sparse_s:.2f}", f"{1000 * sparse_s:.1f}")],
             )
         )
-        print(f"speedup: {model_s / sparse_s:.1f}x  (certificate={via_sparse.meta['certificate']})")
+        print(f"certificate={via_sparse.meta['certificate']}")
 
 
 def _failure_scenarios(context, depths):

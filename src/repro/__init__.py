@@ -57,7 +57,6 @@ from repro.fmssm import (
     GroundingIndex,
     RecoveryEvaluation,
     RecoverySolution,
-    build_fmssm_model,
     build_instance,
     evaluate_batch,
     evaluate_solution,
@@ -134,7 +133,6 @@ __all__ = [
     "FMSSMInstance",
     "build_instance",
     "GroundingIndex",
-    "build_fmssm_model",
     "RecoverySolution",
     "RecoveryEvaluation",
     "evaluate_solution",

@@ -16,9 +16,10 @@ Two variants are provided:
     controller that can absorb its whole gamma.  This mirrors heuristic
     switch-level mapping and is the default baseline in the benchmarks.
 ``solve_retroflow_ip``
-    Exact: a small switch-level IP (generalized assignment) solved with
-    the library's LP layer, giving the best any whole-switch mapper
-    could do.  Used by the ablation benchmarks.
+    Exact: a small switch-level IP (generalized assignment) written as
+    a :class:`~repro.lp.standard_form.StandardForm` and solved with
+    HiGHS, giving the best any whole-switch mapper could do.  Used by
+    the ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import numpy as np
 
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.solution import RecoverySolution
-from repro.lp import LinExpr, Model, SolveStatus, Var, solve
-from repro.lp.highs import grid_rel_gap
+from repro.lp.highs import grid_rel_gap, solve_form_with_highs
+from repro.lp.solution import SolveStatus
+from repro.lp.standard_form import StandardForm
 from repro.types import ControllerId, FlowId, NodeId
 
 __all__ = ["solve_retroflow", "solve_retroflow_ip"]
@@ -144,6 +146,49 @@ def _solve_retroflow_reference(instance: FMSSMInstance) -> RecoverySolution:
     )
 
 
+def _assignment_form(
+    instance: FMSSMInstance, values: dict[NodeId, int]
+) -> StandardForm:
+    """The assignment IP of :func:`solve_retroflow_ip` as a standard form.
+
+    Column ``s * M + c`` is ``z[s,c]`` (switch-major); the rows are the
+    N mapping rows ``Σ_c z[s,c] <= 1``, then the M capacity rows
+    ``Σ_s γ_s z[s,c] <= A_c`` (zero ``γ`` entries left out).
+    """
+    from scipy import sparse
+
+    n, m = len(instance.switches), len(instance.controllers)
+    cols = np.arange(n * m)
+    gamma = np.array([instance.gamma[s] for s in instance.switches], dtype=np.float64)
+    weight = gamma[cols // m]
+    kept = weight != 0.0
+    a_ub = sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(n * m), weight[kept]]),
+            (np.concatenate([cols // m, n + cols[kept] % m]),
+             np.concatenate([cols, cols[kept]])),
+        ),
+        shape=(n + m, n * m),
+    )
+    b_ub = np.concatenate([
+        np.ones(n),
+        np.array([float(instance.spare[c]) for c in instance.controllers]),
+    ])
+    value = np.array([values[s] for s in instance.switches], dtype=np.float64)
+    return StandardForm(
+        c=-np.repeat(value, m),
+        a_ub=a_ub,
+        b_ub=b_ub,
+        a_eq=sparse.csr_matrix((0, n * m)),
+        b_eq=np.zeros(0),
+        lb=np.zeros(n * m),
+        ub=np.ones(n * m),
+        integrality=np.ones(n * m),
+        maximize=True,
+        objective_constant=-0.0,
+    )
+
+
 def solve_retroflow_ip(
     instance: FMSSMInstance,
     time_limit_s: float | None = 120.0,
@@ -162,30 +207,10 @@ def solve_retroflow_ip(
     """
     start = time.perf_counter()
     values = _switch_values_array(instance)
-    model = Model("retroflow-ip")
-    z: dict[tuple[NodeId, ControllerId], Var] = {}
-    for switch in instance.switches:
-        for controller in instance.controllers:
-            z[(switch, controller)] = model.add_var(
-                f"z[{switch},{controller}]", binary=True
-            )
-    for switch in instance.switches:
-        expr = LinExpr.total((1.0, z[(switch, c)]) for c in instance.controllers)
-        model.add_constraint(expr <= 1, name=f"map[{switch}]")
-    for controller in instance.controllers:
-        expr = LinExpr.total(
-            (float(instance.gamma[s]), z[(s, controller)]) for s in instance.switches
-        )
-        model.add_constraint(expr <= instance.spare[controller], name=f"cap[{controller}]")
-    objective = LinExpr.total(
-        (float(values[s]), z[(s, c)])
-        for s in instance.switches
-        for c in instance.controllers
-    )
-    model.set_objective(objective, sense="max")
+    form = _assignment_form(instance, values)
     # Integer values: within half a unit of their sum's bound is optimal.
-    result = solve(
-        model, time_limit_s=time_limit_s,
+    result = solve_form_with_highs(
+        form, time_limit_s=time_limit_s,
         mip_rel_gap=grid_rel_gap(0.5, sum(values.values())),
     )
 
@@ -199,10 +224,11 @@ def solve_retroflow_ip(
 
     mapping: dict[NodeId, ControllerId] = {}
     load: dict[ControllerId, int] = {c: 0 for c in instance.controllers}
-    for (switch, controller), var in z.items():
-        if result.values.get(var.name, 0.0) > 0.5:
-            mapping[switch] = controller
-            load[controller] += instance.gamma[switch]
+    m = len(instance.controllers)
+    for col in np.flatnonzero(result.x > 0.5).tolist():
+        switch, controller = instance.switches[col // m], instance.controllers[col % m]
+        mapping[switch] = controller
+        load[controller] += instance.gamma[switch]
     sdn_pairs = _sdn_pairs_array(instance, set(mapping))
     return RecoverySolution(
         algorithm="retroflow-ip",

@@ -1,4 +1,7 @@
-"""FMSSM problem: instance data, IP formulation, evaluation, Optimal solver."""
+"""FMSSM problem: instance data, evaluation, Optimal and two-stage solvers.
+
+The IP formulation P′ itself is written by :mod:`repro.perf.compile`.
+"""
 
 from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
 from repro.fmssm.evaluation import (
@@ -7,9 +10,8 @@ from repro.fmssm.evaluation import (
     evaluate_solution,
     verify_solution,
 )
-from repro.fmssm.formulation import FMSSMVariables, build_fmssm_model
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.optimal import extract_solution, solve_optimal
+from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.fmssm.two_stage import solve_two_stage
 
@@ -18,8 +20,6 @@ __all__ = [
     "GroundingIndex",
     "build_instance",
     "default_lambda",
-    "build_fmssm_model",
-    "FMSSMVariables",
     "RecoverySolution",
     "RecoveryEvaluation",
     "evaluate_solution",
@@ -27,5 +27,4 @@ __all__ = [
     "verify_solution",
     "solve_optimal",
     "solve_two_stage",
-    "extract_solution",
 ]

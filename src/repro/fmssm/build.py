@@ -8,6 +8,7 @@ algorithms are compared on identical ground data.
 
 from __future__ import annotations
 
+import gc
 import weakref
 from collections.abc import Iterable
 from itertools import chain
@@ -167,6 +168,12 @@ class GroundingIndex:
             for code in range(len(self._nodes)):
                 self._switch_entries(code)
             self._filled = True
+            # CPython runs a process's first full collection after ~11
+            # gen-1 collections, whatever the heap holds.  Filling the
+            # index is set-up: a process that has not had it yet takes it
+            # here, not inside the first requests that follow.
+            if not gc.get_stats()[2]["collections"]:
+                gc.collect()
         return self
 
     def network_frame(self) -> Frame:

@@ -1,38 +1,31 @@
 """The Optimal baseline: solve problem P′ exactly.
 
 The paper solves P′ with Gurobi; we use HiGHS through
-:func:`scipy.optimize.milp` (or the library's own branch-and-bound for
-small instances).  With ``require_full_recovery=True`` — our reading of
-the paper's "constraint of not interrupting active controllers' normal
-operations" under which "optimization solver may not always generate a
-feasible solution" — tight three-failure instances become genuinely
-infeasible and Optimal reports no result, matching Fig. 6.
+:func:`scipy.optimize.milp`, on the one formulation of P′ that
+:mod:`repro.perf.compile` writes.  With ``require_full_recovery=True`` —
+our reading of the paper's "constraint of not interrupting active
+controllers' normal operations" under which "optimization solver may not
+always generate a feasible solution" — tight three-failure instances
+become genuinely infeasible and Optimal reports no result, matching
+Fig. 6.
 
-Two compilation routes produce the same standard form (asserted
-bit-identical by ``tests/test_perf_compile.py``):
+With ``warm_start="pm"`` (the default) the solve is seeded with the PM
+heuristic's solution — or, when PM misses the combinatorial bound, with
+a capacity-feasible "full fill" (every programmable pair in SDN mode at
+locally minimal delay) if that scores higher.  The seed doubles as an
+*optimality certificate*: if its objective reaches the combinatorial
+dual bound (a knapsack over the total spare, never below the LP
+relaxation) to within less than the objective's granularity (objectives
+live on the grid ``integer + λ · integer``), the seed is provably
+optimal and no solver runs.  The seed is checked by position
+(:mod:`repro.fmssm.point`) before anything is compiled, so a certified
+seed is the answer and the form is never built.  A seed that misses goes
+straight to the HiGHS MILP, which keeps the seed as its timeout
+fallback; no LP relaxation is ever solved.  ``warm_start=None`` solves
+cold: always the MILP.
 
-``compile="sparse"`` (default)
-    :mod:`repro.perf.compile` assembles the matrices directly from the
-    instance and, when ``warm_start="pm"``, seeds the solve with the PM
-    heuristic's solution — or, when PM misses the combinatorial bound,
-    with a capacity-feasible "full fill" (every programmable pair in SDN
-    mode at locally minimal delay) if that scores higher.  The seed
-    doubles as an *optimality certificate*: if its objective reaches the
-    combinatorial dual bound (a knapsack over the total spare, never
-    below the LP relaxation) to within less than the objective's
-    granularity (objectives live on the grid ``integer + λ · integer``),
-    the seed is provably optimal and no solver runs.  The seed is checked
-    by position (:mod:`repro.fmssm.point`) before anything is compiled,
-    so a certified seed is the answer and the form is never built.  A
-    seed that misses goes straight to the MILP (HiGHS, or B&B with the
-    seed as its incumbent); no LP relaxation is ever solved on this
-    route.
-``compile="model"``
-    The original readable route through the :mod:`repro.lp.model` DSL
-    and :func:`to_standard_form`, kept for cross-validation.
-
-Both routes report the *canonical* objective ``r + λ · obj2`` recomputed
-from the extracted solution (the same expression
+Every route reports the *canonical* objective ``r + λ · obj2``
+recomputed from the answer's positions (the same expression
 :func:`repro.fmssm.evaluation.evaluate_solution` uses), so equal optima
 compare bit-identical across routes; the solver's own value is kept in
 ``meta["solver_objective"]``.
@@ -46,20 +39,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.exceptions import DegradedResultWarning, RungTimeoutError, SolverError
-from repro.fmssm.formulation import FMSSMVariables, build_fmssm_model
+from repro.exceptions import DegradedResultWarning, RungTimeoutError
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.point import Point, feasible_point, resolve, tally
+from repro.fmssm.point import Point, feasible_point, tally
 from repro.fmssm.solution import Placement, RecoverySolution
-from repro.lp import SolveResult, SolveStatus, solve
-from repro.lp.branch_and_bound import solve_form_with_bnb
 from repro.lp.highs import grid_rel_gap, solve_form_with_highs
+from repro.lp.solution import SolveResult, SolveStatus
 from repro.pm.algorithm import solve_pm
 from repro.resilience import chaos
 
-__all__ = ["solve_optimal", "extract_solution"]
+__all__ = ["solve_optimal"]
 
-_BINARY_THRESHOLD = 0.5
 #: Objective gaps below this are indistinguishable from float noise, so
 #: certificates tighter than it are not trusted.
 _LP_NOISE_FLOOR = 1e-7
@@ -67,62 +57,18 @@ _LP_NOISE_FLOOR = 1e-7
 #: than this, so float rounding cannot make two swaps undo each other.
 _SWAP_GAIN_FLOOR = 1e-9
 
-#: Accepted values of :func:`solve_optimal`'s ``solver``, ``compile`` and
-#: ``warm_start`` parameters.
-_SOLVERS = ("highs", "bnb")
-_COMPILE_ROUTES = ("sparse", "model")
+#: Accepted values of :func:`solve_optimal`'s ``warm_start`` parameter.
 _WARM_STARTS = ("pm", None)
 
 
-def extract_solution(
-    instance: FMSSMInstance,
-    handles: FMSSMVariables,
-    result: SolveResult,
-    algorithm: str = "optimal",
-) -> RecoverySolution:
-    """Convert a solver incumbent into a :class:`RecoverySolution`.
+def _canonical_objective(instance: FMSSMInstance, placement: Placement) -> float:
+    """``r + λ · obj2`` of ``placement``, exactly as the evaluator computes it.
 
-    Pairs are activated from the ``w`` variables so that capacity/delay
-    accounting matches the solver's own; the switch mapping comes from
-    ``x``.  A ``y = 1`` with no mapped controller stays inactive, exactly
-    as in the formulation.
+    Both integer terms are recomputed from the positions, so two answers
+    with the same (least, total) programmability produce the *same
+    float* whichever route found them.
     """
-    if not result.is_feasible:
-        raise SolverError(f"cannot extract from status {result.status.value}")
-    mapping = {
-        switch: controller
-        for (switch, controller), var in handles.x.items()
-        if result.values.get(var.name, 0.0) > _BINARY_THRESHOLD
-    }
-    sdn_pairs = {
-        (switch, flow_id)
-        for (switch, controller, flow_id), var in handles.w.items()
-        if result.values.get(var.name, 0.0) > _BINARY_THRESHOLD
-    }
-    return RecoverySolution(
-        algorithm=algorithm,
-        mapping=mapping,
-        sdn_pairs=sdn_pairs,
-        solve_time_s=result.wall_time_s,
-        feasible=True,
-        meta={
-            "status": result.status.value,
-            "objective": result.objective,
-            "solver": result.solver,
-            "gap": result.gap,
-        },
-    )
-
-
-def _canonical_objective(instance: FMSSMInstance, solution: RecoverySolution) -> float:
-    """``r + λ · obj2`` of ``solution``, exactly as the evaluator computes it.
-
-    Both integer terms are recomputed from the solution's positions, so
-    two solutions with the same (least, total) programmability produce
-    the *same float* regardless of which solver or compile route found
-    them.
-    """
-    counts = tally(instance.arrays(), resolve(instance, solution).placement)
+    counts = tally(instance.arrays(), placement)
     return counts.least + instance.lam * counts.total
 
 
@@ -285,8 +231,8 @@ def _seed(
     replaces PM only when it is feasible (capacity, delay ≤ G, ``r ≥ 1``
     under full recovery — :func:`~repro.fmssm.point.feasible_point`'s
     check) with a strictly higher objective.  ``precert`` is the whole
-    certificate: a seed that misses the bound is the B&B incumbent and
-    HiGHS's timeout fallback, never tested against an LP bound.
+    certificate: a seed that misses the bound is HiGHS's timeout
+    fallback, never tested against an LP bound.
     """
     pm = solve_pm(instance, enforce_delay=enforce_delay)
     point = feasible_point(instance, pm, require_full_recovery, enforce_delay)
@@ -315,7 +261,6 @@ def _infeasible(meta: dict[str, object], elapsed: float) -> RecoverySolution:
 
 
 def _timeout_disposition(
-    rung: str,
     elapsed: float,
     raise_on_timeout: bool,
     meta: dict[str, object],
@@ -323,14 +268,14 @@ def _timeout_disposition(
     """Handle a no-incumbent timeout: raise for ladders, warn otherwise."""
     if raise_on_timeout:
         raise RungTimeoutError(
-            f"{rung} route timed out after {elapsed:.1f}s with no incumbent",
+            f"optimal timed out after {elapsed:.1f}s with no incumbent",
             elapsed_s=elapsed,
-            rung=rung,
+            rung="highs",
         )
     warnings.warn(
         DegradedResultWarning(
-            f"optimal ({rung} route) timed out after {elapsed:.1f}s with no "
-            f"incumbent; reporting an infeasible result"
+            f"optimal timed out after {elapsed:.1f}s with no incumbent; "
+            f"reporting an infeasible result"
         ),
         stacklevel=3,
     )
@@ -340,16 +285,11 @@ def _timeout_disposition(
 def _solve_compiled(
     instance: FMSSMInstance,
     compiled,
-    solver: str,
     time_limit_s: float | None,
     seed_x: np.ndarray | None,
 ) -> SolveResult:
-    """The MILP on the compiled form: B&B with the seed as its incumbent,
-    or HiGHS with the seed as its timeout fallback."""
-    if solver == "bnb":
-        return solve_form_with_bnb(
-            compiled.form, time_limit_s=time_limit_s, warm_start=seed_x
-        )
+    """The HiGHS MILP on the compiled form, with the seed as its timeout
+    fallback."""
     result = solve_form_with_highs(
         compiled.form, time_limit_s=time_limit_s,
         mip_rel_gap=_mip_rel_gap(instance),
@@ -361,9 +301,8 @@ def _solve_compiled(
         # incumbent, but the PM seed is a proven feasible point.
         warnings.warn(
             DegradedResultWarning(
-                f"optimal (sparse route) timed out after "
-                f"{result.wall_time_s:.1f}s with no incumbent; falling "
-                f"back to the PM point"
+                f"optimal timed out after {result.wall_time_s:.1f}s with "
+                f"no incumbent; falling back to the PM point"
             ),
             stacklevel=4,
         )
@@ -377,9 +316,8 @@ def _solve_compiled(
     return result
 
 
-def _solve_optimal_sparse(
+def _solve(
     instance: FMSSMInstance,
-    solver: str,
     time_limit_s: float | None,
     require_full_recovery: bool,
     enforce_delay: bool,
@@ -398,16 +336,16 @@ def _solve_optimal_sparse(
         # The seed reaches the combinatorial bound, which dominates the
         # LP bound and hence the MILP optimum: provably optimal.  The
         # answer is read off the seed's positions; no form is compiled.
-        point = seed.point
+        placement = seed.point
+        objective = placement.objective
         result = SolveResult(
             status=SolveStatus.OPTIMAL,
-            objective=point.objective,
+            objective=objective,
             solver="precert",
             wall_time_s=0.0,
             gap=0.0,
         )
         elapsed = time.perf_counter() - start
-        solution = RecoverySolution.positional(point, algorithm="optimal")
     else:
         # Imported lazily: repro.perf pulls in the sweep machinery, which
         # imports this module back.
@@ -424,30 +362,28 @@ def _solve_optimal_sparse(
             if seed is None or seed.point is None
             else compiled.scatter(seed.point)
         )
-        result = _solve_compiled(instance, compiled, solver, time_limit_s, seed_x)
+        result = _solve_compiled(instance, compiled, time_limit_s, seed_x)
         elapsed = time.perf_counter() - start
         if not result.is_feasible or result.x is None:
-            meta = {"status": result.status.value, "solver": result.solver,
-                    "compile": "sparse"}
+            meta = {"status": result.status.value, "solver": result.solver}
             if result.status is SolveStatus.TIMEOUT:
-                return _timeout_disposition("sparse", elapsed, raise_on_timeout, meta)
+                return _timeout_disposition(elapsed, raise_on_timeout, meta)
             return _infeasible(meta, elapsed)
-        mapping, sdn_pairs = compiled.extract(result.x)
-        solution = RecoverySolution(algorithm="optimal", mapping=mapping, sdn_pairs=sdn_pairs)
+        placement = compiled.extract(result.x)
+        objective = _canonical_objective(instance, placement)
 
-    solution.solve_time_s = elapsed
+    solution = RecoverySolution.positional(
+        placement, algorithm="optimal", solve_time_s=elapsed
+    )
     solution.meta = {
         "status": result.status.value,
         "solver": result.solver,
         "gap": result.gap,
-        "compile": "sparse",
         "certificate": certificate,
         "solver_objective": result.objective,
         "seed": None if seed is None else seed.origin,
+        "objective": objective,
     }
-    solution.meta["objective"] = (
-        point.objective if certificate else _canonical_objective(instance, solution)
-    )
     if result.solver == "pm-fallback":
         solution.meta["degraded"] = True
         solution.meta["fallback_rung"] = "pm-fallback"
@@ -484,11 +420,9 @@ def _validated(
 
 def solve_optimal(
     instance: FMSSMInstance,
-    solver: str = "highs",
     time_limit_s: float | None = 600.0,
     require_full_recovery: bool = True,
     enforce_delay: bool = True,
-    compile: str = "sparse",
     warm_start: str | None = "pm",
     compiler: object = None,
     raise_on_timeout: bool = False,
@@ -503,19 +437,14 @@ def solve_optimal(
 
     Parameters
     ----------
-    solver:
-        ``"highs"`` (default) or ``"bnb"``.
-    compile:
-        ``"sparse"`` routes through :mod:`repro.perf.compile` (fast
-        path); ``"model"`` through the original DSL (cross-validation).
     warm_start:
         ``"pm"`` seeds the solve with the PM heuristic, or the full
-        fill when that certifies (incumbent for B&B, certificate/
-        fallback for HiGHS; ``meta["seed"]`` names the point used);
-        ``None`` solves cold.
+        fill when that certifies (certificate, and HiGHS's timeout
+        fallback; ``meta["seed"]`` names the point used); ``None``
+        solves cold.
     compiler:
         Optional :class:`~repro.perf.compile.FMSSMCompiler` to reuse
-        structural caches across scenarios (sparse route only).
+        structural caches across scenarios.
     raise_on_timeout:
         When True, a no-incumbent timeout raises
         :class:`~repro.exceptions.RungTimeoutError` (carrying the rung
@@ -532,56 +461,23 @@ def solve_optimal(
     Raises
     ------
     ValueError
-        ``solver``, ``compile`` or ``warm_start`` is not one of the
-        values above — checked before any route runs.
+        ``warm_start`` is not one of the values above — checked before
+        anything runs.
     """
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {_SOLVERS}")
-    if compile not in _COMPILE_ROUTES:
-        raise ValueError(
-            f"unknown compile route {compile!r}; expected one of {_COMPILE_ROUTES}"
-        )
     if warm_start not in _WARM_STARTS:
         raise ValueError(
             f"unknown warm_start {warm_start!r}; expected one of {_WARM_STARTS}"
         )
     chaos.check("optimal.solve")
-    if compile == "sparse":
-        solution = _solve_optimal_sparse(
-            instance,
-            solver=solver,
-            time_limit_s=time_limit_s,
-            require_full_recovery=require_full_recovery,
-            enforce_delay=enforce_delay,
-            warm_start=warm_start,
-            compiler=compiler,
-            raise_on_timeout=raise_on_timeout,
-        )
-        if validate:
-            _validated(instance, solution, enforce_delay, require_full_recovery)
-        return solution
-
-    start = time.perf_counter()
-    model, handles = build_fmssm_model(
+    solution = _solve(
         instance,
+        time_limit_s=time_limit_s,
         require_full_recovery=require_full_recovery,
         enforce_delay=enforce_delay,
+        warm_start=warm_start,
+        compiler=compiler,
+        raise_on_timeout=raise_on_timeout,
     )
-    gap = {"mip_rel_gap": _mip_rel_gap(instance)} if solver == "highs" else {}
-    result = solve(model, solver=solver, time_limit_s=time_limit_s, **gap)
-    elapsed = time.perf_counter() - start
-
-    if not result.is_feasible:
-        meta = {"status": result.status.value, "solver": result.solver,
-                "compile": "model"}
-        if result.status is SolveStatus.TIMEOUT:
-            return _timeout_disposition("model", elapsed, raise_on_timeout, meta)
-        return _infeasible(meta, elapsed)
-    solution = extract_solution(instance, handles, result)
-    solution.solve_time_s = elapsed
-    solution.meta["compile"] = "model"
-    solution.meta["solver_objective"] = result.objective
-    solution.meta["objective"] = _canonical_objective(instance, solution)
     if validate:
         _validated(instance, solution, enforce_delay, require_full_recovery)
     return solution

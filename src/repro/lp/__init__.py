@@ -1,41 +1,19 @@
-"""LP/MILP modelling DSL and solvers (HiGHS adapter + own branch-and-bound)."""
+"""Matrix standard form and its HiGHS adapter.
 
-from repro.lp.branch_and_bound import solve_with_bnb
-from repro.lp.highs import solve_with_highs
-from repro.lp.model import EQUAL, GREATER_EQUAL, LESS_EQUAL, Constraint, LinExpr, Model, Var
-from repro.lp.simplex import solve_with_simplex
+Every exact solve in the package writes its problem directly as a
+:class:`StandardForm` (P′ in :mod:`repro.perf.compile`, the RetroFlow
+assignment IP in :mod:`repro.baselines.retroflow`) and solves it with
+:func:`solve_form_with_highs`.
+"""
+
+from repro.lp.highs import solve_form_relaxation, solve_form_with_highs
 from repro.lp.solution import SolveResult, SolveStatus
-from repro.lp.standard_form import StandardForm, to_standard_form
+from repro.lp.standard_form import StandardForm
 
 __all__ = [
-    "Model",
-    "Var",
-    "LinExpr",
-    "Constraint",
-    "LESS_EQUAL",
-    "GREATER_EQUAL",
-    "EQUAL",
     "StandardForm",
-    "to_standard_form",
     "SolveResult",
     "SolveStatus",
-    "solve_with_highs",
-    "solve_with_bnb",
-    "solve_with_simplex",
-    "solve",
+    "solve_form_with_highs",
+    "solve_form_relaxation",
 ]
-
-
-def solve(model: Model, solver: str = "highs", **kwargs: object) -> SolveResult:
-    """Solve a model with the chosen backend.
-
-    ``"highs"`` (default) and ``"bnb"`` handle MILPs; ``"simplex"`` is
-    the library's own LP solver and ignores integrality markers.
-    """
-    if solver == "highs":
-        return solve_with_highs(model, **kwargs)  # type: ignore[arg-type]
-    if solver == "bnb":
-        return solve_with_bnb(model, **kwargs)  # type: ignore[arg-type]
-    if solver == "simplex":
-        return solve_with_simplex(model, **kwargs)  # type: ignore[arg-type]
-    raise ValueError(f"unknown solver {solver!r}; use 'highs', 'bnb' or 'simplex'")

@@ -5,14 +5,14 @@ The paper solves problem P′ with Gurobi; offline we use
 integer program to proven optimality.  See DESIGN.md for the substitution
 rationale.
 
-Two entry points are provided: :func:`solve_with_highs` takes a DSL
-:class:`~repro.lp.model.Model` and compiles it first, while
-:func:`solve_form_with_highs` takes an already-compiled
-:class:`~repro.lp.standard_form.StandardForm` directly — the fast path
-used by :mod:`repro.perf.compile`, which skips the modelling layer
-entirely.  :func:`solve_form_relaxation` solves the LP relaxation of a
-form — the reference dual bound that the combinatorial bound of
-:mod:`repro.fmssm.optimal` is tested to dominate.
+:func:`solve_form_with_highs` solves a
+:class:`~repro.lp.standard_form.StandardForm` as written — P′ from
+:mod:`repro.perf.compile`, the RetroFlow assignment IP from
+:mod:`repro.baselines.retroflow`.  :func:`solve_form_relaxation` solves
+the LP relaxation of a form — the reference dual bound that the
+combinatorial bound of :mod:`repro.fmssm.optimal` is tested to dominate.
+Both import SciPy when they run, so importing this module loads neither
+``scipy.optimize`` nor ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -20,16 +20,13 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import sparse
 
-from repro.lp.model import Model
 from repro.lp.solution import SolveResult, SolveStatus
-from repro.lp.standard_form import StandardForm, to_standard_form
+from repro.lp.standard_form import StandardForm
 from repro.resilience import chaos
 
 __all__ = [
     "grid_rel_gap",
-    "solve_with_highs",
     "solve_form_with_highs",
     "solve_form_relaxation",
 ]
@@ -64,11 +61,10 @@ def solve_form_with_highs(
 
     ``mip_rel_gap`` is always passed, 0 included: HiGHS's own default
     (1e-4) may stop a grid step short of the optimum and still report
-    it optimal (see :func:`grid_rel_gap`).  The name-keyed ``values``
-    dict is only populated when the form carries variable names;
-    form-level callers read ``result.x``.
+    it optimal (see :func:`grid_rel_gap`).  The incumbent is
+    ``result.x``, in the form's column order.
     """
-    from scipy import optimize
+    from scipy import optimize, sparse
 
     chaos.check("highs.solve")
     constraints = []
@@ -115,21 +111,17 @@ def solve_form_with_highs(
     else:
         status = SolveStatus.ERROR
 
-    values: dict[str, float] = {}
     x: np.ndarray | None = None
     objective = None
     gap = None
     if raw.x is not None:
         x = chaos.transform("highs.solve.x", np.asarray(raw.x))
-        if form.var_names:
-            values = {name: float(v) for name, v in zip(form.var_names, x)}
         objective = form.objective_value(float(raw.fun))
         gap = getattr(raw, "mip_gap", None)
 
     return SolveResult(
         status=status,
         objective=objective,
-        values=values,
         x=x,
         solver="highs",
         wall_time_s=elapsed,
@@ -182,28 +174,4 @@ def solve_form_relaxation(form: StandardForm) -> SolveResult:
         x=np.asarray(raw.x),
         solver="highs-lp",
         wall_time_s=elapsed,
-    )
-
-
-def solve_with_highs(
-    model: Model,
-    time_limit_s: float | None = None,
-    mip_rel_gap: float = 0.0,
-) -> SolveResult:
-    """Solve ``model`` with HiGHS via :func:`scipy.optimize.milp`.
-
-    Parameters
-    ----------
-    model:
-        The model to solve (LP or MILP).
-    time_limit_s:
-        Optional wall-clock limit.  If hit with an incumbent, the result
-        status is :attr:`SolveStatus.FEASIBLE`; without one,
-        :attr:`SolveStatus.TIMEOUT`.
-    mip_rel_gap:
-        Relative optimality gap at which HiGHS may stop early; 0 (the
-        default) proves optimality.
-    """
-    return solve_form_with_highs(
-        to_standard_form(model), time_limit_s=time_limit_s, mip_rel_gap=mip_rel_gap
     )

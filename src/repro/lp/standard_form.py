@@ -1,6 +1,6 @@
-"""Compile a :class:`~repro.lp.model.Model` to matrix standard form.
+"""Matrix standard form of an LP or MILP.
 
-The standard form used by both solvers is::
+The form every exact solve hands to HiGHS is::
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
@@ -8,26 +8,26 @@ The standard form used by both solvers is::
                 lb <= x <= ub
                 x[i] integer for i in integrality
 
-Maximization models are negated on the way in; callers must negate the
-optimal value on the way out (:func:`StandardForm.objective_value` does).
+A maximization problem is written with ``c`` negated; its objective is
+read back in the problem's sense by :func:`StandardForm.objective_value`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
-from repro.exceptions import ModelError
-from repro.lp.model import EQUAL, GREATER_EQUAL, LESS_EQUAL, Model
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
-__all__ = ["StandardForm", "to_standard_form"]
+__all__ = ["StandardForm"]
 
 
 @dataclass
 class StandardForm:
-    """Matrix form of a model (see module docstring)."""
+    """Matrix form of a problem (see module docstring)."""
 
     c: np.ndarray
     a_ub: sparse.csr_matrix
@@ -39,7 +39,6 @@ class StandardForm:
     integrality: np.ndarray  # 1.0 where integer, 0.0 where continuous
     maximize: bool
     objective_constant: float
-    var_names: tuple[str, ...]
 
     @property
     def n_vars(self) -> int:
@@ -47,85 +46,12 @@ class StandardForm:
         return len(self.c)
 
     def objective_value(self, minimized_value: float) -> float:
-        """Convert the solver's ``c @ x`` value back to the model's sense.
+        """Convert the solver's ``c @ x`` value back to the problem's sense.
 
         ``minimized_value`` excludes the objective constant (linprog/milp
         only see ``c``).  The stored constant is already negated for
         maximization, so adding it and flipping the sign restores the
-        model's objective.
+        problem's objective.
         """
         value = minimized_value + self.objective_constant
         return -value if self.maximize else value
-
-
-def to_standard_form(model: Model) -> StandardForm:
-    """Compile ``model`` into :class:`StandardForm`.
-
-    ``>=`` rows are negated into ``<=`` rows; ``==`` rows go to the
-    equality block.  The objective is negated for maximization.
-    """
-    n = model.n_vars
-    if n == 0:
-        raise ModelError("model has no variables")
-
-    maximize = model.sense == "max"
-    c = np.zeros(n)
-    objective = model.objective
-    for index, coefficient in objective.coefficients.items():
-        c[index] = coefficient
-    constant = objective.constant
-    if maximize:
-        c = -c
-        constant = -constant
-
-    ub_rows: list[tuple[dict[int, float], float]] = []
-    eq_rows: list[tuple[dict[int, float], float]] = []
-    for constraint in model.constraints:
-        coefficients = dict(constraint.expr.coefficients)
-        rhs = constraint.rhs
-        if constraint.sense == LESS_EQUAL:
-            ub_rows.append((coefficients, rhs))
-        elif constraint.sense == GREATER_EQUAL:
-            ub_rows.append(({i: -v for i, v in coefficients.items()}, -rhs))
-        elif constraint.sense == EQUAL:
-            eq_rows.append((coefficients, rhs))
-        else:  # pragma: no cover - Constraint.build validates senses
-            raise ModelError(f"unknown sense {constraint.sense!r}")
-
-    def build(rows: list[tuple[dict[int, float], float]]) -> tuple[sparse.csr_matrix, np.ndarray]:
-        data: list[float] = []
-        row_idx: list[int] = []
-        col_idx: list[int] = []
-        b = np.zeros(len(rows))
-        for r, (coefficients, rhs) in enumerate(rows):
-            b[r] = rhs
-            for col, value in coefficients.items():
-                if value != 0.0:
-                    data.append(value)
-                    row_idx.append(r)
-                    col_idx.append(col)
-        matrix = sparse.csr_matrix(
-            (data, (row_idx, col_idx)), shape=(len(rows), n)
-        )
-        return matrix, b
-
-    a_ub, b_ub = build(ub_rows)
-    a_eq, b_eq = build(eq_rows)
-
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-    integrality = np.array([1.0 if v.integer else 0.0 for v in model.variables])
-
-    return StandardForm(
-        c=c,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        lb=lb,
-        ub=ub,
-        integrality=integrality,
-        maximize=maximize,
-        objective_constant=constant,
-        var_names=tuple(v.name for v in model.variables),
-    )

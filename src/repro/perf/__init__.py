@@ -13,9 +13,9 @@ the machinery around that index:
     :func:`repro.experiments.runner.run_failure_sweep_parallel`.
 
 :mod:`repro.perf.compile`
-    Direct sparse compilation of problem P′ — the fast exact-solver
-    path behind ``solve_optimal(compile="sparse")``, with per-shape
-    structural caching across the scenarios of a sweep.
+    Problem P′ in sparse standard form — the one formulation the exact
+    solver hands to HiGHS — with per-shape structural caching across
+    the scenarios of a sweep.
 
 :mod:`repro.perf.shm`
     Zero-copy shared-memory fan-out: the context's numpy buffers are

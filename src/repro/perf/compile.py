@@ -1,31 +1,26 @@
-"""Direct sparse compilation of problem P′ (the fast exact-solver path).
+"""Problem P′ (Section IV-E) in matrix standard form — its one formulation.
 
-:func:`repro.fmssm.formulation.build_fmssm_model` expresses P′ through
-the :mod:`repro.lp.model` DSL — one :class:`~repro.lp.model.Var` object
-per variable, one dict-backed :class:`~repro.lp.model.LinExpr` per
-constraint — and :func:`~repro.lp.standard_form.to_standard_form`
-re-walks all of it to emit matrices.  That is the right shape for
-readability and for small one-off models, but a failure sweep solves the
-*same* constraint family for every C(M, k) scenario, and the per-object
-DSL work dominates the compile cost.
-
-This module assembles the identical standard form directly as
-``scipy.sparse`` CSR blocks from an :class:`FMSSMInstance`, vectorized
-over (pair, controller) index arrays — no ``Var``/``LinExpr`` objects
-and no string-name dictionary lookups.  The variable and row layout
-mirrors the DSL path exactly:
+:meth:`FMSSMCompiler.compile` assembles P′ directly as ``scipy.sparse``
+CSR blocks from an :class:`FMSSMInstance`, vectorized over (pair,
+controller) index arrays, and :func:`repro.lp.highs.solve_form_with_highs`
+solves it.  The layout, which ``tests/test_fmssm_formulation.py`` holds
+block by block against the paper's equations
+(``tests/fmssm_oracle.py``):
 
 columns
     ``x[s,c]`` switch-major (``s * M + c``), then per programmable pair
     ``k``: ``y_k`` followed by ``w[k,0..M-1]``, and finally ``r``.
-rows (all ``<=`` after normalization)
+rows (all ``<=``)
     Eq. (2) mapping rows, the Eqs. (9)–(11) McCormick triples in
-    (pair, controller) order, Eq. (12) capacity rows, Eq. (13)
-    programmability rows (negated ``>=``), and the Eq. (14) delay row.
-
-so the emitted ``A``/``b``/``c``/bounds/integrality are *identical* to
-``to_standard_form(build_fmssm_model(instance))`` — asserted by
-``tests/test_perf_compile.py``.
+    (pair, controller) order, Eq. (12) capacity rows (when there are
+    pairs), Eq. (13) programmability rows ``r - Σ p̄ w <= 0`` per
+    recoverable flow, and the Eq. (14) delay row (when enforced).
+bounds
+    binaries in ``[0, 1]``; ``r`` continuous in ``[0, r_ub]`` with
+    ``r_ub`` the least max programmability of a recoverable flow (0 when
+    none is), raised to ``r >= 1`` under full recovery.
+objective
+    ``max r + λ · Σ p̄ w``, negated to a minimization.
 
 Cross-scenario reuse: the purely structural index arrays (McCormick row
 numbers, ``w``/``y`` column layouts, capacity-row patterns) depend only
@@ -36,7 +31,8 @@ instead of rebuilding.
 The templates are built by the process that compiles, never shipped or
 stored: building all 25 templates of a 40-node sweep takes a few
 milliseconds, less than pickling them to a pool worker or reading them
-back from disk costs.
+back from disk costs.  ``scipy.sparse`` is imported when a form is
+built, not with the module.
 """
 
 from __future__ import annotations
@@ -45,11 +41,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.point import FEASIBILITY_TOL, Point, feasible_point
-from repro.fmssm.solution import RecoverySolution
+from repro.fmssm.solution import Placement, RecoverySolution
 from repro.lp.standard_form import StandardForm
 from repro.types import ControllerId, FlowId, NodeId
 
@@ -62,9 +57,8 @@ _BINARY_THRESHOLD = 0.5
 class CompiledFMSSM:
     """P′ in matrix standard form plus what it takes to read answers back.
 
-    The ``form`` is exactly what the DSL route produces; the remaining
-    fields let callers convert between :class:`RecoverySolution` objects
-    and raw solver vectors without any name-keyed dictionaries.  Column
+    The remaining fields let callers convert between solutions and raw
+    solver vectors by position.  Column
     of ``x[s,c]`` is ``s * M + c`` and pair ``k``'s ``y`` is column
     ``n_x + k * (M + 1)``, its ``w`` the ``M`` columns after it, by
     position in the instance's :class:`~repro.fmssm.arrays.InstanceArrays`.
@@ -135,26 +129,23 @@ class CompiledFMSSM:
         return True
 
     def objective_value(self, x: np.ndarray) -> float:
-        """Objective of ``x`` in the model's (maximization) sense."""
+        """Objective of ``x`` in P′'s (maximization) sense."""
         return self.form.objective_value(float(self.form.c @ x))
 
-    def extract(self, x: np.ndarray) -> tuple[dict[NodeId, ControllerId], set[tuple[NodeId, FlowId]]]:
-        """Read (mapping, SDN pairs) from a solver vector.
+    def extract(self, x: np.ndarray) -> Placement:
+        """The :class:`Placement` of a solver vector.
 
-        Matches :func:`repro.fmssm.optimal.extract_solution` semantics:
-        the mapping comes from ``x`` columns, activated pairs from ``w``.
+        The mapping comes from the ``x`` columns and the served pairs
+        from ``w``, whose blocks are in pair order; ``w <= x`` puts each
+        served pair on its switch's controller.  A vector off Eq. (2)
+        (a corrupted one) keeps each switch's last controller.
         """
         m = len(self.controllers)
-        mapping: dict[NodeId, ControllerId] = {}
-        for col in np.flatnonzero(x[: self.n_x] > _BINARY_THRESHOLD):
-            mapping[self.switches[col // m]] = self.controllers[col % m]
-        sdn_pairs: set[tuple[NodeId, FlowId]] = set()
-        if self.pairs:
-            stride = m + 1
-            block = x[self.n_x : self.n_x + len(self.pairs) * stride].reshape(-1, stride)
-            for k in np.flatnonzero(np.any(block[:, 1:] > _BINARY_THRESHOLD, axis=1)):
-                sdn_pairs.add(self.pairs[k])
-        return mapping, sdn_pairs
+        hot = x[: self.n_x].reshape(-1, m) > _BINARY_THRESHOLD
+        switch_ctrl = (hot * np.arange(1, m + 1)).max(axis=1) - 1
+        block = x[self.n_x : self.n_x + len(self.pairs) * (m + 1)].reshape(-1, m + 1)
+        pairs = np.flatnonzero((block[:, 1:] > _BINARY_THRESHOLD).any(axis=1))
+        return Placement.switch_level(self.instance.arrays().frame, switch_ctrl, pairs)
 
 
 class FMSSMCompiler:
@@ -214,15 +205,15 @@ class FMSSMCompiler:
         instance: FMSSMInstance,
         require_full_recovery: bool = False,
         enforce_delay: bool = True,
-        with_names: bool = False,
     ) -> CompiledFMSSM:
         """Compile ``instance`` to the standard form of problem P′.
 
-        Parameters mirror :func:`~repro.fmssm.formulation.build_fmssm_model`;
-        ``with_names`` additionally emits the DSL's variable names (used
-        by equivalence tests — the hot path leaves them empty and works
-        with raw column indices instead).
+        ``require_full_recovery`` raises ``r``'s lower bound to 1 (when
+        a flow is recoverable); ``enforce_delay`` writes the Eq. (14)
+        row.
         """
+        from scipy import sparse
+
         switches = instance.switches
         controllers = instance.controllers
         pairs = instance.pairs
@@ -337,17 +328,6 @@ class FMSSMCompiler:
         integrality = np.ones(n_vars)
         integrality[r_col] = 0.0
 
-        var_names: tuple[str, ...] = ()
-        if with_names:
-            names: list[str] = [
-                f"x[{s},{c_}]" for s in switches for c_ in controllers
-            ]
-            for s, f in pairs:
-                names.append(f"y[{s},{f}]")
-                names.extend(f"w[{s},{c_},{f}]" for c_ in controllers)
-            names.append("r")
-            var_names = tuple(names)
-
         form = StandardForm(
             c=c,
             a_ub=a_ub,
@@ -359,7 +339,6 @@ class FMSSMCompiler:
             integrality=integrality,
             maximize=True,
             objective_constant=-0.0,
-            var_names=var_names,
         )
         return CompiledFMSSM(
             form=form,
@@ -388,7 +367,6 @@ def compile_fmssm(
     instance: FMSSMInstance,
     require_full_recovery: bool = False,
     enforce_delay: bool = True,
-    with_names: bool = False,
     compiler: FMSSMCompiler | None = None,
 ) -> CompiledFMSSM:
     """Compile ``instance`` with ``compiler`` (default: the shared one)."""
@@ -396,5 +374,4 @@ def compile_fmssm(
         instance,
         require_full_recovery=require_full_recovery,
         enforce_delay=enforce_delay,
-        with_names=with_names,
     )

@@ -226,13 +226,13 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
     programmability and the recoverable flows' positions, each an int
     column (:func:`_pack_ints`; ascending positions as their steps,
     :func:`_pack_positions`); everything else is ids and scalars copied
-    verbatim.  ``meta`` is label-free scalars by contract, so it
-    needs no translation.
+    verbatim, except the two wall clocks (:func:`_pack_clock`).
+    ``meta`` is label-free scalars by contract, so it needs no
+    translation.
 
     A solution held as positions over a grounded instance is gathered
     through the instance's entry map, and a decoded one is stored as it
-    is; a dict-built one (pool results, the MILP's extract, a caller's
-    own) is resolved by id with :func:`~repro.fmssm.point.resolve_ids`
+    is; a dict-built one (pool results, a caller's own) is resolved by id with :func:`~repro.fmssm.point.resolve_ids`
     onto the same columns.  Only served pairs are recorded: an SDN pair
     no controller serves, or a per-pair controller equal to its
     switch's mapping, is not part of the plan.
@@ -252,7 +252,7 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
                 if solution.load_override is None
                 else sorted(solution.load_override.items())
             ),
-            "solve_time_s": solution.solve_time_s,
+            "solve_time_s": _pack_clock(solution.solve_time_s),
             "feasible": solution.feasible,
             "meta": dict(solution.meta),
         },
@@ -273,7 +273,7 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
             "ideal_delay_ms": evaluation.ideal_delay_ms,
             "per_flow_overhead_ms": evaluation.per_flow_overhead_ms,
             "objective": evaluation.objective,
-            "solve_time_s": evaluation.solve_time_s,
+            "solve_time_s": _pack_clock(evaluation.solve_time_s),
         },
     }
 
@@ -305,7 +305,7 @@ def decode_result(context, record: dict):
         load_override=(
             None if sol["load_override"] is None else dict(sol["load_override"])
         ),
-        solve_time_s=sol["solve_time_s"],
+        solve_time_s=float(sol["solve_time_s"]),
         feasible=bool(sol["feasible"]),
         meta=dict(sol["meta"]),
     )
@@ -330,9 +330,16 @@ def decode_result(context, record: dict):
         ideal_delay_ms=ev["ideal_delay_ms"],
         per_flow_overhead_ms=ev["per_flow_overhead_ms"],
         objective=ev["objective"],
-        solve_time_s=ev["solve_time_s"],
+        solve_time_s=float(ev["solve_time_s"]),
     )
     return solution, evaluation
+
+
+def _pack_clock(seconds: float) -> str:
+    """A wall clock as fixed-width text, so a record's length does not
+    depend on how long the solve took.  17 significant digits round-trip
+    every float exactly."""
+    return format(seconds, ".16e")
 
 
 def _network_frame(context) -> Frame:
@@ -481,6 +488,10 @@ class SolveStore:
             "corrupt": 0,
             "gc_dropped": 0,
         }
+        # Every key carries the code identity, which hashes the source
+        # and imports scipy for its version: pay that at open, not in
+        # the first request.
+        code_identity()
 
     # -- records -------------------------------------------------------
     def _shard_of(self, key: str) -> int:

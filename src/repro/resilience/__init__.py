@@ -6,7 +6,7 @@ pipeline.  Four pieces:
 
 :mod:`repro.resilience.degradation`
     A configurable **degradation ladder** for exact solves
-    (``sparse+warm`` → ``model`` → ``bnb`` → ``pm``), each rung guarded
+    (``sparse+warm`` → ``pm``), each rung guarded
     by a time limit and retry-with-backoff, with every demotion recorded
     in a structured :class:`DegradationReport`.
 :mod:`repro.resilience.chaos`

@@ -3,8 +3,8 @@
 The failure paths of a resilient system are only trustworthy if they are
 exercised; this module makes them first-class tested code.  A
 :class:`ChaosPlan` names *sites* (injection points threaded through
-:mod:`repro.perf.sweep`, :mod:`repro.lp.highs`,
-:mod:`repro.lp.branch_and_bound` and :mod:`repro.fmssm.optimal`) and the
+:mod:`repro.perf.sweep`, :mod:`repro.lp.highs` and
+:mod:`repro.fmssm.optimal`) and the
 *faults* to fire there: raise a :class:`SolverTimeoutError` or
 :class:`InfeasibleError` on the Nth call, kill a pool worker, corrupt a
 pickled payload, or corrupt a solver's result vector into a subtly
@@ -22,8 +22,8 @@ Instrumented sites
     (``corrupt-payload`` flips a byte, so workers die unpickling it).
 ``optimal.solve``
     Entry of :func:`repro.fmssm.optimal.solve_optimal`.
-``highs.solve`` / ``highs.relax`` / ``bnb.solve``
-    Entry of the corresponding solver routines; ``highs.solve.x`` is the
+``highs.solve`` / ``highs.relax``
+    Entry of the HiGHS MILP and LP-relaxation solves; ``highs.solve.x`` is the
     transform point over the HiGHS result vector (``corrupt-solution``
     activates every pair, which the independent validator must reject).
 ``executor.decode_context``

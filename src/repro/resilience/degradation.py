@@ -6,7 +6,10 @@ reproduction's own solver pipeline.  A :class:`LadderPolicy` is an
 ordered chain of :class:`Rung`\\ s, each naming a registered solve route
 with a per-rung time limit and a retry-with-backoff policy:
 
-``sparse+warm`` → ``model`` → ``bnb`` → ``pm``
+``sparse+warm`` → ``pm``
+
+The exact rung is HiGHS on the compiled P′, seeded with PM; the PM
+heuristic terminates the chain.
 
 A rung is *demoted* (the ladder moves to the next rung) when its attempt
 raises a :class:`SolverError` (timeouts included) after its retries are
@@ -147,32 +150,6 @@ def _solve_sparse_warm(instance: FMSSMInstance, time_limit_s: float | None) -> R
     return solve_optimal(
         instance,
         time_limit_s=time_limit_s,
-        compile="sparse",
-        warm_start="pm",
-        raise_on_timeout=True,
-    )
-
-
-def _solve_model(instance: FMSSMInstance, time_limit_s: float | None) -> RecoverySolution:
-    from repro.fmssm.optimal import solve_optimal
-
-    return solve_optimal(
-        instance,
-        time_limit_s=time_limit_s,
-        compile="model",
-        warm_start=None,
-        raise_on_timeout=True,
-    )
-
-
-def _solve_bnb(instance: FMSSMInstance, time_limit_s: float | None) -> RecoverySolution:
-    from repro.fmssm.optimal import solve_optimal
-
-    return solve_optimal(
-        instance,
-        solver="bnb",
-        time_limit_s=time_limit_s,
-        compile="sparse",
         warm_start="pm",
         raise_on_timeout=True,
     )
@@ -192,8 +169,6 @@ def _solve_pm_rung(instance: FMSSMInstance, time_limit_s: float | None) -> Recov
 #: graceful-degradation semantics the ladder exists to provide.
 RUNG_SOLVERS = {
     "sparse+warm": _solve_sparse_warm,
-    "model": _solve_model,
-    "bnb": _solve_bnb,
     "pm": _solve_pm_rung,
 }
 
@@ -258,18 +233,15 @@ def default_ladder(
     retries: int = 1,
     backoff_s: float = 0.0,
 ) -> LadderPolicy:
-    """The standard four-rung ladder for ``optimal`` solves.
+    """The standard two-rung ladder for ``optimal`` solves.
 
-    The primary rung gets the full time limit and ``retries`` attempts;
-    the DSL cross-validation route and the pure-Python B&B get one
-    attempt each, and the PM heuristic terminates the chain (it cannot
-    time out and needs no solver).
+    The exact rung gets the full time limit and ``retries`` attempts,
+    and the PM heuristic terminates the chain (it cannot time out and
+    needs no solver).
     """
     return LadderPolicy(
         rungs=(
             Rung("sparse+warm", "sparse+warm", time_limit_s, retries, backoff_s),
-            Rung("model", "model", time_limit_s, 0, backoff_s),
-            Rung("bnb", "bnb", time_limit_s, 0, backoff_s),
             Rung("pm", "pm", None, 0, 0.0),
         ),
         validate=validate,

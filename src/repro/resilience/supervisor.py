@@ -26,7 +26,7 @@ Poison quarantine
 
 Circuit breakers
     Classic closed → open → half-open :class:`CircuitBreaker`\\ s guard
-    the exact-solver rungs (``sparse+warm``/``model``/``bnb``) and the
+    the exact-solver rung (``sparse+warm``) and the
     shared-memory transport.  After ``breaker_threshold`` *consecutive*
     failures the breaker opens and the supervisor routes around the
     failing component — the ladder skips straight past the rung
@@ -64,7 +64,7 @@ __all__ = [
 
 #: Ladder rungs guarded by a circuit breaker.  The terminal ``pm`` rung
 #: is deliberately absent: it is the component the others degrade *to*.
-BREAKER_RUNGS = ("sparse+warm", "model", "bnb")
+BREAKER_RUNGS = ("sparse+warm",)
 
 #: Breaker guarding the shared-memory fan-out transport.
 TRANSPORT_BREAKER = "transport:shm"

@@ -40,11 +40,11 @@ class TestHierarchy:
 
     def test_rung_timeout_carries_context(self):
         err = exceptions.RungTimeoutError(
-            "rung timed out", elapsed_s=1.5, rung="sparse+warm", fallback="model"
+            "rung timed out", elapsed_s=1.5, rung="sparse+warm", fallback="pm"
         )
         assert err.elapsed_s == 1.5
         assert err.rung == "sparse+warm"
-        assert err.fallback == "model"
+        assert err.fallback == "pm"
 
     def test_catching_base_catches_everything(self):
         from repro.topology.graph import Topology

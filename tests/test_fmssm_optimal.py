@@ -30,12 +30,6 @@ class TestTinyOptimal:
         assert evaluation.least_programmability == 2
         assert evaluation.total_programmability == 11
 
-    def test_bnb_backend_agrees(self, tiny_instance):
-        highs = evaluate_solution(tiny_instance, solve_optimal(tiny_instance, solver="highs"))
-        bnb = evaluate_solution(tiny_instance, solve_optimal(tiny_instance, solver="bnb"))
-        assert highs.least_programmability == bnb.least_programmability
-        assert highs.total_programmability == bnb.total_programmability
-
     def test_infeasible_full_recovery(self):
         instance = make_tiny_instance(spare={100: 1, 200: 0})
         solution = solve_optimal(instance, require_full_recovery=True)
@@ -75,20 +69,10 @@ class TestTinyOptimal:
         evaluation = evaluate_solution(tiny_instance, solution)
         assert evaluation.total_delay_ms <= tiny_instance.ideal_delay_ms + 1e-6
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"solver": "gurobi"},
-            {"solver": "gurobi", "compile": "model"},
-            {"warm_start": "PM"},
-            {"warm_start": "PM", "compile": "model"},
-            {"compile": "turbo"},
-        ],
-        ids=["solver", "solver-model", "warm-start", "warm-start-model", "compile"],
-    )
+    @pytest.mark.parametrize("kwargs", [{"warm_start": "PM"}], ids=["warm-start"])
     def test_bad_arguments_rejected_on_every_route(self, tiny_instance, kwargs):
-        """An unknown solver, warm start or compile route raises before
-        any route runs, instead of silently solving some other way."""
+        """An unknown warm start raises before anything runs, instead of
+        silently solving some other way."""
         (name, value), *_ = kwargs.items()
         with pytest.raises(ValueError, match=f"unknown {name}.*{value!r}"):
             solve_optimal(tiny_instance, **kwargs)
@@ -138,17 +122,17 @@ class TestPrecertificate:
                 continue
             assert _combinatorial_bound(instance) >= relaxation.objective - 1e-9
 
-    def test_precert_agrees_with_model_route(self, chain_context):
+    def test_precert_agrees_with_cold_route(self, chain_context):
         fired = 0
         for scenario in enumerate_failure_scenarios(chain_context.plane, 2):
             instance = chain_context.instance(scenario)
-            sparse = solve_optimal(instance)
-            if sparse.meta.get("solver") != "precert":
+            seeded = solve_optimal(instance)
+            if seeded.meta.get("solver") != "precert":
                 continue
             fired += 1
-            model = solve_optimal(instance, compile="model")
-            assert model.feasible
-            assert sparse.meta["objective"] == model.meta["objective"]
+            cold = solve_optimal(instance, warm_start=None)
+            assert cold.feasible
+            assert seeded.meta["objective"] == cold.meta["objective"]
         if fired == 0:
             pytest.skip("no scenario triggered the pre-certificate")
 
@@ -287,9 +271,9 @@ class TestRing135Routes:
         highs = solve_optimal(ring135[(0, 3)], time_limit_s=60.0)
         assert highs.meta["solver"] == "highs"
         assert highs.meta["certificate"] is False
-        bnb = solve_optimal(ring135[(0, 3)], solver="bnb", time_limit_s=60.0)
-        assert bnb.meta["solver"] == "bnb"
-        assert bnb.meta["objective"] == highs.meta["objective"]
+        assert highs.meta["seed"] == "pm"
+        cold = solve_optimal(ring135[(0, 3)], warm_start=None, time_limit_s=60.0)
+        assert cold.meta["objective"] == highs.meta["objective"]
 
     @pytest.mark.parametrize("failed", [(0, 7), (3, 7)])
     def test_infeasible_pairs(self, ring135, failed):
@@ -319,7 +303,7 @@ INFEASIBLE_INSTANCE = make_tiny_instance(spare={100: 0, 200: 0})
 
 #: Feasible, but its seed misses the certificate, so the seeded route
 #: runs the MILP (``solver="highs"``, no certificate).
-BNB_INSTANCE = ring_context(135).instance(FailureScenario(frozenset({0, 3})))
+MISS_INSTANCE = ring_context(135).instance(FailureScenario(frozenset({0, 3})))
 
 
 @st.composite
@@ -351,6 +335,6 @@ class TestSeededEqualsColdProperty:
         for instance in instances:
             assert_matches_cold(instance, time_limit_s=60.0)
         assert not assert_matches_cold(INFEASIBLE_INSTANCE).feasible
-        miss = assert_matches_cold(BNB_INSTANCE, time_limit_s=60.0)
+        miss = assert_matches_cold(MISS_INSTANCE, time_limit_s=60.0)
         assert miss.feasible and miss.meta["solver"] == "highs"
         assert miss.meta["certificate"] is False

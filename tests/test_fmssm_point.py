@@ -85,9 +85,12 @@ def assert_check_matches_form(instance, solution, full, delay):
     if accepted:
         np.testing.assert_array_equal(embedded, x)
         assert abs(point.objective - compiled.objective_value(x)) <= 1e-12
-        mapping, sdn_pairs = compiled.extract(x)
-        assert list(point.mapping().items()) == list(mapping.items())
-        assert point.sdn_pairs() == sdn_pairs
+        placement = compiled.extract(x)
+        np.testing.assert_array_equal(placement.switch_ctrl, point.switch_ctrl)
+        np.testing.assert_array_equal(placement.pairs, point.pairs)
+        np.testing.assert_array_equal(placement.pair_ctrl, point.pair_ctrl)
+        assert list(point.mapping().items()) == list(placement.mapping().items())
+        assert point.sdn_pairs() == placement.sdn_pairs()
     return accepted
 
 

@@ -1,150 +1,113 @@
-"""Tests for the HiGHS adapter and the branch-and-bound solver.
+"""Tests for the HiGHS adapter on small hand-written standard forms.
 
-Both backends run the same cases; agreement between them is the
-cross-validation for the library-owned branch-and-bound.
+:func:`dense_form` writes a problem as a
+:class:`~repro.lp.standard_form.StandardForm` from dense rows, the way
+the package's own problems are written (:mod:`repro.perf.compile`,
+:mod:`repro.baselines.retroflow`).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.lp import LinExpr, Model, SolveStatus, solve
-from repro.exceptions import SolverError
+from repro.lp import SolveStatus, StandardForm, solve_form_relaxation, solve_form_with_highs
 
-SOLVERS = ("highs", "bnb")
+SOLVERS = ("highs",)
 
 
-def knapsack_model() -> tuple[Model, float]:
+def dense_form(
+    c,
+    a_ub=(),
+    b_ub=(),
+    a_eq=(),
+    b_eq=(),
+    lb=None,
+    ub=None,
+    integer=None,
+    maximize=False,
+    constant=0.0,
+) -> StandardForm:
+    """A form from dense rows; ``c`` and ``constant`` in the problem's
+    sense (negated here for maximization, as the package writes them)."""
+    n = len(c)
+    sign = -1.0 if maximize else 1.0
+    return StandardForm(
+        c=sign * np.asarray(c, dtype=float),
+        a_ub=sparse.csr_matrix(np.asarray(a_ub, dtype=float).reshape(-1, n)),
+        b_ub=np.asarray(b_ub, dtype=float),
+        a_eq=sparse.csr_matrix(np.asarray(a_eq, dtype=float).reshape(-1, n)),
+        b_eq=np.asarray(b_eq, dtype=float),
+        lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
+        ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
+        integrality=np.zeros(n) if integer is None else np.asarray(integer, dtype=float),
+        maximize=maximize,
+        objective_constant=sign * constant,
+    )
+
+
+def knapsack_form() -> tuple[StandardForm, float]:
     """A small knapsack with known optimum 14 (items 0, 1 and 3)."""
-    m = Model("knapsack")
-    values = [6, 7, 6, 1]
-    weights = [3, 4, 4, 1]
-    xs = [m.add_var(f"x{i}", binary=True) for i in range(4)]
-    m.add_constraint(LinExpr.total(zip(map(float, weights), xs)) <= 8)
-    m.set_objective(LinExpr.total(zip(map(float, values), xs)), sense="max")
-    return m, 14.0
+    return (
+        dense_form(
+            [6, 7, 6, 1],
+            a_ub=[[3, 4, 4, 1]],
+            b_ub=[8],
+            ub=np.ones(4),
+            integer=np.ones(4),
+            maximize=True,
+        ),
+        14.0,
+    )
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 class TestBothSolvers:
     def test_pure_lp(self, solver):
-        m = Model()
-        x = m.add_var("x", ub=4)
-        y = m.add_var("y", ub=4)
-        m.add_constraint(x + y <= 6)
-        m.set_objective(x + 2 * y, sense="max")
-        result = solve(m, solver=solver)
+        form = dense_form([1, 2], a_ub=[[1, 1]], b_ub=[6], ub=[4, 4], maximize=True)
+        result = solve_form_with_highs(form)
+        assert result.solver == solver
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(10.0)
-        assert result.value("y") == pytest.approx(4.0)
+        assert result.x[1] == pytest.approx(4.0)
 
     def test_knapsack_optimum(self, solver):
-        m, best = knapsack_model()
-        result = solve(m, solver=solver)
+        form, best = knapsack_form()
+        result = solve_form_with_highs(form)
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(best)
 
     def test_integrality_enforced(self, solver):
-        m = Model()
-        x = m.add_var("x", integer=True, ub=10)
-        m.add_constraint(2 * x <= 7)
-        m.set_objective(x, sense="max")
-        result = solve(m, solver=solver)
+        form = dense_form([1], a_ub=[[2]], b_ub=[7], ub=[10], integer=[1], maximize=True)
+        result = solve_form_with_highs(form)
         assert result.objective == pytest.approx(3.0)
-        assert result.value("x") == pytest.approx(3.0)
+        assert result.x[0] == pytest.approx(3.0)
+        # The relaxation ignores the integrality marker.
+        assert solve_form_relaxation(form).objective == pytest.approx(3.5)
 
     def test_infeasible(self, solver):
-        m = Model()
-        x = m.add_var("x", ub=1)
-        m.add_constraint(1 * x >= 2)
-        m.set_objective(x)
-        assert solve(m, solver=solver).status is SolveStatus.INFEASIBLE
+        form = dense_form([1], a_ub=[[-1]], b_ub=[-2], ub=[1])
+        assert solve_form_with_highs(form).status is SolveStatus.INFEASIBLE
+        assert solve_form_relaxation(form).status is SolveStatus.INFEASIBLE
 
     def test_equality_constraints(self, solver):
-        m = Model()
-        x = m.add_var("x", ub=10)
-        y = m.add_var("y", ub=10)
-        m.add_constraint(x + y == 7)
-        m.set_objective(x - y, sense="max")
-        result = solve(m, solver=solver)
+        form = dense_form([1, -1], a_eq=[[1, 1]], b_eq=[7], ub=[10, 10], maximize=True)
+        result = solve_form_with_highs(form)
         assert result.objective == pytest.approx(7.0)
 
     def test_minimization(self, solver):
-        m = Model()
-        x = m.add_var("x", lb=2, ub=9)
-        m.set_objective(3 * x, sense="min")
-        result = solve(m, solver=solver)
+        form = dense_form([3], lb=[2], ub=[9])
+        result = solve_form_with_highs(form)
         assert result.objective == pytest.approx(6.0)
 
     def test_objective_with_constant(self, solver):
-        m = Model()
-        x = m.add_var("x", ub=5)
-        m.set_objective(x + 100, sense="max")
-        result = solve(m, solver=solver)
+        form = dense_form([1], ub=[5], maximize=True, constant=100.0)
+        result = solve_form_with_highs(form)
         assert result.objective == pytest.approx(105.0)
 
 
-class TestCrossValidation:
-    def test_random_milps_agree(self):
-        import random
-
-        rng = random.Random(42)
-        for trial in range(8):
-            m = Model(f"rand{trial}")
-            n = rng.randint(3, 7)
-            xs = [m.add_var(f"x{i}", binary=True) for i in range(n)]
-            for _ in range(rng.randint(1, 4)):
-                coefficients = [(float(rng.randint(1, 9)), x) for x in xs]
-                m.add_constraint(
-                    LinExpr.total(coefficients) <= rng.randint(5, 25)
-                )
-            m.set_objective(
-                LinExpr.total((float(rng.randint(1, 9)), x) for x in xs), sense="max"
-            )
-            a = solve(m, solver="highs")
-            b = solve(m, solver="bnb")
-            assert a.status is SolveStatus.OPTIMAL
-            assert b.status is SolveStatus.OPTIMAL
-            assert a.objective == pytest.approx(b.objective)
-
-
 class TestResultSemantics:
-    def test_value_without_incumbent_raises(self):
-        m = Model()
-        x = m.add_var("x", ub=1)
-        m.add_constraint(1 * x >= 2)
-        m.set_objective(x)
-        result = solve(m)
-        with pytest.raises(SolverError):
-            result.value("x")
-
-    def test_unknown_variable_raises(self):
-        m = Model()
-        m.add_var("x", ub=1)
-        result = solve(m)
-        with pytest.raises(SolverError, match="unknown variable"):
-            result.value("zzz")
-
-    def test_unknown_solver_rejected(self):
-        m = Model()
-        m.add_var("x")
-        with pytest.raises(ValueError, match="unknown solver"):
-            solve(m, solver="gurobi")
-
-    def test_bnb_time_limit_returns_incumbent_or_timeout(self):
-        m, _ = knapsack_model()
-        result = solve(m, solver="bnb", time_limit_s=0.0)
-        assert result.status in (
-            SolveStatus.TIMEOUT,
-            SolveStatus.FEASIBLE,
-            SolveStatus.OPTIMAL,
-        )
-
-    def test_bnb_reports_nodes(self):
-        m, _ = knapsack_model()
-        result = solve(m, solver="bnb")
-        assert result.nodes is not None and result.nodes >= 1
-
     def test_repr(self):
-        m, _ = knapsack_model()
-        assert "optimal" in repr(solve(m))
+        form, _ = knapsack_form()
+        assert "optimal" in repr(solve_form_with_highs(form))

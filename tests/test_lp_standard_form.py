@@ -1,90 +1,20 @@
-"""Tests for standard-form compilation."""
+"""Tests for :class:`~repro.lp.standard_form.StandardForm`."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.exceptions import ModelError
-from repro.lp.model import Model
-from repro.lp.standard_form import to_standard_form
-
-
-def build_sample() -> tuple[Model, object, object]:
-    m = Model()
-    x = m.add_var("x", lb=0, ub=10)
-    y = m.add_var("y", binary=True)
-    m.add_constraint(x + 2 * y <= 8)
-    m.add_constraint(x - y >= 1)
-    m.add_constraint(1 * x == 4)
-    m.set_objective(3 * x + y + 7, sense="max")
-    return m, x, y
+from test_lp_solvers import dense_form
 
 
 class TestStandardForm:
-    def test_shapes(self):
-        m, _, _ = build_sample()
-        form = to_standard_form(m)
-        assert form.n_vars == 2
-        assert form.a_ub.shape == (2, 2)  # <= row and negated >= row
-        assert form.a_eq.shape == (1, 2)
-
-    def test_ge_rows_negated(self):
-        m, x, y = build_sample()
-        form = to_standard_form(m)
-        # Second ub row is -(x - y) <= -1.
-        row = form.a_ub.toarray()[1]
-        assert row[x.index] == -1
-        assert row[y.index] == 1
-        assert form.b_ub[1] == -1
-
-    def test_max_negates_objective(self):
-        m, x, y = build_sample()
-        form = to_standard_form(m)
-        assert form.maximize
-        assert form.c[x.index] == -3
-
     def test_objective_value_roundtrip(self):
-        m, _, _ = build_sample()
-        form = to_standard_form(m)
+        form = dense_form([3, 1], ub=[10, 1], maximize=True, constant=7.0)
         # The solver reports c @ x only: at x=4, y=1 that is -(3*4 + 1) =
         # -13; the stored constant (-7, negated for max) restores 20.
         assert form.objective_value(-13.0) == pytest.approx(13.0 + 7.0)
 
     def test_min_objective_constant(self):
-        m = Model()
-        x = m.add_var("x")
-        m.set_objective(x + 5, sense="min")
-        form = to_standard_form(m)
+        form = dense_form([1], constant=5.0)
         # minimized value at x=2 is 2 (without the constant); +5 restores it.
         assert form.objective_value(2.0) == pytest.approx(7.0)
-
-    def test_integrality_vector(self):
-        m, x, y = build_sample()
-        form = to_standard_form(m)
-        assert form.integrality[x.index] == 0.0
-        assert form.integrality[y.index] == 1.0
-
-    def test_bounds_vectors(self):
-        m, x, y = build_sample()
-        form = to_standard_form(m)
-        assert form.ub[x.index] == 10
-        assert form.ub[y.index] == 1
-
-    def test_empty_model_rejected(self):
-        with pytest.raises(ModelError):
-            to_standard_form(Model())
-
-    def test_var_names_preserved(self):
-        m, _, _ = build_sample()
-        form = to_standard_form(m)
-        assert form.var_names == ("x", "y")
-
-    def test_sparse_matrix_zero_entries_dropped(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        m.add_constraint(x + 0 * y <= 1)
-        form = to_standard_form(m)
-        assert form.a_ub.nnz == 1
-        assert np.all(form.b_ub == [1])

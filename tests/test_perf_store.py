@@ -371,6 +371,22 @@ class TestCanonicalRoundTrip:
         assert len(solution.sdn_pairs) > 1000
         assert len(line) < 10_000
 
+    def test_record_length_ignores_wall_clocks(self, small_context, small_instance):
+        """Both wall clocks are written at a fixed width, so equal
+        results give records of equal length however long they took,
+        and the clocks still replay exactly."""
+        solution = get_algorithm("pm")(small_instance)
+        lines = []
+        for seconds in (0.001234, 0.1):
+            timed = copy.copy(solution)
+            timed.solve_time_s = seconds
+            evaluation = evaluate_solution(small_instance, timed)
+            record = encode_result(small_context, timed, evaluation)
+            lines.append(SolveStore._encode_line("k" * 32, record))
+            restored, restored_eval = decode_result(small_context, json.loads(json.dumps(record)))
+            assert restored.solve_time_s == restored_eval.solve_time_s == seconds
+        assert len(lines[0]) == len(lines[1])
+
     def test_decoded_stays_positional_until_read(self, codec_records):
         for context, solution, evaluation, record in codec_records:
             restored, restored_eval = decode_result(context, record)

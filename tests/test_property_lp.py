@@ -1,17 +1,18 @@
-"""Property-based tests for the LP layer (hypothesis).
+"""Property-based tests for the HiGHS adapter (hypothesis).
 
-The branch-and-bound solver is cross-validated against HiGHS on random
-knapsack-style MILPs, and the standard-form compiler is checked for
-solution-preserving round-trips.
+Random knapsacks, written as standard forms, are solved by HiGHS and
+checked against brute force; the LP relaxation must bound the MILP.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lp import LinExpr, Model, SolveStatus, solve
+from repro.lp import SolveStatus, solve_form_relaxation, solve_form_with_highs
+from test_lp_solvers import dense_form
 
 SETTINGS = settings(
     max_examples=25,
@@ -29,12 +30,16 @@ def knapsack_instances(draw):
     return values, weights, budget
 
 
-def build_knapsack(values, weights, budget) -> Model:
-    m = Model("kp")
-    xs = [m.add_var(f"x{i}", binary=True) for i in range(len(values))]
-    m.add_constraint(LinExpr.total(zip(map(float, weights), xs)) <= budget)
-    m.set_objective(LinExpr.total(zip(map(float, values), xs)), sense="max")
-    return m
+def build_knapsack(values, weights, budget):
+    n = len(values)
+    return dense_form(
+        values,
+        a_ub=[weights],
+        b_ub=[budget],
+        ub=np.ones(n),
+        integer=np.ones(n),
+        maximize=True,
+    )
 
 
 def brute_force_knapsack(values, weights, budget) -> float:
@@ -56,17 +61,7 @@ class TestSolverProperties:
     @given(knapsack_instances())
     def test_highs_matches_brute_force(self, instance):
         values, weights, budget = instance
-        result = solve(build_knapsack(values, weights, budget), solver="highs")
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(
-            brute_force_knapsack(values, weights, budget)
-        )
-
-    @SETTINGS
-    @given(knapsack_instances())
-    def test_bnb_matches_brute_force(self, instance):
-        values, weights, budget = instance
-        result = solve(build_knapsack(values, weights, budget), solver="bnb")
+        result = solve_form_with_highs(build_knapsack(values, weights, budget))
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(
             brute_force_knapsack(values, weights, budget)
@@ -76,53 +71,15 @@ class TestSolverProperties:
     @given(knapsack_instances())
     def test_incumbent_is_feasible_and_binary(self, instance):
         values, weights, budget = instance
-        result = solve(build_knapsack(values, weights, budget), solver="bnb")
-        load = 0.0
-        for i, w in enumerate(weights):
-            x = result.value(f"x{i}")
-            assert x in (0.0, 1.0)
-            load += w * x
-        assert load <= budget + 1e-9
+        result = solve_form_with_highs(build_knapsack(values, weights, budget))
+        x = np.round(result.x, 6)
+        assert set(x.tolist()) <= {0.0, 1.0}
+        assert float(np.dot(weights, x)) <= budget + 1e-9
 
     @SETTINGS
     @given(knapsack_instances())
     def test_lp_relaxation_upper_bounds_milp(self, instance):
-        values, weights, budget = instance
-        milp = solve(build_knapsack(values, weights, budget), solver="highs")
-
-        relaxed_model = Model("relaxed")
-        xs = [relaxed_model.add_var(f"x{i}", lb=0, ub=1) for i in range(len(values))]
-        relaxed_model.add_constraint(
-            LinExpr.total(zip(map(float, weights), xs)) <= budget
-        )
-        relaxed_model.set_objective(
-            LinExpr.total(zip(map(float, values), xs)), sense="max"
-        )
-        relaxed = solve(relaxed_model, solver="highs")
+        form = build_knapsack(*instance)
+        milp = solve_form_with_highs(form)
+        relaxed = solve_form_relaxation(form)
         assert relaxed.objective >= milp.objective - 1e-6
-
-
-class TestExpressionProperties:
-    @SETTINGS
-    @given(
-        st.lists(st.floats(-10, 10), min_size=1, max_size=5),
-        st.floats(-10, 10),
-    )
-    def test_scaling_distributes(self, coefficients, scalar):
-        m = Model()
-        xs = [m.add_var(f"x{i}") for i in range(len(coefficients))]
-        expr = LinExpr.total(zip(coefficients, xs))
-        scaled = expr * scalar
-        for i, x in enumerate(xs):
-            expected = coefficients[i] * scalar
-            assert scaled.coefficients.get(x.index, 0.0) == pytest.approx(
-                expected, abs=1e-9
-            )
-
-    @SETTINGS
-    @given(st.floats(-100, 100), st.floats(-100, 100))
-    def test_addition_of_constants(self, a, b):
-        m = Model()
-        x = m.add_var("x")
-        expr = (x + a) + b
-        assert expr.constant == pytest.approx(a + b)

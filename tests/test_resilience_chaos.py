@@ -170,24 +170,31 @@ class TestSweepUnderChaos:
     def test_nth_call_timeout_degrades_one_scenario(
         self, sweep_context, sweep_scenarios, baseline
     ):
-        """Three injected timeouts at the solve_optimal entry exhaust both
-        HiGHS rungs for the first scenario only; it lands on B&B while the
-        other scenarios stay on the primary rung — and every merged result
-        is still correct (B&B proves the same optimum)."""
+        """Two injected timeouts at the solve_optimal entry exhaust the
+        exact rung (two attempts) for the first scenario only; its
+        optimal answer comes from the PM rung, flagged degraded, while
+        every other result is the baseline's."""
         ladder = default_ladder(time_limit_s=60.0, retries=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResultWarning)
             with chaos.inject(
-                chaos.Fault("optimal.solve", "raise-timeout", at_call=1, count=3)
+                chaos.Fault("optimal.solve", "raise-timeout", at_call=1, count=2)
             ):
                 results = parallel_sweep(
                     sweep_context, sweep_scenarios, ALGORITHMS,
                     max_workers=1, ladder=ladder,
                 )
-        assert_same_solutions(baseline, results)
-        assert results[0].degradation.rung_used == "bnb"
-        assert results[0].degradation.degraded
-        assert results[0].solutions["optimal"].meta["ladder_rung"] == "bnb"
+        assert_same_solutions(baseline[1:], results[1:])
+        first = results[0]
+        assert first.degradation.rung_used == "pm"
+        assert first.degradation.degraded
+        assert first.solutions["optimal"].meta["ladder_rung"] == "pm"
+        assert first.solutions["optimal"].meta["degraded"] is True
+        for name in ("pm", "retroflow"):
+            assert first.solutions[name].sdn_pairs == baseline[0].solutions[name].sdn_pairs
+        assert first.evaluations["optimal"].objective <= (
+            baseline[0].evaluations["optimal"].objective
+        )
         for result in results[1:]:
             assert result.degradation.rung_used == "sparse+warm"
             assert not any(
@@ -208,13 +215,15 @@ class TestSweepUnderChaos:
 
     def test_corrupt_solution_absorbed_by_ladder(self):
         """A lying solver vector is caught by the validator and demoted
-        past, so the sweep still completes with a correct answer."""
+        past, so the sweep still completes with a valid answer, flagged
+        degraded."""
         context = custom_context(
             ring_topology(10, chords=5, seed=7),
             controller_sites=(0, 3, 7),
-            capacity={0: 200, 3: 200, 7: 30},
+            capacity=135,
         )
-        scenarios = (FailureScenario(frozenset({3})),)
+        # The PM seed misses the certificate here, so HiGHS runs.
+        scenarios = (FailureScenario(frozenset({0, 3})),)
         baseline = parallel_sweep(
             context, scenarios, ("optimal",), max_workers=1,
             optimal_time_limit_s=60.0,
@@ -222,21 +231,23 @@ class TestSweepUnderChaos:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResultWarning)
             with chaos.inject(
-                chaos.Fault("optimal.solve", "raise-timeout", at_call=1, count=1),
                 chaos.Fault("highs.solve.x", "corrupt-solution", count=None),
             ):
                 results = parallel_sweep(
                     context, scenarios, ("optimal",), max_workers=1,
                     ladder=default_ladder(time_limit_s=60.0, retries=0),
                 )
-        assert results[0].degradation.rung_used == "bnb"
+        assert results[0].degradation.rung_used == "pm"
         assert any(
             "eq3-capacity" in e.reason
             for e in results[0].degradation.demotions
         )
         solution = results[0].solutions["optimal"]
-        expected = baseline[0].solutions["optimal"]
-        assert solution.meta["objective"] == expected.meta["objective"]
+        assert solution.meta["degraded"] is True
+        assert results[0].evaluations["optimal"].feasible
+        assert results[0].evaluations["optimal"].objective <= (
+            baseline[0].evaluations["optimal"].objective
+        )
 
 
 class TestShmUnderChaos:

@@ -23,14 +23,16 @@ from repro.topology.generators import ring_topology
 
 
 @pytest.fixture
-def tight_capacity_context():
-    """Last-listed controller has almost no spare: an all-on corruption
-    of the solver vector maps everything onto it and blows Eq. 3."""
-    return custom_context(
+def certificate_miss_instance():
+    """A feasible instance whose PM seed misses the certificate, so the
+    exact rung runs the HiGHS MILP: capacity 135, controllers 0 and 3
+    failed."""
+    context = custom_context(
         ring_topology(10, chords=5, seed=7),
         controller_sites=(0, 3, 7),
-        capacity={0: 200, 3: 200, 7: 30},
+        capacity=135,
     )
+    return context.instance(FailureScenario(frozenset({0, 3})))
 
 
 class TestReport:
@@ -39,12 +41,12 @@ class TestReport:
         assert DegradationEvent.from_dict(event.to_dict()) == event
 
     def test_report_round_trip(self):
-        report = DegradationReport(rung_used="bnb")
+        report = DegradationReport(rung_used="pm")
         report.record("sparse+warm", "retry", "timeout", 0.5)
         report.record("sparse+warm", "demote", "timeout", 0.5)
-        report.record("bnb", "accept", "feasible", 0.1)
+        report.record("pm", "accept", "feasible", 0.1)
         restored = DegradationReport.from_dict(report.to_dict())
-        assert restored.rung_used == "bnb"
+        assert restored.rung_used == "pm"
         assert restored.events == report.events
         assert restored.degraded
         assert len(restored.demotions) == 1
@@ -72,9 +74,7 @@ class TestPolicy:
 
     def test_default_ladder_shape(self):
         policy = default_ladder(time_limit_s=10.0, retries=2)
-        assert [r.solver for r in policy.rungs] == [
-            "sparse+warm", "model", "bnb", "pm",
-        ]
+        assert [r.solver for r in policy.rungs] == ["sparse+warm", "pm"]
         assert policy.rungs[0].retries == 2
         assert policy.rungs[-1].time_limit_s is None
 
@@ -97,25 +97,21 @@ class TestSolveWithLadder:
         assert solution.meta["ladder_rung"] == "sparse+warm"
         assert "degraded" not in solution.meta
 
-    def test_retry_then_demote_to_bnb(self, small_instance):
-        # retries=1 gives the primary rung 2 attempts; the model rung gets
-        # 1.  Three injected timeouts at the solve_optimal entry therefore
-        # exhaust both HiGHS routes, and B&B (call #4) answers.
+    def test_retry_then_demote_to_pm(self, small_instance):
+        # retries=1 gives the exact rung 2 attempts.  Two injected
+        # timeouts at the solve_optimal entry therefore exhaust it, and
+        # the PM rung answers, flagged degraded.
         policy = default_ladder(time_limit_s=30.0, retries=1)
         with chaos.inject(
-            chaos.Fault("optimal.solve", "raise-timeout", at_call=1, count=3)
+            chaos.Fault("optimal.solve", "raise-timeout", at_call=1, count=2)
         ):
             with pytest.warns(DegradedResultWarning):
                 solution, report = solve_with_ladder(small_instance, policy)
-        assert report.rung_used == "bnb"
-        assert [e.action for e in report.events] == [
-            "retry", "demote", "demote", "accept",
-        ]
-        assert [e.rung for e in report.events] == [
-            "sparse+warm", "sparse+warm", "model", "bnb",
-        ]
+        assert report.rung_used == "pm"
+        assert [e.action for e in report.events] == ["retry", "demote", "accept"]
+        assert [e.rung for e in report.events] == ["sparse+warm", "sparse+warm", "pm"]
         assert solution.meta["degraded"] is True
-        assert solution.meta["ladder_rung"] == "bnb"
+        assert solution.meta["ladder_rung"] == "pm"
         assert solution.feasible
 
     def test_terminal_pm_rung(self, small_instance):
@@ -128,29 +124,24 @@ class TestSolveWithLadder:
                 )
         assert report.rung_used == "pm"
         assert solution.algorithm == "pm"
-        assert len(report.demotions) == 3
+        assert len(report.demotions) == 1
 
-    def test_validation_rejection_demotes(self, tight_capacity_context):
-        instance = tight_capacity_context.instance(
-            FailureScenario(frozenset({3}))
-        )
-        # One injected timeout knocks out the primary rung (whose PM
-        # certificate would otherwise skip HiGHS entirely); the model rung
-        # then gets a corrupted HiGHS vector whose extraction violates
-        # Eq. 3, which the validator rejects — demoting to the pure-Python
-        # B&B rung, which never touches highs.solve.x and answers.
+    def test_validation_rejection_demotes(self, certificate_miss_instance):
+        # The PM seed misses the certificate here, so the exact rung runs
+        # HiGHS, whose corrupted vector maps every switch onto controller
+        # 7 and violates Eq. 3: the validator rejects it, demoting to PM.
         with chaos.inject(
-            chaos.Fault("optimal.solve", "raise-timeout", at_call=1, count=1),
             chaos.Fault("highs.solve.x", "corrupt-solution", count=None),
         ):
             with pytest.warns(DegradedResultWarning):
                 solution, report = solve_with_ladder(
-                    instance, default_ladder(time_limit_s=30.0, retries=0)
+                    certificate_miss_instance,
+                    default_ladder(time_limit_s=30.0, retries=0),
                 )
-        assert report.rung_used == "bnb"
+        assert report.rung_used == "pm"
         demotions = {e.rung: e.reason for e in report.demotions}
-        assert "validation" in demotions["model"]
-        assert "eq3-capacity" in demotions["model"]
+        assert "validation" in demotions["sparse+warm"]
+        assert "eq3-capacity" in demotions["sparse+warm"]
         assert solution.feasible
 
     def test_all_rungs_failing_raises(self, small_instance):

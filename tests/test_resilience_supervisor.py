@@ -168,10 +168,10 @@ class TestCircuitBreaker:
             CircuitBreaker("b", threshold=0)
 
     def test_to_dict_snapshot(self):
-        breaker = CircuitBreaker("rung:bnb", threshold=2, clock=FakeClock())
+        breaker = CircuitBreaker("rung:sparse+warm", threshold=2, clock=FakeClock())
         breaker.record_failure()
         snapshot = breaker.to_dict()
-        assert snapshot["name"] == "rung:bnb"
+        assert snapshot["name"] == "rung:sparse+warm"
         assert snapshot["state"] == BreakerOpenState.CLOSED
         assert snapshot["failures"] == 1
         assert json.dumps(snapshot)  # JSON-safe
@@ -195,8 +195,7 @@ class TestSupervisorPolicy:
 
     def test_ladder_deadline_sums_rung_budgets(self):
         # default_ladder(10, retries=1): sparse+warm 10s x2 attempts,
-        # model 10s, bnb 10s, pm terminal (no limit contribution beyond
-        # its explicit time_limit_s=None -> optimal limit).
+        # pm terminal (its time_limit_s=None counts as the optimal limit).
         supervisor = SweepSupervisor(
             SupervisorPolicy(deadline_multiplier=2.0, min_deadline_s=1.0)
         )
@@ -572,11 +571,11 @@ class TestAdaptiveDeadlines:
         supervisor.observe_report({"events": [
             {"rung": "sparse+warm", "action": "accept",
              "reason": "", "elapsed_s": 2.0},
-            {"rung": "model", "action": "demote",
+            {"rung": "pm", "action": "demote",
              "reason": "boom", "elapsed_s": 4.0},
         ]})
         assert supervisor.latency_ewma["sparse+warm"] == 2.0
-        assert supervisor.latency_ewma["model"] == 4.0
+        assert supervisor.latency_ewma["pm"] == 4.0
 
     def test_supervised_sweep_feeds_task_ewma(
         self, ring_context, ring_scenarios, ring_serial

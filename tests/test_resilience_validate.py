@@ -171,10 +171,7 @@ class TestEveryRoutePasses:
     )
     def test_exact_routes(self, n, seed, fail_index):
         instance = _waxman_instance(n, seed, fail_index)
-        for kwargs in (
-            {"compile": "sparse", "warm_start": "pm"},
-            {"solver": "bnb", "compile": "sparse", "warm_start": "pm"},
-        ):
+        for kwargs in ({"warm_start": "pm"}, {"warm_start": None}):
             # validate=True (the default) means solve_optimal itself raises
             # ValidationError if its output were rejected; re-check here to
             # assert the report is clean under the strict delay bound.
@@ -183,10 +180,9 @@ class TestEveryRoutePasses:
                 report = validate_solution(instance, solution, enforce_delay=True)
                 assert report.ok, f"{kwargs}: {report.summary()}"
 
-    def test_model_route_passes(self, small_instance):
-        solution = solve_optimal(
-            small_instance, time_limit_s=30.0, compile="model", warm_start=None
-        )
+    def test_cold_route_passes(self, small_instance):
+        solution = solve_optimal(small_instance, time_limit_s=30.0, warm_start=None)
+        assert solution.meta["solver"] == "highs"
         assert validate_solution(small_instance, solution).ok
 
     def test_pm_respects_delay_bound(self, small_instance):
