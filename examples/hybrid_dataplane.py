@@ -14,8 +14,6 @@ Run with::
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro import (
     FailureScenario,
     NetworkDataPlane,
@@ -24,6 +22,7 @@ from repro import (
     default_att_context,
     solve_pm,
 )
+from repro.routing.shortest import bidirectional_shortest_path
 
 
 def fmt_path(context, path) -> str:
@@ -51,14 +50,14 @@ def main() -> None:
         flow = instance.flows[flow_id]
         original_next = flow.next_hop(switch)
         prefix = set(flow.path[: flow.path.index(switch) + 1])
-        sub = topology.graph.subgraph(n for n in topology.graph if n != switch)
         for neighbor in topology.neighbors(switch):
-            if neighbor == original_next or neighbor in prefix or neighbor not in sub:
+            if neighbor == original_next or neighbor in prefix:
                 continue
-            if not nx.has_path(sub, neighbor, flow.dst):
-                continue
-            alternate = tuple(nx.shortest_path(sub, neighbor, flow.dst))
-            if prefix & set(alternate):
+            # Fewest hops to the destination without re-entering ``switch``.
+            alternate = bidirectional_shortest_path(
+                topology, neighbor, flow.dst, banned_nodes={switch}
+            )
+            if alternate is None or prefix & set(alternate):
                 continue
 
             print(f"Flow {flow_id} ({topology.label(flow.src)} -> {topology.label(flow.dst)})")

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import networkx as nx
-
 from repro.exceptions import ControlPlaneError
+from repro.routing.shortest import dijkstra
 from repro.topology.graph import Topology
 from repro.types import ControllerId, NodeId
 
@@ -71,11 +70,7 @@ class DelayModel:
                 self._geo_cache[key] = cached
             return cached
         if site not in self._routed_cache:
-            self._routed_cache[site] = dict(
-                nx.single_source_dijkstra_path_length(
-                    self._topology.graph, site, weight="delay_ms"
-                )
-            )
+            self._routed_cache[site] = dijkstra(self._topology, site, "delay_ms")[0]
         return self._routed_cache[site][switch]
 
     def matrix(

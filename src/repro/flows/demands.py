@@ -10,10 +10,13 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 
-import networkx as nx
-
 from repro.exceptions import FlowError, RoutingError
 from repro.flows.flow import Flow
+from repro.routing.shortest import (
+    bidirectional_dijkstra,
+    bidirectional_shortest_path,
+    single_source_paths,
+)
 from repro.topology.graph import Topology
 from repro.types import NodeId
 
@@ -46,19 +49,21 @@ def shortest_path(
     """Deterministic shortest path from ``src`` to ``dst``.
 
     ``weight`` selects the metric: ``"delay"`` (propagation delay,
-    default), ``"distance"`` (link length), or ``"hops"``.  Ties are broken
-    deterministically by networkx's traversal order, which is fixed for a
-    given topology construction order.
+    default), ``"distance"`` (link length), or ``"hops"``.  The path is
+    searched from both ends; ties are broken deterministically by the
+    topology's link order (see :mod:`repro.routing.shortest`).
     """
     if src not in topology or dst not in topology:
         raise RoutingError(f"unknown endpoint: {src!r} or {dst!r}")
-    try:
-        path = nx.shortest_path(
-            topology.graph, src, dst, weight=_weight_attr(weight)
-        )
-    except nx.NetworkXNoPath:  # pragma: no cover - topologies are connected
-        raise RoutingError(f"no path from {src!r} to {dst!r}") from None
-    return tuple(path)
+    attr = _weight_attr(weight)
+    if attr is None:
+        path = bidirectional_shortest_path(topology, src, dst)
+    else:
+        found = bidirectional_dijkstra(topology, src, dst, attr)
+        path = None if found is None else found[1]
+    if path is None:  # pragma: no cover - topologies are connected
+        raise RoutingError(f"no path from {src!r} to {dst!r}")
+    return path
 
 
 def all_pairs_flows(
@@ -73,12 +78,13 @@ def all_pairs_flows(
     """
     flows = []
     attr = _weight_attr(weight)
-    paths = dict(nx.all_pairs_dijkstra_path(topology.graph, weight=attr or 1))
-    for src in topology.nodes:
-        for dst in topology.nodes:
+    nodes = topology.nodes
+    for src in nodes:
+        paths = single_source_paths(topology, src, attr)
+        for dst in nodes:
             if src == dst:
                 continue
-            flows.append(Flow(src, dst, tuple(paths[src][dst]), demand=demand))
+            flows.append(Flow(src, dst, paths[dst], demand=demand))
     return flows
 
 

@@ -1,8 +1,8 @@
 """Yen's algorithm for k-shortest loopless paths.
 
-Implemented from first principles (no networkx ``shortest_simple_paths``)
-so the library owns the substrate end to end.  Used by examples that
-install alternate paths after recovery and by path-diversity metrics.
+Each spur path is a :func:`repro.routing.shortest.dijkstra_path` with the
+prefix's nodes and edges banned.  Used by examples that install
+alternate paths after recovery and by path-diversity metrics.
 """
 
 from __future__ import annotations
@@ -10,10 +10,8 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-import networkx as nx
-
 from repro.exceptions import RoutingError
-from repro.routing.shortest import weight_attribute
+from repro.routing.shortest import dijkstra_path, weight_attribute
 from repro.topology.graph import Topology
 from repro.types import NodeId, Path
 
@@ -29,48 +27,8 @@ def path_weight(topology: Topology, path: Path, weight: str = "delay") -> float:
     for u, v in zip(path, path[1:]):
         if not topology.has_edge(u, v):
             raise RoutingError(f"path uses missing link ({u!r}, {v!r})")
-        total += 1.0 if attr is None else topology.graph.edges[u, v][attr]
+        total += 1.0 if attr is None else getattr(topology.adjacency[u][v], attr)
     return total
-
-
-def _dijkstra(
-    graph: nx.Graph,
-    src: NodeId,
-    dst: NodeId,
-    attr: str | None,
-    banned_nodes: set[NodeId],
-    banned_edges: set[tuple[NodeId, NodeId]],
-) -> tuple[float, Path] | None:
-    """Shortest path avoiding banned nodes/edges; ``None`` if unreachable."""
-    if src in banned_nodes or dst in banned_nodes:
-        return None
-    dist: dict[NodeId, float] = {src: 0.0}
-    prev: dict[NodeId, NodeId] = {}
-    tie = count()
-    heap: list[tuple[float, int, NodeId]] = [(0.0, next(tie), src)]
-    done: set[NodeId] = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        if u == dst:
-            path = [dst]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            return d, tuple(reversed(path))
-        done.add(u)
-        for v in graph.neighbors(u):
-            if v in banned_nodes or v in done:
-                continue
-            if (u, v) in banned_edges or (v, u) in banned_edges:
-                continue
-            w = 1.0 if attr is None else graph.edges[u, v][attr]
-            nd = d + w
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, next(tie), v))
-    return None
 
 
 def k_shortest_paths(
@@ -94,9 +52,9 @@ def k_shortest_paths(
     if src not in topology or dst not in topology:
         raise RoutingError(f"unknown endpoint: {src!r} or {dst!r}")
     attr = weight_attribute(weight)
-    graph = topology.graph
+    adjacency = topology.adjacency
 
-    first = _dijkstra(graph, src, dst, attr, set(), set())
+    first = dijkstra_path(topology, src, dst, attr)
     if first is None:  # pragma: no cover - topologies are connected
         return []
     accepted: list[tuple[float, Path]] = [first]
@@ -117,7 +75,10 @@ def k_shortest_paths(
                 if p[: i + 1] == root and len(p) > i + 1:
                     banned_edges.add((p[i], p[i + 1]))
             banned_nodes = set(root[:-1])
-            spur = _dijkstra(graph, spur_node, dst, attr, banned_nodes, banned_edges)
+            spur = dijkstra_path(
+                topology, spur_node, dst, attr,
+                banned_nodes=banned_nodes, banned_edges=banned_edges,
+            )
             if spur is None:
                 continue
             spur_cost, spur_path = spur
@@ -125,7 +86,7 @@ def k_shortest_paths(
             if total in seen:
                 continue
             root_cost = sum(
-                1.0 if attr is None else graph.edges[u, v][attr]
+                1.0 if attr is None else getattr(adjacency[u][v], attr)
                 for u, v in zip(root, root[1:])
             )
             seen.add(total)

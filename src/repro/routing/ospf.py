@@ -9,10 +9,8 @@ shortest paths so that legacy-mode flows stay on their original paths.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.exceptions import RoutingError
-from repro.routing.shortest import weight_attribute
+from repro.routing.shortest import single_source_paths, weight_attribute
 from repro.topology.graph import Topology
 from repro.types import NodeId
 
@@ -70,8 +68,7 @@ def compute_legacy_tables(
     attr = weight_attribute(weight)
     tables: dict[NodeId, dict[NodeId, NodeId]] = {n: {} for n in topology.nodes}
     for src in topology.nodes:
-        paths = nx.single_source_dijkstra_path(topology.graph, src, weight=attr or 1)
-        for dst, path in paths.items():
+        for dst, path in single_source_paths(topology, src, attr).items():
             if dst == src:
                 continue
             tables[src][dst] = path[1]

@@ -156,12 +156,12 @@ class BoundedSimplePathCounter(PathCounter):
         if src not in dist:  # pragma: no cover - topologies are connected
             return 0
         budget = dist[src] + self._slack
-        graph = self._topology.graph
+        adjacency = self._topology.adjacency
         found = 0
         # Iterative DFS; each stack frame is (node, remaining_budget).
         visited: set[NodeId] = {src}
         stack: list[tuple[NodeId, int, list[NodeId]]] = [
-            (src, budget, [n for n in graph.neighbors(src)])
+            (src, budget, list(adjacency[src]))
         ]
         while stack:
             node, remaining, pending = stack[-1]
@@ -181,7 +181,7 @@ class BoundedSimplePathCounter(PathCounter):
             if remaining - 1 < dist.get(nxt, float("inf")):
                 continue
             visited.add(nxt)
-            stack.append((nxt, remaining - 1, [n for n in graph.neighbors(nxt)]))
+            stack.append((nxt, remaining - 1, list(adjacency[nxt])))
         return found
 
 

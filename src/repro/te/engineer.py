@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.exceptions import RoutingError
 from repro.flows.flow import Flow
+from repro.routing.shortest import bidirectional_dijkstra
 from repro.te.capacity import link_utilization, max_link_utilization
 from repro.topology.graph import Topology
 from repro.types import Edge, FlowId, NodeId
@@ -91,27 +90,20 @@ class TrafficEngineer:
         hot_link: Edge,
         banned_nodes: set[NodeId],
     ) -> tuple[NodeId, ...] | None:
-        """Min-delay path ``start -> dst`` avoiding a link and nodes."""
-        graph = self._topology.graph
+        """Min-delay path ``start -> dst`` avoiding a link and nodes.
 
-        def allowed(node: NodeId) -> bool:
-            if node in banned_nodes:
-                return False
-            if node in (start, dst):
-                return True
-            return self._allowed is None or node in self._allowed
-
-        sub = nx.subgraph_view(
-            graph,
-            filter_node=allowed,
-            filter_edge=lambda u, v: {u, v} != set(hot_link),
+        Transit nodes must also be allowed (the endpoints need not be).
+        """
+        if self._allowed is not None:
+            banned_nodes = banned_nodes | {
+                node for node in self._topology.nodes
+                if node not in self._allowed and node not in (start, dst)
+            }
+        found = bidirectional_dijkstra(
+            self._topology, start, dst, "delay_ms",
+            banned_nodes=banned_nodes, banned_edges=(tuple(hot_link),),
         )
-        if start not in sub or dst not in sub:
-            return None
-        try:
-            return tuple(nx.shortest_path(sub, start, dst, weight="delay_ms"))
-        except nx.NetworkXNoPath:
-            return None
+        return None if found is None else found[1]
 
     def relieve(
         self,

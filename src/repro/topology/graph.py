@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.geo import GeoPoint, haversine_m, pairwise_distance_matrix
 from repro.types import MS_PER_S, PROPAGATION_SPEED_M_PER_S, Edge, NodeId
 
-__all__ = ["NodeInfo", "Topology"]
+__all__ = ["Link", "NodeInfo", "Topology"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,6 +29,13 @@ class NodeInfo:
     node: NodeId
     label: str
     geo: GeoPoint
+
+
+class Link(NamedTuple):
+    """Static attributes of one undirected link."""
+
+    distance_m: float
+    delay_ms: float
 
 
 class Topology:
@@ -74,27 +82,43 @@ class Topology:
                 )
             self._nodes[node_id] = info
 
-        graph = nx.Graph()
-        graph.add_nodes_from(self._nodes)
+        # Each node's neighbours are kept in edge-insertion order: the
+        # shortest-path routines (repro.routing.shortest) break ties by it.
+        adjacency: dict[NodeId, dict[NodeId, Link]] = {n: {} for n in self._nodes}
+        links: list[Edge] = []
         for u, v in edges:
             if u == v:
                 raise TopologyError(f"self-loop on node {u!r}")
             if u not in self._nodes or v not in self._nodes:
                 raise TopologyError(f"edge ({u!r}, {v!r}) references unknown node")
-            if graph.has_edge(u, v):
+            if v in adjacency[u]:
                 raise TopologyError(f"duplicate edge ({u!r}, {v!r})")
             dist = haversine_m(self._nodes[u].geo, self._nodes[v].geo)
-            delay = dist / self._speed * MS_PER_S
-            graph.add_edge(u, v, distance_m=dist, delay_ms=delay)
-        if graph.number_of_nodes() == 0:
+            adjacency[u][v] = adjacency[v][u] = Link(dist, dist / self._speed * MS_PER_S)
+            links.append((u, v))
+        if not adjacency:
             raise TopologyError("topology has no nodes")
-        if not nx.is_connected(graph):
-            parts = sorted(len(c) for c in nx.connected_components(graph))
+        parts = _component_sizes(adjacency)
+        if len(parts) > 1:
             raise TopologyError(
                 f"topology {self._name!r} is not connected "
-                f"(component sizes: {parts})"
+                f"(component sizes: {sorted(parts)})"
             )
-        self._graph = graph
+        self._links = tuple(links)
+        self._adjacency = MappingProxyType(
+            {n: MappingProxyType(nbrs) for n, nbrs in adjacency.items()}
+        )
+        self._sorted_nodes = tuple(sorted(adjacency))
+        self._edges = tuple(sorted((min(u, v), max(u, v)) for u, v in links))
+        self._neighbors = {n: tuple(sorted(nbrs)) for n, nbrs in adjacency.items()}
+
+    def __reduce__(self):
+        # The constructor's arguments are the whole state: the adjacency
+        # and the sorted views are rebuilt from them on load.
+        return (
+            type(self),
+            (self._name, self._nodes, self._links, self._speed),
+        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -105,24 +129,33 @@ class Topology:
         return self._name
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph` (treat as read-only)."""
-        return self._graph
+    def adjacency(self) -> Mapping[NodeId, Mapping[NodeId, Link]]:
+        """Read-only ``node -> {neighbour: Link}``.
+
+        Nodes are in construction order and each node's neighbours in
+        link-insertion order; shortest-path tie-breaking follows both.
+        """
+        return self._adjacency
+
+    @property
+    def links(self) -> tuple[Edge, ...]:
+        """Undirected links as given to the constructor, in that order."""
+        return self._links
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:
         """Node ids in sorted order."""
-        return tuple(sorted(self._graph.nodes))
+        return self._sorted_nodes
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes."""
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def n_links(self) -> int:
         """Number of undirected links."""
-        return self._graph.number_of_edges()
+        return len(self._links)
 
     @property
     def n_directed_links(self) -> int:
@@ -140,7 +173,7 @@ class Topology:
 
     def edges(self) -> tuple[Edge, ...]:
         """All undirected edges as sorted ``(min, max)`` pairs."""
-        return tuple(sorted((min(u, v), max(u, v)) for u, v in self._graph.edges))
+        return self._edges
 
     def info(self, node: NodeId) -> NodeInfo:
         """Return the :class:`NodeInfo` for ``node``."""
@@ -159,32 +192,30 @@ class Topology:
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """Whether the undirected link ``(u, v)`` exists."""
-        return self._graph.has_edge(u, v)
+        nbrs = self._adjacency.get(u)
+        return nbrs is not None and v in nbrs
 
     def neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
         """Sorted neighbor ids of ``node``."""
-        if node not in self._graph:
-            raise TopologyError(f"unknown node {node!r}")
-        return tuple(sorted(self._graph.neighbors(node)))
+        try:
+            return self._neighbors[node]
+        except KeyError:
+            raise TopologyError(f"unknown node {node!r}") from None
 
     def degree(self, node: NodeId) -> int:
         """Number of links incident to ``node``."""
-        if node not in self._graph:
-            raise TopologyError(f"unknown node {node!r}")
-        return self._graph.degree[node]
+        return len(self.neighbors(node))
 
     # ------------------------------------------------------------------
     # Distances and delays
     # ------------------------------------------------------------------
     def link_distance_m(self, u: NodeId, v: NodeId) -> float:
         """Great-circle length of link ``(u, v)`` in metres."""
-        self._require_edge(u, v)
-        return self._graph.edges[u, v]["distance_m"]
+        return self._link(u, v).distance_m
 
     def link_delay_ms(self, u: NodeId, v: NodeId) -> float:
         """One-way propagation delay of link ``(u, v)`` in milliseconds."""
-        self._require_edge(u, v)
-        return self._graph.edges[u, v]["delay_ms"]
+        return self._link(u, v).delay_ms
 
     def geo_distance_m(self, u: NodeId, v: NodeId) -> float:
         """Direct great-circle distance between two nodes (not via links)."""
@@ -210,12 +241,17 @@ class Topology:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _require_edge(self, u: NodeId, v: NodeId) -> None:
-        if not self._graph.has_edge(u, v):
-            raise TopologyError(f"no link between {u!r} and {v!r}")
+    def _link(self, u: NodeId, v: NodeId) -> Link:
+        try:
+            return self._adjacency[u][v]
+        except KeyError:
+            raise TopologyError(f"no link between {u!r} and {v!r}") from None
 
     def __contains__(self, node: object) -> bool:
-        return node in self._graph
+        try:
+            return node in self._nodes
+        except TypeError:
+            return False
 
     def __len__(self) -> int:
         return self.n_nodes
@@ -225,3 +261,25 @@ class Topology:
             f"Topology(name={self._name!r}, nodes={self.n_nodes}, "
             f"links={self.n_links})"
         )
+
+
+def _component_sizes(adjacency: Mapping[NodeId, Iterable[NodeId]]) -> list[int]:
+    """Sizes of the connected components (BFS from each unreached node)."""
+    sizes = []
+    reached: set[NodeId] = set()
+    for start in adjacency:
+        if start in reached:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            next_frontier = []
+            for v in frontier:
+                for w in adjacency[v]:
+                    if w not in component:
+                        component.add(w)
+                        next_frontier.append(w)
+            frontier = next_frontier
+        reached |= component
+        sizes.append(len(component))
+    return sizes

@@ -18,6 +18,23 @@ from repro.topology.generators import ring_topology
 from repro.types import FlowId, NodeId
 
 
+def nx_graph(topology):
+    """``topology`` as a ``networkx.Graph``, the tests' reference graph.
+
+    Nodes are added in the topology's construction order and links in
+    its insertion order, so each node's neighbours come in the same order
+    as in ``topology.adjacency`` and networkx breaks ties the same way.
+    """
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.adjacency)
+    for u, v in topology.links:
+        link = topology.adjacency[u][v]
+        graph.add_edge(u, v, distance_m=link.distance_m, delay_ms=link.delay_ms)
+    return graph
+
+
 @pytest.fixture(scope="session")
 def att():
     """The embedded ATT topology."""

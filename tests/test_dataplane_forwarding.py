@@ -109,8 +109,10 @@ class TestApplyRecovery:
 
         # Find a recovered pair with an alternate next hop available.
         import networkx as nx
+        from conftest import nx_graph
 
         topology = att_context.topology
+        graph = nx_graph(topology)
         for switch, flow_id in sorted(solution.sdn_pairs):
             flow = instance.flows[flow_id]
             original = flow.next_hop(switch)
@@ -119,7 +121,7 @@ class TestApplyRecovery:
                     continue
                 # Candidate alternate: neighbor that still reaches dst
                 # without coming back through `switch`.
-                sub = topology.graph.subgraph(n for n in topology.graph if n != switch)
+                sub = graph.subgraph(n for n in graph if n != switch)
                 if neighbor in sub and nx.has_path(sub, neighbor, flow.dst):
                     blocked = set(flow.path[: flow.path.index(switch) + 1])
                     path_nodes = nx.shortest_path(sub, neighbor, flow.dst)

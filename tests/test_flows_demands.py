@@ -55,8 +55,9 @@ class TestAllPairs:
 
     def test_paths_are_shortest_in_hops(self, grid):
         import networkx as nx
+        from conftest import nx_graph
 
-        lengths = dict(nx.all_pairs_shortest_path_length(grid.graph))
+        lengths = dict(nx.all_pairs_shortest_path_length(nx_graph(grid)))
         for flow in all_pairs_flows(grid, weight="hops"):
             assert flow.hop_count == lengths[flow.src][flow.dst]
 

@@ -85,6 +85,7 @@ class TestRerouteAfterRecovery:
         """For a sample of recovered pairs, an alternate loop-free next
         hop exists and packets still arrive after reprogramming."""
         import networkx as nx
+        from conftest import nx_graph
 
         instance = att_context.instance(FailureScenario(frozenset({13, 20})))
         solution = solve_pm(instance)
@@ -93,13 +94,14 @@ class TestRerouteAfterRecovery:
         )
         plane.apply_recovery(instance, solution)
         topology = att_context.topology
+        graph = nx_graph(topology)
 
         rerouted = 0
         for switch, flow_id in sorted(solution.sdn_pairs)[:100]:
             flow = instance.flows[flow_id]
             original_next = flow.next_hop(switch)
             prefix = set(flow.path[: flow.path.index(switch) + 1])
-            sub = topology.graph.subgraph(n for n in topology.graph if n != switch)
+            sub = graph.subgraph(n for n in graph if n != switch)
             for neighbor in topology.neighbors(switch):
                 if neighbor == original_next or neighbor in prefix:
                     continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+from conftest import nx_graph
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -106,7 +107,7 @@ class PairwiseLfaCounter(PathCounter):
         self._slack = slack
 
     def _count(self, src, dst):
-        graph = self._topology.graph
+        graph = nx_graph(self._topology)
         budget = nx.shortest_path_length(graph, src, dst) + self._slack
         avoiding_src = nx.single_source_shortest_path_length(
             graph.subgraph(n for n in graph if n != src), dst

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from conftest import nx_graph
 
 from repro.exceptions import RoutingError
 from repro.routing.kpaths import k_shortest_paths, path_weight
@@ -53,7 +54,7 @@ class TestKShortest:
     def test_matches_networkx_reference(self, grid):
         ours = k_shortest_paths(grid, 0, 8, k=6, weight="hops")
         reference = []
-        for i, p in enumerate(nx.shortest_simple_paths(grid.graph, 0, 8)):
+        for i, p in enumerate(nx.shortest_simple_paths(nx_graph(grid), 0, 8)):
             if i >= 6:
                 break
             reference.append(len(p))

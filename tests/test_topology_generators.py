@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from conftest import nx_graph
 
 from repro.exceptions import TopologyError
 from repro.topology.generators import (
@@ -66,7 +67,7 @@ class TestWaxman:
     def test_connected_and_sized(self):
         topo = waxman_topology(20, seed=1)
         assert topo.n_nodes == 20
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(nx_graph(topo))
 
     def test_deterministic_for_seed(self):
         assert waxman_topology(15, seed=9).edges() == waxman_topology(15, seed=9).edges()
@@ -88,7 +89,7 @@ class TestWaxman:
         # The MST backbone guarantees connectivity even when the Waxman
         # probability adds virtually nothing.
         topo = waxman_topology(30, alpha=1e-9, beta=0.01, seed=0)
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(nx_graph(topo))
         assert topo.n_links == 29  # exactly the spanning tree
 
 
