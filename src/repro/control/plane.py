@@ -126,7 +126,11 @@ class ControlPlane:
         included), so a controller's load is the sum of its switches'
         ``gamma`` values — the Table III quantities.
         """
-        gamma = switch_flow_counts(flows)
+        return self.gamma_loads(switch_flow_counts(flows))
+
+    def gamma_loads(self, gamma: Mapping[NodeId, int]) -> dict[ControllerId, int]:
+        """:meth:`domain_loads` from each switch's ``gamma`` (every
+        domain switch must have one)."""
         return {
             controller_id: sum(gamma[s] for s in members)
             for controller_id, members in self._domains.items()
@@ -141,7 +145,13 @@ class ControlPlane:
         exceeds its capacity raises :class:`CapacityError` (the network
         was mis-provisioned); otherwise the spare clamps at zero.
         """
-        loads = self.domain_loads(flows)
+        return self.spare_of(self.domain_loads(flows), strict)
+
+    def spare_of(
+        self, loads: Mapping[ControllerId, int], strict: bool = True
+    ) -> dict[ControllerId, int]:
+        """:meth:`spare_capacity` from the baseline ``loads`` of
+        :meth:`domain_loads` or :meth:`gamma_loads`, checked in their order."""
         spare: dict[ControllerId, int] = {}
         for controller_id, load in loads.items():
             cap = self._controllers[controller_id].capacity

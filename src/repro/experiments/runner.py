@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Any
 from repro.baselines import get_algorithm
 from repro.control.failures import FailureScenario, enumerate_failure_scenarios
 from repro.experiments.scenarios import ExperimentContext
-from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_batch
+from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_batch, rebase
 from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.perf.kernels import prepare_instance
@@ -77,6 +77,12 @@ def run_scenario(
     The ``"optimal"`` entry is routed through :func:`solve_optimal` with
     the time limit; an infeasible/timeout outcome is kept as an
     infeasible evaluation, mirroring the paper's missing Optimal bars.
+    Once the context's network frame is built (by
+    :meth:`~repro.experiments.scenarios.ExperimentContext.materialize_table`,
+    as sweeps and services do before their requests), solutions and
+    evaluations are kept as its positions
+    (:func:`~repro.fmssm.evaluation.rebase`), so the result does not hold
+    the scenario's instance; a one-off request does not build it.
     """
     instance = context.instance(scenario)
     prepare_instance(instance)
@@ -89,10 +95,9 @@ def run_scenario(
         result.solutions[name] = solution
     # One batched evaluation over the scenario's solutions — the array
     # view is already warm, so each evaluation is a few reductions.
-    for name, evaluation in zip(
-        result.solutions, evaluate_batch(instance, result.solutions.values())
-    ):
-        result.evaluations[name] = evaluation
+    evaluations = evaluate_batch(instance, result.solutions.values())
+    rebase(instance, result.solutions.values(), evaluations)
+    result.evaluations = dict(zip(result.solutions, evaluations))
     return result
 
 

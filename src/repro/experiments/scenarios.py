@@ -20,6 +20,7 @@ from repro.control.failures import FailureScenario
 from repro.control.plane import ControlPlane
 from repro.flows.demands import all_pairs_flows
 from repro.flows.flow import Flow
+from repro.fmssm.arrays import Frame
 from repro.fmssm.build import GroundingIndex
 from repro.fmssm.instance import FMSSMInstance
 from repro.perf.store import NetworkKey
@@ -101,14 +102,25 @@ class ExperimentContext:
             self._grounding = GroundingIndex(self.plane, self.flows, self.programmability)
         return self._grounding
 
+    def network_frame(self) -> Frame:
+        """The frame of the context's whole network, which kept results
+        and solve-store records are positions of (fills the grounding
+        index on first call; see :meth:`GroundingIndex.network_frame`)."""
+        return self._index().network_frame()
+
     def materialize_table(self) -> GroundingIndex:
         """Build (once) and return the context's filled grounding index.
 
         Sweeps call this before fanning scenarios out, so every switch's
         ``p̄`` entries are read from the model exactly once and every
-        worker receives them.  Spare capacity is not computed here.
+        worker receives them.  It also fills every node's row of the
+        context's delay model and builds the index's network frame, which
+        kept results are positions of, so a request only gathers.  Spare
+        capacity is not computed here.
         """
-        return self._index().fill()
+        index = self._index().fill().fill_delays(self.delay_model)
+        index.network_frame()
+        return index
 
 
 def default_att_context(

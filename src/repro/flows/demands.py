@@ -16,6 +16,7 @@ from repro.routing.shortest import (
     bidirectional_dijkstra,
     bidirectional_shortest_path,
     single_source_paths,
+    weight_attribute,
 )
 from repro.topology.graph import Topology
 from repro.types import NodeId
@@ -27,18 +28,6 @@ __all__ = [
     "gravity_demands",
     "flows_from_pairs",
 ]
-
-_WEIGHTS = {"delay": "delay_ms", "distance": "distance_m", "hops": None}
-
-
-def _weight_attr(weight: str) -> str | None:
-    try:
-        return _WEIGHTS[weight]
-    except KeyError:
-        raise ValueError(
-            f"weight must be one of {sorted(_WEIGHTS)}: {weight!r}"
-        ) from None
-
 
 def shortest_path(
     topology: Topology,
@@ -55,7 +44,7 @@ def shortest_path(
     """
     if src not in topology or dst not in topology:
         raise RoutingError(f"unknown endpoint: {src!r} or {dst!r}")
-    attr = _weight_attr(weight)
+    attr = weight_attribute(weight)
     if attr is None:
         path = bidirectional_shortest_path(topology, src, dst)
     else:
@@ -77,7 +66,7 @@ def all_pairs_flows(
     ``25 * 24 = 600`` flows.
     """
     flows = []
-    attr = _weight_attr(weight)
+    attr = weight_attribute(weight)
     nodes = topology.nodes
     for src in nodes:
         paths = single_source_paths(topology, src, attr)

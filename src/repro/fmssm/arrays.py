@@ -15,29 +15,50 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.types import ControllerId, FlowId, NodeId
 
-__all__ = ["Frame", "InstanceArrays", "build_arrays", "seq_lists"]
+__all__ = [
+    "Frame",
+    "InstanceArrays",
+    "NetworkMap",
+    "build_arrays",
+    "narrowest",
+    "seq_lists",
+]
+
+#: The little-endian signed int widths a kept or stored column may
+#: take, narrowest first, with their bounds.
+_INT_WIDTHS = tuple(
+    (name, int(np.iinfo(name).min), int(np.iinfo(name).max))
+    for name in ("<i1", "<i2", "<i4", "<i8")
+)
+
+
+def narrowest(low: int, high: int) -> str:
+    """The narrowest little-endian signed int width (``"<i1"`` to
+    ``"<i8"``) that holds ``low..high``."""
+    return next(name for name, lo, hi in _INT_WIDTHS if lo <= low and high <= hi)
 
 
 @dataclass(frozen=True, eq=False)
 class Frame:
     """The ids that name a set of positions, and their lookups.
 
-    A solution or evaluation held as positions keeps its instance's
-    frame rather than its :class:`InstanceArrays`, so a kept result does
-    not keep the kernels' list views and caches alive.  An instance's
-    frame shares the arrays' own members (see there); ``a.frame is
-    b.frame`` means the positions agree.
+    A kernel's solution and the evaluator's values are positions of
+    their instance's frame, which shares the arrays' own members (see
+    there); ``a.frame is b.frame`` means the positions agree.
 
     The grounding index also has one frame for its whole network
     (:meth:`GroundingIndex.network_frame
     <repro.fmssm.build.GroundingIndex.network_frame>`): every node, every
     controller, the flow population, and every programmable entry as a
-    pair, switch-major.  Store records are positions of it.
+    pair, switch-major.  Kept results and store records are positions of
+    it (:class:`NetworkMap`), so a kept result holds no instance's frame.
     """
 
     switches: tuple[NodeId, ...]
@@ -83,26 +104,28 @@ class Frame:
             return slice(None)
         return np.argsort(self.view_rank[pairs])
 
-    def entries(self, network: Frame) -> np.ndarray:
-        """Each pair's position in ``network``, the frame of the index
-        this frame's instance was grounded from (built on first call).
 
-        An instance's pairs of switch ``s`` are all of that switch's
-        entries, in the index's order, so pair ``k`` is entry
-        ``network.switch_indptr[code[s]] + (k - switch_indptr[s])``,
-        ``code[s]`` being the switch's position in ``network``.  Switch
-        positions and node codes both ascend with the switch id, so the
-        map ascends too.
-        """
-        cached = self.__dict__.get("_entries")
-        if cached is None:
-            codes = list(map(network.switch_pos.__getitem__, self.switches))
-            base = network.switch_indptr[codes] - self.switch_indptr[:-1]
-            cached = np.repeat(base, np.diff(self.switch_indptr)) + np.arange(
-                self.pair_switch.size
-            )
-            self.__dict__["_entries"] = cached  # frozen: cache as cached_property does
-        return cached
+class NetworkMap(NamedTuple):
+    """An instance's positions as positions of the network frame of the
+    index it was grounded from (:meth:`InstanceArrays.network_map`).
+
+    The columns a kept result shares are in its widths: entries and
+    flows int32, controllers the narrowest width that holds the
+    network's controller positions and ``-1``.
+    """
+
+    network: Frame
+    #: Node code of each switch position (intp).
+    codes: np.ndarray
+    #: Network controller position of each controller position, then
+    #: ``-1``, so an unmapped ``-1`` gathers ``-1``.
+    controllers: np.ndarray
+    #: Network entry of each pair position, ascending (int32).
+    entries: np.ndarray
+    #: Population position of each flow position, ascending (int32).
+    flows: np.ndarray
+    #: Population positions of the recoverable flows, ascending (int32).
+    recoverable: np.ndarray
 
 
 @dataclass
@@ -209,6 +232,49 @@ class InstanceArrays:
     @cached_property
     def frame(self) -> Frame:
         return Frame(*(getattr(self, f.name) for f in fields(Frame) if f.name != "view_rank"))
+
+    def network_map(self, network: Frame | None = None) -> NetworkMap | None:
+        """This instance's :class:`NetworkMap` onto ``network`` (cached),
+        or ``None`` unless ``network`` is the frame of the index the
+        instance was grounded from: a network frame (the only kind with a
+        ``view_rank``) sharing the instance's population ids.  Without
+        ``network``, the map already built, if any (grounding builds it
+        when the index's network frame exists).
+
+        An instance's pairs of switch ``s`` are all of that switch's
+        entries, in the index's order, so pair ``k`` is entry
+        ``network.switch_indptr[code[s]] + (k - switch_indptr[s])``.
+        Switch positions and node codes both ascend with the switch id,
+        so the entries ascend too, and so do the population positions of
+        the flows.
+        """
+        cached = self.cache.get("network_map")
+        if network is None or (cached is not None and cached.network is network):
+            return cached
+        if (
+            network.view_rank is None
+            or self.network_pos is None
+            or self.population_ids is not network.population_ids
+        ):
+            return None
+        codes = np.fromiter(
+            map(network.switch_pos.__getitem__, self.switches), dtype=np.intp,
+            count=len(self.switches),
+        )
+        controllers = np.fromiter(
+            chain(map(network.controller_pos.__getitem__, self.controllers), (-1,)),
+            dtype=narrowest(-1, len(network.controllers) - 1),
+            count=len(self.controllers) + 1,
+        )
+        indptr = self.switch_indptr
+        entries = np.repeat(network.switch_indptr[codes] - indptr[:-1], indptr[1:] - indptr[:-1])
+        entries += np.arange(self.n_pairs)
+        flows = self.network_pos.astype(np.int32)
+        cached = self.cache["network_map"] = NetworkMap(
+            network, codes, controllers, entries.astype(np.int32), flows,
+            flows.take(np.flatnonzero(self.flow_pairs)),
+        )
+        return cached
 
 
 def build_arrays(

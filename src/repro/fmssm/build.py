@@ -50,10 +50,10 @@ class GroundingIndex:
     (``plane.controller_ids`` order), built once:
 
     * each node's ``gamma`` over the full workload;
-    * each controller's spare capacity under the full workload
-      (computed on the first :meth:`ground`, so a mis-provisioned plane
-      raises :class:`~repro.exceptions.CapacityError` there, after the
-      scenario itself was validated);
+    * each controller's spare capacity under the full workload, from
+      the domains' ``gamma`` (computed on the first :meth:`ground`, so a
+      mis-provisioned plane raises :class:`~repro.exceptions.CapacityError`
+      there, after the scenario itself was validated);
     * a node → flow-position incidence in CSR form, and each flow's
       rank in flow-id order;
     * per switch, its programmable entries ``(flow position, position
@@ -65,15 +65,18 @@ class GroundingIndex:
     * per delay model, each node's delay row over all controllers,
       filled from :meth:`DelayModel.delay_ms
       <repro.control.delay.DelayModel.delay_ms>` the first time the node
-      is offline.
+      is offline (or by :meth:`fill_delays`).
 
     :meth:`ground` then produces an instance's
     :class:`~repro.fmssm.arrays.InstanceArrays` as slices and gathers
     of these arrays, with the same contents — and dict views in the
     same insertion order — as a scan of the flows in order would give.
     :meth:`network_frame` names every entry of the filled index as one
-    position, for records that outlive their instances (the solve
-    store's).
+    position, for results that outlive their instances (kept results
+    and the solve store's records); once it is built, :meth:`ground`
+    also builds each instance's map onto it
+    (:meth:`InstanceArrays.network_map
+    <repro.fmssm.arrays.InstanceArrays.network_map>`).
 
     Parameters
     ----------
@@ -183,8 +186,9 @@ class GroundingIndex:
         Switches are the node codes, controllers the plane's, flows the
         population in order; the pairs are every switch's entries in
         the index's CSR order, with the key tuples the index holds.  An
-        instance grounded from this index maps its pairs into it with
-        :meth:`Frame.entries <repro.fmssm.arrays.Frame.entries>`.
+        instance grounded from this index maps its positions onto it with
+        :meth:`InstanceArrays.network_map
+        <repro.fmssm.arrays.InstanceArrays.network_map>`.
         """
         if self._frame is None:
             indptr, table = self.fill().packed_entries()
@@ -236,7 +240,13 @@ class GroundingIndex:
         index._filled = True
         return index
 
-    def _delay_rows(self, model: DelayModel, codes: list[int]) -> np.ndarray:
+    def fill_delays(self, model: DelayModel) -> GroundingIndex:
+        """Fill ``model``'s delay row of every node now, so no
+        :meth:`ground` computes one."""
+        self._delay_rows(model, range(len(self._nodes)))
+        return self
+
+    def _delay_rows(self, model: DelayModel, codes: Iterable[int]) -> np.ndarray:
         """``model``'s delay rows, filled for every node in ``codes``."""
         rows = self._delays.get(model)
         if rows is None:
@@ -276,8 +286,11 @@ class GroundingIndex:
             # Spare capacity of every controller given the *full*
             # workload — active controllers keep serving their own
             # domains (the paper's "without interrupting their normal
-            # operations").
-            spare = self._plane.spare_capacity(self._flows)
+            # operations").  The domains' loads are sums of the gamma
+            # the index holds.
+            plane = self._plane
+            loads = plane.gamma_loads(dict(zip(self._nodes, self._gamma.tolist())))
+            spare = plane.spare_of(loads)
             self._spare = np.array([spare[c] for c in self._controllers], dtype=np.int64)
         codes = list(map(self._codes.__getitem__, offline))
         columns = list(map(self._controller_pos.__getitem__, active))
@@ -322,6 +335,8 @@ class GroundingIndex:
         ideal = float((arrays.gamma * nearest_delay).cumsum()[-1])
         if lam is None:
             lam = default_lambda(int(pair_pbar.sum()))
+        if self._frame is not None:
+            arrays.network_map(self._frame)  # the kept results' map, built with the instance
         return FMSSMInstance.from_arrays(
             arrays,
             ideal_delay_ms=ideal,

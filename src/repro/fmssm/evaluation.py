@@ -15,17 +15,23 @@ fmssm.point.tally`.  The evaluation keeps the per-flow array
 set are views built on first read.  :func:`evaluate_batch` evaluates
 many solutions of one scenario (the sweep's shape: four algorithms per
 instance).
+
+A result that outlives its request is kept as positions of the
+network's frame (:func:`rebase`): the form the solve store decodes to,
+so fresh solves and store hits are kept alike, and neither holds its
+instance's frame.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from repro.exceptions import SolutionError
-from repro.fmssm.arrays import Frame
+from repro.fmssm.arrays import Frame, narrowest
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.point import (
     Tally,
@@ -42,6 +48,7 @@ __all__ = [
     "RecoveryEvaluation",
     "evaluate_solution",
     "evaluate_batch",
+    "rebase",
     "verify_solution",
 ]
 
@@ -260,3 +267,53 @@ def _evaluate(
         objective=counts.least + instance.lam * counts.total if feasible else 0.0,
         solve_time_s=solution.solve_time_s,
     )
+
+
+def rebase(
+    instance: FMSSMInstance,
+    solutions: Iterable[RecoverySolution],
+    evaluations: Iterable[RecoveryEvaluation],
+    network: Frame | None = None,
+) -> None:
+    """Move ``instance``'s positional results onto ``network``, its
+    index's frame (:meth:`GroundingIndex.network_frame
+    <repro.fmssm.build.GroundingIndex.network_frame>`), in place.
+    Without ``network``, onto the network frame the index had already
+    built when it grounded ``instance``; results of an instance grounded
+    before that (a one-off request) stay as they are, so rebasing never
+    builds the network frame.
+
+    This is the kept form, the one :func:`repro.perf.store.decode_result`
+    returns: a plan's served pairs as int32 entry positions and its
+    controllers in the network's narrowest controller width
+    (:class:`~repro.fmssm.arrays.NetworkMap`); an evaluation's offline
+    flows and recoverable flows as int32 population positions (shared by
+    the instance's results) and ``pro`` in the narrowest width that holds
+    it.  The views are unchanged but for their order, which becomes the
+    network frame's.  A result whose dicts were read, or built as dicts,
+    stays as it is; so does every result of an instance not grounded from
+    ``network``'s index.  The solutions must be ones :func:`evaluate_batch`
+    verified.
+    """
+    arrays = instance.arrays()
+    mapped = arrays.network_map(network)
+    if mapped is None:
+        return
+    network = mapped.network
+    frame, controllers = arrays.frame, mapped.controllers
+    for solution in solutions:
+        own = solution.positions()
+        if own is not None and own.frame is frame:
+            switch_ctrl = np.full(len(network.switches), -1, dtype=controllers.dtype)
+            switch_ctrl[mapped.codes] = controllers.take(own.switch_ctrl)
+            solution._rebase(Placement(
+                network,
+                switch_ctrl,
+                mapped.entries.take(own.pairs),
+                controllers.take(own.pair_ctrl),
+            ))
+    for evaluation in evaluations:
+        own = evaluation.positions()
+        if own is not None and own.frame is frame and own.flows is None:
+            pro = own.pro.astype(narrowest(0, int(own.pro.max(initial=0))))
+            evaluation._rebase(FlowValues(network, pro, mapped.flows, mapped.recoverable))

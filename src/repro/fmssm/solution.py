@@ -11,7 +11,8 @@ The dataclass constructor takes X, Y and the per-pair controllers as
 dicts; :meth:`RecoverySolution.positional` takes a :class:`Placement`
 (the kernels and the certified exact solve), whose dicts are then views
 built on first read.  Evaluation reads positions either way
-(:func:`repro.fmssm.point.resolve`).
+(:func:`repro.fmssm.point.resolve`).  A kept result holds its plan as
+positions of its network's frame (:func:`repro.fmssm.evaluation.rebase`).
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ class PositionalViews:
     def positions(self):
         """The positional source, or ``None`` once the dicts were read."""
         return self.__dict__.get("_positions")
+
+    def _rebase(self, source) -> None:
+        """Hold ``source`` instead of the positional source: the same
+        views as positions of another frame."""
+        self.__dict__["_positions"] = source
 
     def __getattr__(self, name: str):
         source = self.__dict__.get("_positions")

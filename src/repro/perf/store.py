@@ -31,7 +31,9 @@ Positional records
     take the narrowest signed width (ascending positions as their first
     differences), zlib-compressed and base64'd, so a WAN PM record is
     ~5 KB.  A hit (:func:`decode_result`) only unpacks the columns and
-    wraps them: the solution and evaluation it returns are positional,
+    wraps them: the solution and evaluation it returns are in the kept
+    form a fresh solve is rebased to (:func:`~repro.fmssm.evaluation.
+    rebase`), so a sweep's hits and misses are kept alike,
     and their ``mapping``/``sdn_pairs``/``pair_controller``/
     ``programmability`` dicts are built the first time a caller reads
     one — listing pairs flow-major and flows in population order, as
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import copy
 import fcntl
 import functools
 import hashlib
@@ -75,7 +78,7 @@ import numpy as np
 
 from repro.control.failures import FailureScenario
 from repro.exceptions import SolutionError
-from repro.fmssm.arrays import Frame
+from repro.fmssm.arrays import Frame, narrowest
 from repro.fmssm.point import empty_placement, resolve_ids
 from repro.fmssm.solution import Placement, RecoverySolution
 
@@ -230,14 +233,17 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
     ``meta`` is label-free scalars by contract, so it needs no
     translation.
 
-    A solution held as positions over a grounded instance is gathered
-    through the instance's entry map, and a decoded one is stored as it
-    is; a dict-built one (pool results, a caller's own) is resolved by id with :func:`~repro.fmssm.point.resolve_ids`
-    onto the same columns.  Only served pairs are recorded: an SDN pair
-    no controller serves, or a per-pair controller equal to its
-    switch's mapping, is not part of the plan.
+    A result in the kept form (positions of the network frame: a fresh
+    solve :func:`~repro.fmssm.evaluation.rebase` moved there, or a
+    decoded hit) is packed as it is; any other (dict-built, as pool
+    results and a caller's own are, or an instance's positions) is
+    resolved by id with :func:`~repro.fmssm.point.resolve_ids` onto the
+    same columns (an instance's positions through a copy, so encoding
+    reads no view of the caller's result).  Only served pairs are recorded: an SDN pair no
+    controller serves, or a per-pair controller equal to its switch's
+    mapping, is not part of the plan.
     """
-    network = _network_frame(context)
+    network = context.network_frame()
     placement = _network_placement(network, solution)
     flows, pro, recoverable = _network_values(network, evaluation)
     return {
@@ -281,22 +287,26 @@ def encode_result(context, solution: RecoverySolution, evaluation) -> dict:
 def decode_result(context, record: dict):
     """``(solution, evaluation)`` from an :func:`encode_result` record.
 
-    Unpacks the record's int columns and wraps them as positions of the
-    context's network frame — no instance is read and no per-pair or
-    per-flow object is built until a caller reads a dict view, which
-    lists pairs flow-major and flows in population order.  Every call
-    returns fresh, independently mutable objects.  ``solve_time_s``
-    replays the stored wall clock.
+    Unpacks the record's int columns straight into the kept form
+    (:func:`~repro.fmssm.evaluation.rebase`'s widths: positions int32,
+    controllers the network's width, ``pro`` as stored; the arrays are
+    read-only) and wraps them as positions of the context's network
+    frame — no instance is read and no per-pair or per-flow object is
+    built until a caller reads a dict view, which lists pairs flow-major
+    and flows in population order.  Every call returns fresh,
+    independently mutable objects.  ``solve_time_s`` replays the stored
+    wall clock.
     """
     from repro.fmssm.evaluation import FlowValues, RecoveryEvaluation
 
-    network = _network_frame(context)
+    network = context.network_frame()
     sol, ev = record["solution"], record["evaluation"]
+    width = narrowest(-1, len(network.controllers) - 1)
     placement = Placement(
         network,
-        _unpack_ints(sol["switch_ctrl"]),
+        _column(sol["switch_ctrl"]).astype(width, copy=False),
         _unpack_positions(sol["pairs"]),
-        _unpack_ints(sol["pair_ctrl"]),
+        _column(sol["pair_ctrl"]).astype(width, copy=False),
     )
     solution = RecoverySolution.positional(
         placement,
@@ -312,7 +322,7 @@ def decode_result(context, record: dict):
     evaluation = RecoveryEvaluation.positional(
         FlowValues(
             network,
-            _unpack_ints(ev["programmability"]),
+            _column(ev["programmability"]),
             _unpack_positions(ev["flows"]),
             _unpack_positions(ev["recoverable"]),
         ),
@@ -342,11 +352,6 @@ def _pack_clock(seconds: float) -> str:
     return format(seconds, ".16e")
 
 
-def _network_frame(context) -> Frame:
-    """The frame records are positions of: the context's filled index's."""
-    return context.materialize_table().network_frame()
-
-
 def _network_placement(network: Frame, solution: RecoverySolution) -> Placement:
     """``solution``'s served plan as positions of ``network``."""
     if not solution.feasible:
@@ -354,19 +359,8 @@ def _network_placement(network: Frame, solution: RecoverySolution) -> Placement:
     own = solution.positions()
     if own is not None and own.frame is network:
         return own
-    if own is not None and own.frame.network_pos is not None:
-        frame = own.frame
-        # Instance controller position -> network position; -1 stays -1.
-        ctrl = np.array(
-            [network.controller_pos[c] for c in frame.controllers] + [-1], dtype=np.int64
-        )
-        switch_ctrl = np.full(len(network.switches), -1, dtype=np.int64)
-        switch_ctrl[list(map(network.switch_pos.__getitem__, frame.switches))] = ctrl[
-            own.switch_ctrl
-        ]
-        return Placement(
-            network, switch_ctrl, frame.entries(network)[own.pairs], ctrl[own.pair_ctrl]
-        )
+    if own is not None:  # an instance's positions: by id, read from a copy
+        solution = copy.copy(solution)
     placement, problems = resolve_ids(network, solution)
     if problems:
         raise SolutionError(f"cannot store {solution.algorithm!r}: {problems[0][1]}")
@@ -377,10 +371,11 @@ def _network_values(network: Frame, evaluation) -> tuple[np.ndarray, np.ndarray,
     """``evaluation``'s listed flows (ascending network positions), their
     programmability and the recoverable flows' network positions."""
     own = evaluation.positions()
-    if own is not None and own.frame.network_pos is not None:
-        positions = own.frame.network_pos
-        flows = positions if own.flows is None else positions[own.flows]
-        return flows, own.pro, np.sort(positions[own.recoverable])
+    if own is not None and own.frame is network:
+        flows = network.network_pos if own.flows is None else own.flows
+        return flows, own.pro, own.recoverable
+    if own is not None:
+        evaluation = copy.copy(evaluation)
     flow_pos = network.flow_pos.__getitem__
     values = evaluation.programmability
     flows = np.fromiter(map(flow_pos, values), dtype=np.int64, count=len(values))
@@ -405,33 +400,25 @@ def _pack_ints(values: np.ndarray) -> dict[str, str]:
 
     Columns run to thousands of elements; as JSON lists they would cost
     more to parse than the solves they memoize.  The column is stored in
-    the narrowest little-endian signed width that holds it,
-    zlib-compressed at level 1 (higher levels save little on these
-    columns and cost several times the time).
+    the narrowest little-endian signed width that holds it
+    (:func:`~repro.fmssm.arrays.narrowest`), zlib-compressed at level 1
+    (higher levels save little on these columns and cost several times
+    the time).
     """
-    values = np.asarray(values, dtype=np.int64)
+    values = np.asarray(values)
     low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    dtype = next(name for name, lo, hi in _WIDTHS if lo <= low and high <= hi)
-    raw = zlib.compress(values.astype(dtype).tobytes(), 1)
+    dtype = narrowest(low, high)
+    raw = zlib.compress(values.astype(dtype, copy=False).tobytes(), 1)
     return {"d": dtype, "b": base64.b64encode(raw).decode("ascii")}
 
 
-#: The little-endian signed widths a column may take, narrowest first.
-_WIDTHS = tuple(
-    (name, int(np.iinfo(name).min), int(np.iinfo(name).max))
-    for name in ("<i1", "<i2", "<i4", "<i8")
-)
-
-
 def _unpack_positions(blob: dict[str, str]) -> np.ndarray:
-    return np.cumsum(_column(blob), dtype=np.int64)
-
-
-def _unpack_ints(blob: dict[str, str]) -> np.ndarray:
-    return _column(blob).astype(np.int64)
+    """Kept positions are int32."""
+    return np.cumsum(_column(blob), dtype=np.int32)
 
 
 def _column(blob: dict[str, str]) -> np.ndarray:
+    """The stored column, read-only, in its stored width."""
     # binascii directly: base64.b64decode's wrapper costs more than the
     # decode itself at this call rate.
     raw = zlib.decompress(binascii.a2b_base64(blob["b"]))

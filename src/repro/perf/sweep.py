@@ -72,7 +72,8 @@ from dataclasses import dataclass, field
 from repro.baselines import get_algorithm
 from repro.control.failures import FailureScenario
 from repro.exceptions import DegradedResultWarning
-from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_batch
+from repro.fmssm.arrays import Frame
+from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_batch, rebase
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
@@ -200,6 +201,7 @@ def _scenario_rows(
     plan: SweepPlan,
     tasks: Sequence[tuple[int, str]],
     instance_of=None,
+    network: Frame | None = None,
 ) -> Iterator[_TaskResult]:
     """Solve + evaluate ``tasks`` of ``plan``, yielding their rows.
 
@@ -208,8 +210,10 @@ def _scenario_rows(
     :func:`~repro.fmssm.evaluation.evaluate_batch` call.  Every task
     passes the ``sweep.task`` chaos site once.  ``instance_of``
     overrides instance grounding (the runner passes its store-probe
-    cache).  Rows are yielded scenario by scenario, so the serial path
-    settles each one in the store as it completes.
+    cache).  With ``network`` (the parent's), rows are kept as its
+    positions (:func:`~repro.fmssm.evaluation.rebase`); a pool worker's
+    rows travel as dicts.  Rows are yielded scenario by scenario, so the
+    serial path settles each one in the store as it completes.
     """
     if instance_of is None:
         instance_of = plan.instance
@@ -227,7 +231,10 @@ def _scenario_rows(
                 plan.validate,
             )
             solved.append((algorithm, solution, report))
-        evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
+        solutions = [sol for _, sol, _ in solved]
+        evaluations = evaluate_batch(instance, solutions)
+        if network is not None:
+            rebase(instance, solutions, evaluations, network)
         for (algorithm, solution, report), evaluation in zip(solved, evaluations):
             yield (
                 index, algorithm, solution, evaluation,
@@ -463,7 +470,10 @@ class _SweepRunner:
 
     def run_serial(self, tasks: Sequence[tuple[int, str]]) -> None:
         """Solve ``tasks`` in-process, in deterministic order."""
-        rows = _scenario_rows(self._as_plan(), tasks, instance_of=self._instance)
+        rows = _scenario_rows(
+            self._as_plan(), tasks, instance_of=self._instance,
+            network=self.context.network_frame(),
+        )
         for row in rows:
             self._store(*row)
 
@@ -625,7 +635,9 @@ class _SweepRunner:
                 self.validate,
             )
             solved.append((algorithm, solution, report))
-        evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
+        solutions = [sol for _, sol, _ in solved]
+        evaluations = evaluate_batch(instance, solutions)
+        rebase(instance, solutions, evaluations, self.context.network_frame())
         result.degradation.record(
             "supervisor",
             "quarantine",

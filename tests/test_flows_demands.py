@@ -30,7 +30,7 @@ class TestShortestPath:
         assert len(path) == 5  # 4 hops across a 3x3 grid
 
     def test_unknown_weight_rejected(self, grid):
-        with pytest.raises(ValueError, match="weight"):
+        with pytest.raises(RoutingError, match="weight"):
             shortest_path(grid, 0, 8, weight="bananas")
 
     def test_unknown_endpoint_rejected(self, grid):

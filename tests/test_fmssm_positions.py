@@ -253,12 +253,13 @@ class TestRequestsStayPositional:
         context = wan72_context()
         scenario = next(iter(enumerate_failure_scenarios(context.plane, 2)))
         result = run_scenario(context, scenario, ("pm",))
-        frame = context.instance(scenario).arrays().frame
+        frame = result.solutions["pm"].positions().frame
         assert "pair_index" not in frame.__dict__ and "flow_pos" not in frame.__dict__
-        # Nor the store's network frame or the instance's entry map.
-        assert context._grounding._frame is None and "_entries" not in frame.__dict__
-        assert result.solutions["pm"].positions() is not None
-        assert result.evaluations["pm"].positions() is not None
+        # Nor the network frame or a map onto it: a one-off request keeps
+        # its result on the instance's frame.
+        assert context._grounding._frame is None and frame.view_rank is None
+        assert result.solutions["pm"].positions().frame is frame
+        assert result.evaluations["pm"].positions().frame is frame
 
     def test_att_paper_algorithms(self, att_context):
         scenario = FailureScenario(frozenset({6}))
