@@ -21,32 +21,24 @@ Rules
   demotions) may exceed the baseline total by at most ``--degraded-slack``
   (default 5).  A solver change that silently mass-degrades to the PM
   heuristic would otherwise read as a massive speedup.
-* Warm-executor reuse is a *same-run* invariant, immune to runner speed:
-  when both stages are present, ``sweep_reuse_s`` (second sweep on a
-  warm :class:`~repro.perf.executor.SweepExecutor`) must be at most
-  ``sweep_shm_s / 5`` — the whole point of the persistent pool is that
-  repeat sweeps stop paying the fan-out bill.
-* Fault-free supervision is likewise a same-run invariant:
-  ``sweep_supervised_s`` (the identical warm sweep under a
+* Fault-free supervision is a *same-run* invariant, immune to runner
+  speed: ``sweep_exact_supervised_s`` (the warm exact sweep under a
   :class:`~repro.resilience.supervisor.SweepSupervisor`) must stay
-  within ``SUPERVISED_OVERHEAD`` of ``sweep_reuse_s`` — the watchdog,
-  breakers and retry ledger are bookkeeping, not a second sweep.
+  within ``SUPERVISED_OVERHEAD`` of ``sweep_exact_reuse_s`` (the same
+  sweep on the same warm :class:`~repro.perf.executor.SweepExecutor`,
+  unsupervised) — the watchdog, breakers and retry ledger are
+  bookkeeping, not a second sweep.
 * Store-hit replay is likewise a same-run invariant:
-  ``sweep_memo_hit_s`` (re-sweeping a store populated moments earlier)
-  must be at most ``sweep_reuse_s / 5``, and the headline's ``store``
-  section must show the memo stages actually hitting (nonzero hits,
-  zero misses) — a replay that quietly re-solved everything would
-  otherwise time the solver and call it a cache.
-* When the kill-worker chaos stage ran (``sweep_quarantine_s``), its
-  ``degraded_solves`` entry must be non-zero: quarantined scenarios
+  ``sweep_exact_memo_hit_s`` (re-sweeping a store populated moments
+  earlier) must be at most ``sweep_exact_reuse_s / 5``, and the
+  headline's ``store`` section must show the memo stages actually
+  hitting (nonzero hits, zero misses) — a replay that quietly
+  re-solved everything would otherwise time the solver and call it a
+  cache.
+* When the kill-worker chaos stage ran (``sweep_exact_quarantine_s``),
+  its ``degraded_solves`` entry must be non-zero: quarantined scenarios
   that vanish from the headline are the silent-degradation blindspot
   the section exists to close.
-* The ``fanout`` section (payload *bytes*, deliberately excluded from
-  the seconds comparison — byte counts are deterministic, so they get
-  no tolerance) fails when the shared-memory route's per-worker in-band
-  payload grows to the baseline's *pickle* payload size, or when the
-  transport silently degrades from shm to pickle: either means the
-  zero-copy fan-out stopped doing its job.
 
 Usage::
 
@@ -124,50 +116,6 @@ def compare_degraded(
     return []
 
 
-def load_fanout(path: Path) -> dict[str, object]:
-    """The ``fanout`` section; empty for pre-section headlines."""
-    fanout = load_headline(path).get("fanout", {})
-    if not isinstance(fanout, dict):
-        raise SystemExit(f"{path}: fanout must be a mapping")
-    return fanout
-
-
-def compare_fanout(
-    current: dict[str, object], baseline: dict[str, object]
-) -> list[str]:
-    """Failure messages when the zero-copy fan-out regressed.
-
-    Byte counts are deterministic for a given plan, so no tolerance
-    factor applies: the in-band payload of the shm route must stay below
-    the pickle payload recorded in the baseline.
-    """
-    if not current or not baseline:
-        return []
-    failures = []
-    if baseline.get("transport") == "shm" and current.get("transport") != "shm":
-        failures.append(
-            f"fanout: transport degraded to {current.get('transport')!r} "
-            f"(baseline used shm)"
-        )
-        return failures
-    pickle_bytes = baseline.get("pickle_payload_bytes")
-    payload_bytes = current.get("payload_bytes")
-    if (
-        isinstance(pickle_bytes, (int, float))
-        and isinstance(payload_bytes, (int, float))
-        and payload_bytes > pickle_bytes
-    ):
-        failures.append(
-            f"fanout: in-band payload {payload_bytes} B exceeds the baseline "
-            f"pickle payload {pickle_bytes} B — the shared-memory transport "
-            f"is no longer moving the arrays out of band"
-        )
-    return failures
-
-
-#: The warm second sweep must beat the cold shm fan-out by this factor.
-REUSE_SPEEDUP = 5.0
-
 #: Same-run ceiling on the fault-free supervisor tax over plain warm
 #: reuse.  The design target is <= 5% (both stages are best-of-three on
 #: the same executor in the same process), but shared CI runners jitter
@@ -182,19 +130,19 @@ def compare_supervised_overhead(
 ) -> list[str]:
     """Failure messages when fault-free supervision stopped being free.
 
-    ``sweep_supervised_s`` and ``sweep_reuse_s`` time the *identical*
-    warm sweep in the same run, so like the reuse guard this is a
-    same-run invariant immune to runner speed.  Runs predating the
-    supervisor pass vacuously.
+    ``sweep_exact_supervised_s`` and ``sweep_exact_reuse_s`` time the
+    *identical* warm sweep in the same run, so this is a same-run
+    invariant immune to runner speed.  Runs without either stage pass
+    vacuously.
     """
-    supervised_s = current.get("sweep_supervised_s")
-    reuse_s = current.get("sweep_reuse_s")
+    supervised_s = current.get("sweep_exact_supervised_s")
+    reuse_s = current.get("sweep_exact_reuse_s")
     if supervised_s is None or reuse_s is None:
         return []
     if supervised_s > factor * reuse_s:
         return [
-            f"sweep_supervised_s: {supervised_s:.4f}s exceeds {factor:g}x the "
-            f"same run's unsupervised sweep_reuse_s {reuse_s:.4f}s — the "
+            f"sweep_exact_supervised_s: {supervised_s:.4f}s exceeds {factor:g}x "
+            f"the same run's unsupervised sweep_exact_reuse_s {reuse_s:.4f}s — the "
             f"fault-free supervisor overhead has regressed past its <=5% "
             f"design target"
         ]
@@ -211,11 +159,11 @@ def compare_quarantine_visibility(
     attributing quarantined scenarios to the headline — exactly the
     silent-degradation blindspot the section exists to close.
     """
-    if "sweep_quarantine_s" not in stages:
+    if "sweep_exact_quarantine_s" not in stages:
         return []
-    if not degraded.get("sweep_quarantine_s"):
+    if not degraded.get("sweep_exact_quarantine_s"):
         return [
-            "sweep_quarantine_s: the kill-worker chaos stage ran but "
+            "sweep_exact_quarantine_s: the kill-worker chaos stage ran but "
             "degraded_solves attributes no quarantined scenarios to it — "
             "supervisor quarantine reporting is broken"
         ]
@@ -231,22 +179,22 @@ def compare_memo_hit(
 ) -> list[str]:
     """Failure messages when store-hit replay stopped paying off.
 
-    ``sweep_memo_hit_s`` replays the very sweep ``sweep_reuse_s`` solves
-    on a warm executor in the same run, so like the reuse guard this is
-    a same-run invariant immune to runner speed: replaying solved
-    records from the solve store must beat re-solving them — even on a
-    warm pool — by a wide margin, or the memo layer is just overhead.
-    Runs predating the store pass vacuously.
+    ``sweep_exact_memo_hit_s`` replays the very sweep
+    ``sweep_exact_reuse_s`` solves on a warm executor in the same run,
+    so this is a same-run invariant immune to runner speed: replaying
+    solved records from the solve store must beat re-solving them —
+    even on a warm pool — by a wide margin, or the memo layer is just
+    overhead.  Runs without either stage pass vacuously.
     """
-    hit_s = current.get("sweep_memo_hit_s")
-    reuse_s = current.get("sweep_reuse_s")
+    hit_s = current.get("sweep_exact_memo_hit_s")
+    reuse_s = current.get("sweep_exact_reuse_s")
     if hit_s is None or reuse_s is None:
         return []
     if hit_s > reuse_s / speedup:
         return [
-            f"sweep_memo_hit_s: {hit_s:.4f}s is not {speedup:g}x faster than "
-            f"the same run's warm sweep_reuse_s {reuse_s:.4f}s — store-hit "
-            f"replay has regressed to re-solving cost"
+            f"sweep_exact_memo_hit_s: {hit_s:.4f}s is not {speedup:g}x faster "
+            f"than the same run's warm sweep_exact_reuse_s {reuse_s:.4f}s — "
+            f"store-hit replay has regressed to re-solving cost"
         ]
     return []
 
@@ -273,7 +221,7 @@ def compare_store_visibility(
     """
     failures = []
     checks = (
-        ("sweep_memo_hit_s", "memo_hits", "memo_misses"),
+        ("sweep_exact_memo_hit_s", "memo_hits", "memo_misses"),
         ("campaign_shared_store_s", "campaign_hits", "campaign_misses"),
     )
     for stage, hits_key, misses_key in checks:
@@ -293,29 +241,6 @@ def compare_store_visibility(
                 f"fingerprints are no longer stable across sweeps"
             )
     return failures
-
-
-def compare_executor_reuse(
-    current: dict[str, float], speedup: float = REUSE_SPEEDUP
-) -> list[str]:
-    """Failure messages when warm-executor reuse stopped paying off.
-
-    Both stages come from the *same* run on the same machine, so unlike
-    the cross-run comparisons no noise tolerance applies beyond the
-    generous required factor itself.  Runs predating the executor (or
-    with either stage skipped) pass vacuously.
-    """
-    reuse_s = current.get("sweep_reuse_s")
-    cold_s = current.get("sweep_shm_s")
-    if reuse_s is None or cold_s is None:
-        return []
-    if reuse_s > cold_s / speedup:
-        return [
-            f"sweep_reuse_s: {reuse_s:.4f}s is not {speedup:g}x faster than "
-            f"the same run's cold sweep_shm_s {cold_s:.4f}s — warm-executor "
-            f"reuse has regressed"
-        ]
-    return []
 
 
 def compare(
@@ -354,7 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     current = load_stages(args.current)
     baseline = load_stages(args.baseline)
     failures = compare(current, baseline, args.tolerance, args.floor_s)
-    failures += compare_executor_reuse(current)
     failures += compare_memo_hit(current)
     failures += compare_supervised_overhead(current)
     cur_store = load_store(args.current)
@@ -369,23 +293,6 @@ def main(argv: list[str] | None = None) -> int:
         cur_degraded, load_degraded(args.baseline), args.degraded_slack
     )
     failures += compare_quarantine_visibility(current, cur_degraded)
-    cur_fanout = load_fanout(args.current)
-    failures += compare_fanout(cur_fanout, load_fanout(args.baseline))
-    if cur_fanout:
-        print(
-            "fanout: transport={transport} payload={payload_bytes}B "
-            "shared={shared_bytes}B pickle-baseline={pickle_payload_bytes}B".format(
-                **{
-                    k: cur_fanout.get(k, "?")
-                    for k in (
-                        "transport",
-                        "payload_bytes",
-                        "shared_bytes",
-                        "pickle_payload_bytes",
-                    )
-                }
-            )
-        )
     if sum(cur_degraded.values()):
         detail = ", ".join(
             f"{name}={count}" for name, count in sorted(cur_degraded.items()) if count

@@ -37,10 +37,6 @@ _ALGORITHM_SOLVE_S: dict[str, float] = {}
 #: demotion, serial-fallback) — a mass degradation here means the exact
 #: solver silently died and "performance" is really the heuristic's.
 _DEGRADED_SOLVES: dict[str, int] = {}
-#: Fan-out transport summary (payload bytes, worker init) for the pool
-#: sweep — written as the headline's ``fanout`` section so CI can catch
-#: the shm route silently regressing to pickle-scale payloads.
-_FANOUT: dict[str, object] = {}
 #: Cross-run solve-store counters (hits/misses per memo stage) —
 #: written as the headline's ``store`` section so CI can see whether the
 #: memo-hit stage actually replayed from the store or quietly re-solved.
@@ -84,18 +80,6 @@ def record_sweep(name: str, seconds: float, results) -> None:
             ):
                 degraded += 1
     _DEGRADED_SOLVES[name] = _DEGRADED_SOLVES.get(name, 0) + degraded
-
-
-def record_fanout(summary: dict[str, object]) -> None:
-    """Record the pool sweep's fan-out transport summary.
-
-    ``summary`` is a :meth:`~repro.perf.shm.FanoutStats.to_dict` payload
-    (as surfaced by :func:`repro.perf.sweep.fanout_summary`), optionally
-    extended with ``pickle_payload_bytes`` — the payload size the classic
-    pickle route shipped for the same plan, the denominator for the
-    zero-copy saving.
-    """
-    _FANOUT.update(summary)
 
 
 def record_store(summary: dict[str, object]) -> None:
@@ -149,8 +133,6 @@ def pytest_sessionfinish(session, exitstatus):
         "degraded_solves": dict(sorted(_DEGRADED_SOLVES.items())),
         "sweep_total_s": sum(v for k, v in _STAGES.items() if k.startswith("sweep_")),
     }
-    if _FANOUT:
-        payload["fanout"] = dict(sorted(_FANOUT.items()))
     if _STORE:
         payload["store"] = dict(sorted(_STORE.items()))
     if _EXACT:

@@ -84,10 +84,10 @@ def failure_figure_data(
     """All per-case series for an ``n_failures``-failure figure.
 
     Pass precomputed ``results`` (e.g. shared across figures by the
-    benchmark harness) to skip re-running the sweep.  Fresh sweeps fan
-    out over a process pool by default (results are bit-identical to
-    the serial runner; small heuristic-only sweeps stay serial via the
-    pool's ``min_parallel_tasks`` heuristic) — set ``parallel=False``
+    benchmark harness) to skip re-running the sweep.  Fresh sweeps that
+    hold an exact solve fan out over a process pool by default (results
+    are bit-identical to the serial runner; heuristic-only sweeps run
+    serially) — set ``parallel=False``
     to force the in-process serial sweep, or pass a warm ``executor``
     (:class:`~repro.perf.executor.SweepExecutor`) when generating
     several figures over one context.  ``store`` memoizes solves in a

@@ -41,8 +41,8 @@ class ScenarioResult:
     #: degradation machinery to report on.
     degradation: "DegradationReport | None" = None
     #: Free-form execution diagnostics that are not part of the answer —
-    #: e.g. the parallel sweep's fan-out transport stats (payload bytes,
-    #: worker init time).  Never consulted when comparing results.
+    #: e.g. the parallel sweep's fan-out stats (payload bytes, worker
+    #: init time).  Never consulted when comparing results.
     meta: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -125,8 +125,9 @@ def run_failure_sweep_parallel(
 
     Runs every ``n_failures``-controller scenario through
     :func:`repro.perf.sweep.parallel_sweep`, which documents the keyword
-    ``options`` (workers, transport, executor, store and resilience
-    knobs).  Output is identical to the serial sweep apart from
+    ``options`` (workers, executor, store and resilience knobs).  Only a
+    sweep that holds an exact solve fans out; a heuristic-only sweep
+    runs serially.  Output is identical to the serial sweep apart from
     ``solve_time_s`` wall clocks.
     """
     from repro.perf.sweep import parallel_sweep

@@ -111,9 +111,9 @@ class ExperimentContext:
     def materialize_table(self) -> GroundingIndex:
         """Build (once) and return the context's filled grounding index.
 
-        Sweeps call this before fanning scenarios out, so every switch's
-        ``p̄`` entries are read from the model exactly once and every
-        worker receives them.  It also fills every node's row of the
+        Callers that serve many scenarios call this up front, so every
+        switch's ``p̄`` entries are read from the model exactly once.  It
+        also fills every node's row of the
         context's delay model and builds the index's network frame, which
         kept results are positions of, so a request only gathers.  Spare
         capacity is not computed here.

@@ -50,8 +50,8 @@ def run_successive(
     Each stage is an independent re-solve on its cumulative failure
     set, so the stages route through the process-pool sweep like any
     other scenario list (results come back in stage order, bit-identical
-    to the serial loop; short heuristic-only chains stay in-process via
-    the pool's ``min_parallel_tasks`` heuristic).  ``parallel=False``
+    to the serial loop; only an exact ``algorithm`` fans out, a
+    heuristic chain runs in-process).  ``parallel=False``
     forces the serial loop; ``executor`` submits to a warm
     :class:`~repro.perf.executor.SweepExecutor` shared across runs.
     """

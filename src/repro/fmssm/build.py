@@ -219,27 +219,6 @@ class GroundingIndex:
         np.cumsum([table.shape[1] for table in tables], out=indptr[1:])
         return indptr, np.concatenate(tables, axis=1)
 
-    @classmethod
-    def from_packed(
-        cls,
-        plane: ControlPlane,
-        flows: Iterable[Flow],
-        indptr: np.ndarray,
-        entries: np.ndarray,
-    ) -> GroundingIndex:
-        """A filled index from :meth:`packed_entries` of an index over the
-        same ``plane`` and ``flows``; it has no ``programmability``."""
-        index = cls(plane, flows, None)  # type: ignore[arg-type] - filled below
-        bounds, positions, ids = indptr.tolist(), entries[0].tolist(), index._ids
-        for code, switch in enumerate(index._nodes):
-            start, stop = bounds[code], bounds[code + 1]
-            index._entries[code] = (
-                entries[:, start:stop],
-                tuple((switch, ids[p]) for p in positions[start:stop]),
-            )
-        index._filled = True
-        return index
-
     def fill_delays(self, model: DelayModel) -> GroundingIndex:
         """Fill ``model``'s delay row of every node now, so no
         :meth:`ground` computes one."""

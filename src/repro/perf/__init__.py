@@ -5,21 +5,20 @@ and every scenario of a sweep shares the same (topology, counter, flow
 population) — so ``p̄`` is materialized once, in the context's
 :class:`~repro.fmssm.build.GroundingIndex` (filled by
 :meth:`~repro.experiments.scenarios.ExperimentContext.materialize_table`),
-and every scenario and pool worker grounds from it.  This package holds
-the machinery around that index:
+and every scenario grounds from it (a pool worker builds its own from
+the model it unpickles).  This package holds the machinery around that
+index:
 
 :mod:`repro.perf.sweep`
     The process-pool machinery behind
-    :func:`repro.experiments.runner.run_failure_sweep_parallel`.
+    :func:`repro.experiments.runner.run_failure_sweep_parallel`: only
+    sweeps holding an exact solve fan out; heuristic-only sweeps run
+    serially.
 
 :mod:`repro.perf.compile`
     Problem P′ in sparse standard form — the one formulation the exact
     solver hands to HiGHS — with per-shape structural caching across
     the scenarios of a sweep.
-
-:mod:`repro.perf.shm`
-    Zero-copy shared-memory fan-out: the context's numpy buffers are
-    parked in one segment every pool worker aliases read-only.
 
 :mod:`repro.perf.kernels`
     NumPy-vectorized kernels for the four non-exact algorithms (PM, PG,
@@ -45,7 +44,6 @@ the machinery around that index:
 """
 
 from repro.perf.executor import (
-    ShmPlanData,
     SweepExecutor,
     close_default_executor,
     get_default_executor,
@@ -66,15 +64,6 @@ from repro.perf.kernels import (
     solve_pm_array,
     solve_retroflow_array,
 )
-from repro.perf.shm import (
-    FanoutStats,
-    SegmentLease,
-    SharedPayload,
-    active_segments,
-    dumps_shared,
-    loads_shared,
-    shm_available,
-)
 from repro.perf.store import (
     SolveStore,
     code_identity,
@@ -83,7 +72,6 @@ from repro.perf.store import (
 )
 from repro.perf.sweep import (
     SweepPlan,
-    fanout_summary,
     parallel_sweep,
     store_summary,
 )
@@ -97,9 +85,7 @@ __all__ = [
     "solve_retroflow_array",
     "solve_nearest_array",
     "SweepPlan",
-    "ShmPlanData",
     "parallel_sweep",
-    "fanout_summary",
     "store_summary",
     "SolveStore",
     "code_identity",
@@ -113,11 +99,4 @@ __all__ = [
     "FMSSMCompiler",
     "compile_fmssm",
     "default_compiler",
-    "SharedPayload",
-    "SegmentLease",
-    "FanoutStats",
-    "dumps_shared",
-    "loads_shared",
-    "shm_available",
-    "active_segments",
 ]

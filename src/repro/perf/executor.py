@@ -12,10 +12,9 @@ amortizes that bill:
 :class:`SweepExecutor`
     A context-manager that keeps one process pool alive across sweeps
     (health-checked, transparently respawned after a
-    ``BrokenProcessPool``) and caches each context's encoded payload —
-    including the :class:`~repro.perf.shm.SegmentLease` on its
-    shared-memory segment — so later sweeps over the same context ship
-    nothing but a small per-sweep header.
+    ``BrokenProcessPool``) and caches each context's pickled payload, so
+    later sweeps over the same context encode nothing but a small
+    per-sweep header.
 
 Worker-side caches
     Warm tasks carry a :class:`WarmHeader` naming the sweep's plan key
@@ -39,12 +38,9 @@ Invalidation
     build a new context (they are cheap) or a fresh executor for that.
 
 Lifecycle
-    :meth:`SweepExecutor.close` shuts the pool down **before** releasing
-    the cached segment leases — a task still queued on a live worker
-    must be able to attach to its segment, so unlinking strictly follows
-    worker exit.  Workers that already attached keep their mappings
-    regardless (POSIX unlink semantics).  A module-level default
-    executor (:func:`get_default_executor`) is closed by ``atexit``.
+    :meth:`SweepExecutor.close` shuts the pool down and drops the cached
+    payloads.  A module-level default executor
+    (:func:`get_default_executor`) is closed by ``atexit``.
 
 :func:`run_campaign` runs many sweeps over one context on a warm
 executor, in the caller's order, and streams each sweep's results as it
@@ -70,22 +66,11 @@ from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
-import numpy as np
-
-from repro.perf.shm import (
-    SegmentLease,
-    SharedPayload,
-    dumps_shared,
-    loads_shared,
-    shm_available,
-)
 from repro.resilience import chaos
 
 __all__ = [
     "SweepExecutor",
-    "ShmPlanData",
     "WarmHeader",
     "get_default_executor",
     "close_default_executor",
@@ -99,24 +84,15 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass
 class _ContextEntry:
-    """One encoded context, cached for the executor's lifetime.
+    """One pickled context, cached for the executor's lifetime.
 
     Pins a strong reference to the context (so its ``id()`` can never be
-    recycled while the entry lives).  Owns the shared-memory lease until
-    the entry is evicted or the executor closes.
+    recycled while the entry lives).
     """
 
     context: object
     generation: int
-    prefer_shm: bool
-    payload: SharedPayload
-    lease: SegmentLease | None
-    encode_s: float
-
-    def release(self) -> None:
-        if self.lease is not None:
-            self.lease.release()
-            self.lease = None
+    payload: bytes
 
 
 @dataclass(frozen=True)
@@ -132,7 +108,7 @@ class WarmHeader:
 
     plan_key: str
     context_key: tuple[int, int]
-    context_payload: SharedPayload
+    context_payload: bytes
     sweep_blob: bytes
 
 
@@ -188,9 +164,8 @@ class SweepExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self._broken = False
         self._closed = False
-        # Keyed by (context id, prefer_shm): one context may be cached
-        # for both transports at once (half-open probe rounds).
-        self._contexts: OrderedDict[tuple[int, bool], _ContextEntry] = OrderedDict()
+        # Keyed by context id; an entry pins its context.
+        self._contexts: OrderedDict[int, _ContextEntry] = OrderedDict()
         self._generations = itertools.count(1)
         self._chaos_nonces = itertools.count(1)
         #: Observability counters (sweeps, encode hits/misses, respawns,
@@ -215,22 +190,14 @@ class SweepExecutor:
         return self._closed
 
     def close(self) -> None:
-        """Shut the pool down, then release every cached segment lease.
-
-        The ordering is the contract: a queued warm task attaches to its
-        context's segment lazily, so the segment name must stay linked
-        until every worker has exited (``shutdown(wait=True)``).  Only
-        then are the leases released.  Idempotent.
-        """
+        """Shut the pool down and drop the cached payloads.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        while self._contexts:
-            _, entry = self._contexts.popitem()
-            entry.release()
+        self._contexts.clear()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -269,8 +236,8 @@ class SweepExecutor:
         torn down and flagged broken; the next :meth:`pool` call
         respawns it.  Queued futures fail with ``BrokenProcessPool``;
         the supervised runner discards and requeues them.  Cached
-        context payloads (and their segment leases) are untouched, so
-        the respawned pool re-warms from the same artifacts.
+        context payloads are untouched, so the respawned pool re-warms
+        from the same artifacts.
         """
         self._require_open()
         if self._pool is None:
@@ -285,61 +252,33 @@ class SweepExecutor:
         return len(processes)
 
     # -- context encoding ----------------------------------------------
-    def encode_context(self, context: object, prefer_shm: bool = True) -> _ContextEntry:
-        """The cached encoded payload of ``context`` (encode on miss).
+    def encode_context(self, context: object) -> _ContextEntry:
+        """The cached pickled payload of ``context`` (encode on miss).
 
-        A hit requires the same context object, encoded for the same
-        transport preference.  The two transport preferences cache
-        *separately* — a supervisor probing the shm route holds shm and
-        pickle headers for one context at once, so encoding the pickle
-        fallback must not release the shm entry's segment out from
-        under in-flight futures.  Raises whatever the encode raises
-        (unpicklable contexts) — callers fall back to serial execution.
+        A hit requires the same context object.  The payload is the
+        context's own pickle (an
+        :class:`~repro.experiments.scenarios.ExperimentContext` drops its
+        grounding index, which each worker rebuilds from the model).
+        Raises whatever the encode raises (unpicklable contexts) —
+        callers fall back to serial execution.
         """
         self._require_open()
-        key = (id(context), bool(prefer_shm))
+        key = id(context)
         entry = self._contexts.get(key)
         if entry is not None:
             self._contexts.move_to_end(key)
             self.stats["encode_hits"] += 1
             return entry
-        materialize = getattr(context, "materialize_table", None)
-        if materialize is not None:
-            # The shm route ships the filled index, so no worker
-            # re-derives a single p̄; duck-typed contexts may have none.
-            materialize()
-        entry = self._encode(context, prefer_shm)
+        entry = _ContextEntry(
+            context=context,
+            generation=next(self._generations),
+            payload=pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         self.stats["encode_misses"] += 1
         self._contexts[key] = entry
         while len(self._contexts) > self.max_cached_contexts:
-            _, evicted = self._contexts.popitem(last=False)
-            evicted.release()
+            self._contexts.popitem(last=False)
         return entry
-
-    def _encode(self, context: object, prefer_shm: bool) -> _ContextEntry:
-        start = time.perf_counter()
-        payload = lease = None
-        if prefer_shm and shm_available():
-            try:
-                data = _slim_context(context)
-            except Exception:
-                # Duck-typed contexts without an array form take the
-                # raw-pickle route below, like ``transport="pickle"``.
-                data = None
-            if data is not None:
-                payload, lease = dumps_shared(data)
-        if payload is None:
-            payload = SharedPayload(
-                inband=pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        return _ContextEntry(
-            context=context,
-            generation=next(self._generations),
-            prefer_shm=prefer_shm,
-            payload=payload,
-            lease=lease,
-            encode_s=time.perf_counter() - start,
-        )
 
     def plan_key(self, entry: _ContextEntry, sweep_blob: bytes,
                  chaotic: bool = False) -> str:
@@ -359,86 +298,6 @@ class SweepExecutor:
         if chaotic:
             key += f":c{next(self._chaos_nonces)}"
         return key
-
-
-class ShmPlanData(NamedTuple):
-    """A context in the array form the shared-memory transport ships.
-
-    The programmability model (hundreds of kilobytes of path-count state
-    the workers never consult once the index is filled) is dropped.  The
-    flow population travels as its paths, concatenated in ``path_data``
-    and delimited by ``path_indptr`` (a path's first and last nodes are
-    the flow's src and dst), with ``demand`` per flow; the filled
-    grounding index travels as its
-    :meth:`~repro.fmssm.build.GroundingIndex.packed_entries` CSR.  Those
-    five are numpy arrays, which pickle protocol 5 diverts into the
-    shared segment; flow ids, ``Flow`` objects and key tuples are
-    rebuilt on load.  A named tuple pickles without field names, which
-    keeps the in-band remainder small.  Only integer node ids are
-    representable (:func:`_slim_context` raises ``TypeError``
-    otherwise, and the caller falls back to the pickle route).
-    """
-
-    topology: object
-    plane: object
-    delay_model: object
-    demand: np.ndarray
-    path_data: np.ndarray
-    path_indptr: np.ndarray
-    entry_indptr: np.ndarray
-    entries: np.ndarray
-
-    def rebuild_context(self) -> "ExperimentContext":  # noqa: F821
-        """Reconstruct an :class:`ExperimentContext` around the arrays.
-
-        The rebuilt context's grounding index is installed filled, so
-        instance grounding never consults the programmability model,
-        which is absent; its flows equal the parent's, in the same order.
-        """
-        from repro.experiments.scenarios import ExperimentContext
-        from repro.flows.flow import Flow
-        from repro.fmssm.build import GroundingIndex
-
-        nodes, bounds = self.path_data.tolist(), self.path_indptr.tolist()
-        flows = []
-        for i, demand in enumerate(self.demand.tolist()):
-            path = tuple(nodes[bounds[i] : bounds[i + 1]])
-            flows.append(Flow(src=path[0], dst=path[-1], path=path, demand=demand))
-        return ExperimentContext(
-            topology=self.topology,
-            flows=flows,
-            plane=self.plane,
-            programmability=None,  # type: ignore[arg-type] - never consulted
-            delay_model=self.delay_model,
-            _grounding=GroundingIndex.from_packed(
-                self.plane, flows, self.entry_indptr, self.entries
-            ),
-        )
-
-
-def _slim_context(context: object) -> ShmPlanData:
-    """``context`` stripped to its array form (no programmability model)."""
-    flows = context.flows
-    for node in set(itertools.chain.from_iterable(flow.path for flow in flows)):
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise TypeError(f"the shm transport needs integer node ids, got {node!r}")
-    entry_indptr, entries = context.materialize_table().packed_entries()
-    path_indptr = np.zeros(len(flows) + 1, dtype=np.int64)
-    np.cumsum([len(flow.path) for flow in flows], out=path_indptr[1:])
-    return ShmPlanData(
-        topology=context.topology,
-        plane=context.plane,
-        delay_model=context.delay_model,
-        demand=np.array([flow.demand for flow in flows], dtype=np.float64),
-        path_data=np.fromiter(
-            itertools.chain.from_iterable(flow.path for flow in flows),
-            dtype=np.int64,
-            count=int(path_indptr[-1]),
-        ),
-        path_indptr=path_indptr,
-        entry_indptr=entry_indptr,
-        entries=entries,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -518,9 +377,7 @@ def _warm_plan(header: WarmHeader):
         context = _CONTEXTS.get(header.context_key)
         if context is None:
             chaos.check("executor.decode_context")
-            decoded = loads_shared(header.context_payload)
-            rebuild = getattr(decoded, "rebuild_context", None)
-            context = rebuild() if rebuild is not None else decoded
+            context = pickle.loads(header.context_payload)
             _CONTEXTS[header.context_key] = context
             while len(_CONTEXTS) > _MAX_CONTEXTS:
                 _CONTEXTS.popitem(last=False)
@@ -547,14 +404,14 @@ def _warm_plan(header: WarmHeader):
     return plan, build_s
 
 
-def _warm_run_chunk(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
-    """Worker body: ``tasks`` scenario by scenario, under one header decode."""
+def _warm_run_task(header: WarmHeader, task: tuple[int, str]):
+    """Worker body: the row of one (scenario index, algorithm) task of
+    ``header``'s sweep, with the worker's cache telemetry appended."""
     from repro.perf.sweep import _scenario_rows
 
     plan, build_s = _warm_plan(header)
-    rows = list(_scenario_rows(plan, tasks))
-    stats = worker_cache_stats(build_s)
-    return [row + (stats,) for row in rows]
+    (row,) = _scenario_rows(plan, (task,))
+    return row + (worker_cache_stats(build_s),)
 
 
 # ----------------------------------------------------------------------

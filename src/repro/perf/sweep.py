@@ -9,12 +9,16 @@ and merges results back in deterministic (scenario, algorithm) order,
 so the output is indistinguishable from the serial sweep apart from
 wall-clock time.
 
+Only sweeps that hold an exact solve (:data:`_HEAVY_ALGORITHMS`) fan
+out.  A heuristic task takes well under a millisecond, so a
+heuristic-only sweep loses to the serial path on every pool route,
+warm or fresh, whatever its size; it runs serially.
+
 Every submission carries a small :class:`~repro.perf.executor.
-WarmHeader`: the context's encoded payload (on the shm route, with the
-grounding index the parent filled, so no worker re-derives a single
-p̄) plus a pickle of the per-sweep parameters.  Workers decode each
-layer once and cache it, so a pool pays for the context once per
-worker, not once per task.
+WarmHeader`: the pickled context (without its grounding index, which
+each worker rebuilds from the model) plus a pickle of the per-sweep
+parameters.  Workers decode each layer once and cache it, so a pool
+pays for the context once per worker, not once per task.
 
 Resilience (all opt-in, zero overhead when unused):
 
@@ -34,16 +38,6 @@ Resilience (all opt-in, zero overhead when unused):
   written to the :class:`~repro.perf.store.SolveStore` as scenarios
   complete, so a killed sweep resumes by running again on the same
   store — bit-identically to an uninterrupted run.
-
-Fan-out transports (``transport=``) decide how the context travels:
-``"pickle"`` serializes the whole context into the header (workers
-rebuild its grounding index from the model); ``"shm"`` strips it down
-to the flows and the filled grounding index as arrays, parks the
-array buffers in one :mod:`multiprocessing.shared_memory` segment
-(:mod:`repro.perf.shm`) and ships only a few kilobytes in band —
-workers rebuild the context from read-only views aliasing the segment.
-``"auto"`` (default) picks shm when the platform and context support
-it and silently degrades otherwise.
 
 Every scenario is solved on its own, exactly as the paper solves
 FMSSM once per failure combination: one producer,
@@ -78,13 +72,11 @@ from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.perf.kernels import prepare_instance
-from repro.perf.shm import FanoutStats, shm_available
 from repro.resilience import chaos
 from repro.perf.store import (
     SolveStore,
     decode_result,
     encode_result,
-    network_key,
     scenario_key,
     solve_key,
 )
@@ -97,12 +89,8 @@ from repro.resilience.degradation import (
 __all__ = [
     "SweepPlan",
     "parallel_sweep",
-    "fanout_summary",
     "store_summary",
 ]
-
-#: Recognized values of ``parallel_sweep``'s ``transport`` parameter.
-_TRANSPORTS = ("auto", "shm", "pickle")
 
 
 @dataclass
@@ -147,14 +135,8 @@ class SweepPlan:
 _EXACT_ALGORITHMS = frozenset({"optimal", "optimal-two-stage"})
 
 #: Algorithms whose per-task cost dwarfs pool overhead (exact solves).
+#: Only a sweep that holds one of them fans out.
 _HEAVY_ALGORITHMS = _EXACT_ALGORITHMS | {"retroflow-ip"}
-
-#: Below this many heuristic-only tasks, pool startup cannot pay off.
-_MIN_PARALLEL_TASKS = 64
-
-#: The warm-executor threshold is lower: there is no pool to start and
-#: (usually) no plan to decode, so fan-out pays off much earlier.
-_MIN_PARALLEL_TASKS_WARM = 16
 
 #: Shortest time between two of a sweep's writes to its store.  A
 #: scenario that completes this long after the previous write (or the
@@ -163,6 +145,37 @@ _MIN_PARALLEL_TASKS_WARM = 16
 #: per batch rather than per scenario.  A hard kill loses only what is
 #: buffered, which a re-run on the same store solves again.
 _SETTLE_INTERVAL_S = 1.0
+
+
+@dataclass
+class FanoutStats:
+    """Observable cost of shipping one sweep to the pool workers.
+
+    ``payload_bytes`` is the size of one submission's header (pickled
+    context plus per-sweep parameters).  ``encode_s`` is the parent's
+    encode time (near zero when the executor's context cache hits).
+    ``worker_init_s`` is the slowest worker's cache-miss plan build, 0.0
+    when every worker hit its plan cache.  ``evictions`` holds the
+    worst-worker cache-eviction counts per LRU layer
+    (``context``/``plan``/``chaos_nonce``), since any worker's eviction
+    means a future re-decode; layers that evicted nothing are omitted.
+    """
+
+    payload_bytes: int
+    encode_s: float = 0.0
+    worker_init_s: float = 0.0
+    evictions: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict[str, object]:
+        """JSON-ready form for result meta and bench records."""
+        out = {
+            "payload_bytes": self.payload_bytes,
+            "encode_s": self.encode_s,
+            "worker_init_s": self.worker_init_s,
+        }
+        if self.evictions:
+            out["evictions"] = dict(self.evictions)
+        return out
 
 
 def _solve(
@@ -253,7 +266,6 @@ class _SweepRunner:
         optimal_time_limit_s: float,
         ladder: LadderPolicy | None,
         validate: bool,
-        transport: str = "auto",
         store: SolveStore | None = None,
     ) -> None:
         from repro.experiments.runner import ScenarioResult
@@ -264,7 +276,6 @@ class _SweepRunner:
         self.optimal_time_limit_s = optimal_time_limit_s
         self.ladder = ladder
         self.validate = validate
-        self.transport = transport
         self.store = store
         #: Instances the store probe grounded to validate hits, by
         #: scenario index; the solve reuses them.
@@ -275,7 +286,7 @@ class _SweepRunner:
         #: when the sweep last wrote (:meth:`_settle`).
         self._unsettled: list[tuple[str, dict]] = []
         self._written_at = time.monotonic()
-        #: Fan-out transport stats of the last pool launch, if any.
+        #: Fan-out stats of the last pool launch, if any.
         self.fanout: FanoutStats | None = None
         self.results = [
             ScenarioResult(scenario=scenario, degradation=DegradationReport())
@@ -484,30 +495,12 @@ class _SweepRunner:
         The heavy context payload comes from the executor's cache —
         near-free on every sweep after the first over a context — and
         only the light per-sweep parameters are serialized fresh; the
-        ``sweep.payload`` chaos site applies to that fresh blob.  An
-        explicit ``transport="shm"`` that the executor could not honor
-        (pickle fallback) says so in a :class:`DegradedResultWarning`.
+        ``sweep.payload`` chaos site applies to that fresh blob.
         """
         from repro.perf import executor as executor_mod
 
         start = time.perf_counter()
-        entry = executor.encode_context(
-            self.context, prefer_shm=self.transport != "pickle"
-        )
-        shm = entry.payload.segment is not None
-        if self.transport == "shm" and not shm:
-            reason = (
-                "the context has no shareable array form"
-                if shm_available()
-                else "shared memory is unavailable on this platform"
-            )
-            warnings.warn(
-                DegradedResultWarning(
-                    f"shm transport requested but {reason}; "
-                    f"falling back to the pickle route"
-                ),
-                stacklevel=4,
-            )
+        entry = executor.encode_context(self.context)
         chaos_plan = chaos.active_plan()
         blob = pickle.dumps(
             executor_mod._SweepParams(
@@ -527,51 +520,24 @@ class _SweepRunner:
             sweep_blob=blob,
         )
         stats = FanoutStats(
-            transport="shm" if shm else "pickle",
-            payload_bytes=entry.payload.inband_bytes + len(blob),
-            shared_bytes=entry.payload.shared_bytes,
+            payload_bytes=len(entry.payload) + len(blob),
             encode_s=time.perf_counter() - start,
         )
         return header, stats
 
-    def _submissions(
-        self, tasks: Sequence[tuple[int, str]], workers: int
-    ) -> list[tuple[tuple[int, str], ...]]:
-        """The pool's submission units, each run by one
-        :func:`~repro.perf.executor._warm_run_chunk` call.
-
-        Heuristic-only sweeps submit one contiguous scenario-major chunk
-        per worker, cut on scenario boundaries, so each worker grounds
-        only its own slice of the instances, each once.  Heavy sweeps
-        submit one task per unit for dynamic load balancing.
-        """
-        if not any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-            groups = [
-                tuple(group)
-                for _, group in itertools.groupby(tasks, key=lambda t: t[0])
-            ]
-            bounds = [len(groups) * k // workers for k in range(workers + 1)]
-            chunks = (
-                tuple(itertools.chain.from_iterable(groups[lo:hi]))
-                for lo, hi in zip(bounds, bounds[1:])
-            )
-            return [chunk for chunk in chunks if chunk]
-        return [(task,) for task in tasks]
-
-    def run_warm(self, tasks: Sequence[tuple[int, str]], workers: int,
-                 executor) -> bool:
-        """Fan ``tasks`` over ``executor``'s pool; True when all completed.
+    def run_warm(self, tasks: Sequence[tuple[int, str]], executor) -> bool:
+        """Fan ``tasks`` over ``executor``'s pool, one submission per
+        task; True when all completed.
 
         False keeps every received result and sends the caller to the
         serial path: the pool broke, or a payload or result refused to
         (un)pickle.  A broken pool is flagged for transparent respawn on
-        the executor's next sweep, and the context's segment lease stays
-        with the executor (released on eviction or close, not here).
-        Task-level exceptions (solver bugs, validation failures without
-        a ladder, injected :class:`~repro.exceptions.ChaosError`)
-        propagate unchanged, exactly as the serial path would raise them.
+        the executor's next sweep.  Task-level exceptions (solver bugs,
+        validation failures without a ladder, injected
+        :class:`~repro.exceptions.ChaosError`) propagate unchanged,
+        exactly as the serial path would raise them.
         """
-        from repro.perf.executor import _warm_run_chunk
+        from repro.perf.executor import _warm_run_task
 
         try:
             header, stats = self._warm_header(executor)
@@ -583,14 +549,12 @@ class _SweepRunner:
         try:
             pool = executor.pool()
             pending = {
-                pool.submit(_warm_run_chunk, header, unit)
-                for unit in self._submissions(tasks, workers)
+                pool.submit(_warm_run_task, header, task) for task in tasks
             }
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    for row in future.result():
-                        self._store(*row)
+                    self._store(*future.result())
         except (OSError, pickle.PickleError, BrokenProcessPool) as exc:
             # A worker killed mid-task or a payload/result that refuses
             # (un)pickling: keep what we have, finish serially, and let
@@ -678,51 +642,51 @@ class _SweepRunner:
         for name, q_report in reports.items():
             self._run_quarantined(open_indices[name], q_report, supervisor)
 
-    def run_supervised(self, tasks: Sequence[tuple[int, str]], workers: int,
-                       executor, supervisor) -> bool:
+    def run_supervised(self, tasks: Sequence[tuple[int, str]], executor,
+                       supervisor) -> bool:
         """Warm fan-out under a :class:`~repro.resilience.supervisor.
         SweepSupervisor`; True when all tasks completed.
 
-        Same submission units and result contract as :meth:`run_warm` —
+        Same submissions and result contract as :meth:`run_warm` —
         fault-free, the two are byte-for-byte identical (the supervisor's
         hooks all return their inputs unchanged) — plus four layers of
         supervision, re-submitted in *rounds* until nothing is pending:
 
         * The wait loop doubles as the watchdog: it wakes every
-          ``poll_interval_s``, stamps a deadline on each submission unit
-          when it is first observed *running*, and hard-kills the pool
+          ``poll_interval_s``, stamps a deadline on each task when it is
+          first observed *running*, and hard-kills the pool
           (:meth:`~repro.perf.executor.SweepExecutor.preempt`) when a
-          unit overstays — charging only that unit's scenarios.
+          task overstays — charging only the overdue tasks' scenarios.
         * A :class:`~repro.exceptions.ChaosError` escaping a task is a
-          *task fault*: its unit's scenarios are charged and requeued.
+          *task fault*: its scenario is charged and the task requeued.
           Any other task exception propagates unchanged, exactly as the
           unsupervised routes raise it.
         * Scenarios charged past the retry budget are quarantined and
           solved serially in the parent before the next round.
-        * Each round submits under the breaker-effective ladder and
-          transport; a breaker state change mid-round cancels the
-          not-yet-running remainder so it requeues under the new route.
+        * Each round submits under the breaker-effective ladder; a
+          breaker state change mid-round cancels the not-yet-running
+          remainder so it requeues under the new ladder.
 
-        Pool crashes (``BrokenProcessPool`` and kin) charge the units
-        last observed running — the likely culprits — or all unfinished
-        ones when nothing was seen running; after ``max_pool_restarts``
-        of them the sweep falls back to serial like :meth:`run_warm`
-        does on its first crash.
+        Pool crashes (``BrokenProcessPool`` and kin) charge the scenarios
+        of the tasks last observed running — the likely culprits — or of
+        all unfinished ones when nothing was seen running.  A failure
+        charges each scenario once, however many of its tasks it hit.
+        After ``max_pool_restarts`` of them the sweep falls back to
+        serial like :meth:`run_warm` does on its first crash.
         """
         from repro.exceptions import ChaosError
-        from repro.perf.executor import _warm_run_chunk
+        from repro.perf.executor import _warm_run_task
 
         policy = supervisor.policy
         supervisor.stats["supervised_sweeps"] += 1
         executor.stats["sweeps"] += 1
         base_ladder = self.ladder
-        base_transport = self.transport
         pool_restarts = 0
-        # One header per effective (ladder, transport) route for the whole
-        # sweep.  Rebuilding per requeue round would mint a fresh chaos
-        # nonce each time (``SweepExecutor.plan_key``), resetting the
-        # workers' fault counters every round — a one-shot injected fault
-        # would then re-fire on every retry instead of being retried past.
+        # One header per effective ladder for the whole sweep.
+        # Rebuilding per requeue round would mint a fresh chaos nonce
+        # each time (``SweepExecutor.plan_key``), resetting the workers'
+        # fault counters every round — a one-shot injected fault would
+        # then re-fire on every retry instead of being retried past.
         headers: list = []
 
         try:
@@ -732,90 +696,38 @@ class _SweepRunner:
                 if not tasks:
                     return True
 
-                self.ladder = supervisor.effective_ladder(base_ladder)
-                self.transport = supervisor.effective_transport(base_transport)
-                ladder_round = self.ladder
+                self.ladder = ladder_round = supervisor.effective_ladder(base_ladder)
                 # Re-derived every round: rung-latency EWMAs observed in
                 # earlier rounds (and earlier sweeps of the campaign)
                 # tighten the watchdog for this one.
                 deadline_s = supervisor.task_deadline_s(
                     base_ladder, self.optimal_time_limit_s
                 )
-
-                def _route_header(transport: str):
-                    cached = next(
-                        (
-                            (h, s)
-                            for ladder, tp, h, s in headers
-                            if ladder == ladder_round and tp == transport
-                        ),
-                        None,
-                    )
-                    if cached is not None:
-                        return cached
-                    previous = self.transport
-                    self.transport = transport
+                built = next(
+                    (built for ladder, built in headers if ladder == ladder_round),
+                    None,
+                )
+                if built is None:
                     try:
                         built = self._warm_header(executor)
-                    finally:
-                        self.transport = previous
-                    headers.append((ladder_round, transport, *built))
-                    return built
-
-                try:
-                    header, stats = _route_header(self.transport)
-                except Exception as exc:  # unpicklable context: stay serial
-                    self._warn_fallback(
-                        f"sweep plan failed to encode ({exc!r})"
-                    )
-                    return False
-                self.fanout = stats
-
-                # Half-open transport trial: only ``probe_quota`` units
-                # ride the shm route; the rest of the round takes the
-                # known-good pickle header, bounding a failed trial's
-                # blast radius to the probe batch.
-                probe_quota = (
-                    supervisor.transport_probe_quota()
-                    if self.transport != "pickle"
-                    and stats.transport == "shm"
-                    else None
-                )
-                fallback_header = header
-                if probe_quota is not None:
-                    try:
-                        fallback_header, _ = _route_header("pickle")
-                    except Exception as exc:
+                    except Exception as exc:  # unpicklable context: stay serial
                         self._warn_fallback(
                             f"sweep plan failed to encode ({exc!r})"
                         )
                         return False
+                    headers.append((ladder_round, built))
+                header, self.fanout = built
 
-                units: dict = {}
+                submitted: dict = {}
                 processed: set = set()
                 running_seen: set = set()
                 deadlines: dict = {}
-                probe_futures: "set | None" = (
-                    None if probe_quota is None else set()
-                )
-                probe_done: set = set()
                 try:
                     pool = executor.pool()
-                    for n, unit in enumerate(self._submissions(tasks, workers)):
-                        on_probe = probe_quota is None or n < probe_quota
-                        future = pool.submit(
-                            _warm_run_chunk,
-                            header if on_probe else fallback_header,
-                            unit,
-                        )
-                        units[future] = unit
-                        if probe_futures is not None and on_probe:
-                            probe_futures.add(future)
+                    for task in tasks:
+                        submitted[pool.submit(_warm_run_task, header, task)] = task
 
-                    pending = set(units)
-                    preempted = False
-                    stored_rows = False
-                    transport_fault = False
+                    pending = set(submitted)
                     while pending:
                         done, pending = wait(
                             pending,
@@ -825,39 +737,31 @@ class _SweepRunner:
                         for future in done:
                             if future.cancelled():
                                 continue
+                            processed.add(future)
                             try:
-                                outcome = future.result()
+                                row = future.result()
                             except ChaosError as exc:
-                                processed.add(future)
-                                if "decode_context" in str(exc):
-                                    transport_fault = True
-                                self._charge_unit(
-                                    supervisor, units[future], "task-fault",
+                                supervisor.stats["task_faults"] += 1
+                                self._charge(
+                                    supervisor, [submitted[future]], "task-fault",
                                     str(exc),
                                 )
                                 continue
-                            processed.add(future)
-                            stored_rows = True
-                            if probe_futures is not None and future in probe_futures:
-                                probe_done.add(future)
-                            for row in outcome:
-                                self._store(*row)
-                                supervisor.observe_report(row[4])
-                                if base_ladder is None:
-                                    # Ladderless sweeps have no rung
-                                    # events; the solve wall-clock feeds
-                                    # the generic "task" EWMA instead.
-                                    supervisor.observe_latency(
-                                        "task", row[2].solve_time_s
-                                    )
+                            self._store(*row)
+                            supervisor.observe_report(row[4])
+                            if base_ladder is None:
+                                # Ladderless sweeps have no rung events;
+                                # the solve wall-clock feeds the generic
+                                # "task" EWMA instead.
+                                supervisor.observe_latency(
+                                    "task", row[2].solve_time_s
+                                )
 
                         now = supervisor.clock()
                         for future in pending:
                             if future not in deadlines and future.running():
                                 running_seen.add(future)
-                                deadlines[future] = now + deadline_s * max(
-                                    1, len(units[future])
-                                )
+                                deadlines[future] = now + deadline_s
                         expired = [
                             f for f in pending
                             if f in deadlines and now > deadlines[f]
@@ -865,57 +769,27 @@ class _SweepRunner:
                         if expired:
                             # Hung worker(s): kill the whole pool — a
                             # wedged task cannot be cancelled — charge
-                            # only the overdue units, requeue the rest.
+                            # only the overdue tasks, requeue the rest.
                             supervisor.stats["preemptions"] += 1
                             pool_restarts += 1
                             executor.preempt()
-                            for future in expired:
-                                processed.add(future)
-                                budget = deadline_s * max(1, len(units[future]))
-                                self._charge_unit(
-                                    supervisor, units[future], "preempted",
-                                    f"unit exceeded its {budget:.1f}s deadline",
-                                )
+                            processed.update(expired)
+                            names = self._charge(
+                                supervisor, [submitted[f] for f in expired],
+                                "preempted",
+                                f"task exceeded its {deadline_s:.1f}s deadline",
+                            )
                             supervisor.events.append({
-                                "action": "preempt",
-                                "scenarios": sorted({
-                                    self.scenarios[i].name
-                                    for f in expired
-                                    for i, _ in units[f]
-                                }),
+                                "action": "preempt", "scenarios": sorted(names),
                             })
-                            preempted = True
                             break
 
                         if supervisor.effective_ladder(base_ladder) != ladder_round:
                             # A breaker opened or half-opened mid-round:
                             # requeue everything not yet running under
-                            # the new effective route.
+                            # the new effective ladder.
                             for future in list(pending):
                                 future.cancel()
-
-                    if probe_futures is not None:
-                        # Half-open trial: the probe batch alone decides.
-                        # Every probe unit must have returned results over
-                        # shm — cancelled/faulted probes don't count.
-                        if (
-                            not preempted
-                            and not transport_fault
-                            and probe_futures
-                            and probe_done == probe_futures
-                        ):
-                            supervisor.observe_transport(True)
-                    elif (
-                        not preempted
-                        and not pending
-                        and stored_rows
-                        and not transport_fault
-                        and stats.transport == "shm"
-                    ):
-                        # Results actually crossed the shm route this
-                        # round — that is a transport success (closes a
-                        # half-open breaker, resets consecutive counts).
-                        supervisor.observe_transport(True)
                 except ChaosError as exc:
                     # ``executor.respawn`` chaos: the host cannot fork
                     # replacement workers — only the serial path is left.
@@ -927,12 +801,12 @@ class _SweepRunner:
                     executor.mark_broken()
                     blamed = [
                         f for f in running_seen if f not in processed
-                    ] or [f for f in units if f not in processed]
-                    for future in blamed:
-                        processed.add(future)
-                        self._charge_unit(
-                            supervisor, units[future], "pool-crash", repr(exc)
-                        )
+                    ] or [f for f in submitted if f not in processed]
+                    processed.update(blamed)
+                    self._charge(
+                        supervisor, [submitted[f] for f in blamed], "pool-crash",
+                        repr(exc),
+                    )
                     if pool_restarts > policy.max_pool_restarts:
                         self._warn_fallback(
                             f"process pool failed {pool_restarts} times, "
@@ -942,18 +816,12 @@ class _SweepRunner:
                         return False
         finally:
             self.ladder = base_ladder
-            self.transport = base_transport
 
-    def _charge_unit(self, supervisor, unit, cause: str, reason: str) -> None:
-        """Charge one failed submission unit's scenarios to the ledger
-        and stamp the failure on their results."""
-        if cause == "task-fault":
-            # Preemptions and pool crashes are counted once at their
-            # detection sites; task faults are inherently per-unit.
-            supervisor.stats["task_faults"] += 1
-            if "decode_context" in reason:
-                supervisor.observe_transport(False, reason)
-        indices = sorted({i for i, _ in unit})
+    def _charge(self, supervisor, tasks, cause: str, reason: str) -> list[str]:
+        """Charge one failure to the scenarios of ``tasks`` — each
+        scenario once, however many of its tasks the failure hit — and
+        stamp it on their results; returns the scenarios' names."""
+        indices = sorted({index for index, _ in tasks})
         names = [self.scenarios[i].name for i in indices]
         supervisor.charge(names, cause)
         for index in indices:
@@ -967,6 +835,7 @@ class _SweepRunner:
             "scenarios": names,
             "reason": reason,
         })
+        return names
 
     def _warn_fallback(self, cause: str) -> None:
         reason = f"{cause}; completing remaining tasks serially"
@@ -999,19 +868,6 @@ class _SweepRunner:
         return self.results
 
 
-def fanout_summary(results: "Sequence[ScenarioResult]") -> dict[str, object] | None:  # noqa: F821
-    """The sweep-level fan-out stats stamped on ``results`` (or ``None``).
-
-    Every result of one sweep carries the same ``meta["fanout"]`` dict;
-    this helper surfaces it once for reports and benchmarks.
-    """
-    for result in results:
-        fanout = result.meta.get("fanout")
-        if fanout is not None:
-            return dict(fanout)
-    return None
-
-
 def store_summary(results: "Sequence[ScenarioResult]") -> dict[str, object] | None:  # noqa: F821
     """Aggregate store hit/miss provenance of one sweep's results.
 
@@ -1037,10 +893,8 @@ def parallel_sweep(
     algorithms: Sequence[str],
     optimal_time_limit_s: float = 300.0,
     max_workers: int | None = None,
-    min_parallel_tasks: int | None = None,
     ladder: LadderPolicy | None = None,
     validate: bool = False,
-    transport: str = "auto",
     executor: "SweepExecutor | None" = None,  # noqa: F821
     supervisor: "SweepSupervisor | None" = None,  # noqa: F821
     store: SolveStore | None = None,
@@ -1048,30 +902,23 @@ def parallel_sweep(
     """Run ``scenarios`` × ``algorithms`` over a process pool.
 
     Results are merged in scenario order with per-scenario algorithm
-    order preserved, exactly as the serial sweep produces them.  Falls
-    back to the serial path when ``max_workers`` resolves to ≤ 1, when
-    the plan or a result refuses to pickle, or when the pool breaks —
-    in the latter two cases only the *remaining* tasks are recomputed,
-    and the cause is recorded on every affected result's
-    ``degradation`` report and raised as a
-    :class:`~repro.exceptions.DegradedResultWarning`.
+    order preserved, exactly as the serial sweep produces them.
 
-    Small heuristic-only sweeps also stay serial: forking a pool and
-    shipping the context costs tens of milliseconds, which a handful of
-    sub-millisecond PM/RetroFlow tasks can never repay.  Any algorithm
-    in ``_HEAVY_ALGORITHMS`` (exact solves) disables the heuristic, as
-    does ``min_parallel_tasks=0``.
+    Only a sweep that holds an exact solve (``optimal``,
+    ``optimal-two-stage`` or ``retroflow-ip``, :data:`_HEAVY_ALGORITHMS`)
+    fans out, one task per submission, and only when ``max_workers``
+    resolves to more than one worker.  Every heuristic-only sweep runs
+    serially, whatever its size and whether or not an ``executor`` or
+    ``supervisor`` is passed: its sub-millisecond tasks never repay
+    shipping them to a pool, warm or fresh.  A pool sweep falls back to
+    the serial path when the plan or a result refuses to pickle, or when
+    the pool breaks; only the *remaining* tasks are recomputed, and the
+    cause is recorded on every affected result's ``degradation`` report
+    and raised as a :class:`~repro.exceptions.DegradedResultWarning`.
 
     Resilience knobs (see :mod:`repro.resilience`): ``ladder`` walks
     ``optimal`` solves down a degradation ladder and ``validate``
     re-checks heuristic solutions.
-
-    Performance knob: ``transport`` picks how the context reaches
-    workers (``"auto"`` prefers the zero-copy shared-memory route and
-    degrades to pickle; ``"shm"`` degrades too but warns; ``"pickle"``
-    ships the pickled context).  It is a pure execution strategy:
-    results are bit-identical to the default, and store keys do not
-    depend on it — a sweep may resume under a different transport.
 
     Without ``executor`` the sweep runs on a
     :class:`~repro.perf.executor.SweepExecutor` scoped to the call, whose
@@ -1082,13 +929,13 @@ def parallel_sweep(
     way, and pool failures degrade to the serial path on both.
 
     ``supervisor`` wraps the warm route in a
-    :class:`~repro.resilience.supervisor.SweepSupervisor`: per-unit
+    :class:`~repro.resilience.supervisor.SweepSupervisor`: per-task
     deadlines with hung-worker preemption, retry budgets with poison-
     scenario quarantine to the serial ladder, and circuit breakers
-    around the exact rungs and the shm transport.  Implies the warm
-    route (the default executor is used when none is passed); with no
-    faults observed the supervised sweep is bit-identical to the
-    unsupervised one.
+    around the exact rungs.  A sweep that fans out under a supervisor
+    takes the warm route (the default executor is used when none is
+    passed); with no faults observed the supervised sweep is
+    bit-identical to the unsupervised one.
 
     ``store`` memoizes solves across parent processes and runs through a
     :class:`~repro.perf.store.SolveStore`, keyed by scenario: the
@@ -1107,10 +954,6 @@ def parallel_sweep(
     entirely so fault injection still exercises real solves; a chaotic
     sweep is never resumed.
     """
-    if transport not in _TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {_TRANSPORTS}"
-        )
     if executor is not None and executor.closed:
         raise ValueError("executor is closed; create a new SweepExecutor")
     if supervisor is not None and executor is None:
@@ -1135,7 +978,6 @@ def parallel_sweep(
         optimal_time_limit_s,
         ladder,
         validate,
-        transport=transport,
         store=store,
     )
     try:
@@ -1144,20 +986,12 @@ def parallel_sweep(
         tasks = runner.pending_tasks()
         if not tasks:
             return runner.finish()
-        if min_parallel_tasks is None:
-            min_parallel_tasks = (
-                _MIN_PARALLEL_TASKS_WARM if executor is not None else _MIN_PARALLEL_TASKS
-            )
-        heuristics_only = not any(a in _HEAVY_ALGORITHMS for a in algorithms)
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         workers = min(max_workers, len(tasks))
 
-        if heuristics_only and len(tasks) < min_parallel_tasks:
-            runner.record_mode(
-                f"serial: {len(tasks)} heuristic-only tasks < "
-                f"min_parallel_tasks={min_parallel_tasks}"
-            )
+        if not any(a in _HEAVY_ALGORITHMS for a in algorithms):
+            runner.record_mode("serial: heuristic-only sweep")
             runner.run_serial(tasks)
         elif workers <= 1:
             runner.record_mode(f"serial: max_workers={max_workers} resolves to <= 1 worker")
@@ -1167,24 +1001,23 @@ def parallel_sweep(
                 f"supervised-warm-pool: executor {executor.id}, {workers} workers, "
                 f"{len(tasks)} tasks"
             )
-            if not runner.run_supervised(tasks, workers, executor, supervisor):
+            if not runner.run_supervised(tasks, executor, supervisor):
                 runner.run_serial(runner.pending_tasks())
         elif executor is not None:
             runner.record_mode(
                 f"warm-pool: executor {executor.id}, {workers} workers, "
                 f"{len(tasks)} tasks"
             )
-            if not runner.run_warm(tasks, workers, executor):
+            if not runner.run_warm(tasks, executor):
                 runner.run_serial(runner.pending_tasks())
         else:
             from repro.perf.executor import SweepExecutor
 
             runner.record_mode(f"pool: {workers} workers, {len(tasks)} tasks")
             # A pool scoped to this call: closing it shuts the workers down
-            # before the context's segment lease is released, and before the
-            # serial path picks up whatever the pool left.
+            # before the serial path picks up whatever the pool left.
             with SweepExecutor(max_workers=workers) as scoped:
-                pooled = runner.run_warm(tasks, workers, scoped)
+                pooled = runner.run_warm(tasks, scoped)
             if not pooled:
                 runner.run_serial(runner.pending_tasks())
     finally:

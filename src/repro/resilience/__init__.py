@@ -17,7 +17,7 @@ pipeline.  Four pieces:
     A **sweep supervisor** around the warm executor: per-unit deadlines
     with hung-worker preemption, retry budgets with poison-scenario
     quarantine to the serial ladder, and closed/open/half-open circuit
-    breakers around the exact rungs and the shm transport.
+    breakers around the exact rungs.
 :mod:`repro.resilience.validate`
     An **independent solution validator** checking any
     :class:`~repro.fmssm.solution.RecoverySolution` against the

@@ -5,19 +5,18 @@ rung that raises, a pool that breaks, a payload that will not unpickle.
 This module supervises the faults that do not:
 
 Hung-task preemption
-    Every submission unit (a task or a chunk of tasks) carries a
-    deadline derived from the ladder's rung budgets times
-    :attr:`SupervisorPolicy.deadline_multiplier`.  The supervised wait
-    loop doubles as a parent-side watchdog: a unit still running past
-    its deadline gets the pool hard-killed
-    (:meth:`~repro.perf.executor.SweepExecutor.preempt`), its scenarios
+    Every submitted task carries a deadline derived from the ladder's
+    rung budgets times :attr:`SupervisorPolicy.deadline_multiplier`.
+    The supervised wait loop doubles as a parent-side watchdog: a task
+    still running past its deadline gets the pool hard-killed
+    (:meth:`~repro.perf.executor.SweepExecutor.preempt`), its scenario
     stamped with a ``preempted`` event, and the unfinished work requeued
-    on the respawned pool.  The clock starts when the unit is *observed
+    on the respawned pool.  The clock starts when the task is *observed
     running*, so queued work never counts as hung.
 
 Poison quarantine
     A :class:`RetryLedger` charges each preemption or pool crash to the
-    scenarios of the failed unit.  A scenario charged more than
+    scenario of the failed task.  A scenario charged more than
     :attr:`SupervisorPolicy.max_task_retries` times is **quarantined**:
     pulled out of the pool entirely and solved serially in the parent
     through the degradation ladder (terminal PM rung), where
@@ -26,14 +25,14 @@ Poison quarantine
 
 Circuit breakers
     Classic closed → open → half-open :class:`CircuitBreaker`\\ s guard
-    the exact-solver rung (``sparse+warm``) and the
-    shared-memory transport.  After ``breaker_threshold`` *consecutive*
-    failures the breaker opens and the supervisor routes around the
-    failing component — the ladder skips straight past the rung
-    (:meth:`~repro.resilience.degradation.LadderPolicy.drop_rungs`),
-    the transport falls back to pickle — instead of paying the timeout
-    on every scenario.  After ``breaker_cooldown_s`` the breaker
-    half-opens and one trial round decides whether it closes or re-opens.
+    the exact-solver rung (``sparse+warm``).  After
+    ``breaker_threshold`` *consecutive* failures the breaker opens and
+    the supervisor routes around the failing rung — the ladder skips
+    straight past it
+    (:meth:`~repro.resilience.degradation.LadderPolicy.drop_rungs`) —
+    instead of paying the timeout on every scenario.  After
+    ``breaker_cooldown_s`` the breaker half-opens and one trial round
+    decides whether it closes or re-opens.
     The clock is injected (:attr:`SweepSupervisor.clock`) so tests drive
     transitions deterministically.
 
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.resilience.degradation import LadderPolicy
 
@@ -65,9 +64,6 @@ __all__ = [
 #: Ladder rungs guarded by a circuit breaker.  The terminal ``pm`` rung
 #: is deliberately absent: it is the component the others degrade *to*.
 BREAKER_RUNGS = ("sparse+warm",)
-
-#: Breaker guarding the shared-memory fan-out transport.
-TRANSPORT_BREAKER = "transport:shm"
 
 
 class BreakerOpenState:
@@ -96,17 +92,13 @@ class CircuitBreaker:
         threshold: int = 3,
         cooldown_s: float = 60.0,
         clock: Callable[[], float] = time.monotonic,
-        probe_batch: int = 1,
     ) -> None:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if probe_batch < 1:
-            raise ValueError("probe_batch must be >= 1")
         self.name = name
         self.threshold = threshold
         self.cooldown_s = cooldown_s
         self.clock = clock
-        self.probe_batch = probe_batch
         self.failures = 0  # consecutive failures while closed
         self.trips = 0  # times the breaker opened
         self._opened_at: float | None = None
@@ -143,21 +135,6 @@ class CircuitBreaker:
             )
             return True
         return False
-
-    def probe_quota(self) -> int | None:
-        """How many units may *probe* the guarded component right now.
-
-        ``None`` while closed (no limit), ``0`` while open and still
-        cooling down, and :attr:`probe_batch` once a trial is due (open
-        past its cooldown, or already half-open).  Pure — unlike
-        :meth:`allow_request` it never transitions state, so callers can
-        size a probe batch before deciding to half-open the breaker.
-        """
-        if self._opened_at is None:
-            return None
-        if self._half_open or self.clock() - self._opened_at >= self.cooldown_s:
-            return self.probe_batch
-        return 0
 
     def record_failure(self, reason: str = "") -> None:
         """One failure of the guarded component."""
@@ -202,9 +179,8 @@ class SupervisorPolicy:
     ``None`` the deadline is ``deadline_multiplier`` times the ladder's
     total rung budget (time limits × attempts, plus backoffs), or times
     the sweep's ``optimal_time_limit_s`` for ladderless sweeps, floored
-    at ``min_deadline_s``.  A submission unit of *k* tasks gets *k*
-    times the per-task deadline, counted from the moment the unit is
-    observed running.
+    at ``min_deadline_s``.  A task's deadline counts from the moment
+    the task is observed running.
 
     Observed rung latencies tighten the derivation adaptively: each
     accepted/demoted attempt feeds an EWMA (weight ``ewma_alpha``) per
@@ -223,8 +199,6 @@ class SupervisorPolicy:
     ewma_alpha: float = 0.2
     #: Hard upper bound on the derived deadline (``None`` = unbounded).
     max_deadline_s: float | None = None
-    #: Submission units allowed through a half-open transport trial.
-    transport_probe_batch: int = 2
     #: Times a scenario may be charged (preempt/crash) before quarantine.
     max_task_retries: int = 2
     #: Pool respawns one sweep may consume before degrading to serial.
@@ -303,13 +277,8 @@ class SweepSupervisor:
                 threshold=self.policy.breaker_threshold,
                 cooldown_s=self.policy.breaker_cooldown_s,
                 clock=clock,
-                probe_batch=(
-                    self.policy.transport_probe_batch
-                    if name == TRANSPORT_BREAKER
-                    else 1
-                ),
             )
-            for name in (*(f"rung:{r}" for r in BREAKER_RUNGS), TRANSPORT_BREAKER)
+            for name in (f"rung:{r}" for r in BREAKER_RUNGS)
         }
         #: EWMA of observed per-attempt latencies, keyed by rung name
         #: (``"task"`` for ladderless sweeps).
@@ -385,14 +354,6 @@ class SweepSupervisor:
             return ladder
         return ladder.drop_rungs(blocked)
 
-    def effective_transport(self, transport: str) -> str:
-        """``transport`` with the shm route breaker applied."""
-        if transport == "pickle":
-            return transport
-        if not self.breakers[TRANSPORT_BREAKER].allow_request():
-            return "pickle"
-        return transport
-
     def observe_report(self, report_dict: dict | None) -> None:
         """Feed one task's degradation trail into the rung breakers.
 
@@ -430,39 +391,6 @@ class SweepSupervisor:
                         "breaker": breaker.name,
                     })
                 breaker.record_success()
-
-    def transport_probe_quota(self) -> int | None:
-        """How many submission units may ride shm this round (pure).
-
-        ``None`` when the transport breaker is closed (no limit), ``0``
-        while it is open and cooling down, and the policy's
-        ``transport_probe_batch`` when a half-open trial is due — the
-        supervised runner sends only that many units over shm and routes
-        the rest through pickle, so one bad trial risks a bounded slice
-        of the round instead of all of it.
-        """
-        return self.breakers[TRANSPORT_BREAKER].probe_quota()
-
-    def observe_transport(self, ok: bool, reason: str = "") -> None:
-        """Feed one shm-route round outcome into the transport breaker."""
-        breaker = self.breakers[TRANSPORT_BREAKER]
-        if ok:
-            if breaker.state != BreakerOpenState.CLOSED:
-                self.events.append({
-                    "action": "breaker-close",
-                    "breaker": breaker.name,
-                })
-            breaker.record_success()
-        else:
-            before = breaker.trips
-            breaker.record_failure(reason)
-            if breaker.trips > before:
-                self.stats["breaker_trips"] += 1
-                self.events.append({
-                    "action": "breaker-open",
-                    "breaker": breaker.name,
-                    "reason": reason,
-                })
 
     # -- quarantine ----------------------------------------------------
     def charge(self, scenarios: Iterable[str], cause: str) -> None:

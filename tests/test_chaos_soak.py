@@ -50,7 +50,6 @@ from test_store_resume import Interrupted, interrupt_after
 from repro.control.failures import FailureScenario
 from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
-from repro.perf import shm
 from repro.perf.executor import (
     SweepExecutor,
     campaign_summary,
@@ -112,13 +111,10 @@ def soak_reference(soak_context, soak_sweeps, soak_ladder):
 
 
 @pytest.fixture(autouse=True)
-def _no_leaks():
+def _clean_up():
     yield
     chaos.uninstall()
     close_default_executor()
-    leaked = shm.active_segments()
-    shm.release_all()
-    assert leaked == (), f"leaked shared-memory segments: {leaked}"
 
 
 #: The exact-solver fault rides every sweep: each process's first exact
@@ -155,7 +151,7 @@ def _soak_policy() -> SupervisorPolicy:
 def _soak_campaign(context, sweeps, ladder, store, supervisor, executor):
     return run_campaign(
         context, sweeps, SOAK_ALGORITHMS,
-        executor=executor, max_workers=2, min_parallel_tasks=0,
+        executor=executor, max_workers=2,
         optimal_time_limit_s=30.0, ladder=ladder,
         store=store, supervisor=supervisor,
     )
@@ -299,7 +295,7 @@ class TestLadderInsideWarmExecutor:
                     chaotic = parallel_sweep(
                         soak_context, scenarios, SOAK_ALGORITHMS,
                         optimal_time_limit_s=30.0, ladder=soak_ladder,
-                        max_workers=2, min_parallel_tasks=0,
+                        max_workers=2,
                         executor=executor, supervisor=supervisors[kind],
                     )
                 assert_sweeps_identical(reference, chaotic)
@@ -326,7 +322,7 @@ class TestLadderInsideWarmExecutor:
                 rerun = parallel_sweep(
                     soak_context, scenarios, SOAK_ALGORITHMS,
                     optimal_time_limit_s=30.0, ladder=soak_ladder,
-                    max_workers=2, min_parallel_tasks=0,
+                    max_workers=2,
                     executor=executor, supervisor=survivor,
                 )
             assert_sweeps_identical(reference, rerun)
@@ -355,7 +351,7 @@ class TestLadderInsideWarmExecutor:
         with SweepExecutor(max_workers=2) as executor:
             options = dict(
                 optimal_time_limit_s=30.0, ladder=soak_ladder,
-                max_workers=2, min_parallel_tasks=0,
+                max_workers=2,
                 executor=executor, supervisor=supervisor,
             )
             interrupt_after(monkeypatch, 1)
@@ -390,7 +386,7 @@ class TestEvictionTelemetry:
             results = parallel_sweep(
                 soak_context, soak_sweeps[0], SOAK_ALGORITHMS,
                 optimal_time_limit_s=30.0, ladder=soak_ladder,
-                max_workers=2, min_parallel_tasks=0, executor=executor,
+                max_workers=2, executor=executor,
             )
         for result in results:
             fanout = result.meta.get("fanout")
@@ -414,8 +410,8 @@ class TestEvictionTelemetry:
                 chaos.install(benign)
                 try:
                     results = parallel_sweep(
-                        soak_context, scenarios, ("pm", "retroflow"),
-                        max_workers=2, min_parallel_tasks=0,
+                        soak_context, scenarios, SOAK_ALGORITHMS,
+                        optimal_time_limit_s=30.0, max_workers=2,
                         executor=executor,
                     )
                 finally:
@@ -429,7 +425,7 @@ class TestEvictionTelemetry:
         with SweepExecutor(max_workers=2) as executor:
             collected = dict(run_campaign(
                 soak_context, soak_sweeps, SOAK_ALGORITHMS,
-                executor=executor, max_workers=2, min_parallel_tasks=0,
+                executor=executor, max_workers=2,
                 optimal_time_limit_s=30.0, ladder=soak_ladder,
             ))
         summary = campaign_summary(collected)

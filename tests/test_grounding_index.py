@@ -30,7 +30,6 @@ from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
 from repro.fmssm.evaluation import evaluate_batch
 from repro.fmssm.instance import FMSSMInstance
 from repro.pm.algorithm import solve_pm
-from repro.perf.executor import _slim_context
 from repro.topology.generators import grid_topology, waxman_topology
 from repro.topology.partition import nearest_site_partition
 
@@ -227,12 +226,13 @@ def materialized(build) -> ExperimentContext:
     return context
 
 
-def shm_rebuilt(build) -> ExperimentContext:
-    """A context rebuilt from its array form, as pool workers get it."""
-    return _slim_context(build()).rebuild_context()
+def unpickled(build) -> ExperimentContext:
+    """A pickled copy of a materialized context, as pool workers get it
+    (the copy carries no index and grounds from the model)."""
+    return pickle.loads(pickle.dumps(materialized(build)))
 
 
-SOURCES = (model_backed, materialized, shm_rebuilt)
+SOURCES = (model_backed, materialized, unpickled)
 
 
 def assert_grounds_like_reference(build, k: int = 3) -> None:
@@ -274,8 +274,9 @@ class TestMatchesReference:
 
     def test_wan72_one_to_three_failures(self):
         # One WAN serves all three sources: the reference and the
-        # model-backed context read its model; the materialized and
-        # rebuilt contexts share its plane, flows and counter.
+        # model-backed context read its model; the materialized context
+        # shares its plane, flows and counter, and its unpickled copy
+        # (what a pool worker grounds from) carries equal ones.
         context = wan72_context()
         materialized = ExperimentContext(
             topology=context.topology,
@@ -285,7 +286,7 @@ class TestMatchesReference:
             delay_model=context.delay_model,
         )
         materialized.materialize_table()
-        rebuilt = shm_rebuilt(lambda: materialized)
+        rebuilt = unpickled(lambda: materialized)
         for scenario in scenarios_up_to(context, 3):
             expected = reference_build(
                 context.plane,

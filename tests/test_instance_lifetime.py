@@ -193,7 +193,8 @@ class TestPlanHold:
         assert grounded[0] == once_each([scenarios[2]])
 
     def test_worker_tasks_ground_once_per_scenario(self, grounded, monkeypatch):
-        # A worker's chunk: every heuristic on each of two scenarios.
+        # Every heuristic on each of two scenarios, as the serial path
+        # runs them; a worker's plan holds the instances the same way.
         context = default_att_context()
         scenarios = tuple(enumerate_failure_scenarios(context.plane, 2))[:2]
         plan = SweepPlan(context, scenarios)

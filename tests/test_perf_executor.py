@@ -2,15 +2,16 @@
 
 Every sweep through a :class:`~repro.perf.executor.SweepExecutor` —
 first (cold workers), repeated (warm workers, cached plan), or degraded
-by chaos — must produce results bit-identical
-to the serial sweep.  The executor additionally owns every shared-memory
-lease it creates: tests assert the segment registry is empty after
-``close()``, whatever happened in between.
+by chaos — must produce results bit-identical to the serial sweep.
+Only sweeps holding an exact solve fan out, so every pool sweep here
+carries ``optimal``; on these ring scenarios it certifies from its seed,
+so no MILP runs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import warnings
 
 import pytest
@@ -23,7 +24,6 @@ from repro.control.failures import FailureScenario
 from repro.exceptions import DegradedResultWarning
 from repro.experiments.runner import run_failure_sweep, run_failure_sweep_parallel
 from repro.experiments.scenarios import custom_context
-from repro.perf import shm
 from repro.perf.executor import (
     SweepExecutor,
     close_default_executor,
@@ -34,8 +34,8 @@ from repro.perf.sweep import parallel_sweep
 from repro.resilience import chaos
 from repro.topology.generators import ring_topology
 
-#: Heuristics only — exact solves appear in the dedicated routes below.
-FAST_ALGORITHMS = ("pm", "retroflow", "pg", "nearest")
+#: The exact solve (precertified here) sends a sweep to the pool.
+POOL_ALGORITHMS = ("optimal", "pm", "retroflow", "pg", "nearest")
 
 CONTROLLERS = (0, 3, 7)
 
@@ -56,17 +56,15 @@ def ring_scenarios():
 
 @pytest.fixture(scope="module")
 def ring_serial(ring_context, ring_scenarios):
-    return parallel_sweep(ring_context, ring_scenarios, FAST_ALGORITHMS)
+    return parallel_sweep(
+        ring_context, ring_scenarios, POOL_ALGORITHMS, max_workers=1,
+    )
 
 
 @pytest.fixture(autouse=True)
-def _no_leaks():
-    """Every test must leave the segment registry empty."""
+def _close_default_executor():
     yield
     close_default_executor()
-    leaked = shm.active_segments()
-    shm.release_all()
-    assert leaked == (), f"leaked shared-memory segments: {leaked}"
 
 
 class TestWarmEquivalence:
@@ -77,8 +75,8 @@ class TestWarmEquivalence:
         with SweepExecutor(max_workers=2) as executor:
             for _ in range(3):
                 warm = parallel_sweep(
-                    ring_context, ring_scenarios, FAST_ALGORITHMS,
-                    max_workers=2, min_parallel_tasks=0, executor=executor,
+                    ring_context, ring_scenarios, POOL_ALGORITHMS,
+                    max_workers=2, executor=executor,
                 )
                 assert_sweeps_identical(ring_serial, warm)
             assert executor.stats["sweeps"] == 3
@@ -87,10 +85,11 @@ class TestWarmEquivalence:
             assert executor.stats["respawns"] == 0
 
     def test_att_warm_equals_serial(self, att_context):
-        serial = run_failure_sweep(att_context, 1, FAST_ALGORITHMS)
+        serial = run_failure_sweep(att_context, 1, POOL_ALGORITHMS, 60.0)
         with SweepExecutor(max_workers=4) as executor:
             warm = run_failure_sweep_parallel(
-                att_context, 1, FAST_ALGORITHMS, max_workers=4, executor=executor,
+                att_context, 1, POOL_ALGORITHMS, 60.0, max_workers=4,
+                executor=executor,
             )
         assert_sweeps_identical(serial, warm)
 
@@ -99,12 +98,13 @@ class TestWarmEquivalence:
         algorithms = ("optimal", "pm")
         serial = parallel_sweep(
             ring_context, ring_scenarios, algorithms, optimal_time_limit_s=60.0,
+            max_workers=1,
         )
         with SweepExecutor(max_workers=2) as executor:
             warm = parallel_sweep(
                 ring_context, ring_scenarios, algorithms,
                 optimal_time_limit_s=60.0, max_workers=2,
-                min_parallel_tasks=0, executor=executor,
+                executor=executor,
             )
         assert_sweeps_identical(serial, warm)
 
@@ -113,21 +113,8 @@ class TestWarmEquivalence:
         executor.close()
         with pytest.raises(ValueError, match="closed"):
             parallel_sweep(
-                ring_context, ring_scenarios, FAST_ALGORITHMS, executor=executor,
+                ring_context, ring_scenarios, POOL_ALGORITHMS, executor=executor,
             )
-
-    def test_pickle_transport_warm(self, ring_context, ring_scenarios, ring_serial):
-        """``transport="pickle"`` disables shm but not the warm caches."""
-        with SweepExecutor(max_workers=2) as executor:
-            for _ in range(2):
-                warm = parallel_sweep(
-                    ring_context, ring_scenarios, FAST_ALGORITHMS,
-                    max_workers=2, min_parallel_tasks=0, transport="pickle",
-                    executor=executor,
-                )
-                assert_sweeps_identical(ring_serial, warm)
-            assert shm.active_segments() == ()
-            assert executor.stats["encode_hits"] == 1
 
 
 class TestCallScopedPool:
@@ -137,50 +124,35 @@ class TestCallScopedPool:
     def test_exact_solves_ship_no_more_than_heuristics(
         self, ring_context, ring_scenarios, scope
     ):
-        """Exact solves add nothing to a submission's in-band payload:
-        workers build their own compiler templates."""
-
-        def payload_bytes(algorithms):
-            options = dict(
-                optimal_time_limit_s=60.0, max_workers=2, min_parallel_tasks=0,
-            )
-            if scope == "caller":
-                with SweepExecutor(max_workers=2) as executor:
-                    results = parallel_sweep(
-                        ring_context, ring_scenarios, algorithms,
-                        executor=executor, **options,
-                    )
-            else:
+        """A submission ships the pickled context, which is all a
+        heuristic task needs, plus the sweep's small parameters: exact
+        solves add nothing, since workers build their own compiler
+        templates."""
+        options = dict(optimal_time_limit_s=60.0, max_workers=2)
+        if scope == "caller":
+            with SweepExecutor(max_workers=2) as executor:
                 results = parallel_sweep(
-                    ring_context, ring_scenarios, algorithms, **options,
+                    ring_context, ring_scenarios, ("pm", "optimal"),
+                    executor=executor, **options,
                 )
-            return results[0].meta["fanout"]["payload_bytes"]
-
-        exact, heuristic = payload_bytes(("pm", "optimal")), payload_bytes(("pm",))
-        assert abs(exact - heuristic) <= 1024, (exact, heuristic)
-
-    def test_unavailable_shm_warns_and_ships_pickle(
-        self, ring_context, ring_scenarios, ring_serial, monkeypatch
-    ):
-        monkeypatch.setattr(shm, "_AVAILABLE", False)
-        with pytest.warns(DegradedResultWarning, match="shm transport requested"):
+        else:
             results = parallel_sweep(
-                ring_context, ring_scenarios, FAST_ALGORITHMS,
-                max_workers=2, min_parallel_tasks=0, transport="shm",
+                ring_context, ring_scenarios, ("pm", "optimal"), **options,
             )
-        assert results[0].meta["fanout"]["transport"] == "pickle"
-        assert_sweeps_identical(ring_serial, results)
+        exact = results[0].meta["fanout"]["payload_bytes"]
+        context = len(pickle.dumps(ring_context, protocol=pickle.HIGHEST_PROTOCOL))
+        assert 0 <= exact - context <= 1024, (exact, context)
 
-    def test_pool_and_segment_end_with_the_call(
+    def test_pool_ends_with_the_call(
         self, ring_context, ring_scenarios, ring_serial
     ):
         results = parallel_sweep(
-            ring_context, ring_scenarios, FAST_ALGORITHMS,
-            max_workers=2, min_parallel_tasks=0,
+            ring_context, ring_scenarios, POOL_ALGORITHMS, max_workers=2,
         )
-        assert results[0].meta["fanout"]["transport"] in ("shm", "pickle")
+        assert set(results[0].meta["fanout"]) == {
+            "payload_bytes", "encode_s", "worker_init_s",
+        }
         assert_sweeps_identical(ring_serial, results)
-        assert shm.active_segments() == ()
         assert multiprocessing.active_children() == []
 
     def test_worker_init_is_zero_when_every_plan_is_cached(
@@ -190,8 +162,8 @@ class TestCallScopedPool:
         with SweepExecutor(max_workers=1) as executor:
             init_s = [
                 parallel_sweep(
-                    ring_context, ring_scenarios, FAST_ALGORITHMS,
-                    max_workers=2, min_parallel_tasks=0, executor=executor,
+                    ring_context, ring_scenarios, POOL_ALGORITHMS,
+                    max_workers=2, executor=executor,
                 )[0].meta["fanout"]["worker_init_s"]
                 for _ in range(2)
             ]
@@ -222,7 +194,7 @@ class TestWarmProperty:
         failed=st.lists(
             st.sampled_from(CONTROLLERS), min_size=1, max_size=2, unique=True
         ),
-        algorithms=st.permutations(FAST_ALGORITHMS),
+        algorithms=st.permutations(POOL_ALGORITHMS),
     )
     def test_any_sweep_warm_equals_serial(
         self, ring_context, property_executor, failed, algorithms
@@ -231,10 +203,10 @@ class TestWarmProperty:
         executor across all examples — warm results always match serial."""
         scenarios = tuple(FailureScenario(frozenset({c})) for c in sorted(failed))
         algorithms = tuple(algorithms)
-        serial = parallel_sweep(ring_context, scenarios, algorithms)
+        serial = parallel_sweep(ring_context, scenarios, algorithms, max_workers=1)
         warm = parallel_sweep(
             ring_context, scenarios, algorithms,
-            max_workers=2, min_parallel_tasks=0, executor=property_executor,
+            max_workers=2, executor=property_executor,
         )
         assert_sweeps_identical(serial, warm)
 
@@ -247,8 +219,12 @@ class TestInvalidation:
             controller_sites=CONTROLLERS,
             capacity=240,
         )
-        serial_a = parallel_sweep(ring_context, ring_scenarios, FAST_ALGORITHMS)
-        serial_b = parallel_sweep(other_context, ring_scenarios, FAST_ALGORITHMS)
+        serial_a = parallel_sweep(
+            ring_context, ring_scenarios, POOL_ALGORITHMS, max_workers=1,
+        )
+        serial_b = parallel_sweep(
+            other_context, ring_scenarios, POOL_ALGORITHMS, max_workers=1,
+        )
         with SweepExecutor(max_workers=2) as executor:
             for context, serial in (
                 (ring_context, serial_a),
@@ -256,8 +232,8 @@ class TestInvalidation:
                 (ring_context, serial_a),
             ):
                 warm = parallel_sweep(
-                    context, ring_scenarios, FAST_ALGORITHMS,
-                    max_workers=2, min_parallel_tasks=0, executor=executor,
+                    context, ring_scenarios, POOL_ALGORITHMS,
+                    max_workers=2, executor=executor,
                 )
                 assert_sweeps_identical(serial, warm)
             # Both contexts cached; the third sweep hit the first entry.
@@ -265,49 +241,30 @@ class TestInvalidation:
             assert executor.stats["encode_hits"] == 1
 
 
-class TestLeaseLifecycle:
-    def test_repeated_sweeps_hold_one_lease_until_close(
-        self, ring_context, ring_scenarios, ring_serial
-    ):
-        """The executor pins exactly one segment per cached context and
-        releases it on close — never mid-sweep, never late."""
-        if not shm.shm_available():
-            pytest.skip("platform without POSIX shared memory")
-        executor = SweepExecutor(max_workers=2)
-        try:
-            for _ in range(3):
-                warm = parallel_sweep(
-                    ring_context, ring_scenarios, FAST_ALGORITHMS,
-                    max_workers=2, min_parallel_tasks=0, executor=executor,
-                )
-                assert_sweeps_identical(ring_serial, warm)
-                assert len(shm.active_segments()) == 1
-        finally:
-            executor.close()
-        assert shm.active_segments() == ()
-        executor.close()  # idempotent
-
-    def test_eviction_releases_lease(self, ring_context):
-        if not shm.shm_available():
-            pytest.skip("platform without POSIX shared memory")
+class TestLifecycle:
+    def test_eviction_drops_the_oldest_payload(self, ring_context):
         other = custom_context(
             ring_topology(8, chords=3, seed=5),
             controller_sites=(0, 4),
             capacity=120,
         )
-        with SweepExecutor(max_workers=1, max_cached_contexts=1) as executor:
-            executor.encode_context(ring_context)
-            assert len(shm.active_segments()) == 1
-            executor.encode_context(other)  # evicts (and releases) the first
-            assert len(shm.active_segments()) == 1
-        assert shm.active_segments() == ()
+        executor = SweepExecutor(max_workers=1, max_cached_contexts=1)
+        with executor:
+            first = executor.encode_context(ring_context)
+            assert executor.encode_context(ring_context) is first
+            executor.encode_context(other)  # evicts the first
+            again = executor.encode_context(ring_context)
+            assert again.generation > first.generation
+            assert executor.stats["encode_misses"] == 3
+        assert executor.closed
+        executor.close()  # idempotent
 
     def test_kill_worker_degrades_then_respawns_without_leaks(
         self, ring_context, ring_scenarios, ring_serial
     ):
         """A killed worker breaks the pool: the sweep keeps its completed
         results and finishes serially; the *next* sweep respawns the pool
-        transparently; no segment outlives the executor."""
+        transparently; no worker outlives the executor."""
         executor = SweepExecutor(max_workers=2)
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -316,22 +273,22 @@ class TestLeaseLifecycle:
                     chaos.Fault("sweep.task", "kill-worker", at_call=1)
                 ):
                     degraded = parallel_sweep(
-                        ring_context, ring_scenarios, FAST_ALGORITHMS,
-                        max_workers=2, min_parallel_tasks=0, executor=executor,
+                        ring_context, ring_scenarios, POOL_ALGORITHMS,
+                        max_workers=2, executor=executor,
                     )
             assert_sweeps_identical(ring_serial, degraded)
             assert any(
                 issubclass(w.category, DegradedResultWarning) for w in caught
             ), "serial fallback must warn, not be silent"
             healthy = parallel_sweep(
-                ring_context, ring_scenarios, FAST_ALGORITHMS,
-                max_workers=2, min_parallel_tasks=0, executor=executor,
+                ring_context, ring_scenarios, POOL_ALGORITHMS,
+                max_workers=2, executor=executor,
             )
             assert_sweeps_identical(ring_serial, healthy)
             assert executor.stats["respawns"] == 1
         finally:
             executor.close()
-        assert shm.active_segments() == ()
+        assert multiprocessing.active_children() == []
 
 
 class TestDefaultExecutor:
@@ -356,14 +313,14 @@ class TestCampaign:
             (ring_scenarios[0],),
         ]
         references = [
-            parallel_sweep(ring_context, sweep, FAST_ALGORITHMS)
+            parallel_sweep(ring_context, sweep, POOL_ALGORITHMS, max_workers=1)
             for sweep in sweeps
         ]
         with SweepExecutor(max_workers=2) as executor:
             collected = dict(
                 run_campaign(
-                    ring_context, sweeps, FAST_ALGORITHMS,
-                    executor=executor, max_workers=2, min_parallel_tasks=0,
+                    ring_context, sweeps, POOL_ALGORITHMS,
+                    executor=executor, max_workers=2,
                 )
             )
             assert sorted(collected) == [0, 1, 2]
@@ -378,7 +335,7 @@ class TestCampaign:
         sweeps = [(ring_scenarios[0],), (ring_scenarios[2],)]
         indices = []
         for index, results in run_campaign(
-            ring_context, sweeps, ("pm",),
+            ring_context, sweeps, ("optimal", "pm"),
         ):
             indices.append(index)
             assert [r.name for r in results] == [s.name for s in sweeps[index]]

@@ -1,13 +1,28 @@
-"""Parallel sweep output must be identical to the serial sweep."""
+"""Parallel sweep output must be identical to the serial sweep.
+
+Only a sweep that holds an exact solve fans out, so the pool cases carry
+``optimal`` on scenarios where it certifies from its seed (every ATT
+single failure, every ring scenario here) and runs no MILP, or
+``retroflow-ip``, whose integer program solves in milliseconds.
+"""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.control.failures import enumerate_failure_scenarios
 from repro.experiments.runner import run_failure_sweep, run_failure_sweep_parallel
+from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
+from repro.perf.executor import SweepExecutor
+from repro.perf.sweep import parallel_sweep
 from repro.topology.generators import ring_topology
 
-#: Heuristics only — the exact solver would dominate test wall clock.
+#: The heuristics: a sweep of only these runs serially.
 FAST_ALGORITHMS = ("pm", "retroflow", "pg", "nearest")
+
+#: The heuristics plus the exact solve, which sends a sweep to the pool.
+POOL_ALGORITHMS = ("optimal", *FAST_ALGORITHMS)
 
 
 def assert_sweeps_identical(serial, parallel):
@@ -37,18 +52,21 @@ def assert_sweeps_identical(serial, parallel):
 
 class TestAttEquivalence:
     def test_parallel_equals_serial_one_failure(self, att_context):
-        serial = run_failure_sweep(att_context, 1, FAST_ALGORITHMS)
+        serial = run_failure_sweep(att_context, 1, POOL_ALGORITHMS, 60.0)
         parallel = run_failure_sweep_parallel(
-            att_context, 1, FAST_ALGORITHMS, max_workers=4
+            att_context, 1, POOL_ALGORITHMS, 60.0, max_workers=4
         )
         assert_sweeps_identical(serial, parallel)
 
     def test_parallel_equals_serial_two_failures(self, att_context):
-        serial = run_failure_sweep(att_context, 2, FAST_ALGORITHMS)
+        # ``retroflow-ip`` is heavy, so the sweep fans out.
+        algorithms = ("retroflow-ip", *FAST_ALGORITHMS)
+        serial = run_failure_sweep(att_context, 2, algorithms)
         parallel = run_failure_sweep_parallel(
-            att_context, 2, FAST_ALGORITHMS, max_workers=2
+            att_context, 2, algorithms, max_workers=2
         )
         assert_sweeps_identical(serial, parallel)
+        assert parallel[0].meta["fanout"]["payload_bytes"] > 0
 
 
 class TestDegradation:
@@ -64,10 +82,11 @@ class TestDegradation:
         context = custom_context(topology, controller_sites=(0, 3, 7), capacity=160)
         # Lambdas do not pickle; the sweep must detect this and go serial.
         context.delay_model._poison = lambda: None
-        serial = run_failure_sweep(context, 1, FAST_ALGORITHMS)
-        parallel = run_failure_sweep_parallel(
-            context, 1, FAST_ALGORITHMS, max_workers=4
-        )
+        serial = run_failure_sweep(context, 1, POOL_ALGORITHMS, 60.0)
+        with pytest.warns(DegradedResultWarning, match="failed to encode"):
+            parallel = run_failure_sweep_parallel(
+                context, 1, POOL_ALGORITHMS, 60.0, max_workers=4
+            )
         assert_sweeps_identical(serial, parallel)
 
     def test_parallel_includes_optimal_consistently(self, small_context):
@@ -81,8 +100,10 @@ class TestDegradation:
 
 
 class TestSmallSweepHeuristic:
+    """Which sweeps fan out: only those holding a heavy algorithm."""
+
     def test_small_heuristic_sweep_stays_serial(self, small_context, monkeypatch):
-        """Few heuristic-only tasks must not pay for a process pool."""
+        """Heuristic-only tasks must not pay for a process pool."""
         from repro.perf import executor as executor_module
 
         def forbidden(*args, **kwargs):
@@ -95,13 +116,42 @@ class TestSmallSweepHeuristic:
         )
         assert_sweeps_identical(serial, parallel)
 
-    def test_min_parallel_tasks_zero_forces_pool(self, small_context):
-        """The override disables the serial heuristic without changing output."""
-        serial = run_failure_sweep(small_context, 1, FAST_ALGORITHMS)
-        forced = run_failure_sweep_parallel(
-            small_context, 1, FAST_ALGORITHMS, max_workers=2, min_parallel_tasks=0
+    def test_heuristic_sweep_skips_warm_executor(self, small_context):
+        """A heuristic-only sweep runs serially even with workers to
+        spare and a warm executor at hand; adding ``optimal`` to the same
+        scenarios sends it to that executor."""
+        scenarios = tuple(enumerate_failure_scenarios(small_context.plane, 1))
+        serial = parallel_sweep(
+            small_context, scenarios, FAST_ALGORITHMS, max_workers=1
         )
-        assert_sweeps_identical(serial, forced)
+        exact_serial = parallel_sweep(
+            small_context, scenarios, POOL_ALGORITHMS, 60.0, max_workers=1
+        )
+        with SweepExecutor(max_workers=2) as executor:
+            # Warm the executor: its pool and the context's payload.
+            parallel_sweep(
+                small_context, scenarios, POOL_ALGORITHMS, 60.0,
+                max_workers=4, executor=executor,
+            )
+            sweeps = executor.stats["sweeps"]
+            heuristic = parallel_sweep(
+                small_context, scenarios, FAST_ALGORITHMS,
+                max_workers=4, executor=executor,
+            )
+            assert executor.stats["sweeps"] == sweeps
+            assert_sweeps_identical(serial, heuristic)
+            assert all("fanout" not in r.meta for r in heuristic)
+            assert heuristic[0].degradation.events[0].reason == (
+                "serial: heuristic-only sweep"
+            )
+
+            exact = parallel_sweep(
+                small_context, scenarios, POOL_ALGORITHMS, 60.0,
+                max_workers=4, executor=executor,
+            )
+            assert executor.stats["sweeps"] == sweeps + 1
+            assert_sweeps_identical(exact_serial, exact)
+            assert exact[0].degradation.events[0].reason.startswith("warm-pool:")
 
     def test_heavy_algorithm_disables_heuristic(self, small_context, monkeypatch):
         """An exact solver in the mix goes parallel even on small sweeps."""

@@ -14,7 +14,6 @@ import pytest
 
 from repro.control.failures import FailureScenario
 from repro.fmssm.evaluation import evaluate_solution
-from repro.perf.executor import _slim_context
 from repro.perf.sweep import SweepPlan
 from repro.pm.algorithm import solve_pm
 
@@ -73,10 +72,12 @@ class TestSolutionRoundTrip:
 
 class TestSweepPayloadRoundTrip:
     def test_grounding_index(self, att_context, scenario):
-        """The filled index in its array form grounds identical instances."""
+        """The pickled context, as a pool worker decodes it, carries no
+        grounding index and rebuilds one that grounds identical
+        instances."""
         att_context.materialize_table()
-        clone = roundtrip(_slim_context(att_context)).rebuild_context()
-        assert clone.programmability is None  # never consulted
+        clone = roundtrip(att_context)
+        assert clone._grounding is None
         expected = att_context.instance(scenario)
         instance = clone.instance(scenario)
         assert instance == expected

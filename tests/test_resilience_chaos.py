@@ -248,58 +248,3 @@ class TestSweepUnderChaos:
         assert results[0].evaluations["optimal"].objective <= (
             baseline[0].evaluations["optimal"].objective
         )
-
-
-class TestShmUnderChaos:
-    """The shared-memory segment must never leak, whatever chaos does."""
-
-    def test_shm_sweep_clean_run_releases_segment(
-        self, sweep_context, sweep_scenarios, baseline
-    ):
-        from repro.perf import shm
-
-        results = parallel_sweep(
-            sweep_context, sweep_scenarios, ALGORITHMS,
-            max_workers=2, optimal_time_limit_s=60.0, transport="shm",
-        )
-        assert_same_solutions(baseline, results)
-        assert shm.active_segments() == ()
-        assert results[0].meta["fanout"]["transport"] == "shm"
-
-    def test_shm_sweep_killed_worker_releases_segment(
-        self, sweep_context, sweep_scenarios, baseline
-    ):
-        from repro.perf import shm
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with chaos.inject(chaos.Fault("sweep.task", "kill-worker", at_call=1)):
-                results = parallel_sweep(
-                    sweep_context, sweep_scenarios, ALGORITHMS,
-                    max_workers=2, optimal_time_limit_s=60.0, transport="shm",
-                )
-        assert_same_solutions(baseline, results)
-        assert shm.active_segments() == ()
-        assert any(issubclass(w.category, DegradedResultWarning) for w in caught)
-
-    def test_shm_corrupt_inband_degrades_to_serial(
-        self, sweep_context, sweep_scenarios, baseline
-    ):
-        from repro.perf import shm
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with chaos.inject(chaos.Fault("sweep.payload", "corrupt-payload")):
-                results = parallel_sweep(
-                    sweep_context, sweep_scenarios, ALGORITHMS,
-                    max_workers=2, optimal_time_limit_s=60.0, transport="shm",
-                )
-        assert_same_solutions(baseline, results)
-        assert shm.active_segments() == ()
-        assert any(
-            issubclass(w.category, DegradedResultWarning) for w in caught
-        ), "serial fallback must warn, not be silent"
-        for result in results:
-            assert any(
-                e.action == "serial-fallback" for e in result.degradation.events
-            )

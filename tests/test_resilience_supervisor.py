@@ -8,10 +8,12 @@ bit-identical to the serial sweep, with every intervention accounted for
 in ``ScenarioResult.meta["supervisor"]`` and the supervisor's summary.
 
 Unit layers (fake clock) cover the breaker state machine, the deadline
-derivation and the retry ledger; integration layers drive real pools
-(``max_workers=2`` — this container exposes one CPU, so pool routes must
-be requested explicitly) through injected chaos; the campaign layer
+derivation and the retry ledger; integration layers drive real
+``max_workers=2`` pools through injected chaos; the campaign layer
 checks that one supervisor's state spans every sweep of a campaign.
+Only sweeps holding an exact solve fan out, so the pool sweeps carry
+``optimal``, which certifies from its seed on every ring scenario here
+(no MILP runs).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from test_perf_parallel_sweep import assert_sweeps_identical
 from repro.control.failures import FailureScenario
 from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
-from repro.perf import shm
 from repro.perf.executor import (
     SweepExecutor,
     campaign_summary,
@@ -41,7 +42,6 @@ from repro.resilience.chaos import Fault
 from repro.resilience.degradation import default_ladder
 from repro.resilience.supervisor import (
     BREAKER_RUNGS,
-    TRANSPORT_BREAKER,
     BreakerOpenState,
     CircuitBreaker,
     QuarantineReport,
@@ -50,7 +50,8 @@ from repro.resilience.supervisor import (
     SweepSupervisor,
 )
 
-FAST_ALGORITHMS = ("pm", "retroflow", "pg", "nearest")
+#: The exact solve sends a sweep to the pool.
+POOL_ALGORITHMS = ("optimal", "pm", "retroflow", "pg", "nearest")
 
 CONTROLLERS = (0, 3, 7)
 
@@ -73,17 +74,15 @@ def ring_scenarios():
 
 @pytest.fixture(scope="module")
 def ring_serial(ring_context, ring_scenarios):
-    return parallel_sweep(ring_context, ring_scenarios, FAST_ALGORITHMS)
+    return parallel_sweep(
+        ring_context, ring_scenarios, POOL_ALGORITHMS, max_workers=1,
+    )
 
 
 @pytest.fixture(autouse=True)
-def _no_leaks():
-    """Every test must leave the segment registry empty."""
+def _close_default_executor():
     yield
     close_default_executor()
-    leaked = shm.active_segments()
-    shm.release_all()
-    assert leaked == (), f"leaked shared-memory segments: {leaked}"
 
 
 class FakeClock:
@@ -99,9 +98,8 @@ class FakeClock:
 
 def _supervised_sweep(context, scenarios, executor, supervisor, **kwargs):
     return parallel_sweep(
-        context, scenarios, FAST_ALGORITHMS,
-        max_workers=2, min_parallel_tasks=0,
-        executor=executor, supervisor=supervisor, **kwargs,
+        context, scenarios, POOL_ALGORITHMS,
+        max_workers=2, executor=executor, supervisor=supervisor, **kwargs,
     )
 
 
@@ -221,13 +219,6 @@ class TestSupervisorPolicy:
         assert "sparse+warm" not in names
         assert names[-1] == "pm"  # terminal rung is never dropped
 
-    def test_effective_transport_reroutes_when_open(self):
-        supervisor = SweepSupervisor(SupervisorPolicy(breaker_threshold=1))
-        assert supervisor.effective_transport("shm") == "shm"
-        supervisor.breakers[TRANSPORT_BREAKER].record_failure()
-        assert supervisor.effective_transport("shm") == "pickle"
-        assert supervisor.effective_transport("pickle") == "pickle"
-
     def test_observe_report_feeds_rung_breakers(self):
         clock = FakeClock()
         supervisor = SweepSupervisor(
@@ -286,7 +277,9 @@ class TestSupervisorPolicy:
         supervisor = SweepSupervisor(SupervisorPolicy(max_task_retries=0))
         supervisor.charge(["x"], "preempted")
         supervisor.quarantine_decisions(["x"], ("pm",))
-        supervisor.observe_transport(False, "decode failed")
+        supervisor.observe_report({"events": [
+            {"rung": "sparse+warm", "action": "demote", "reason": "timeout"},
+        ]})
         assert json.dumps(supervisor.summary())
 
     def test_quarantine_report_round_trip(self):
@@ -301,7 +294,7 @@ class TestSupervisorPolicy:
 
     def test_breaker_registry_covers_guarded_components(self):
         supervisor = SweepSupervisor()
-        expected = {f"rung:{r}" for r in BREAKER_RUNGS} | {TRANSPORT_BREAKER}
+        expected = {f"rung:{r}" for r in BREAKER_RUNGS}
         assert set(supervisor.breakers) == expected
 
 
@@ -401,11 +394,14 @@ class TestSupervisedEquivalence:
         assert supervisor.stats["quarantined"] == 0
         assert supervisor.quarantines == []
 
-    def test_decode_faults_trip_the_transport_breaker(
+    def test_decode_faults_are_quarantined(
         self, ring_context, ring_scenarios, ring_serial
     ):
+        """A worker that cannot decode the context faults every task it
+        takes: each is a task fault charged to its scenario, and once
+        the budget is spent the scenario is solved in the parent."""
         supervisor = SweepSupervisor(SupervisorPolicy(
-            poll_interval_s=0.05, breaker_threshold=2, max_task_retries=10,
+            poll_interval_s=0.05, max_task_retries=10,
         ))
         with SweepExecutor(max_workers=2) as executor, \
                 chaos.inject(
@@ -416,14 +412,11 @@ class TestSupervisedEquivalence:
                 ring_context, ring_scenarios, executor, supervisor
             )
         assert_sweeps_identical(ring_serial, supervised)
-        breaker = supervisor.breakers[TRANSPORT_BREAKER]
-        assert breaker.trips >= 1
-        assert supervisor.stats["breaker_trips"] >= 1
-        # The rerouted round crossed the wire by pickle, not shm.
-        assert any(
-            e.get("action") == "breaker-open" and e.get("breaker") == TRANSPORT_BREAKER
-            for e in supervisor.events
-        )
+        assert supervisor.stats["task_faults"] > supervisor.policy.max_task_retries
+        assert {r.scenario for r in supervisor.quarantines} == {
+            s.name for s in ring_scenarios
+        }
+        assert all(r.cause == "task-fault" for r in supervisor.quarantines)
 
     def test_respawn_failure_degrades_to_serial(
         self, ring_context, ring_scenarios, ring_serial
@@ -446,8 +439,8 @@ class TestSupervisedEquivalence:
         """``supervisor=`` alone opts into the warm route (default pool)."""
         supervisor = SweepSupervisor()
         supervised = parallel_sweep(
-            ring_context, ring_scenarios, FAST_ALGORITHMS,
-            max_workers=2, min_parallel_tasks=0, supervisor=supervisor,
+            ring_context, ring_scenarios, POOL_ALGORITHMS,
+            max_workers=2, supervisor=supervisor,
         )
         close_default_executor()
         assert_sweeps_identical(ring_serial, supervised)
@@ -474,7 +467,7 @@ class TestSupervisedEquivalence:
         scenarios = tuple(
             FailureScenario(frozenset({c})) for c in (0, 4)
         )
-        reference = parallel_sweep(context, scenarios, FAST_ALGORITHMS)
+        reference = parallel_sweep(context, scenarios, POOL_ALGORITHMS, max_workers=1)
         supervisor = SweepSupervisor()
         try:
             with SweepExecutor(max_workers=2) as executor:
@@ -500,9 +493,8 @@ class TestCampaignSupervision:
         supervisor = SweepSupervisor()
         with SweepExecutor(max_workers=2) as executor:
             collected = dict(run_campaign(
-                ring_context, sweeps, FAST_ALGORITHMS,
-                executor=executor, max_workers=2, min_parallel_tasks=0,
-                supervisor=supervisor,
+                ring_context, sweeps, POOL_ALGORITHMS,
+                executor=executor, max_workers=2, supervisor=supervisor,
             ))
         assert supervisor.stats["supervised_sweeps"] == len(sweeps)
         summary = campaign_summary(collected, supervisor=supervisor)
@@ -588,68 +580,3 @@ class TestAdaptiveDeadlines:
         assert_sweeps_identical(ring_serial, supervised)
         # Ladderless sweep: solve wall-clocks feed the generic "task" key.
         assert supervisor.latency_ewma.get("task", 0.0) > 0.0
-
-
-# ----------------------------------------------------------------------
-# Half-open probe batching: bounded trials for the shm transport
-# ----------------------------------------------------------------------
-
-class TestProbeBatching:
-    def test_probe_quota_states(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "t", threshold=1, cooldown_s=10.0, clock=clock, probe_batch=3
-        )
-        assert breaker.probe_quota() is None  # closed: unlimited
-        breaker.record_failure()
-        assert breaker.probe_quota() == 0  # open, still cooling
-        clock.advance(10.0)
-        assert breaker.probe_quota() == 3  # trial due...
-        assert breaker.state == BreakerOpenState.OPEN  # ...but pure
-        assert breaker.allow_request()
-        assert breaker.state == BreakerOpenState.HALF_OPEN
-        assert breaker.probe_quota() == 3
-
-    def test_probe_batch_validated(self):
-        with pytest.raises(ValueError, match="probe_batch"):
-            CircuitBreaker("t", probe_batch=0)
-
-    def test_transport_probe_quota_wired_to_policy(self):
-        clock = FakeClock()
-        supervisor = SweepSupervisor(
-            SupervisorPolicy(
-                transport_probe_batch=4,
-                breaker_threshold=1,
-                breaker_cooldown_s=5.0,
-            ),
-            clock=clock,
-        )
-        assert supervisor.transport_probe_quota() is None
-        supervisor.observe_transport(False, "boom")
-        assert supervisor.transport_probe_quota() == 0
-        clock.advance(5.0)
-        assert supervisor.transport_probe_quota() == 4
-        # Rung breakers keep single-unit trials.
-        for rung in BREAKER_RUNGS:
-            assert supervisor.breakers[f"rung:{rung}"].probe_batch == 1
-
-    def test_half_open_probe_round_closes_breaker(
-        self, ring_context, ring_scenarios, ring_serial
-    ):
-        if not shm.shm_available():
-            pytest.skip("no shared-memory transport on this host")
-        supervisor = SweepSupervisor(SupervisorPolicy(
-            poll_interval_s=0.05,
-            breaker_threshold=1,
-            breaker_cooldown_s=0.0,
-            transport_probe_batch=1,
-        ))
-        supervisor.observe_transport(False, "injected for the trial")
-        assert supervisor.breakers[TRANSPORT_BREAKER].state == BreakerOpenState.OPEN
-        with SweepExecutor(max_workers=2) as executor:
-            supervised = _supervised_sweep(
-                ring_context, ring_scenarios, executor, supervisor
-            )
-        assert_sweeps_identical(ring_serial, supervised)
-        # The probe batch crossed shm successfully and closed the breaker.
-        assert supervisor.breakers[TRANSPORT_BREAKER].state == BreakerOpenState.CLOSED

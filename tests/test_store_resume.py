@@ -196,7 +196,7 @@ def run_interrupted_pool_sweep(
     on the same executor replays them bit-identically."""
     k = 2
     options = dict(
-        max_workers=2, min_parallel_tasks=0, optimal_time_limit_s=60.0,
+        max_workers=2, optimal_time_limit_s=60.0,
         supervisor=SweepSupervisor() if supervised else None,
     )
     with SweepExecutor(max_workers=2) as executor:
