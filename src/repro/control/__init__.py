@@ -1,23 +1,18 @@
 """Control plane: controllers, domains, failures, and delays."""
 
-from repro.control.controller import Controller, ControllerState
-from repro.control.delay import DelayModel, ideal_recovery_delay
-from repro.control.failures import (
-    FailureScenario,
-    enumerate_failure_scenarios,
-    sample_failure_scenarios,
-    successive_scenarios,
-)
-from repro.control.plane import ControlPlane
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Controller",
-    "ControllerState",
-    "ControlPlane",
-    "FailureScenario",
-    "enumerate_failure_scenarios",
-    "sample_failure_scenarios",
-    "successive_scenarios",
-    "DelayModel",
-    "ideal_recovery_delay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.control.controller": ("Controller", "ControllerState"),
+        "repro.control.delay": ("DelayModel", "ideal_recovery_delay"),
+        "repro.control.failures": (
+            "FailureScenario",
+            "enumerate_failure_scenarios",
+            "sample_failure_scenarios",
+            "successive_scenarios",
+        ),
+        "repro.control.plane": ("ControlPlane",),
+    },
+)

@@ -1,15 +1,13 @@
 """Hybrid SDN/legacy data-plane simulator (Fig. 2 of the paper)."""
 
-from repro.dataplane.forwarding import NetworkDataPlane
-from repro.dataplane.packet import Packet
-from repro.dataplane.switch import SwitchDataPlane, SwitchMode
-from repro.dataplane.tables import FlowEntry, FlowTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Packet",
-    "FlowEntry",
-    "FlowTable",
-    "SwitchMode",
-    "SwitchDataPlane",
-    "NetworkDataPlane",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dataplane.forwarding": ("NetworkDataPlane",),
+        "repro.dataplane.packet": ("Packet",),
+        "repro.dataplane.switch": ("SwitchDataPlane", "SwitchMode"),
+        "repro.dataplane.tables": ("FlowEntry", "FlowTable"),
+    },
+)

@@ -1,62 +1,44 @@
 """Experiment harness: scenarios, runners, figure/table regeneration."""
 
-from repro.experiments.ablation import (
-    capacity_sweep,
-    counter_strategy_comparison,
-    delay_constraint_ablation,
-    lambda_sweep,
-    phase2_ablation,
-)
-from repro.experiments.figures import (
-    failure_figure_data,
-    fig4_data,
-    fig5_data,
-    fig6_data,
-    fig7_data,
-    headline_ratios,
-)
-from repro.experiments.report import render_fig7, render_figure, render_table, render_table3
-from repro.experiments.runner import (
-    PAPER_ALGORITHMS,
-    ScenarioResult,
-    run_failure_sweep,
-    run_failure_sweep_parallel,
-    run_scenario,
-)
-from repro.experiments.successive import SuccessiveStage, run_successive
-from repro.experiments.scenarios import (
-    ExperimentContext,
-    custom_context,
-    default_att_context,
-)
-from repro.experiments.tables import PAPER_TABLE3_FLOWS, table3_data
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentContext",
-    "default_att_context",
-    "custom_context",
-    "PAPER_ALGORITHMS",
-    "ScenarioResult",
-    "run_scenario",
-    "run_failure_sweep",
-    "run_failure_sweep_parallel",
-    "SuccessiveStage",
-    "run_successive",
-    "failure_figure_data",
-    "fig4_data",
-    "fig5_data",
-    "fig6_data",
-    "fig7_data",
-    "headline_ratios",
-    "table3_data",
-    "PAPER_TABLE3_FLOWS",
-    "render_table",
-    "render_figure",
-    "render_fig7",
-    "render_table3",
-    "lambda_sweep",
-    "counter_strategy_comparison",
-    "phase2_ablation",
-    "delay_constraint_ablation",
-    "capacity_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.ablation": (
+            "capacity_sweep",
+            "counter_strategy_comparison",
+            "delay_constraint_ablation",
+            "lambda_sweep",
+            "phase2_ablation",
+        ),
+        "repro.experiments.figures": (
+            "failure_figure_data",
+            "fig4_data",
+            "fig5_data",
+            "fig6_data",
+            "fig7_data",
+            "headline_ratios",
+        ),
+        "repro.experiments.report": (
+            "render_fig7",
+            "render_figure",
+            "render_table",
+            "render_table3",
+        ),
+        "repro.experiments.runner": (
+            "PAPER_ALGORITHMS",
+            "ScenarioResult",
+            "run_failure_sweep",
+            "run_failure_sweep_parallel",
+            "run_scenario",
+        ),
+        "repro.experiments.successive": ("SuccessiveStage", "run_successive"),
+        "repro.experiments.scenarios": (
+            "ExperimentContext",
+            "custom_context",
+            "default_att_context",
+        ),
+        "repro.experiments.tables": ("PAPER_TABLE3_FLOWS", "table3_data"),
+    },
+)

@@ -1,31 +1,24 @@
 """Flow model and workload generation."""
 
-from repro.flows.demands import (
-    all_pairs_flows,
-    flows_from_pairs,
-    gravity_demands,
-    random_pairs_flows,
-    shortest_path,
-)
-from repro.flows.flow import Flow
-from repro.flows.paths import (
-    flows_by_id,
-    flows_through,
-    path_delay_ms,
-    switch_flow_counts,
-    validate_path,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Flow",
-    "shortest_path",
-    "all_pairs_flows",
-    "random_pairs_flows",
-    "gravity_demands",
-    "flows_from_pairs",
-    "validate_path",
-    "path_delay_ms",
-    "flows_by_id",
-    "flows_through",
-    "switch_flow_counts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.flows.demands": (
+            "all_pairs_flows",
+            "flows_from_pairs",
+            "gravity_demands",
+            "random_pairs_flows",
+            "shortest_path",
+        ),
+        "repro.flows.flow": ("Flow",),
+        "repro.flows.paths": (
+            "flows_by_id",
+            "flows_through",
+            "path_delay_ms",
+            "switch_flow_counts",
+            "validate_path",
+        ),
+    },
+)

@@ -3,28 +3,21 @@
 The IP formulation P′ itself is written by :mod:`repro.perf.compile`.
 """
 
-from repro.fmssm.build import GroundingIndex, build_instance, default_lambda
-from repro.fmssm.evaluation import (
-    RecoveryEvaluation,
-    evaluate_batch,
-    evaluate_solution,
-    verify_solution,
-)
-from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.optimal import solve_optimal
-from repro.fmssm.solution import RecoverySolution
-from repro.fmssm.two_stage import solve_two_stage
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FMSSMInstance",
-    "GroundingIndex",
-    "build_instance",
-    "default_lambda",
-    "RecoverySolution",
-    "RecoveryEvaluation",
-    "evaluate_solution",
-    "evaluate_batch",
-    "verify_solution",
-    "solve_optimal",
-    "solve_two_stage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fmssm.build": ("GroundingIndex", "build_instance", "default_lambda"),
+        "repro.fmssm.evaluation": (
+            "RecoveryEvaluation",
+            "evaluate_batch",
+            "evaluate_solution",
+            "verify_solution",
+        ),
+        "repro.fmssm.instance": ("FMSSMInstance",),
+        "repro.fmssm.optimal": ("solve_optimal",),
+        "repro.fmssm.solution": ("RecoverySolution",),
+        "repro.fmssm.two_stage": ("solve_two_stage",),
+    },
+)

@@ -9,9 +9,10 @@ algorithms are compared on identical ground data.
 from __future__ import annotations
 
 import gc
+import hashlib
 import weakref
 from collections.abc import Iterable
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from repro.control.failures import FailureScenario
 from repro.control.plane import ControlPlane
 from repro.exceptions import FlowError
 from repro.flows.flow import Flow
-from repro.flows.paths import switch_flow_counts
 from repro.fmssm.arrays import Frame, build_arrays
 from repro.fmssm.instance import FMSSMInstance
 from repro.routing.programmability import ProgrammabilityModel
@@ -49,7 +49,7 @@ class GroundingIndex:
     flow positions (the population's order) and controller positions
     (``plane.controller_ids`` order), built once:
 
-    * each node's ``gamma`` over the full workload;
+    * each node's ``gamma`` over the full workload (its visits);
     * each controller's spare capacity under the full workload, from
       the domains' ``gamma`` (computed on the first :meth:`ground`, so a
       mis-provisioned plane raises :class:`~repro.exceptions.CapacityError`
@@ -59,9 +59,10 @@ class GroundingIndex:
     * per switch, its programmable entries ``(flow position, position
       on the path, p̄)`` sorted by flow id, with their ``(switch, flow
       id)`` key tuples, which every instance shares.  A switch's entries
-      are read from ``programmability`` the first time it is offline
-      (or by :meth:`fill`), so a one-scenario run only counts the paths
-      it needs;
+      are gathered the first time it is offline (or by :meth:`fill`):
+      one :meth:`~repro.routing.programmability.ProgrammabilityModel.
+      pbar_toward` call over the destinations of the flows visiting
+      it, read off the incidence;
     * per delay model, each node's delay row over all controllers,
       filled from :meth:`DelayModel.delay_ms
       <repro.control.delay.DelayModel.delay_ms>` the first time the node
@@ -85,7 +86,8 @@ class GroundingIndex:
     flows:
         The full flow population, with unique flow ids.
     programmability:
-        Source of ``p̄``; only its ``pbar(flow, switch)`` is read.
+        Source of ``p̄``; only its ``pbar_toward(switch, destinations)``
+        is read, once per switch.
     """
 
     def __init__(
@@ -106,26 +108,30 @@ class GroundingIndex:
         self._sites = tuple(plane.controller(c).site for c in self._controllers)
 
         paths = [flow.path for flow in self._flows]
-        self._nodes = tuple(
-            dict.fromkeys(chain(plane.topology.nodes, chain.from_iterable(paths)))
-        )
+        # Node codes are the topology's node positions, which the
+        # counter's rows are indexed by.
+        self._nodes = plane.topology.nodes
         self._codes = dict(zip(self._nodes, range(len(self._nodes))))
-        counts = switch_flow_counts(self._flows)
-        self._gamma = np.array([counts.get(node, 0) for node in self._nodes], dtype=np.int64)
 
         # Node → flow-position incidence (CSR over node codes); a flow
-        # appears once per node, paths being simple.
+        # appears once per node, paths being simple.  Each visit keeps
+        # its position on the path; gamma counts the visits.
         lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-        visited = np.fromiter(
-            map(self._codes.__getitem__, chain.from_iterable(paths)),
-            dtype=np.int64,
-            count=int(lengths.sum()),
-        )
+        try:
+            visited = np.fromiter(
+                map(self._codes.__getitem__, chain.from_iterable(paths)),
+                dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+        except KeyError as exc:
+            raise FlowError(f"a flow path visits {exc.args[0]!r}, not in the topology") from None
+        ends = np.cumsum(lengths)
+        self._destination = visited[ends - 1]
         order = np.argsort(visited, kind="stable")
         self._incidence = np.repeat(np.arange(len(paths)), lengths)[order]
-        self._incidence_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(visited, minlength=len(self._nodes))))
-        ).tolist()
+        self._incidence_hop = order - (ends - lengths)[self._incidence]
+        self._gamma = np.bincount(visited, minlength=len(self._nodes))
+        self._incidence_ptr = np.concatenate(([0], np.cumsum(self._gamma))).tolist()
         self._rank = np.empty(len(self._ids), dtype=np.int64)
         self._rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = np.arange(
             len(self._ids)
@@ -146,20 +152,14 @@ class GroundingIndex:
         entries = self._entries[code]
         if entries is None:
             switch = self._nodes[code]
-            flows, ids, pbar = self._flows, self._ids, self._programmability.pbar
-            found = []
             start, stop = self._incidence_ptr[code], self._incidence_ptr[code + 1]
-            for position in self._incidence[start:stop].tolist():
-                flow = flows[position]
-                path = flow.path
-                if path[-1] == switch:
-                    continue  # the destination is no transit switch
-                value = pbar(flow, switch)
-                if value:
-                    found.append((ids[position], position, path.index(switch), value))
-            found.sort()  # by flow id, which is unique
-            table = np.array([row[1:] for row in found], dtype=np.int64).reshape(-1, 3).T.copy()
-            keys = tuple((switch, row[0]) for row in found)
+            flows = self._incidence[start:stop]
+            # A flow ending here has p̄ 0: a switch's count toward itself is 0.
+            pbar = self._programmability.pbar_toward(switch, self._destination[flows])
+            held = np.flatnonzero(pbar)
+            held = held[np.argsort(self._rank[flows[held]])]  # by flow id, which is unique
+            table = np.stack((flows[held], self._incidence_hop[start + held], pbar[held]))
+            keys = tuple(zip(repeat(switch), map(self._ids.__getitem__, table[0].tolist())))
             entries = self._entries[code] = (table, keys)
         return entries
 
@@ -218,6 +218,38 @@ class GroundingIndex:
         indptr = np.zeros(len(tables) + 1, dtype=np.int64)
         np.cumsum([table.shape[1] for table in tables], out=indptr[1:])
         return indptr, np.concatenate(tables, axis=1)
+
+    def digest(self, delay_model: DelayModel) -> str:
+        """A digest of the filled index with ``delay_model``'s rows: 32
+        hex digits of SHA-256, the same in every process.
+
+        It covers everything :meth:`ground` reads: node and controller
+        ids, each controller's site, capacity and domain, the flows'
+        paths in population order (the node → flow incidence with each
+        visit's path position, which fixes every flow id), every
+        switch's entries, ``gamma`` and the delay rows.  Two indexes
+        that ground different instances for some scenario therefore
+        differ in digest.
+        """
+        plane = self._plane
+        h = hashlib.sha256(repr((
+            self._nodes,
+            tuple(
+                (c, site, plane.controller(c).capacity, plane.domain(c))
+                for c, site in zip(self._controllers, self._sites)
+            ),
+        )).encode())
+        indptr, table = self.fill().packed_entries()
+        for array in (
+            self._gamma,
+            self._incidence,
+            self._incidence_hop,
+            indptr,
+            table,
+            self._delay_rows(delay_model, range(len(self._nodes))),
+        ):
+            h.update(array.tobytes())
+        return h.hexdigest()[:32]
 
     def fill_delays(self, model: DelayModel) -> GroundingIndex:
         """Fill ``model``'s delay row of every node now, so no

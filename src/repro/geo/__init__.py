@@ -5,18 +5,17 @@ latitude/longitude using the Haversine formula and a propagation speed of
 ``2e8 m/s`` (Section VI-A).  This package provides those primitives.
 """
 
-from repro.geo.coordinates import GeoPoint
-from repro.geo.haversine import (
-    EARTH_RADIUS_M,
-    haversine_m,
-    pairwise_distance_matrix,
-    propagation_delay_ms,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeoPoint",
-    "EARTH_RADIUS_M",
-    "haversine_m",
-    "pairwise_distance_matrix",
-    "propagation_delay_ms",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.geo.coordinates": ("GeoPoint",),
+        "repro.geo.haversine": (
+            "EARTH_RADIUS_M",
+            "haversine_m",
+            "pairwise_distance_matrix",
+            "propagation_delay_ms",
+        ),
+    },
+)

@@ -6,14 +6,13 @@ assignment IP in :mod:`repro.baselines.retroflow`) and solves it with
 :func:`solve_form_with_highs`.
 """
 
-from repro.lp.highs import solve_form_relaxation, solve_form_with_highs
-from repro.lp.solution import SolveResult, SolveStatus
-from repro.lp.standard_form import StandardForm
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StandardForm",
-    "SolveResult",
-    "SolveStatus",
-    "solve_form_with_highs",
-    "solve_form_relaxation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lp.highs": ("solve_form_relaxation", "solve_form_with_highs"),
+        "repro.lp.solution": ("SolveResult", "SolveStatus"),
+        "repro.lp.standard_form": ("StandardForm",),
+    },
+)

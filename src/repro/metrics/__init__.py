@@ -1,11 +1,11 @@
 """Metric helpers: distribution summaries and fairness indices."""
 
-from repro.metrics.fairness import balance_report, jain_fairness_index
-from repro.metrics.summary import FiveNumberSummary, summarize
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FiveNumberSummary",
-    "summarize",
-    "jain_fairness_index",
-    "balance_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.fairness": ("balance_report", "jain_fairness_index"),
+        "repro.metrics.summary": ("FiveNumberSummary", "summarize"),
+    },
+)

@@ -43,60 +43,38 @@ index:
     the scenario, and a store written by other code misses.
 """
 
-from repro.perf.executor import (
-    SweepExecutor,
-    close_default_executor,
-    get_default_executor,
-    run_campaign,
-)
-from repro.perf.compile import (
-    CompiledFMSSM,
-    FMSSMCompiler,
-    compile_fmssm,
-    default_compiler,
-)
-from repro.perf.kernels import (
-    InstanceArrays,
-    instance_arrays,
-    prepare_instance,
-    solve_nearest_array,
-    solve_pg_array,
-    solve_pm_array,
-    solve_retroflow_array,
-)
-from repro.perf.store import (
-    SolveStore,
-    code_identity,
-    scenario_key,
-    solve_key,
-)
-from repro.perf.sweep import (
-    SweepPlan,
-    parallel_sweep,
-    store_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InstanceArrays",
-    "instance_arrays",
-    "prepare_instance",
-    "solve_pm_array",
-    "solve_pg_array",
-    "solve_retroflow_array",
-    "solve_nearest_array",
-    "SweepPlan",
-    "parallel_sweep",
-    "store_summary",
-    "SolveStore",
-    "code_identity",
-    "scenario_key",
-    "solve_key",
-    "SweepExecutor",
-    "get_default_executor",
-    "close_default_executor",
-    "run_campaign",
-    "CompiledFMSSM",
-    "FMSSMCompiler",
-    "compile_fmssm",
-    "default_compiler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.executor": (
+            "SweepExecutor",
+            "close_default_executor",
+            "get_default_executor",
+            "run_campaign",
+        ),
+        "repro.perf.compile": (
+            "CompiledFMSSM",
+            "FMSSMCompiler",
+            "compile_fmssm",
+            "default_compiler",
+        ),
+        "repro.perf.kernels": (
+            "InstanceArrays",
+            "instance_arrays",
+            "prepare_instance",
+            "solve_nearest_array",
+            "solve_pg_array",
+            "solve_pm_array",
+            "solve_retroflow_array",
+        ),
+        "repro.perf.store": (
+            "SolveStore",
+            "code_identity",
+            "scenario_key",
+            "solve_key",
+        ),
+        "repro.perf.sweep": ("SweepPlan", "parallel_sweep", "store_summary"),
+    },
+)

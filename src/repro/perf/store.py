@@ -9,8 +9,8 @@ store shared across processes and runs:
 Scenario keys
     :func:`scenario_key` names one failure scenario of one network as
     solved by one build of the code: a digest of the context's network
-    digest (:func:`network_key` — every grounding input, hashed once
-    per context), the sorted failed-controller set and
+    digest (:func:`network_key` — the filled grounding index, hashed
+    once per context), the sorted failed-controller set and
     :func:`code_identity` (every ``repro`` source file plus the numpy,
     scipy and Python versions).  :func:`solve_key` appends the algorithm
     and its solve parameters.  A key is computed without grounding the
@@ -139,41 +139,19 @@ class NetworkKey:
 def network_key(context) -> NetworkKey:
     """The context's :class:`NetworkKey`, cached beside its grounding index.
 
-    The digest hashes, in sorted or insertion order and never in set
-    order: the topology's nodes with their coordinates, its edges and
-    propagation speed; every controller's id, site, capacity and domain;
-    every flow's id and path in flow order; the path counter's strategy
-    and parameters; and the delay mode.  Two contexts that ground
-    different instances for some scenario therefore never share a
-    digest, and equal contexts built in different processes always do.
+    The digest is the filled grounding index's
+    (:meth:`GroundingIndex.digest <repro.fmssm.build.GroundingIndex.digest>`,
+    with the context's delay model): every instance of the context is
+    sliced from that index, so two contexts that ground different
+    instances for some scenario never share a digest, and equal contexts
+    built in different processes always do.  The first call fills the
+    index (:meth:`~repro.experiments.scenarios.ExperimentContext.
+    materialize_table`), as a store sweep's records need anyway.
     """
     cached = context._network_key
-    if cached is not None:
-        return cached
-    topology, plane = context.topology, context.plane
-    counter = context.programmability.counter
-    blob = repr((
-        tuple(
-            (node, topology.geo(node).latitude, topology.geo(node).longitude)
-            for node in topology.nodes
-        ),
-        topology.edges(),
-        topology.propagation_speed_m_per_s,
-        tuple(
-            (c, plane.controller(c).site, plane.controller(c).capacity,
-             plane.domain(c))
-            for c in plane.controller_ids
-        ),
-        tuple((flow.flow_id, flow.path) for flow in context.flows),
-        type(counter).__name__,
-        tuple(sorted(
-            (name, value) for name, value in vars(counter).items()
-            if isinstance(value, (bool, int, float, str))
-        )),
-        context.delay_model.mode,
-    )).encode()
-    cached = NetworkKey(digest=hashlib.sha256(blob).hexdigest()[:32])
-    context._network_key = cached
+    if cached is None:
+        digest = context.materialize_table().digest(context.delay_model)
+        cached = context._network_key = NetworkKey(digest=digest)
     return cached
 
 

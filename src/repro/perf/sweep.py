@@ -59,8 +59,6 @@ import pickle
 import time
 import warnings
 from collections.abc import Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.baselines import get_algorithm
@@ -537,6 +535,9 @@ class _SweepRunner:
         :class:`~repro.exceptions.ChaosError`) propagate unchanged,
         exactly as the serial path would raise them.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.perf.executor import _warm_run_task
 
         try:
@@ -674,6 +675,9 @@ class _SweepRunner:
         After ``max_pool_restarts`` of them the sweep falls back to
         serial like :meth:`run_warm` does on its first crash.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.exceptions import ChaosError
         from repro.perf.executor import _warm_run_task
 

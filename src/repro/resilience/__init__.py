@@ -29,42 +29,32 @@ A killed sweep or campaign resumes by running again on the same
 state.  See ``docs/robustness.md`` for the full design.
 """
 
+from repro._lazy import lazy_exports
 from repro.resilience import chaos
-from repro.resilience.degradation import (
-    DegradationEvent,
-    DegradationReport,
-    LadderPolicy,
-    Rung,
-    default_ladder,
-    solve_with_ladder,
-)
-from repro.resilience.supervisor import (
-    CircuitBreaker,
-    QuarantineReport,
-    SupervisorPolicy,
-    SweepSupervisor,
-)
-from repro.resilience.validate import (
-    ValidationReport,
-    Violation,
-    check_solution,
-    validate_solution,
-)
 
-__all__ = [
-    "chaos",
-    "DegradationEvent",
-    "DegradationReport",
-    "LadderPolicy",
-    "Rung",
-    "default_ladder",
-    "solve_with_ladder",
-    "CircuitBreaker",
-    "QuarantineReport",
-    "SupervisorPolicy",
-    "SweepSupervisor",
-    "ValidationReport",
-    "Violation",
-    "check_solution",
-    "validate_solution",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.degradation": (
+            "DegradationEvent",
+            "DegradationReport",
+            "LadderPolicy",
+            "Rung",
+            "default_ladder",
+            "solve_with_ladder",
+        ),
+        "repro.resilience.supervisor": (
+            "CircuitBreaker",
+            "QuarantineReport",
+            "SupervisorPolicy",
+            "SweepSupervisor",
+        ),
+        "repro.resilience.validate": (
+            "ValidationReport",
+            "Violation",
+            "check_solution",
+            "validate_solution",
+        ),
+    },
+)
+__all__.insert(0, "chaos")

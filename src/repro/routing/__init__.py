@@ -1,35 +1,25 @@
 """Routing substrate: shortest paths, k-paths, legacy tables, path counting."""
 
-from repro.routing.kpaths import k_shortest_paths, path_weight
-from repro.routing.ospf import LegacyRoutingTable, compute_legacy_tables
-from repro.routing.path_count import (
-    BoundedSimplePathCounter,
-    LoopFreeAlternateCounter,
-    PathCounter,
-    ShortestDagCounter,
-    make_counter,
-)
-from repro.routing.programmability import ProgrammabilityModel
-from repro.routing.shortest import (
-    delay_distances_to,
-    hop_distances_to,
-    shortest_path_dag,
-    weight_attribute,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "k_shortest_paths",
-    "path_weight",
-    "LegacyRoutingTable",
-    "compute_legacy_tables",
-    "PathCounter",
-    "BoundedSimplePathCounter",
-    "ShortestDagCounter",
-    "LoopFreeAlternateCounter",
-    "make_counter",
-    "ProgrammabilityModel",
-    "hop_distances_to",
-    "delay_distances_to",
-    "shortest_path_dag",
-    "weight_attribute",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.routing.kpaths": ("k_shortest_paths", "path_weight"),
+        "repro.routing.ospf": ("LegacyRoutingTable", "compute_legacy_tables"),
+        "repro.routing.path_count": (
+            "BoundedSimplePathCounter",
+            "LoopFreeAlternateCounter",
+            "PathCounter",
+            "ShortestDagCounter",
+            "make_counter",
+        ),
+        "repro.routing.programmability": ("ProgrammabilityModel",),
+        "repro.routing.shortest": (
+            "delay_distances_to",
+            "hop_distances_to",
+            "shortest_path_dag",
+            "weight_attribute",
+        ),
+    },
+)

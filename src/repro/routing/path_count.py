@@ -44,6 +44,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
 from repro.exceptions import RoutingError
 from repro.routing.shortest import hop_distances_to, shortest_path_dag
 from repro.topology.graph import Topology
@@ -110,6 +112,22 @@ class PathCounter(ABC):
         if key not in self._cache:
             self._cache[key] = self._count(src, dst)
         return self._cache[key]
+
+    def counts(self, src: NodeId, destinations: np.ndarray) -> np.ndarray:
+        """Counts from ``src`` toward each of ``destinations``, given as
+        positions in :attr:`Topology.nodes
+        <repro.topology.graph.Topology.nodes>`, as an int64 array.
+
+        This is what grounding reads, once per switch.  Here it asks
+        :meth:`count` pair by pair; :class:`LoopFreeAlternateCounter`
+        gathers from its rows.
+        """
+        nodes = self._topology.nodes
+        return np.fromiter(
+            (self.count(src, nodes[d]) for d in destinations.tolist()),
+            dtype=np.int64,
+            count=len(destinations),
+        )
 
     @abstractmethod
     def _count(self, src: NodeId, dst: NodeId) -> int:
@@ -248,6 +266,10 @@ class LoopFreeAlternateCounter(PathCounter):
     such neighbors — bounded by the node degree, which keeps
     programmability values homogeneous across flows.
 
+    A switch's row of counts toward every node is filled the first time
+    the switch is queried (see :meth:`_row`); :meth:`count` and
+    :meth:`counts` read the rows.
+
     Parameters
     ----------
     topology:
@@ -262,62 +284,81 @@ class LoopFreeAlternateCounter(PathCounter):
             raise ValueError(f"slack must be non-negative: {slack!r}")
         super().__init__(topology)
         self._slack = slack
+        n = topology.n_nodes
+        self._position = dict(zip(topology.nodes, range(n)))
+        self._adjacency = np.zeros((n, n), dtype=bool)
+        for u, v in topology.links:
+            i, j = self._position[u], self._position[v]
+            self._adjacency[i, j] = self._adjacency[j, i] = True
+        self._neighbor_bits = np.packbits(self._adjacency, axis=1)
+        #: Per node position, its counts toward every node, both in
+        #: ``topology.nodes`` order; filled on first use.
+        self._rows: dict[int, np.ndarray] = {}
 
     @property
     def slack(self) -> int:
         """Extra hops allowed beyond the shortest hop distance."""
         return self._slack
 
-    def _distances(self, dst: NodeId) -> dict[NodeId, int]:
-        return shared_hop_distances(self._topology, dst)
+    def count(self, src: NodeId, dst: NodeId) -> int:
+        """As :meth:`PathCounter.count`, read from the rows (no per-pair
+        cache; a row's own entry is 0)."""
+        if src not in self._topology or dst not in self._topology:
+            raise RoutingError(f"unknown endpoint: {src!r} or {dst!r}")
+        return self._count(src, dst)
+
+    def counts(self, src: NodeId, destinations: np.ndarray) -> np.ndarray:
+        if src not in self._topology:
+            raise RoutingError(f"unknown endpoint: {src!r}")
+        return self._row(self._position[src])[destinations]
 
     def _count(self, src: NodeId, dst: NodeId) -> int:
-        """Fill ``src``'s whole row into the cache; return its ``dst`` entry.
+        return int(self._row(self._position[src])[self._position[dst]])
 
-        One BFS per neighbor ``v`` of ``src``, in the graph without
-        ``src``, gives ``v``'s detour length to every destination at once
-        (2|E| BFSes for all rows instead of one per ordered pair).
+    def _row(self, switch: int) -> np.ndarray:
+        """The row of the node at position ``switch``: one BFS from each
+        of its neighbors ``v``, in the graph without it, all advanced
+        together.
+
+        BFS ``i`` runs from ``start[i]``.  Reached sets are bit rows, so
+        a level is one gather of the frontier nodes' neighbor bits,
+        OR-reduced per BFS; over all levels each BFS touches each node
+        once, and no array outgrows degree × nodes.  Since a shortest
+        path from the switch never revisits it, its distance to ``t`` is
+        ``1 + min_v detour_v(t)``, and ``v`` counts toward ``t`` iff
+        ``detour_v(t)`` is within ``slack`` of that minimum.
         """
-        topology = self._topology
-        adjacency = {node: topology.neighbors(node) for node in topology.nodes}
-        budget = {
-            target: hops + self._slack
-            for target, hops in self._distances(src).items()
-            if target != src
-        }
-        counts = dict.fromkeys(budget, 0)
-        for neighbor in adjacency[src]:
-            # The neighbor itself is at detour 0, and 1 <= its budget, so
-            # ``neighbor == dst`` needs no case of its own.
-            for target, detour in _hop_distances_avoiding(
-                adjacency, neighbor, src
-            ).items():
-                if 1 + detour <= budget[target]:
-                    counts[target] += 1
-        for target, count in counts.items():
-            self._cache[(src, target)] = count
-        return self._cache[(src, dst)]
-
-
-def _hop_distances_avoiding(
-    adjacency: dict[NodeId, tuple[NodeId, ...]], start: NodeId, excluded: NodeId
-) -> dict[NodeId, int]:
-    """BFS hop distances from ``start`` in the graph without ``excluded``."""
-    # Pre-marking ``excluded`` as reached keeps the BFS from entering it.
-    distances = {excluded: -1, start: 0}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        reached = []
-        for node in frontier:
-            for neighbor in adjacency[node]:
-                if neighbor not in distances:
-                    distances[neighbor] = depth
-                    reached.append(neighbor)
-        frontier = reached
-    del distances[excluded]
-    return distances
+        row = self._rows.get(switch)
+        if row is not None:
+            return row
+        n = len(self._position)
+        start = np.flatnonzero(self._adjacency[switch])
+        bfs = np.arange(start.size)
+        reached = np.zeros((start.size, n), dtype=bool)
+        reached[:, switch] = True
+        reached[bfs, start] = True
+        reached = np.packbits(reached, axis=1)
+        unreached = n  # longer than any hop distance
+        detour = np.full((start.size, n), unreached, dtype=np.int32)
+        detour[bfs, start] = 0
+        frontier_bfs, frontier_node = bfs, start
+        depth = 0
+        while frontier_bfs.size:
+            depth += 1
+            first = np.flatnonzero(
+                np.concatenate(([True], frontier_bfs[1:] != frontier_bfs[:-1]))
+            )
+            live = frontier_bfs[first]
+            grown = np.bitwise_or.reduceat(self._neighbor_bits[frontier_node], first, axis=0)
+            grown &= ~reached[live]
+            reached[live] |= grown
+            rows, frontier_node = np.nonzero(np.unpackbits(grown, axis=1, count=n))
+            frontier_bfs = live[rows]
+            detour[frontier_bfs, frontier_node] = depth
+        best = detour.min(axis=0, initial=unreached)
+        usable = (detour <= best + self._slack) & (detour < unreached)
+        row = self._rows[switch] = usable.sum(axis=0)
+        return row
 
 
 _STRATEGIES = ("lfa", "bounded", "dag")

@@ -3,15 +3,17 @@
 Binds a :class:`~repro.routing.path_count.PathCounter` to a set of flows
 and exposes the paper's per-(flow, switch) coefficients.  This object is
 the single source of ``p̄``: the per-network
-:class:`~repro.fmssm.build.GroundingIndex` reads it once per (switch,
-flow) pair, and every FMSSM instance — hence PM, the baselines and the
-exact solver — is sliced from that index, so every algorithm is scored
-on identical coefficients.
+:class:`~repro.fmssm.build.GroundingIndex` reads it once per switch
+(:meth:`ProgrammabilityModel.pbar_toward`), and every FMSSM instance —
+hence PM, the baselines and the exact solver — is sliced from that
+index, so every algorithm is scored on identical coefficients.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+
+import numpy as np
 
 from repro.exceptions import FlowError
 from repro.flows.flow import Flow
@@ -80,6 +82,16 @@ class ProgrammabilityModel:
         """``p̄_i^l = beta_i^l * p_i^l`` — programmability gained in SDN mode."""
         p = self.p(flow, switch)
         return p if p >= 2 else 0
+
+    def pbar_toward(self, switch: NodeId, destinations: np.ndarray) -> np.ndarray:
+        """``p̄`` at ``switch`` of flows that visit it, toward
+        ``destinations`` (positions in the topology's ``nodes``), as an
+        int64 array: the counter's :meth:`~repro.routing.path_count.
+        PathCounter.counts` with ``beta`` applied.  A flow ending at
+        ``switch`` gets 0, as :meth:`pbar` gives it (a switch's count
+        toward itself is 0)."""
+        p = self._counter.counts(switch, destinations)
+        return np.where(p >= 2, p, 0)
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -1,24 +1,22 @@
 """Traffic engineering over recovered programmability (application layer)."""
 
-from repro.te.capacity import (
-    betweenness_capacities,
-    link_loads,
-    link_utilization,
-    max_link_utilization,
-    uniform_capacities,
-)
-from repro.te.engineer import RerouteAction, TrafficEngineer, TrafficEngineeringResult
-from repro.te.recovered import controllable_nodes, programmable_switches
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "uniform_capacities",
-    "betweenness_capacities",
-    "link_loads",
-    "link_utilization",
-    "max_link_utilization",
-    "TrafficEngineer",
-    "TrafficEngineeringResult",
-    "RerouteAction",
-    "programmable_switches",
-    "controllable_nodes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.te.capacity": (
+            "betweenness_capacities",
+            "link_loads",
+            "link_utilization",
+            "max_link_utilization",
+            "uniform_capacities",
+        ),
+        "repro.te.engineer": (
+            "RerouteAction",
+            "TrafficEngineer",
+            "TrafficEngineeringResult",
+        ),
+        "repro.te.recovered": ("controllable_nodes", "programmable_switches"),
+    },
+)

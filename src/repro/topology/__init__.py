@@ -1,47 +1,31 @@
 """Topology models, the embedded ATT backbone, parsers, and generators."""
 
-from repro.topology.att import (
-    ATT_CONTROLLER_SITES,
-    ATT_DEFAULT_CAPACITY,
-    ATT_DOMAINS,
-    ATT_EDGES,
-    ATT_NODES,
-    att_topology,
-)
-from repro.topology.generators import (
-    grid_topology,
-    ring_topology,
-    star_topology,
-    waxman_topology,
-)
-from repro.topology.gml_writer import save_gml, to_gml
-from repro.topology.graph import NodeInfo, Topology
-from repro.topology.partition import (
-    balanced_partition,
-    nearest_site_partition,
-    validate_partition,
-)
-from repro.topology.zoo import load_zoo_topology, loads_zoo_topology, parse_gml
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Topology",
-    "NodeInfo",
-    "att_topology",
-    "ATT_NODES",
-    "ATT_EDGES",
-    "ATT_CONTROLLER_SITES",
-    "ATT_DOMAINS",
-    "ATT_DEFAULT_CAPACITY",
-    "load_zoo_topology",
-    "to_gml",
-    "save_gml",
-    "loads_zoo_topology",
-    "parse_gml",
-    "ring_topology",
-    "grid_topology",
-    "waxman_topology",
-    "star_topology",
-    "nearest_site_partition",
-    "balanced_partition",
-    "validate_partition",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.att": (
+            "ATT_CONTROLLER_SITES",
+            "ATT_DEFAULT_CAPACITY",
+            "ATT_DOMAINS",
+            "ATT_EDGES",
+            "ATT_NODES",
+            "att_topology",
+        ),
+        "repro.topology.generators": (
+            "grid_topology",
+            "ring_topology",
+            "star_topology",
+            "waxman_topology",
+        ),
+        "repro.topology.gml_writer": ("save_gml", "to_gml"),
+        "repro.topology.graph": ("NodeInfo", "Topology"),
+        "repro.topology.partition": (
+            "balanced_partition",
+            "nearest_site_partition",
+            "validate_partition",
+        ),
+        "repro.topology.zoo": ("load_zoo_topology", "loads_zoo_topology", "parse_gml"),
+    },
+)

@@ -434,15 +434,15 @@ class TestLazyViews:
 
 
 class CountingSource:
-    """The model's p̄, counting every read."""
+    """The model's p̄, counting every (switch, flow) pair read."""
 
     def __init__(self, model) -> None:
         self._model = model
         self.reads = 0
 
-    def pbar(self, flow, switch) -> int:
-        self.reads += 1
-        return self._model.pbar(flow, switch)
+    def pbar_toward(self, switch, destinations):
+        self.reads += len(destinations)
+        return self._model.pbar_toward(switch, destinations)
 
 
 class TestFill:
@@ -511,6 +511,9 @@ class OneAtEveryPair:
     def pbar(self, flow, switch) -> int:
         return 1 if self._model.pbar(flow, switch) else 0
 
+    def pbar_toward(self, switch, destinations):
+        return np.minimum(self._model.pbar_toward(switch, destinations), 1)
+
 
 class TestErrors:
     def test_capacity_error_on_first_grounding(self):
@@ -567,6 +570,12 @@ class TestErrors:
     def test_duplicate_flow_ids_rejected(self, small_context):
         flows = [*small_context.flows, small_context.flows[0]]
         with pytest.raises(FlowError):
+            GroundingIndex(small_context.plane, flows, small_context.programmability)
+
+    def test_path_outside_the_topology_rejected(self, small_context):
+        # Node codes are topology positions, which the counter's rows use.
+        flows = [*small_context.flows, Flow(0, 999, (0, 999))]
+        with pytest.raises(FlowError, match="999"):
             GroundingIndex(small_context.plane, flows, small_context.programmability)
 
     def test_equal_flows_rejected_as_duplicates(self):

@@ -118,7 +118,7 @@ class TestFingerprint:
         assert a == scenario_key(ring_context, FailureScenario(frozenset({3})))
         assert a == scenario_key(rebuilt, scenario)
         assert len(a) == 32
-        assert rebuilt._grounding is None  # keys ground nothing
+        assert not rebuilt._instances  # keys ground no scenario
 
     def test_distinguishes_scenarios(self, ring_context, ring_scenarios):
         keys = {scenario_key(ring_context, s) for s in ring_scenarios}
@@ -180,10 +180,10 @@ class TestFingerprint:
             scenario_key(context, FailureScenario(frozenset(failed)))
             for failed in ({13}, {13, 20})
         ]
-        assert network_key(context).digest == "b742016e4551fbb0c3d98d65c2806994"
+        assert network_key(context).digest == "2814b619930381b3260c7bcadede0e01"
         assert keys == [
-            "1495f9b5bb50059304817e3de54e416f",
-            "f0643c7cd5a2df4fd40957f33aeb75c6",
+            "72cb574bd7e07102f93c6a018e06fc90",
+            "f242b0936e454a514e52b2b08e5971ee",
         ]
         assert (
             solve_key(keys[1], "optimal", 300.0)

@@ -135,11 +135,12 @@ class TestMakeCounter:
 
 class TestSharedHopDistances:
     def test_counters_share_one_bfs_per_destination(self, grid):
-        """Different counter instances/strategies reuse the same map."""
-        lfa = LoopFreeAlternateCounter(grid)
-        bounded = BoundedSimplePathCounter(grid)
-        assert lfa._distances(8) is bounded._distances(8)
-        assert lfa._distances(8) is shared_hop_distances(grid, 8)
+        """Different counter instances reuse the same map (the LFA
+        counter reads no hop distances: its rows carry their own)."""
+        tight = BoundedSimplePathCounter(grid, slack=0)
+        loose = BoundedSimplePathCounter(grid, slack=2)
+        assert tight._distances(8) is loose._distances(8)
+        assert tight._distances(8) is shared_hop_distances(grid, 8)
 
     def test_cache_is_per_topology(self):
         a, b = ring_topology(6), ring_topology(6)
