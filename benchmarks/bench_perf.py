@@ -1,4 +1,4 @@
-"""Quick perf headline: table build, parallel sweep, PM hot loop, Optimal.
+"""Quick perf headline: table build, sweeps, PM hot loop, Optimal.
 
 This file runs in seconds — CI uses it as the quick-bench smoke job that
 keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
@@ -6,10 +6,9 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
 * ``table_build_s`` — filling the context's grounding index with every
   switch's p̄ entries, ``materialize_table()`` (recorded by the session
   ``context`` fixture),
-* ``sweep_serial_s`` / ``sweep_parallel_s`` — the heuristic-only
-  one-failure sweep, serial versus ``run_failure_sweep_parallel``, each
-  on a fresh context (the route the parallel call took lands in the
-  headline's ``routes`` section: a heuristic-only sweep runs serially),
+* ``sweep_serial_s`` — the heuristic-only one-failure sweep on a fresh
+  context (a heuristic-only sweep never fans out, whatever
+  ``max_workers`` it is given),
 * ``pm_n40_s`` / ``pm_n40_stress_s`` — the PM hot loop on the n=40
   Waxman WAN from ``bench_scalability.py`` (single failure, and the
   3-of-5 controller stress case where phase 1 dominates),
@@ -33,16 +32,6 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
 * ``campaign_shared_store_s`` — the ATT 1+2-failure heuristic campaign
   rerun over a store a previous campaign populated: pure hits end to
   end,
-* ``sweep_exact_supervised_s`` — the identical warm sweep under a
-  fault-free :class:`~repro.resilience.supervisor.SweepSupervisor`: the
-  watchdog / breaker / ledger bookkeeping must stay within a few
-  percent of ``sweep_exact_reuse_s`` (``check_headline.py`` enforces
-  the same-run bound),
-* ``sweep_exact_quarantine_s`` — the ATT one-failure sweep of
-  ``optimal`` and the heuristics under kill-worker chaos with a
-  zero-retry supervisor: every scenario is quarantined to the
-  parent-serial ladder and the quarantine count lands in the
-  headline's ``degraded_solves`` section (CI asserts it is non-zero),
 * ``campaign_figures_s`` — the ATT 1+2+3-failure heuristic figure
   sweeps chained through :func:`~repro.perf.executor.run_campaign`
   (heuristic-only, so each sweep runs serially),
@@ -79,7 +68,7 @@ from conftest import (
 )
 from repro.control.failures import FailureScenario
 from repro.experiments.report import render_table
-from repro.experiments.runner import run_failure_sweep, run_failure_sweep_parallel
+from repro.experiments.runner import run_failure_sweep
 from repro.pm.algorithm import solve_pm
 
 #: The heuristics only — keeps the smoke job free of MILP solve time.
@@ -120,40 +109,19 @@ def fresh_context():
     return context
 
 
-def test_parallel_sweep_headline(capsys):
-    """Serial vs parallel heuristic sweep: identical output, timed stages.
-
-    Each stage runs on its own fresh context, so neither reuses the
-    instances the other grounded; the route each took is recorded.
-    """
+def test_serial_sweep_headline(capsys):
+    """The heuristic one-failure sweep on a fresh context: nothing
+    grounded yet."""
     context = fresh_context()
     start = time.perf_counter()
     serial = run_failure_sweep(context, 1, FAST_ALGORITHMS)
     serial_s = time.perf_counter() - start
     record_sweep("sweep_serial_s", serial_s, serial)
     record_route("sweep_serial_s", sweep_route(serial))
-
-    context = fresh_context()
-    start = time.perf_counter()
-    parallel = run_failure_sweep_parallel(context, 1, FAST_ALGORITHMS, max_workers=4)
-    parallel_s = time.perf_counter() - start
-    record_stage("sweep_parallel_s", parallel_s)
-    route = sweep_route(parallel)
-    record_route("sweep_parallel_s", route)
-
-    assert_sweeps_identical(serial, parallel)
     with capsys.disabled():
         print()
-        print("=== Parallel failure sweep (heuristics only, 1 failure) ===")
-        print(
-            render_table(
-                ("mode", "wall (s)", "route"),
-                [
-                    ("serial", f"{serial_s:.3f}", "serial"),
-                    ("parallel x4", f"{parallel_s:.3f}", route),
-                ],
-            )
-        )
+        print("=== Failure sweep (heuristics only, 1 failure) ===")
+        print(render_table(("mode", "wall (s)"), [("serial", f"{serial_s:.3f}")]))
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +298,6 @@ def test_sweep_executor_reuse(waxman40_context, capsys):
     """
     from repro.perf.executor import SweepExecutor
     from repro.perf.sweep import parallel_sweep
-    from repro.resilience.supervisor import SweepSupervisor
 
     scenarios = _failure_scenarios(waxman40_context, (1, 2, 3))
     reference = parallel_sweep(
@@ -358,26 +325,8 @@ def test_sweep_executor_reuse(waxman40_context, capsys):
         record_sweep("sweep_exact_reuse_s", reuse_s, second)
         assert executor.stats["encode_hits"] == 3
 
-        # The identical warm sweep under a fault-free supervisor: same
-        # answers, and the watchdog/breaker/ledger bookkeeping must not
-        # meaningfully tax the steady state (design target <= 5%;
-        # check_headline.py enforces a jitter-tolerant same-run bound).
-        supervisor = SweepSupervisor()
-        supervised_s, supervised = _best_of(
-            3,
-            lambda: parallel_sweep(
-                waxman40_context, scenarios, POOL_ALGORITHMS,
-                max_workers=4, executor=executor, supervisor=supervisor,
-            ),
-        )
-        record_sweep("sweep_exact_supervised_s", supervised_s, supervised)
-        assert supervisor.stats["preemptions"] == 0
-        assert supervisor.stats["pool_crashes"] == 0
-        assert supervisor.stats["quarantined"] == 0
-
     assert_sweeps_identical(reference, first)
     assert_sweeps_identical(reference, second)
-    assert_sweeps_identical(reference, supervised)
     with capsys.disabled():
         print()
         print("=== Warm-executor sweep reuse (25 scenarios, optimal + heuristics) ===")
@@ -387,10 +336,6 @@ def test_sweep_executor_reuse(waxman40_context, capsys):
                 [
                     ("first (cold workers)", f"{warmup_s:.3f}"),
                     ("second (warm)", f"{reuse_s:.3f}"),
-                    (
-                        "supervised (warm, fault-free)",
-                        f"{supervised_s:.3f}  ({supervised_s / reuse_s:.2f}x)",
-                    ),
                 ],
             )
         )
@@ -519,70 +464,6 @@ def test_campaign_shared_store(context, tmp_path_factory, capsys):
                     "campaign_shared_store_s",
                     f"{campaign_s:.3f}",
                     f"{summary['store_hits']}/{summary['store_hits']}",
-                )],
-            )
-        )
-
-
-def test_sweep_supervised_quarantine(context, capsys):
-    """Kill-worker chaos: every scenario quarantines, answers unchanged.
-
-    A zero-retry supervisor under a ``kill-worker`` plan routes the
-    whole ATT one-failure sweep of ``optimal`` (certified from its seed
-    on every single failure) and the heuristics through the
-    parent-serial quarantine path.  The stage exists so the headline's
-    ``degraded_solves`` section visibly attributes quarantined
-    scenarios — ``check_headline.py`` fails when this stage reports
-    zero.
-    """
-    import warnings
-
-    from repro.control.failures import enumerate_failure_scenarios
-    from repro.exceptions import DegradedResultWarning
-    from repro.perf.executor import SweepExecutor
-    from repro.perf.sweep import parallel_sweep
-    from repro.resilience import chaos
-    from repro.resilience.chaos import ChaosPlan, Fault
-    from repro.resilience.supervisor import SupervisorPolicy, SweepSupervisor
-
-    scenarios = tuple(enumerate_failure_scenarios(context.plane, 1))
-    reference = parallel_sweep(context, scenarios, POOL_ALGORITHMS, max_workers=1)
-    supervisor = SweepSupervisor(
-        SupervisorPolicy(max_task_retries=0, max_pool_restarts=10)
-    )
-    chaos.install(
-        ChaosPlan((Fault("sweep.task", "kill-worker", at_call=1, count=None),))
-    )
-    try:
-        with SweepExecutor(max_workers=4) as executor:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradedResultWarning)
-                start = time.perf_counter()
-                results = parallel_sweep(
-                    context, scenarios, POOL_ALGORITHMS,
-                    max_workers=4,
-                    executor=executor, supervisor=supervisor,
-                )
-                quarantine_s = time.perf_counter() - start
-    finally:
-        chaos.uninstall()
-    record_sweep("sweep_exact_quarantine_s", quarantine_s, results)
-
-    assert_sweeps_identical(reference, results)
-    assert supervisor.stats["quarantined"] == len(scenarios)
-    assert all(
-        r.meta.get("supervisor", {}).get("quarantined") for r in results
-    )
-    with capsys.disabled():
-        print()
-        print("=== Supervised quarantine under kill-worker chaos (ATT, 1 failure) ===")
-        print(
-            render_table(
-                ("stage", "wall (s)", "quarantined"),
-                [(
-                    "sweep_exact_quarantine_s",
-                    f"{quarantine_s:.3f}",
-                    f"{supervisor.stats['quarantined']}/{len(scenarios)}",
                 )],
             )
         )

@@ -17,28 +17,17 @@ Rules
 * A stage present in the baseline but missing from the current run fails
   (a silently dropped benchmark looks like a perf win).
 * New stages in the current run pass (they become baseline next refresh).
-* Degraded solves (``degraded_solves`` section: pm-fallbacks, ladder
-  demotions) may exceed the baseline total by at most ``--degraded-slack``
+* Degraded solves (``degraded_solves`` section: answers of
+  ``solve_optimal``'s PM or seed fallback) may exceed the baseline total by at most ``--degraded-slack``
   (default 5).  A solver change that silently mass-degrades to the PM
   heuristic would otherwise read as a massive speedup.
-* Fault-free supervision is a *same-run* invariant, immune to runner
-  speed: ``sweep_exact_supervised_s`` (the warm exact sweep under a
-  :class:`~repro.resilience.supervisor.SweepSupervisor`) must stay
-  within ``SUPERVISED_OVERHEAD`` of ``sweep_exact_reuse_s`` (the same
-  sweep on the same warm :class:`~repro.perf.executor.SweepExecutor`,
-  unsupervised) — the watchdog, breakers and retry ledger are
-  bookkeeping, not a second sweep.
-* Store-hit replay is likewise a same-run invariant:
+* Store-hit replay is a *same-run* invariant, immune to runner speed:
   ``sweep_exact_memo_hit_s`` (re-sweeping a store populated moments
   earlier) must be at most ``sweep_exact_reuse_s / 5``, and the
   headline's ``store`` section must show the memo stages actually
   hitting (nonzero hits, zero misses) — a replay that quietly
   re-solved everything would otherwise time the solver and call it a
   cache.
-* When the kill-worker chaos stage ran (``sweep_exact_quarantine_s``),
-  its ``degraded_solves`` entry must be non-zero: quarantined scenarios
-  that vanish from the headline are the silent-degradation blindspot
-  the section exists to close.
 
 Usage::
 
@@ -112,60 +101,6 @@ def compare_degraded(
             f"degraded solves: {current_total} exceeds baseline "
             f"{baseline_total} + slack {slack} ({detail}) — the exact solver "
             f"is silently falling back to heuristics"
-        ]
-    return []
-
-
-#: Same-run ceiling on the fault-free supervisor tax over plain warm
-#: reuse.  The design target is <= 5% (both stages are best-of-three on
-#: the same executor in the same process), but shared CI runners jitter
-#: short stages well past that, so the guard only catches the failure
-#: mode that matters: the watchdog/ledger bookkeeping growing from
-#: "a few percent" to "a constant factor".
-SUPERVISED_OVERHEAD = 1.25
-
-
-def compare_supervised_overhead(
-    current: dict[str, float], factor: float = SUPERVISED_OVERHEAD
-) -> list[str]:
-    """Failure messages when fault-free supervision stopped being free.
-
-    ``sweep_exact_supervised_s`` and ``sweep_exact_reuse_s`` time the
-    *identical* warm sweep in the same run, so this is a same-run
-    invariant immune to runner speed.  Runs without either stage pass
-    vacuously.
-    """
-    supervised_s = current.get("sweep_exact_supervised_s")
-    reuse_s = current.get("sweep_exact_reuse_s")
-    if supervised_s is None or reuse_s is None:
-        return []
-    if supervised_s > factor * reuse_s:
-        return [
-            f"sweep_exact_supervised_s: {supervised_s:.4f}s exceeds {factor:g}x "
-            f"the same run's unsupervised sweep_exact_reuse_s {reuse_s:.4f}s — the "
-            f"fault-free supervisor overhead has regressed past its <=5% "
-            f"design target"
-        ]
-    return []
-
-
-def compare_quarantine_visibility(
-    stages: dict[str, float], degraded: dict[str, int]
-) -> list[str]:
-    """Failure messages when the chaos stage's quarantines went dark.
-
-    The kill-worker benchmark quarantines every scenario by design; its
-    ``degraded_solves`` entry reading zero means the supervisor stopped
-    attributing quarantined scenarios to the headline — exactly the
-    silent-degradation blindspot the section exists to close.
-    """
-    if "sweep_exact_quarantine_s" not in stages:
-        return []
-    if not degraded.get("sweep_exact_quarantine_s"):
-        return [
-            "sweep_exact_quarantine_s: the kill-worker chaos stage ran but "
-            "degraded_solves attributes no quarantined scenarios to it — "
-            "supervisor quarantine reporting is broken"
         ]
     return []
 
@@ -280,7 +215,6 @@ def main(argv: list[str] | None = None) -> int:
     baseline = load_stages(args.baseline)
     failures = compare(current, baseline, args.tolerance, args.floor_s)
     failures += compare_memo_hit(current)
-    failures += compare_supervised_overhead(current)
     cur_store = load_store(args.current)
     failures += compare_store_visibility(current, cur_store)
     if cur_store:
@@ -292,7 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     failures += compare_degraded(
         cur_degraded, load_degraded(args.baseline), args.degraded_slack
     )
-    failures += compare_quarantine_visibility(current, cur_degraded)
     if sum(cur_degraded.values()):
         detail = ", ".join(
             f"{name}={count}" for name, count in sorted(cur_degraded.items()) if count

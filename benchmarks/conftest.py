@@ -33,8 +33,8 @@ BENCH_HEADLINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_headline.j
 _STAGES: dict[str, float] = {}
 #: Total solver seconds per algorithm, accumulated across all sweeps.
 _ALGORITHM_SOLVE_S: dict[str, float] = {}
-#: Solves per sweep that ran on a fallback path (pm-fallback, ladder
-#: demotion, serial-fallback) — a mass degradation here means the exact
+#: Solves per sweep answered by ``solve_optimal``'s fallback (PM or its
+#: seed) — a mass degradation here means the exact
 #: solver silently died and "performance" is really the heuristic's.
 _DEGRADED_SOLVES: dict[str, int] = {}
 #: Cross-run solve-store counters (hits/misses per memo stage) —
@@ -59,18 +59,10 @@ def record_stage(name: str, seconds: float) -> None:
 
 def record_sweep(name: str, seconds: float, results) -> None:
     """Record a sweep's wall clock, per-algorithm solve time, and how
-    many of its solves degraded to a fallback path.
-
-    A scenario the supervisor quarantined to the parent-serial ladder
-    (``meta["supervisor"]["quarantined"]``) counts as one degraded solve
-    even when the ladder itself never demoted: quarantine is a fallback
-    route, and hiding it would let a chaos stage read as a clean run.
-    """
+    many of its solves degraded to a fallback answer."""
     record_stage(name, seconds)
     degraded = 0
     for result in results:
-        if result.meta.get("supervisor", {}).get("quarantined"):
-            degraded += 1
         for algorithm, solution in result.solutions.items():
             _ALGORITHM_SOLVE_S[algorithm] = (
                 _ALGORITHM_SOLVE_S.get(algorithm, 0.0) + solution.solve_time_s
@@ -109,13 +101,13 @@ def record_route(stage: str, route: str) -> None:
 
 def sweep_route(results) -> str:
     """The route a sweep's results were stamped with: the reason of the
-    sweep's ``mode`` (or ``serial-fallback``) event, or ``"serial"``
-    for results of the plain serial runner, which stamps none."""
+    sweep's ``mode`` event, or ``"serial"`` for results of the plain
+    serial runner, which stamps none."""
     for result in results:
         if result.degradation is None:
             continue
         for event in result.degradation.events:
-            if event.rung == "sweep" and event.action in ("mode", "serial-fallback"):
+            if event.source == "sweep" and event.action == "mode":
                 return event.reason
     return "serial"
 

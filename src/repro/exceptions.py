@@ -24,7 +24,6 @@ __all__ = [
     "InfeasibleError",
     "UnboundedError",
     "SolverTimeoutError",
-    "RungTimeoutError",
     "SolutionError",
     "ValidationError",
     "ChaosError",
@@ -96,27 +95,6 @@ class SolverTimeoutError(SolverError):
     """The solver hit its time limit before proving optimality."""
 
 
-class RungTimeoutError(SolverTimeoutError):
-    """One rung of a degradation ladder timed out without an incumbent.
-
-    Carries the wall-clock time the rung consumed, the rung's name, and
-    the rung the caller fell back to (``None`` when the error propagates
-    with no fallback available).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        elapsed_s: float = 0.0,
-        rung: str = "",
-        fallback: str | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.elapsed_s = float(elapsed_s)
-        self.rung = rung
-        self.fallback = fallback
-
-
 class SolutionError(ReproError):
     """A recovery solution violates the FMSSM constraints."""
 
@@ -142,8 +120,8 @@ class DegradedResultWarning(UserWarning, ReproError):
     """A result was produced by a degraded execution path.
 
     Emitted (via :func:`warnings.warn`) when a sweep falls back to serial
-    execution, when a solver rung times out and a lower rung's answer is
-    used instead, and similar events — the result is still correct, but
+    execution, when an exact solve answers with PM or its seed instead,
+    and similar events — the result is still correct, but
     produced more slowly or by a weaker method than requested.  Inherits
     from :class:`ReproError` so ``except ReproError`` handlers and the
     hierarchy tests see it, and from :class:`UserWarning` so it works as

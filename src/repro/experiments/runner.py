@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.baselines import get_algorithm
 from repro.control.failures import FailureScenario, enumerate_failure_scenarios
@@ -14,10 +14,10 @@ from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.perf.kernels import prepare_instance
 
-if TYPE_CHECKING:
-    from repro.resilience.degradation import DegradationReport
-
 __all__ = [
+    "DEGRADATION_CAUSES",
+    "DegradationEvent",
+    "DegradationReport",
     "ScenarioResult",
     "run_scenario",
     "run_failure_sweep",
@@ -29,6 +29,55 @@ __all__ = [
 PAPER_ALGORITHMS: tuple[str, ...] = ("optimal", "retroflow", "pg", "pm")
 
 
+#: Why a task left its primary path, as :attr:`DegradationEvent.action`.
+#: The pool causes send a task to run again in the parent
+#: (:mod:`repro.perf.sweep`); the solve causes are
+#: :func:`~repro.fmssm.optimal.solve_optimal`'s ``meta["fallback"]``.
+DEGRADATION_CAUSES: dict[str, str] = {
+    "deadline": "a pool task ran past its wall deadline and the pool was recycled",
+    "pool-crash": "the process pool broke, e.g. a worker was killed mid-task",
+    "serial-fallback": "the sweep plan, a payload or a result refused to (un)pickle",
+    "timeout": "the MILP timed out with no incumbent; the seed answered",
+    "solver-error": "the exact solve raised a SolverError; PM answered",
+    "validation": "the validator rejected the exact answer; PM answered",
+}
+
+
+@dataclass(frozen=True)
+class DegradationEvent:
+    """One entry of a result's audit trail.
+
+    ``source`` is ``"sweep"`` or the algorithm whose task degraded.
+    ``action`` is ``"mode"`` (the route a sweep took, not a degradation)
+    or a cause of :data:`DEGRADATION_CAUSES`.
+    """
+
+    source: str
+    action: str
+    reason: str
+
+    def __post_init__(self) -> None:
+        if self.action != "mode" and self.action not in DEGRADATION_CAUSES:
+            raise ValueError(f"unknown degradation cause {self.action!r}")
+
+
+@dataclass
+class DegradationReport:
+    """How a sweep produced one scenario's answers: its route, and every
+    task that left its primary path, with the cause."""
+
+    events: list[DegradationEvent] = field(default_factory=list)
+
+    @property
+    def degraded(self) -> bool:
+        """True when any task left its primary path."""
+        return any(e.action != "mode" for e in self.events)
+
+    def record(self, source: str, action: str, reason: str) -> None:
+        """Append one :class:`DegradationEvent`."""
+        self.events.append(DegradationEvent(source, action, reason))
+
+
 @dataclass
 class ScenarioResult:
     """Evaluations of every algorithm on one failure scenario."""
@@ -36,9 +85,9 @@ class ScenarioResult:
     scenario: FailureScenario
     evaluations: dict[str, RecoveryEvaluation] = field(default_factory=dict)
     solutions: dict[str, RecoverySolution] = field(default_factory=dict)
-    #: Execution audit trail (mode, ladder demotions, supervisor charges).
-    #: ``None`` for results from the plain serial runner, which has no
-    #: degradation machinery to report on.
+    #: Execution audit trail: the sweep's route and each task's fallback.
+    #: ``None`` for results from the plain serial runner, which records
+    #: none (a fallback answer still carries ``meta["degraded"]``).
     degradation: "DegradationReport | None" = None
     #: Free-form execution diagnostics that are not part of the answer —
     #: e.g. the parallel sweep's fan-out stats (payload bytes, worker

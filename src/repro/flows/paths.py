@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from repro.exceptions import FlowError, TopologyError
 from repro.flows.flow import Flow
@@ -79,7 +80,8 @@ def switch_flow_counts(
     shape: total ≈ 2050 vs the paper's 2055, hub switch 13 far above the
     median, leaf switches at ≈ 48 vs the paper's 49.
     """
-    counts: Counter[NodeId] = Counter()
-    for flow in flows:
-        counts.update(flow.path if include_destination else flow.transit_switches)
-    return counts
+    paths = (
+        flow.path if include_destination else flow.transit_switches
+        for flow in flows
+    )
+    return Counter(chain.from_iterable(paths))

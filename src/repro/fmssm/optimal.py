@@ -24,6 +24,15 @@ straight to the HiGHS MILP, which keeps the seed as its timeout
 fallback; no LP relaxation is ever solved.  ``warm_start=None`` solves
 cold: always the MILP.
 
+Degradation is decided here and only here.  A MILP that times out
+with no incumbent answers with the seed (``meta["fallback"] ==
+"timeout"``).  A solve that raises a
+:class:`~repro.exceptions.SolverError`, or whose answer the independent
+validator rejects, answers with PM (``"solver-error"`` or
+``"validation"``).  Both answers carry ``meta["degraded"] = True`` and
+``meta["solver"] == "pm-fallback"``, and raise a
+:class:`~repro.exceptions.DegradedResultWarning`.
+
 Every route reports the *canonical* objective ``r + λ · obj2``
 recomputed from the answer's positions (the same expression
 :func:`repro.fmssm.evaluation.evaluate_solution` uses), so equal optima
@@ -39,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.exceptions import DegradedResultWarning, RungTimeoutError
+from repro.exceptions import DegradedResultWarning, SolverError, ValidationError
 from repro.fmssm.instance import FMSSMInstance
 from repro.fmssm.point import Point, feasible_point, tally
 from repro.fmssm.solution import Placement, RecoverySolution
@@ -260,28 +269,6 @@ def _infeasible(meta: dict[str, object], elapsed: float) -> RecoverySolution:
     )
 
 
-def _timeout_disposition(
-    elapsed: float,
-    raise_on_timeout: bool,
-    meta: dict[str, object],
-) -> RecoverySolution:
-    """Handle a no-incumbent timeout: raise for ladders, warn otherwise."""
-    if raise_on_timeout:
-        raise RungTimeoutError(
-            f"optimal timed out after {elapsed:.1f}s with no incumbent",
-            elapsed_s=elapsed,
-            rung="highs",
-        )
-    warnings.warn(
-        DegradedResultWarning(
-            f"optimal timed out after {elapsed:.1f}s with no incumbent; "
-            f"reporting an infeasible result"
-        ),
-        stacklevel=3,
-    )
-    return _infeasible(meta, elapsed)
-
-
 def _solve_compiled(
     instance: FMSSMInstance,
     compiled,
@@ -323,7 +310,6 @@ def _solve(
     enforce_delay: bool,
     warm_start: str | None,
     compiler: object,
-    raise_on_timeout: bool,
 ) -> RecoverySolution:
     start = time.perf_counter()
     seed = (
@@ -367,7 +353,14 @@ def _solve(
         if not result.is_feasible or result.x is None:
             meta = {"status": result.status.value, "solver": result.solver}
             if result.status is SolveStatus.TIMEOUT:
-                return _timeout_disposition(elapsed, raise_on_timeout, meta)
+                # No incumbent and no seed to fall back on: no result.
+                warnings.warn(
+                    DegradedResultWarning(
+                        f"optimal timed out after {elapsed:.1f}s with no "
+                        f"incumbent; reporting an infeasible result"
+                    ),
+                    stacklevel=2,
+                )
             return _infeasible(meta, elapsed)
         placement = compiled.extract(result.x)
         objective = _canonical_objective(instance, placement)
@@ -386,8 +379,11 @@ def _solve(
     }
     if result.solver == "pm-fallback":
         solution.meta["degraded"] = True
-        solution.meta["fallback_rung"] = "pm-fallback"
-        solution.meta["timeout_elapsed_s"] = elapsed
+        solution.meta["fallback"] = "timeout"
+        solution.meta["fallback_reason"] = (
+            f"timed out after {elapsed:.1f}s with no incumbent; "
+            f"answered with the {seed.origin} seed"
+        )
     return solution
 
 
@@ -418,6 +414,37 @@ def _validated(
     return solution
 
 
+def _pm_fallback(
+    instance: FMSSMInstance,
+    exc: Exception,
+    enforce_delay: bool,
+    validate: bool,
+) -> RecoverySolution:
+    """PM's answer in place of an exact solve that raised ``exc``.
+
+    PM cannot fail the way a solver does, and its answer is validated
+    like any other (but not held to ``r >= 1``, which PM cannot
+    certify).  A fault in PM itself propagates.
+    """
+    cause = "validation" if isinstance(exc, ValidationError) else "solver-error"
+    solution = solve_pm(instance, enforce_delay=enforce_delay)
+    if validate and solution.feasible:
+        from repro.resilience.validate import check_solution
+
+        check_solution(instance, solution, enforce_delay=enforce_delay)
+    solution.meta.update(
+        degraded=True,
+        solver="pm-fallback",
+        fallback=cause,
+        fallback_reason=f"{type(exc).__name__}: {exc}; answered with PM",
+    )
+    warnings.warn(
+        DegradedResultWarning(f"optimal solve failed ({cause}: {exc}); answering with PM"),
+        stacklevel=3,
+    )
+    return solution
+
+
 def solve_optimal(
     instance: FMSSMInstance,
     time_limit_s: float | None = 600.0,
@@ -425,7 +452,6 @@ def solve_optimal(
     enforce_delay: bool = True,
     warm_start: str | None = "pm",
     compiler: object = None,
-    raise_on_timeout: bool = False,
     validate: bool = True,
 ) -> RecoverySolution:
     """Solve P′ to optimality and return the recovery solution.
@@ -433,7 +459,9 @@ def solve_optimal(
     Returns an *infeasible* :class:`RecoverySolution` (empty, with
     ``feasible=False``) when the problem admits no solution under the
     full-recovery requirement or the solver times out without an
-    incumbent — the cases the paper reports as "Optimal has no result".
+    incumbent or a seed — the cases the paper reports as "Optimal has
+    no result".  A solver fault answers with PM instead (see the module
+    docstring).
 
     Parameters
     ----------
@@ -445,18 +473,10 @@ def solve_optimal(
     compiler:
         Optional :class:`~repro.perf.compile.FMSSMCompiler` to reuse
         structural caches across scenarios.
-    raise_on_timeout:
-        When True, a no-incumbent timeout raises
-        :class:`~repro.exceptions.RungTimeoutError` (carrying the rung
-        and elapsed time) instead of returning an infeasible result —
-        this is how the degradation ladder detects a dead rung.  The
-        default keeps the historical return-infeasible behaviour but
-        emits a :class:`~repro.exceptions.DegradedResultWarning`.
     validate:
         Run the independent validator
-        (:mod:`repro.resilience.validate`) on every feasible answer;
-        a violated constraint raises
-        :class:`~repro.exceptions.ValidationError`.
+        (:mod:`repro.resilience.validate`) on every feasible answer; an
+        exact answer it rejects is replaced by PM's.
 
     Raises
     ------
@@ -468,16 +488,18 @@ def solve_optimal(
         raise ValueError(
             f"unknown warm_start {warm_start!r}; expected one of {_WARM_STARTS}"
         )
-    chaos.check("optimal.solve")
-    solution = _solve(
-        instance,
-        time_limit_s=time_limit_s,
-        require_full_recovery=require_full_recovery,
-        enforce_delay=enforce_delay,
-        warm_start=warm_start,
-        compiler=compiler,
-        raise_on_timeout=raise_on_timeout,
-    )
-    if validate:
-        _validated(instance, solution, enforce_delay, require_full_recovery)
+    try:
+        chaos.check("optimal.solve")
+        solution = _solve(
+            instance,
+            time_limit_s=time_limit_s,
+            require_full_recovery=require_full_recovery,
+            enforce_delay=enforce_delay,
+            warm_start=warm_start,
+            compiler=compiler,
+        )
+        if validate:
+            _validated(instance, solution, enforce_delay, require_full_recovery)
+    except (SolverError, ValidationError) as exc:
+        return _pm_fallback(instance, exc, enforce_delay, validate)
     return solution

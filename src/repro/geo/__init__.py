@@ -14,7 +14,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.geo.haversine": (
             "EARTH_RADIUS_M",
             "haversine_m",
-            "pairwise_distance_matrix",
             "propagation_delay_ms",
         ),
     },

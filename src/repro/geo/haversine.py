@@ -8,9 +8,6 @@ speed of :data:`~repro.types.PROPAGATION_SPEED_M_PER_S` (``2e8 m/s``).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
-import numpy as np
 
 from repro.geo.coordinates import GeoPoint
 from repro.types import MS_PER_S, PROPAGATION_SPEED_M_PER_S
@@ -19,7 +16,6 @@ __all__ = [
     "EARTH_RADIUS_M",
     "haversine_m",
     "propagation_delay_ms",
-    "pairwise_distance_matrix",
 ]
 
 #: Mean Earth radius in metres (IUGG).
@@ -56,22 +52,3 @@ def propagation_delay_ms(
         raise ValueError(f"propagation speed must be positive: {speed_m_per_s!r}")
     return haversine_m(a, b) / speed_m_per_s * MS_PER_S
 
-
-def pairwise_distance_matrix(points: Sequence[GeoPoint]) -> np.ndarray:
-    """Symmetric matrix of Haversine distances (metres) between points.
-
-    Vectorized over numpy for use on larger topologies; ``result[i, j]`` is
-    the distance between ``points[i]`` and ``points[j]``.
-    """
-    n = len(points)
-    lat = np.radians(np.array([p.latitude for p in points], dtype=float))
-    lon = np.radians(np.array([p.longitude for p in points], dtype=float))
-    dphi = lat[:, None] - lat[None, :]
-    dlam = lon[:, None] - lon[None, :]
-    h = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlam / 2.0) ** 2
-    h = np.clip(h, 0.0, 1.0)
-    out = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
-    # Exact zeros on the diagonal regardless of rounding.
-    np.fill_diagonal(out, 0.0)
-    assert out.shape == (n, n)
-    return out

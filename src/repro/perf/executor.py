@@ -46,11 +46,7 @@ Lifecycle
 executor, in the caller's order, and streams each sweep's results as it
 completes.  A campaign resumes after a hard kill the way a sweep does:
 run it again on the same :class:`~repro.perf.store.SolveStore`, and
-every sweep it completed replays without solving.  ``supervisor=``
-threads a
-:class:`~repro.resilience.supervisor.SweepSupervisor` (hung-task
-preemption via :meth:`SweepExecutor.preempt`, poison-scenario
-quarantine, circuit breakers) through every sweep.
+every sweep it completed replays without solving.
 """
 
 from __future__ import annotations
@@ -118,7 +114,6 @@ class _SweepParams:
 
     scenarios: tuple
     optimal_time_limit_s: float
-    ladder: object
     validate: bool
     chaos_plan: object
 
@@ -169,7 +164,7 @@ class SweepExecutor:
         self._generations = itertools.count(1)
         self._chaos_nonces = itertools.count(1)
         #: Observability counters (sweeps, encode hits/misses, respawns,
-        #: supervisor preemptions).
+        #: deadline preemptions).
         self.stats: dict[str, int] = {
             "sweeps": 0,
             "encode_hits": 0,
@@ -211,15 +206,10 @@ class SweepExecutor:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
         if self._pool is None:
-            respawn = self._broken
-            if respawn:
-                # A host that cannot fork replacements is itself a fault
-                # the supervisor must survive — injectable here.
-                chaos.check("executor.respawn")
+            if self._broken:
+                self.stats["respawns"] += 1
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
             self._broken = False
-            if respawn:
-                self.stats["respawns"] += 1
         return self._pool
 
     def mark_broken(self) -> None:
@@ -235,7 +225,7 @@ class SweepExecutor:
         solver cannot stall the sweep past its deadline.  The pool is
         torn down and flagged broken; the next :meth:`pool` call
         respawns it.  Queued futures fail with ``BrokenProcessPool``;
-        the supervised runner discards and requeues them.  Cached
+        the sweep runs their tasks in the parent instead.  Cached
         context payloads are untouched, so the respawned pool re-warms
         from the same artifacts.
         """
@@ -286,8 +276,8 @@ class SweepExecutor:
 
         Combines this executor's id, the context generation (a new
         context object gets a new one) and a digest of the serialized
-        sweep parameters, which pickle the scenarios, the time limit,
-        the ladder and the validation flag; the plan does not depend on
+        sweep parameters, which pickle the scenarios, the time limit
+        and the validation flag; the plan does not depend on
         the algorithms, and the code is fixed within one process.
         Chaotic sweeps get a nonce: a fresh worker-side
         ``chaos.install`` per sweep keeps the fault counters starting
@@ -340,11 +330,8 @@ def _sync_chaos(plan_key: str, chaos_plan) -> None:
     """Track the *current* sweep's chaos plan: install it, or clear a
     previous sweep's faults so they cannot leak forward.
 
-    Runs **before** the context/plan decode on cache-cold paths, so the
-    ``executor.decode_context``/``executor.plan_build`` sites fire under
-    the incoming sweep's plan.  The single-slot key is sticky across a
-    failed decode: a requeued task under the same plan key keeps its
-    counters, exactly like a retried call in one process should.
+    The single-slot key keeps the counters of every task of one sweep
+    on one worker, exactly like repeated calls in one process.
     """
     if _CHAOS_KEY[0] == plan_key:
         return
@@ -369,14 +356,10 @@ def _warm_plan(header: WarmHeader):
     build_s = 0.0
     if plan is None:
         start = time.perf_counter()
-        # The light per-sweep blob decodes first so the sweep's chaos
-        # plan is live before the heavy layers are touched — the decode
-        # sites below must be injectable on a fresh worker.
         params: _SweepParams = pickle.loads(header.sweep_blob)
         _sync_chaos(header.plan_key, params.chaos_plan)
         context = _CONTEXTS.get(header.context_key)
         if context is None:
-            chaos.check("executor.decode_context")
             context = pickle.loads(header.context_payload)
             _CONTEXTS[header.context_key] = context
             while len(_CONTEXTS) > _MAX_CONTEXTS:
@@ -384,12 +367,10 @@ def _warm_plan(header: WarmHeader):
                 _EVICTIONS["context"] += 1
         else:
             _CONTEXTS.move_to_end(header.context_key)
-        chaos.check("executor.plan_build")
         plan = SweepPlan(
             context,
             params.scenarios,
             params.optimal_time_limit_s,
-            params.ladder,
             params.validate,
             params.chaos_plan,
         )
@@ -456,7 +437,6 @@ def run_campaign(
     algorithms: Sequence[str],
     *,
     executor: SweepExecutor | None = None,
-    supervisor: object = None,
     **sweep_kwargs: object,
 ) -> Iterator[tuple[int, list]]:
     """Run several sweeps over one context, streaming results.
@@ -467,11 +447,6 @@ def run_campaign(
     context and caches.  Each individual sweep's results are
     bit-identical to a standalone ``parallel_sweep`` over the same
     scenarios.
-
-    ``supervisor`` threads a :class:`~repro.resilience.supervisor.
-    SweepSupervisor` through every sweep — hung-task preemption,
-    poison-scenario quarantine and circuit breakers all persist across
-    the campaign's sweeps (see :mod:`repro.resilience.supervisor`).
 
     ``executor=None`` uses :func:`get_default_executor` (left open for
     later campaigns); additional keyword arguments pass through to
@@ -494,7 +469,6 @@ def run_campaign(
             tuple(sweep),
             algorithms,
             executor=executor,
-            supervisor=supervisor,
             **sweep_kwargs,
         )
     store = sweep_kwargs.get("store") or executor.store
@@ -504,24 +478,19 @@ def run_campaign(
 
 def campaign_summary(
     collected: "Sequence[tuple[int, Sequence[object]]] | dict[int, Sequence[object]]",
-    supervisor: object = None,
 ) -> dict[str, object]:
     """Aggregate accounting of a campaign's collected results.
 
     ``collected`` is the ``(index, results)`` stream of
     :func:`run_campaign` (drained into a list or dict).  Folds together
-    per-sweep degradation counts, the worst-worker cache-eviction
-    telemetry (``FanoutStats.evictions``), and — when a ``supervisor``
-    is passed — its full :meth:`~repro.resilience.supervisor.
-    SweepSupervisor.summary`.
+    per-sweep degradation and store counts and the worst-worker
+    cache-eviction telemetry (``FanoutStats.evictions``).
     """
     pairs = collected.items() if isinstance(collected, dict) else collected
     summary: dict[str, object] = {
         "sweeps": 0,
         "scenarios": 0,
         "degraded": 0,
-        "preempted": 0,
-        "quarantined": 0,
         "store_hits": 0,
         "store_misses": 0,
         "evictions": {},
@@ -531,24 +500,17 @@ def campaign_summary(
         summary["sweeps"] += 1
         for result in results:
             summary["scenarios"] += 1
-            stamp = getattr(result, "meta", {}).get("store")
+            meta = getattr(result, "meta", {})
+            stamp = meta.get("store")
             if stamp is not None:
                 summary["store_hits"] += len(stamp.get("hits", ()))
                 summary["store_misses"] += len(stamp.get("misses", ()))
             degradation = getattr(result, "degradation", None)
-            events = () if degradation is None else degradation.events
             if degradation is not None and degradation.degraded:
                 summary["degraded"] += 1
-            if any(e.action == "preempted" for e in events):
-                summary["preempted"] += 1
-            meta = getattr(result, "meta", {})
-            if meta.get("supervisor", {}).get("quarantined"):
-                summary["quarantined"] += 1
             for layer, count in (
                 meta.get("fanout", {}).get("evictions", {}) or {}
             ).items():
                 if count > evictions.get(layer, 0):
                     evictions[layer] = count
-    if supervisor is not None:
-        summary["supervisor"] = supervisor.summary()
     return summary

@@ -1,4 +1,4 @@
-"""Process-pool execution of failure sweeps, with a resilience layer.
+"""Process-pool execution of failure sweeps.
 
 A sweep is embarrassingly parallel across scenarios × algorithms: every
 task grounds its instance from the same shared data (topology, flows,
@@ -20,24 +20,24 @@ each worker rebuilds from the model) plus a pickle of the per-sweep
 parameters.  Workers decode each layer once and cache it, so a pool
 pays for the context once per worker, not once per task.
 
-Resilience (all opt-in, zero overhead when unused):
+Pool faults have one policy.  A pool task that runs past its wall
+deadline (:func:`task_deadline_s`) has the pool recycled
+(:meth:`~repro.perf.executor.SweepExecutor.preempt`); a pool that breaks
+(a worker killed mid-task) or a payload that refuses to (un)pickle ends
+the pool route the same way.  Either way every result already received
+is kept, the remaining tasks run once in the parent, each is recorded on
+its result's :class:`~repro.experiments.runner.DegradationReport` with a
+typed cause, and a :class:`~repro.exceptions.DegradedResultWarning` is
+raised instead of silence.  How an exact solve itself degrades is
+decided in one place, :func:`~repro.fmssm.optimal.solve_optimal`; the
+sweep records its cause from the answer's ``meta["fallback"]``.
 
-* Any failure to parallelize — payloads that refuse to pickle, a
-  platform without working process pools, a pool that dies mid-sweep —
-  degrades to the serial path for the *remaining* tasks, keeping every
-  result already computed.  The cause is surfaced through a
-  :class:`~repro.resilience.degradation.DegradationReport` on each
-  :class:`ScenarioResult` and a
-  :class:`~repro.exceptions.DegradedResultWarning` instead of silence.
-* ``ladder=`` routes ``optimal`` solves through a degradation ladder
-  (:func:`repro.resilience.degradation.solve_with_ladder`) so a dead or
-  lying solver rung demotes instead of crashing the sweep.
-* ``validate=True`` re-checks every heuristic solution against the
-  instance's constraints (:mod:`repro.resilience.validate`).
-* ``store=`` is the sweep's only persistent state: clean solves are
-  written to the :class:`~repro.perf.store.SolveStore` as scenarios
-  complete, so a killed sweep resumes by running again on the same
-  store — bit-identically to an uninterrupted run.
+``validate=True`` re-checks every heuristic solution against the
+instance's constraints (:mod:`repro.resilience.validate`).  ``store=``
+is the sweep's only persistent state: clean solves are written to the
+:class:`~repro.perf.store.SolveStore` as scenarios complete, so a killed
+sweep resumes by running again on the same store — bit-identically to
+an uninterrupted run.
 
 Every scenario is solved on its own, exactly as the paper solves
 FMSSM once per failure combination: one producer,
@@ -78,16 +78,12 @@ from repro.perf.store import (
     scenario_key,
     solve_key,
 )
-from repro.resilience.degradation import (
-    DegradationReport,
-    LadderPolicy,
-    solve_with_ladder,
-)
 
 __all__ = [
     "SweepPlan",
     "parallel_sweep",
     "store_summary",
+    "task_deadline_s",
 ]
 
 
@@ -105,7 +101,6 @@ class SweepPlan:
     context: "ExperimentContext"  # noqa: F821 - imported lazily (cycle)
     scenarios: tuple[FailureScenario, ...]
     optimal_time_limit_s: float = 300.0
-    ladder: LadderPolicy | None = None
     validate: bool = False
     chaos_plan: "chaos.ChaosPlan | None" = field(default=None)
     #: Instances grounded through :meth:`instance`, by scenario index.
@@ -176,36 +171,54 @@ class FanoutStats:
         return out
 
 
+#: The pool's wall deadline per task is this many times the exact
+#: solver's time limit, plus :data:`_DEADLINE_SLACK_S`: a task marked
+#: running may still wait behind one solve on its worker's queue, and a
+#: two-stage answer runs two solves of its own.
+_DEADLINE_FACTOR = 3.0
+#: Seconds on top of the solves: a cache-cold worker decodes the context
+#: and builds its plan inside its first task.
+_DEADLINE_SLACK_S = 5.0
+#: How often the pool route wakes to note tasks that started running and
+#: to check their deadlines.
+_POLL_S = 0.1
+
+
+def task_deadline_s(optimal_time_limit_s: float | None) -> float | None:
+    """The wall deadline of one pool task, counted from when it starts
+    running: ``3 × optimal_time_limit_s + 5 s``, or none without a limit.
+    """
+    if optimal_time_limit_s is None:
+        return None
+    return _DEADLINE_FACTOR * optimal_time_limit_s + _DEADLINE_SLACK_S
+
+
 def _solve(
     instance: FMSSMInstance,
     algorithm: str,
     time_limit_s: float,
-    ladder: LadderPolicy | None = None,
     validate: bool = False,
-) -> tuple[RecoverySolution, DegradationReport | None]:
+) -> RecoverySolution:
     """Run one algorithm on one instance (same routing as the serial path).
 
-    With a ladder, ``optimal`` solves walk the rung chain and return
-    their degradation trail; heuristics optionally pass through the
-    independent validator.
+    ``optimal`` answers through :func:`solve_optimal`, which validates
+    its own answer and decides its own fallback; heuristics optionally
+    pass through the independent validator.
     """
     if algorithm == "optimal":
-        if ladder is not None:
-            return solve_with_ladder(instance, ladder)
-        return solve_optimal(instance, time_limit_s=time_limit_s), None
+        return solve_optimal(instance, time_limit_s=time_limit_s)
     solution = get_algorithm(algorithm)(instance)
     if validate:
         from repro.resilience.validate import check_solution
 
         check_solution(instance, solution, enforce_delay=algorithm in _EXACT_ALGORITHMS)
-    return solution, None
+    return solution
 
 
-#: One finished task: (scenario index, algorithm, solution, evaluation,
-#: degradation dict).  Pool workers append a sixth element — the
-#: worker's cache telemetry snapshot
-#: (:func:`repro.perf.executor.worker_cache_stats`).
-_TaskResult = tuple[int, str, RecoverySolution, RecoveryEvaluation, "dict | None"]
+#: One finished task: (scenario index, algorithm, solution, evaluation).
+#: Pool workers append a fifth element — the worker's cache telemetry
+#: snapshot (:func:`repro.perf.executor.worker_cache_stats`).
+_TaskResult = tuple[int, str, RecoverySolution, RecoveryEvaluation]
 
 
 def _scenario_rows(
@@ -231,26 +244,19 @@ def _scenario_rows(
     for index, group in itertools.groupby(tasks, key=lambda t: t[0]):
         instance = instance_of(index)
         prepare_instance(instance)
-        solved = []
+        algorithms = []
+        solutions = []
         for _, algorithm in group:
             chaos.check("sweep.task")
-            solution, report = _solve(
-                instance,
-                algorithm,
-                plan.optimal_time_limit_s,
-                plan.ladder,
-                plan.validate,
+            algorithms.append(algorithm)
+            solutions.append(
+                _solve(instance, algorithm, plan.optimal_time_limit_s, plan.validate)
             )
-            solved.append((algorithm, solution, report))
-        solutions = [sol for _, sol, _ in solved]
         evaluations = evaluate_batch(instance, solutions)
         if network is not None:
             rebase(instance, solutions, evaluations, network)
-        for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-            yield (
-                index, algorithm, solution, evaluation,
-                None if report is None else report.to_dict(),
-            )
+        for row in zip(algorithms, solutions, evaluations):
+            yield (index, *row)
 
 
 class _SweepRunner:
@@ -262,17 +268,15 @@ class _SweepRunner:
         scenarios: tuple[FailureScenario, ...],
         algorithms: tuple[str, ...],
         optimal_time_limit_s: float,
-        ladder: LadderPolicy | None,
         validate: bool,
         store: SolveStore | None = None,
     ) -> None:
-        from repro.experiments.runner import ScenarioResult
+        from repro.experiments.runner import DegradationReport, ScenarioResult
 
         self.context = context
         self.scenarios = scenarios
         self.algorithms = algorithms
         self.optimal_time_limit_s = optimal_time_limit_s
-        self.ladder = ladder
         self.validate = validate
         self.store = store
         #: Instances the store probe grounded to validate hits, by
@@ -296,21 +300,20 @@ class _SweepRunner:
     def _scenario_done(self, index: int) -> None:
         """Mark a scenario complete and settle its fresh solves.
 
-        Every route — serial, fresh pool, warm and supervised — stores
-        its rows in the parent through :meth:`_store`, which lands here
-        once a scenario holds all its algorithms.
+        Every route — serial, fresh pool and warm — stores its rows in
+        the parent through :meth:`_store`, which lands here once a
+        scenario holds all its algorithms.
         """
         self.completed.add(index)
         if self.store is not None:
             self._settle(index)
 
     # -- bookkeeping ---------------------------------------------------
-    def record_mode(self, reason: str, degraded: bool = False) -> None:
+    def record_mode(self, reason: str) -> None:
         """Stamp the execution mode onto every not-yet-completed result."""
-        action = "serial-fallback" if degraded else "mode"
         for index, result in enumerate(self.results):
             if index not in self.completed:
-                result.degradation.record("sweep", action, reason)
+                result.degradation.record("sweep", "mode", reason)
 
     def _store(
         self,
@@ -318,7 +321,6 @@ class _SweepRunner:
         algorithm: str,
         solution: RecoverySolution,
         evaluation: RecoveryEvaluation,
-        report_dict: dict | None,
         worker_stats: dict | None = None,
     ) -> None:
         if worker_stats is not None and self.fanout is not None:
@@ -334,11 +336,11 @@ class _SweepRunner:
         result = self.results[index]
         result.solutions[algorithm] = solution
         result.evaluations[algorithm] = evaluation
-        if report_dict is not None:
-            task_report = DegradationReport.from_dict(report_dict)
-            result.degradation.events.extend(task_report.events)
-            if task_report.rung_used is not None:
-                result.degradation.rung_used = task_report.rung_used
+        cause = solution.meta.get("fallback")
+        if cause is not None:
+            result.degradation.record(
+                algorithm, cause, solution.meta["fallback_reason"]
+            )
         if len(result.solutions) == len(self.algorithms):
             self._scenario_done(index)
 
@@ -393,20 +395,6 @@ class _SweepRunner:
             enforce_delay=algorithm in _EXACT_ALGORITHMS,
         ).ok
 
-    def _clean_for_store(self, result, solution) -> bool:
-        """Whether ``solution`` equals what a fresh default solve yields.
-
-        Demoted ladder solves and pm-fallback timeouts answer from a
-        lower rung — storing them would replay a degraded answer as a
-        pristine one — so only undemoted solves are stored.
-        """
-        if solution.meta.get("degraded"):
-            return False
-        report = result.degradation
-        return report is None or not any(
-            e.action == "demote" for e in report.events
-        )
-
     def probe_store(self) -> None:
         """Satisfy from the store whatever it already holds, before fan-out.
 
@@ -435,8 +423,7 @@ class _SweepRunner:
                     solution, evaluation = decode_result(self.context, record)
                     if self._hit_solution(index, algorithm, solution):
                         provenance["hits"].append(algorithm)
-                        self._store(index, algorithm, solution, evaluation,
-                                    None)
+                        self._store(index, algorithm, solution, evaluation)
                         continue
                 provenance["misses"].append(algorithm)
 
@@ -454,7 +441,9 @@ class _SweepRunner:
                 ),
             )
             for algorithm in self._provenance[index]["misses"]
-            if self._clean_for_store(result, result.solutions[algorithm])
+            # A fallback answer (``solve_optimal``'s PM or seed) is not
+            # what a fresh solve yields; storing it would replay it as one.
+            if not result.solutions[algorithm].meta.get("degraded")
         )
         if time.monotonic() - self._written_at >= _SETTLE_INTERVAL_S:
             self.flush_store()
@@ -473,7 +462,6 @@ class _SweepRunner:
             self.context,
             self.scenarios,
             self.optimal_time_limit_s,
-            self.ladder,
             self.validate,
         )
 
@@ -504,7 +492,6 @@ class _SweepRunner:
             executor_mod._SweepParams(
                 scenarios=self.scenarios,
                 optimal_time_limit_s=self.optimal_time_limit_s,
-                ladder=self.ladder,
                 validate=self.validate,
                 chaos_plan=chaos_plan,
             ),
@@ -528,12 +515,20 @@ class _SweepRunner:
         task; True when all completed.
 
         False keeps every received result and sends the caller to the
-        serial path: the pool broke, or a payload or result refused to
-        (un)pickle.  A broken pool is flagged for transparent respawn on
-        the executor's next sweep.  Task-level exceptions (solver bugs,
-        validation failures without a ladder, injected
-        :class:`~repro.exceptions.ChaosError`) propagate unchanged,
-        exactly as the serial path would raise them.
+        serial path, which runs the remaining tasks once in the parent:
+
+        * a task ran past its :func:`task_deadline_s`, counted from when
+          the pool marked it running — the pool is recycled
+          (:meth:`~repro.perf.executor.SweepExecutor.preempt`), since a
+          wedged task cannot be cancelled (cause ``deadline``);
+        * the pool broke, e.g. a worker was killed mid-task (cause
+          ``pool-crash``; the executor respawns it on its next sweep);
+        * the plan, a payload or a result refused to (un)pickle (cause
+          ``serial-fallback``).
+
+        Task-level exceptions (solver bugs, validation failures,
+        injected :class:`~repro.exceptions.ChaosError`) propagate
+        unchanged, exactly as the serial path would raise them.
         """
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
@@ -543,307 +538,58 @@ class _SweepRunner:
         try:
             header, stats = self._warm_header(executor)
         except Exception as exc:  # unpicklable context: stay serial
-            self._warn_fallback(f"sweep plan failed to encode ({exc!r})")
+            self._fall_back("serial-fallback", f"sweep plan failed to encode ({exc!r})")
             return False
         self.fanout = stats
         executor.stats["sweeps"] += 1
+        deadline_s = task_deadline_s(self.optimal_time_limit_s)
+        started: dict = {}
         try:
             pool = executor.pool()
             pending = {
-                pool.submit(_warm_run_task, header, task) for task in tasks
+                pool.submit(_warm_run_task, header, task): task for task in tasks
             }
             while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                done, _ = wait(pending, timeout=_POLL_S, return_when=FIRST_COMPLETED)
                 for future in done:
+                    del pending[future]
                     self._store(*future.result())
-        except (OSError, pickle.PickleError, BrokenProcessPool) as exc:
-            # A worker killed mid-task or a payload/result that refuses
-            # (un)pickling: keep what we have, finish serially, and let
-            # the executor respawn its pool lazily.
+                if deadline_s is None:
+                    continue
+                now = time.monotonic()
+                for future in pending:
+                    if future not in started and future.running():
+                        started[future] = now
+                late = [
+                    task for future, task in pending.items()
+                    if now - started.get(future, now) > deadline_s
+                ]
+                if late:
+                    executor.preempt()
+                    self._fall_back(
+                        "deadline",
+                        f"task(s) {late} ran past the {deadline_s:g}s deadline; "
+                        "pool recycled",
+                    )
+                    return False
+        except BrokenProcessPool as exc:
+            # A worker died mid-task: keep what we have, finish serially,
+            # and let the executor respawn its pool lazily.
             executor.mark_broken()
-            self._warn_fallback(f"process pool failed ({exc!r})")
+            self._fall_back("pool-crash", f"process pool broke ({exc!r})")
+            return False
+        except (OSError, pickle.PickleError) as exc:
+            executor.mark_broken()
+            self._fall_back("serial-fallback", f"process pool failed ({exc!r})")
             return False
         return True
 
-    # -- supervised execution ------------------------------------------
-    def _supervisor_meta(self, index: int) -> dict:
-        """The per-result supervisor audit dict (created on first use)."""
-        return self.results[index].meta.setdefault(
-            "supervisor", {"events": [], "quarantined": False}
-        )
-
-    def _run_quarantined(self, index: int, q_report, supervisor) -> None:
-        """Solve one quarantined scenario serially through the ladder.
-
-        Runs in the parent, where ``kill-worker`` and ``hang`` chaos are
-        no-ops by construction, and deliberately skips the ``sweep.task``
-        chaos site — the terminal fallback must always complete.  Exact
-        solves go through the sweep's ladder (or the default one) so a
-        genuinely broken solver still degrades to the PM rung instead of
-        wedging the campaign.
-        """
-        from repro.resilience.degradation import default_ladder
-
-        result = self.results[index]
-        ladder = self.ladder or default_ladder(self.optimal_time_limit_s)
-        instance = self._instance(index)
-        prepare_instance(instance)
-        solved = []
-        for algorithm in self.algorithms:
-            if algorithm in result.solutions:
-                continue
-            solution, report = _solve(
-                instance,
-                algorithm,
-                self.optimal_time_limit_s,
-                ladder,
-                self.validate,
-            )
-            solved.append((algorithm, solution, report))
-        solutions = [sol for _, sol, _ in solved]
-        evaluations = evaluate_batch(instance, solutions)
-        rebase(instance, solutions, evaluations, self.context.network_frame())
-        result.degradation.record(
-            "supervisor",
-            "quarantine",
-            f"retry budget exhausted after {q_report.charges} "
-            f"{q_report.cause} charge(s); solved serially via the ladder",
-        )
-        meta = self._supervisor_meta(index)
-        meta["quarantined"] = True
-        meta["events"].append({"action": "quarantine", **q_report.to_dict()})
-        for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-            self._store(
-                index, algorithm, solution, evaluation,
-                None if report is None else report.to_dict(),
-            )
-
-    def _quarantine_over_budget(self, supervisor) -> None:
-        """Quarantine + serially solve every over-budget scenario.
-
-        Covers both *fresh* decisions (this sweep's charges crossed the
-        budget) and scenarios already quarantined by an earlier sweep of
-        the same campaign: known-poison work never reaches the pool
-        again, it goes straight to the parent-serial ladder.
-        """
-        open_indices = {
-            self.scenarios[i].name: i
-            for i in range(len(self.scenarios))
-            if i not in self.completed
-        }
-        reports = {
-            q_report.scenario: q_report
-            for q_report in supervisor.quarantine_decisions(
-                list(open_indices), self.algorithms
-            )
-        }
-        for q_report in supervisor.quarantines:
-            if q_report.scenario in open_indices:
-                reports.setdefault(q_report.scenario, q_report)
-        for name, q_report in reports.items():
-            self._run_quarantined(open_indices[name], q_report, supervisor)
-
-    def run_supervised(self, tasks: Sequence[tuple[int, str]], executor,
-                       supervisor) -> bool:
-        """Warm fan-out under a :class:`~repro.resilience.supervisor.
-        SweepSupervisor`; True when all tasks completed.
-
-        Same submissions and result contract as :meth:`run_warm` —
-        fault-free, the two are byte-for-byte identical (the supervisor's
-        hooks all return their inputs unchanged) — plus four layers of
-        supervision, re-submitted in *rounds* until nothing is pending:
-
-        * The wait loop doubles as the watchdog: it wakes every
-          ``poll_interval_s``, stamps a deadline on each task when it is
-          first observed *running*, and hard-kills the pool
-          (:meth:`~repro.perf.executor.SweepExecutor.preempt`) when a
-          task overstays — charging only the overdue tasks' scenarios.
-        * A :class:`~repro.exceptions.ChaosError` escaping a task is a
-          *task fault*: its scenario is charged and the task requeued.
-          Any other task exception propagates unchanged, exactly as the
-          unsupervised routes raise it.
-        * Scenarios charged past the retry budget are quarantined and
-          solved serially in the parent before the next round.
-        * Each round submits under the breaker-effective ladder; a
-          breaker state change mid-round cancels the not-yet-running
-          remainder so it requeues under the new ladder.
-
-        Pool crashes (``BrokenProcessPool`` and kin) charge the scenarios
-        of the tasks last observed running — the likely culprits — or of
-        all unfinished ones when nothing was seen running.  A failure
-        charges each scenario once, however many of its tasks it hit.
-        After ``max_pool_restarts`` of them the sweep falls back to
-        serial like :meth:`run_warm` does on its first crash.
-        """
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.exceptions import ChaosError
-        from repro.perf.executor import _warm_run_task
-
-        policy = supervisor.policy
-        supervisor.stats["supervised_sweeps"] += 1
-        executor.stats["sweeps"] += 1
-        base_ladder = self.ladder
-        pool_restarts = 0
-        # One header per effective ladder for the whole sweep.
-        # Rebuilding per requeue round would mint a fresh chaos nonce
-        # each time (``SweepExecutor.plan_key``), resetting the workers'
-        # fault counters every round — a one-shot injected fault would
-        # then re-fire on every retry instead of being retried past.
-        headers: list = []
-
-        try:
-            while True:
-                self._quarantine_over_budget(supervisor)
-                tasks = self.pending_tasks()
-                if not tasks:
-                    return True
-
-                self.ladder = ladder_round = supervisor.effective_ladder(base_ladder)
-                # Re-derived every round: rung-latency EWMAs observed in
-                # earlier rounds (and earlier sweeps of the campaign)
-                # tighten the watchdog for this one.
-                deadline_s = supervisor.task_deadline_s(
-                    base_ladder, self.optimal_time_limit_s
-                )
-                built = next(
-                    (built for ladder, built in headers if ladder == ladder_round),
-                    None,
-                )
-                if built is None:
-                    try:
-                        built = self._warm_header(executor)
-                    except Exception as exc:  # unpicklable context: stay serial
-                        self._warn_fallback(
-                            f"sweep plan failed to encode ({exc!r})"
-                        )
-                        return False
-                    headers.append((ladder_round, built))
-                header, self.fanout = built
-
-                submitted: dict = {}
-                processed: set = set()
-                running_seen: set = set()
-                deadlines: dict = {}
-                try:
-                    pool = executor.pool()
-                    for task in tasks:
-                        submitted[pool.submit(_warm_run_task, header, task)] = task
-
-                    pending = set(submitted)
-                    while pending:
-                        done, pending = wait(
-                            pending,
-                            timeout=policy.poll_interval_s,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        for future in done:
-                            if future.cancelled():
-                                continue
-                            processed.add(future)
-                            try:
-                                row = future.result()
-                            except ChaosError as exc:
-                                supervisor.stats["task_faults"] += 1
-                                self._charge(
-                                    supervisor, [submitted[future]], "task-fault",
-                                    str(exc),
-                                )
-                                continue
-                            self._store(*row)
-                            supervisor.observe_report(row[4])
-                            if base_ladder is None:
-                                # Ladderless sweeps have no rung events;
-                                # the solve wall-clock feeds the generic
-                                # "task" EWMA instead.
-                                supervisor.observe_latency(
-                                    "task", row[2].solve_time_s
-                                )
-
-                        now = supervisor.clock()
-                        for future in pending:
-                            if future not in deadlines and future.running():
-                                running_seen.add(future)
-                                deadlines[future] = now + deadline_s
-                        expired = [
-                            f for f in pending
-                            if f in deadlines and now > deadlines[f]
-                        ]
-                        if expired:
-                            # Hung worker(s): kill the whole pool — a
-                            # wedged task cannot be cancelled — charge
-                            # only the overdue tasks, requeue the rest.
-                            supervisor.stats["preemptions"] += 1
-                            pool_restarts += 1
-                            executor.preempt()
-                            processed.update(expired)
-                            names = self._charge(
-                                supervisor, [submitted[f] for f in expired],
-                                "preempted",
-                                f"task exceeded its {deadline_s:.1f}s deadline",
-                            )
-                            supervisor.events.append({
-                                "action": "preempt", "scenarios": sorted(names),
-                            })
-                            break
-
-                        if supervisor.effective_ladder(base_ladder) != ladder_round:
-                            # A breaker opened or half-opened mid-round:
-                            # requeue everything not yet running under
-                            # the new effective ladder.
-                            for future in list(pending):
-                                future.cancel()
-                except ChaosError as exc:
-                    # ``executor.respawn`` chaos: the host cannot fork
-                    # replacement workers — only the serial path is left.
-                    self._warn_fallback(f"pool respawn failed ({exc!r})")
-                    return False
-                except (OSError, pickle.PickleError, BrokenProcessPool) as exc:
-                    supervisor.stats["pool_crashes"] += 1
-                    pool_restarts += 1
-                    executor.mark_broken()
-                    blamed = [
-                        f for f in running_seen if f not in processed
-                    ] or [f for f in submitted if f not in processed]
-                    processed.update(blamed)
-                    self._charge(
-                        supervisor, [submitted[f] for f in blamed], "pool-crash",
-                        repr(exc),
-                    )
-                    if pool_restarts > policy.max_pool_restarts:
-                        self._warn_fallback(
-                            f"process pool failed {pool_restarts} times, "
-                            f"exceeding max_pool_restarts="
-                            f"{policy.max_pool_restarts} ({exc!r})"
-                        )
-                        return False
-        finally:
-            self.ladder = base_ladder
-
-    def _charge(self, supervisor, tasks, cause: str, reason: str) -> list[str]:
-        """Charge one failure to the scenarios of ``tasks`` — each
-        scenario once, however many of its tasks the failure hit — and
-        stamp it on their results; returns the scenarios' names."""
-        indices = sorted({index for index, _ in tasks})
-        names = [self.scenarios[i].name for i in indices]
-        supervisor.charge(names, cause)
-        for index in indices:
-            self.results[index].degradation.record("supervisor", cause, reason)
-            self._supervisor_meta(index)["events"].append({
-                "action": cause,
-                "reason": reason,
-            })
-        supervisor.events.append({
-            "action": cause,
-            "scenarios": names,
-            "reason": reason,
-        })
-        return names
-
-    def _warn_fallback(self, cause: str) -> None:
-        reason = f"{cause}; completing remaining tasks serially"
-        self.record_mode(reason, degraded=True)
+    def _fall_back(self, cause: str, reason: str) -> None:
+        """Record ``cause`` on every remaining task's result and warn:
+        the serial path runs those tasks next, in the parent."""
+        reason = f"{reason}; completing remaining tasks serially"
+        for index, algorithm in self.pending_tasks():
+            self.results[index].degradation.record(algorithm, cause, reason)
         warnings.warn(DegradedResultWarning(f"parallel sweep degraded: {reason}"),
                       stacklevel=4)
 
@@ -897,10 +643,8 @@ def parallel_sweep(
     algorithms: Sequence[str],
     optimal_time_limit_s: float = 300.0,
     max_workers: int | None = None,
-    ladder: LadderPolicy | None = None,
     validate: bool = False,
     executor: "SweepExecutor | None" = None,  # noqa: F821
-    supervisor: "SweepSupervisor | None" = None,  # noqa: F821
     store: SolveStore | None = None,
 ) -> "list[ScenarioResult]":  # noqa: F821
     """Run ``scenarios`` × ``algorithms`` over a process pool.
@@ -912,17 +656,17 @@ def parallel_sweep(
     ``optimal-two-stage`` or ``retroflow-ip``, :data:`_HEAVY_ALGORITHMS`)
     fans out, one task per submission, and only when ``max_workers``
     resolves to more than one worker.  Every heuristic-only sweep runs
-    serially, whatever its size and whether or not an ``executor`` or
-    ``supervisor`` is passed: its sub-millisecond tasks never repay
-    shipping them to a pool, warm or fresh.  A pool sweep falls back to
-    the serial path when the plan or a result refuses to pickle, or when
-    the pool breaks; only the *remaining* tasks are recomputed, and the
-    cause is recorded on every affected result's ``degradation`` report
-    and raised as a :class:`~repro.exceptions.DegradedResultWarning`.
+    serially, whatever its size and whether or not an ``executor`` is
+    passed: its sub-millisecond tasks never repay shipping them to a
+    pool, warm or fresh.  A pool sweep falls back to the serial path
+    when a task runs past its :func:`task_deadline_s`, when the plan or
+    a result refuses to pickle, or when the pool breaks; only the
+    *remaining* tasks are recomputed, each is recorded with its cause on
+    its result's ``degradation`` report, and a
+    :class:`~repro.exceptions.DegradedResultWarning` is raised.
 
-    Resilience knobs (see :mod:`repro.resilience`): ``ladder`` walks
-    ``optimal`` solves down a degradation ladder and ``validate``
-    re-checks heuristic solutions.
+    ``validate`` re-checks heuristic solutions (exact solves always
+    validate their own answers).
 
     Without ``executor`` the sweep runs on a
     :class:`~repro.perf.executor.SweepExecutor` scoped to the call, whose
@@ -931,15 +675,6 @@ def parallel_sweep(
     contexts and plans, so every sweep after the first over a context
     runs near the pure-solve floor.  Results stay bit-identical either
     way, and pool failures degrade to the serial path on both.
-
-    ``supervisor`` wraps the warm route in a
-    :class:`~repro.resilience.supervisor.SweepSupervisor`: per-task
-    deadlines with hung-worker preemption, retry budgets with poison-
-    scenario quarantine to the serial ladder, and circuit breakers
-    around the exact rungs.  A sweep that fans out under a supervisor
-    takes the warm route (the default executor is used when none is
-    passed); with no faults observed the supervised sweep is
-    bit-identical to the unsupervised one.
 
     ``store`` memoizes solves across parent processes and runs through a
     :class:`~repro.perf.store.SolveStore`, keyed by scenario: the
@@ -952,7 +687,7 @@ def parallel_sweep(
     :data:`_SETTLE_INTERVAL_S`, and flushed when the sweep returns or
     raises, so the store is also how a killed sweep resumes: run it
     again on the same store and only the unwritten scenarios are
-    solved.  Degraded and demoted solves are never stored, so a resumed
+    solved.  Degraded solves are never stored, so a resumed
     sweep solves them again.  Defaults to the executor's store when one
     is attached.  Under an active chaos plan the store is bypassed
     entirely so fault injection still exercises real solves; a chaotic
@@ -960,10 +695,6 @@ def parallel_sweep(
     """
     if executor is not None and executor.closed:
         raise ValueError("executor is closed; create a new SweepExecutor")
-    if supervisor is not None and executor is None:
-        from repro.perf.executor import get_default_executor
-
-        executor = get_default_executor(max_workers)
     if store is None and executor is not None:
         store = executor.store
     if store is not None and chaos.active_plan() is not None:
@@ -980,7 +711,6 @@ def parallel_sweep(
         scenarios,
         algorithms,
         optimal_time_limit_s,
-        ladder,
         validate,
         store=store,
     )
@@ -1000,13 +730,6 @@ def parallel_sweep(
         elif workers <= 1:
             runner.record_mode(f"serial: max_workers={max_workers} resolves to <= 1 worker")
             runner.run_serial(tasks)
-        elif executor is not None and supervisor is not None:
-            runner.record_mode(
-                f"supervised-warm-pool: executor {executor.id}, {workers} workers, "
-                f"{len(tasks)} tasks"
-            )
-            if not runner.run_supervised(tasks, executor, supervisor):
-                runner.run_serial(runner.pending_tasks())
         elif executor is not None:
             runner.record_mode(
                 f"warm-pool: executor {executor.id}, {workers} workers, "

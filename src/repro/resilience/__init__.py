@@ -1,28 +1,26 @@
-"""Resilience layer: survivable, auditable sweeps and solves.
+"""Resilience layer: loud, auditable solves and sweeps.
 
 The paper's premise is graceful degradation under failure; this package
 applies the same philosophy to the reproduction's own execution
-pipeline.  Four pieces:
+pipeline.  Two pieces:
 
-:mod:`repro.resilience.degradation`
-    A configurable **degradation ladder** for exact solves
-    (``sparse+warm`` → ``pm``), each rung guarded
-    by a time limit and retry-with-backoff, with every demotion recorded
-    in a structured :class:`DegradationReport`.
 :mod:`repro.resilience.chaos`
     A **fault-injection harness** with sites threaded through the sweep
     engine and every solver route, so the failure paths are first-class
     tested code.
-:mod:`repro.resilience.supervisor`
-    A **sweep supervisor** around the warm executor: per-unit deadlines
-    with hung-worker preemption, retry budgets with poison-scenario
-    quarantine to the serial ladder, and closed/open/half-open circuit
-    breakers around the exact rungs.
 :mod:`repro.resilience.validate`
     An **independent solution validator** checking any
     :class:`~repro.fmssm.solution.RecoverySolution` against the
     instance's constraints (Eqs. 2-6 / 12-14), invoked on every solver
     route's output.
+
+The policies they test live with the code they guard: an exact solve
+decides its own fallback (:func:`~repro.fmssm.optimal.solve_optimal`:
+the seed on a timeout, PM on a solver fault), and a pool sweep gives
+each task one wall deadline and runs whatever its pool could not finish
+once in the parent (:mod:`repro.perf.sweep`).  Each fallback is a typed
+:class:`~repro.experiments.runner.DegradationEvent` and a
+:class:`~repro.exceptions.DegradedResultWarning`.
 
 A killed sweep or campaign resumes by running again on the same
 :class:`~repro.perf.store.SolveStore`, which is the only persistent
@@ -35,20 +33,6 @@ from repro.resilience import chaos
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.resilience.degradation": (
-            "DegradationEvent",
-            "DegradationReport",
-            "LadderPolicy",
-            "Rung",
-            "default_ladder",
-            "solve_with_ladder",
-        ),
-        "repro.resilience.supervisor": (
-            "CircuitBreaker",
-            "QuarantineReport",
-            "SupervisorPolicy",
-            "SweepSupervisor",
-        ),
         "repro.resilience.validate": (
             "ValidationReport",
             "Violation",

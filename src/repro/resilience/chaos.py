@@ -26,22 +26,11 @@ Instrumented sites
     Entry of the HiGHS MILP and LP-relaxation solves; ``highs.solve.x`` is the
     transform point over the HiGHS result vector (``corrupt-solution``
     activates every pair, which the independent validator must reject).
-``executor.decode_context``
-    Fires in a warm worker right before it decodes a cache-cold context
-    payload (:mod:`repro.perf.executor`) — a fault here simulates a
-    worker that cannot attach to or unpickle the shipped context.
-``executor.plan_build``
-    Fires in a warm worker right before it assembles a cache-cold
-    :class:`~repro.perf.sweep.SweepPlan` from the decoded layers.
-``executor.respawn``
-    Fires in the *parent* when a :class:`~repro.perf.executor.
-    SweepExecutor` respawns a broken pool — ``raise-error`` here
-    simulates a host that cannot fork replacement workers.
 
 The ``hang`` action sleeps for ``Fault.seconds`` — long enough to trip a
-supervisor deadline — and, like ``kill-worker``, only fires in worker
-processes: the parent (and therefore the supervisor's quarantine path,
-which runs poisoned scenarios serially) is immune by construction.
+pool task's deadline (:func:`repro.perf.sweep.task_deadline_s`) — and,
+like ``kill-worker``, only fires in worker processes: the parent, which
+runs whatever the pool could not finish, is immune by construction.
 
 Counters are **per process** (a worker counts its own calls) and
 deliberately simple: deterministic tests install a plan, run, and
@@ -195,7 +184,7 @@ def check(site: str) -> None:
                 import time
 
                 time.sleep(fault.seconds)
-            continue  # parents (and quarantine reruns) never hang
+            continue  # parents never hang
         maker = _RAISE_ACTIONS.get(fault.action)
         if maker is not None:
             raise maker(fault, call)

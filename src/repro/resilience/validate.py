@@ -92,7 +92,7 @@ def validate_solution(
     """Re-derive every constraint and return a full :class:`ValidationReport`.
 
     Unlike ``verify_solution`` this never raises and never stops at the
-    first violation — chaos tests and degradation ladders want the
+    first violation — chaos tests and fallback reasons want the
     complete picture.  An infeasible solution validates trivially when
     empty (the paper's "Optimal has no result" outcome) and is flagged
     otherwise.

@@ -114,25 +114,26 @@ def waxman_topology(
         raise TopologyError(f"invalid waxman parameters alpha={alpha}, beta={beta}")
     rng = random.Random(seed)
     points = random_us_points(n, rng)
-    dist = [[haversine_m(points[u], points[v]) for v in range(n)] for u in range(n)]
+    # Haversine is symmetric bit for bit, so each pair is computed once.
+    dist = [[0.0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            dist[u][v] = dist[v][u] = haversine_m(points[u], points[v])
     scale = max(max(row) for row in dist)
 
     # Prim's MST over the complete distance graph: the connected backbone.
+    # ``key[v]`` is the least ``(distance, tree node)`` joining ``v`` to
+    # the tree, and the least ``(distance, tree node, v)`` joins next.
     edges: set[tuple[int, int]] = set()
-    in_tree = {0}
-    while len(in_tree) < n:
-        best: tuple[float, int, int] | None = None
-        for u in in_tree:
-            for v in range(n):
-                if v in in_tree:
-                    continue
-                candidate = (dist[u][v], u, v)
-                if best is None or candidate < best:
-                    best = candidate
-        assert best is not None
-        _, u, v = best
+    key = {v: (dist[0][v], 0) for v in range(1, n)}
+    while key:
+        v = min(key, key=lambda w: (*key[w], w))
+        _, u = key.pop(v)
         edges.add((min(u, v), max(u, v)))
-        in_tree.add(v)
+        row = dist[v]
+        for w, best in key.items():
+            if (row[w], v) < best:
+                key[w] = (row[w], v)
 
     # Waxman extra edges on top of the backbone.
     for u in range(n):

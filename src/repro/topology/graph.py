@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.exceptions import TopologyError
-from repro.geo import GeoPoint, haversine_m, pairwise_distance_matrix
+from repro.geo import GeoPoint, haversine_m
 from repro.types import MS_PER_S, PROPAGATION_SPEED_M_PER_S, Edge, NodeId
 
 __all__ = ["Link", "NodeInfo", "Topology"]
@@ -228,15 +226,6 @@ class Topology:
         propagation speed" (Section VI-A), i.e. straight-line, not routed.
         """
         return self.geo_distance_m(u, v) / self._speed * MS_PER_S
-
-    def geo_distance_matrix(self) -> np.ndarray:
-        """Direct distances (metres) between all node pairs, sorted order."""
-        points = [self.geo(n) for n in self.nodes]
-        return pairwise_distance_matrix(points)
-
-    def geo_delay_matrix_ms(self) -> np.ndarray:
-        """Direct propagation delays (ms) between all node pairs."""
-        return self.geo_distance_matrix() / self._speed * MS_PER_S
 
     # ------------------------------------------------------------------
     # Helpers

@@ -25,7 +25,6 @@ class TestHierarchy:
             (exceptions.InfeasibleError, exceptions.SolverError),
             (exceptions.UnboundedError, exceptions.SolverError),
             (exceptions.SolverTimeoutError, exceptions.SolverError),
-            (exceptions.RungTimeoutError, exceptions.SolverTimeoutError),
             (exceptions.ValidationError, exceptions.SolutionError),
             (exceptions.ChaosError, exceptions.ReproError),
             (exceptions.DegradedResultWarning, exceptions.ReproError),
@@ -37,14 +36,6 @@ class TestHierarchy:
     def test_degraded_result_warning_is_a_warning(self):
         """It must be issuable through ``warnings.warn``."""
         assert issubclass(exceptions.DegradedResultWarning, UserWarning)
-
-    def test_rung_timeout_carries_context(self):
-        err = exceptions.RungTimeoutError(
-            "rung timed out", elapsed_s=1.5, rung="sparse+warm", fallback="pm"
-        )
-        assert err.elapsed_s == 1.5
-        assert err.rung == "sparse+warm"
-        assert err.fallback == "pm"
 
     def test_catching_base_catches_everything(self):
         from repro.topology.graph import Topology

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.geo import (
     EARTH_RADIUS_M,
     GeoPoint,
     haversine_m,
-    pairwise_distance_matrix,
     propagation_delay_ms,
 )
 
@@ -95,26 +93,3 @@ class TestPropagationDelay:
     def test_ny_la_delay_magnitude(self):
         # ~3936 km at 2e8 m/s is ~19.7 ms one-way.
         assert propagation_delay_ms(NY, LA) == pytest.approx(19.7, rel=0.02)
-
-
-class TestPairwiseMatrix:
-    def test_matches_scalar_haversine(self):
-        points = [NY, LA, LONDON]
-        matrix = pairwise_distance_matrix(points)
-        for i, a in enumerate(points):
-            for j, b in enumerate(points):
-                assert matrix[i, j] == pytest.approx(haversine_m(a, b), rel=1e-9)
-
-    def test_diagonal_exact_zero(self):
-        matrix = pairwise_distance_matrix([NY, LA])
-        assert matrix[0, 0] == 0.0
-        assert matrix[1, 1] == 0.0
-
-    def test_symmetric(self):
-        matrix = pairwise_distance_matrix([NY, LA, LONDON])
-        assert np.allclose(matrix, matrix.T)
-
-    def test_single_point(self):
-        matrix = pairwise_distance_matrix([NY])
-        assert matrix.shape == (1, 1)
-        assert matrix[0, 0] == 0.0

@@ -24,7 +24,6 @@ import repro
 from repro.perf.executor import SweepExecutor, run_campaign
 from repro.perf.store import SolveStore
 from repro.perf.sweep import _SweepRunner, parallel_sweep, store_summary
-from repro.resilience.supervisor import SweepSupervisor
 
 ALGORITHMS = ("optimal", "pm", "retroflow")
 
@@ -189,16 +188,13 @@ def interrupt_after(monkeypatch, k: int) -> set[int]:
 
 
 def run_interrupted_pool_sweep(
-    supervised, context, scenarios, uninterrupted, root, monkeypatch
+    context, scenarios, uninterrupted, root, monkeypatch
 ):
     """Cut a pool sweep short in the parent after 2 scenarios, check
     they are in the store (written on the way out), and that the re-run
     on the same executor replays them bit-identically."""
     k = 2
-    options = dict(
-        max_workers=2, optimal_time_limit_s=60.0,
-        supervisor=SweepSupervisor() if supervised else None,
-    )
+    options = dict(max_workers=2, optimal_time_limit_s=60.0)
     with SweepExecutor(max_workers=2) as executor:
         done = interrupt_after(monkeypatch, k)
         with pytest.raises(Interrupted):
@@ -226,15 +222,7 @@ class TestInterruptedPoolSweep:
         self, sweep_context, sweep_scenarios, uninterrupted, tmp_path, monkeypatch
     ):
         run_interrupted_pool_sweep(
-            False, sweep_context, sweep_scenarios, uninterrupted,
-            tmp_path / "store", monkeypatch,
-        )
-
-    def test_interrupted_supervised_sweep_resumes(
-        self, sweep_context, sweep_scenarios, uninterrupted, tmp_path, monkeypatch
-    ):
-        run_interrupted_pool_sweep(
-            True, sweep_context, sweep_scenarios, uninterrupted,
+            sweep_context, sweep_scenarios, uninterrupted,
             tmp_path / "store", monkeypatch,
         )
 

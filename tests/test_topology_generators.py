@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import networkx as nx
 import pytest
 from conftest import nx_graph
 
 from repro.exceptions import TopologyError
+from repro.geo import haversine_m
 from repro.topology.generators import (
+    _build,
     grid_topology,
+    random_us_points,
     ring_topology,
     star_topology,
     waxman_topology,
@@ -91,6 +97,54 @@ class TestWaxman:
         topo = waxman_topology(30, alpha=1e-9, beta=0.01, seed=0)
         assert nx.is_connected(nx_graph(topo))
         assert topo.n_links == 29  # exactly the spanning tree
+
+
+def _waxman_reference(n, alpha, beta, seed):
+    """The O(n³) construction: the full distance matrix and a Prim step
+    that scans every (tree node, outside node) pair for the least
+    ``(distance, tree node, outside node)``."""
+    rng = random.Random(seed)
+    points = random_us_points(n, rng)
+    dist = [[haversine_m(points[u], points[v]) for v in range(n)] for u in range(n)]
+    scale = max(max(row) for row in dist)
+    edges = set()
+    in_tree = {0}
+    while len(in_tree) < n:
+        _, u, v = min(
+            (dist[u][v], u, v)
+            for u in in_tree
+            for v in range(n)
+            if v not in in_tree
+        )
+        edges.add((min(u, v), max(u, v)))
+        in_tree.add(v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) in edges:
+                continue
+            if rng.random() < alpha * math.exp(-dist[u][v] / (beta * scale)):
+                edges.add((u, v))
+    return _build(f"waxman{n}", points, edges)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta, seed",
+    [
+        (2, 0.4, 0.25, 0),
+        (12, 0.4, 0.25, 3),
+        (40, 0.4, 0.25, 1),
+        (40, 0.9, 0.5, 2),
+        (72, 0.4, 0.25, 1),
+        (72, 1e-9, 0.01, 0),
+        (150, 0.4, 0.25, 2),
+    ],
+)
+def test_waxman_matches_reference_construction(n, alpha, beta, seed):
+    """Links, with their lengths and delays, equal the O(n³) oracle's."""
+    topo = waxman_topology(n, alpha=alpha, beta=beta, seed=seed)
+    reference = _waxman_reference(n, alpha, beta, seed)
+    assert topo.links == reference.links
+    assert topo.adjacency == reference.adjacency
 
 
 class TestStar:

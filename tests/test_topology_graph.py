@@ -121,14 +121,6 @@ class TestDistances:
         topo = Topology("path", nodes, [(0, 1), (1, 2)])
         assert topo.geo_delay_ms(0, 2) > 0
 
-    def test_geo_delay_matrix_matches_scalar(self):
-        topo = triangle()
-        matrix = topo.geo_delay_matrix_ms()
-        nodes = topo.nodes
-        for i, u in enumerate(nodes):
-            for j, v in enumerate(nodes):
-                assert matrix[i, j] == pytest.approx(topo.geo_delay_ms(u, v), abs=1e-9)
-
     def test_link_distance_positive(self):
         topo = triangle()
         for u, v in topo.edges():
