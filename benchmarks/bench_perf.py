@@ -30,11 +30,12 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
   guards ``sweep_exact_memo_hit_s <= sweep_exact_reuse_s / 5`` within
   the same run, and that the hit pass reports zero store misses),
 * ``campaign_shared_store_s`` — the ATT 1+2-failure heuristic campaign
-  rerun over a store a previous campaign populated: pure hits end to
-  end,
+  (a loop of :func:`~repro.perf.sweep.parallel_sweep` calls on one
+  executor) rerun over a store a previous campaign populated: pure hits
+  end to end,
 * ``campaign_figures_s`` — the ATT 1+2+3-failure heuristic figure
-  sweeps chained through :func:`~repro.perf.executor.run_campaign`
-  (heuristic-only, so each sweep runs serially),
+  sweeps as one such campaign (heuristic-only, so each sweep runs
+  serially),
 * ``sweep_independent_n40_s`` — the exact solver over the five n=40
   single-failure scenarios, one serial sweep; all five pre-certify on
   the PM seed,
@@ -48,8 +49,8 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
 * ``evaluate_batch_s`` — batched evaluation of all four heuristics'
   solutions across the same matrix,
 * ``figures_sweep_s`` — ``fig6_data`` (20 three-failure cases,
-  heuristics only) through the parallel-sweep figures knob (which runs
-  a heuristic-only sweep serially).
+  heuristics only) through ``parallel_sweep`` (which runs a
+  heuristic-only sweep serially).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def test_vectorized_kernels(context, capsys):
 
 
 def test_figures_parallel_sweep(context, capsys):
-    """Fig. 6 data (heuristics only) through the parallel-sweep knob."""
+    """Fig. 6 data (heuristics only) through ``parallel_sweep``."""
     from repro.experiments.figures import fig6_data
 
     start = time.perf_counter()
@@ -407,12 +408,25 @@ def test_sweep_store_memo(waxman40_context, tmp_path_factory, capsys):
         )
 
 
+def _campaign(context, sweeps, executor, store=None):
+    """Every sweep of a campaign, in order, on one executor."""
+    from repro.perf.sweep import parallel_sweep
+
+    return [
+        parallel_sweep(
+            context, sweep, FAST_ALGORITHMS,
+            max_workers=4, executor=executor, store=store,
+        )
+        for sweep in sweeps
+    ]
+
+
 def test_campaign_shared_store(context, tmp_path_factory, capsys):
     """A campaign rerun over a previously populated store: pure hits."""
     from repro.control.failures import enumerate_failure_scenarios
-    from repro.perf.executor import SweepExecutor, campaign_summary, run_campaign
+    from repro.perf.executor import SweepExecutor
     from repro.perf.store import SolveStore
-    from repro.perf.sweep import parallel_sweep
+    from repro.perf.sweep import parallel_sweep, store_summary
 
     sweeps = [
         tuple(enumerate_failure_scenarios(context.plane, n)) for n in (1, 2)
@@ -424,47 +438,29 @@ def test_campaign_shared_store(context, tmp_path_factory, capsys):
     root = tmp_path_factory.mktemp("campaign-store")
     with SweepExecutor(max_workers=4) as executor:
         # First campaign populates the store (a previous run's role).
-        for _ in run_campaign(
-            context, sweeps, FAST_ALGORITHMS,
-            executor=executor, max_workers=4,
-            store=SolveStore(root),
-        ):
-            pass
+        _campaign(context, sweeps, executor, SolveStore(root))
         start = time.perf_counter()
-        collected: dict[int, list] = {}
-        for index, results in run_campaign(
-            context, sweeps, FAST_ALGORITHMS,
-            executor=executor, max_workers=4,
-            store=SolveStore(root),
-        ):
-            collected[index] = results
+        collected = _campaign(context, sweeps, executor, SolveStore(root))
         campaign_s = time.perf_counter() - start
     record_sweep(
         "campaign_shared_store_s", campaign_s,
-        [r for results in collected.values() for r in results],
+        [r for results in collected for r in results],
     )
-    for index, reference in enumerate(references):
-        assert_sweeps_identical(reference, collected[index])
-    summary = campaign_summary(collected)
-    assert summary["store_misses"] == 0
-    assert summary["store_hits"] == sum(len(s) for s in sweeps) * len(FAST_ALGORITHMS)
-    record_store(
-        {
-            "campaign_hits": summary["store_hits"],
-            "campaign_misses": summary["store_misses"],
-        }
-    )
+    for reference, results in zip(references, collected, strict=True):
+        assert_sweeps_identical(reference, results)
+    summaries = [store_summary(results) for results in collected]
+    hits = sum(summary["hits"] for summary in summaries)
+    misses = sum(summary["misses"] for summary in summaries)
+    assert misses == 0
+    assert hits == sum(len(s) for s in sweeps) * len(FAST_ALGORITHMS)
+    record_store({"campaign_hits": hits, "campaign_misses": misses})
     with capsys.disabled():
         print()
         print("=== Campaign rerun on a shared store (ATT 1+2 failures) ===")
         print(
             render_table(
                 ("stage", "wall (s)", "hits"),
-                [(
-                    "campaign_shared_store_s",
-                    f"{campaign_s:.3f}",
-                    f"{summary['store_hits']}/{summary['store_hits']}",
-                )],
+                [("campaign_shared_store_s", f"{campaign_s:.3f}", f"{hits}/{hits}")],
             )
         )
 
@@ -473,11 +469,10 @@ def test_campaign_figures(context, capsys):
     """The ATT heuristic figure sweeps as one campaign.
 
     Heuristic-only sweeps run serially, so the executor's pool never
-    starts: the stage times the campaign machinery around serial
-    sweeps.
+    starts: the stage times the loop of serial sweeps.
     """
     from repro.control.failures import enumerate_failure_scenarios
-    from repro.perf.executor import SweepExecutor, run_campaign
+    from repro.perf.executor import SweepExecutor
     from repro.perf.sweep import parallel_sweep
 
     sweeps = [
@@ -489,20 +484,14 @@ def test_campaign_figures(context, capsys):
     ]
     with SweepExecutor(max_workers=4) as executor:
         start = time.perf_counter()
-        collected: dict[int, list] = {}
-        for index, results in run_campaign(
-            context, sweeps, FAST_ALGORITHMS,
-            executor=executor, max_workers=4,
-        ):
-            collected[index] = results
+        collected = _campaign(context, sweeps, executor)
         campaign_s = time.perf_counter() - start
     record_sweep(
         "campaign_figures_s", campaign_s,
-        [r for results in collected.values() for r in results],
+        [r for results in collected for r in results],
     )
-    assert sorted(collected) == [0, 1, 2]
-    for index, reference in enumerate(references):
-        assert_sweeps_identical(reference, collected[index])
+    for reference, results in zip(references, collected, strict=True):
+        assert_sweeps_identical(reference, results)
     with capsys.disabled():
         print()
         print("=== Figure sweeps as a warm campaign (ATT 1+2+3 failures) ===")

@@ -52,7 +52,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "fig7_data",
             "headline_ratios",
             "run_failure_sweep",
-            "run_failure_sweep_parallel",
             "run_scenario",
             "table3_data",
         ),

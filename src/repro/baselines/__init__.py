@@ -17,10 +17,12 @@ extras) under their benchmark names:
 """
 
 from repro.baselines.base import (
+    TIME_LIMITED_ALGORITHMS,
     RecoveryAlgorithm,
     get_algorithm,
     list_algorithms,
     register_algorithm,
+    run_algorithm,
 )
 from repro.baselines.nearest import solve_nearest
 from repro.baselines.pg import solve_pg
@@ -31,9 +33,11 @@ from repro.pm.algorithm import solve_pm
 
 __all__ = [
     "RecoveryAlgorithm",
+    "TIME_LIMITED_ALGORITHMS",
     "register_algorithm",
     "get_algorithm",
     "list_algorithms",
+    "run_algorithm",
     "solve_retroflow",
     "solve_retroflow_ip",
     "solve_pg",

@@ -267,7 +267,12 @@ def _cmd_successive(args: argparse.Namespace) -> int:
 
     order = [int(c.strip()) for c in args.order.split(",") if c.strip()]
     context = _context(args)
-    stages = run_successive(context, order, algorithm=args.algorithm)
+    stages = run_successive(
+        context,
+        order,
+        algorithm=args.algorithm,
+        optimal_time_limit_s=args.optimal_time_limit,
+    )
     rows = []
     for stage in stages:
         rows.append(

@@ -30,7 +30,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PAPER_ALGORITHMS",
             "ScenarioResult",
             "run_failure_sweep",
-            "run_failure_sweep_parallel",
             "run_scenario",
         ),
         "repro.experiments.successive": ("SuccessiveStage", "run_successive"),

@@ -21,12 +21,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-from repro.experiments.runner import (
-    PAPER_ALGORITHMS,
-    ScenarioResult,
-    run_failure_sweep,
-    run_failure_sweep_parallel,
-)
+from repro.control.failures import enumerate_failure_scenarios
+from repro.experiments.runner import PAPER_ALGORITHMS, ScenarioResult
 from repro.experiments.scenarios import ExperimentContext
 from repro.fmssm.optimal import solve_optimal
 from repro.metrics.fairness import jain_fairness_index
@@ -76,39 +72,29 @@ def failure_figure_data(
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     optimal_time_limit_s: float = 300.0,
     results: Sequence[ScenarioResult] | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
-    executor: object = None,
     store: object = None,
 ) -> dict[str, Any]:
     """All per-case series for an ``n_failures``-failure figure.
 
     Pass precomputed ``results`` (e.g. shared across figures by the
-    benchmark harness) to skip re-running the sweep.  Fresh sweeps that
-    hold an exact solve fan out over a process pool by default (results
-    are bit-identical to the serial runner; heuristic-only sweeps run
-    serially) — set ``parallel=False``
-    to force the in-process serial sweep, or pass a warm ``executor``
-    (:class:`~repro.perf.executor.SweepExecutor`) when generating
-    several figures over one context.  ``store`` memoizes solves in a
-    :class:`~repro.perf.store.SolveStore`, so regenerating a figure
-    replays earlier runs' solves bit-identically.
+    benchmark harness) to skip re-running the sweep.  A fresh sweep runs
+    through :func:`~repro.perf.sweep.parallel_sweep`: one that holds an
+    exact solve fans out over a process pool (results are bit-identical
+    to the serial runner), a heuristic-only one runs serially.
+    ``store`` memoizes solves in a :class:`~repro.perf.store.SolveStore`,
+    so regenerating a figure replays earlier runs' solves
+    bit-identically.
     """
     if results is None:
-        if parallel:
-            results = run_failure_sweep_parallel(
-                context,
-                n_failures,
-                algorithms,
-                optimal_time_limit_s,
-                max_workers=max_workers,
-                executor=executor,
-                store=store,
-            )
-        else:
-            results = run_failure_sweep(
-                context, n_failures, algorithms, optimal_time_limit_s
-            )
+        from repro.perf.sweep import parallel_sweep
+
+        results = parallel_sweep(
+            context,
+            enumerate_failure_scenarios(context.plane, n_failures),
+            algorithms,
+            optimal_time_limit_s,
+            store=store,
+        )
     # What grounding puts in ``instance.spare``, summed without
     # grounding each scenario a second time after its sweep.
     spare = context.plane.spare_capacity(context.flows)
@@ -142,9 +128,6 @@ def fig7_data(
     context: ExperimentContext,
     optimal_time_limit_s: float = 300.0,
     results_by_n: dict[int, Sequence[ScenarioResult]] | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
-    executor: object = None,
     store: object = None,
 ) -> dict[str, Any]:
     """Fig. 7 — PM computation time as a percentage of Optimal's.
@@ -153,31 +136,27 @@ def fig7_data(
     reports per-scenario and mean percentages (cases where Optimal has
     no result are excluded from the mean, as in the paper).  Pass
     ``results_by_n`` (from sweeps that already include both algorithms)
-    to reuse existing solves.  Fresh sweeps use the process pool unless
-    ``parallel=False`` (identical results either way).
+    to reuse existing solves.  Fresh sweeps run through
+    :func:`~repro.perf.sweep.parallel_sweep`, memoized in ``store``.
 
     The denominator is the exact solve the paper times: a cold MILP
     (``warm_start=None``) of every case the sweep's Optimal solved.  The
     sweep's own Optimal time is not used, since a seed certificate can
     answer a case without running the MILP at all.
     """
+    from repro.perf.sweep import parallel_sweep
+
     out: dict[str, Any] = {"scenarios": {}, "mean_pct": {}}
     for n_failures in (1, 2, 3):
         if results_by_n is not None and n_failures in results_by_n:
             results = results_by_n[n_failures]
-        elif parallel:
-            results = run_failure_sweep_parallel(
+        else:
+            results = parallel_sweep(
                 context,
-                n_failures,
+                enumerate_failure_scenarios(context.plane, n_failures),
                 ("optimal", "pm"),
                 optimal_time_limit_s,
-                max_workers=max_workers,
-                executor=executor,
                 store=store,
-            )
-        else:
-            results = run_failure_sweep(
-                context, n_failures, ("optimal", "pm"), optimal_time_limit_s
             )
         rows = []
         for result in results:

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.baselines import get_algorithm
+from repro.baselines import run_algorithm
 from repro.control.failures import FailureScenario, enumerate_failure_scenarios
 from repro.experiments.scenarios import ExperimentContext
 from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_batch, rebase
-from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.perf.kernels import prepare_instance
 
@@ -21,7 +19,6 @@ __all__ = [
     "ScenarioResult",
     "run_scenario",
     "run_failure_sweep",
-    "run_failure_sweep_parallel",
     "PAPER_ALGORITHMS",
 ]
 
@@ -123,9 +120,10 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run ``algorithms`` on one failure scenario.
 
-    The ``"optimal"`` entry is routed through :func:`solve_optimal` with
-    the time limit; an infeasible/timeout outcome is kept as an
-    infeasible evaluation, mirroring the paper's missing Optimal bars.
+    Every exact algorithm runs under ``optimal_time_limit_s``
+    (:func:`~repro.baselines.run_algorithm`, the dispatch the sweep uses
+    too); an infeasible/timeout outcome is kept as an infeasible
+    evaluation, mirroring the paper's missing Optimal bars.
     Once the context's network frame is built (by
     :meth:`~repro.experiments.scenarios.ExperimentContext.materialize_table`,
     as sweeps and services do before their requests), solutions and
@@ -137,11 +135,7 @@ def run_scenario(
     prepare_instance(instance)
     result = ScenarioResult(scenario=scenario)
     for name in algorithms:
-        if name == "optimal":
-            solution = solve_optimal(instance, time_limit_s=optimal_time_limit_s)
-        else:
-            solution = get_algorithm(name)(instance)
-        result.solutions[name] = solution
+        result.solutions[name] = run_algorithm(instance, name, optimal_time_limit_s)
     # One batched evaluation over the scenario's solutions — the array
     # view is already warm, so each evaluation is a few reductions.
     evaluations = evaluate_batch(instance, result.solutions.values())
@@ -156,35 +150,10 @@ def run_failure_sweep(
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     optimal_time_limit_s: float = 300.0,
 ) -> list[ScenarioResult]:
-    """Run all C(M, n_failures) failure combinations (Figs. 4-6)."""
+    """Run all C(M, n_failures) failure combinations (Figs. 4-6), one
+    :func:`run_scenario` each: the serial reference of
+    :func:`~repro.perf.sweep.parallel_sweep`, which runs scenario lists."""
     return [
         run_scenario(context, scenario, algorithms, optimal_time_limit_s)
         for scenario in enumerate_failure_scenarios(context.plane, n_failures)
     ]
-
-
-def run_failure_sweep_parallel(
-    context: ExperimentContext,
-    n_failures: int,
-    algorithms: Sequence[str] = PAPER_ALGORITHMS,
-    optimal_time_limit_s: float = 300.0,
-    **options: Any,
-) -> list[ScenarioResult]:
-    """:func:`run_failure_sweep` fanned over a process pool.
-
-    Runs every ``n_failures``-controller scenario through
-    :func:`repro.perf.sweep.parallel_sweep`, which documents the keyword
-    ``options`` (workers, executor, store and resilience knobs).  Only a
-    sweep that holds an exact solve fans out; a heuristic-only sweep
-    runs serially.  Output is identical to the serial sweep apart from
-    ``solve_time_s`` wall clocks.
-    """
-    from repro.perf.sweep import parallel_sweep
-
-    return parallel_sweep(
-        context,
-        enumerate_failure_scenarios(context.plane, n_failures),
-        algorithms,
-        optimal_time_limit_s,
-        **options,
-    )

@@ -13,10 +13,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.baselines import get_algorithm
 from repro.control.failures import successive_scenarios
 from repro.experiments.scenarios import ExperimentContext
-from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_solution
+from repro.fmssm.evaluation import RecoveryEvaluation
 from repro.metrics.fairness import jain_fairness_index
 from repro.types import ControllerId
 
@@ -41,38 +40,22 @@ def run_successive(
     context: ExperimentContext,
     order: Sequence[ControllerId],
     algorithm: str = "pm",
-    parallel: bool = True,
-    max_workers: int | None = None,
-    executor: object = None,
+    optimal_time_limit_s: float = 300.0,
 ) -> list[SuccessiveStage]:
     """Fail controllers in ``order`` and re-solve after each failure.
 
     Each stage is an independent re-solve on its cumulative failure
-    set, so the stages route through the process-pool sweep like any
-    other scenario list (results come back in stage order, bit-identical
-    to the serial loop; only an exact ``algorithm`` fans out, a
-    heuristic chain runs in-process).  ``parallel=False``
-    forces the serial loop; ``executor`` submits to a warm
-    :class:`~repro.perf.executor.SweepExecutor` shared across runs.
+    set, so the stages run through
+    :func:`~repro.perf.sweep.parallel_sweep` like any other scenario
+    list (results come back in stage order; only an exact ``algorithm``
+    fans out, under ``optimal_time_limit_s``, and a heuristic chain runs
+    in-process).
     """
-    scenarios = list(successive_scenarios(tuple(order)))
-    if parallel:
-        from repro.perf.sweep import parallel_sweep
+    from repro.perf.sweep import parallel_sweep
 
-        results = parallel_sweep(
-            context,
-            scenarios,
-            (algorithm,),
-            max_workers=max_workers,
-            executor=executor,
-        )
-        evaluations = [result.evaluations[algorithm] for result in results]
-    else:
-        solver = get_algorithm(algorithm)
-        evaluations = []
-        for scenario in scenarios:
-            instance = context.instance(scenario)
-            evaluations.append(evaluate_solution(instance, solver(instance)))
+    scenarios = list(successive_scenarios(tuple(order)))
+    results = parallel_sweep(context, scenarios, (algorithm,), optimal_time_limit_s)
+    evaluations = [result.evaluations[algorithm] for result in results]
     # The stage metrics come from the evaluation and the plane, so no
     # stage grounds its scenario a second time.
     spare = context.plane.spare_capacity(context.flows)

@@ -10,10 +10,10 @@ the model it unpickles).  This package holds the machinery around that
 index:
 
 :mod:`repro.perf.sweep`
-    The process-pool machinery behind
-    :func:`repro.experiments.runner.run_failure_sweep_parallel`: only
-    sweeps holding an exact solve fan out; heuristic-only sweeps run
-    serially.
+    :func:`~repro.perf.sweep.parallel_sweep`, the one way to run a list
+    of scenarios (serial is ``max_workers=1``): only sweeps holding an
+    exact solve fan out over the process pool; heuristic-only sweeps
+    run serially.
 
 :mod:`repro.perf.compile`
     Problem P′ in sparse standard form — the one formulation the exact
@@ -31,8 +31,7 @@ index:
     The sweep process pool: a :class:`~repro.perf.executor.
     SweepExecutor` runs every pool sweep (one scoped to the call when
     the caller passes none) and keeps its workers, with their decoded
-    contexts and plans, alive across sweeps; :func:`~repro.perf.
-    executor.run_campaign` streams many sweeps over one warm executor.
+    contexts and plans, alive across the sweeps a caller runs on it.
 
 :mod:`repro.perf.store`
     Cross-run solve memoization: a disk-backed
@@ -48,12 +47,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.perf.executor": (
-            "SweepExecutor",
-            "close_default_executor",
-            "get_default_executor",
-            "run_campaign",
-        ),
+        "repro.perf.executor": ("SweepExecutor",),
         "repro.perf.compile": (
             "CompiledFMSSM",
             "FMSSMCompiler",

@@ -39,45 +39,37 @@ Invalidation
 
 Lifecycle
     :meth:`SweepExecutor.close` shuts the pool down and drops the cached
-    payloads.  A module-level default executor
-    (:func:`get_default_executor`) is closed by ``atexit``.
+    payloads.
 
-:func:`run_campaign` runs many sweeps over one context on a warm
-executor, in the caller's order, and streams each sweep's results as it
-completes.  A campaign resumes after a hard kill the way a sweep does:
-run it again on the same :class:`~repro.perf.store.SolveStore`, and
-every sweep it completed replays without solving.
+Many sweeps over one context are a loop over
+:func:`~repro.perf.sweep.parallel_sweep` on one executor.  Such a loop
+resumes after a hard kill the way a sweep does: run it again on the
+same :class:`~repro.perf.store.SolveStore`, and every sweep it completed
+replays without solving.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import itertools
 import os
 import pickle
-import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.resilience import chaos
 
-__all__ = [
-    "SweepExecutor",
-    "WarmHeader",
-    "get_default_executor",
-    "close_default_executor",
-    "run_campaign",
-    "campaign_summary",
-]
+__all__ = ["SweepExecutor", "WarmHeader"]
 
 
 # ----------------------------------------------------------------------
 # Parent side: the executor and its context-payload cache
 # ----------------------------------------------------------------------
+#: Pickled contexts an executor keeps, least recently used evicted first.
+_MAX_PAYLOADS = 4
+
 @dataclass
 class _ContextEntry:
     """One pickled context, cached for the executor's lifetime.
@@ -140,18 +132,8 @@ class SweepExecutor:
 
     _ids = itertools.count(1)
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        max_cached_contexts: int = 4,
-        store: "SolveStore | None" = None,  # noqa: F821
-    ):
+    def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.max_cached_contexts = max(1, max_cached_contexts)
-        #: Optional cross-run :class:`~repro.perf.store.SolveStore`:
-        #: every sweep submitted to this executor memoizes through it
-        #: unless the sweep passes its own ``store=`` explicitly.
-        self.store = store
         #: Distinguishes this executor's cache keys from any other's
         #: (worker processes can outlive an executor only within one
         #: parent, so a process-local counter suffices).
@@ -266,7 +248,7 @@ class SweepExecutor:
         )
         self.stats["encode_misses"] += 1
         self._contexts[key] = entry
-        while len(self._contexts) > self.max_cached_contexts:
+        while len(self._contexts) > _MAX_PAYLOADS:
             self._contexts.popitem(last=False)
         return entry
 
@@ -309,7 +291,7 @@ _MAX_PLANS = 8
 _CHAOS_KEY: list[str | None] = [None]
 
 #: Lifetime eviction counts of this worker's layered caches — the
-#: telemetry that tells a campaign its working set outgrew the LRUs
+#: telemetry that tells a run of sweeps its working set outgrew the LRUs
 #: (every eviction is a future re-decode).  Snapshotted onto each warm
 #: task's result row; the parent folds per-layer maxima into
 #: ``FanoutStats.evictions``.
@@ -393,124 +375,3 @@ def _warm_run_task(header: WarmHeader, task: tuple[int, str]):
     plan, build_s = _warm_plan(header)
     (row,) = _scenario_rows(plan, (task,))
     return row + (worker_cache_stats(build_s),)
-
-
-# ----------------------------------------------------------------------
-# Default executor singleton
-# ----------------------------------------------------------------------
-_DEFAULT: SweepExecutor | None = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def get_default_executor(max_workers: int | None = None) -> SweepExecutor:
-    """The process-wide shared executor (created on first use).
-
-    ``max_workers`` only applies when the call creates the executor; a
-    live default keeps its original size.  Closed automatically at
-    interpreter exit, or explicitly via :func:`close_default_executor`.
-    """
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is None or _DEFAULT.closed:
-            _DEFAULT = SweepExecutor(max_workers=max_workers)
-        return _DEFAULT
-
-
-def close_default_executor() -> None:
-    """Close and drop the default executor (idempotent)."""
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is not None:
-            _DEFAULT.close()
-            _DEFAULT = None
-
-
-atexit.register(close_default_executor)
-
-
-# ----------------------------------------------------------------------
-# Campaigns: many sweeps over one warm executor
-# ----------------------------------------------------------------------
-def run_campaign(
-    context: object,
-    sweeps: Sequence[Sequence[object]],
-    algorithms: Sequence[str],
-    *,
-    executor: SweepExecutor | None = None,
-    **sweep_kwargs: object,
-) -> Iterator[tuple[int, list]]:
-    """Run several sweeps over one context, streaming results.
-
-    Yields ``(sweep_index, results)`` pairs in the caller's order,
-    where ``sweep_index`` is the sweep's position in ``sweeps``.  The
-    sweeps share the executor's warm workers, with their decoded
-    context and caches.  Each individual sweep's results are
-    bit-identical to a standalone ``parallel_sweep`` over the same
-    scenarios.
-
-    ``executor=None`` uses :func:`get_default_executor` (left open for
-    later campaigns); additional keyword arguments pass through to
-    :func:`~repro.perf.sweep.parallel_sweep`.  A cross-run
-    :class:`~repro.perf.store.SolveStore` (``store=`` here or attached
-    to the executor) memoizes every sweep of the campaign; the store's
-    size-bounded GC runs once when the campaign completes.  The store
-    is also how a killed campaign resumes: re-run it on the same store
-    and each sweep replays whatever its scenarios settled there,
-    bit-identically, solving only the rest (degraded solves, and every
-    sweep under an active chaos plan, are never stored).
-    """
-    from repro.perf.sweep import parallel_sweep
-
-    if executor is None:
-        executor = get_default_executor()
-    for index, sweep in enumerate(sweeps):
-        yield index, parallel_sweep(
-            context,
-            tuple(sweep),
-            algorithms,
-            executor=executor,
-            **sweep_kwargs,
-        )
-    store = sweep_kwargs.get("store") or executor.store
-    if store is not None:
-        store.gc()
-
-
-def campaign_summary(
-    collected: "Sequence[tuple[int, Sequence[object]]] | dict[int, Sequence[object]]",
-) -> dict[str, object]:
-    """Aggregate accounting of a campaign's collected results.
-
-    ``collected`` is the ``(index, results)`` stream of
-    :func:`run_campaign` (drained into a list or dict).  Folds together
-    per-sweep degradation and store counts and the worst-worker
-    cache-eviction telemetry (``FanoutStats.evictions``).
-    """
-    pairs = collected.items() if isinstance(collected, dict) else collected
-    summary: dict[str, object] = {
-        "sweeps": 0,
-        "scenarios": 0,
-        "degraded": 0,
-        "store_hits": 0,
-        "store_misses": 0,
-        "evictions": {},
-    }
-    evictions: dict[str, int] = summary["evictions"]  # type: ignore[assignment]
-    for _, results in pairs:
-        summary["sweeps"] += 1
-        for result in results:
-            summary["scenarios"] += 1
-            meta = getattr(result, "meta", {})
-            stamp = meta.get("store")
-            if stamp is not None:
-                summary["store_hits"] += len(stamp.get("hits", ()))
-                summary["store_misses"] += len(stamp.get("misses", ()))
-            degradation = getattr(result, "degradation", None)
-            if degradation is not None and degradation.degraded:
-                summary["degraded"] += 1
-            for layer, count in (
-                meta.get("fanout", {}).get("evictions", {}) or {}
-            ).items():
-                if count > evictions.get(layer, 0):
-                    evictions[layer] = count
-    return summary

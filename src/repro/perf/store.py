@@ -2,7 +2,7 @@
 
 :class:`~repro.perf.executor.SweepExecutor` keeps artifacts warm only
 within one parent process's lifetime — every fresh CLI invocation,
-campaign restart or *concurrent* parent re-solves the same failure
+restart or *concurrent* parent re-solves the same failure
 scenarios from scratch.  This module closes that gap with a disk-backed
 store shared across processes and runs:
 
@@ -48,7 +48,8 @@ Sharded, checksummed record store
     ``(mtime_ns, size)`` changes.  Every record carries a SHA-256 of its
     payload — torn appends (a crash mid-write) and corrupt records are
     skipped and counted, never trusted.  :meth:`SolveStore.gc` bounds
-    the store's size by atomically rewriting shards oldest-first.
+    the store's size by atomically rewriting shards oldest-first; every
+    write that takes the store past ``max_bytes`` runs it.
 
 The sweep layer re-validates hits against the grounded instance when it
 runs with ``validate=True`` (mirroring how fresh solves are validated),
@@ -177,14 +178,15 @@ def solve_key(
     """Record key of one (scenario key, algorithm, solve parameters) triple.
 
     Heuristics have no knobs that change their output, so their keys
-    carry only the scenario key and the name; exact solves additionally
-    key on the time limit (conservative — a completed solve does not
-    depend on the limit, but sharing across limits would make a hit's
-    provenance ambiguous).
+    carry only the scenario key and the name; exact solves
+    (:data:`~repro.baselines.TIME_LIMITED_ALGORITHMS`, each of which
+    runs under the limit) additionally key on the time limit
+    (conservative — a completed solve does not depend on the limit, but
+    sharing across limits would make a hit's provenance ambiguous).
     """
-    from repro.perf.sweep import _HEAVY_ALGORITHMS
+    from repro.baselines import TIME_LIMITED_ALGORITHMS
 
-    if algorithm in _HEAVY_ALGORITHMS:
+    if algorithm in TIME_LIMITED_ALGORITHMS:
         params = hashlib.sha256(
             repr(float(optimal_time_limit_s)).encode()
         ).hexdigest()[:12]
@@ -580,6 +582,10 @@ class SolveStore:
         honest).  A torn tail left by a crashed writer (no trailing
         newline) is repaired by prefixing a newline — the torn fragment
         stays an isolated, checksum-failing line that readers skip.
+
+        Once the lock is released, a write that takes the shards this
+        handle has indexed past ``max_bytes`` runs :meth:`gc`, so every
+        writer keeps the store within its bound.
         """
         by_shard: dict[int, list[tuple[str, dict]]] = {}
         for key, payload in items:
@@ -614,9 +620,15 @@ class SolveStore:
                 self._index[shard] = (self._signature(stat), present)
                 written += len(lines)
         self.stats["writes"] += written
+        if written and self._indexed_bytes() > self.max_bytes:
+            self.gc()
         return written
 
     # -- size-bounded GC ----------------------------------------------
+    def _indexed_bytes(self) -> int:
+        """Size of the shards as this handle last saw them (no syscall)."""
+        return sum(max(sig[2], 0) for sig, _ in self._index.values())
+
     def record_bytes(self) -> int:
         """Total size of the record shards on disk."""
         total = 0
@@ -670,5 +682,5 @@ class SolveStore:
 
     # -- reporting -----------------------------------------------------
     def summary(self) -> dict[str, object]:
-        """JSON-safe stats snapshot (benchmarks, campaign summaries)."""
+        """JSON-safe stats snapshot (benchmarks)."""
         return {"root": str(self.root), **self.stats}

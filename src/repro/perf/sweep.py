@@ -9,10 +9,14 @@ and merges results back in deterministic (scenario, algorithm) order,
 so the output is indistinguishable from the serial sweep apart from
 wall-clock time.
 
-Only sweeps that hold an exact solve (:data:`_HEAVY_ALGORITHMS`) fan
-out.  A heuristic task takes well under a millisecond, so a
-heuristic-only sweep loses to the serial path on every pool route,
-warm or fresh, whatever its size; it runs serially.
+This is the one way to run a list of scenarios: figures, the
+successive-failure chain and the CLI call :func:`parallel_sweep`, and a
+run of many sweeps is a loop over it on one executor.  Serial is
+``max_workers=1``.  Only sweeps that hold an exact solve
+(:data:`~repro.baselines.TIME_LIMITED_ALGORITHMS`) fan out.  A
+heuristic task takes well under a millisecond, so a heuristic-only
+sweep loses to the serial path on every pool route, warm or fresh,
+whatever its size; it runs serially.
 
 Every submission carries a small :class:`~repro.perf.executor.
 WarmHeader`: the pickled context (without its grounding index, which
@@ -61,13 +65,12 @@ import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from repro.baselines import get_algorithm
+from repro.baselines import TIME_LIMITED_ALGORITHMS, run_algorithm
 from repro.control.failures import FailureScenario
 from repro.exceptions import DegradedResultWarning
 from repro.fmssm.arrays import Frame
 from repro.fmssm.evaluation import RecoveryEvaluation, evaluate_batch, rebase
 from repro.fmssm.instance import FMSSMInstance
-from repro.fmssm.optimal import solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.perf.kernels import prepare_instance
 from repro.resilience import chaos
@@ -126,10 +129,6 @@ class SweepPlan:
 #: which flow-level heuristics legitimately trade off.  Decided from the
 #: requested algorithm (a two-stage answer is named ``"two-stage"``).
 _EXACT_ALGORITHMS = frozenset({"optimal", "optimal-two-stage"})
-
-#: Algorithms whose per-task cost dwarfs pool overhead (exact solves).
-#: Only a sweep that holds one of them fans out.
-_HEAVY_ALGORITHMS = _EXACT_ALGORITHMS | {"retroflow-ip"}
 
 #: Shortest time between two of a sweep's writes to its store.  A
 #: scenario that completes this long after the previous write (or the
@@ -199,15 +198,17 @@ def _solve(
     time_limit_s: float,
     validate: bool = False,
 ) -> RecoverySolution:
-    """Run one algorithm on one instance (same routing as the serial path).
+    """Run one algorithm on one instance, as
+    :func:`~repro.experiments.runner.run_scenario` does
+    (:func:`~repro.baselines.run_algorithm`).
 
-    ``optimal`` answers through :func:`solve_optimal`, which validates
-    its own answer and decides its own fallback; heuristics optionally
-    pass through the independent validator.
+    ``optimal`` validates its own answer and decides its own fallback
+    (:func:`~repro.fmssm.optimal.solve_optimal`); every other answer
+    optionally passes through the independent validator.
     """
+    solution = run_algorithm(instance, algorithm, time_limit_s)
     if algorithm == "optimal":
-        return solve_optimal(instance, time_limit_s=time_limit_s)
-    solution = get_algorithm(algorithm)(instance)
+        return solution
     if validate:
         from repro.resilience.validate import check_solution
 
@@ -653,9 +654,10 @@ def parallel_sweep(
     order preserved, exactly as the serial sweep produces them.
 
     Only a sweep that holds an exact solve (``optimal``,
-    ``optimal-two-stage`` or ``retroflow-ip``, :data:`_HEAVY_ALGORITHMS`)
-    fans out, one task per submission, and only when ``max_workers``
-    resolves to more than one worker.  Every heuristic-only sweep runs
+    ``optimal-two-stage`` or ``retroflow-ip``,
+    :data:`~repro.baselines.TIME_LIMITED_ALGORITHMS`) fans out, one task
+    per submission, and only when ``max_workers`` resolves to more than
+    one worker.  Every heuristic-only sweep runs
     serially, whatever its size and whether or not an ``executor`` is
     passed: its sub-millisecond tasks never repay shipping them to a
     pool, warm or fresh.  A pool sweep falls back to the serial path
@@ -665,8 +667,10 @@ def parallel_sweep(
     its result's ``degradation`` report, and a
     :class:`~repro.exceptions.DegradedResultWarning` is raised.
 
-    ``validate`` re-checks heuristic solutions (exact solves always
-    validate their own answers).
+    ``optimal_time_limit_s`` bounds every exact solve, and with it each
+    pool task's :func:`task_deadline_s`.  ``validate`` re-checks
+    heuristic solutions (exact solves always validate their own
+    answers).
 
     Without ``executor`` the sweep runs on a
     :class:`~repro.perf.executor.SweepExecutor` scoped to the call, whose
@@ -688,15 +692,13 @@ def parallel_sweep(
     raises, so the store is also how a killed sweep resumes: run it
     again on the same store and only the unwritten scenarios are
     solved.  Degraded solves are never stored, so a resumed
-    sweep solves them again.  Defaults to the executor's store when one
-    is attached.  Under an active chaos plan the store is bypassed
-    entirely so fault injection still exercises real solves; a chaotic
-    sweep is never resumed.
+    sweep solves them again.  The store keeps itself within its
+    ``max_bytes`` as it is written.  Under an active chaos plan the
+    store is bypassed entirely so fault injection still exercises real
+    solves; a chaotic sweep is never resumed.
     """
     if executor is not None and executor.closed:
         raise ValueError("executor is closed; create a new SweepExecutor")
-    if store is None and executor is not None:
-        store = executor.store
     if store is not None and chaos.active_plan() is not None:
         # Replaying a recorded answer would skip the faulted code paths
         # chaos is trying to exercise — and a faulted solve must never
@@ -724,7 +726,7 @@ def parallel_sweep(
             max_workers = os.cpu_count() or 1
         workers = min(max_workers, len(tasks))
 
-        if not any(a in _HEAVY_ALGORITHMS for a in algorithms):
+        if not any(a in TIME_LIMITED_ALGORITHMS for a in algorithms):
             runner.record_mode("serial: heuristic-only sweep")
             runner.run_serial(tasks)
         elif workers <= 1:

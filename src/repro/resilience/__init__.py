@@ -22,7 +22,7 @@ once in the parent (:mod:`repro.perf.sweep`).  Each fallback is a typed
 :class:`~repro.experiments.runner.DegradationEvent` and a
 :class:`~repro.exceptions.DegradedResultWarning`.
 
-A killed sweep or campaign resumes by running again on the same
+A killed sweep (or loop of sweeps) resumes by running again on the same
 :class:`~repro.perf.store.SolveStore`, which is the only persistent
 state.  See ``docs/robustness.md`` for the full design.
 """

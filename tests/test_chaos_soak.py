@@ -1,11 +1,12 @@
 """Seeded chaos soak: a pool campaign under compound injected faults.
 
-The acceptance bar for the pool's fault policy (docs/robustness.md): a
-``kill-worker`` + ``hang`` chaos schedule over a multi-sweep campaign
-must complete with results *bit-identical* to the fault-free run, every
-task the pool could not finish recorded on its result with a typed cause
-(``pool-crash`` or ``deadline``), and nothing written to the campaign's
-solve store.  A chaotic run bypasses the store, so it is never resumed;
+A campaign is several sweeps over one context, run as a loop over
+``parallel_sweep`` on one warm executor.  The acceptance bar for the
+pool's fault policy (docs/robustness.md): a ``kill-worker`` + ``hang``
+chaos schedule over such a campaign must complete with results
+*bit-identical* to the fault-free run, every task the pool could not
+finish recorded on its result with a typed cause (``pool-crash`` or
+``deadline``), and nothing written to the campaign's solve store.  A chaotic run bypasses the store, so it is never resumed;
 the fault-free campaign, cut short, resumes bit-identically on its
 store.
 
@@ -42,12 +43,7 @@ from test_perf_parallel_sweep import assert_sweeps_identical
 from repro.control.failures import FailureScenario
 from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
-from repro.perf.executor import (
-    SweepExecutor,
-    campaign_summary,
-    close_default_executor,
-    run_campaign,
-)
+from repro.perf.executor import SweepExecutor
 from repro.perf.store import SolveStore
 from repro.perf.sweep import parallel_sweep, store_summary, task_deadline_s
 from repro.resilience import chaos
@@ -101,7 +97,6 @@ def soak_reference(soak_context, soak_sweeps):
 def _clean_up():
     yield
     chaos.uninstall()
-    close_default_executor()
 
 
 def soak_schedule(seed: int = SOAK_SEED) -> list[ChaosPlan]:
@@ -120,31 +115,31 @@ def soak_schedule(seed: int = SOAK_SEED) -> list[ChaosPlan]:
     ]
 
 
-def _soak_campaign(context, sweeps, store, executor):
-    return run_campaign(
-        context, sweeps, SOAK_ALGORITHMS,
-        executor=executor, max_workers=2,
-        optimal_time_limit_s=SOAK_TIME_LIMIT_S, store=store,
+def _soak_sweep(context, sweep, store, executor):
+    return parallel_sweep(
+        context, sweep, SOAK_ALGORITHMS,
+        optimal_time_limit_s=SOAK_TIME_LIMIT_S, max_workers=2,
+        executor=executor, store=store,
     )
 
 
 def _run_soak_campaign(context, sweeps, store, plans):
-    """Drive the campaign sweep by sweep, installing that sweep's plan;
-    returns the results, the executor's stats and each chaotic sweep's
-    wall time."""
-    collected, elapsed = {}, []
+    """Run the sweeps in order on one executor, each of the first
+    ``len(plans)`` under its plan and the rest fault-free; returns the
+    results, the executor's stats and each chaotic sweep's wall time."""
+    collected, elapsed = [], []
     with SweepExecutor(max_workers=2) as executor:
-        stream = _soak_campaign(context, sweeps, store, executor)
         try:
-            for plan in plans:
-                chaos.install(plan)
+            for index, sweep in enumerate(sweeps):
+                chaotic = index < len(plans)
+                if chaotic:
+                    chaos.install(plans[index])
+                else:
+                    chaos.uninstall()
                 start = time.monotonic()
-                index, results = next(stream)
-                elapsed.append(time.monotonic() - start)
-                collected[index] = results
-            chaos.uninstall()
-            for index, results in stream:  # drain the fault-free rest
-                collected[index] = results
+                collected.append(_soak_sweep(context, sweep, store, executor))
+                if chaotic:
+                    elapsed.append(time.monotonic() - start)
         finally:
             chaos.uninstall()
         stats = dict(executor.stats)
@@ -163,7 +158,7 @@ class TestChaosSoak:
             )
 
         # 1. Bit-identical to the fault-free run, sweep by sweep.
-        assert sorted(collected) == [0, 1, 2]
+        assert len(collected) == len(soak_sweeps)
         for index, reference in enumerate(soak_reference):
             assert_sweeps_identical(reference, collected[index])
 
@@ -198,15 +193,15 @@ class TestChaosSoak:
         deadline = task_deadline_s(SOAK_TIME_LIMIT_S)
         assert deadline < elapsed[1] < deadline + 10.0
 
-        # 3. The campaign summary rolls it up, JSON-safe.
-        summary = campaign_summary(collected)
-        assert summary["sweeps"] == len(soak_sweeps)
-        assert summary["degraded"] >= 2
-        assert json.dumps(summary)
+        # 3. Each degraded result says so, and the diagnostics stay
+        # JSON-safe.
+        results = [result for sweep in collected for result in sweep]
+        assert sum(result.degradation.degraded for result in results) >= 2
+        assert json.dumps([result.meta for result in results])
 
         # 4. Chaos bypasses the store: a faulted run records nothing.
         assert store.record_bytes() == 0
-        assert summary["store_hits"] == summary["store_misses"] == 0
+        assert all(store_summary(sweep) is None for sweep in collected)
 
     def test_soaked_campaign_resumes_bit_identically_after_hard_kill(
         self, soak_context, soak_sweeps, soak_reference, tmp_path
@@ -219,20 +214,19 @@ class TestChaosSoak:
         campaign resumes.)"""
         root = tmp_path / "store"
         with SweepExecutor(max_workers=2) as executor:
-            stream = _soak_campaign(
-                soak_context, soak_sweeps, SolveStore(root), executor,
-            )
-            first = dict([next(stream), next(stream)])
-            stream.close()
+            store = SolveStore(root)
+            first = [
+                _soak_sweep(soak_context, sweep, store, executor)
+                for sweep in soak_sweeps[:2]
+            ]
         resumed, _, _ = _run_soak_campaign(
             soak_context, soak_sweeps, SolveStore(root), plans=(),
         )
-        assert sorted(first) == [0, 1]
         for index, reference in enumerate(soak_reference):
-            if index in first:
+            if index < len(first):
                 assert_sweeps_identical(reference, first[index])
             assert_sweeps_identical(reference, resumed[index])
-        for index in first:
+        for index in range(len(first)):
             assert store_summary(resumed[index])["misses"] == 0
 
 
@@ -335,16 +329,3 @@ class TestEvictionTelemetry:
                     chaos.uninstall()
             evictions = results[0].meta["fanout"].get("evictions", {})
         assert evictions.get("chaos_nonce", 0) >= 1
-
-    def test_campaign_summary_folds_eviction_telemetry(
-        self, soak_context, soak_sweeps
-    ):
-        with SweepExecutor(max_workers=2) as executor:
-            collected = dict(run_campaign(
-                soak_context, soak_sweeps, SOAK_ALGORITHMS,
-                executor=executor, max_workers=2,
-                optimal_time_limit_s=SOAK_TIME_LIMIT_S,
-            ))
-        summary = campaign_summary(collected)
-        assert "evictions" in summary
-        assert all(count > 0 for count in summary["evictions"].values())

@@ -65,3 +65,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "(13, 20)" in out
         assert "fairness" in out
+
+    def test_successive_passes_the_optimal_time_limit(self, capsys, monkeypatch):
+        """``--optimal-time-limit`` bounds the exact solve of every stage
+        (one stage, so the sweep runs in this process)."""
+        from repro.baselines import base
+
+        solve_optimal = base.get_algorithm("optimal")
+        limits = []
+
+        def spy(instance, time_limit_s):
+            limits.append(time_limit_s)
+            return solve_optimal(instance, time_limit_s=time_limit_s)
+
+        monkeypatch.setitem(base._REGISTRY, "optimal", spy)
+        argv = ["--optimal-time-limit", "7", "successive", "--order", "13",
+                "--algorithm", "optimal"]
+        assert main(argv) == 0
+        assert limits == [7.0]
+        assert "(13)" in capsys.readouterr().out

@@ -147,14 +147,22 @@ class TestGroundedOncePerScenario:
         assert grounded[0] == once_each(scenarios)
 
     def test_failure_figure_data(self, grounded, att_context):
-        data = failure_figure_data(att_context, 1, HEURISTICS, parallel=False)
+        data = failure_figure_data(att_context, 1, HEURISTICS)
         scenarios = list(enumerate_failure_scenarios(att_context.plane, 1))
         assert grounded[0] == once_each(scenarios)
         assert len(data["total_spare"]) == len(scenarios)
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_successive(self, grounded, att_context, parallel):
-        stages = run_successive(att_context, (13, 20, 5), "pm", parallel=parallel)
+    @pytest.mark.parametrize("gc_enabled", [False, True])
+    def test_successive(self, grounded, att_context, gc_enabled):
+        def call():
+            return run_successive(att_context, (13, 20, 5), "pm")
+
+        # With the collector off, every stage's instance must also be
+        # freed by reference count once the chain returns.
+        stages = (
+            call() if gc_enabled
+            else released_without_gc(att_context, grounded[1], call)
+        )
         assert grounded[0] == Counter(
             {frozenset({13}): 1, frozenset({13, 20}): 1, frozenset({5, 13, 20}): 1}
         )
@@ -168,13 +176,13 @@ class TestDerivedStageData:
     @pytest.mark.parametrize("n_failures", [1, 2])
     def test_figure_total_spare(self, n_failures):
         context = default_att_context()
-        data = failure_figure_data(context, n_failures, ("pm",), parallel=False)
+        data = failure_figure_data(context, n_failures, ("pm",))
         for scenario in enumerate_failure_scenarios(context.plane, n_failures):
             assert data["total_spare"][scenario.name] == context.instance(scenario).total_spare
 
     def test_successive_stages(self):
         context = default_att_context()
-        for stage in run_successive(context, (2, 13, 20), "pm", parallel=False):
+        for stage in run_successive(context, (2, 13, 20), "pm"):
             instance = context.instance(FailureScenario(frozenset(stage.failed)))
             assert stage.total_spare == instance.total_spare
             assert stage.recoverable_flows == len(instance.recoverable_flows)

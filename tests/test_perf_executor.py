@@ -20,16 +20,12 @@ from hypothesis import strategies as st
 
 from test_perf_parallel_sweep import assert_sweeps_identical
 
-from repro.control.failures import FailureScenario
+from repro.control.failures import FailureScenario, enumerate_failure_scenarios
 from repro.exceptions import DegradedResultWarning
-from repro.experiments.runner import run_failure_sweep, run_failure_sweep_parallel
+from repro.experiments.runner import run_failure_sweep
 from repro.experiments.scenarios import custom_context
-from repro.perf.executor import (
-    SweepExecutor,
-    close_default_executor,
-    get_default_executor,
-    run_campaign,
-)
+from repro.perf import executor as executor_mod
+from repro.perf.executor import SweepExecutor
 from repro.perf.sweep import parallel_sweep
 from repro.resilience import chaos
 from repro.topology.generators import ring_topology
@@ -61,12 +57,6 @@ def ring_serial(ring_context, ring_scenarios):
     )
 
 
-@pytest.fixture(autouse=True)
-def _close_default_executor():
-    yield
-    close_default_executor()
-
-
 class TestWarmEquivalence:
     def test_repeated_warm_sweeps_bit_identical(
         self, ring_context, ring_scenarios, ring_serial
@@ -87,9 +77,9 @@ class TestWarmEquivalence:
     def test_att_warm_equals_serial(self, att_context):
         serial = run_failure_sweep(att_context, 1, POOL_ALGORITHMS, 60.0)
         with SweepExecutor(max_workers=4) as executor:
-            warm = run_failure_sweep_parallel(
-                att_context, 1, POOL_ALGORITHMS, 60.0, max_workers=4,
-                executor=executor,
+            warm = parallel_sweep(
+                att_context, enumerate_failure_scenarios(att_context.plane, 1),
+                POOL_ALGORITHMS, 60.0, max_workers=4, executor=executor,
             )
         assert_sweeps_identical(serial, warm)
 
@@ -242,13 +232,14 @@ class TestInvalidation:
 
 
 class TestLifecycle:
-    def test_eviction_drops_the_oldest_payload(self, ring_context):
+    def test_eviction_drops_the_oldest_payload(self, ring_context, monkeypatch):
         other = custom_context(
             ring_topology(8, chords=3, seed=5),
             controller_sites=(0, 4),
             capacity=120,
         )
-        executor = SweepExecutor(max_workers=1, max_cached_contexts=1)
+        monkeypatch.setattr(executor_mod, "_MAX_PAYLOADS", 1)
+        executor = SweepExecutor(max_workers=1)
         with executor:
             first = executor.encode_context(ring_context)
             assert executor.encode_context(ring_context) is first
@@ -291,19 +282,10 @@ class TestLifecycle:
         assert multiprocessing.active_children() == []
 
 
-class TestDefaultExecutor:
-    def test_singleton_lifecycle(self):
-        first = get_default_executor(max_workers=2)
-        assert get_default_executor() is first
-        close_default_executor()
-        assert first.closed
-        fresh = get_default_executor(max_workers=2)
-        assert fresh is not first
-        close_default_executor()
-        assert fresh.closed
-
-
 class TestCampaign:
+    """Many sweeps over one context: a loop over ``parallel_sweep`` on
+    one executor."""
+
     def test_campaign_streams_every_sweep_bit_identically(
         self, ring_context, ring_scenarios
     ):
@@ -317,30 +299,19 @@ class TestCampaign:
             for sweep in sweeps
         ]
         with SweepExecutor(max_workers=2) as executor:
-            collected = dict(
-                run_campaign(
-                    ring_context, sweeps, POOL_ALGORITHMS,
-                    executor=executor, max_workers=2,
+            collected = [
+                parallel_sweep(
+                    ring_context, sweep, POOL_ALGORITHMS,
+                    max_workers=2, executor=executor,
                 )
-            )
-            assert sorted(collected) == [0, 1, 2]
-            for index, reference in enumerate(references):
-                assert_sweeps_identical(reference, collected[index])
+                for sweep in sweeps
+            ]
+            for reference, results in zip(references, collected, strict=True):
+                assert_sweeps_identical(reference, results)
             assert executor.stats["sweeps"] == 3
+            assert executor.stats["encode_misses"] == 1
             assert executor.stats["encode_hits"] == 2
-
-    def test_campaign_default_executor_and_caller_order(
-        self, ring_context, ring_scenarios
-    ):
-        sweeps = [(ring_scenarios[0],), (ring_scenarios[2],)]
-        indices = []
-        for index, results in run_campaign(
-            ring_context, sweeps, ("optimal", "pm"),
-        ):
-            indices.append(index)
-            assert [r.name for r in results] == [s.name for s in sweeps[index]]
-        assert indices == [0, 1]
-        close_default_executor()
+            assert executor.stats["respawns"] == 0
 
 
 class TestArrayKernelPorts:

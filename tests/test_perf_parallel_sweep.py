@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.control.failures import enumerate_failure_scenarios
-from repro.experiments.runner import run_failure_sweep, run_failure_sweep_parallel
+from repro.baselines import TIME_LIMITED_ALGORITHMS
+from repro.experiments.runner import run_failure_sweep, run_scenario
 from repro.exceptions import DegradedResultWarning
 from repro.experiments.scenarios import custom_context
 from repro.perf.executor import SweepExecutor
@@ -23,6 +24,11 @@ FAST_ALGORITHMS = ("pm", "retroflow", "pg", "nearest")
 
 #: The heuristics plus the exact solve, which sends a sweep to the pool.
 POOL_ALGORITHMS = ("optimal", *FAST_ALGORITHMS)
+
+
+def failures(context, n_failures):
+    """Every ``n_failures``-controller scenario of ``context``."""
+    return tuple(enumerate_failure_scenarios(context.plane, n_failures))
 
 
 def assert_sweeps_identical(serial, parallel):
@@ -53,8 +59,8 @@ def assert_sweeps_identical(serial, parallel):
 class TestAttEquivalence:
     def test_parallel_equals_serial_one_failure(self, att_context):
         serial = run_failure_sweep(att_context, 1, POOL_ALGORITHMS, 60.0)
-        parallel = run_failure_sweep_parallel(
-            att_context, 1, POOL_ALGORITHMS, 60.0, max_workers=4
+        parallel = parallel_sweep(
+            att_context, failures(att_context, 1), POOL_ALGORITHMS, 60.0, max_workers=4
         )
         assert_sweeps_identical(serial, parallel)
 
@@ -62,8 +68,8 @@ class TestAttEquivalence:
         # ``retroflow-ip`` is heavy, so the sweep fans out.
         algorithms = ("retroflow-ip", *FAST_ALGORITHMS)
         serial = run_failure_sweep(att_context, 2, algorithms)
-        parallel = run_failure_sweep_parallel(
-            att_context, 2, algorithms, max_workers=2
+        parallel = parallel_sweep(
+            att_context, failures(att_context, 2), algorithms, max_workers=2
         )
         assert_sweeps_identical(serial, parallel)
         assert parallel[0].meta["fanout"]["payload_bytes"] > 0
@@ -72,8 +78,8 @@ class TestAttEquivalence:
 class TestDegradation:
     def test_max_workers_one_is_serial(self, small_context):
         serial = run_failure_sweep(small_context, 1, FAST_ALGORITHMS)
-        degraded = run_failure_sweep_parallel(
-            small_context, 1, FAST_ALGORITHMS, max_workers=1
+        degraded = parallel_sweep(
+            small_context, failures(small_context, 1), FAST_ALGORITHMS, max_workers=1
         )
         assert_sweeps_identical(serial, degraded)
 
@@ -84,8 +90,8 @@ class TestDegradation:
         context.delay_model._poison = lambda: None
         serial = run_failure_sweep(context, 1, POOL_ALGORITHMS, 60.0)
         with pytest.warns(DegradedResultWarning, match="failed to encode"):
-            parallel = run_failure_sweep_parallel(
-                context, 1, POOL_ALGORITHMS, 60.0, max_workers=4
+            parallel = parallel_sweep(
+                context, failures(context, 1), POOL_ALGORITHMS, 60.0, max_workers=4
             )
         assert_sweeps_identical(serial, parallel)
 
@@ -93,8 +99,8 @@ class TestDegradation:
         """The exact solver also round-trips through the pool unchanged."""
         algorithms = ("optimal", "pm")
         serial = run_failure_sweep(small_context, 1, algorithms, 60.0)
-        parallel = run_failure_sweep_parallel(
-            small_context, 1, algorithms, 60.0, max_workers=2
+        parallel = parallel_sweep(
+            small_context, failures(small_context, 1), algorithms, 60.0, max_workers=2
         )
         assert_sweeps_identical(serial, parallel)
 
@@ -111,8 +117,8 @@ class TestSmallSweepHeuristic:
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", forbidden)
         serial = run_failure_sweep(small_context, 1, FAST_ALGORITHMS)
-        parallel = run_failure_sweep_parallel(
-            small_context, 1, FAST_ALGORITHMS, max_workers=4
+        parallel = parallel_sweep(
+            small_context, failures(small_context, 1), FAST_ALGORITHMS, max_workers=4
         )
         assert_sweeps_identical(serial, parallel)
 
@@ -165,7 +171,34 @@ class TestSmallSweepHeuristic:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", spy)
-        run_failure_sweep_parallel(
-            small_context, 1, ("optimal", "pm"), 60.0, max_workers=2
+        parallel_sweep(
+            small_context, failures(small_context, 1), ("optimal", "pm"), 60.0,
+            max_workers=2,
         )
         assert used["pool"]
+
+
+class TestTimeLimit:
+    """One dispatch hands the caller's time limit to every exact solve,
+    on the one-request path and in a sweep alike."""
+
+    @pytest.mark.parametrize("algorithm", sorted(TIME_LIMITED_ALGORITHMS))
+    def test_every_exact_algorithm_runs_under_the_limit(
+        self, small_context, monkeypatch, algorithm
+    ):
+        from repro.baselines import base
+
+        solve = base.get_algorithm(algorithm)
+        limits = []
+
+        def spy(instance, time_limit_s):
+            limits.append(time_limit_s)
+            return solve(instance, time_limit_s=time_limit_s)
+
+        monkeypatch.setitem(base._REGISTRY, algorithm, spy)
+        scenario = failures(small_context, 1)[0]
+        run_scenario(small_context, scenario, (algorithm, "pm"), 42.0)
+        parallel_sweep(
+            small_context, (scenario,), (algorithm, "pm"), 43.0, max_workers=1,
+        )
+        assert limits == [42.0, 43.0]

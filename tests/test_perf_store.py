@@ -203,14 +203,15 @@ class TestCodeIdentity:
         """A patched PM tie-break changes the code identity: a store a
         campaign wrote before must miss, so the patched code re-solves
         instead of resuming from foreign answers."""
-        from repro.perf.executor import SweepExecutor, run_campaign
+        from repro.perf.executor import SweepExecutor
 
-        sweeps = [ring_scenarios[:2], ring_scenarios[2:]]
+        store = SolveStore(tmp_path / "store")
         with SweepExecutor(max_workers=1) as executor:
-            list(run_campaign(
-                ring_context, sweeps, ("pm",), executor=executor,
-                max_workers=1, store=SolveStore(tmp_path / "store"),
-            ))
+            for sweep in (ring_scenarios[:2], ring_scenarios[2:]):
+                parallel_sweep(
+                    ring_context, sweep, ("pm",), executor=executor,
+                    max_workers=1, store=store,
+                )
         replay = parallel_sweep(
             ring_context, ring_scenarios, ("pm",), store=SolveStore(tmp_path / "store"),
         )
@@ -584,6 +585,21 @@ class TestRecordStore:
         assert reader.get("k0") is None
         assert reader.get("k11") == {"n": 11, "pad": "x" * 64}
 
+    def test_writes_keep_the_store_within_max_bytes(self, tmp_path):
+        """A write past ``max_bytes`` collects at once: no caller has to
+        run :meth:`SolveStore.gc`."""
+        unbounded = SolveStore(tmp_path / "unbounded", shards=1)
+        for n in range(12):
+            unbounded.put(f"k{n}", {"n": n, "pad": "x" * 64})
+        budget = unbounded.record_bytes() // 3
+        store = SolveStore(tmp_path / "bounded", shards=1, max_bytes=budget)
+        for n in range(12):
+            store.put(f"k{n}", {"n": n, "pad": "x" * 64})
+            assert store.record_bytes() <= budget
+        assert store.stats["gc_dropped"] > 0
+        assert store.get("k11") == {"n": 11, "pad": "x" * 64}
+        assert store.get("k0") is None
+
     def test_summary_is_json_safe(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put("k", {"x": 1})
@@ -634,6 +650,27 @@ class TestSweepIntegration:
         assert summary["hits"] == 0
         assert summary["misses"] == len(ring_scenarios) * len(FAST_ALGORITHMS)
         assert store_summary([]) is None
+
+    def test_plain_sweep_keeps_the_store_within_max_bytes(
+        self, tmp_path, ring_context, ring_scenarios, ring_serial
+    ):
+        """A sweep on a store with a tiny ``max_bytes`` (no campaign, no
+        explicit GC) leaves the store within it, and its answers are
+        unchanged."""
+        unbounded = SolveStore(tmp_path / "unbounded")
+        parallel_sweep(
+            ring_context, ring_scenarios, FAST_ALGORITHMS,
+            max_workers=1, store=unbounded,
+        )
+        budget = unbounded.record_bytes() // 4
+        store = SolveStore(tmp_path / "bounded", max_bytes=budget)
+        results = parallel_sweep(
+            ring_context, ring_scenarios, FAST_ALGORITHMS,
+            max_workers=1, store=store,
+        )
+        assert_sweeps_identical(ring_serial, results)
+        assert 0 < store.record_bytes() <= budget
+        assert store.stats["gc_dropped"] > 0
 
     def test_no_store_means_no_stamps(self, ring_serial):
         assert store_summary(ring_serial) is None

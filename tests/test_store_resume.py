@@ -1,5 +1,8 @@
 """Resume tests: a killed sweep or campaign re-runs on its solve store.
 
+A campaign is several sweeps over one context, run as a loop over
+``parallel_sweep`` on one executor.
+
 The store is the only persistent state.  A sweep writes each completed
 scenario's clean solves to it (at most one batch per
 ``repro.perf.sweep._SETTLE_INTERVAL_S``, and flushed when the sweep
@@ -21,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.perf.executor import SweepExecutor, run_campaign
+from repro.perf.executor import SweepExecutor
 from repro.perf.store import SolveStore
 from repro.perf.sweep import _SweepRunner, parallel_sweep, store_summary
 
@@ -257,7 +260,7 @@ class TestReplay:
 
 
 class TestCampaignResume:
-    def test_rerun_campaign_replays_completed_sweeps(
+    def test_rerunning_a_campaign_replays_completed_sweeps(
         self, sweep_context, sweep_scenarios, tmp_path
     ):
         """A campaign cut after two of its sweeps, re-run on the same
@@ -270,18 +273,20 @@ class TestCampaignResume:
         ]
         root = tmp_path / "store"
         with SweepExecutor(max_workers=1) as executor:
-            stream = run_campaign(
-                sweep_context, sweeps, ALGORITHMS, executor=executor,
-                store=SolveStore(root), **options,
-            )
-            first = [next(stream), next(stream)]
-            stream.close()
-            resumed = dict(run_campaign(
-                sweep_context, sweeps, ALGORITHMS, executor=executor,
-                store=SolveStore(root), **options,
-            ))
-        assert [index for index, _ in first] == [0, 1]
-        assert sorted(resumed) == [0, 1, 2]
+            store = SolveStore(root)
+            for sweep in sweeps[:2]:
+                parallel_sweep(
+                    sweep_context, sweep, ALGORITHMS, executor=executor,
+                    store=store, **options,
+                )
+            store = SolveStore(root)
+            resumed = [
+                parallel_sweep(
+                    sweep_context, sweep, ALGORITHMS, executor=executor,
+                    store=store, **options,
+                )
+                for sweep in sweeps
+            ]
         for index, results in enumerate(reference):
             assert_bit_identical(results, resumed[index])
         for index in (0, 1):
