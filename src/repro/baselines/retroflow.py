@@ -179,13 +179,9 @@ def _assignment_form(
         c=-np.repeat(value, m),
         a_ub=a_ub,
         b_ub=b_ub,
-        a_eq=sparse.csr_matrix((0, n * m)),
-        b_eq=np.zeros(0),
         lb=np.zeros(n * m),
         ub=np.ones(n * m),
         integrality=np.ones(n * m),
-        maximize=True,
-        objective_constant=-0.0,
     )
 
 

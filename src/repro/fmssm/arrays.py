@@ -188,8 +188,7 @@ class InstanceArrays:
     #: Positions of the flows in the network's flow population, when the
     #: instance was grounded from one (``None`` for a hand-built one).
     network_pos: np.ndarray | None
-    #: Lazy per-kernel extras (the sequential scans' list views, PG's
-    #: padded prefix-sum matrix, ...).
+    #: Lazy extras: the sequential scans' list views and the network map.
     cache: dict[str, object] = field(default_factory=dict, repr=False)
 
     @property

@@ -309,7 +309,6 @@ def _solve(
     require_full_recovery: bool,
     enforce_delay: bool,
     warm_start: str | None,
-    compiler: object,
 ) -> RecoverySolution:
     start = time.perf_counter()
     seed = (
@@ -333,15 +332,15 @@ def _solve(
         )
         elapsed = time.perf_counter() - start
     else:
-        # Imported lazily: repro.perf pulls in the sweep machinery, which
-        # imports this module back.
+        # Imported lazily: keeps the compiler off the request path of
+        # PM and of every solve that certifies from its seed, which
+        # tests/test_import_guard.py guards.
         from repro.perf.compile import compile_fmssm
 
         compiled = compile_fmssm(
             instance,
             require_full_recovery=require_full_recovery,
             enforce_delay=enforce_delay,
-            compiler=compiler,
         )
         seed_x = (
             None
@@ -451,7 +450,6 @@ def solve_optimal(
     require_full_recovery: bool = True,
     enforce_delay: bool = True,
     warm_start: str | None = "pm",
-    compiler: object = None,
     validate: bool = True,
 ) -> RecoverySolution:
     """Solve P′ to optimality and return the recovery solution.
@@ -470,9 +468,6 @@ def solve_optimal(
         fill when that certifies (certificate, and HiGHS's timeout
         fallback; ``meta["seed"]`` names the point used); ``None``
         solves cold.
-    compiler:
-        Optional :class:`~repro.perf.compile.FMSSMCompiler` to reuse
-        structural caches across scenarios.
     validate:
         Run the independent validator
         (:mod:`repro.resilience.validate`) on every feasible answer; an
@@ -496,7 +491,6 @@ def solve_optimal(
             require_full_recovery=require_full_recovery,
             enforce_delay=enforce_delay,
             warm_start=warm_start,
-            compiler=compiler,
         )
         if validate:
             _validated(instance, solution, enforce_delay, require_full_recovery)

@@ -44,8 +44,9 @@ def solve_two_stage(
     stages' objectives are integers (``r`` and ``Σ p̄``), so HiGHS may
     stop once its gap is under half a unit (:func:`grid_rel_gap`).
     """
-    # Imported lazily: repro.perf imports the sweep machinery, which
-    # imports the fmssm package back.
+    # Imported lazily: keeps the compiler off the request path of PM
+    # and of every solve that certifies from its seed, which
+    # tests/test_import_guard.py guards.
     from repro.perf.compile import compile_fmssm
 
     start = time.perf_counter()

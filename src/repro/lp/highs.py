@@ -67,22 +67,13 @@ def solve_form_with_highs(
     from scipy import optimize, sparse
 
     chaos.check("highs.solve")
-    constraints = []
     if form.a_ub.shape[0]:
-        constraints.append(
-            optimize.LinearConstraint(form.a_ub, -np.inf, form.b_ub)
-        )
-    if form.a_eq.shape[0]:
-        constraints.append(
-            optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq)
-        )
-    if not constraints:
+        constraints = optimize.LinearConstraint(form.a_ub, -np.inf, form.b_ub)
+    else:
         # milp requires a constraints argument shape it can handle; give a
         # vacuous one covering all variables.
-        constraints.append(
-            optimize.LinearConstraint(
-                sparse.csr_matrix((1, form.n_vars)), -np.inf, np.inf
-            )
+        constraints = optimize.LinearConstraint(
+            sparse.csr_matrix((1, form.n_vars)), -np.inf, np.inf
         )
     options = {"mip_rel_gap": float(mip_rel_gap)}
     if time_limit_s is not None:
@@ -147,8 +138,6 @@ def solve_form_relaxation(form: StandardForm) -> SolveResult:
         c=form.c,
         A_ub=form.a_ub if form.a_ub.shape[0] else None,
         b_ub=form.b_ub if form.a_ub.shape[0] else None,
-        A_eq=form.a_eq if form.a_eq.shape[0] else None,
-        b_eq=form.b_eq if form.a_eq.shape[0] else None,
         bounds=np.column_stack([form.lb, form.ub]),
         method="highs",
     )

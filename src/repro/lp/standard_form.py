@@ -1,15 +1,16 @@
-"""Matrix standard form of an LP or MILP.
+"""Matrix standard form of a maximizing LP or MILP.
 
-The form every exact solve hands to HiGHS is::
+Both problems the package hands HiGHS (P′ from :mod:`repro.perf.compile`,
+RetroFlow's assignment IP from :mod:`repro.baselines.retroflow`)
+maximize; each is written as the minimization HiGHS solves::
 
-    minimize    c @ x
+    minimize    c @ x        (c is the negated objective)
     subject to  A_ub @ x <= b_ub
-                A_eq @ x == b_eq
                 lb <= x <= ub
                 x[i] integer for i in integrality
 
-A maximization problem is written with ``c`` negated; its objective is
-read back in the problem's sense by :func:`StandardForm.objective_value`.
+and its objective is read back in the maximizing sense by
+:func:`StandardForm.objective_value`.
 """
 
 from __future__ import annotations
@@ -27,18 +28,14 @@ __all__ = ["StandardForm"]
 
 @dataclass
 class StandardForm:
-    """Matrix form of a problem (see module docstring)."""
+    """Matrix form of a maximization (see module docstring)."""
 
     c: np.ndarray
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
-    b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     integrality: np.ndarray  # 1.0 where integer, 0.0 where continuous
-    maximize: bool
-    objective_constant: float
 
     @property
     def n_vars(self) -> int:
@@ -46,12 +43,5 @@ class StandardForm:
         return len(self.c)
 
     def objective_value(self, minimized_value: float) -> float:
-        """Convert the solver's ``c @ x`` value back to the problem's sense.
-
-        ``minimized_value`` excludes the objective constant (linprog/milp
-        only see ``c``).  The stored constant is already negated for
-        maximization, so adding it and flipping the sign restores the
-        problem's objective.
-        """
-        value = minimized_value + self.objective_constant
-        return -value if self.maximize else value
+        """The maximized objective of a solver's ``c @ x`` value."""
+        return -minimized_value

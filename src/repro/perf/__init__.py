@@ -17,8 +17,8 @@ index:
 
 :mod:`repro.perf.compile`
     Problem P′ in sparse standard form — the one formulation the exact
-    solver hands to HiGHS — with per-shape structural caching across
-    the scenarios of a sweep.
+    solver hands to HiGHS — built afresh for each instance by
+    :func:`~repro.perf.compile.compile_fmssm`.
 
 :mod:`repro.perf.kernels`
     NumPy-vectorized kernels for the four non-exact algorithms (PM, PG,
@@ -48,12 +48,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.perf.executor": ("SweepExecutor",),
-        "repro.perf.compile": (
-            "CompiledFMSSM",
-            "FMSSMCompiler",
-            "compile_fmssm",
-            "default_compiler",
-        ),
+        "repro.perf.compile": ("CompiledFMSSM", "compile_fmssm"),
         "repro.perf.kernels": (
             "InstanceArrays",
             "instance_arrays",

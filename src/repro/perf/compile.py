@@ -1,6 +1,6 @@
 """Problem P′ (Section IV-E) in matrix standard form — its one formulation.
 
-:meth:`FMSSMCompiler.compile` assembles P′ directly as ``scipy.sparse``
+:func:`compile_fmssm` assembles P′ directly as ``scipy.sparse``
 CSR blocks from an :class:`FMSSMInstance`, vectorized over (pair,
 controller) index arrays, and :func:`repro.lp.highs.solve_form_with_highs`
 solves it.  The layout, which ``tests/test_fmssm_formulation.py`` holds
@@ -22,22 +22,15 @@ bounds
 objective
     ``max r + λ · Σ p̄ w``, negated to a minimization.
 
-Cross-scenario reuse: the purely structural index arrays (McCormick row
-numbers, ``w``/``y`` column layouts, capacity-row patterns) depend only
-on the (N, M, P) shape, so an :class:`FMSSMCompiler` caches them and
-every same-shaped scenario of a sweep slices from one master template
-instead of rebuilding.
-
-The templates are built by the process that compiles, never shipped or
-stored: building all 25 templates of a 40-node sweep takes a few
-milliseconds, less than pickling them to a pool worker or reading them
-back from disk costs.  ``scipy.sparse`` is imported when a form is
-built, not with the module.
+Every compile builds its structural index arrays (McCormick row
+numbers, ``w``/``y`` column layouts, capacity-row patterns) afresh:
+they are a fraction of a millisecond of a compile that precedes a
+MILP of seconds, and a per-shape cache of them measured no faster.
+``scipy.sparse`` is imported when a form is built, not with the module.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +41,7 @@ from repro.fmssm.solution import Placement, RecoverySolution
 from repro.lp.standard_form import StandardForm
 from repro.types import ControllerId, FlowId, NodeId
 
-__all__ = ["CompiledFMSSM", "FMSSMCompiler", "compile_fmssm", "default_compiler"]
+__all__ = ["CompiledFMSSM", "compile_fmssm"]
 
 _BINARY_THRESHOLD = 0.5
 
@@ -120,13 +113,7 @@ class CompiledFMSSM:
         """Whether ``x`` satisfies the form's rows and bounds within ``tol``."""
         if np.any(x < self.form.lb - tol) or np.any(x > self.form.ub + tol):
             return False
-        if self.form.a_ub.shape[0] and np.any(self.form.a_ub @ x > self.form.b_ub + tol):
-            return False
-        if self.form.a_eq.shape[0] and np.any(
-            np.abs(self.form.a_eq @ x - self.form.b_eq) > tol
-        ):
-            return False
-        return True
+        return not np.any(self.form.a_ub @ x > self.form.b_ub + tol)
 
     def objective_value(self, x: np.ndarray) -> float:
         """Objective of ``x`` in P′'s (maximization) sense."""
@@ -148,230 +135,154 @@ class CompiledFMSSM:
         return Placement.switch_level(self.instance.arrays().frame, switch_ctrl, pairs)
 
 
-class FMSSMCompiler:
-    """Compiles instances to :class:`CompiledFMSSM`, reusing structure.
-
-    A compiler (usually the process-wide default) keeps an LRU cache of
-    the shape-only index arrays keyed by (N, M, P); scenarios sharing a
-    shape pay only for the scenario-specific numbers (``p̄``, delays,
-    spare capacities, bounds).
-    """
-
-    def __init__(self, max_cached_shapes: int = 32) -> None:
-        self._max_cached_shapes = max_cached_shapes
-        self._shapes: OrderedDict[tuple[int, int, int], dict[str, np.ndarray]] = OrderedDict()
-
-    def _shape_arrays(self, n: int, m: int, p: int) -> dict[str, np.ndarray]:
-        """Structural index arrays for an (N, M, P)-shaped instance."""
-        key = (n, m, p)
-        cached = self._shapes.get(key)
-        if cached is not None:
-            self._shapes.move_to_end(key)
-            return cached
-        n_x = n * m
-        q = p * m  # number of w variables
-        w_cols = n_x + np.repeat(np.arange(p, dtype=np.int64) * (m + 1) + 1, m) + np.tile(
-            np.arange(m, dtype=np.int64), p
-        )
-        y_cols = n_x + np.arange(p, dtype=np.int64) * (m + 1)
-        y_cols_rep = np.repeat(y_cols, m)
-        ci_tile = np.tile(np.arange(m, dtype=np.int64), p)
-        mc_base = n + 3 * np.arange(q, dtype=np.int64)
-        arrays = {
-            # Eq. (2) mapping rows: one row per switch over its M x columns.
-            "map_rows": np.repeat(np.arange(n, dtype=np.int64), m),
-            "map_cols": np.arange(n_x, dtype=np.int64),
-            # w/y column layout in (pair, controller) order.
-            "w_cols": w_cols,
-            "y_cols_rep": y_cols_rep,
-            "ci_tile": ci_tile,
-            # McCormick row numbers: triples (wx, wy, wxy) per w variable.
-            "wx_rows": mc_base,
-            "wy_rows": mc_base + 1,
-            "wxy_rows": mc_base + 2,
-            # Capacity rows: w columns grouped by controller.
-            "cap_rows": n + 3 * q + ci_tile,
-            "mccormick_b": np.tile(np.array([0.0, 0.0, 1.0]), q),
-            "ones_q": np.ones(q),
-            "neg_ones_q": np.full(q, -1.0),
-        }
-        self._shapes[key] = arrays
-        if len(self._shapes) > self._max_cached_shapes:
-            self._shapes.popitem(last=False)
-        return arrays
-
-    def compile(
-        self,
-        instance: FMSSMInstance,
-        require_full_recovery: bool = False,
-        enforce_delay: bool = True,
-    ) -> CompiledFMSSM:
-        """Compile ``instance`` to the standard form of problem P′.
-
-        ``require_full_recovery`` raises ``r``'s lower bound to 1 (when
-        a flow is recoverable); ``enforce_delay`` writes the Eq. (14)
-        row.
-        """
-        from scipy import sparse
-
-        switches = instance.switches
-        controllers = instance.controllers
-        pairs = instance.pairs
-        n, m, p = len(switches), len(controllers), len(pairs)
-        n_x = n * m
-        q = p * m
-        n_vars = n_x + p * (m + 1) + 1
-        r_col = n_vars - 1
-        shape = self._shape_arrays(n, m, p)
-
-        arrays = instance.arrays()
-        pair_switch_idx = arrays.pair_switch
-        pbar_values = arrays.pair_pbar.astype(np.float64)
-
-        recoverable = instance.recoverable_flows
-        if recoverable:
-            r_ub = float(min(instance.max_programmability(f) for f in recoverable))
-            r_lb = 1.0 if require_full_recovery else 0.0
-        else:
-            r_ub = 0.0
-            r_lb = 0.0
-
-        # x column of each w variable, in (pair, controller) order.
-        x_cols_rep = np.repeat(pair_switch_idx, m) * m + shape["ci_tile"]
-        w_cols = shape["w_cols"]
-        pbar_rep = np.repeat(pbar_values, m)
-
-        data_blocks: list[np.ndarray] = []
-        row_blocks: list[np.ndarray] = []
-        col_blocks: list[np.ndarray] = []
-        b_blocks: list[np.ndarray] = []
-
-        def block(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
-            row_blocks.append(rows)
-            col_blocks.append(cols)
-            data_blocks.append(values)
-
-        # Eq. (2): each switch maps to at most one controller.
-        block(shape["map_rows"], shape["map_cols"], np.ones(n_x))
-        b_blocks.append(np.ones(n))
-        n_rows = n
-
-        if p:
-            # Eqs. (9)-(11): w <= x, w <= y, x + y - w <= 1.
-            block(shape["wx_rows"], w_cols, shape["ones_q"])
-            block(shape["wx_rows"], x_cols_rep, shape["neg_ones_q"])
-            block(shape["wy_rows"], w_cols, shape["ones_q"])
-            block(shape["wy_rows"], shape["y_cols_rep"], shape["neg_ones_q"])
-            block(shape["wxy_rows"], x_cols_rep, shape["ones_q"])
-            block(shape["wxy_rows"], shape["y_cols_rep"], shape["ones_q"])
-            block(shape["wxy_rows"], w_cols, shape["neg_ones_q"])
-            b_blocks.append(shape["mccormick_b"])
-            n_rows += 3 * q
-
-            # Eq. (12): controller capacity over SDN pairs.
-            block(shape["cap_rows"], w_cols, shape["ones_q"])
-            b_blocks.append(
-                np.fromiter(
-                    (float(instance.spare[c]) for c in controllers),
-                    dtype=np.float64,
-                    count=m,
-                )
-            )
-            n_rows += m
-
-        # Eq. (13): pro^l >= r per recoverable flow, negated to <= form.
-        n_rec = len(recoverable)
-        if n_rec:
-            flow_row = {f: i for i, f in enumerate(recoverable)}
-            pair_flow_row = np.fromiter(
-                (flow_row[f] for _, f in pairs), dtype=np.int64, count=p
-            )
-            pro_rows_rep = n_rows + np.repeat(pair_flow_row, m)
-            block(pro_rows_rep, w_cols, -pbar_rep)
-            block(
-                n_rows + np.arange(n_rec, dtype=np.int64),
-                np.full(n_rec, r_col, dtype=np.int64),
-                np.ones(n_rec),
-            )
-            b_blocks.append(np.zeros(n_rec))
-            n_rows += n_rec
-
-        # Eq. (14): total switch-controller delay bounded by G.
-        if enforce_delay and q:
-            block(
-                np.full(q, n_rows, dtype=np.int64),
-                w_cols,
-                arrays.delay[pair_switch_idx].ravel(),
-            )
-            b_blocks.append(np.array([float(instance.ideal_delay_ms)]))
-            n_rows += 1
-
-        a_ub = sparse.csr_matrix(
-            (
-                np.concatenate(data_blocks),
-                (np.concatenate(row_blocks), np.concatenate(col_blocks)),
-            ),
-            shape=(n_rows, n_vars),
-        )
-        b_ub = np.concatenate(b_blocks)
-
-        # Objective max(r + lambda * sum(pbar * w)), negated to min form.
-        c = np.zeros(n_vars)
-        if q:
-            c[w_cols] = -instance.lam * pbar_rep
-        c[r_col] = -1.0
-
-        lb = np.zeros(n_vars)
-        ub = np.ones(n_vars)
-        lb[r_col] = r_lb
-        ub[r_col] = r_ub
-        integrality = np.ones(n_vars)
-        integrality[r_col] = 0.0
-
-        form = StandardForm(
-            c=c,
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=sparse.csr_matrix((0, n_vars)),
-            b_eq=np.zeros(0),
-            lb=lb,
-            ub=ub,
-            integrality=integrality,
-            maximize=True,
-            objective_constant=-0.0,
-        )
-        return CompiledFMSSM(
-            form=form,
-            switches=switches,
-            controllers=controllers,
-            pairs=pairs,
-            recoverable=recoverable,
-            instance=instance,
-            require_full_recovery=require_full_recovery,
-            enforce_delay=enforce_delay,
-            r_col=r_col,
-        )
-
-
-#: Process-wide compiler shared by default — sweeps and repeated solves
-#: in one process reuse the same structural template cache.
-_DEFAULT_COMPILER = FMSSMCompiler()
-
-
-def default_compiler() -> FMSSMCompiler:
-    """The process-wide shared compiler."""
-    return _DEFAULT_COMPILER
-
-
 def compile_fmssm(
     instance: FMSSMInstance,
     require_full_recovery: bool = False,
     enforce_delay: bool = True,
-    compiler: FMSSMCompiler | None = None,
 ) -> CompiledFMSSM:
-    """Compile ``instance`` with ``compiler`` (default: the shared one)."""
-    return (compiler or _DEFAULT_COMPILER).compile(
-        instance,
+    """Compile ``instance`` to the standard form of problem P′.
+
+    ``require_full_recovery`` raises ``r``'s lower bound to 1 (when a
+    flow is recoverable); ``enforce_delay`` writes the Eq. (14) row.
+    """
+    from scipy import sparse
+
+    switches = instance.switches
+    controllers = instance.controllers
+    pairs = instance.pairs
+    n, m, p = len(switches), len(controllers), len(pairs)
+    n_x = n * m
+    q = p * m  # number of w variables
+    n_vars = n_x + p * (m + 1) + 1
+    r_col = n_vars - 1
+
+    arrays = instance.arrays()
+    pair_switch_idx = arrays.pair_switch
+    pbar_values = arrays.pair_pbar.astype(np.float64)
+
+    recoverable = instance.recoverable_flows
+    if recoverable:
+        r_ub = float(min(instance.max_programmability(f) for f in recoverable))
+        r_lb = 1.0 if require_full_recovery else 0.0
+    else:
+        r_ub = 0.0
+        r_lb = 0.0
+
+    # w/y columns and controller indices in (pair, controller) order,
+    # and the x column of each w variable.
+    ci_tile = np.tile(np.arange(m, dtype=np.int64), p)
+    w_cols = n_x + np.repeat(np.arange(p, dtype=np.int64) * (m + 1) + 1, m) + ci_tile
+    y_cols_rep = np.repeat(n_x + np.arange(p, dtype=np.int64) * (m + 1), m)
+    x_cols_rep = np.repeat(pair_switch_idx, m) * m + ci_tile
+    pbar_rep = np.repeat(pbar_values, m)
+    ones_q = np.ones(q)
+    neg_ones_q = np.full(q, -1.0)
+
+    data_blocks: list[np.ndarray] = []
+    row_blocks: list[np.ndarray] = []
+    col_blocks: list[np.ndarray] = []
+    b_blocks: list[np.ndarray] = []
+
+    def block(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+        row_blocks.append(rows)
+        col_blocks.append(cols)
+        data_blocks.append(values)
+
+    # Eq. (2): each switch maps to at most one controller.
+    block(
+        np.repeat(np.arange(n, dtype=np.int64), m),
+        np.arange(n_x, dtype=np.int64),
+        np.ones(n_x),
+    )
+    b_blocks.append(np.ones(n))
+    n_rows = n
+
+    if p:
+        # Eqs. (9)-(11): w <= x, w <= y, x + y - w <= 1, one row triple
+        # (wx, wy, wxy) per w variable.
+        wx_rows = n + 3 * np.arange(q, dtype=np.int64)
+        wy_rows = wx_rows + 1
+        wxy_rows = wx_rows + 2
+        block(wx_rows, w_cols, ones_q)
+        block(wx_rows, x_cols_rep, neg_ones_q)
+        block(wy_rows, w_cols, ones_q)
+        block(wy_rows, y_cols_rep, neg_ones_q)
+        block(wxy_rows, x_cols_rep, ones_q)
+        block(wxy_rows, y_cols_rep, ones_q)
+        block(wxy_rows, w_cols, neg_ones_q)
+        b_blocks.append(np.tile(np.array([0.0, 0.0, 1.0]), q))
+        n_rows += 3 * q
+
+        # Eq. (12): controller capacity over SDN pairs.
+        block(n_rows + ci_tile, w_cols, ones_q)
+        b_blocks.append(
+            np.fromiter(
+                (float(instance.spare[c]) for c in controllers),
+                dtype=np.float64,
+                count=m,
+            )
+        )
+        n_rows += m
+
+    # Eq. (13): pro^l >= r per recoverable flow, negated to <= form.
+    n_rec = len(recoverable)
+    if n_rec:
+        flow_row = {f: i for i, f in enumerate(recoverable)}
+        pair_flow_row = np.fromiter(
+            (flow_row[f] for _, f in pairs), dtype=np.int64, count=p
+        )
+        pro_rows_rep = n_rows + np.repeat(pair_flow_row, m)
+        block(pro_rows_rep, w_cols, -pbar_rep)
+        block(
+            n_rows + np.arange(n_rec, dtype=np.int64),
+            np.full(n_rec, r_col, dtype=np.int64),
+            np.ones(n_rec),
+        )
+        b_blocks.append(np.zeros(n_rec))
+        n_rows += n_rec
+
+    # Eq. (14): total switch-controller delay bounded by G.
+    if enforce_delay and q:
+        block(
+            np.full(q, n_rows, dtype=np.int64),
+            w_cols,
+            arrays.delay[pair_switch_idx].ravel(),
+        )
+        b_blocks.append(np.array([float(instance.ideal_delay_ms)]))
+        n_rows += 1
+
+    a_ub = sparse.csr_matrix(
+        (
+            np.concatenate(data_blocks),
+            (np.concatenate(row_blocks), np.concatenate(col_blocks)),
+        ),
+        shape=(n_rows, n_vars),
+    )
+    b_ub = np.concatenate(b_blocks)
+
+    # Objective max(r + lambda * sum(pbar * w)), negated to min form.
+    c = np.zeros(n_vars)
+    if q:
+        c[w_cols] = -instance.lam * pbar_rep
+    c[r_col] = -1.0
+
+    lb = np.zeros(n_vars)
+    ub = np.ones(n_vars)
+    lb[r_col] = r_lb
+    ub[r_col] = r_ub
+    integrality = np.ones(n_vars)
+    integrality[r_col] = 0.0
+
+    return CompiledFMSSM(
+        form=StandardForm(
+            c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub, integrality=integrality
+        ),
+        switches=switches,
+        controllers=controllers,
+        pairs=pairs,
+        recoverable=recoverable,
+        instance=instance,
         require_full_recovery=require_full_recovery,
         enforce_delay=enforce_delay,
+        r_col=r_col,
     )

@@ -25,10 +25,8 @@ Worker-side caches
     once per *generation*, then shared by every sweep over that
     context, together with all the instances, ``InstanceArrays`` and
     hop-distance state the context caches) and the light per-sweep
-    parameters.  Each worker builds the compiler's ``(N, M, P)``
-    templates itself, in its process-wide
-    :func:`~repro.perf.compile.default_compiler`, which persists across
-    sweeps by construction.
+    parameters.  Exact solves compile their forms in the worker, one
+    per instance; nothing of a compile is cached or shipped.
 
 Invalidation
     Generations are assigned per (executor, context object): passing a

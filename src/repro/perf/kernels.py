@@ -333,24 +333,20 @@ def _pg_level_prep(arrays: InstanceArrays) -> tuple[np.ndarray, np.ndarray, np.n
     Row ``i`` holds the running totals of recoverable flow ``i``'s pairs
     in (-p̄, switch) order, right-padded with the final total — so the
     fewest pairs reaching ``level`` is ``(row >= level).argmax() + 1``
-    for any reachable ``level >= 1``.  Cached on the arrays: the binary
+    for any reachable ``level >= 1``.  Built once per solve; the binary
     search probes it O(log max_level) times.
     """
-    cached = arrays.cache.get("pg_levels")
-    if cached is None:
-        rec = arrays.recoverable_pos
-        starts = arrays.flow_indptr[rec]
-        lens = arrays.flow_indptr[rec + 1] - starts
-        width = int(lens.max()) if lens.size else 0
-        col = np.arange(width)
-        # Clamp pad columns onto each row's last real pair; their p̄ is
-        # zeroed below so the cumsum plateaus at the flow's max_pro.
-        idx2d = starts[:, None] + np.minimum(col[None, :], (lens - 1)[:, None])
-        valid = col[None, :] < lens[:, None]
-        values = np.where(valid, arrays.pair_pbar[arrays.flow_sorted[idx2d]], 0)
-        cached = (idx2d, lens, values.cumsum(axis=1))
-        arrays.cache["pg_levels"] = cached
-    return cached
+    rec = arrays.recoverable_pos
+    starts = arrays.flow_indptr[rec]
+    lens = arrays.flow_indptr[rec + 1] - starts
+    width = int(lens.max()) if lens.size else 0
+    col = np.arange(width)
+    # Clamp pad columns onto each row's last real pair; their p̄ is
+    # zeroed below so the cumsum plateaus at the flow's max_pro.
+    idx2d = starts[:, None] + np.minimum(col[None, :], (lens - 1)[:, None])
+    valid = col[None, :] < lens[:, None]
+    values = np.where(valid, arrays.pair_pbar[arrays.flow_sorted[idx2d]], 0)
+    return idx2d, lens, values.cumsum(axis=1)
 
 
 def solve_pg_array(instance: FMSSMInstance) -> RecoverySolution:
@@ -505,10 +501,7 @@ def solve_nearest_array(instance: FMSSMInstance) -> RecoverySolution:
     start = time.perf_counter()
     arrays = instance_arrays(instance)
     _, _, _, _, rows, gamma, _ = seq_lists(arrays)
-    nearest = arrays.cache.get("nearest_col")
-    if nearest is None:
-        nearest = arrays.delay_order[:, 0].tolist()
-        arrays.cache["nearest_col"] = nearest
+    nearest = arrays.delay_order[:, 0].tolist()
     available = arrays.spare.tolist()
     load = [0] * len(arrays.controllers)
     switch_ctrl = [-1] * len(nearest)

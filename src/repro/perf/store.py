@@ -643,30 +643,47 @@ class SolveStore:
         """Drop oldest records until the store fits ``max_bytes``.
 
         Records within a shard are in append (age) order, so dropping a
-        prefix of lines drops the oldest.  Shards are rewritten via a
-        temp file + ``os.replace`` under the writer lock; in-flight
+        prefix of lines drops the oldest.  Keys hash to shards uniformly,
+        so each shard gives up its oldest lines in proportion to its
+        share of the bytes: what survives is about the newest records of
+        the whole store, not of its last shards.  Shards are rewritten
+        via a temp file + ``os.replace`` under the writer lock; in-flight
         readers keep their old inode.  Returns records dropped.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
         dropped = 0
         with self._locked():
-            excess = self.record_bytes() - budget
+            sizes = {}
+            for shard in range(self.shards):
+                try:
+                    sizes[shard] = self._shard_paths[shard].stat().st_size
+                except OSError:
+                    pass
+            total = sum(sizes.values())
+            excess = total - budget
             if excess <= 0:
                 return 0
-            for shard in range(self.shards):
+            for shard, size in sizes.items():
                 if excess <= 0:
                     break
-                path = self._shard_paths[shard]
+                # This shard's share of what is still to free; a shard
+                # that frees more (whole lines) lowers the later shares.
+                share = -(-excess * size // total)
+                total -= size
                 try:
-                    data = path.read_bytes()
+                    data = self._shard_paths[shard].read_bytes()
                 except OSError:
                     continue
                 kept = [ln for ln in data.split(b"\n") if ln.strip()]
-                while kept and excess > 0:
-                    oldest = kept.pop(0)
-                    excess -= len(oldest) + 1
-                    dropped += 1
-                body = b"".join(ln + b"\n" for ln in kept)
+                cut = freed = 0
+                while cut < len(kept) and freed < share:
+                    freed += len(kept[cut]) + 1
+                    cut += 1
+                if not cut:
+                    continue
+                dropped += cut
+                excess -= freed
+                body = b"".join(ln + b"\n" for ln in kept[cut:])
                 fd, tmp = tempfile.mkstemp(
                     dir=self._records_dir, prefix=f".gc-{shard:02x}-"
                 )
@@ -675,7 +692,7 @@ class SolveStore:
                     os.fsync(fd)
                 finally:
                     os.close(fd)
-                os.replace(tmp, path)
+                os.replace(tmp, self._shard_paths[shard])
                 self._index.pop(shard, None)
         self.stats["gc_dropped"] += dropped
         return dropped

@@ -66,6 +66,7 @@ networkx_loaded["WAN-72 context, table and PM request"] = "networkx" in sys.modu
 precert = solve_optimal(att.instance(FailureScenario(frozenset({6}))))
 sparse_loaded["precertified exact solve"] = "scipy.sparse" in sys.modules
 networkx_loaded["precertified exact solve"] = "networkx" in sys.modules
+compiler_loaded = "repro.perf.compile" in sys.modules
 report = {
     "pm_feasible": pm.solutions["pm"].feasible,
     "wan_pm_solved": "pm" in wan_pm.solutions,
@@ -75,6 +76,7 @@ report = {
     "networkx_loaded": networkx_loaded,
     "pool_or_analysis": pool_or_analysis,
     "pm_imports_sweep": pm_imports_sweep,
+    "compiler_loaded": compiler_loaded,
 }
 # The certificate misses on this instance, so the MILP really runs.
 ring = custom_context(
@@ -191,6 +193,11 @@ def test_imports_pm_and_precertified_exact_solve_leave_scipy_sparse_unloaded(rep
         "ATT PM request": False,
         "precertified exact solve": False,
     }
+
+
+def test_pm_and_precertified_exact_solve_leave_the_compiler_unloaded(report):
+    assert report["precert_solver"] == "precert"
+    assert report["compiler_loaded"] is False
 
 
 def test_networkx_is_never_imported(report):

@@ -17,33 +17,17 @@ from repro.lp import SolveStatus, StandardForm, solve_form_relaxation, solve_for
 SOLVERS = ("highs",)
 
 
-def dense_form(
-    c,
-    a_ub=(),
-    b_ub=(),
-    a_eq=(),
-    b_eq=(),
-    lb=None,
-    ub=None,
-    integer=None,
-    maximize=False,
-    constant=0.0,
-) -> StandardForm:
-    """A form from dense rows; ``c`` and ``constant`` in the problem's
-    sense (negated here for maximization, as the package writes them)."""
+def dense_form(c, a_ub=(), b_ub=(), lb=None, ub=None, integer=None) -> StandardForm:
+    """A form maximizing ``c @ x`` from dense rows (``c`` negated here,
+    as the package writes it)."""
     n = len(c)
-    sign = -1.0 if maximize else 1.0
     return StandardForm(
-        c=sign * np.asarray(c, dtype=float),
+        c=-np.asarray(c, dtype=float),
         a_ub=sparse.csr_matrix(np.asarray(a_ub, dtype=float).reshape(-1, n)),
         b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=sparse.csr_matrix(np.asarray(a_eq, dtype=float).reshape(-1, n)),
-        b_eq=np.asarray(b_eq, dtype=float),
         lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
         ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
         integrality=np.zeros(n) if integer is None else np.asarray(integer, dtype=float),
-        maximize=maximize,
-        objective_constant=sign * constant,
     )
 
 
@@ -56,7 +40,6 @@ def knapsack_form() -> tuple[StandardForm, float]:
             b_ub=[8],
             ub=np.ones(4),
             integer=np.ones(4),
-            maximize=True,
         ),
         14.0,
     )
@@ -65,7 +48,7 @@ def knapsack_form() -> tuple[StandardForm, float]:
 @pytest.mark.parametrize("solver", SOLVERS)
 class TestBothSolvers:
     def test_pure_lp(self, solver):
-        form = dense_form([1, 2], a_ub=[[1, 1]], b_ub=[6], ub=[4, 4], maximize=True)
+        form = dense_form([1, 2], a_ub=[[1, 1]], b_ub=[6], ub=[4, 4])
         result = solve_form_with_highs(form)
         assert result.solver == solver
         assert result.status is SolveStatus.OPTIMAL
@@ -79,7 +62,7 @@ class TestBothSolvers:
         assert result.objective == pytest.approx(best)
 
     def test_integrality_enforced(self, solver):
-        form = dense_form([1], a_ub=[[2]], b_ub=[7], ub=[10], integer=[1], maximize=True)
+        form = dense_form([1], a_ub=[[2]], b_ub=[7], ub=[10], integer=[1])
         result = solve_form_with_highs(form)
         assert result.objective == pytest.approx(3.0)
         assert result.x[0] == pytest.approx(3.0)
@@ -91,20 +74,11 @@ class TestBothSolvers:
         assert solve_form_with_highs(form).status is SolveStatus.INFEASIBLE
         assert solve_form_relaxation(form).status is SolveStatus.INFEASIBLE
 
-    def test_equality_constraints(self, solver):
-        form = dense_form([1, -1], a_eq=[[1, 1]], b_eq=[7], ub=[10, 10], maximize=True)
+    def test_lower_bound(self, solver):
+        form = dense_form([-3], lb=[2], ub=[9])
         result = solve_form_with_highs(form)
-        assert result.objective == pytest.approx(7.0)
-
-    def test_minimization(self, solver):
-        form = dense_form([3], lb=[2], ub=[9])
-        result = solve_form_with_highs(form)
-        assert result.objective == pytest.approx(6.0)
-
-    def test_objective_with_constant(self, solver):
-        form = dense_form([1], ub=[5], maximize=True, constant=100.0)
-        result = solve_form_with_highs(form)
-        assert result.objective == pytest.approx(105.0)
+        assert result.objective == pytest.approx(-6.0)
+        assert result.x[0] == pytest.approx(2.0)
 
 
 class TestResultSemantics:

@@ -116,8 +116,7 @@ class TestCallScopedPool:
     ):
         """A submission ships the pickled context, which is all a
         heuristic task needs, plus the sweep's small parameters: exact
-        solves add nothing, since workers build their own compiler
-        templates."""
+        solves add nothing, since workers compile their own forms."""
         options = dict(optimal_time_limit_s=60.0, max_workers=2)
         if scope == "caller":
             with SweepExecutor(max_workers=2) as executor:

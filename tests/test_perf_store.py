@@ -573,6 +573,21 @@ class TestRecordStore:
         assert store.get("k11") == {"n": 11, "pad": "x" * 64}
         assert store.get("k0") is None
 
+    def test_gc_keeps_the_newest_records_across_shards(self, tmp_path):
+        """Every shard gives up its oldest lines, in proportion to its
+        bytes: GC does not empty the low shards first."""
+        store = SolveStore(tmp_path, shards=2)
+        for n in range(40):
+            store.put(f"k{n}", {"n": n, "pad": "x" * 64})
+        budget = store.record_bytes() // 2
+        assert store.gc(max_bytes=budget) > 0
+        assert store.record_bytes() <= budget
+        assert store.get("k39") == {"n": 39, "pad": "x" * 64}
+        assert store.get("k0") is None
+        fresh = SolveStore(tmp_path, shards=2)
+        survivors = [f"k{n}" for n in range(40) if fresh.get(f"k{n}") is not None]
+        assert {fresh._shard_of(key) for key in survivors} == {0, 1}
+
     def test_gc_under_warm_reader(self, tmp_path):
         writer = SolveStore(tmp_path, shards=1)
         reader = SolveStore(tmp_path, shards=1)

@@ -38,7 +38,6 @@ def build_knapsack(values, weights, budget):
         b_ub=[budget],
         ub=np.ones(n),
         integer=np.ones(n),
-        maximize=True,
     )
 
 
