@@ -43,6 +43,9 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
   two-failure scenarios, one serial sweep; the headline's ``exact``
   section records how many pre-certified (all ten: PM's seed or the
   full-fill seed reaches the combinatorial bound, so no MILP runs),
+* ``pm_kernel_wan72_s`` — the PM kernel over the 129 WAN-72
+  1+2+3-failure instances, the ``wan-recover`` benchmark workload's
+  universe (median of five passes),
 * ``pm_kernel_s`` / ``pg_kernel_s`` — the vectorized array kernels over
   the full ATT 1+2+3-failure matrix (41 instances), with the dict
   reference timed alongside for the speedup column,
@@ -155,6 +158,46 @@ def test_pm_hot_loop_n40(waxman40_context, capsys):
         print()
         print("=== PM hot loop on n=40 Waxman ===")
         print(render_table(("stage", "offline switches", "pairs", "best (ms)"), rows))
+
+
+def test_pm_kernel_wan72(capsys):
+    """PM over the 129 WAN-72 1-3-failure instances, ``wan-recover``'s
+    universe: the median of five timed passes.  Each pass first drops
+    the instances' cached flow sets, so every solve pays what a
+    request's one PM solve pays."""
+    from statistics import median
+
+    from bench_scalability import _context_for
+    from repro.control.failures import enumerate_failure_scenarios
+
+    context = _context_for(72)
+    instances = [
+        context.instance(scenario)
+        for n in (1, 2, 3)
+        for scenario in enumerate_failure_scenarios(context.plane, n)
+    ]
+    assert len(instances) == 129
+
+    def one_pass():
+        for instance in instances:
+            instance.arrays().cache.pop("flow_bits", None)
+        start = time.perf_counter()
+        for instance in instances:
+            solve_pm(instance)
+        return time.perf_counter() - start
+
+    one_pass()
+    elapsed = median(one_pass() for _ in range(5))
+    record_stage("pm_kernel_wan72_s", elapsed)
+    with capsys.disabled():
+        print()
+        print("=== PM kernel on the WAN-72 1+2+3-failure universe (129 instances) ===")
+        print(
+            render_table(
+                ("stage", "all 129 (ms)", "per solve (ms)"),
+                [("pm_kernel_wan72_s", f"{1000 * elapsed:.2f}", f"{1000 * elapsed / 129:.3f}")],
+            )
+        )
 
 
 def test_vectorized_kernels(context, capsys):

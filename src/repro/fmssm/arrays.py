@@ -144,12 +144,13 @@ class InstanceArrays:
     solver's certificate read on every request — the fields below
     (``flow_pairs``, one ``bincount`` of ``pair_flow``, gives
     ``recoverable_pos`` and the instance's ``total_iterations``) and the
-    sequential kernels' list views (:func:`seq_lists`), but no per-flow
-    or per-pair Python object.  ``flow_ids`` (the frame's) is gathered
+    switch-level list views (:func:`seq_lists`), but no per-flow or
+    per-pair Python object.  ``flow_ids`` (the frame's) is gathered
     from the network's ids through ``network_pos`` on first read;
     ``flow_sorted``, ``flow_indptr`` and ``pbar_desc``, which only PG
-    and PM's greedy phase 2 read, are sorted on first read.  Hand-built
-    and grounded instances take the same route.
+    and PM's greedy phase 2 read, are sorted on first read, and PM
+    caches its per-switch flow bitsets in ``cache`` on its first solve.
+    Hand-built and grounded instances take the same route.
     """
 
     #: Public id tuples (references into the instance and the network).
@@ -188,7 +189,8 @@ class InstanceArrays:
     #: Positions of the flows in the network's flow population, when the
     #: instance was grounded from one (``None`` for a hand-built one).
     network_pos: np.ndarray | None
-    #: Lazy extras: the sequential scans' list views and the network map.
+    #: Lazy extras: the switch-level list views, PM's flow bitsets and
+    #: the network map.
     cache: dict[str, object] = field(default_factory=dict, repr=False)
 
     @property
@@ -295,9 +297,10 @@ def build_arrays(
     ``flow_rank`` orders the flow positions by flow id (any array whose
     ascending order is the flow-id order); ``network_pos`` places the
     flows in the network's population of ids ``population_ids``, or is
-    ``None`` (the ids are then the flows' own).  The list views of the
-    sequential kernels (:func:`seq_lists`) are built here too, so a
-    grounded instance arrives with its kernel prep done.
+    ``None`` (the ids are then the flows' own).  The switch-level list
+    views (:func:`seq_lists`) are built here too, so a grounded instance
+    arrives with every kernel's prep done but PM's flow bitsets, which
+    its first PM solve builds.
     """
     n = len(switches)
     n_flows = flow_rank.size
@@ -331,40 +334,18 @@ def build_arrays(
 def seq_lists(arrays: InstanceArrays) -> tuple:
     """Plain-list views for the sequential scan kernels (cached).
 
-    PM's phase-1 picks (and the switch-level greedies) are inherently
-    sequential over WAN-small populations, where per-call numpy
-    dispatch costs more than the arithmetic — so their inner loops run
-    on position-indexed Python lists, materialized here once per
-    instance: per-pair flow and p̄ columns (PM reads them at the
-    pairs a pick scans), the switch CSR bounds, each flow's pair-switch
-    adjacency (for the incremental level counts), the delay-ordered
-    controller rows, gamma and the delay matrix.  The adjacency is
-    ``None`` for a flow with fewer than two pairs: one pair pairs only
-    with the switch being scanned, which PM decrements directly.  Each
-    other entry is a tuple of ints, which the collector stops tracking
-    after its first pass; a list would stay tracked for as long as a
-    plan holds the instance.
+    PM's picks and the switch-level greedies (RetroFlow, Nearest) walk
+    one switch at a time over WAN-small instances, where per-call numpy
+    dispatch costs more than the arithmetic, so they read their
+    per-switch values from lists: the delay-ordered controller rows,
+    gamma and the delay matrix.  PM's flow sets are its own
+    (``repro.perf.kernels``, cached next to these on first solve).
     """
     cached = arrays.cache.get("seq_lists")
     if cached is None:
-        flow_pairs, pair_flow = arrays.flow_pairs, arrays.pair_flow
-        adjacency: list[tuple[int, ...] | None] = [None] * arrays.n_flows
-        # Multi-pair flows' pairs, grouped by flow, ascending switch within.
-        shared = np.flatnonzero(flow_pairs[pair_flow] >= 2)
-        shared = shared[np.argsort(pair_flow[shared], kind="stable")]
-        switches, start = arrays.pair_switch[shared].tolist(), 0
-        flows = np.flatnonzero(flow_pairs >= 2)
-        for flow, stop in zip(flows.tolist(), np.cumsum(flow_pairs[flows]).tolist()):
-            adjacency[flow] = tuple(switches[start:stop])
-            start = stop
-        cached = (
-            pair_flow.tolist(),
-            arrays.pair_pbar.tolist(),
-            arrays.switch_indptr.tolist(),
-            adjacency,
+        cached = arrays.cache["seq_lists"] = (
             arrays.delay_order.tolist(),
             arrays.gamma.tolist(),
             arrays.delay.tolist(),
         )
-        arrays.cache["seq_lists"] = cached
     return cached

@@ -10,7 +10,8 @@ holds the production kernels, which every public solver entry
 (``solve_pm``, ``solve_pg``, ``solve_retroflow``, ``solve_nearest``)
 runs: every hot loop is re-expressed over dense position-indexed arrays
 (:class:`InstanceArrays`) so the per-solve cost is a handful of numpy
-reductions plus short Python loops over switches, not pairs.
+reductions plus short Python loops over switches, not pairs; PM's
+phase 1 works on one Python-int bitset of flows per switch.
 
 Equivalence contract
 --------------------
@@ -32,6 +33,10 @@ tie-breaking rules that make this hold (see DESIGN §10):
 * ``delay_order`` rows are stable argsorts of the delay matrix, i.e.
   the ``(delay, controller_id)`` ascending order every reference sorts
   controllers by;
+* PM's flow bitsets number a flow by its rank in flow-id order, so a
+  switch's bits from the lowest up are its pairs in scan order, and
+  PM's heap of ``(-count, switch position)`` pops the lowest switch id
+  among equal counts;
 * float accumulations that feed a comparison (the strict-PM delay
   budget) stay sequential Python loops so the rounding history matches
   the reference addition for addition.
@@ -39,6 +44,7 @@ tie-breaking rules that make this hold (see DESIGN §10):
 
 from __future__ import annotations
 
+import heapq
 import time
 
 import numpy as np
@@ -100,7 +106,7 @@ def instance_arrays(instance: FMSSMInstance) -> InstanceArrays:
 
 
 def prepare_instance(instance: FMSSMInstance) -> InstanceArrays:
-    """The instance's array view, with the sequential-scan list views.
+    """The instance's array view, with the switch-level list views.
 
     The view is *scenario data*, not algorithm work: sweeps and
     ``run_scenario`` call this right after grounding an instance so the
@@ -109,6 +115,7 @@ def prepare_instance(instance: FMSSMInstance) -> InstanceArrays:
     in whichever solver happens to run first.  :func:`~repro.fmssm.
     arrays.build_arrays` builds the list views with the arrays, and a
     grounded instance arrives with both, so this only looks them up.
+    PM's flow bitsets are PM's own work, built on its first solve.
     """
     return instance_arrays(instance)
 
@@ -116,6 +123,50 @@ def prepare_instance(instance: FMSSMInstance) -> InstanceArrays:
 # ----------------------------------------------------------------------
 # PM — Algorithm 1 over arrays
 # ----------------------------------------------------------------------
+def _flow_bits(arrays: InstanceArrays) -> tuple[list[int], np.ndarray, int]:
+    """Each switch's flows as a bitset, for PM's phase 1 (cached).
+
+    Bit ``r`` is the recoverable flow of rank ``r`` in flow-id order
+    (``recoverable_pos[r]``), so a switch's set bits from the lowest up
+    are its pairs in order.  Also returns each pair's bit in the
+    ``width``-byte rows the sets pack into (:func:`_unpack`).
+    """
+    cached = arrays.cache.get("flow_bits")
+    if cached is None:
+        rec = arrays.recoverable_pos
+        rank = np.zeros(arrays.n_flows, dtype=np.intp)
+        rank[rec] = np.arange(rec.size)
+        width = rec.size // 8 + 1
+        pair_bit = arrays.pair_switch * (8 * width) + rank[arrays.pair_flow]
+        grid = np.zeros(len(arrays.switches) * 8 * width, dtype=bool)
+        grid[pair_bit] = True
+        rows = np.packbits(grid, bitorder="little").tobytes()
+        bits = [
+            int.from_bytes(rows[i : i + width], "little")
+            for i in range(0, len(arrays.switches) * width, width)
+        ]
+        cached = arrays.cache["flow_bits"] = (bits, pair_bit, width)
+    return cached
+
+
+def _unpack(sets: list[int], pair_bit: np.ndarray, width: int) -> np.ndarray:
+    """The pairs whose flow is in its switch's set, as a bool mask."""
+    rows = b"".join(bits.to_bytes(width, "little") for bits in sets)
+    return np.unpackbits(np.frombuffer(rows, dtype=np.uint8), bitorder="little")[pair_bit] == 1
+
+
+def _lowest(bits: int, k: int) -> int:
+    """The ``k`` lowest set bits of ``bits`` (``k`` below its popcount)."""
+    lo, hi = k, bits.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (bits & ((1 << mid) - 1)).bit_count() >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return bits & ((1 << lo) - 1)
+
+
 def solve_pm_array(
     instance: FMSSMInstance,
     phase2_order: str = "paper",
@@ -125,45 +176,31 @@ def solve_pm_array(
     """Array kernel for ProgrammabilityMedic (Algorithm 1).
 
     Phase 1 keeps the pick loop (its picks are sequential by nature)
-    but swaps the reference's hashed state for position-indexed lists,
-    and a pick walks only the pairs that can flip:
+    but runs it on bitsets of flows (:func:`_flow_bits`): ``flows[s]``
+    holds switch ``s``'s flows, ``done[s]`` those activated at ``s``,
+    and ``level`` the recoverable flows at the water line ``sigma``.  A
+    flow's level only grows and a flip raises it by p̄ ≥ 2, so a flow
+    sits at ``sigma`` exactly while it is in ``level`` (DESIGN §10).
 
-    * *Incremental level counts.*  ``counts[s]`` tracks the pairs of
-      switch ``s`` whose flow sits at the current level ``sigma``,
-      decremented along each flipped flow's pair-switch adjacency,
-      instead of the reference's recount per pick.
-    * *Candidate lists.*  A pair flips only while its flow sits at
-      ``sigma`` and it is inactive.  ``h`` only grows and no pair is
-      ever deactivated, so while ``sigma`` holds, the pairs that can
-      flip are among those whose flow sat at ``sigma`` and that were
-      inactive when ``sigma`` was last set: the *candidates*.  The first
-      pass scans every pair (every flow at 0, none active).  A pick
-      scans its switch's candidates in pair (flow-id) order, the
-      reference's order with the pairs that cannot flip left out.  Only
-      flows at ``sigma`` flip, so ``sigma`` advances when no recoverable
-      flow is left there at a pass boundary; each advance rebuilds the
-      list with one ``flatnonzero`` over the new level mask, split per
-      switch by ``searchsorted`` on the switch CSR bounds.
-    * *One byte of state per pair.*  A ``bytearray`` marks the activated
-      pairs and numpy reads it in place (``np.frombuffer``): a sigma
-      advance takes the flow levels as a p̄-weighted ``bincount`` over
-      active pairs, phase 2 its open mask, and the answer its pair
-      array — ascending as read, so nothing is converted or sorted.
-
-    The reference also skips active pairs in its scan; the kernel needs
-    no such test.  A candidate is inactive when listed, and flipping it
-    raises its flow by p̄ ≥ 2 (``FMSSMInstance`` rejects smaller p̄ on
-    both construction routes), so a candidate flipped earlier at this
-    ``sigma`` fails the level test first.
+    * A switch's count is ``popcount(flows[s] & level)``, active pairs
+      included as the reference counts them.  Each pass heapifies
+      ``(-count, s)``; counts only fall within a pass, so a top entry
+      whose recount equals its key is the maximum, the lowest switch
+      id among ties, and a stale one goes back down.  The pass ends
+      when the maximum is 0.
+    * A pick flips ``flows[s] & level & ~done[s]``, the reference's
+      scan in flow-id order without the pairs it skips.  When the
+      controller's budget or the strict delay budget (the reference's
+      sequential additions, so the same rounding) stops it after ``k``
+      flips, it keeps the ``k`` lowest bits.
+    * ``sigma`` advances when ``level`` is empty at a pass boundary: a
+      flow's level is the p̄ of its active pairs summed, one weighted
+      ``bincount`` over the unpacked activations.
 
     Phase 2 without the delay bound is one grouped capacity selection
-    (:func:`grouped_capacity_select`): the reference's scan activates,
-    per controller, the first ``available`` candidates in scan order.
-    The strict variants stay a sequential loop over the open pairs
-    because the cumulative delay budget is order- and rounding-history-
-    dependent.  ``phase2=False`` skips the saturation phase entirely
-    (the ablation variant), matching ``ProgrammabilityMedic(...,
-    phase2=False)``.
+    (:func:`grouped_capacity_select`); the strict variants loop over
+    the open pairs, because the delay budget depends on order and
+    rounding history.  ``phase2=False`` skips phase 2 (the ablation).
     """
     if phase2_order not in ("paper", "greedy"):
         raise ValueError(f"phase2_order must be 'paper' or 'greedy': {phase2_order!r}")
@@ -171,50 +208,34 @@ def solve_pm_array(
     arrays = instance_arrays(instance)
     n = len(arrays.switches)
     m = len(arrays.controllers)
-    n_pairs = arrays.n_pairs
     pair_switch, pair_flow = arrays.pair_switch, arrays.pair_flow
     recoverable = arrays.recoverable_pos
-    pf_list, pbar_list, indptr, flow_adj, rows, gamma, delays = seq_lists(arrays)
+    rows, gamma, delays = seq_lists(arrays)
+    flows, pair_bit, width = _flow_bits(arrays)
 
-    h = [0] * arrays.n_flows
-    # state[k] is 1 once pair k is activated; ``active`` reads it in place.
-    state = bytearray(n_pairs)
-    active = np.frombuffer(state, dtype=np.uint8)
-    # The candidates at sigma in pair order, switch s's run of them at
-    # cand[bounds[s]:bounds[s + 1]]: on the first pass, every pair.
-    cand = range(n_pairs)
-    bounds = indptr
+    done = [0] * n
+    level = (1 << recoverable.size) - 1
     avail = arrays.spare.tolist()
     ctrl_of = [-1] * n
-    untested = [True] * n
-    remaining = n
-    sigma = 0
-    # Recoverable flows at level sigma; every flip takes one away.
-    at_sigma = recoverable.size
-    test_count = 0
     total_iterations = instance.total_iterations
     budget = instance.ideal_delay_ms + 1e-9
     total_delay = 0.0
-    # counts[s] — pairs of switch s whose flow sits at level sigma
-    # (including already-active pairs, as the reference's recount does).
-    counts = np.diff(arrays.switch_indptr).tolist()
 
-    while test_count < total_iterations:
-        # Lines 5-15: the untested switch with the most level-sigma
-        # pairs; strict > keeps the first maximum = lowest position =
-        # lowest switch id.
-        best = -1
-        best_count = 0
-        for s in range(n):
-            if untested[s]:
-                count = counts[s]
-                if count > best_count:
-                    best_count = count
-                    best = s
-        if best < 0:
-            remaining = 0
-        else:
-            s = best
+    for test_count in range(1, total_iterations + 1):
+        heap = [(-(bits & level).bit_count(), s) for s, bits in enumerate(flows)]
+        heapq.heapify(heap)
+        while heap:
+            # Lines 5-15: the untested switch with the most level-sigma
+            # pairs, ties toward the lowest switch id.
+            key, s = heap[0]
+            bits = flows[s] & level
+            count = bits.bit_count()
+            if count != -key:
+                heapq.heapreplace(heap, (-count, s))
+                continue
+            if not count:
+                break
+            heapq.heappop(heap)
             c = ctrl_of[s]
             if c < 0:
                 # Lines 17-28: nearest controller that fits the whole
@@ -228,65 +249,41 @@ def solve_pm_array(
                 else:
                     c = max(range(m), key=lambda j: (avail[j], -j))
                 ctrl_of[s] = c
-            untested[s] = False
-            remaining -= 1
-            # Lines 31-36: flip candidate pairs at s in flow-id order.
-            # h only grows within a pass and sigma is the pass-start
-            # minimum, so h == sigma ⟺ h <= sigma here.  The reference's
-            # active-pair test is implied: a candidate flipped at this
-            # sigma has risen by its p̄ ≥ 2 and fails the level test.
-            budget_left = avail[c]
-            delay_sc = delays[s][c]
-            for k in cand[bounds[s] : bounds[s + 1]]:
-                flow = pf_list[k]
-                level = h[flow]
-                if level > sigma:
-                    continue
-                if budget_left <= 0:
-                    break
-                if enforce_delay:
+            # Lines 31-36: flip the inactive level-sigma pairs at s, in
+            # flow-id order, while the budgets last.
+            bits &= ~done[s]
+            count = bits.bit_count()
+            k = min(count, avail[c])
+            if enforce_delay:
+                delay_sc = delays[s][c]
+                for flipped in range(k):
                     if total_delay + delay_sc > budget:
-                        continue
+                        k = flipped
+                        break
                     total_delay += delay_sc
-                budget_left -= 1
-                h[flow] = level + pbar_list[k]
-                state[k] = 1
-                at_sigma -= 1
-                # The flow leaves level sigma: every switch pairing with
-                # it loses one level-sigma pair.
-                adjacent = flow_adj[flow]
-                if adjacent is None:
-                    counts[s] -= 1
-                else:
-                    for paired in adjacent:
-                        counts[paired] -= 1
-            avail[c] = budget_left
-        if remaining == 0:
-            untested = [True] * n
-            remaining = n
-            test_count += 1
-            if at_sigma == 0 and test_count < total_iterations:
-                # Every recoverable flow left sigma: a flow's level is
-                # the p̄ of its active pairs, summed.  Rebuild the level
-                # counts and the candidates at the new water line — the
-                # only O(P) step, once per sigma advance.
-                levels = np.bincount(
-                    pair_flow, weights=arrays.pair_pbar * active, minlength=arrays.n_flows
-                )
-                lowest = levels[recoverable]
-                sigma = int(lowest.min())
-                at_sigma = int(np.count_nonzero(lowest == sigma))
-                at_level = levels[pair_flow] == sigma
-                counts = np.bincount(pair_switch[at_level], minlength=n).tolist()
-                listed = np.flatnonzero(at_level & (active == 0))
-                cand = listed.tolist()
-                bounds = np.searchsorted(listed, arrays.switch_indptr).tolist()
+            if k > 0:
+                if k < count:
+                    bits = _lowest(bits, k)
+                avail[c] -= k
+                done[s] |= bits
+                level ^= bits
+        if not level and test_count < total_iterations:
+            # Every recoverable flow left sigma: advance it to the new
+            # least level, once per sigma.
+            active = _unpack(done, pair_bit, width)
+            levels = np.bincount(
+                pair_flow, weights=arrays.pair_pbar * active, minlength=arrays.n_flows
+            )
+            lowest = levels[recoverable]
+            packed = np.packbits(lowest == lowest.min(), bitorder="little")
+            level = int.from_bytes(packed.tobytes(), "little")
 
     # Phase 2 (lines 42-50): saturate leftover capacity on mapped switches.
+    active = _unpack(done, pair_bit, width)
     switch_ctrl = np.array(ctrl_of, dtype=np.int64)
-    if phase2 and n_pairs:
+    if phase2 and arrays.n_pairs:
         ctrl = switch_ctrl[pair_switch]
-        open_mask = (active == 0) & (ctrl >= 0)
+        open_mask = ~active & (ctrl >= 0)
         if phase2_order == "greedy":
             order = arrays.pbar_desc
             scan = order[open_mask[order]]
@@ -297,6 +294,7 @@ def solve_pm_array(
             # The reference's float additions, in its order, over the
             # pairs it does not skip outright.
             pair_delay = arrays.delay[pair_switch[scan], scan_ctrl].tolist()
+            flipped = []
             for k, c, d in zip(scan.tolist(), scan_ctrl.tolist(), pair_delay):
                 if avail[c] <= 0:
                     continue
@@ -304,10 +302,11 @@ def solve_pm_array(
                     continue
                 total_delay += d
                 avail[c] -= 1
-                state[k] = 1
+                flipped.append(k)
+            active[flipped] = True
         elif scan.size:
             capacity = np.array(avail, dtype=np.int64)
-            active[scan[grouped_capacity_select(scan_ctrl, capacity)]] = 1
+            active[scan[grouped_capacity_select(scan_ctrl, capacity)]] = True
 
     meta: dict[str, object] = {
         "phase2_order": phase2_order,
@@ -447,7 +446,7 @@ def solve_retroflow_array(instance: FMSSMInstance) -> RecoverySolution:
     start = time.perf_counter()
     arrays = instance_arrays(instance)
     n = len(arrays.switches)
-    _, _, _, _, rows, gamma, _ = seq_lists(arrays)
+    rows, gamma, _ = seq_lists(arrays)
     value = (
         np.bincount(arrays.pair_switch, weights=arrays.pair_pbar, minlength=n)
         .astype(np.int64)
@@ -500,7 +499,7 @@ def solve_nearest_array(instance: FMSSMInstance) -> RecoverySolution:
     """
     start = time.perf_counter()
     arrays = instance_arrays(instance)
-    _, _, _, _, rows, gamma, _ = seq_lists(arrays)
+    rows, gamma, _ = seq_lists(arrays)
     nearest = arrays.delay_order[:, 0].tolist()
     available = arrays.spare.tolist()
     load = [0] * len(arrays.controllers)

@@ -167,19 +167,7 @@ def reference_arrays(instance: FMSSMInstance) -> dict[str, object]:
         ),
         "pbar_desc": np.argsort(-pair_pbar, kind="stable"),
     }
-    # Each flow's pair switches, ascending, for flows with two or more.
-    by_flow: list[list[int]] = [[] for _ in range(n_flows)]
-    for switch, flow_id in pairs:
-        by_flow[flow_pos[flow_id]].append(switch_pos[switch])
-    columns["seq_lists"] = (
-        pair_flow.tolist(),
-        pair_pbar.tolist(),
-        switch_indptr.tolist(),
-        [tuple(switches) if len(switches) >= 2 else None for switches in by_flow],
-        delay_order.tolist(),
-        columns["gamma"].tolist(),
-        delay.tolist(),
-    )
+    columns["seq_lists"] = (delay_order.tolist(), columns["gamma"].tolist(), delay.tolist())
     return columns
 
 

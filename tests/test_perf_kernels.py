@@ -41,7 +41,7 @@ from repro.experiments.scenarios import custom_context
 from repro.flows.flow import Flow
 from repro.fmssm.evaluation import evaluate_batch, evaluate_solution
 from repro.fmssm.instance import FMSSMInstance
-from repro.perf.kernels import instance_arrays, prepare_instance
+from repro.perf.kernels import _flow_bits, instance_arrays, prepare_instance
 from repro.pm.algorithm import ProgrammabilityMedic, solve_pm
 from repro.topology.generators import waxman_topology
 
@@ -228,7 +228,7 @@ def candidate_instance() -> FMSSMInstance:
 
 
 class TestCandidateLists:
-    """PM's phase 1 scans only the pairs that can flip at sigma."""
+    """PM's phase 1 flips only the pairs that can flip at sigma."""
 
     def test_instance_drives_every_candidate_path(self):
         instance = candidate_instance()
@@ -245,10 +245,11 @@ class TestCandidateLists:
     def test_array_matches_reference(self, name, solver):
         _assert_routes_agree(candidate_instance(), solver)
 
-    def test_visits_stay_near_one_per_pair(self):
-        # Before candidate lists, the passes after the first re-walked
-        # every pair of each picked switch: ~2.6 pair-flow reads per pair
-        # on this solve, against ~1.03 with them.
+    def test_lazy_greedy_reevaluates_few_counts(self):
+        # Each heap-top examination reads one switch's flow set: a pick,
+        # a stale count pushed back down, or the pass's closing zero.
+        # On this solve that is ~1.5 reads per switch and pass; an
+        # argmax rescan per pick reads ~n/2 per switch and pass.
         from test_grounding_index import wan72_context
 
         class CountingList(list):
@@ -260,10 +261,12 @@ class TestCandidateLists:
 
         instance = wan72_context().instance(FailureScenario(frozenset({2, 3, 6})))
         arrays = prepare_instance(instance)
-        pair_flow, *rest = arrays.cache["seq_lists"]
-        arrays.cache["seq_lists"] = (CountingList(pair_flow), *rest)
+        flows, *rest = _flow_bits(arrays)
+        arrays.cache["flow_bits"] = (CountingList(flows), *rest)
         solve_pm(instance)
-        assert 0 < CountingList.reads < 1.3 * arrays.n_pairs
+        passes = instance.total_iterations
+        assert passes >= 2
+        assert 0 < CountingList.reads <= 2 * len(arrays.switches) * passes
 
 
 @st.composite
@@ -332,6 +335,93 @@ def tie_heavy_instances(draw):
         lam=0.001,
         nearest=nearest,
     )
+
+
+@st.composite
+def bitset_edge_instances(draw):
+    """Hand-built instances whose first PM pick drives every edge path
+    of the bitset phase 1.
+
+    Switches 0 and 1 both pair every flow, so the first pick is a heap
+    tie that switch 0 wins, and switch 1's entry goes stale.  Every
+    spare is at least 2 and below the flow count, so that pick's
+    controller stops it after ``k`` flips, ``k`` below its popcount;
+    the delay bound admits between one and ``k - 1`` of its strict
+    additions.  Flows are inserted shuffled, so their positions are not
+    their id order: a bit is a flow's rank, not its position.
+    """
+    n_flows = draw(st.integers(min_value=3, max_value=8))
+    n_switches = draw(st.integers(min_value=2, max_value=5))
+    n_controllers = draw(st.integers(min_value=2, max_value=3))
+    switches = tuple(range(n_switches))
+    controllers = tuple(range(100, 100 + n_controllers))
+    delay = {
+        (s, c): float(draw(st.integers(min_value=1, max_value=3)))
+        for s in switches
+        for c in controllers
+    }
+    spare = {c: draw(st.integers(min_value=2, max_value=n_flows - 1)) for c in controllers}
+    order = draw(st.permutations(range(n_flows)))
+    if order == sorted(order):
+        order = order[::-1]
+    flows = {}
+    for index in order:
+        src, dst = 200 + index, 300 + index
+        flows[(src, dst)] = Flow(src=src, dst=dst, path=(src, dst))
+    pbar = {}
+    for s in switches:
+        for flow_id in sorted(flows):
+            if s < 2 or draw(st.booleans()):
+                pbar[(s, flow_id)] = draw(st.integers(min_value=2, max_value=4))
+    gamma = {s: draw(st.integers(min_value=1, max_value=4)) for s in switches}
+    nearest = {s: min(controllers, key=lambda c: (delay[(s, c)], c)) for s in switches}
+    # Switch 0's controller, as lines 17-28 pick it.
+    first = next(
+        (c for c in sorted(controllers, key=lambda c: (delay[(0, c)], c)) if spare[c] >= gamma[0]),
+        max(controllers, key=lambda c: (spare[c], -c)),
+    )
+    fits = draw(st.integers(min_value=1, max_value=spare[first] - 1))
+    return FMSSMInstance(
+        switches=switches,
+        controllers=controllers,
+        spare=spare,
+        delay=delay,
+        flows=flows,
+        pbar=pbar,
+        gamma=gamma,
+        ideal_delay_ms=delay[(0, first)] * fits + 0.5,
+        lam=0.001,
+        nearest=nearest,
+    )
+
+
+class TestBitsetEdgePaths:
+    """PM's bitset phase 1 against the reference on its edge paths."""
+
+    @SETTINGS
+    @given(instance=bitset_edge_instances())
+    def test_pm_matches_reference(self, instance):
+        arrays = instance_arrays(instance)
+        recoverable = arrays.recoverable_pos.tolist()
+        assert recoverable != sorted(recoverable)
+        for _, (array, reference) in SOLVERS[:8]:
+            assert_same_solution(array(instance), reference(instance))
+        rank = {flow_id: r for r, flow_id in enumerate(instance.recoverable_flows)}
+        assert _flow_bits(arrays)[0] == [
+            sum(1 << rank[flow_id] for flow_id in instance.pairs_at[s])
+            for s in instance.switches
+        ]
+        # The paths were taken: switch 0 won the tie, and its pick was
+        # cut short by the budget, and under the delay bound by that.
+        plain = TracedMedic(instance, phase2=False)
+        plain.run()
+        first = plain._mapping[0]
+        at_first = sum(1 for s, _ in plain._sdn_pairs if s == 0)
+        assert at_first == instance.spare[first] < len(instance.flows)
+        strict = TracedMedic(instance, enforce_delay=True, phase2=False)
+        strict.run()
+        assert strict._mapping[0] == first and strict.delay_skips > 0
+        assert sum(1 for s, _ in strict._sdn_pairs if s == 0) < instance.spare[first]
 
 
 class TestKernelProperties:
